@@ -116,14 +116,16 @@ def lost_dirty_bit() -> Iterator[None]:
 
     def _drain_word(self, addr, start):
         l2 = self.l2
-        line = addr - addr % l2.line_bytes
-        idx = (line // l2.line_bytes) % l2.num_lines
-        if l2.tags[idx] == line:
+        idx = l2.where.get(addr - addr % l2.line_bytes)
+        if idx is None:
+            state = LineState.INVALID
+        else:
             state = l2.states[idx]
             if state is LineState.MODIFIED or state is LineState.EXCLUSIVE:
                 # BUG: the E->M transition is dropped.
+                if self._touch_l2 is not None:
+                    self._touch_l2(addr)
                 return start + self.machine.write_buffers.l1_drain_cycles
-        state = self.l2.state_of(addr)
         controller = self.controller
         if state == LineState.SHARED:
             if controller.is_update_addr(addr):

@@ -1,7 +1,7 @@
 """The simulated memory system: caches, bus, coherence, buffers, DMA."""
 
 from repro.memsys.bus import Bus, BusOp
-from repro.memsys.cache import CoherentCache, DirectMappedCache
+from repro.memsys.cache import Cache, CoherentCache
 from repro.memsys.coherence import CoherenceController
 from repro.memsys.dma import DmaResult, run_dma
 from repro.memsys.hierarchy import AccessResult, CpuMemorySystem
@@ -14,10 +14,10 @@ __all__ = [
     "AccessResult",
     "Bus",
     "BusOp",
+    "Cache",
     "CoherenceController",
     "CoherentCache",
     "CpuMemorySystem",
-    "DirectMappedCache",
     "DmaResult",
     "LineState",
     "MemorySink",

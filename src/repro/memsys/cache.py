@@ -1,22 +1,17 @@
-"""Cache arrays: direct-mapped (the paper's testbed) and LRU set-associative.
+"""Cache arrays: one LRU set-associative model for every associativity.
 
-The paper's machine is direct-mapped everywhere, so the original model is
-just a tag (and, for the L2, a MESI state) per set.  The set-associative
-variants generalize that to ``assoc`` ways per set with true-LRU
-replacement, sharing the public surface (``tags``/``tags_np`` mirrors,
-``present``/``fill``/``invalidate``/``resident_lines``) so the hierarchy,
-coherence controller and conformance checker work unchanged.  Timing lives
-in the hierarchy/coherence layers; this module only answers presence
-questions and performs fills, evictions and invalidations.
-
-Use :func:`make_cache`/:func:`make_coherent_cache` to pick the class from
-``CacheParams.assoc``; 1-way parameters yield the direct-mapped classes so
-the paper configuration keeps its exact fast-path behaviour.
+The paper's machine is direct-mapped everywhere; the machine axis adds
+``assoc``-way caches.  Both are the same model: ``num_sets`` sets of
+``assoc`` frames with true-LRU replacement, where direct-mapped is simply
+the 1-way point (each frame is its own set, so the only possible victim
+is the line already there).  Timing lives in the hierarchy/coherence
+layers; this module only answers presence questions and performs fills,
+evictions and invalidations.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -24,48 +19,52 @@ from repro.common.params import CacheParams
 from repro.memsys.states import LineState
 
 
-class DirectMappedCache:
-    """Tag-only direct-mapped cache (used for L1I and L1D).
+class Cache:
+    """Tag-only cache (used for L1I and L1D).
 
-    ``line_bytes``, ``num_lines`` and ``tags`` are public on purpose: the
-    simulator's L1-hit fast path binds them once and probes the tag array
-    directly, skipping the :meth:`present` call per reference.  ``tags``
-    is mutated in place only, so a bound reference never goes stale.
+    The frame arrays are flat and set-major: way ``w`` of set ``s`` lives
+    at index ``s * assoc + w``, so at ``assoc == 1`` frame ``i`` is set
+    ``i`` and the arrays are indexed exactly as a direct-mapped tag array.
+
+    ``where`` maps every resident line address to its frame and is kept
+    in step with ``tags`` by every mutation method, so a lookup is one
+    dict probe whatever the associativity.  The simulator's inline hit
+    paths bind it once and test ``line in where`` directly; like ``tags``
+    it is mutated in place only, so a bound reference never goes stale.
 
     ``tags_np`` mirrors ``tags`` as an int64 array for the batched
     stepping mode's vectorized compares.  The Python list stays the
-    authoritative copy (scalar indexing of a list is faster than of an
-    ndarray, and the per-record hot path must not regress); the mirror is
-    updated in the same mutation methods, which only run on the miss and
-    invalidation paths.
+    authoritative copy; the mirror is updated in the same mutation
+    methods, which only run on the miss and invalidation paths.
+
+    Recency is a per-frame stamp from a monotonic use counter: fills into
+    sets of more than one way and :meth:`touch` stamp the frame, and the
+    victim is the first empty way of the set, else its least recently
+    used way.  :meth:`present` is a
+    pure query (the conformance checker probes it freely).
     """
 
     __slots__ = ("params", "line_bytes", "num_lines", "num_sets", "assoc",
-                 "tags", "tags_np", "fills", "evictions")
+                 "tags", "tags_np", "where", "stamps", "_tick", "fills",
+                 "evictions")
 
     def __init__(self, params: CacheParams) -> None:
-        if params.assoc != 1:
-            raise ValueError(
-                f"DirectMappedCache needs 1-way params, got {params.assoc}-way"
-                " (use make_cache/make_coherent_cache)")
         self.params = params
         self.line_bytes = params.line_bytes
         self.num_lines = params.num_lines
-        self.num_sets = params.num_lines
-        self.assoc = 1
-        #: Line-aligned address held by each set, or -1 when empty.
+        self.num_sets = params.num_sets
+        self.assoc = params.assoc
+        #: Line-aligned address held by each frame, or -1 when empty.
         self.tags: List[int] = [-1] * self.num_lines
         #: Vectorized mirror of :attr:`tags` (batched stepping mode).
         self.tags_np = np.full(self.num_lines, -1, dtype=np.int64)
+        #: Resident line address -> frame index.
+        self.where: Dict[int, int] = {}
+        #: Use stamp per frame; larger == more recently used.
+        self.stamps: List[int] = [0] * self.num_lines
+        self._tick = 0
         self.fills = 0
         self.evictions = 0
-
-    def touch(self, addr: int) -> None:
-        """Record a use of the line containing *addr* for replacement.
-
-        Direct-mapped replacement has no recency state, so this is a
-        no-op; the set-associative subclass promotes the line to MRU.
-        """
 
     def line_addr(self, addr: int) -> int:
         """Line-aligned address containing *addr*."""
@@ -73,61 +72,87 @@ class DirectMappedCache:
 
     def set_index(self, addr: int) -> int:
         """Set index of *addr*."""
-        return (addr // self.line_bytes) % self.num_lines
+        return (addr // self.line_bytes) % self.num_sets
 
     def present(self, addr: int) -> bool:
         """True when the line containing *addr* is cached."""
-        line = addr - addr % self.line_bytes
-        return self.tags[(line // self.line_bytes) % self.num_lines] == line
+        return addr - addr % self.line_bytes in self.where
+
+    def touch(self, addr: int) -> None:
+        """Promote the line containing *addr* to most recently used."""
+        idx = self.where.get(addr - addr % self.line_bytes)
+        if idx is not None:
+            self._tick += 1
+            self.stamps[idx] = self._tick
 
     def fill(self, addr: int) -> int:
-        """Install the line containing *addr*.
+        """Install the line containing *addr* in its set's least recently
+        used frame, leaving the frame's MESI state (if any) to the caller.
 
         Returns the line address evicted to make room, or -1 when the set
-        was empty or already held the line.
+        had an empty way or already held the line (which is promoted).
+
+        On ``assoc > 1`` empty frames hold stamp 0 and resident ones a
+        positive stamp, so the minimum-stamp frame is the set's first
+        empty way, else its LRU way.  A 1-way set has one frame: nothing
+        to search or stamp.
         """
-        line = self.line_addr(addr)
-        idx = (line // self.line_bytes) % self.num_lines
-        old = self.tags[idx]
-        if old == line:
+        line = addr - addr % self.line_bytes
+        where = self.where
+        idx = where.get(line)
+        if idx is not None:
+            self._tick += 1
+            self.stamps[idx] = self._tick
             return -1
-        self.tags[idx] = line
+        assoc = self.assoc
+        idx = (line // self.line_bytes) % self.num_sets * assoc
+        if assoc > 1:
+            stamps = self.stamps
+            ways = stamps[idx:idx + assoc]
+            idx += ways.index(min(ways))
+            self._tick += 1
+            stamps[idx] = self._tick
+        tags = self.tags
+        old = tags[idx]
+        if old != -1:
+            del where[old]
+            self.evictions += 1
+        where[line] = idx
+        tags[idx] = line
         self.tags_np[idx] = line
         self.fills += 1
-        if old != -1:
-            self.evictions += 1
-            return old
-        return -1
+        return old
+
+    def _drop(self, idx: int) -> None:
+        """Empty frame *idx* (already removed from :attr:`where`)."""
+        self.tags[idx] = -1
+        self.tags_np[idx] = -1
+        self.stamps[idx] = 0
 
     def invalidate(self, addr: int) -> bool:
         """Drop the line containing *addr*; returns True if it was present."""
-        line = self.line_addr(addr)
-        idx = (line // self.line_bytes) % self.num_lines
-        if self.tags[idx] == line:
-            self.tags[idx] = -1
-            self.tags_np[idx] = -1
-            return True
-        return False
+        idx = self.where.pop(addr - addr % self.line_bytes, None)
+        if idx is None:
+            return False
+        self._drop(idx)
+        return True
 
     def invalidate_range(self, base: int, size: int) -> List[int]:
         """Drop every cached line overlapping ``[base, base+size)``.
 
         Returns the line addresses actually dropped.
         """
-        dropped = []
         first = self.line_addr(base)
-        for line in range(first, base + size, self.line_bytes):
-            if self.invalidate(line):
-                dropped.append(line)
-        return dropped
+        return [line for line in range(first, base + size, self.line_bytes)
+                if self.invalidate(line)]
 
     def resident_lines(self) -> List[int]:
-        """All line addresses currently cached, in set order."""
+        """All line addresses currently cached, in frame order."""
         return [t for t in self.tags if t != -1]
 
 
-class CoherentCache(DirectMappedCache):
-    """Direct-mapped cache with a MESI state per set (the L2).
+class CoherentCache(Cache):
+    """Cache with a MESI state per frame (the L2).
 
     ``states_np`` mirrors ``states`` (same contract as ``tags_np``): the
     enum list is authoritative, the int8 array exists for the batched
@@ -143,249 +168,41 @@ class CoherentCache(DirectMappedCache):
 
     def state_of(self, addr: int) -> LineState:
         """MESI state of the line containing *addr* (INVALID if absent)."""
+        idx = self.where.get(addr - addr % self.line_bytes)
+        if idx is None:
+            return LineState.INVALID
+        return self.states[idx]
+
+    def set_state(self, addr: int, state: LineState) -> None:
+        """Set the MESI state of a resident line (INVALID drops it)."""
         line = addr - addr % self.line_bytes
-        idx = (line // self.line_bytes) % self.num_lines
-        if self.tags[idx] == line:
-            return self.states[idx]
-        return LineState.INVALID
-
-    def set_state(self, addr: int, state: LineState) -> None:
-        """Set the MESI state of a resident line."""
-        line = self.line_addr(addr)
-        idx = (line // self.line_bytes) % self.num_lines
-        if self.tags[idx] != line:
+        idx = self.where.get(line)
+        if idx is None:
             raise KeyError(f"line {line:#x} not resident")
-        self.states[idx] = state
-        self.states_np[idx] = state
         if state == LineState.INVALID:
-            self.tags[idx] = -1
-            self.tags_np[idx] = -1
-
-    def fill_state(self, addr: int, state: LineState) -> Tuple[int, Optional[LineState]]:
-        """Install the line containing *addr* in *state*.
-
-        Returns ``(evicted_line_addr, evicted_state)`` —
-        ``(-1, None)`` when nothing was displaced.
-        """
-        line = self.line_addr(addr)
-        idx = (line // self.line_bytes) % self.num_lines
-        old_tag = self.tags[idx]
-        old_state = self.states[idx]
-        self.tags[idx] = line
-        self.tags_np[idx] = line
-        self.states[idx] = state
-        self.states_np[idx] = state
-        if old_tag == line or old_tag == -1:
-            if old_tag == -1:
-                self.fills += 1
-            return -1, None
-        self.fills += 1
-        self.evictions += 1
-        return old_tag, old_state
-
-    def invalidate(self, addr: int) -> bool:
-        line = self.line_addr(addr)
-        idx = (line // self.line_bytes) % self.num_lines
-        if self.tags[idx] == line:
-            self.tags[idx] = -1
-            self.tags_np[idx] = -1
-            self.states[idx] = LineState.INVALID
-            self.states_np[idx] = 0
-            return True
-        return False
-
-
-class SetAssociativeCache(DirectMappedCache):
-    """Tag-only N-way set-associative cache with true-LRU replacement.
-
-    The tag array is flat and set-major: way ``w`` of set ``s`` lives at
-    index ``s * assoc + w``, so ``tags``/``tags_np`` keep the same
-    "mutated in place, bound references never go stale" contract as the
-    direct-mapped class and :meth:`resident_lines` needs no override.
-    Recency is a per-frame stamp from a monotonic use counter; the LRU
-    victim is the minimum-stamp way of the set.  :meth:`present` stays a
-    pure query (the conformance checker probes it freely); recency moves
-    only through :meth:`touch` and the fill methods.
-    """
-
-    __slots__ = ("_stamps", "_tick")
-
-    def __init__(self, params: CacheParams) -> None:
-        if params.assoc < 2:
-            raise ValueError("SetAssociativeCache needs assoc >= 2 "
-                             "(use make_cache for 1-way params)")
-        # Skip the direct-mapped guard but reuse its attribute setup.
-        self.params = params
-        self.line_bytes = params.line_bytes
-        self.num_lines = params.num_lines
-        self.num_sets = params.num_sets
-        self.assoc = params.assoc
-        self.tags = [-1] * self.num_lines
-        self.tags_np = np.full(self.num_lines, -1, dtype=np.int64)
-        self.fills = 0
-        self.evictions = 0
-        #: Use stamp per line frame; larger == more recently used.
-        self._stamps = [0] * self.num_lines
-        self._tick = 0
-
-    def set_index(self, addr: int) -> int:
-        """Set index of *addr*."""
-        return (addr // self.line_bytes) % self.num_sets
-
-    def _find(self, line: int) -> int:
-        """Flat frame index holding *line*, or -1."""
-        base = ((line // self.line_bytes) % self.num_sets) * self.assoc
-        tags = self.tags
-        for idx in range(base, base + self.assoc):
-            if tags[idx] == line:
-                return idx
-        return -1
-
-    def _victim(self, base: int) -> int:
-        """Frame to replace in the set starting at *base*: first empty
-        way, else the LRU (minimum-stamp) way."""
-        tags = self.tags
-        stamps = self._stamps
-        victim = base
-        victim_stamp = stamps[base]
-        for idx in range(base, base + self.assoc):
-            if tags[idx] == -1:
-                return idx
-            if stamps[idx] < victim_stamp:
-                victim = idx
-                victim_stamp = stamps[idx]
-        return victim
-
-    def present(self, addr: int) -> bool:
-        return self._find(addr - addr % self.line_bytes) != -1
-
-    def touch(self, addr: int) -> None:
-        idx = self._find(addr - addr % self.line_bytes)
-        if idx != -1:
-            self._tick += 1
-            self._stamps[idx] = self._tick
-
-    def fill(self, addr: int) -> int:
-        line = self.line_addr(addr)
-        idx = self._find(line)
-        self._tick += 1
-        if idx != -1:
-            self._stamps[idx] = self._tick
-            return -1
-        base = ((line // self.line_bytes) % self.num_sets) * self.assoc
-        idx = self._victim(base)
-        old = self.tags[idx]
-        self.tags[idx] = line
-        self.tags_np[idx] = line
-        self._stamps[idx] = self._tick
-        self.fills += 1
-        if old != -1:
-            self.evictions += 1
-            return old
-        return -1
-
-    def invalidate(self, addr: int) -> bool:
-        idx = self._find(self.line_addr(addr))
-        if idx != -1:
-            self.tags[idx] = -1
-            self.tags_np[idx] = -1
-            self._stamps[idx] = 0
-            return True
-        return False
-
-
-class CoherentSetAssociativeCache(SetAssociativeCache):
-    """Set-associative cache with a MESI state per frame (L2 variant).
-
-    Same ``states``/``states_np`` mirror contract as
-    :class:`CoherentCache`; the coherence controller only uses the
-    address-based API (``state_of``/``set_state``/``fill_state``/
-    ``resident_lines``), which this class provides per-way.
-    """
-
-    __slots__ = ("states", "states_np")
-
-    def __init__(self, params: CacheParams) -> None:
-        super().__init__(params)
-        self.states: List[LineState] = [LineState.INVALID] * self.num_lines
-        self.states_np = np.zeros(self.num_lines, dtype=np.int8)
-
-    def state_of(self, addr: int) -> LineState:
-        """MESI state of the line containing *addr* (INVALID if absent)."""
-        idx = self._find(addr - addr % self.line_bytes)
-        if idx != -1:
-            return self.states[idx]
-        return LineState.INVALID
-
-    def set_state(self, addr: int, state: LineState) -> None:
-        """Set the MESI state of a resident line."""
-        line = self.line_addr(addr)
-        idx = self._find(line)
-        if idx == -1:
-            raise KeyError(f"line {line:#x} not resident")
-        self.states[idx] = state
-        self.states_np[idx] = state
-        if state == LineState.INVALID:
-            self.tags[idx] = -1
-            self.tags_np[idx] = -1
-            self._stamps[idx] = 0
-
-    def fill_state(self, addr: int, state: LineState) -> Tuple[int, Optional[LineState]]:
-        """Install the line containing *addr* in *state*.
-
-        Returns ``(evicted_line_addr, evicted_state)`` —
-        ``(-1, None)`` when nothing was displaced.
-        """
-        line = self.line_addr(addr)
-        idx = self._find(line)
-        self._tick += 1
-        if idx != -1:
+            del self.where[line]
+            self._drop(idx)
+        else:
             self.states[idx] = state
             self.states_np[idx] = state
-            self._stamps[idx] = self._tick
-            return -1, None
-        base = ((line // self.line_bytes) % self.num_sets) * self.assoc
-        idx = self._victim(base)
-        old_tag = self.tags[idx]
-        old_state = self.states[idx]
-        self.tags[idx] = line
-        self.tags_np[idx] = line
+
+    def fill_state(self, addr: int, state: LineState) -> Tuple[int, Optional[LineState]]:
+        """Install the line containing *addr* in *state*.
+
+        Returns ``(evicted_line_addr, evicted_state)`` —
+        ``(-1, None)`` when nothing was displaced.  A resident line only
+        changes state (and is promoted).
+        """
+        line = addr - addr % self.line_bytes
+        old = self.fill(line)
+        idx = self.where[line]
+        # fill() leaves the frame's state alone: it is still the victim's.
+        evicted = (-1, None) if old == -1 else (old, self.states[idx])
         self.states[idx] = state
         self.states_np[idx] = state
-        self._stamps[idx] = self._tick
-        self.fills += 1
-        if old_tag == -1:
-            return -1, None
-        self.evictions += 1
-        return old_tag, old_state
+        return evicted
 
-    def invalidate(self, addr: int) -> bool:
-        idx = self._find(self.line_addr(addr))
-        if idx != -1:
-            self.tags[idx] = -1
-            self.tags_np[idx] = -1
-            self.states[idx] = LineState.INVALID
-            self.states_np[idx] = 0
-            self._stamps[idx] = 0
-            return True
-        return False
-
-
-def make_cache(params: CacheParams) -> DirectMappedCache:
-    """Tag-only cache of the organization *params* asks for."""
-    if params.assoc == 1:
-        return DirectMappedCache(params)
-    return SetAssociativeCache(params)
-
-
-def make_coherent_cache(
-        params: CacheParams) -> "CoherentCache | CoherentSetAssociativeCache":
-    """MESI-state-tracking cache of the organization *params* asks for.
-
-    Note the return types share no coherent base class — callers rely on
-    the duck-typed address API (``state_of``/``set_state``/``fill_state``),
-    which both classes implement.
-    """
-    if params.assoc == 1:
-        return CoherentCache(params)
-    return CoherentSetAssociativeCache(params)
+    def _drop(self, idx: int) -> None:
+        super()._drop(idx)
+        self.states[idx] = LineState.INVALID
+        self.states_np[idx] = 0

@@ -34,7 +34,7 @@ from typing import Iterable, List, Optional, Set
 from repro.common.errors import SimulationError
 from repro.common.params import MachineParams
 from repro.memsys.bus import Bus, BusOp
-from repro.memsys.cache import CoherentCache, DirectMappedCache
+from repro.memsys.cache import Cache, CoherentCache
 from repro.memsys.sink import MemorySink
 from repro.memsys.states import LineState
 
@@ -44,7 +44,7 @@ class _CpuPort:
 
     __slots__ = ("l1i", "l1d", "l2", "sink")
 
-    def __init__(self, l1i: DirectMappedCache, l1d: DirectMappedCache,
+    def __init__(self, l1i: Cache, l1d: Cache,
                  l2: CoherentCache, sink: MemorySink) -> None:
         self.l1i = l1i
         self.l1d = l1d
@@ -86,7 +86,7 @@ class CoherenceController:
     # ------------------------------------------------------------------
     # Configuration
     # ------------------------------------------------------------------
-    def attach(self, l1i: DirectMappedCache, l1d: DirectMappedCache,
+    def attach(self, l1i: Cache, l1d: Cache,
                l2: CoherentCache, sink: MemorySink) -> int:
         """Register one CPU's caches; returns its id."""
         self.ports.append(_CpuPort(l1i, l1d, l2, sink))

@@ -23,7 +23,7 @@ from typing import Optional
 
 from repro.common.params import MachineParams
 from repro.memsys.bus import Bus, BusOp
-from repro.memsys.cache import make_cache, make_coherent_cache
+from repro.memsys.cache import Cache, CoherentCache
 from repro.memsys.coherence import CoherenceController
 from repro.memsys.prefetch import PendingFills, PrefetchLineBuffer
 from repro.memsys.sink import MemorySink, MissFlags, NO_FLAGS
@@ -71,9 +71,9 @@ class CpuMemorySystem:
         self.bus = bus
         self.controller = controller
         self.sink = sink if sink is not None else MemorySink()
-        self.l1i = make_cache(machine.l1i)
-        self.l1d = make_cache(machine.l1d)
-        self.l2 = make_coherent_cache(machine.l2)
+        self.l1i = Cache(machine.l1i)
+        self.l1d = Cache(machine.l1d)
+        self.l2 = CoherentCache(machine.l2)
         wb = machine.write_buffers
         self.wb1 = TimedWriteBuffer(wb.l1_depth, "wb1")
         self.wb2 = TimedWriteBuffer(wb.l2_depth, "wb2")
@@ -89,9 +89,9 @@ class CpuMemorySystem:
         #: Set by the processor while a block operation is in progress; the
         #: sink uses it to distinguish *inside* displacement misses.
         self.in_blockop = False
-        #: LRU-promotion hooks, ``None`` on direct-mapped caches where
-        #: ``touch`` is a no-op: an attribute test per hit is cheaper
-        #: than a no-op method call on the miss-handling paths.
+        #: LRU-promotion hooks, ``None`` on 1-way caches, whose only
+        #: possible victim is the resident line: a hit promotes only when
+        #: ``assoc > 1``.  The processor's inline hit paths share them.
         self._touch_l1i = self.l1i.touch if machine.l1i.assoc != 1 else None
         self._touch_l1d = self.l1d.touch if machine.l1d.assoc != 1 else None
         self._touch_l2 = self.l2.touch if machine.l2.assoc != 1 else None
@@ -163,22 +163,10 @@ class CpuMemorySystem:
         accounting — so this variant skips the result-object allocation.
         Must stay behaviourally identical to :meth:`write`.
         """
-        l1d = self.l1d
-        if l1d.assoc != 1:
-            # Set-associative machines skip the direct-indexed probes and
-            # the fused owned-L2 drain below; replacement bookkeeping goes
-            # through the cache's own API.
-            if l1d.present(addr):
-                l1d.touch(addr)
-            else:
-                self._l1_fill(addr)
-            insert_t, stall = self.wb1.enqueue(
-                t, lambda s: self._drain_word(addr, s))
-            return insert_t + 1, stall
-        line_bytes = l1d.line_bytes
-        line = addr - addr % line_bytes
-        if l1d.tags[(line // line_bytes) % l1d.num_lines] != line:
+        if addr - addr % self.l1d.line_bytes not in self.l1d.where:
             self._l1_fill(addr)
+        elif self._touch_l1d is not None:
+            self._touch_l1d(addr)
         # Owned line in the L2: fuse the WB1 enqueue with the local-drain
         # arm of :meth:`_drain_word`, skipping the service-closure
         # allocation.  Safe because enqueue() runs its service callback
@@ -191,10 +179,8 @@ class CpuMemorySystem:
                 t, lambda s: self._drain_word(addr, s))
             return insert_t + 1, stall
         l2 = self.l2
-        l2_bytes = l2.line_bytes
-        l2line = addr - addr % l2_bytes
-        idx = (l2line // l2_bytes) % l2.num_lines
-        if l2.assoc == 1 and l2.tags[idx] == l2line:
+        idx = l2.where.get(addr - addr % l2.line_bytes)
+        if idx is not None:
             state = l2.states[idx]
             if state is LineState.MODIFIED or state is LineState.EXCLUSIVE:
                 wb1 = self.wb1
@@ -215,6 +201,8 @@ class CpuMemorySystem:
                 end = start + self.machine.write_buffers.l1_drain_cycles
                 l2.states[idx] = LineState.MODIFIED
                 l2.states_np[idx] = 3
+                if self._touch_l2 is not None:
+                    self._touch_l2(addr)
                 wb1.last_service_end = end
                 entries.append(end)
                 wb1.enqueues += 1
@@ -224,26 +212,20 @@ class CpuMemorySystem:
 
     def _drain_word(self, addr: int, start: int) -> int:
         """Retire one word from WB1 into the L2 / bus.  Returns completion."""
-        # Owned line in the L2 (the common case): one fused tag/state
-        # probe instead of a state_of + set_state pair.  Set-associative
-        # L2s take the API path so the LRU stamp moves with the drain.
+        # Owned line in the L2 (the common case): one fused frame/state
+        # probe instead of a state_of + set_state pair.
         l2 = self.l2
-        if l2.assoc == 1:
-            line = addr - addr % l2.line_bytes
-            idx = (line // l2.line_bytes) % l2.num_lines
-            if l2.tags[idx] == line:
-                state = l2.states[idx]
-                if state is LineState.MODIFIED or state is LineState.EXCLUSIVE:
-                    l2.states[idx] = LineState.MODIFIED
-                    l2.states_np[idx] = 3
-                    return start + self.machine.write_buffers.l1_drain_cycles
+        idx = l2.where.get(addr - addr % l2.line_bytes)
+        if idx is None:
+            state = LineState.INVALID
         else:
-            state = l2.state_of(addr)
+            state = l2.states[idx]
             if state is LineState.MODIFIED or state is LineState.EXCLUSIVE:
-                l2.set_state(addr, LineState.MODIFIED)
-                l2.touch(addr)
+                l2.states[idx] = LineState.MODIFIED
+                l2.states_np[idx] = 3
+                if self._touch_l2 is not None:
+                    self._touch_l2(addr)
                 return start + self.machine.write_buffers.l1_drain_cycles
-        state = self.l2.state_of(addr)
         controller = self.controller
         if state == LineState.SHARED:
             if controller.is_update_addr(addr):
@@ -266,13 +248,8 @@ class CpuMemorySystem:
         line_bytes = l1i.line_bytes
         line = pc - pc % line_bytes
         end = pc + 4 * icount
-        # Fast path: the whole fetch sits in one resident line — by far
-        # the common case for short basic blocks.  Direct-mapped only:
-        # the one-probe trick needs the tag array indexed by set, and a
-        # set-associative L1I must promote the line it hits.
-        if (l1i.assoc == 1 and end <= line + line_bytes
-                and l1i.tags[(line // line_bytes) % l1i.num_lines] == line):
-            return 0
+        # A whole fetch within one resident line, the common case, never
+        # gets here: Processor.step resolves it inline.
         stall = 0
         while line < end:
             if not l1i.present(line):

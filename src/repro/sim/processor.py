@@ -17,8 +17,8 @@ Hot-path layout
 it runs once per trace record across every experiment cell.  It therefore:
 
 * resolves a *clean L1D hit* (line resident, no pending prefetch fill, no
-  scheme-specific block-op handling) inline against the bound L1 tag
-  array, without entering the :class:`CpuMemorySystem` call chain — the
+  scheme-specific block-op handling) inline against the bound L1 frame
+  index, without entering the :class:`CpuMemorySystem` call chain — the
   overwhelming majority of references in the paper's workloads are such
   hits (Table 2 reports low miss rates on every machine);
 * routes writes through :meth:`CpuMemorySystem.write_cycles`, which skips
@@ -141,25 +141,14 @@ class Processor:
         self._barrier_rec: Optional[TraceRecord] = None
         # --- hot-path bindings (all mutated in place by their owners) ---
         self._n = len(self.stream)
-        self._l1_tags = mem.l1d.tags
+        self._l1_where = mem.l1d.where
         self._l1_line_bytes = mem.l1d.line_bytes
-        self._l1_sets = mem.l1d.num_lines
-        self._l1i_tags = mem.l1i.tags
+        self._l1i_where = mem.l1i.where
         self._l1i_line_bytes = mem.l1i.line_bytes
-        self._l1i_sets = mem.l1i.num_lines
-        # Set-associative L1s cannot use the direct-indexed inline probes
-        # in step() (the flat set-major tag array would alias, and a hit
-        # must promote the line's LRU stamp).  Bind a one-entry sentinel
-        # array holding -2 — no line address is negative, so the probe
-        # always misses and every access routes through mem.read/ifetch,
-        # which do the per-way lookup and the touch.  This also keeps
-        # checker-armed and unarmed runs on the same touch sequence.
-        if mem.l1d.assoc != 1:
-            self._l1_tags = [-2]
-            self._l1_sets = 1
-        if mem.l1i.assoc != 1:
-            self._l1i_tags = [-2]
-            self._l1i_sets = 1
+        # An inline hit promotes exactly as the CpuMemorySystem path
+        # would: through the shared hooks, None on 1-way caches.
+        self._touch_l1d = mem._touch_l1d
+        self._touch_l1i = mem._touch_l1i
         self._l1_hit = mem.machine.l1_hit_cycles
         self._pending_ready = mem.pending.ready
         self._time = metrics.time
@@ -229,10 +218,10 @@ class Processor:
             pc = rec.pc
             i_bytes = self._l1i_line_bytes
             iline = pc - pc % i_bytes
-            if (pc + 4 * icount <= iline + i_bytes
-                    and self._l1i_tags[(iline // i_bytes) % self._l1i_sets]
-                    == iline):
+            if pc + 4 * icount <= iline + i_bytes and iline in self._l1i_where:
                 istall = 0
+                if self._touch_l1i is not None:
+                    self._touch_l1i(iline)
             else:
                 istall = self.mem.ifetch(pc, icount, t)
         else:
@@ -246,11 +235,12 @@ class Processor:
             line_bytes = self._l1_line_bytes
             line = addr - addr % line_bytes
             if ((blk is None or not rec.blockop or self._blk_read_plain)
-                    and self._l1_tags[(line // line_bytes) % self._l1_sets]
-                    == line
+                    and line in self._l1_where
                     and line not in self._pending_ready):
                 # Clean L1D hit: one read for this mode, zero stall.
                 self._reads[mode] += 1
+                if self._touch_l1d is not None:
+                    self._touch_l1d(line)
                 exec_cycles += 1
                 t += self._l1_hit
             else:
@@ -343,7 +333,14 @@ class Processor:
         if getattr(self, "_bt_ready", False):
             return
         mem = self.mem
+        l1d = mem.l1d
+        l1i = mem.l1i
         l2 = mem.l2
+        # Direct-mapped only (MultiprocessorSystem._batch_allowed): a
+        # frame is its set, so the tables index the tag arrays by set,
+        # and a fill needs no LRU stamp (a 1-way set has one victim).
+        self._l1_sets = l1d.num_sets
+        self._l1i_sets = l1i.num_sets
         key = (self._l1_line_bytes, self._l1_sets, self._l1i_line_bytes,
                self._l1i_sets, l2.line_bytes, l2.num_lines, self._l1_hit,
                self._blk_read_plain, self._blk_write_plain)
@@ -362,8 +359,8 @@ class Processor:
          self._fr_didx, self._fr_dline, self._fr_l2idx, self._fr_l2line,
          self._fr_iidx, self._fr_iline, self._fr_span,
          self._fr_blk, self._fr_pc, self._fr_dcl, self._fr_a16) = prep
-        self._l1_tags_np = mem.l1d.tags_np
-        self._l1i_tags_np = mem.l1i.tags_np
+        self._l1_tags_np = l1d.tags_np
+        self._l1i_tags_np = l1i.tags_np
         self._l2_tags_np = l2.tags_np
         self._l2_states_np = l2.states_np
         self._wb_depth = mem.wb1.depth
@@ -390,7 +387,7 @@ class Processor:
             self._fr_mode, self._fr_ic, self._fr_didx, self._fr_dline,
             self._fr_l2idx, self._fr_l2line, self._fr_iidx, self._fr_iline,
             self._fr_span, self._fr_blk,
-            self._l1_tags, self._l1_tags_np, self._l1i_tags, l2.tags,
+            l1d.tags, l1d.tags_np, l1d.where, l1i.tags, l2.tags,
             l2.states, l2.states_np, self._pending_ready,
             tracker.coh_pending, tracker.displaced, tracker.bypassed,
             mem.wb1, mem.wb1._entries, self._wb_depth, self._wb_drain,
@@ -728,7 +725,8 @@ class Processor:
             return 0
         (mode_l, ic_l, didx_l, dline_l, l2idx_l, l2line_l, iidx_l, iline_l,
          span_l, blk_a,
-         dtags, dtags_np, itags, l2tags, l2states, l2states_np, pending,
+         dtags, dtags_np, dwhere, itags, l2tags, l2states, l2states_np,
+         pending,
          coh_pending, displaced, bypassed,
          wb, wb_q, wb_depth, drain, isets, ib, l1_hit, l2_hit, bypass_scheme,
          reads_c, writes_c, rmiss_c, exec_c, dread_c,
@@ -804,8 +802,10 @@ class Processor:
                     old = dtags[di]
                     dtags[di] = dl
                     dtags_np[di] = dl
+                    dwhere[dl] = di
                     misc[2] += 1
                     if old != -1:
+                        del dwhere[old]
                         misc[3] += 1
                         if pending:
                             pending.pop(old, None)
@@ -864,8 +864,10 @@ class Processor:
                     old = dtags[di]
                     dtags[di] = dl
                     dtags_np[di] = dl
+                    dwhere[dl] = di
                     misc[2] += 1
                     if old != -1:
+                        del dwhere[old]
                         misc[3] += 1
                         if pending:
                             pending.pop(old, None)

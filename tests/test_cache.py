@@ -1,15 +1,15 @@
-"""Unit tests for direct-mapped caches (repro.memsys.cache)."""
+"""Unit tests for the caches at their direct-mapped (1-way) point."""
 
 import pytest
 
 from repro.common.params import CacheParams
-from repro.memsys.cache import CoherentCache, DirectMappedCache
+from repro.memsys.cache import Cache, CoherentCache
 from repro.memsys.states import LineState
 
 
 @pytest.fixture
 def cache():
-    return DirectMappedCache(CacheParams(1024, 16))  # 64 lines
+    return Cache(CacheParams(1024, 16))  # 64 lines
 
 
 @pytest.fixture

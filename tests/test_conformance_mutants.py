@@ -17,7 +17,8 @@ import pytest
 from repro.check import fuzz
 from repro.check.mutants import MUTANTS, mutant
 from repro.common.errors import ConformanceError
-from repro.sim.config import all_configs
+from repro.common.params import machine_for
+from repro.sim.config import all_configs, resolve_config
 from repro.sim.system import simulate
 from repro.trace import record as rec
 from repro.trace.stream import TraceBuilder
@@ -73,14 +74,21 @@ def test_stale_cache_supply_caught():
 
 def test_lost_dirty_bit_caught():
     # A write hitting an EXCLUSIVE line never becomes MODIFIED, so the
-    # value exists nowhere durable once the run ends.
+    # value exists nowhere durable once the run ends.  The word sits
+    # outside set 0, where a set-associative L2's frame differs from the
+    # direct-mapped slot, on every associativity of the machine axis.
     b = TraceBuilder(1)
-    b.emit(0, rec.read(W, pc=PC))   # fill EXCLUSIVE
-    b.emit(0, rec.write(W, pc=PC))  # fused owned-line drain, E->M dropped
+    b.emit(0, rec.read(W + 0x20, pc=PC))   # fill EXCLUSIVE
+    b.emit(0, rec.write(W + 0x20, pc=PC))  # owned-line drain, E->M dropped
     trace = b.build()
-    run_checked(trace)
-    with mutant("lost_dirty_bit"):
-        expect_catch(trace, ("clean-copy-diverged", "lost-write"))
+    for assoc in (1, 2, 4):
+        config = resolve_config("Base", machine_for(1, assoc=assoc))
+        simulate(trace, config, check=True)
+        with mutant("lost_dirty_bit"):
+            with pytest.raises(ConformanceError) as excinfo:
+                simulate(trace, config, check=True)
+        assert excinfo.value.kind in ("clean-copy-diverged",
+                                      "lost-write"), (assoc, excinfo.value)
 
 
 def test_dma_stale_source_caught():

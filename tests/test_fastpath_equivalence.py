@@ -26,12 +26,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.params import BASE_MACHINE
+from repro.common.params import BASE_MACHINE, machine_for
 from repro.common.types import DataClass, Mode
 from repro.memsys.bus import Bus
 from repro.memsys.coherence import CoherenceController
 from repro.memsys.hierarchy import CpuMemorySystem
-from repro.sim.config import all_configs, standard_configs
+from repro.sim.config import all_configs, resolve_config, standard_configs
 from repro.sim.metrics import MissTracker
 from repro.sim.system import REPRO_NO_BATCH_ENV, MultiprocessorSystem
 from repro.synthetic.profiles import generate as generate_profile
@@ -53,6 +53,15 @@ GENERATED_PROFILES = ["server", "bursty_mp", "gang_diurnal"]
 #: per trace: big enough for real run-length structure, small enough for
 #: the suite).
 MATRIX_SCALE = 0.08
+
+#: The paper point plus two set-associative machine-axis points: the
+#: inline hit paths and the fused write drain run on all of them.
+MACHINES = [BASE_MACHINE, machine_for(8, assoc=2), machine_for(16, assoc=4)]
+
+
+def machine_id(machine):
+    return f"{machine.num_cpus}cpu-{machine.l1d.assoc}way"
+
 
 SHARED_BASE = 0x50000
 LOCK_ADDRS = (0x9000, 0x9040)
@@ -151,16 +160,20 @@ class _AlwaysPending:
 
 
 class TestL1FastPathEquivalence:
-    @pytest.mark.parametrize("seed", [11, 12])
-    def test_forced_slow_path_matches(self, seed):
+    @pytest.mark.parametrize("seed,machine", [
+        pytest.param(seed, machine, id=str(seed) if machine is BASE_MACHINE
+                     else f"{machine_id(machine)}-{seed}")
+        for machine in MACHINES for seed in (11, 12)])
+    def test_forced_slow_path_matches(self, seed, machine):
         """Disabling the inline L1-hit path must not change any metric.
 
         The read fast path is guarded by ``line not in _pending_ready``;
         substituting an always-contains object forces every read down the
-        full :meth:`CpuMemorySystem.read` chain, so hit accounting of the
-        two paths is compared across a whole randomized run.
+        full :meth:`CpuMemorySystem.read` chain, so hit accounting (and,
+        on set-associative machines, LRU promotion) of the two paths is
+        compared across a whole randomized run.
         """
-        config = standard_configs()["Base"]
+        config = resolve_config("Base", machine)
         trace = random_trace(seed, num_cpus=3)
         fast = MultiprocessorSystem(trace, config).run().snapshot()
         slow_sys = MultiprocessorSystem(trace, config)
@@ -170,30 +183,38 @@ class TestL1FastPathEquivalence:
         assert fast == slow
 
     def test_write_cycles_matches_write(self):
-        """``write_cycles`` must mirror ``write`` result-for-result."""
-        machine = BASE_MACHINE
+        """``write_cycles`` must mirror ``write`` result-for-result, on
+        every machine point, down to the frame index and LRU stamps."""
+        for machine in MACHINES:
+            def rig():
+                bus = Bus(machine.bus)
+                controller = CoherenceController(machine, bus)
+                return [CpuMemorySystem(machine, bus, controller,
+                                        MissTracker()) for _ in range(2)]
 
-        def rig():
-            bus = Bus(machine.bus)
-            controller = CoherenceController(machine, bus)
-            return [CpuMemorySystem(machine, bus, controller, MissTracker())
-                    for _ in range(2)]
-
-        full, lean = rig(), rig()
-        rng = random.Random(42)
-        t = 0
-        for _ in range(300):
-            cpu = rng.randrange(2)
-            addr = SHARED_BASE + 4 * rng.randrange(32)
-            res = full[cpu].write(addr, t)
-            done, stall = lean[cpu].write_cycles(addr, t)
-            assert (done, stall) == (res.done, res.stall)
-            t += rng.randrange(4)
-        for f, l in zip(full, lean):
-            assert f.l1d.tags == l.l1d.tags
-            assert f.l2.tags == l.l2.tags
-            assert f.l2.states == l.l2.states
-            assert f.wb1.stall_cycles == l.wb1.stall_cycles
+            full, lean = rig(), rig()
+            rng = random.Random(42)
+            t = 0
+            for _ in range(300):
+                cpu = rng.randrange(2)
+                # 64 KB strides share a set in the L1D and the L2 on
+                # every machine point, so both evict (by LRU when
+                # set-associative).
+                addr = (SHARED_BASE + 0x10000 * rng.randrange(16)
+                        + 4 * rng.randrange(32))
+                res = full[cpu].write(addr, t)
+                done, stall = lean[cpu].write_cycles(addr, t)
+                assert (done, stall) == (res.done, res.stall), \
+                    machine_id(machine)
+                t += rng.randrange(4)
+            for f, l in zip(full, lean):
+                for cache in ("l1d", "l2"):
+                    a, b = getattr(f, cache), getattr(l, cache)
+                    assert a.tags == b.tags, (machine_id(machine), cache)
+                    assert a.where == b.where, (machine_id(machine), cache)
+                    assert a.stamps == b.stamps, (machine_id(machine), cache)
+                assert f.l2.states == l.l2.states, machine_id(machine)
+                assert f.wb1.stall_cycles == l.wb1.stall_cycles
 
 
 @lru_cache(maxsize=None)

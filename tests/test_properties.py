@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from repro.common.params import BASE_MACHINE, CacheParams
 from repro.memsys.bus import Bus, BusOp
-from repro.memsys.cache import CoherentCache, DirectMappedCache
+from repro.memsys.cache import Cache
 from repro.memsys.coherence import CoherenceController
 from repro.memsys.hierarchy import CpuMemorySystem
 from repro.memsys.states import LineState
@@ -21,7 +21,7 @@ addresses = st.integers(min_value=0, max_value=1 << 20)
 
 @given(st.lists(addresses, min_size=1, max_size=200))
 def test_cache_never_holds_two_lines_in_one_set(addrs):
-    cache = DirectMappedCache(CacheParams(1024, 16))
+    cache = Cache(CacheParams(1024, 16))
     for addr in addrs:
         cache.fill(addr)
         resident = cache.resident_lines()
@@ -34,7 +34,7 @@ def test_cache_never_holds_two_lines_in_one_set(addrs):
 
 @given(st.lists(addresses, min_size=1, max_size=200))
 def test_fill_then_present_always(addrs):
-    cache = DirectMappedCache(CacheParams(2048, 32))
+    cache = Cache(CacheParams(2048, 32))
     for addr in addrs:
         cache.fill(addr)
         assert cache.present(addr)

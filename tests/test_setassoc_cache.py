@@ -1,12 +1,16 @@
-"""Tests for the set-associative cache arrays and the assoc machine axis.
+"""Tests for the LRU cache arrays and the assoc machine axis.
 
 Covers the LRU replacement policy, per-set isolation, the coherent
-(MESI-state) variant, the factory functions, the ``CacheParams.assoc``
-validation, and — as a hypothesis property — that the ``tags_np`` /
-``states_np`` numpy mirrors stay element-wise identical to the
-authoritative Python lists under any sequence of mutations (the batched
-scheduler silently diverges if a mutation path forgets the mirror).
+(MESI-state) variant, the ``CacheParams.assoc`` validation, and — as
+hypothesis properties — that the ``where`` frame index and the
+``tags_np`` / ``states_np`` numpy mirrors stay consistent with the
+authoritative Python lists under any sequence of mutations (the inline
+hit paths and the batched scheduler silently diverge if a mutation path
+forgets one), and that evictions match a per-set ``OrderedDict`` LRU
+reference model at 1, 2 and 4 ways.
 """
+
+from collections import OrderedDict
 
 import pytest
 from hypothesis import given, settings
@@ -15,9 +19,7 @@ from hypothesis import strategies as st
 from repro.common.errors import ConfigError
 from repro.common.params import (BASE_MACHINE, MAX_CPUS, CacheParams,
                                  MachineParams, machine_for)
-from repro.memsys.cache import (CoherentCache, CoherentSetAssociativeCache,
-                                DirectMappedCache, SetAssociativeCache,
-                                make_cache, make_coherent_cache)
+from repro.memsys.cache import Cache, CoherentCache
 from repro.memsys.states import LineState
 
 
@@ -59,38 +61,16 @@ class TestCacheParamsAssoc:
         assert p.num_sets == 1
 
 
-class TestFactories:
-    def test_one_way_params_build_direct_mapped(self):
-        assert type(make_cache(CacheParams(1024, 16))) is DirectMappedCache
-        assert type(make_coherent_cache(CacheParams(2048, 32))) \
-            is CoherentCache
-
-    def test_multi_way_params_build_set_associative(self):
-        assert type(make_cache(PARAMS_4WAY)) is SetAssociativeCache
-        assert type(make_coherent_cache(CacheParams(2048, 32, 2))) \
-            is CoherentSetAssociativeCache
-
-    def test_direct_mapped_rejects_multi_way_params(self):
-        with pytest.raises(ValueError):
-            DirectMappedCache(PARAMS_4WAY)
-        with pytest.raises(ValueError):
-            CoherentCache(PARAMS_4WAY)
-
-    def test_set_associative_rejects_one_way_params(self):
-        with pytest.raises(ValueError):
-            SetAssociativeCache(CacheParams(1024, 16))
-
-
 class TestLru:
     def test_fills_up_to_assoc_without_eviction(self):
-        cache = make_cache(PARAMS_4WAY)
+        cache = Cache(PARAMS_4WAY)
         for i in range(4):
             assert cache.fill(set0_line(i)) == -1
         assert all(cache.present(set0_line(i)) for i in range(4))
         assert cache.fills == 4 and cache.evictions == 0
 
     def test_fifth_fill_evicts_lru(self):
-        cache = make_cache(PARAMS_4WAY)
+        cache = Cache(PARAMS_4WAY)
         for i in range(4):
             cache.fill(set0_line(i))
         # Fill order is the recency order: line 0 is LRU.
@@ -98,7 +78,7 @@ class TestLru:
         assert not cache.present(set0_line(0))
 
     def test_touch_promotes(self):
-        cache = make_cache(PARAMS_4WAY)
+        cache = Cache(PARAMS_4WAY)
         for i in range(4):
             cache.fill(set0_line(i))
         cache.touch(set0_line(0))  # now line 1 is LRU
@@ -106,7 +86,7 @@ class TestLru:
         assert cache.present(set0_line(0))
 
     def test_refill_of_resident_line_promotes(self):
-        cache = make_cache(PARAMS_4WAY)
+        cache = Cache(PARAMS_4WAY)
         for i in range(4):
             cache.fill(set0_line(i))
         fills = cache.fills
@@ -117,7 +97,7 @@ class TestLru:
     def test_present_is_pure(self):
         # The conformance checker probes present() freely; it must not
         # perturb recency.
-        cache = make_cache(PARAMS_4WAY)
+        cache = Cache(PARAMS_4WAY)
         for i in range(4):
             cache.fill(set0_line(i))
         for _ in range(10):
@@ -125,7 +105,7 @@ class TestLru:
         assert cache.fill(set0_line(4)) == set0_line(0)  # still LRU
 
     def test_invalidated_way_is_refilled_first(self):
-        cache = make_cache(PARAMS_4WAY)
+        cache = Cache(PARAMS_4WAY)
         for i in range(4):
             cache.fill(set0_line(i))
         assert cache.invalidate(set0_line(2))
@@ -133,7 +113,7 @@ class TestLru:
         assert cache.present(set0_line(4))
 
     def test_sets_are_isolated(self):
-        cache = make_cache(PARAMS_4WAY)
+        cache = Cache(PARAMS_4WAY)
         for i in range(4):
             cache.fill(set0_line(i))
         # Thrash a different set; set 0 must be untouched.
@@ -142,13 +122,13 @@ class TestLru:
         assert all(cache.present(set0_line(i)) for i in range(4))
 
     def test_touch_on_absent_line_is_noop(self):
-        cache = make_cache(PARAMS_4WAY)
+        cache = Cache(PARAMS_4WAY)
         cache.fill(set0_line(0))
         cache.touch(set0_line(7))  # absent
         assert cache.resident_lines() == [set0_line(0)]
 
     def test_direct_mapped_touch_is_noop(self):
-        cache = make_cache(CacheParams(1024, 16))
+        cache = Cache(CacheParams(1024, 16))
         cache.fill(0)
         cache.touch(0)
         assert cache.present(0)
@@ -156,14 +136,14 @@ class TestLru:
 
 class TestCoherentSetAssociative:
     def test_fill_state_and_state_of(self):
-        l2 = make_coherent_cache(CacheParams(2048, 32, 2))
+        l2 = CoherentCache(CacheParams(2048, 32, 2))
         assert l2.fill_state(0, LineState.EXCLUSIVE) == (-1, None)
         assert l2.state_of(0) == LineState.EXCLUSIVE
         assert l2.state_of(17) == LineState.EXCLUSIVE  # same line
         assert l2.state_of(32) == LineState.INVALID
 
     def test_eviction_returns_victim_state(self):
-        l2 = make_coherent_cache(CacheParams(2048, 32, 2))
+        l2 = CoherentCache(CacheParams(2048, 32, 2))
         stride = 1024  # 32 sets of 2: lines 0, 1024, 2048 share set 0
         l2.fill_state(0, LineState.MODIFIED)
         l2.fill_state(stride, LineState.SHARED)
@@ -171,19 +151,19 @@ class TestCoherentSetAssociative:
         assert (evicted, state) == (0, LineState.MODIFIED)
 
     def test_set_state_invalid_clears_frame(self):
-        l2 = make_coherent_cache(CacheParams(2048, 32, 2))
+        l2 = CoherentCache(CacheParams(2048, 32, 2))
         l2.fill_state(0, LineState.SHARED)
         l2.set_state(0, LineState.INVALID)
         assert not l2.present(0)
         assert l2.state_of(0) == LineState.INVALID
 
     def test_set_state_raises_on_absent_line(self):
-        l2 = make_coherent_cache(CacheParams(2048, 32, 2))
+        l2 = CoherentCache(CacheParams(2048, 32, 2))
         with pytest.raises(KeyError):
             l2.set_state(64, LineState.MODIFIED)
 
     def test_fill_state_on_resident_line_updates_state_only(self):
-        l2 = make_coherent_cache(CacheParams(2048, 32, 2))
+        l2 = CoherentCache(CacheParams(2048, 32, 2))
         l2.fill_state(0, LineState.SHARED)
         fills = l2.fills
         assert l2.fill_state(0, LineState.MODIFIED) == (-1, None)
@@ -191,7 +171,7 @@ class TestCoherentSetAssociative:
         assert l2.state_of(0) == LineState.MODIFIED
 
     def test_invalidate_range_drops_all_ways(self):
-        l2 = make_coherent_cache(CacheParams(2048, 32, 2))
+        l2 = CoherentCache(CacheParams(2048, 32, 2))
         l2.fill_state(0, LineState.SHARED)
         l2.fill_state(32, LineState.EXCLUSIVE)
         dropped = l2.invalidate_range(0, 64)
@@ -249,12 +229,13 @@ class TestMachineFor:
 
 
 # ----------------------------------------------------------------------
-# Mirror property: tags_np/states_np == tags/states after any op mix.
+# Index and mirror properties: where/tags_np/states_np agree with
+# tags/states after any op mix, and evictions follow true LRU.
 # ----------------------------------------------------------------------
 
 # Small caches so collisions and evictions are frequent.
-_TAG_PARAMS = [CacheParams(256, 16), CacheParams(256, 16, 4)]
-_STATE_PARAMS = [CacheParams(512, 32), CacheParams(512, 32, 2)]
+_TAG_PARAMS = [CacheParams(256, 16, assoc) for assoc in (1, 2, 4)]
+_STATE_PARAMS = [CacheParams(512, 32, assoc) for assoc in (1, 2, 4)]
 
 _ops = st.lists(
     st.tuples(st.sampled_from(["fill", "invalidate", "invalidate_range",
@@ -273,15 +254,134 @@ _state_ops = st.lists(
 
 
 def _assert_mirrors(cache):
+    assert cache.where == {tag: frame for frame, tag in enumerate(cache.tags)
+                           if tag != -1}
     assert list(cache.tags_np) == cache.tags
     if hasattr(cache, "states_np"):
         assert list(cache.states_np) == [int(s) for s in cache.states]
 
 
+class LruModel:
+    """Reference LRU cache: one ``OrderedDict`` per set, least recently
+    used line first, mapping each resident line to its MESI state (None
+    for a tag-only cache)."""
+
+    def __init__(self, params):
+        self.line_bytes = params.line_bytes
+        self.num_sets = params.num_sets
+        self.assoc = params.assoc
+        self.sets = [OrderedDict() for _ in range(self.num_sets)]
+
+    def _ways(self, line):
+        return self.sets[(line // self.line_bytes) % self.num_sets]
+
+    def line(self, addr):
+        return addr - addr % self.line_bytes
+
+    def fill(self, addr, state=None):
+        """Install (or promote) *addr*'s line; returns the evicted
+        ``(line, state)``, ``(-1, None)`` when nothing was displaced."""
+        line = self.line(addr)
+        ways = self._ways(line)
+        if line in ways:
+            ways.move_to_end(line)
+            if state is not None:
+                ways[line] = state
+            return -1, None
+        victim = (-1, None)
+        if len(ways) == self.assoc:
+            victim = ways.popitem(last=False)
+        ways[line] = state
+        return victim
+
+    def touch(self, addr):
+        line = self.line(addr)
+        if line in self._ways(line):
+            self._ways(line).move_to_end(line)
+
+    def drop(self, addr):
+        line = self.line(addr)
+        return self._ways(line).pop(line, -1) != -1
+
+    def set_state(self, addr, state):
+        line = self.line(addr)
+        if state == LineState.INVALID:
+            del self._ways(line)[line]
+        else:
+            self._ways(line)[line] = state
+
+    def resident(self):
+        return {line: state for ways in self.sets
+                for line, state in ways.items()}
+
+
+def _assert_matches_model(cache, model):
+    _assert_mirrors(cache)
+    resident = model.resident()
+    assert set(cache.where) == set(resident)
+    for line, frame in cache.where.items():
+        assert frame // cache.assoc == cache.set_index(line)
+        if resident[line] is not None:
+            assert cache.states[frame] == resident[line]
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=_ops, params=st.sampled_from(_TAG_PARAMS))
+def test_tag_cache_matches_lru_model(ops, params):
+    cache = Cache(params)
+    model = LruModel(params)
+    for op, addr, size in ops:
+        if op == "fill":
+            assert cache.fill(addr) == model.fill(addr)[0]
+        elif op == "invalidate":
+            assert cache.invalidate(addr) == model.drop(addr)
+        elif op == "invalidate_range":
+            first = model.line(addr)
+            expected = [line for line in range(first, addr + size,
+                                               params.line_bytes)
+                        if model.drop(line)]
+            assert cache.invalidate_range(addr, size) == expected
+        else:
+            cache.touch(addr)
+            model.touch(addr)
+        _assert_matches_model(cache, model)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=_state_ops, params=st.sampled_from(_STATE_PARAMS))
+def test_coherent_cache_matches_lru_model(ops, params):
+    cache = CoherentCache(params)
+    model = LruModel(params)
+    for op, addr, size, state in ops:
+        if op in ("fill", "fill_state"):
+            if state == LineState.INVALID:
+                continue
+            assert cache.fill_state(addr, state) == model.fill(addr, state)
+        elif op == "set_state":
+            if cache.present(addr):
+                cache.set_state(addr, state)
+                model.set_state(addr, state)
+            else:
+                with pytest.raises(KeyError):
+                    cache.set_state(addr, state)
+        elif op == "invalidate":
+            assert cache.invalidate(addr) == model.drop(addr)
+        elif op == "invalidate_range":
+            first = model.line(addr)
+            expected = [line for line in range(first, addr + size,
+                                               params.line_bytes)
+                        if model.drop(line)]
+            assert cache.invalidate_range(addr, size) == expected
+        else:
+            cache.touch(addr)
+            model.touch(addr)
+        _assert_matches_model(cache, model)
+
+
 @settings(max_examples=60, deadline=None)
 @given(ops=_ops, params=st.sampled_from(_TAG_PARAMS))
 def test_tag_mirror_stays_identical(ops, params):
-    cache = make_cache(params)
+    cache = Cache(params)
     for op, addr, size in ops:
         if op == "fill":
             cache.fill(addr)
@@ -297,7 +397,7 @@ def test_tag_mirror_stays_identical(ops, params):
 @settings(max_examples=60, deadline=None)
 @given(ops=_state_ops, params=st.sampled_from(_STATE_PARAMS))
 def test_state_mirror_stays_identical(ops, params):
-    cache = make_coherent_cache(params)
+    cache = CoherentCache(params)
     for op, addr, size, state in ops:
         if op == "fill":
             cache.fill(addr)
@@ -318,7 +418,7 @@ def test_state_mirror_stays_identical(ops, params):
 @settings(max_examples=40, deadline=None)
 @given(ops=_ops)
 def test_lru_never_evicts_most_recently_used(ops):
-    cache = make_cache(CacheParams(256, 16, 4))
+    cache = Cache(CacheParams(256, 16, 4))
     last_used = None
     for op, addr, size in ops:
         if op == "fill":
