@@ -1,20 +1,14 @@
 #!/usr/bin/env python
 """Simulator-core throughput benchmark: the ``BENCH_simcore.json`` writer.
 
-Measures serial simulation throughput (trace records per second) for every
-workload x scheme cell at one or more workload scales, in **both**
-execution modes of the scheduler: the default batched mode
-(``batch=True``) and the scalar reference (``batch=False``).  Trace
-generation happens outside the timer; each mode of each cell is simulated
-``--repeats`` times and the best wall time is kept.
+Measures serial simulation throughput (trace records per second) of
+:meth:`MultiprocessorSystem.run` for every workload x scheme cell at one
+or more workload scales.  Trace generation happens outside the timer; each
+cell is simulated ``--repeats`` times and the best wall time is kept.
 
-Schema 2 cells carry the batched numbers under the schema-1 key names
-(``records_per_sec``/``normalized`` describe what a default ``simulate``
-call gets), plus ``scalar_records_per_sec``/``scalar_normalized``,
-``batch_speedup`` (batched over scalar records/sec), and
-``batch_coverage`` (fraction of records retired by the batched path).
-The regression check therefore compares default-mode throughput against
-default-mode throughput even across a schema bump.
+Schema 3 cells hold ``records``, ``best_seconds``, ``records_per_sec``
+and ``normalized``, the schema-1 keys, so the regression check compares
+like with like across schema bumps.
 
 Because absolute records/sec depends on the host, every run also measures
 a fixed pure-Python *calibration* kernel (dict/int/attribute traffic much
@@ -59,7 +53,7 @@ DEFAULT_SCHEMES = ("Base", "Blk_Pref", "Blk_Bypass", "Blk_ByPref", "Blk_Dma")
 
 DEFAULT_SCALES = (0.25, 0.5)
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 #: Iterations of the calibration kernel (fixed; part of the metric).
 _CALIBRATION_ITERS = 200_000
@@ -82,43 +76,19 @@ def calibrate(rounds: int = 3) -> float:
     return _CALIBRATION_ITERS / best
 
 
-def _bench_mode(trace, config, repeats: int, batch: bool) -> "tuple[float, int]":
-    """Best-of-*repeats* wall time of one cell in one scheduler mode."""
+def bench_cell(trace, config, repeats: int) -> Dict[str, float]:
+    """Best-of-*repeats* wall time and throughput of one cell."""
     best: Optional[float] = None
-    batched_records = 0
     for _ in range(repeats):
-        system = MultiprocessorSystem(trace, config, batch=batch)
+        system = MultiprocessorSystem(trace, config)
         t0 = time.perf_counter()
         system.run()
         elapsed = time.perf_counter() - t0
         if best is None or elapsed < best:
             best = elapsed
-        batched_records = system.batched_records
     assert best is not None
-    return best, batched_records
-
-
-def bench_cell(trace, config, repeats: int) -> Dict[str, float]:
-    """Measure one cell in both scheduler modes.
-
-    The schema-1 keys (``best_seconds``, ``records_per_sec``) hold the
-    *batched* (default-mode) numbers; the scalar reference rides along
-    under ``scalar_*`` so before/after and mode-vs-mode comparisons read
-    off one record.
-    """
     n = len(trace)
-    batched_best, batched_records = _bench_mode(trace, config, repeats,
-                                                batch=True)
-    scalar_best, _ = _bench_mode(trace, config, repeats, batch=False)
-    return {
-        "records": n,
-        "best_seconds": batched_best,
-        "records_per_sec": n / batched_best,
-        "scalar_best_seconds": scalar_best,
-        "scalar_records_per_sec": n / scalar_best,
-        "batch_speedup": scalar_best / batched_best,
-        "batch_coverage": batched_records / n if n else 0.0,
-    }
+    return {"records": n, "best_seconds": best, "records_per_sec": n / best}
 
 
 def run_bench(scales: List[float], schemes: List[str], workloads: List[str],
@@ -132,15 +102,10 @@ def run_bench(scales: List[float], schemes: List[str], workloads: List[str],
             for scheme in schemes:
                 cell = bench_cell(trace, configs[scheme], repeats)
                 cell["normalized"] = cell["records_per_sec"] / calibration
-                cell["scalar_normalized"] = (
-                    cell["scalar_records_per_sec"] / calibration)
                 key = f"{scale}/{workload}/{scheme}"
                 cells[key] = cell
                 print(f"  {key}: {cell['records_per_sec']:,.0f} rec/s "
-                      f"(norm {cell['normalized']:.3f}, "
-                      f"scalar {cell['scalar_records_per_sec']:,.0f}, "
-                      f"speedup {cell['batch_speedup']:.2f}x, "
-                      f"cov {cell['batch_coverage']:.0%})", flush=True)
+                      f"(norm {cell['normalized']:.3f})", flush=True)
     return {
         "schema": SCHEMA_VERSION,
         "meta": {

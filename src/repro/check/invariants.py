@@ -49,7 +49,7 @@ from repro.common.types import AdaptivePolicy
 from repro.check.oracle import (INIT, ReferenceMemory, WORD_BYTES, ZERO,
                                 word_of)
 from repro.memsys.hierarchy import (LEVEL_BUFFER, LEVEL_L2, LEVEL_MEM,
-                                    LEVEL_REGISTER, LEVEL_WB)
+                                    LEVEL_REGISTER)
 from repro.memsys.states import LineState
 from repro.trace.blockop import BlockOpDescriptor
 
@@ -369,8 +369,7 @@ class ConformanceChecker:
         self.oracle.commit_write(addr, token)
         return token
 
-    def end_write(self, cpu: int, addr: int, token: object,
-                  level: str) -> None:
+    def end_write(self, cpu: int, addr: int, token: object) -> None:
         self.oracle.set_copy(cpu, addr, token)
         pre = self._update_sharers.pop(cpu, None)
         if pre is not None:
@@ -560,7 +559,6 @@ def _wrap_cpu(checker: ConformanceChecker, mem, proc) -> None:
     cpu = mem.cpu_id
     orig_read = mem.read
     orig_write = mem.write
-    orig_write_cycles = mem.write_cycles
     orig_read_bypass = mem.read_bypass
     orig_write_bypass = mem.write_bypass
 
@@ -572,15 +570,8 @@ def _wrap_cpu(checker: ConformanceChecker, mem, proc) -> None:
 
     def write(addr, t):
         token = checker.begin_write(cpu, proc, addr)
-        res = orig_write(addr, t)
-        checker.end_write(cpu, addr, token, res.level)
-        checker.after_access(cpu, addr)
-        return res
-
-    def write_cycles(addr, t):
-        token = checker.begin_write(cpu, proc, addr)
-        out = orig_write_cycles(addr, t)
-        checker.end_write(cpu, addr, token, LEVEL_WB)
+        out = orig_write(addr, t)
+        checker.end_write(cpu, addr, token)
         checker.after_access(cpu, addr)
         return out
 
@@ -604,7 +595,6 @@ def _wrap_cpu(checker: ConformanceChecker, mem, proc) -> None:
 
     mem.read = read
     mem.write = write
-    mem.write_cycles = write_cycles
     mem.read_bypass = read_bypass
     mem.write_bypass = write_bypass
 

@@ -8,7 +8,7 @@ Subcommands::
     repro simulate  <profile|trace file> [--config Base] [--scale S]
                     [--profile-spec FILE] [--frame-policy P]
                     [--check] [--trace-out t.json] [--trace-limit N]
-                    [--profile] [--timeline] [--no-batch]
+                    [--profile] [--timeline]
                     [--assoc A] [--bus-width B]
     repro sweep     [--samples N] [--families F1,F2] [--configs C1,C2]
                     [--scale S] [--seed N] [--cpus 2,4] [--workers N]
@@ -167,8 +167,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     try:
         metrics = simulate(trace, resolve_config(args.config, machine),
                            check=True if args.check else None,
-                           tracer=tracer,
-                           batch=False if args.no_batch else None)
+                           tracer=tracer)
     except ConformanceError as err:
         print(f"conformance violation [{err.kind}]: {err}", file=sys.stderr)
         return 1
@@ -468,9 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "and per-service attribution")
     p.add_argument("--timeline", action="store_true",
                    help="print an ASCII miss/bus density timeline")
-    p.add_argument("--no-batch", action="store_true",
-                   help="force the scalar (one step per record) scheduler; "
-                        "equivalent to REPRO_NO_BATCH=1")
     p.add_argument("--assoc", type=int, default=1,
                    help="set associativity of all caches (power of two; "
                         "default 1 = the paper's direct-mapped machine)")

@@ -37,8 +37,8 @@ Design constraints (why the hooks look the way they do):
   (:meth:`~repro.memsys.coherence.CoherenceController.upgrade` and
   :meth:`~repro.memsys.coherence.CoherenceController.fetch_owned`), so a
   system without a policy pays one attribute test per bus write, and the
-  batched scheduler — which never enters the controller — is
-  automatically bit-identical to the scalar one under every policy.
+  processor's inline hit paths — which never enter the controller — are
+  unaffected by every policy.
 * "Local re-reference" is deliberately defined as *bus-visible* activity
   (fills, the holder's own bus writes): cache hits are invisible to a
   snooping bus agent, and wrapping the hit path would break the zero-cost

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.common.params import CacheParams
 from repro.memsys.states import LineState
 
@@ -32,11 +30,6 @@ class Cache:
     paths bind it once and test ``line in where`` directly; like ``tags``
     it is mutated in place only, so a bound reference never goes stale.
 
-    ``tags_np`` mirrors ``tags`` as an int64 array for the batched
-    stepping mode's vectorized compares.  The Python list stays the
-    authoritative copy; the mirror is updated in the same mutation
-    methods, which only run on the miss and invalidation paths.
-
     Recency is a per-frame stamp from a monotonic use counter: fills into
     sets of more than one way and :meth:`touch` stamp the frame, and the
     victim is the first empty way of the set, else its least recently
@@ -45,7 +38,7 @@ class Cache:
     """
 
     __slots__ = ("params", "line_bytes", "num_lines", "num_sets", "assoc",
-                 "tags", "tags_np", "where", "stamps", "_tick", "fills",
+                 "tags", "where", "stamps", "_tick", "fills",
                  "evictions")
 
     def __init__(self, params: CacheParams) -> None:
@@ -56,8 +49,6 @@ class Cache:
         self.assoc = params.assoc
         #: Line-aligned address held by each frame, or -1 when empty.
         self.tags: List[int] = [-1] * self.num_lines
-        #: Vectorized mirror of :attr:`tags` (batched stepping mode).
-        self.tags_np = np.full(self.num_lines, -1, dtype=np.int64)
         #: Resident line address -> frame index.
         self.where: Dict[int, int] = {}
         #: Use stamp per frame; larger == more recently used.
@@ -119,14 +110,12 @@ class Cache:
             self.evictions += 1
         where[line] = idx
         tags[idx] = line
-        self.tags_np[idx] = line
         self.fills += 1
         return old
 
     def _drop(self, idx: int) -> None:
         """Empty frame *idx* (already removed from :attr:`where`)."""
         self.tags[idx] = -1
-        self.tags_np[idx] = -1
         self.stamps[idx] = 0
 
     def invalidate(self, addr: int) -> bool:
@@ -152,19 +141,13 @@ class Cache:
 
 
 class CoherentCache(Cache):
-    """Cache with a MESI state per frame (the L2).
+    """Cache with a MESI state per frame (the L2)."""
 
-    ``states_np`` mirrors ``states`` (same contract as ``tags_np``): the
-    enum list is authoritative, the int8 array exists for the batched
-    stepping mode's vectorized owned-line checks.
-    """
-
-    __slots__ = ("states", "states_np")
+    __slots__ = ("states",)
 
     def __init__(self, params: CacheParams) -> None:
         super().__init__(params)
         self.states: List[LineState] = [LineState.INVALID] * self.num_lines
-        self.states_np = np.zeros(self.num_lines, dtype=np.int8)
 
     def state_of(self, addr: int) -> LineState:
         """MESI state of the line containing *addr* (INVALID if absent)."""
@@ -184,7 +167,6 @@ class CoherentCache(Cache):
             self._drop(idx)
         else:
             self.states[idx] = state
-            self.states_np[idx] = state
 
     def fill_state(self, addr: int, state: LineState) -> Tuple[int, Optional[LineState]]:
         """Install the line containing *addr* in *state*.
@@ -199,10 +181,8 @@ class CoherentCache(Cache):
         # fill() leaves the frame's state alone: it is still the victim's.
         evicted = (-1, None) if old == -1 else (old, self.states[idx])
         self.states[idx] = state
-        self.states_np[idx] = state
         return evicted
 
     def _drop(self, idx: int) -> None:
         super()._drop(idx)
         self.states[idx] = LineState.INVALID
-        self.states_np[idx] = 0

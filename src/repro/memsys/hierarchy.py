@@ -12,7 +12,8 @@ implements every access path the paper's systems need:
   updates.
 
 Timing contract: every method takes the processor's current time ``t`` and
-returns an :class:`AccessResult` whose ``done`` is when the processor may
+returns an :class:`AccessResult` (a plain ``(done, stall)`` pair for
+:meth:`CpuMemorySystem.write`) whose ``done`` is when the processor may
 proceed.  Stall components are split the way Figure 3 reports them
 (``stall`` -> D Read Miss or D Write; ``pref_stall`` -> Pref).
 """
@@ -141,29 +142,18 @@ class CpuMemorySystem:
         return AccessResult(ready, stall=latency - self.machine.l1_hit_cycles,
                             miss=True, level=level, flags=flags)
 
-    def write(self, addr: int, t: int) -> AccessResult:
-        """Data write at time *t* (write-through, write-allocate L1)."""
-        hit = self.l1d.present(addr)
-        if not hit:
-            # Write-allocate: the fill overlaps the buffered write, so the
-            # processor does not wait for it; ownership is acquired on the
-            # drain path below.
-            self._l1_fill(addr)
-        elif self._touch_l1d is not None:
-            self._touch_l1d(addr)
-        insert_t, stall = self.wb1.enqueue(t, lambda s: self._drain_word(addr, s))
-        return AccessResult(insert_t + 1, stall=stall, miss=not hit,
-                            level=LEVEL_WB)
+    def write(self, addr: int, t: int) -> "tuple[int, int]":
+        """Data write at time *t* (write-through, write-allocate L1).
 
-    def write_cycles(self, addr: int, t: int) -> "tuple[int, int]":
-        """:meth:`write` without the :class:`AccessResult` wrapper.
-
-        The processor's hot path only consumes ``(done, stall)`` from a
-        write — hit/miss classification does not feed the paper's write
-        accounting — so this variant skips the result-object allocation.
-        Must stay behaviourally identical to :meth:`write`.
+        Returns ``(done, stall)``: when the processor may proceed and the
+        cycles it waited for a WB1 slot.  Hit/miss classification does not
+        feed the paper's write accounting, so no :class:`AccessResult` is
+        built.
         """
         if addr - addr % self.l1d.line_bytes not in self.l1d.where:
+            # Write-allocate: the fill overlaps the buffered write, so the
+            # processor does not wait for it; ownership is acquired on the
+            # drain path.
             self._l1_fill(addr)
         elif self._touch_l1d is not None:
             self._touch_l1d(addr)
@@ -200,7 +190,6 @@ class CpuMemorySystem:
                 start = t if t > lse else lse
                 end = start + self.machine.write_buffers.l1_drain_cycles
                 l2.states[idx] = LineState.MODIFIED
-                l2.states_np[idx] = 3
                 if self._touch_l2 is not None:
                     self._touch_l2(addr)
                 wb1.last_service_end = end
@@ -222,7 +211,6 @@ class CpuMemorySystem:
             state = l2.states[idx]
             if state is LineState.MODIFIED or state is LineState.EXCLUSIVE:
                 l2.states[idx] = LineState.MODIFIED
-                l2.states_np[idx] = 3
                 if self._touch_l2 is not None:
                     self._touch_l2(addr)
                 return start + self.machine.write_buffers.l1_drain_cycles
@@ -352,7 +340,8 @@ class CpuMemorySystem:
         words accumulate in a line register that is flushed to memory.
         """
         if self.l1d.present(addr) or self.l2.state_of(addr) != LineState.INVALID:
-            return self.write(addr, t)
+            done, stall = self.write(addr, t)
+            return AccessResult(done, stall=stall, level=LEVEL_WB)
         line = self.l1d.line_addr(addr)
         stall = 0
         if line != self.bypass_dst_line:
@@ -397,6 +386,6 @@ class CpuMemorySystem:
         return max(self.wb1.drain_time(t), self.wb2.drain_time(t))
 
 
-#: The unpatched drain implementation; :meth:`CpuMemorySystem.write_cycles`
+#: The unpatched drain implementation; :meth:`CpuMemorySystem.write`
 #: compares against it before taking its fused owned-line fast path.
 _PRISTINE_DRAIN = CpuMemorySystem._drain_word

@@ -218,7 +218,6 @@ def _wrap_cpu(tracer: Tracer, mem, proc) -> None:
     orig_read = mem.read
     orig_read_bypass = mem.read_bypass
     orig_write = mem.write
-    orig_write_cycles = mem.write_cycles
     orig_write_bypass = mem.write_bypass
     orig_block_start = proc._do_block_start
     orig_block_end = proc._do_block_end
@@ -236,13 +235,7 @@ def _wrap_cpu(tracer: Tracer, mem, proc) -> None:
         return res
 
     def write(addr, t):
-        res = orig_write(addr, t)
-        if res.stall:
-            tracer.write_stall(cpu, addr, t, res.stall)
-        return res
-
-    def write_cycles(addr, t):
-        done, stall = orig_write_cycles(addr, t)
+        done, stall = orig_write(addr, t)
         if stall:
             tracer.write_stall(cpu, addr, t, stall)
         return done, stall
@@ -271,7 +264,6 @@ def _wrap_cpu(tracer: Tracer, mem, proc) -> None:
     mem.read = read
     mem.read_bypass = read_bypass
     mem.write = write
-    mem.write_cycles = write_cycles
     mem.write_bypass = write_bypass
     proc._do_block_start = _do_block_start
     proc._do_block_end = _do_block_end

@@ -278,12 +278,12 @@ class SystemMetrics:
         if rec.pc in self.hotspot_pcs:
             self.os_hotspot_misses += 1
 
-    def record_write(self, cpu: int, rec: TraceRecord, res: AccessResult,
+    def record_write(self, cpu: int, rec: TraceRecord, stall: int,
                      in_blockop: bool) -> None:
         mode = MODE_BY_VALUE[rec.mode]
         self.writes[mode] += 1
         if rec.blockop:
-            self.blk_write_stall += res.stall
+            self.blk_write_stall += stall
 
     def record_block_exec(self, cycles: int) -> None:
         """Instruction-execution cycles spent inside block operations."""

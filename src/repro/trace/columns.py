@@ -2,10 +2,9 @@
 
 :mod:`repro.trace.npzio` already stores each stream as one ``(N, 9)``
 int64 matrix; this module gives that layout a first-class in-memory type,
-:class:`StreamColumns`, so the simulator's batched stepping mode and the
-histogram/analysis passes can run vectorized numpy compares over whole
-streams instead of touching one :class:`~repro.trace.record.TraceRecord`
-object per reference.
+:class:`StreamColumns`, so the trace writers and the histogram pass can
+work on whole streams instead of touching one
+:class:`~repro.trace.record.TraceRecord` object per reference.
 
 The column order is the serialization order of the npz format and the
 ``__slots__`` order of :class:`TraceRecord`::
@@ -42,7 +41,7 @@ class StreamColumns:
     """Parallel int64 arrays holding one CPU's records column-wise."""
 
     __slots__ = ("ops", "addrs", "modes", "dclasses", "pcs", "icounts",
-                 "blockops", "sizes", "args", "n", "_prep_cache")
+                 "blockops", "sizes", "args", "n")
 
     def __init__(self, ops: np.ndarray, addrs: np.ndarray, modes: np.ndarray,
                  dclasses: np.ndarray, pcs: np.ndarray, icounts: np.ndarray,
@@ -58,10 +57,6 @@ class StreamColumns:
         self.sizes = sizes
         self.args = args
         self.n = len(ops)
-        #: Simulator-side classification tables derived from these
-        #: columns, keyed by cache geometry and scheme flags; owned by
-        #: :meth:`repro.sim.processor.Processor.batch_prepare`.
-        self._prep_cache = None
 
     def __len__(self) -> int:
         return self.n

@@ -25,12 +25,17 @@ from typing import Union
 import numpy as np
 
 from repro.common.errors import TraceError
-from repro.common.types import BlockOpKind, DataClass
-from repro.trace.columns import StreamColumns
+from repro.common.types import BlockOpKind, DataClass, Mode, Op
+from repro.trace.columns import FIELDS, StreamColumns
 from repro.trace.stream import Trace
 
 _VERSION = 1
 _COLUMNS = 9
+
+#: Matrix column -> valid codes, for the enum-typed record fields.
+_CODES = {FIELDS.index(name): np.array([int(v) for v in enum_type])
+          for name, enum_type in (("op", Op), ("mode", Mode),
+                                  ("dclass", DataClass))}
 
 
 def save(trace: Trace, path: str) -> None:
@@ -66,8 +71,11 @@ def load(path: str) -> Trace:
     zero-copy :class:`~repro.trace.columns.StreamColumns` view and the
     trace is assembled through :meth:`Trace.from_columns`.  Per-record
     ``TraceRecord`` objects are only built if a consumer later touches
-    ``trace.streams`` — the batched simulator, the histogram pass, and a
-    save round-trip never do.
+    ``trace.streams`` — the histogram pass and a save round-trip never do.
+
+    Every stream's op, mode and data-class codes are checked here, so a
+    corrupt archive fails at load time with a :class:`TraceError` rather
+    than later, wherever its records are first decoded.
     """
     with np.load(path, allow_pickle=False) as archive:
         try:
@@ -80,10 +88,19 @@ def load(path: str) -> Trace:
         num_cpus = int(meta["num_cpus"])
         columns = []
         for cpu in range(num_cpus):
+            if f"cpu{cpu}" not in archive.files:
+                raise TraceError(f"{path}: cpu{cpu} stream missing")
             matrix = archive[f"cpu{cpu}"]
             if matrix.ndim != 2 or matrix.shape[1] != _COLUMNS:
                 raise TraceError(
                     f"{path}: cpu{cpu} stream has shape {matrix.shape}")
+            for col, codes in _CODES.items():
+                bad = np.flatnonzero(~np.isin(matrix[:, col], codes))
+                if bad.size:
+                    row = int(bad[0])
+                    raise TraceError(
+                        f"{path}: cpu{cpu} record {row} has bad "
+                        f"{FIELDS[col]} code {int(matrix[row, col])}")
             columns.append(StreamColumns.from_matrix(matrix))
         trace = Trace.from_columns(num_cpus, columns,
                                    metadata=meta["metadata"])

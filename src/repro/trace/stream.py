@@ -37,8 +37,8 @@ class Trace:
       lazily, the first time somebody touches :attr:`streams`.
 
     Column views of either form are available through
-    :meth:`column_streams`; the batched simulator core and the histogram
-    pass consume those instead of record objects.
+    :meth:`column_streams`; the npz and text writers consume those
+    instead of record objects.
     """
 
     def __init__(self, num_cpus: int, blockops: Optional[BlockOpRegistry] = None,
@@ -62,8 +62,6 @@ class Trace:
         self._histogram_shape: Optional[Tuple[int, ...]] = None
         self._sealed: Optional[Tuple[Tuple[TraceRecord, ...], ...]] = None
         self._sealed_shape: Optional[Tuple[int, ...]] = None
-        self._columns_cache: Optional[list] = None
-        self._columns_shape: Optional[Tuple[int, ...]] = None
 
     @classmethod
     def from_columns(cls, num_cpus: int, columns,
@@ -75,7 +73,7 @@ class Trace:
         No :class:`TraceRecord` objects are constructed; they appear only
         if a consumer touches :attr:`streams` (or a method that needs
         them, like :meth:`validate`).  Columnar consumers — the npz
-        writer, the histogram, the batched simulator — never do.
+        and text writers, the histogram — never do.
         """
         columns = list(columns)
         if len(columns) != num_cpus:
@@ -85,8 +83,6 @@ class Trace:
                     metadata=metadata)
         trace._streams = None
         trace._columns = columns
-        trace._columns_cache = columns
-        trace._columns_shape = tuple(len(c) for c in columns)
         return trace
 
     @property
@@ -112,20 +108,16 @@ class Trace:
         return tuple(len(s) for s in self._streams)
 
     def column_streams(self) -> list:
-        """Per-CPU :class:`StreamColumns`, cached until the trace grows.
+        """Per-CPU :class:`StreamColumns` for the one-shot writers.
 
         For a columnar (npz-loaded) trace these are the loaded arrays,
-        zero-copy.  For a built trace they are packed from the record
-        lists once and shared by every consumer (the N systems of a
-        scheme sweep, the histogram) until the shape changes.
+        zero-copy.  For a built trace they are packed fresh from the
+        record lists on every call.
         """
-        shape = self._shape()
-        if self._columns_cache is None or self._columns_shape != shape:
-            from repro.trace.columns import StreamColumns
-            self._columns_cache = [StreamColumns.from_records(s)
-                                   for s in self.streams]
-            self._columns_shape = shape
-        return self._columns_cache
+        if self._streams is None:
+            return self._columns
+        from repro.trace.columns import StreamColumns
+        return [StreamColumns.from_records(s) for s in self._streams]
 
     def records(self) -> Iterable[TraceRecord]:
         """Iterate over all records, CPU by CPU."""

@@ -42,15 +42,6 @@ def test_simulate_trace_file(tmp_path, capsys):
     assert "makespan" in capsys.readouterr().out
 
 
-def test_simulate_no_batch_same_report(capsys):
-    """--no-batch forces the scalar scheduler; the report is unchanged."""
-    assert main(["simulate", "Shell", "--scale", "0.05"]) == 0
-    batched = capsys.readouterr().out
-    assert main(["simulate", "Shell", "--scale", "0.05", "--no-batch"]) == 0
-    scalar = capsys.readouterr().out
-    assert scalar == batched
-
-
 def test_simulate_unknown_config(capsys):
     assert main(["simulate", "Shell", "--config", "Nope",
                  "--scale", "0.05"]) == 2

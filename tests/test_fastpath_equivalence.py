@@ -8,13 +8,8 @@ the reference scan scheduler (:meth:`run_scan`) and to the full
 — locks, barriers, block copies/zeros, both modes, all five pure schemes —
 at both implementations and compare the complete snapshots.
 
-The batched scheduler (``batch=True``, the default) gets the same
-treatment at a larger blast radius: every scheme of
-:func:`standard_configs` crossed with the four paper workloads and three
-generated profile families, a hypothesis property over the batch chunk
-size, and regression tests pinning the auto-disable contract (checker,
-tracer, instance-patched hooks, and ``REPRO_NO_BATCH`` must force the
-scalar loop and change nothing).
+Observers — the conformance checker, the event tracer, an instance-patched
+``step`` — wrap the same paths per instance and must change no metric.
 """
 
 from __future__ import annotations
@@ -23,36 +18,20 @@ import random
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.common.params import BASE_MACHINE, machine_for
 from repro.common.types import DataClass, Mode
 from repro.memsys.bus import Bus
 from repro.memsys.coherence import CoherenceController
 from repro.memsys.hierarchy import CpuMemorySystem
-from repro.sim.config import all_configs, resolve_config, standard_configs
+from repro.sim.config import resolve_config, standard_configs
 from repro.sim.metrics import MissTracker
-from repro.sim.system import REPRO_NO_BATCH_ENV, MultiprocessorSystem
+from repro.sim.system import MultiprocessorSystem
 from repro.synthetic.profiles import generate as generate_profile
 from repro.trace import record
 from repro.trace.stream import TraceBuilder
 
 PURE_SCHEMES = ["Base", "Blk_Pref", "Blk_Bypass", "Blk_ByPref", "Blk_Dma"]
-
-#: Every registered scheme — the paper's eight plus the three
-#: adaptive hybrids, whose policies are consulted only on the
-#: controller's bus-level write paths (which the batched tier
-#: never enters), so batched == scalar must hold for them too.
-ALL_SCHEMES = list(all_configs())
-
-PAPER_WORKLOADS = ["TRFD_4", "TRFD+Make", "ARC2D+Fsck", "Shell"]
-GENERATED_PROFILES = ["server", "bursty_mp", "gang_diurnal"]
-
-#: Workload scale for the full scheme x workload matrix (~20-35k records
-#: per trace: big enough for real run-length structure, small enough for
-#: the suite).
-MATRIX_SCALE = 0.08
 
 #: The paper point plus two set-associative machine-axis points: the
 #: inline hit paths and the fused write drain run on all of them.
@@ -182,17 +161,18 @@ class TestL1FastPathEquivalence:
         slow = slow_sys.run().snapshot()
         assert fast == slow
 
-    def test_write_cycles_matches_write(self):
-        """``write_cycles`` must mirror ``write`` result-for-result, on
-        every machine point, down to the frame index and LRU stamps."""
+    def test_fused_write_matches_unfused_drain(self):
+        """The fused owned-L2 drain in ``write`` must match the unfused
+        ``_drain_word`` path result-for-result, on every machine point,
+        down to the frame index and LRU stamps."""
         for machine in MACHINES:
-            def rig():
+            def rig(cls):
                 bus = Bus(machine.bus)
                 controller = CoherenceController(machine, bus)
-                return [CpuMemorySystem(machine, bus, controller,
-                                        MissTracker()) for _ in range(2)]
+                return [cls(machine, bus, controller, MissTracker())
+                        for _ in range(2)]
 
-            full, lean = rig(), rig()
+            fused, unfused = rig(CpuMemorySystem), rig(_UnfusedMemorySystem)
             rng = random.Random(42)
             t = 0
             for _ in range(300):
@@ -202,143 +182,61 @@ class TestL1FastPathEquivalence:
                 # set-associative).
                 addr = (SHARED_BASE + 0x10000 * rng.randrange(16)
                         + 4 * rng.randrange(32))
-                res = full[cpu].write(addr, t)
-                done, stall = lean[cpu].write_cycles(addr, t)
-                assert (done, stall) == (res.done, res.stall), \
-                    machine_id(machine)
+                assert fused[cpu].write(addr, t) == \
+                    unfused[cpu].write(addr, t), machine_id(machine)
                 t += rng.randrange(4)
-            for f, l in zip(full, lean):
+            for f, u in zip(fused, unfused):
                 for cache in ("l1d", "l2"):
-                    a, b = getattr(f, cache), getattr(l, cache)
+                    a, b = getattr(f, cache), getattr(u, cache)
                     assert a.tags == b.tags, (machine_id(machine), cache)
                     assert a.where == b.where, (machine_id(machine), cache)
                     assert a.stamps == b.stamps, (machine_id(machine), cache)
-                assert f.l2.states == l.l2.states, machine_id(machine)
-                assert f.wb1.stall_cycles == l.wb1.stall_cycles
+                assert f.l2.states == u.l2.states, machine_id(machine)
+                assert f.wb1.stall_cycles == u.wb1.stall_cycles
+
+
+class _UnfusedMemorySystem(CpuMemorySystem):
+    """Overriding ``_drain_word`` turns off the fused owned-line drain in
+    :meth:`CpuMemorySystem.write`: every write goes through the WB1
+    service callback."""
+
+    def _drain_word(self, addr, start):
+        return super()._drain_word(addr, start)
+
+
+def _attach_checker(system):
+    from repro.check.invariants import attach_checker
+    attach_checker(system)
+
+
+def _attach_tracer(system):
+    from repro.obs import Tracer
+    from repro.obs.tracer import attach_tracer
+    attach_tracer(system, Tracer())
+
+
+def _patch_step(system):
+    for proc in system.processors:
+        proc.step = proc.step  # an instance attribute shadowing the method
 
 
 @lru_cache(maxsize=None)
-def profile_trace(name: str, scale: float = MATRIX_SCALE):
-    """One generated trace per workload, shared by every cell below."""
-    return generate_profile(name, seed=7, scale=scale)
+def _shell_trace():
+    return generate_profile("Shell", seed=7, scale=0.08)
 
 
 @lru_cache(maxsize=None)
-def scalar_snapshot(name: str, scheme: str):
-    """Reference scalar-mode snapshot for a (workload, scheme) cell."""
-    trace = profile_trace(name)
-    config = all_configs()[scheme]
-    return MultiprocessorSystem(trace, config, batch=False).run().snapshot()
+def _plain_snapshot():
+    config = standard_configs()["Base"]
+    return MultiprocessorSystem(_shell_trace(), config).run().snapshot()
 
 
-class TestBatchedSchedulerEquivalence:
-    """``batch=True`` must be bit-identical to the scalar loop."""
-
-    @pytest.mark.slow
-    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
-    @pytest.mark.parametrize("workload",
-                             PAPER_WORKLOADS + GENERATED_PROFILES)
-    def test_batched_matches_scalar(self, workload, scheme):
-        trace = profile_trace(workload)
-        config = all_configs()[scheme]
-        system = MultiprocessorSystem(trace, config, batch=True)
-        batched = system.run().snapshot()
-        assert batched == scalar_snapshot(workload, scheme)
-
-    @pytest.mark.parametrize("scheme", ["Base", "Blk_Dma", "Hyb_UpdN"])
-    def test_batched_matches_scalar_fast(self, scheme):
-        """A two-cell subset of the matrix for the quick CI lane."""
-        trace = profile_trace("Shell")
-        config = all_configs()[scheme]
-        system = MultiprocessorSystem(trace, config, batch=True)
-        batched = system.run().snapshot()
-        # The hit-dominated cells must actually exercise the batched
-        # path, not silently fall back to scalar stepping.
-        assert system.batched_records > 0
-        assert batched == scalar_snapshot("Shell", scheme)
-
-    @pytest.mark.parametrize("scheme", PURE_SCHEMES)
-    @pytest.mark.parametrize("seed", [21, 22])
-    def test_random_traces_batched(self, seed, scheme):
-        """Adversarial sync-heavy traces, batched vs scalar."""
-        config = standard_configs()[scheme]
-        trace = random_trace(seed, num_cpus=2 + seed % 3)
-        scalar = MultiprocessorSystem(trace, config, batch=False) \
-            .run().snapshot()
-        batched = MultiprocessorSystem(trace, config, batch=True) \
-            .run().snapshot()
-        assert batched == scalar
-
-
-class TestBatchChunkProperty:
-    @settings(max_examples=15, deadline=None)
-    @given(seed=st.integers(0, 40), chunk=st.integers(1, 8192))
-    def test_chunk_never_changes_metrics(self, seed, chunk):
-        """The vector-tier chunk size is pure mechanism, never policy."""
-        config = standard_configs()["Base"]
-        trace = random_trace(seed, num_cpus=2 + seed % 3)
-        scalar = MultiprocessorSystem(trace, config, batch=False) \
-            .run().snapshot()
-        batched = MultiprocessorSystem(trace, config, batch=True,
-                                       batch_chunk=chunk).run().snapshot()
-        assert batched == scalar
-
-
-class TestBatchAutoDisable:
-    """Observers must force the scalar loop — and change no metric."""
-
-    def _reference(self):
-        trace = profile_trace("Shell")
-        config = standard_configs()["Base"]
-        return trace, config, scalar_snapshot("Shell", "Base")
-
-    def test_checker_forces_scalar(self):
-        trace, config, ref = self._reference()
-        system = MultiprocessorSystem(trace, config, batch=True, check=True)
-        snap = system.run().snapshot()
-        assert system.checker is not None
-        assert system.batched_records == 0
-        assert snap == ref
-
-    def test_tracer_forces_scalar(self):
-        from repro.obs import Tracer
-        from repro.obs.tracer import attach_tracer
-        trace, config, ref = self._reference()
-        system = MultiprocessorSystem(trace, config, batch=True)
-        attach_tracer(system, Tracer())
-        snap = system.run().snapshot()
-        assert system.batched_records == 0
-        assert snap == ref
-
-    def test_env_var_forces_scalar(self, monkeypatch):
-        trace, config, ref = self._reference()
-        monkeypatch.setenv(REPRO_NO_BATCH_ENV, "1")
-        system = MultiprocessorSystem(trace, config)
-        snap = system.run().snapshot()
-        assert system.batched_records == 0
-        assert snap == ref
-
-    def test_instance_step_patch_forces_scalar(self):
-        trace, config, ref = self._reference()
-        system = MultiprocessorSystem(trace, config, batch=True)
-        stepped = 0
-        for proc in system.processors:
-            orig = proc.step
-
-            def step(orig=orig):
-                nonlocal stepped
-                stepped += 1
-                return orig()
-
-            proc.step = step
-        snap = system.run().snapshot()
-        assert system.batched_records == 0
-        assert stepped >= len(trace)
-        assert snap == ref
-
-    def test_explicit_batch_false(self):
-        trace, config, ref = self._reference()
-        system = MultiprocessorSystem(trace, config, batch=False)
-        snap = system.run().snapshot()
-        assert system.batched_records == 0
-        assert snap == ref
+@pytest.mark.parametrize("attach", [_attach_checker, _attach_tracer,
+                                    _patch_step],
+                         ids=["checker", "tracer", "step"])
+def test_observer_changes_no_metric(attach):
+    """Observers wrap per-CPU paths on the instance; none may change a
+    metric of the run they observe."""
+    system = MultiprocessorSystem(_shell_trace(), standard_configs()["Base"])
+    attach(system)
+    assert system.run().snapshot() == _plain_snapshot()

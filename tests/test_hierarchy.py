@@ -61,9 +61,7 @@ class TestWrite:
 
     def test_write_to_owned_line_is_fast(self, rig):
         rig[0].write(ADDR, 0)
-        res = rig[0].write(ADDR + 4, 1000)
-        assert res.done == 1001
-        assert res.stall == 0
+        assert rig[0].write(ADDR + 4, 1000) == (1001, 0)
 
     def test_write_to_shared_line_invalidates(self, rig):
         rig[0].read(ADDR, 0)
@@ -77,9 +75,8 @@ class TestWrite:
         stalls = 0
         t = 0
         for i in range(30):
-            res = rig[0].write(ADDR + i * 0x1000, t)
-            stalls += res.stall
-            t = res.done
+            t, stall = rig[0].write(ADDR + i * 0x1000, t)
+            stalls += stall
         assert stalls > 0
 
     def test_release_drain_waits_for_writes(self, rig):

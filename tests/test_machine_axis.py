@@ -97,23 +97,6 @@ class TestSetAssociativeEndToEnd:
         assert checked.os_time().total == unchecked.os_time().total
         assert checked.os_read_misses() == unchecked.os_read_misses()
 
-    def test_batched_scheduler_auto_disabled(self):
-        # The batched tiers hard-code direct-mapped indexing; on a
-        # set-associative machine the system must fall back to the
-        # scalar path by itself rather than mis-simulate.
-        trace = _trace(8, scale=0.02)
-        config = resolve_config("Base", machine_for(8, assoc=2))
-        system = MultiprocessorSystem(trace, config, batch=True)
-        system.run()
-        assert system.batched_records == 0
-
-    def test_direct_mapped_still_batches(self):
-        trace = _trace(8, scale=0.02)
-        config = resolve_config("Base", machine_for(8))
-        system = MultiprocessorSystem(trace, config, batch=True)
-        system.run()
-        assert system.batched_records > 0
-
     def test_assoc_machine_differs_from_direct_mapped(self):
         # Same geometry, different organization: conflict misses should
         # drop, so the runs must not be accidentally identical.

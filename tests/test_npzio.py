@@ -86,3 +86,33 @@ def test_empty_trace_roundtrip(tmp_path):
     restored = npzio.load(path)
     assert len(restored) == 0
     assert restored.num_cpus == 1
+
+
+def _corrupt(tmp_path, edit):
+    """Save the sample trace, let *edit* rewrite its arrays, save again."""
+    path = str(tmp_path / "t.npz")
+    npzio.save(sample_trace(), path)
+    with np.load(path) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    edit(arrays)
+    np.savez_compressed(path, **arrays)
+    return path
+
+
+@pytest.mark.parametrize("column,field", [(0, "op"), (2, "mode"),
+                                          (3, "dclass")])
+def test_bad_code_rejected_at_load(tmp_path, column, field):
+    def edit(arrays):
+        arrays["cpu1"] = arrays["cpu1"].copy()
+        arrays["cpu1"][0, column] = 99
+
+    path = _corrupt(tmp_path, edit)
+    with pytest.raises(TraceError, match=rf"t\.npz: cpu1 record 0 has bad "
+                                         rf"{field} code 99"):
+        npzio.load(path)
+
+
+def test_missing_cpu_stream_rejected(tmp_path):
+    path = _corrupt(tmp_path, lambda arrays: arrays.pop("cpu1"))
+    with pytest.raises(TraceError, match=r"t\.npz: cpu1 stream missing"):
+        npzio.load(path)

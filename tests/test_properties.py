@@ -106,11 +106,15 @@ def test_access_results_well_formed(ops):
             for _ in range(4)]
     t = 0
     for cpu, addr, is_write in ops:
-        res = mems[cpu].write(addr, t) if is_write else mems[cpu].read(addr, t)
-        assert res.done >= t
-        assert res.stall >= 0
-        assert res.pref_stall >= 0
-        t = res.done
+        if is_write:
+            done, stall = mems[cpu].write(addr, t)
+        else:
+            res = mems[cpu].read(addr, t)
+            done, stall = res.done, res.stall
+            assert res.pref_stall >= 0
+        assert done >= t
+        assert stall >= 0
+        t = done
 
 
 @st.composite

@@ -2,12 +2,11 @@
 
 Covers the LRU replacement policy, per-set isolation, the coherent
 (MESI-state) variant, the ``CacheParams.assoc`` validation, and — as
-hypothesis properties — that the ``where`` frame index and the
-``tags_np`` / ``states_np`` numpy mirrors stay consistent with the
-authoritative Python lists under any sequence of mutations (the inline
-hit paths and the batched scheduler silently diverge if a mutation path
-forgets one), and that evictions match a per-set ``OrderedDict`` LRU
-reference model at 1, 2 and 4 ways.
+hypothesis properties — that the ``where`` frame index stays consistent
+with the authoritative ``tags`` list under any sequence of mutations (the
+inline hit paths silently diverge if a mutation path forgets it), and that
+evictions match a per-set ``OrderedDict`` LRU reference model at 1, 2 and
+4 ways.
 """
 
 from collections import OrderedDict
@@ -229,8 +228,8 @@ class TestMachineFor:
 
 
 # ----------------------------------------------------------------------
-# Index and mirror properties: where/tags_np/states_np agree with
-# tags/states after any op mix, and evictions follow true LRU.
+# Index properties: where agrees with tags after any op mix, and
+# evictions follow true LRU.
 # ----------------------------------------------------------------------
 
 # Small caches so collisions and evictions are frequent.
@@ -256,9 +255,6 @@ _state_ops = st.lists(
 def _assert_mirrors(cache):
     assert cache.where == {tag: frame for frame, tag in enumerate(cache.tags)
                            if tag != -1}
-    assert list(cache.tags_np) == cache.tags
-    if hasattr(cache, "states_np"):
-        assert list(cache.states_np) == [int(s) for s in cache.states]
 
 
 class LruModel:
