@@ -56,6 +56,7 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 from repro.common.errors import SimulationError
 from repro.common.types import AdaptivePolicy as PolicyKind
+from repro.memsys.cache import holder_cpus
 
 class AdaptiveDecision(NamedTuple):
     """What one bus-level write should do, as decided by a policy.
@@ -74,10 +75,14 @@ class AdaptiveDecision(NamedTuple):
 
 
 class BaseAdaptivePolicy:
-    """Common bookkeeping: per-line residency and event hooks.
+    """Common bookkeeping: residency view and event hooks.
 
-    Subclasses implement :meth:`decide`.  The controller feeds residency
-    through :meth:`on_fill` / :meth:`on_invalidate`, called at exactly
+    Subclasses implement :meth:`decide`.  Residency is read from the
+    controller's presence directory (:attr:`holders`, bound by
+    :meth:`~repro.memsys.coherence.CoherenceController.attach_policy`),
+    which the L2s keep exact; the policy never writes it.  The
+    controller reports residency changes through :meth:`on_fill` /
+    :meth:`on_invalidate` *after* they reach the directory, at exactly
     the points where the checker's ``l2_install`` / ``invalidate`` hooks
     fire, so the conformance shadow sees the same event stream.
     """
@@ -86,8 +91,9 @@ class BaseAdaptivePolicy:
 
     def __init__(self, page_bytes: int) -> None:
         self.page_bytes = page_bytes
-        #: line -> cpus currently holding a copy (writer included).
-        self._resident: Dict[int, Set[int]] = {}
+        #: line -> bitmask of the cpus holding a copy (writer included);
+        #: private and empty until a controller binds its directory.
+        self.holders: Dict[int, int] = {}
         # Statistics (reporting only; never consulted by decide()).
         self.update_writes = 0
         self.invalidate_writes = 0
@@ -96,16 +102,10 @@ class BaseAdaptivePolicy:
     # -- events from the controller ------------------------------------
     def on_fill(self, cpu: int, line: int) -> None:
         """*cpu* installed *line* (a bus-visible local re-reference)."""
-        self._resident.setdefault(line, set()).add(cpu)
 
     def on_invalidate(self, cpu: int, line: int) -> None:
         """*cpu*'s copy of *line* was invalidated or evicted."""
-        holders = self._resident.get(line)
-        if holders is None:
-            return
-        holders.discard(cpu)
-        if not holders:
-            del self._resident[line]
+        if line not in self.holders:
             self._line_gone(line)
 
     def _line_gone(self, line: int) -> None:
@@ -127,8 +127,8 @@ class BaseAdaptivePolicy:
 
     def state_snapshot(self) -> Tuple:
         """Hashable snapshot of all decision state (determinism tests)."""
-        return (tuple(sorted((l, tuple(sorted(h)))
-                             for l, h in self._resident.items())),)
+        return (tuple(sorted((line, tuple(holder_cpus(mask)))
+                             for line, mask in self.holders.items())),)
 
 
 class UpdateNPolicy(BaseAdaptivePolicy):

@@ -6,7 +6,9 @@ The paper's machine is direct-mapped everywhere; the machine axis adds
 the 1-way point (each frame is its own set, so the only possible victim
 is the line already there).  Timing lives in the hierarchy/coherence
 layers; this module only answers presence questions and performs fills,
-evictions and invalidations.
+evictions and invalidations.  The L2s (:class:`CoherentCache`) also keep
+the bus's presence directory, which the coherence controller's snoops
+read instead of probing every CPU.
 """
 
 from __future__ import annotations
@@ -141,13 +143,24 @@ class Cache:
 
 
 class CoherentCache(Cache):
-    """Cache with a MESI state per frame (the L2)."""
+    """Cache with a MESI state per frame (the L2).
 
-    __slots__ = ("states",)
+    ``holders`` is the presence directory (snoop filter) of the bus the
+    cache sits on: line address -> bitmask of the L2s whose :attr:`where`
+    holds the line, this cache contributing ``bit``.  Residency changes
+    only in :meth:`fill` and :meth:`_drop`, so those two methods keep it
+    exact.  A standalone cache owns a private directory and bit 1;
+    :meth:`~repro.memsys.coherence.CoherenceController.attach` hands it
+    the controller's shared directory and bit ``1 << cpu``.
+    """
+
+    __slots__ = ("states", "holders", "bit")
 
     def __init__(self, params: CacheParams) -> None:
         super().__init__(params)
         self.states: List[LineState] = [LineState.INVALID] * self.num_lines
+        self.holders: Dict[int, int] = {}
+        self.bit = 1
 
     def state_of(self, addr: int) -> LineState:
         """MESI state of the line containing *addr* (INVALID if absent)."""
@@ -168,6 +181,16 @@ class CoherentCache(Cache):
         else:
             self.states[idx] = state
 
+    def fill(self, addr: int) -> int:
+        """:meth:`Cache.fill`, keeping the presence directory in step."""
+        old = super().fill(addr)
+        holders = self.holders
+        line = addr - addr % self.line_bytes
+        holders[line] = holders.get(line, 0) | self.bit
+        if old != -1:
+            self._forget(old)
+        return old
+
     def fill_state(self, addr: int, state: LineState) -> Tuple[int, Optional[LineState]]:
         """Install the line containing *addr* in *state*.
 
@@ -183,6 +206,26 @@ class CoherentCache(Cache):
         self.states[idx] = state
         return evicted
 
+    def _forget(self, line: int) -> None:
+        """Clear this cache's bit in *line*'s directory entry."""
+        mask = self.holders[line] & ~self.bit
+        if mask:
+            self.holders[line] = mask
+        else:
+            del self.holders[line]
+
     def _drop(self, idx: int) -> None:
+        self._forget(self.tags[idx])
         super()._drop(idx)
         self.states[idx] = LineState.INVALID
+
+
+def holder_cpus(mask: int) -> List[int]:
+    """CPU ids whose bits are set in a presence-directory *mask*,
+    ascending."""
+    cpus = []
+    while mask:
+        low = mask & -mask
+        cpus.append(low.bit_length() - 1)
+        mask ^= low
+    return cpus

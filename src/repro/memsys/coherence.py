@@ -7,6 +7,14 @@ ownership acquisition, invalidations, Firefly updates, bypass transfers —
 goes through one of the methods below, which reserve the bus and mutate
 line states consistently.
 
+Snoops are filtered by a presence directory,
+:attr:`CoherenceController.holders`: line -> bitmask of the CPUs whose
+L2 holds it.  The L2s update it themselves in
+:meth:`~repro.memsys.cache.CoherentCache.fill` and ``_drop``, the only
+two places residency changes, so a snoop visits the holders (in
+ascending CPU order, as a walk over every port would) and its cost
+grows with the sharers, not with the machine's CPU count.
+
 The Illinois protocol supplies lines cache-to-cache: a read miss that finds
 the line in another cache gets it from that cache (faster than memory);
 a dirty supplier writes the line back and drops to SHARED.
@@ -29,12 +37,12 @@ the invalidate route is the unmodified MESI path.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Optional, Set
 
 from repro.common.errors import SimulationError
 from repro.common.params import MachineParams
 from repro.memsys.bus import Bus, BusOp
-from repro.memsys.cache import Cache, CoherentCache
+from repro.memsys.cache import Cache, CoherentCache, holder_cpus
 from repro.memsys.sink import MemorySink
 from repro.memsys.states import LineState
 
@@ -59,6 +67,11 @@ class CoherenceController:
         self.machine = machine
         self.bus = bus
         self.ports: List[_CpuPort] = []
+        #: Presence directory shared by every attached L2: line ->
+        #: bitmask of the CPUs holding it (bit ``1 << cpu``).  The L2s
+        #: keep it exact themselves (:class:`CoherentCache`), so a snoop
+        #: visits the holders only, never all ports.
+        self.holders: Dict[int, int] = {}
         #: Conformance checker (:mod:`repro.check`), or None.  The hook
         #: calls below are all on miss/bus paths, so the disabled cost is
         #: one attribute test per bus-level operation.
@@ -88,9 +101,21 @@ class CoherenceController:
     # ------------------------------------------------------------------
     def attach(self, l1i: Cache, l1d: Cache,
                l2: CoherentCache, sink: MemorySink) -> int:
-        """Register one CPU's caches; returns its id."""
+        """Register one CPU's (still empty) caches; returns its id.
+
+        The L2 joins the shared presence directory as bit ``1 << id``.
+        """
+        cpu = len(self.ports)
+        l2.holders = self.holders
+        l2.bit = 1 << cpu
         self.ports.append(_CpuPort(l1i, l1d, l2, sink))
-        return len(self.ports) - 1
+        return cpu
+
+    def attach_policy(self, policy) -> None:
+        """Attach an adaptive policy; it reads residency from
+        :attr:`holders`."""
+        policy.holders = self.holders
+        self.adaptive = policy
 
     def set_update_pages(self, pages: Iterable[int]) -> None:
         """Run Firefly update on the given page-aligned addresses."""
@@ -112,13 +137,14 @@ class CoherenceController:
         return addr - (addr % self.machine.l2.line_bytes)
 
     def _holders(self, line: int, except_cpu: int) -> List[int]:
-        """CPUs (other than *except_cpu*) whose L2 holds *line*."""
-        return [i for i, p in enumerate(self.ports)
-                if i != except_cpu and p.l2.state_of(line) != LineState.INVALID]
+        """CPUs (other than *except_cpu*) whose L2 holds *line*,
+        ascending."""
+        return holder_cpus(self.holders.get(line, 0) & ~(1 << except_cpu))
 
     def _dirty_holder(self, line: int, except_cpu: int) -> Optional[int]:
-        for i, p in enumerate(self.ports):
-            if i != except_cpu and p.l2.state_of(line) == LineState.MODIFIED:
+        ports = self.ports
+        for i in self._holders(line, except_cpu):
+            if ports[i].l2.state_of(line) == LineState.MODIFIED:
                 return i
         return None
 
@@ -396,11 +422,12 @@ class CoherenceController:
         after writing back; clean copies are untouched.
         """
         line = self._l2_line(line_addr)
-        for i, port in enumerate(self.ports):
-            if port.l2.state_of(line) == LineState.MODIFIED:
+        for i in holder_cpus(self.holders.get(line, 0)):
+            l2 = self.ports[i].l2
+            if l2.state_of(line) == LineState.MODIFIED:
                 if self.checker is not None:
                     self.checker.writeback(i, line)
-                port.l2.set_state(line, LineState.SHARED)
+                l2.set_state(line, LineState.SHARED)
                 self.cache_to_cache += 1
                 return True
         return False
@@ -414,30 +441,38 @@ class CoherenceController:
         held the line (each slows the transfer slightly).
         """
         line = self._l2_line(line_addr)
-        holders = 0
+        holders = holder_cpus(self.holders.get(line, 0))
         checker = self.checker
-        for i, port in enumerate(self.ports):
-            if port.l2.state_of(line) != LineState.INVALID:
-                if (checker is not None
-                        and port.l2.state_of(line) == LineState.MODIFIED):
-                    # A dirty holder flushes the line before the in-place
-                    # update, so dirty words outside the transferred range
-                    # survive the drop to SHARED.
-                    checker.writeback(i, line)
-                port.l2.set_state(line, LineState.SHARED)
-                holders += 1
-        return holders
+        for i in holders:
+            l2 = self.ports[i].l2
+            if (checker is not None
+                    and l2.state_of(line) == LineState.MODIFIED):
+                # A dirty holder flushes the line before the in-place
+                # update, so dirty words outside the transferred range
+                # survive the drop to SHARED.
+                checker.writeback(i, line)
+            l2.set_state(line, LineState.SHARED)
+        return len(holders)
 
     # ------------------------------------------------------------------
     # Invariant checking (used by tests)
     # ------------------------------------------------------------------
     def check_invariants(self) -> None:
         """Raise :class:`SimulationError` on any coherence violation."""
-        lines: Set[int] = set()
-        for port in self.ports:
-            lines.update(port.l2.resident_lines())
-        for line in lines:
-            states = [p.l2.state_of(line) for p in self.ports]
+        # The presence directory must equal the masks rebuilt from each
+        # L2's residency map.
+        expected: Dict[int, int] = {}
+        for cpu, port in enumerate(self.ports):
+            for line in port.l2.where:
+                expected[line] = expected.get(line, 0) | 1 << cpu
+        if self.holders != expected:
+            bad = sorted(set(self.holders.items()) ^ set(expected.items()))
+            raise SimulationError(
+                f"presence directory diverged from the L2s at "
+                f"(line, mask) {[(hex(l), bin(m)) for l, m in bad[:4]]}")
+        for line, mask in expected.items():
+            states = [self.ports[i].l2.state_of(line)
+                      for i in holder_cpus(mask)]
             owned = sum(1 for s in states
                         if s in (LineState.EXCLUSIVE, LineState.MODIFIED))
             present = sum(1 for s in states if s != LineState.INVALID)

@@ -275,6 +275,7 @@ def _wrap_controller(tracer: Tracer, controller) -> None:
     orig_fetch_owned = controller.fetch_owned
     orig_upgrade = controller.upgrade
     orig_update = controller.broadcast_update
+    orig_adaptive_update = controller.adaptive_update
     orig_nofill = controller.read_nofill
     orig_wline = controller.write_line_to_memory
     orig_inval = controller._invalidate_remotes
@@ -287,23 +288,26 @@ def _wrap_controller(tracer: Tracer, controller) -> None:
                     shared=True)
         return ready
 
+    # A bus write takes the update route (Firefly page set or adaptive
+    # policy) exactly when it sends an update; that route's fill and
+    # update are recorded by the wrapped fetch_shared and update verbs,
+    # so fetch_owned/upgrade record only the invalidation route.
     def fetch_owned(cpu, addr, t):
-        if controller.is_update_addr(addr):
-            # Delegates to fetch_shared + broadcast_update, both wrapped.
-            return orig_fetch_owned(cpu, addr, t)
         line = controller._l2_line(addr)
         dirty = controller._dirty_holder(line, cpu)
+        sent = controller.updates_sent
         ready = orig_fetch_owned(cpu, addr, t)
-        tracer.fill(cpu, line, t, ready,
-                    "cache" if dirty is not None else "mem", shared=False)
+        if controller.updates_sent == sent:
+            tracer.fill(cpu, line, t, ready,
+                        "cache" if dirty is not None else "mem",
+                        shared=False)
         return ready
 
     def upgrade(cpu, addr, t):
-        if controller.is_update_addr(addr):
-            return orig_upgrade(cpu, addr, t)  # wrapped broadcast_update
-        line = controller._l2_line(addr)
+        sent = controller.updates_sent
         done = orig_upgrade(cpu, addr, t)
-        tracer.upgrade(cpu, line, t, done)
+        if controller.updates_sent == sent:
+            tracer.upgrade(cpu, controller._l2_line(addr), t, done)
         return done
 
     def broadcast_update(cpu, addr, t):
@@ -311,6 +315,14 @@ def _wrap_controller(tracer: Tracer, controller) -> None:
         holders = len(controller._holders(line, cpu))
         done = orig_update(cpu, addr, t)
         tracer.update(cpu, addr, t, done, holders)
+        return done
+
+    def adaptive_update(cpu, addr, t, decision):
+        done = orig_adaptive_update(cpu, addr, t, decision)
+        if decision.to_invalidate:
+            tracer.invalidate(cpu, controller._l2_line(addr),
+                              len(decision.to_invalidate))
+        tracer.update(cpu, addr, t, done, len(decision.to_update))
         return done
 
     def read_nofill(cpu, addr, t, kind=BusOp.READ_MEM):
@@ -339,6 +351,7 @@ def _wrap_controller(tracer: Tracer, controller) -> None:
     controller.fetch_owned = fetch_owned
     controller.upgrade = upgrade
     controller.broadcast_update = broadcast_update
+    controller.adaptive_update = adaptive_update
     controller.read_nofill = read_nofill
     controller.write_line_to_memory = write_line_to_memory
     controller._invalidate_remotes = _invalidate_remotes

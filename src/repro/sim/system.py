@@ -68,7 +68,7 @@ class MultiprocessorSystem:
             # the pages (if any) feed the policy, never the controller's
             # page-set rule, so every broadcast goes through the policy.
             from repro.memsys.adaptive import build_policy
-            self.controller.adaptive = build_policy(config, update_pages)
+            self.controller.attach_policy(build_policy(config, update_pages))
         elif config.pure_update:
             self.controller.update_everywhere = True
         elif config.selective_update and update_pages:

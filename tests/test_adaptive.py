@@ -25,11 +25,28 @@ PAGE = 4096
 LINE = 0x1000
 
 
+def _fill(p, cpu, line):
+    """Install *line* in *cpu*'s (modelled) L2, as the controller does:
+    the presence directory changes first, then the policy hears of it."""
+    p.holders[line] = p.holders.get(line, 0) | 1 << cpu
+    p.on_fill(cpu, line)
+
+
+def _drop(p, cpu, line):
+    """Drop *cpu*'s copy of *line* (a no-op when it holds none)."""
+    mask = p.holders.get(line, 0) & ~(1 << cpu)
+    if mask:
+        p.holders[line] = mask
+    else:
+        p.holders.pop(line, None)
+    p.on_invalidate(cpu, line)
+
+
 class TestUpdateNPolicy:
     def test_budget_decrements_then_drops(self):
         p = UpdateNPolicy(PAGE, n=2)
-        p.on_fill(0, LINE)
-        p.on_fill(1, LINE)
+        _fill(p, 0, LINE)
+        _fill(p, 1, LINE)
         # Two budgeted updates...
         for _ in range(2):
             d = p.decide(0, LINE, LINE, [1])
@@ -42,20 +59,20 @@ class TestUpdateNPolicy:
 
     def test_fill_resets_budget(self):
         p = UpdateNPolicy(PAGE, n=1)
-        p.on_fill(0, LINE)
-        p.on_fill(1, LINE)
+        _fill(p, 0, LINE)
+        _fill(p, 1, LINE)
         assert p.decide(0, LINE, LINE, [1]).update
         assert not p.decide(0, LINE, LINE, [1]).update
         # A re-fill is a bus-visible local re-reference: budget is fresh.
-        p.on_fill(1, LINE)
+        _fill(p, 1, LINE)
         assert p.decide(0, LINE, LINE, [1]).update
 
     def test_writers_own_budget_resets_on_write(self):
         # cpu1's writes to the line reset cpu1's own budget, so alternating
         # writers keep updating each other indefinitely.
         p = UpdateNPolicy(PAGE, n=1)
-        p.on_fill(0, LINE)
-        p.on_fill(1, LINE)
+        _fill(p, 0, LINE)
+        _fill(p, 1, LINE)
         for _ in range(4):
             assert p.decide(0, LINE, LINE, [1]).update
             assert p.decide(1, LINE, LINE, [0]).update
@@ -64,26 +81,26 @@ class TestUpdateNPolicy:
     def test_partial_drop_partitions_holders(self):
         p = UpdateNPolicy(PAGE, n=1)
         for cpu in (0, 1, 2):
-            p.on_fill(cpu, LINE)
+            _fill(p, cpu, LINE)
         assert p.decide(0, LINE, LINE, [1, 2]) == AdaptiveDecision(
             True, (1, 2), ())
         # cpu2 re-references; cpu1's budget stays spent.
-        p.on_fill(2, LINE)
+        _fill(p, 2, LINE)
         d = p.decide(0, LINE, LINE, [1, 2])
         assert d == AdaptiveDecision(True, (2,), (1,))
         assert p.budget_drops == 1
 
     def test_invalidate_clears_budget_entry(self):
         p = UpdateNPolicy(PAGE, n=1)
-        p.on_fill(1, LINE)
+        _fill(p, 1, LINE)
         assert p.decide(0, LINE, LINE, [1]).update
         assert dict(p.counters()) == {(1, LINE): 0}
-        p.on_invalidate(1, LINE)
+        _drop(p, 1, LINE)
         assert dict(p.counters()) == {}
 
     def test_n_zero_always_invalidates(self):
         p = UpdateNPolicy(PAGE, n=0)
-        p.on_fill(1, LINE)
+        _fill(p, 1, LINE)
         assert p.decide(0, LINE, LINE, [1]) == AdaptiveDecision(
             False, (), (1,))
 
@@ -95,8 +112,8 @@ class TestUpdateNPolicy:
         p = UpdateNPolicy(PAGE, n=3)
         assert p.describe() == {"kind": AdaptivePolicy.UPDATE_N,
                                 "page_bytes": PAGE, "n": 3}
-        p.on_fill(0, LINE)
-        p.on_fill(1, LINE)
+        _fill(p, 0, LINE)
+        _fill(p, 1, LINE)
         p.decide(0, LINE, LINE, [1])
         residency, budgets = p.state_snapshot()
         assert residency == ((LINE, (0, 1)),)
@@ -107,14 +124,14 @@ class TestDegreePolicy:
     def test_updates_within_threshold(self):
         p = DegreePolicy(PAGE, threshold=2)
         for cpu in (0, 1, 2):
-            p.on_fill(cpu, LINE)
+            _fill(p, cpu, LINE)
         assert p.decide(0, LINE, LINE, [1, 2]) == AdaptiveDecision(
             True, (1, 2), ())
 
     def test_switches_past_threshold_and_stays_switched(self):
         p = DegreePolicy(PAGE, threshold=2)
         for cpu in (0, 1, 2, 3):
-            p.on_fill(cpu, LINE)
+            _fill(p, cpu, LINE)
         assert p.decide(0, LINE, LINE, [1, 2, 3]) == AdaptiveDecision(
             False, (), (1, 2, 3))
         # Sticky for the rest of the epoch, even at lower degree.
@@ -124,19 +141,19 @@ class TestDegreePolicy:
     def test_epoch_ends_when_line_leaves_every_cache(self):
         p = DegreePolicy(PAGE, threshold=1)
         for cpu in (0, 1, 2):
-            p.on_fill(cpu, LINE)
+            _fill(p, cpu, LINE)
         assert not p.decide(0, LINE, LINE, [1, 2]).update
         for cpu in (0, 1, 2):
-            p.on_invalidate(cpu, LINE)
+            _drop(p, cpu, LINE)
         # New epoch: back in update mode.
-        p.on_fill(0, LINE)
-        p.on_fill(1, LINE)
+        _fill(p, 0, LINE)
+        _fill(p, 1, LINE)
         assert p.decide(0, LINE, LINE, [1]).update
 
     def test_unshared_write_resets_mode(self):
         p = DegreePolicy(PAGE, threshold=1)
         for cpu in (0, 1, 2):
-            p.on_fill(cpu, LINE)
+            _fill(p, cpu, LINE)
         assert not p.decide(0, LINE, LINE, [1, 2]).update
         assert p.decide(0, LINE, LINE, []) == AdaptiveDecision(
             False, (), ())
@@ -155,8 +172,8 @@ class TestDegreePolicy:
 class TestStaticHybridPolicy:
     def test_routes_by_page(self):
         p = StaticHybridPolicy(PAGE, pages=[3 * PAGE + 17])  # unaligned ok
-        p.on_fill(0, LINE)
-        p.on_fill(1, LINE)
+        _fill(p, 0, LINE)
+        _fill(p, 1, LINE)
         on_page = 3 * PAGE + 8
         off_page = 5 * PAGE
         assert p.decide(0, on_page, LINE, [1]) == AdaptiveDecision(
@@ -204,9 +221,9 @@ class TestBuildPolicy:
 
     def test_residency_is_idempotent_and_epochal(self):
         p = build_policy(all_configs()["Hyb_UpdN"])
-        p.on_fill(0, LINE)
-        p.on_fill(0, LINE)
-        p.on_invalidate(0, LINE)
-        p.on_invalidate(0, LINE)       # double-drop is a no-op
-        p.on_invalidate(1, 2 * LINE)   # never-filled line is a no-op
+        _fill(p, 0, LINE)
+        _fill(p, 0, LINE)
+        _drop(p, 0, LINE)
+        _drop(p, 0, LINE)       # double-drop is a no-op
+        _drop(p, 1, 2 * LINE)   # never-filled line is a no-op
         assert p.state_snapshot() == ((), ())

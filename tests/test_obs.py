@@ -8,10 +8,12 @@ validator, the miss profile, and the ASCII miss timeline.
 """
 
 import json
+from collections import Counter
 
 import pytest
 
 from repro.common.errors import SimulationError
+from repro.experiments.runner import ExperimentRunner
 from repro.obs import (CATEGORIES, MissProfile, Tracer, attach_tracer,
                        chrome_trace, classify_miss, save_chrome_trace,
                        validate_chrome_trace)
@@ -20,7 +22,7 @@ from repro.obs.events import (CAT_BLOCKOP, CAT_BUS, CAT_COH, CAT_MISS,
                               KIND_DISPLACEMENT, KIND_REUSE, LANE_BUS,
                               MISS_KINDS, PH_BEGIN, PH_END)
 from repro.memsys.sink import MissFlags
-from repro.sim.config import SystemConfig, standard_configs
+from repro.sim.config import SystemConfig, all_configs, standard_configs
 from repro.sim.system import MultiprocessorSystem, simulate
 from repro.synthetic.workloads import generate
 from repro.trace import record as rec
@@ -86,6 +88,46 @@ def test_tracer_composes_with_checker():
     checked = simulate(trace, SystemConfig("t"), check=True, tracer=tracer)
     assert checked.snapshot() == plain.snapshot()
     assert tracer.events
+
+
+@pytest.fixture(scope="module")
+def shell_update_runs():
+    """Shell at scale 0.1 with its derived update pages, traced under
+    the Firefly page-set scheme and the three adaptive hybrids."""
+    runner = ExperimentRunner(scale=0.1, seed=1996)
+    trace = runner.privatized_trace("Shell")
+    pages = runner.update_selection("Shell").pages
+    runs = {}
+    for name in ("BCoh_RelUp", "Hyb_Static", "Hyb_UpdN", "Hyb_Deg"):
+        # Hyb_UpdN and Hyb_Deg are page-agnostic and ignore the pages.
+        system = MultiprocessorSystem(trace, all_configs()[name],
+                                      update_pages=pages)
+        tracer = attach_tracer(system)
+        system.run()
+        runs[name] = (system, Counter(e.name for e in tracer.events),
+                      tracer.events)
+    return runs
+
+
+@pytest.mark.parametrize("name", ["BCoh_RelUp", "Hyb_Static", "Hyb_UpdN",
+                                  "Hyb_Deg"])
+def test_update_route_events_match_controller(shell_update_runs, name):
+    # Every update-route write is one firefly.update event, and every L2
+    # fill is one fill.* event, whichever layer chose the route.
+    system, names, events = shell_update_runs[name]
+    controller = system.controller
+    assert controller.updates_sent > 0
+    assert names["firefly.update"] == controller.updates_sent
+    fills = names["fill.shared"] + names["fill.owned"]
+    assert fills == sum(mem.l2.fills for mem in system.memories)
+    copies = sum(e.args["copies"] for e in events if e.name == "invalidate")
+    assert copies == controller.invalidations_sent
+
+
+def test_static_hybrid_traces_like_bcoh_relup(shell_update_runs):
+    # Hyb_Static is metric-identical to BCoh_RelUp; so are its event counts.
+    assert (shell_update_runs["Hyb_Static"][1]
+            == shell_update_runs["BCoh_RelUp"][1])
 
 
 def test_double_attach_raises():

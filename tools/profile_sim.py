@@ -1,9 +1,9 @@
 #!/usr/bin/env python
 """Profile one simulator cell under cProfile.
 
-Runs a single (workload, config, scale) simulation and prints the top
-functions by cumulative or total time — the quickest way to see where the
-per-record hot path spends its cycles after a change.
+Runs a single (workload, config, scale, machine) simulation and prints
+the top functions by cumulative or total time — the quickest way to see
+where the per-record hot path spends its cycles after a change.
 
 Examples::
 
@@ -11,6 +11,9 @@ Examples::
     PYTHONPATH=src python tools/profile_sim.py --workload ARC2D+Fsck \\
         --config Blk_Pref --scale 0.5 --sort tottime --limit 25
     PYTHONPATH=src python tools/profile_sim.py --scan   # reference scheduler
+    PYTHONPATH=src python tools/profile_sim.py \\
+        --workload gen:server:c32:i060:steady:0:0 \\
+        --machine 32cpu-4way-32B --scale 0.05 --sort tottime
 
 See docs/performance.md for how to read the output.
 """
@@ -26,9 +29,13 @@ import sys
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", default="Shell",
-                        help="workload name (default: Shell)")
+                        help="workload or gen: profile name (default: Shell)")
     parser.add_argument("--config", default="Base",
-                        help="config name from standard_configs (default: Base)")
+                        help="scheme name, including the Hyb_UpdN@N<k> / "
+                             "Hyb_Deg@T<k> forms (default: Base)")
+    parser.add_argument("--machine", default="4cpu-1way-8B",
+                        help="machine point label (default: 4cpu-1way-8B, "
+                             "the paper machine)")
     parser.add_argument("--scale", type=float, default=0.5,
                         help="trace scale factor (default: 0.5)")
     parser.add_argument("--seed", type=int, default=1996)
@@ -42,19 +49,26 @@ def main(argv=None) -> int:
                              "(run_scan) instead of the heap scheduler")
     args = parser.parse_args(argv)
 
-    from repro.sim.config import standard_configs
+    from repro.analysis.tables import MACHINE_POINTS, machine_point
+    from repro.sim.config import resolve_config
     from repro.sim.system import MultiprocessorSystem
-    from repro.synthetic.workloads import generate
+    from repro.synthetic.profiles import generate
 
-    configs = standard_configs()
-    if args.config not in configs:
-        parser.error(f"unknown config {args.config!r}; "
-                     f"choose from {sorted(configs)}")
+    points = {label: rest for label, *rest in MACHINE_POINTS}
+    if args.machine not in points:
+        parser.error(f"unknown machine {args.machine!r}; "
+                     f"choose from {list(points)}")
+    machine = machine_point(*points[args.machine])
+    try:
+        config = resolve_config(args.config, machine)
+    except KeyError as exc:
+        parser.error(exc.args[0])
     trace = generate(args.workload, seed=args.seed, scale=args.scale)
-    system = MultiprocessorSystem(trace, configs[args.config])
+    system = MultiprocessorSystem(trace, config)
     runner = system.run_scan if args.scan else system.run
 
-    print(f"profiling {args.workload}/{args.config} scale={args.scale} "
+    print(f"profiling {args.workload}/{args.config} on {args.machine} "
+          f"scale={args.scale} "
           f"({len(trace)} records, "
           f"{'scan' if args.scan else 'heap'} scheduler)", file=sys.stderr)
     profiler = cProfile.Profile()
