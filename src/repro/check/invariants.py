@@ -341,7 +341,7 @@ class ConformanceChecker:
     def write_token(self, cpu: int, proc, addr: int) -> object:
         """Token for the write *proc* is currently performing."""
         pos = proc.pos - 1
-        rec = proc.stream[pos]
+        rec = proc.record(pos)
         desc = proc._blk_desc
         if rec.blockop and desc is not None and desc.contains_dst(addr):
             if desc.is_copy:

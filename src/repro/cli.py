@@ -40,7 +40,7 @@ import os
 import sys
 from typing import List, Optional
 
-from repro.common.errors import ConfigError, ProfileError
+from repro.common.errors import ConfigError, ProfileError, TraceError
 from repro.common.params import machine_for
 from repro.common.types import Mode
 from repro.experiments.artifacts import DEFAULT_CACHE_DIR
@@ -53,11 +53,17 @@ from repro.trace import npzio, textio
 from repro.trace.stream import Trace
 
 
-def _load_trace(path: str) -> Trace:
-    if path.endswith(".npz"):
-        return npzio.load(path)
-    with open(path) as fp:
-        return textio.load(fp)
+def _load_trace(path: str, command: str) -> Optional[Trace]:
+    """The trace at *path*, or ``None`` (having printed the error) when
+    the file is not a valid trace, so callers can exit with status 2."""
+    try:
+        if path.endswith(".npz"):
+            return npzio.load(path)
+        with open(path) as fp:
+            return textio.load(fp)
+    except TraceError as err:
+        print(f"repro {command}: error: {err}", file=sys.stderr)
+        return None
 
 
 def _save_trace(trace: Trace, path: str, text: bool) -> None:
@@ -129,7 +135,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_inspect(args: argparse.Namespace) -> int:
     from repro.analysis.tracestats import TraceStats
-    trace = _load_trace(args.trace)
+    trace = _load_trace(args.trace, "inspect")
+    if trace is None:
+        return 2
     print(f"trace: {args.trace}")
     print(f"metadata: {trace.metadata}")
     print(TraceStats(trace).summary())
@@ -147,7 +155,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         print(f"{err.args[0]}", file=sys.stderr)
         return 2
     if os.path.exists(args.input) and not args.profile_spec:
-        trace = _load_trace(args.input)
+        trace = _load_trace(args.input, "simulate")
+        if trace is None:
+            return 2
     else:
         args.workload = args.input
         name = _resolve_workload(args)

@@ -159,6 +159,9 @@ MODE_BY_VALUE = {int(m): m for m in Mode}
 #: plain ints; everything downstream expects :class:`Op` members).
 OP_BY_VALUE = {int(o): o for o in Op}
 
+#: And for data classes, which npz columns also store as plain ints.
+DCLASS_BY_VALUE = {int(d): d for d in DataClass}
+
 #: Data classes whose coherence misses Table 5 groups under each heading.
 COHERENCE_GROUPS = {
     "Barriers": (DataClass.BARRIER_VAR,),

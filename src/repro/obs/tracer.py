@@ -96,7 +96,7 @@ class Tracer:
     def miss(self, cpu: int, proc, op: str, addr: int, t: int, res) -> None:
         """A demand read (or bypass read) missed; *res* is its result."""
         pos = proc.pos - 1
-        rec = proc.stream[pos] if 0 <= pos < len(proc.stream) else None
+        rec = proc.record(pos) if 0 <= pos < proc.num_records else None
         blockop = bool(rec.blockop) if rec is not None else False
         kind = classify_miss(blockop, res.flags)
         pc = rec.pc if rec is not None else 0

@@ -16,6 +16,14 @@ Hot-path layout
 :meth:`Processor.step` is the single hottest function in the repository —
 it runs once per trace record across every experiment cell.  It therefore:
 
+* reads each record's op, addr, mode, pc, icount and blockop from six
+  parallel plain-int lists (:meth:`Trace.sim_stream
+  <repro.trace.stream.Trace.sim_stream>`), never from a
+  :class:`~repro.trace.record.TraceRecord`: an npz-loaded trace is
+  simulated without building one record object per reference.  The slow
+  paths that need a whole record — L1 misses, block-op and Blk_Bypass
+  accesses, locks, barriers, block-op markers — and the observers take
+  it from :meth:`Processor.record`;
 * resolves a *clean L1D hit* (line resident, no pending prefetch fill, no
   scheme-specific block-op handling) inline against the bound L1 frame
   index, without entering the :class:`CpuMemorySystem` call chain — the
@@ -36,18 +44,21 @@ golden-value tests enforce this.
 from __future__ import annotations
 
 import enum
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.common.errors import SimulationError
-from repro.common.types import MODE_BY_VALUE, Mode, Op, Scheme
+from repro.common.types import (DCLASS_BY_VALUE, MODE_BY_VALUE, Mode, Op,
+                                OP_BY_VALUE, Scheme)
 from repro.memsys.dma import run_dma
 from repro.memsys.hierarchy import CpuMemorySystem
 from repro.memsys.states import LineState
 from repro.sim.config import SystemConfig
 from repro.sim.metrics import SystemMetrics
 from repro.sim.sync import BarrierManager, LockTable
-from repro.trace.blockop import BlockOpDescriptor, BlockOpRegistry
+from repro.trace.blockop import BlockOpDescriptor
+from repro.trace.columns import StreamColumns
 from repro.trace.record import TraceRecord
+from repro.trace.stream import Trace
 
 #: Cycles a spinning processor waits between lock retries.
 SPIN_QUANTUM = 16
@@ -98,15 +109,22 @@ _RESULT_DONE = StepResult(ProcStatus.DONE)
 class Processor:
     """One simulated CPU."""
 
-    def __init__(self, cpu_id: int, stream: Sequence[TraceRecord],
-                 blockops: BlockOpRegistry, mem: CpuMemorySystem,
+    def __init__(self, cpu_id: int, trace: Trace, mem: CpuMemorySystem,
                  metrics: SystemMetrics, config: SystemConfig,
                  locks: LockTable, barriers: BarrierManager) -> None:
         self.cpu_id = cpu_id
-        #: Immutable snapshot of the stream: tuple indexing skips the
-        #: list's bounds/ob_item indirection in the per-record loop.
-        self.stream: Tuple[TraceRecord, ...] = tuple(stream)
-        self.blockops = blockops
+        lists, stored = trace.sim_stream(cpu_id)
+        (self._ops, self._addrs, self._modes, self._pcs, self._icounts,
+         self._blockops) = lists
+        # Exactly one is set: a columnar trace's columns, from which
+        # ``record`` builds records, or a built trace's own record list.
+        if isinstance(stored, StreamColumns):
+            self._columns, self._records = stored, None
+        else:
+            self._columns, self._records = None, stored
+        #: Records in this CPU's stream.
+        self.num_records = len(self._ops)
+        self.blockops = trace.blockops
         self.mem = mem
         self.metrics = metrics
         self.tracker = metrics.trackers[cpu_id]
@@ -115,12 +133,12 @@ class Processor:
         self.barriers = barriers
         self.pos = 0
         self.time = 0
-        self.status = ProcStatus.RUNNING if stream else ProcStatus.DONE
+        self.status = (ProcStatus.RUNNING if self.num_records
+                       else ProcStatus.DONE)
         self._blk_desc: Optional[BlockOpDescriptor] = None
         self._blk_last_src_line = -1
         self._barrier_rec: Optional[TraceRecord] = None
         # --- hot-path bindings (all mutated in place by their owners) ---
-        self._n = len(self.stream)
         self._l1_where = mem.l1d.where
         self._l1_line_bytes = mem.l1d.line_bytes
         self._l1i_where = mem.l1i.where
@@ -140,6 +158,24 @@ class Processor:
         scheme = config.scheme
         self._blk_read_plain = scheme not in (Scheme.PREF, Scheme.BYPREF)
         self._blk_write_plain = scheme != Scheme.BYPASS
+
+    def record(self, pos: int) -> TraceRecord:
+        """The :class:`TraceRecord` at stream position *pos*.
+
+        For the slow paths and the observers only: a built trace returns
+        its own record object, a columnar one builds the record afresh
+        on every call.
+        """
+        records = self._records
+        if records is not None:
+            return records[pos]
+        cols = self._columns
+        return TraceRecord(
+            OP_BY_VALUE[self._ops[pos]], self._addrs[pos],
+            _MODE_OF[self._modes[pos]],
+            DCLASS_BY_VALUE[cols.dclasses.item(pos)], self._pcs[pos],
+            self._icounts[pos], self._blockops[pos], cols.sizes.item(pos),
+            cols.args.item(pos))
 
     # ------------------------------------------------------------------
     # Scheduling interface
@@ -172,30 +208,30 @@ class Processor:
         if self.status is not ProcStatus.RUNNING:
             raise SimulationError(f"step on {self.status} cpu {self.cpu_id}")
         pos = self.pos
-        if pos >= self._n:
+        if pos >= self.num_records:
             self.status = ProcStatus.DONE
             return _RESULT_DONE
-        rec = self.stream[pos]
-        op = rec.op
+        op = self._ops[pos]
 
         # A held lock blocks *before* the record is consumed; the system
         # scheduler advances our clock (spinning) and retries.
         if op == _LOCK_ACQ:
-            holder = self.locks.holder(rec.addr)
+            addr = self._addrs[pos]
+            holder = self.locks.holder(addr)
             if holder is not None and holder != self.cpu_id:
-                return StepResult(ProcStatus.BLOCKED_LOCK, lock_addr=rec.addr,
-                                  mode=_MODE_OF[rec.mode])
+                return StepResult(ProcStatus.BLOCKED_LOCK, lock_addr=addr,
+                                  mode=_MODE_OF[self._modes[pos]])
 
         self.pos = pos + 1
-        mode = _MODE_OF[rec.mode]
-        icount = rec.icount
+        mode = _MODE_OF[self._modes[pos]]
+        icount = self._icounts[pos]
         t = self.time
 
         # Instruction fetch and execution for this basic block.  The
         # whole-fetch-in-one-resident-L1I-line case (short basic blocks)
         # is resolved inline; anything else goes through the hierarchy.
         if icount:
-            pc = rec.pc
+            pc = self._pcs[pos]
             i_bytes = self._l1i_line_bytes
             iline = pc - pc % i_bytes
             if pc + 4 * icount <= iline + i_bytes and iline in self._l1i_where:
@@ -211,10 +247,11 @@ class Processor:
 
         blk = self._blk_desc
         if op == _READ:
-            addr = rec.addr
+            addr = self._addrs[pos]
             line_bytes = self._l1_line_bytes
             line = addr - addr % line_bytes
-            if ((blk is None or not rec.blockop or self._blk_read_plain)
+            if ((blk is None or not self._blockops[pos]
+                 or self._blk_read_plain)
                     and line in self._l1_where
                     and line not in self._pending_ready):
                 # Clean L1D hit: one read for this mode, zero stall.
@@ -224,35 +261,37 @@ class Processor:
                 exec_cycles += 1
                 t += self._l1_hit
             else:
-                t, extra_exec = self._do_read(rec, t)
+                t, extra_exec = self._do_read(self.record(pos), t)
                 exec_cycles += extra_exec
         elif op == _WRITE:
             exec_cycles += 1
-            if blk is None or not rec.blockop or self._blk_write_plain:
-                done, stall = self.mem.write(rec.addr, t)
+            blockop = self._blockops[pos]
+            if blk is None or not blockop or self._blk_write_plain:
+                done, stall = self.mem.write(self._addrs[pos], t)
                 self._writes[mode] += 1
-                if rec.blockop:
+                if blockop:
                     self.metrics.blk_write_stall += stall
                 if stall:
                     self._time[mode].dwrite += stall
                 t = done
             else:
-                t = self._do_write(rec, t)
+                t = self._do_write(self.record(pos), t)
         elif op == _PREFETCH:
-            self.mem.prefetch_line(rec.addr, t)
+            self.mem.prefetch_line(self._addrs[pos], t)
             self.metrics.record_prefetch_issued()
         elif op == _LOCK_ACQ:
-            t = self._do_lock_acquire(rec, t)
+            t = self._do_lock_acquire(self.record(pos), t)
             exec_cycles += 2
         elif op == _LOCK_REL:
-            t = self._do_lock_release(rec, t)
+            t = self._do_lock_release(self.record(pos), t)
             exec_cycles += 1
         elif op == _BLOCK_START:
-            t = self._do_block_start(rec, t)
+            t = self._do_block_start(self.record(pos), t)
         elif op == _BLOCK_END:
-            t = self._do_block_end(rec, t)
+            t = self._do_block_end(self.record(pos), t)
         elif op == _BARRIER:
-            return self._do_barrier(rec, t, exec_cycles, istall)
+            return self._do_barrier(self.record(pos), t, exec_cycles,
+                                    istall)
         else:  # pragma: no cover - enum is exhaustive
             raise SimulationError(f"unhandled op {op}")
 
@@ -267,7 +306,7 @@ class Processor:
         if blk is not None or op == _BLOCK_START or op == _BLOCK_END:
             self.metrics.blk_instr_exec += exec_cycles + istall
         self.time = t
-        if self.pos >= self._n:
+        if self.pos >= self.num_records:
             self.status = ProcStatus.DONE
             return _RESULT_DONE
         return _RESULT_RUNNING
@@ -372,10 +411,11 @@ class Processor:
         self.metrics.add_time(_MODE_OF[rec.mode], dread=stall)
         self.metrics.record_block_exec(stall)
         # Skip the word-level records; the engine replaced them.
-        while self.pos < self._n:
-            skipped = self.stream[self.pos]
+        ops = self._ops
+        while self.pos < self.num_records:
+            op = ops[self.pos]
             self.pos += 1
-            if skipped.op == _BLOCK_END:
+            if op == _BLOCK_END:
                 break
         else:
             raise SimulationError(
@@ -478,7 +518,7 @@ class Processor:
         release, waiters = outcome
         self.metrics.add_time(mode, sync=max(0, release - t))
         self.time = max(t, release)
-        if self.pos >= self._n:
+        if self.pos >= self.num_records:
             self.status = ProcStatus.DONE
             return StepResult(ProcStatus.DONE, barrier_release=outcome)
         return StepResult(ProcStatus.RUNNING, barrier_release=outcome)

@@ -77,14 +77,13 @@ class MultiprocessorSystem:
         self.barriers = BarrierManager(machine.barrier_release_cycles)
         self.memories: List[CpuMemorySystem] = []
         self.processors: List[Processor] = []
-        streams = trace.sealed_streams()
         for cpu in range(trace.num_cpus):
             mem = CpuMemorySystem(machine, self.bus, self.controller,
                                   self.metrics.trackers[cpu])
             self.memories.append(mem)
             self.processors.append(
-                Processor(cpu, streams[cpu], trace.blockops, mem,
-                          self.metrics, config, self.locks, self.barriers))
+                Processor(cpu, trace, mem, self.metrics, config, self.locks,
+                          self.barriers))
         #: cpu_id -> consecutive failed lock retries; a cpu only has an
         #: entry while it is actually spinning, so the common case (nobody
         #: contended recently) is an empty dict, cleared by a truth test.
@@ -202,7 +201,7 @@ class MultiprocessorSystem:
         holder_time = self.processors[holder].time
         target = max(proc.time + SPIN_QUANTUM, holder_time + 1)
         if mode is None:
-            mode = MODE_BY_VALUE[proc.stream[proc.pos].mode]
+            mode = MODE_BY_VALUE[proc.record(proc.pos).mode]
         self.metrics.add_time(mode, sync=target - proc.time)
         proc.time = target
 

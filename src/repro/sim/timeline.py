@@ -69,7 +69,7 @@ class TimelineRecorder:
             def step(proc=proc, original_step=original_step):
                 start = proc.time
                 pos = proc.pos
-                rec = proc.stream[pos] if pos < len(proc.stream) else None
+                rec = proc.record(pos) if pos < proc.num_records else None
                 result = original_step()
                 if rec is not None and len(self.events) < self.limit:
                     self.events.append(TimelineEvent(

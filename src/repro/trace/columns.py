@@ -2,8 +2,8 @@
 
 :mod:`repro.trace.npzio` already stores each stream as one ``(N, 9)``
 int64 matrix; this module gives that layout a first-class in-memory type,
-:class:`StreamColumns`, so the trace writers and the histogram pass can
-work on whole streams instead of touching one
+:class:`StreamColumns`, so the trace writers, the histogram pass and the
+simulator can work on whole streams instead of touching one
 :class:`~repro.trace.record.TraceRecord` object per reference.
 
 The column order is the serialization order of the npz format and the
@@ -18,11 +18,11 @@ no record objects exist until somebody asks for them.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.common.types import DataClass, Mode, Op
+from repro.common.types import DCLASS_BY_VALUE, MODE_BY_VALUE, OP_BY_VALUE
 from repro.trace.record import TraceRecord
 
 #: Field names, in serialization order (matches ``TraceRecord.__slots__``).
@@ -31,10 +31,6 @@ FIELDS = ("op", "addr", "mode", "dclass", "pc", "icount", "blockop",
 
 #: Columns per record in the matrix form (also ``npzio._COLUMNS``).
 NUM_COLUMNS = len(FIELDS)
-
-_OP_BY_VALUE = {int(op): op for op in Op}
-_MODE_BY_VALUE = {int(m): m for m in Mode}
-_DCLASS_BY_VALUE = {int(d): d for d in DataClass}
 
 
 class StreamColumns:
@@ -90,9 +86,9 @@ class StreamColumns:
 
     def to_records(self) -> List[TraceRecord]:
         """Materialize the per-record objects (enum-typed fields)."""
-        op_of = _OP_BY_VALUE
-        mode_of = _MODE_BY_VALUE
-        dclass_of = _DCLASS_BY_VALUE
+        op_of = OP_BY_VALUE
+        mode_of = MODE_BY_VALUE
+        dclass_of = DCLASS_BY_VALUE
         return [
             TraceRecord(op_of[op], addr, mode_of[mode], dclass_of[dclass],
                         pc, icount, blockop, size, arg)
@@ -103,6 +99,14 @@ class StreamColumns:
                    self.blockops.tolist(), self.sizes.tolist(),
                    self.args.tolist())
         ]
+
+    def sim_lists(self) -> Tuple[list, ...]:
+        """The op, addr, mode, pc, icount and blockop columns as plain-int
+        lists (:meth:`Trace.sim_stream
+        <repro.trace.stream.Trace.sim_stream>` gives the contract)."""
+        return (self.ops.tolist(), self.addrs.tolist(), self.modes.tolist(),
+                self.pcs.tolist(), self.icounts.tolist(),
+                self.blockops.tolist())
 
     def iter_rows(self) -> Iterable[tuple]:
         """Iterate plain-int rows in field order (no record objects)."""

@@ -20,17 +20,22 @@ Layout of the archive:
 from __future__ import annotations
 
 import json
-from typing import Union
+import zipfile
+import zlib
 
 import numpy as np
 
 from repro.common.errors import TraceError
-from repro.common.types import BlockOpKind, DataClass, Mode, Op
+from repro.common.types import (BlockOpKind, DataClass, DCLASS_BY_VALUE,
+                                Mode, Op)
 from repro.trace.columns import FIELDS, StreamColumns
 from repro.trace.stream import Trace
 
 _VERSION = 1
 _COLUMNS = 9
+
+#: Code -> member, for the ``blockops`` kinds.
+_KIND_OF = {int(k): k for k in BlockOpKind}
 
 #: Matrix column -> valid codes, for the enum-typed record fields.
 _CODES = {FIELDS.index(name): np.array([int(v) for v in enum_type])
@@ -71,29 +76,32 @@ def load(path: str) -> Trace:
     zero-copy :class:`~repro.trace.columns.StreamColumns` view and the
     trace is assembled through :meth:`Trace.from_columns`.  Per-record
     ``TraceRecord`` objects are only built if a consumer later touches
-    ``trace.streams`` — the histogram pass and a save round-trip never do.
+    ``trace.streams`` — the simulator, the histogram pass and a save
+    round-trip never do.
 
-    Every stream's op, mode and data-class codes are checked here, so a
-    corrupt archive fails at load time with a :class:`TraceError` rather
-    than later, wherever its records are first decoded.
+    Every member is checked here — each stream's op, mode and data-class
+    codes, the shape of every table, the block-op kinds and symbol data
+    classes, the ``meta`` JSON — so a corrupt archive fails at load time
+    with a :class:`TraceError` naming the file and the member, rather
+    than later, wherever its contents are first decoded.
     """
-    with np.load(path, allow_pickle=False) as archive:
-        try:
-            meta = json.loads(str(archive["meta"]))
-        except KeyError:
-            raise TraceError(f"{path}: not a repro npz trace") from None
-        if meta.get("version") != _VERSION:
-            raise TraceError(f"{path}: unsupported version "
-                             f"{meta.get('version')!r}")
-        num_cpus = int(meta["num_cpus"])
+    try:
+        archive = np.load(path, allow_pickle=False)
+    except (ValueError, EOFError, zipfile.BadZipFile):
+        # numpy reports non-zip bytes as refused pickle data.
+        raise TraceError(f"{path}: not an npz archive") from None
+    if not isinstance(archive, np.lib.npyio.NpzFile):
+        raise TraceError(f"{path}: not an npz archive")
+    with archive:
+        if "meta" not in archive.files:
+            raise TraceError(f"{path}: not a repro npz trace")
+        meta = _meta(path, _member(archive, path, "meta"))
+        num_cpus = meta["num_cpus"]
         columns = []
         for cpu in range(num_cpus):
             if f"cpu{cpu}" not in archive.files:
                 raise TraceError(f"{path}: cpu{cpu} stream missing")
-            matrix = archive[f"cpu{cpu}"]
-            if matrix.ndim != 2 or matrix.shape[1] != _COLUMNS:
-                raise TraceError(
-                    f"{path}: cpu{cpu} stream has shape {matrix.shape}")
+            matrix = _table(archive, path, f"cpu{cpu}", _COLUMNS)
             for col, codes in _CODES.items():
                 bad = np.flatnonzero(~np.isin(matrix[:, col], codes))
                 if bad.size:
@@ -104,17 +112,77 @@ def load(path: str) -> Trace:
             columns.append(StreamColumns.from_matrix(matrix))
         trace = Trace.from_columns(num_cpus, columns,
                                    metadata=meta["metadata"])
-        names = archive["sym_names"]
-        table = archive["sym_table"]
-        for name, (base, size, dclass) in zip(names, table):
-            trace.symbols.add(str(name), int(base), int(size),
-                              DataClass(int(dclass)))
-        for op_id, kind, src, dst, size, pc in archive["blockops"]:
-            if BlockOpKind(int(kind)) == BlockOpKind.COPY:
-                desc = trace.blockops.new_copy(int(src), int(dst), int(size),
-                                               int(pc))
-            else:
-                desc = trace.blockops.new_zero(int(dst), int(size), int(pc))
-            if desc.op_id != int(op_id):
-                raise TraceError(f"{path}: block op ids out of order")
+        names = _member(archive, path, "sym_names")
+        table = _table(archive, path, "sym_table", 3)
+        if names.shape != (len(table),):
+            raise TraceError(f"{path}: sym_names has shape {names.shape}, "
+                             f"sym_table has {len(table)} rows")
+        for row, (name, (base, size, code)) in enumerate(
+                zip(names, table.tolist())):
+            if code not in DCLASS_BY_VALUE:
+                raise TraceError(f"{path}: sym_table row {row} has bad "
+                                 f"dclass code {code}")
+            try:
+                trace.symbols.add(str(name), base, size,
+                                  DCLASS_BY_VALUE[code])
+            except TraceError as err:
+                raise TraceError(f"{path}: sym_table row {row}: {err}") \
+                    from None
+        for row, (op_id, code, src, dst, size, pc) in enumerate(
+                _table(archive, path, "blockops", 6).tolist()):
+            if code not in _KIND_OF:
+                raise TraceError(f"{path}: blockops row {row} has bad "
+                                 f"kind code {code}")
+            try:
+                if _KIND_OF[code] == BlockOpKind.COPY:
+                    desc = trace.blockops.new_copy(src, dst, size, pc)
+                else:
+                    desc = trace.blockops.new_zero(dst, size, pc)
+            except TraceError as err:
+                raise TraceError(f"{path}: blockops row {row}: {err}") \
+                    from None
+            if desc.op_id != op_id:
+                raise TraceError(f"{path}: blockops row {row} has id "
+                                 f"{op_id}, expected {desc.op_id}")
     return trace
+
+
+def _member(archive, path: str, name: str) -> np.ndarray:
+    """Array *name* of *archive*; a missing or unreadable member raises
+    :class:`TraceError`."""
+    try:
+        return archive[name]
+    except KeyError:
+        raise TraceError(f"{path}: {name} missing") from None
+    except (ValueError, EOFError, zipfile.BadZipFile, zlib.error) as err:
+        raise TraceError(f"{path}: {name} unreadable ({err})") from None
+
+
+def _table(archive, path: str, name: str, columns: int) -> np.ndarray:
+    """Integer matrix *name* of *archive*, checked to have *columns*."""
+    matrix = _member(archive, path, name)
+    if (matrix.ndim != 2 or matrix.shape[1] != columns
+            or matrix.dtype.kind not in "iu"):
+        raise TraceError(f"{path}: {name} has shape {matrix.shape} "
+                         f"and dtype {matrix.dtype}; expected (N, {columns}) "
+                         f"integers")
+    return matrix
+
+
+def _meta(path: str, raw: np.ndarray) -> dict:
+    """The decoded ``meta`` member, with its required keys checked."""
+    try:
+        meta = json.loads(str(raw))
+    except ValueError as err:
+        raise TraceError(f"{path}: meta is not JSON ({err})") from None
+    if not isinstance(meta, dict):
+        raise TraceError(f"{path}: meta is not a JSON object")
+    if meta.get("version") != _VERSION:
+        raise TraceError(f"{path}: unsupported version "
+                         f"{meta.get('version')!r}")
+    num_cpus = meta.get("num_cpus")
+    if type(num_cpus) is not int or num_cpus < 1:
+        raise TraceError(f"{path}: meta has bad num_cpus {num_cpus!r}")
+    if not isinstance(meta.get("metadata"), dict):
+        raise TraceError(f"{path}: meta has no metadata object")
+    return meta

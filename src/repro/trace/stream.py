@@ -10,7 +10,8 @@ operation exactly the way kernel ``bcopy``/``bzero`` loops touch memory.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import (TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple,
+                    Union)
 
 from repro.common.errors import TraceError
 from repro.common.types import (BlockOpKind, DataClass, MODE_BY_VALUE, Mode,
@@ -19,6 +20,9 @@ from repro.trace.annotations import SymbolMap
 from repro.trace.blockop import BlockOpDescriptor, BlockOpRegistry
 from repro.trace import record as rec
 from repro.trace.record import TraceRecord
+
+if TYPE_CHECKING:
+    from repro.trace.columns import StreamColumns
 
 #: Stride of the word loop inside a block operation (one 32-bit word).
 BLOCK_WORD_BYTES = 4
@@ -38,7 +42,10 @@ class Trace:
 
     Column views of either form are available through
     :meth:`column_streams`; the npz and text writers consume those
-    instead of record objects.
+    instead of record objects.  The simulator reads neither form
+    directly: :meth:`sim_stream` hands each processor plain-int lists of
+    the fields its per-record loop needs, so a columnar trace is
+    simulated without ever building its record objects.
     """
 
     def __init__(self, num_cpus: int, blockops: Optional[BlockOpRegistry] = None,
@@ -55,13 +62,11 @@ class Trace:
         self.blockops = blockops if blockops is not None else BlockOpRegistry()
         self.symbols = symbols if symbols is not None else SymbolMap()
         self.metadata: Dict[str, object] = dict(metadata or {})
-        # Lazy caches, validated against the per-stream lengths at the time
-        # they were built (streams are append-only through the builder, but
+        # Lazy cache, validated against the per-stream lengths at the time
+        # it was built (streams are append-only through the builder, but
         # nothing stops a caller from extending them later).
         self._histogram: Optional[Counter] = None
         self._histogram_shape: Optional[Tuple[int, ...]] = None
-        self._sealed: Optional[Tuple[Tuple[TraceRecord, ...], ...]] = None
-        self._sealed_shape: Optional[Tuple[int, ...]] = None
 
     @classmethod
     def from_columns(cls, num_cpus: int, columns,
@@ -124,18 +129,35 @@ class Trace:
         for stream in self.streams:
             yield from stream
 
-    def sealed_streams(self) -> Tuple[Tuple[TraceRecord, ...], ...]:
-        """Per-CPU streams as tuples, cached until the trace grows.
+    def sim_stream(self, cpu: int) -> Tuple[
+            Tuple[list, ...], Union[List[TraceRecord], StreamColumns]]:
+        """The simulator's view of *cpu*'s stream.
 
-        The simulator indexes the stream once per record; tuples make that
-        indexing cheaper than lists, and caching means the N systems of a
-        scheme sweep share one sealed copy instead of re-tupling per run.
+        Returns the fields :meth:`Processor.step
+        <repro.sim.processor.Processor.step>` reads — op, addr, mode, pc,
+        icount and blockop, in that order — as six parallel lists, and
+        the stream's own storage, from which :meth:`Processor.record
+        <repro.sim.processor.Processor.record>` takes a whole record for
+        the slow paths: the record list of a built trace, the
+        :class:`~repro.trace.columns.StreamColumns` of a columnar one
+        (whose lists are one ``tolist()`` per column, so no record
+        object is built for them).
+
+        Nothing is cached: a built trace's records may be edited in place
+        between runs (the optimization passes and the tests do), and
+        every call must see the edits.
         """
-        shape = self._shape()
-        if self._sealed is None or self._sealed_shape != shape:
-            self._sealed = tuple(tuple(s) for s in self.streams)
-            self._sealed_shape = shape
-        return self._sealed
+        if self._streams is None:
+            cols = self._columns[cpu]
+            return cols.sim_lists(), cols
+        records = self._streams[cpu]
+        # Six comprehensions beat one appending loop here, and the fields
+        # go in as stored: an IntEnum op/mode compares and hashes as its
+        # int, so no int() call per field.
+        lists = ([r.op for r in records], [r.addr for r in records],
+                 [r.mode for r in records], [r.pc for r in records],
+                 [r.icount for r in records], [r.blockop for r in records])
+        return lists, records
 
     def _op_mode_histogram(self) -> Counter:
         """Counter of ``(Op, Mode)`` pairs over all records, cached.

@@ -10,6 +10,9 @@ at both implementations and compare the complete snapshots.
 
 Observers — the conformance checker, the event tracer, an instance-patched
 ``step`` — wrap the same paths per instance and must change no metric.
+
+An npz-loaded (columnar) trace must simulate, and be observed, exactly
+like the built trace it was saved from.
 """
 
 from __future__ import annotations
@@ -21,14 +24,17 @@ import pytest
 
 from repro.common.params import BASE_MACHINE, machine_for
 from repro.common.types import DataClass, Mode
+from repro.experiments.runner import ExperimentRunner
 from repro.memsys.bus import Bus
 from repro.memsys.coherence import CoherenceController
 from repro.memsys.hierarchy import CpuMemorySystem
-from repro.sim.config import resolve_config, standard_configs
+from repro.sim.config import all_configs, resolve_config, standard_configs
 from repro.sim.metrics import MissTracker
-from repro.sim.system import MultiprocessorSystem
+from repro.sim.system import MultiprocessorSystem, simulate
 from repro.synthetic.profiles import generate as generate_profile
-from repro.trace import record
+from repro.synthetic.workloads import WORKLOAD_ORDER
+from repro.trace import npzio, record
+from repro.trace.columns import FIELDS
 from repro.trace.stream import TraceBuilder
 
 PURE_SCHEMES = ["Base", "Blk_Pref", "Blk_Bypass", "Blk_ByPref", "Blk_Dma"]
@@ -240,3 +246,100 @@ def test_observer_changes_no_metric(attach):
     system = MultiprocessorSystem(_shell_trace(), standard_configs()["Base"])
     attach(system)
     assert system.run().snapshot() == _plain_snapshot()
+
+
+# ----------------------------------------------------------------------
+# Columnar processor streams: an npz-loaded trace feeds the processors
+# straight from its columns; it must simulate exactly like the built
+# trace it was saved from.
+# ----------------------------------------------------------------------
+
+#: The paper grid's four workloads, plus one machine-axis workload on an
+#: 8-CPU set-associative point.
+COLUMNAR_CELLS = ([(w, "4cpu-1way-8B") for w in WORKLOAD_ORDER]
+                  + [("gen:server:c8:i060:steady:0:0", "8cpu-2way-16B")])
+
+
+def _npz_copy(trace, tmp_path):
+    path = str(tmp_path / "t.npz")
+    npzio.save(trace, path)
+    return npzio.load(path)
+
+
+@pytest.mark.parametrize("workload,machine", COLUMNAR_CELLS,
+                         ids=[w for w, _ in COLUMNAR_CELLS])
+def test_columnar_trace_simulates_like_built(tmp_path, workload, machine):
+    """Every scheme — DMA, bypass, prefetch, lock and barrier paths — on
+    the raw, privatized and prefetched traces: the runner that generated
+    the traces simulates the built objects, a second runner on the same
+    artifact cache loads every trace from npz."""
+    from repro.analysis.tables import MACHINE_POINTS, machine_point
+    from repro.experiments.artifacts import ArtifactCache
+
+    point = {label: rest for label, *rest in MACHINE_POINTS}[machine]
+
+    def runner():
+        return ExperimentRunner(scale=0.05, seed=1996,
+                                machine=machine_point(*point),
+                                cache=ArtifactCache(str(tmp_path)))
+
+    built, loaded = runner(), runner()
+    for scheme in all_configs():
+        expected = built.run(workload, scheme).snapshot()
+        assert loaded.run(workload, scheme).snapshot() == expected, scheme
+    for traces in (loaded._traces, loaded._privatized, loaded._prefetched):
+        assert not traces[workload].is_materialized()
+    assert built.trace(workload).is_materialized()
+
+
+def test_plain_simulate_keeps_npz_trace_columnar(tmp_path):
+    trace = _npz_copy(_shell_trace(), tmp_path)
+    simulate(trace, standard_configs()["Blk_ByPref"])
+    assert not trace.is_materialized()
+
+
+@pytest.mark.parametrize("form", ["built", "npz"])
+def test_processor_record_matches_source(tmp_path, form):
+    source = random_trace(5, num_cpus=3)
+    trace = source if form == "built" else _npz_copy(source, tmp_path)
+    system = MultiprocessorSystem(trace, standard_configs()["Base"])
+    for cpu, proc in enumerate(system.processors):
+        records = source.streams[cpu]
+        assert proc.num_records == len(records)
+        for pos, expected in enumerate(records):
+            got = proc.record(pos)
+            if form == "built":
+                assert got is expected
+            assert [(type(getattr(got, f)), getattr(got, f))
+                    for f in FIELDS] == \
+                [(type(getattr(expected, f)), getattr(expected, f))
+                 for f in FIELDS], (cpu, pos)
+
+
+def _observed_run(trace):
+    from repro.obs import MissProfile, Tracer
+    from repro.obs.tracer import attach_tracer
+    from repro.sim.timeline import TimelineRecorder
+
+    system = MultiprocessorSystem(trace, standard_configs()["Blk_ByPref"],
+                                  check=True)
+    tracer = Tracer()
+    attach_tracer(system, tracer)
+    timeline = TimelineRecorder(system, limit=5000)
+    snapshot = timeline.run().snapshot()
+    profile = MissProfile(tracer)
+    return (snapshot, profile.render(), profile.site_kinds,
+            profile.line_misses,
+            [(e.name, e.cat, e.ts, e.dur, e.lane, e.args)
+             for e in tracer.events],
+            timeline.events)
+
+
+def test_observers_see_the_same_run_on_either_form(tmp_path):
+    """Checker, tracer and timeline read records through
+    ``Processor.record``; on an npz trace they must observe exactly what
+    they observe on the built one (the checker raising on any failure)."""
+    built = _observed_run(_shell_trace())
+    loaded = _observed_run(_npz_copy(_shell_trace(), tmp_path))
+    assert loaded == built
+    assert built[4] and built[5]

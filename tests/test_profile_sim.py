@@ -19,11 +19,16 @@ def profile_sim():
 def test_profiles_generated_workload_on_machine_point(profile_sim, capsys):
     assert profile_sim.main(["--workload", "gen:server:c8:i060:steady:0:0",
                              "--machine", "8cpu-2way-16B", "--scale", "0.05",
-                             "--limit", "5"]) == 0
+                             "--limit", "200"]) == 0
     out, err = capsys.readouterr()
     assert "gen:server:c8:i060:steady:0:0/Base on 8cpu-2way-16B" in err
+    assert "records from npz" in err
     assert "function calls" in out
     assert "step" in out
+    # The system is built inside the profile, as a sweep's sim job
+    # builds it from its npz-loaded trace.
+    assert any("system.py:" in line and "(__init__)" in line
+               for line in out.splitlines())
 
 
 def test_rejects_unknown_machine(profile_sim):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.errors import DeadlockError, SimulationError
-from repro.common.types import Mode
+from repro.common.types import Mode, Op
 from repro.sim.config import SystemConfig, standard_configs
 from repro.sim.system import MultiprocessorSystem, simulate
 from repro.trace import record as rec
@@ -133,3 +133,21 @@ def test_idle_mode_time_attributed():
     metrics = simulate(b.build(), SystemConfig("t"))
     assert metrics.time[Mode.IDLE].total > 0
     assert metrics.mode_fraction(Mode.IDLE) > 0.5
+
+
+def test_edit_of_built_record_seen_by_next_run():
+    """A built trace's records can be edited in place (the optimization
+    passes do it); each run must read the current fields, not a copy
+    taken by an earlier run."""
+    b = TraceBuilder(1)
+    b.emit(0, rec.read(0x1000, icount=2))
+    b.emit(0, rec.read(0x1000, icount=2))
+    trace = b.build()
+    config = SystemConfig("t")
+    first = simulate(trace, config)
+    assert (first.reads[Mode.OS], first.writes[Mode.OS]) == (2, 0)
+    edited = trace.streams[0][1]
+    edited.op, edited.mode, edited.icount = Op.WRITE, Mode.USER, 7
+    second = simulate(trace, config)
+    assert (second.reads[Mode.OS], second.writes[Mode.USER]) == (1, 1)
+    assert second.time[Mode.USER].exec_cycles == 8

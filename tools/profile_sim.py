@@ -5,6 +5,10 @@ Runs a single (workload, config, scale, machine) simulation and prints
 the top functions by cumulative or total time — the quickest way to see
 where the per-record hot path spends its cycles after a change.
 
+The cell takes the path a sweep's sim job takes: the generated trace is
+saved to a temporary npz and loaded back, and the profile covers the
+``MultiprocessorSystem`` construction as well as the run.
+
 Examples::
 
     PYTHONPATH=src python tools/profile_sim.py
@@ -22,8 +26,10 @@ from __future__ import annotations
 
 import argparse
 import cProfile
+import os
 import pstats
 import sys
+import tempfile
 
 
 def main(argv=None) -> int:
@@ -53,6 +59,7 @@ def main(argv=None) -> int:
     from repro.sim.config import resolve_config
     from repro.sim.system import MultiprocessorSystem
     from repro.synthetic.profiles import generate
+    from repro.trace import npzio
 
     points = {label: rest for label, *rest in MACHINE_POINTS}
     if args.machine not in points:
@@ -63,17 +70,23 @@ def main(argv=None) -> int:
         config = resolve_config(args.config, machine)
     except KeyError as exc:
         parser.error(exc.args[0])
-    trace = generate(args.workload, seed=args.seed, scale=args.scale)
-    system = MultiprocessorSystem(trace, config)
-    runner = system.run_scan if args.scan else system.run
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "trace.npz")
+        npzio.save(generate(args.workload, seed=args.seed, scale=args.scale),
+                   path)
+        trace = npzio.load(path)
 
     print(f"profiling {args.workload}/{args.config} on {args.machine} "
           f"scale={args.scale} "
-          f"({len(trace)} records, "
+          f"({len(trace)} records from npz, "
           f"{'scan' if args.scan else 'heap'} scheduler)", file=sys.stderr)
     profiler = cProfile.Profile()
     profiler.enable()
-    runner()
+    system = MultiprocessorSystem(trace, config)
+    if args.scan:
+        system.run_scan()
+    else:
+        system.run()
     profiler.disable()
     stats = pstats.Stats(profiler, stream=sys.stdout)
     stats.strip_dirs().sort_stats(args.sort).print_stats(args.limit)
