@@ -62,9 +62,9 @@ class TraceStats:
 
     def _collect(self) -> None:
         line_mask = ~(self.line_bytes - 1)
-        for cpu, stream in enumerate(self.trace.streams):
+        for cpu in range(self.trace.num_cpus):
             cpu_bit = 1 << cpu
-            for r in stream:
+            for r in self.trace.records(cpu):
                 op = r.op
                 self.instructions += r.icount
                 if op in (Op.READ, Op.WRITE):

@@ -242,7 +242,7 @@ def _emit(builder: TraceBuilder, cpu: int, ev: tuple) -> None:
             _emit(builder, cpu, inner)
         builder.emit(cpu, rec.lock_release(ev[1], pc=ev[2]))
     elif kind == "barrier":
-        builder.emit(cpu, rec.barrier(ev[1], builder.trace.num_cpus,
+        builder.emit(cpu, rec.barrier(ev[1], builder.num_cpus,
                                       pc=ev[2]))
     else:  # pragma: no cover - generator and emitter move in lockstep
         raise ValueError(f"unknown fuzz event {kind!r}")

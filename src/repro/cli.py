@@ -54,16 +54,24 @@ from repro.trace.stream import Trace
 
 
 def _load_trace(path: str, command: str) -> Optional[Trace]:
-    """The trace at *path*, or ``None`` (having printed the error) when
-    the file is not a valid trace, so callers can exit with status 2."""
+    """The trace at *path*, validated, or ``None`` (having printed the
+    error) when the file is not a valid trace, so callers can exit with
+    status 2."""
     try:
         if path.endswith(".npz"):
-            return npzio.load(path)
-        with open(path) as fp:
-            return textio.load(fp)
+            trace = npzio.load(path)
+        else:
+            with open(path) as fp:
+                trace = textio.load(fp)
     except TraceError as err:
         print(f"repro {command}: error: {err}", file=sys.stderr)
         return None
+    try:
+        trace.validate()
+    except TraceError as err:
+        print(f"repro {command}: error: {path}: {err}", file=sys.stderr)
+        return None
+    return trace
 
 
 def _save_trace(trace: Trace, path: str, text: bool) -> None:

@@ -18,10 +18,14 @@ from __future__ import annotations
 
 from typing import Dict, List, NamedTuple, Set, Tuple
 
+import numpy as np
+
 from repro.common.types import Op
 from repro.trace.blockop import BlockOpDescriptor
-from repro.trace.record import TraceRecord
+from repro.trace.columns import FIELDS, StreamColumns
 from repro.trace.stream import Trace
+
+_ADDR = FIELDS.index("addr")
 
 
 class DeferredAnalysis(NamedTuple):
@@ -40,11 +44,11 @@ class DeferredAnalysis(NamedTuple):
 def _locate_spans(trace: Trace) -> Dict[int, Tuple[int, float]]:
     """Map op id -> (cpu, normalized end position of the op)."""
     spans: Dict[int, Tuple[int, float]] = {}
-    for cpu, stream in enumerate(trace.streams):
-        length = max(1, len(stream))
-        for idx, rec in enumerate(stream):
-            if rec.op == Op.BLOCK_END:
-                spans[rec.blockop] = (cpu, idx / length)
+    for cpu, cols in enumerate(trace.columns):
+        length = max(1, len(cols))
+        ends = np.flatnonzero(cols.ops == Op.BLOCK_END)
+        for idx, op_id in zip(ends.tolist(), cols.blockops[ends].tolist()):
+            spans[op_id] = (cpu, idx / length)
     return spans
 
 
@@ -71,19 +75,21 @@ def analyze_deferred(trace: Trace, page_bytes: int = 4096) -> DeferredAnalysis:
     spans = _locate_spans(trace)
     index = _page_index(small, page_bytes)
     written: Set[int] = set()
-    for cpu, stream in enumerate(trace.streams):
-        length = max(1, len(stream))
-        for idx, rec in enumerate(stream):
-            if rec.op != Op.WRITE:
-                continue
-            candidates = index.get(rec.addr - rec.addr % page_bytes)
-            if not candidates:
-                continue
+    pages = np.array(sorted(index), dtype=np.int64)
+    for cols in trace.columns:
+        length = max(1, len(cols))
+        rows = np.flatnonzero(cols.ops == Op.WRITE)
+        addrs = cols.addrs[rows]
+        # Only writes into a page some small copy touches can matter.
+        near = np.isin(addrs - addrs % page_bytes, pages)
+        for idx, addr, blockop in zip(rows[near].tolist(),
+                                      addrs[near].tolist(),
+                                      cols.blockops[rows[near]].tolist()):
             pos = idx / length
-            for op_id, lo, hi in candidates:
-                if rec.blockop == op_id or op_id in written:
+            for op_id, lo, hi in index[addr - addr % page_bytes]:
+                if blockop == op_id or op_id in written:
                     continue
-                if lo <= rec.addr < hi and pos > spans[op_id][1]:
+                if lo <= addr < hi and pos > spans[op_id][1]:
                     written.add(op_id)
     read_only = {d.op_id for d in small} - written
     return DeferredAnalysis(
@@ -102,31 +108,29 @@ def apply_deferred(trace: Trace, read_only_ids: Set[int]) -> Trace:
     reads of the destination range are remapped to the source — the
     remapping hardware of the VMP scheme.
     """
-    remap: List[Tuple[int, int, int, int, float]] = []  # lo, hi, delta, cpu, end
+    remap: List[Tuple[int, int, int, float]] = []  # lo, hi, delta, end
     spans = _locate_spans(trace)
     for op_id in read_only_ids:
         desc = trace.blockops.get(op_id)
-        cpu, end = spans[op_id]
         remap.append((desc.dst, desc.dst + desc.size, desc.src - desc.dst,
-                      cpu, end))
-    out = Trace(trace.num_cpus, blockops=trace.blockops,
-                symbols=trace.symbols,
-                metadata={**trace.metadata, "deferred_copy": 1})
-    for cpu, stream in enumerate(trace.streams):
-        length = max(1, len(stream))
-        new_stream = out.streams[cpu]
-        for idx, rec in enumerate(stream):
-            if rec.blockop in read_only_ids:
-                continue  # the copy is deferred away
-            if rec.op == Op.READ:
-                pos = idx / length
-                for lo, hi, delta, _op_cpu, end in remap:
-                    if lo <= rec.addr < hi and pos > end:
-                        rec = rec.copy()
-                        rec.addr += delta
-                        break
-            new_stream.append(rec)
-    return out
+                      spans[op_id][1]))
+    columns = []
+    for cols in trace.columns:
+        matrix = cols.to_matrix()
+        reads = np.flatnonzero(cols.ops == Op.READ)
+        addrs = cols.addrs[reads]
+        pos = reads / max(1, len(cols))
+        # A read takes the first remap that covers it.
+        moved = np.zeros(len(reads), dtype=bool)
+        for lo, hi, delta, end in remap:
+            hit = ~moved & (lo <= addrs) & (addrs < hi) & (pos > end)
+            matrix[reads[hit], _ADDR] += delta
+            moved |= hit
+        # The copy is deferred away.
+        kept = ~np.isin(cols.blockops, list(read_only_ids))
+        columns.append(StreamColumns.from_matrix(matrix[kept]))
+    return Trace(columns, blockops=trace.blockops, symbols=trace.symbols,
+                 metadata={**trace.metadata, "deferred_copy": 1})
 
 
 def deferred_miss_saving(trace: Trace, config=None) -> float:

@@ -19,10 +19,13 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
+import numpy as np
+
 from repro.common.rng import RngStream
 from repro.common.types import Op
 from repro.sim.metrics import SystemMetrics
-from repro.trace.record import TraceRecord, prefetch
+from repro.trace.columns import NUM_COLUMNS, StreamColumns
+from repro.trace.record import DEFAULT_ACCESS_BYTES
 from repro.trace.stream import Trace
 
 
@@ -56,23 +59,24 @@ class HotspotPrefetcher:
 
     def apply(self, trace: Trace) -> Trace:
         """Return a copy of *trace* with hot-spot prefetches inserted."""
-        out = Trace(trace.num_cpus, blockops=trace.blockops,
-                    symbols=trace.symbols,
-                    metadata={**trace.metadata, "hotspot_prefetch": 1})
-        for cpu, stream in enumerate(trace.streams):
-            out.streams[cpu] = self._rewrite_stream(stream)
-        return out
+        columns = [self._rewrite_stream(cols) for cols in trace.columns]
+        return Trace(columns, blockops=trace.blockops, symbols=trace.symbols,
+                     metadata={**trace.metadata, "hotspot_prefetch": 1})
 
-    def _rewrite_stream(self, stream: List[TraceRecord]) -> List[TraceRecord]:
-        # First pass: for every hot read, choose its insertion point.
-        inserts: Dict[int, List[TraceRecord]] = {}
+    def _rewrite_stream(self, cols: StreamColumns) -> StreamColumns:
+        # The hot reads, outside block operations (those are handled by
+        # their scheme); each gets an insertion point, in stream order so
+        # the horizon draws follow the stream.
+        hot = np.flatnonzero((cols.ops == Op.READ) & (cols.blockops == 0)
+                             & np.isin(cols.pcs, list(self.hot_pcs)))
+        at: List[int] = []
+        rows: List[tuple] = []
         recent: Dict[int, int] = {}
-        for i, rec in enumerate(stream):
-            if rec.op != Op.READ or rec.pc not in self.hot_pcs:
-                continue
-            if rec.blockop:
-                continue  # block operations are handled by their scheme
-            line = rec.addr - rec.addr % self.line_bytes
+        for i, addr, mode, dclass, pc in zip(
+                hot.tolist(), cols.addrs[hot].tolist(),
+                cols.modes[hot].tolist(), cols.dclasses[hot].tolist(),
+                cols.pcs[hot].tolist()):
+            line = addr - addr % self.line_bytes
             last = recent.get(line)
             if last is not None and i - last < self.lead:
                 self.skipped_duplicates += 1
@@ -82,21 +86,15 @@ class HotspotPrefetcher:
             # be hoisted (paper: "the unavailability of the operands...
             # limits how far back the prefetches can be pushed").
             horizon = self.rng.randint(self.min_lead, self.lead)
-            at = max(0, i - horizon)
-            inserts.setdefault(at, []).append(
-                prefetch(rec.addr, mode=rec.mode, dclass=rec.dclass,
-                         pc=rec.pc, lead=i - at))
-            self.inserted += 1
-        if not inserts:
-            return list(stream)
-        # Second pass: rebuild the stream with insertions in place.
-        new_stream: List[TraceRecord] = []
-        for i, rec in enumerate(stream):
-            pending = inserts.get(i)
-            if pending:
-                new_stream.extend(pending)
-            new_stream.append(rec)
-        return new_stream
+            at.append(max(0, i - horizon))
+            rows.append((Op.PREFETCH, addr, mode, dclass, pc, 1, 0,
+                         DEFAULT_ACCESS_BYTES, i - at[-1]))
+        self.inserted += len(rows)
+        inserts = np.array(rows, dtype=np.int64).reshape(-1, NUM_COLUMNS)
+        # Prefetches sharing an insertion point keep their draw order.
+        matrix = np.insert(cols.to_matrix(), np.array(at, dtype=np.intp),
+                           inserts, axis=0)
+        return StreamColumns.from_matrix(matrix)
 
 
 def insert_hotspot_prefetches(trace: Trace, hot_pcs: Sequence[int],

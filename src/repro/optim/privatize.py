@@ -14,19 +14,20 @@ Two kernel-source changes, modelled as trace transformations:
   protocol's page), and the per-CPU timer accounting slots are spread in
   the private region.
 
-The transformation is pure: it returns a new :class:`Trace` and leaves the
-input untouched.  Data-class annotations are preserved so Table 5's
-breakdown still attributes any residual misses correctly.
+The transformation is pure: it returns a new :class:`Trace` with fresh
+column arrays and leaves the input untouched.  Data-class annotations are
+preserved so Table 5's breakdown still attributes any residual misses
+correctly.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+import numpy as np
 
 from repro.synthetic import layout as lay
 from repro.common.types import DataClass, Op
 from repro.synthetic.layout import KERNEL_PC
-from repro.trace.record import TraceRecord
+from repro.trace.columns import FIELDS, StreamColumns
 from repro.trace.stream import Trace
 
 #: Bytes reserved per privatized counter replica (its own L2 line).
@@ -37,6 +38,8 @@ CPIEVENTS_RELOC = lay.SYNC_PAGE + 0x800
 
 #: Relocated per-CPU timer accounting slots.
 TIMER_RELOC = lay.PRIVATE_BASE + 0x1000
+
+_ADDR = FIELDS.index("addr")
 
 
 def replica_addr(counter_index: int, cpu: int, num_cpus: int) -> int:
@@ -50,10 +53,9 @@ class PrivatizeRelocate:
 
     def __init__(self, num_cpus: int = 4) -> None:
         self.num_cpus = num_cpus
-        self._counter_index: Dict[int, int] = {
-            lay.COUNTER_BASE + i * 4: i
-            for i in range(len(lay.INFREQ_COUNTERS))
-        }
+        #: Counter addresses, ascending; a counter's index is its place.
+        self._counters = lay.COUNTER_BASE + 4 * np.arange(
+            len(lay.INFREQ_COUNTERS), dtype=np.int64)
         #: Basic blocks whose counter READs are aggregate reads (the
         #: pager); everything else is the read half of a local update.
         self._aggregate_pcs = {KERNEL_PC["pte_scan_loop"]}
@@ -66,57 +68,47 @@ class PrivatizeRelocate:
     # ------------------------------------------------------------------
     def apply(self, trace: Trace) -> Trace:
         """Return a privatized/relocated copy of *trace*."""
-        out = Trace(trace.num_cpus, blockops=trace.blockops,
-                    symbols=trace.symbols,
-                    metadata={**trace.metadata, "privatized": 1})
-        for cpu, stream in enumerate(trace.streams):
-            new_stream = out.streams[cpu]
-            for rec in stream:
-                new_stream.extend(self._rewrite(cpu, rec))
-        return out
+        columns = [self._rewrite(cpu, cols)
+                   for cpu, cols in enumerate(trace.columns)]
+        return Trace(columns, blockops=trace.blockops, symbols=trace.symbols,
+                     metadata={**trace.metadata, "privatized": 1})
 
     # ------------------------------------------------------------------
-    def _rewrite(self, cpu: int, rec: TraceRecord) -> List[TraceRecord]:
-        if rec.dclass == DataClass.INFREQ_COMM and rec.op in (Op.READ,
-                                                              Op.WRITE):
-            return self._rewrite_counter(cpu, rec)
-        if (self._cpievents_base <= rec.addr < self._cpievents_end
-                and rec.op in (Op.READ, Op.WRITE)):
-            return [self._relocate(rec, self._cpievents_base,
-                                   CPIEVENTS_RELOC, 16)]
-        if (self._timer_slots_base <= rec.addr < self._timer_slots_end
-                and rec.op in (Op.READ, Op.WRITE)):
-            return [self._relocate(rec, self._timer_slots_base,
-                                   TIMER_RELOC, 16)]
-        return [rec]
-
-    def _rewrite_counter(self, cpu: int, rec: TraceRecord) -> List[TraceRecord]:
-        index = self._counter_index.get(rec.addr)
-        if index is None:
-            return [rec]
-        if rec.op == Op.READ and rec.pc in self._aggregate_pcs:
-            # The pager now reads every CPU's replica and sums them.
-            records = []
-            for reader in range(self.num_cpus):
-                r = rec.copy()
-                r.addr = replica_addr(index, reader, self.num_cpus)
-                r.dclass = DataClass.INFREQ_COMM
-                records.append(r)
-            return records
-        # Local update (or its read half): the CPU's own replica.
-        r = rec.copy()
-        r.addr = replica_addr(index, cpu, self.num_cpus)
-        r.dclass = DataClass.INFREQ_COMM
-        return [r]
-
-    @staticmethod
-    def _relocate(rec: TraceRecord, old_base: int, new_base: int,
-                  slot_bytes: int) -> TraceRecord:
-        """Move a slotted per-CPU variable to its own 64-byte line."""
-        slot, offset = divmod(rec.addr - old_base, slot_bytes)
-        r = rec.copy()
-        r.addr = new_base + slot * REPLICA_STRIDE + offset
-        return r
+    def _rewrite(self, cpu: int, cols: StreamColumns) -> StreamColumns:
+        n = self.num_cpus
+        addrs = cols.addrs
+        data = (cols.ops == Op.READ) | (cols.ops == Op.WRITE)
+        counters = data & (cols.dclasses == DataClass.INFREQ_COMM)
+        # Counter references: the counter's replica for this CPU.
+        keys = self._counters
+        index = np.minimum(np.searchsorted(keys, addrs), len(keys) - 1)
+        replicated = counters & (keys[index] == addrs)
+        new_addrs = addrs.copy()
+        new_addrs[replicated] = replica_addr(index[replicated], cpu, n)
+        # Slotted per-CPU variables: each slot to its own line.  Any
+        # INFREQ_COMM reference stays a counter reference, replicated
+        # or not.
+        for base, end, new_base in (
+                (self._cpievents_base, self._cpievents_end, CPIEVENTS_RELOC),
+                (self._timer_slots_base, self._timer_slots_end,
+                 TIMER_RELOC)):
+            moved = data & ~counters & (addrs >= base) & (addrs < end)
+            slot_no, offset = np.divmod(addrs[moved] - base, 16)
+            new_addrs[moved] = new_base + slot_no * REPLICA_STRIDE + offset
+        # The pager now reads every CPU's replica and sums them: each of
+        # its counter reads becomes one read per CPU, in CPU order.
+        aggregate = (replicated & (cols.ops == Op.READ)
+                     & np.isin(cols.pcs, list(self._aggregate_pcs)))
+        matrix = cols.to_matrix()
+        matrix[:, _ADDR] = new_addrs
+        if aggregate.any():
+            reps = np.where(aggregate, n, 1)
+            matrix = np.repeat(matrix, reps, axis=0)
+            first = (np.cumsum(reps) - reps)[aggregate]
+            for reader in range(n):
+                matrix[first + reader, _ADDR] = replica_addr(
+                    index[aggregate], reader, n)
+        return StreamColumns.from_matrix(matrix)
 
 
 def privatize_and_relocate(trace: Trace, num_cpus: int = 4) -> Trace:

@@ -17,13 +17,14 @@ Hot-path layout
 it runs once per trace record across every experiment cell.  It therefore:
 
 * reads each record's op, addr, mode, pc, icount and blockop from six
-  parallel plain-int lists (:meth:`Trace.sim_stream
-  <repro.trace.stream.Trace.sim_stream>`), never from a
-  :class:`~repro.trace.record.TraceRecord`: an npz-loaded trace is
-  simulated without building one record object per reference.  The slow
-  paths that need a whole record — L1 misses, block-op and Blk_Bypass
-  accesses, locks, barriers, block-op markers — and the observers take
-  it from :meth:`Processor.record`;
+  parallel plain-int lists taken from the stream's columns
+  (:meth:`StreamColumns.sim_lists
+  <repro.trace.columns.StreamColumns.sim_lists>`), never from a
+  :class:`~repro.trace.record.TraceRecord`: a trace is simulated without
+  building one record object per reference.  The slow paths that need a
+  whole record — L1 misses, block-op and Blk_Bypass accesses, locks,
+  barriers, block-op markers — and the observers take it from
+  :meth:`Processor.record`;
 * resolves a *clean L1D hit* (line resident, no pending prefetch fill, no
   scheme-specific block-op handling) inline against the bound L1 frame
   index, without entering the :class:`CpuMemorySystem` call chain — the
@@ -56,7 +57,6 @@ from repro.sim.config import SystemConfig
 from repro.sim.metrics import SystemMetrics
 from repro.sim.sync import BarrierManager, LockTable
 from repro.trace.blockop import BlockOpDescriptor
-from repro.trace.columns import StreamColumns
 from repro.trace.record import TraceRecord
 from repro.trace.stream import Trace
 
@@ -113,17 +113,11 @@ class Processor:
                  metrics: SystemMetrics, config: SystemConfig,
                  locks: LockTable, barriers: BarrierManager) -> None:
         self.cpu_id = cpu_id
-        lists, stored = trace.sim_stream(cpu_id)
+        self._columns = trace.columns[cpu_id]
         (self._ops, self._addrs, self._modes, self._pcs, self._icounts,
-         self._blockops) = lists
-        # Exactly one is set: a columnar trace's columns, from which
-        # ``record`` builds records, or a built trace's own record list.
-        if isinstance(stored, StreamColumns):
-            self._columns, self._records = stored, None
-        else:
-            self._columns, self._records = None, stored
+         self._blockops) = self._columns.sim_lists()
         #: Records in this CPU's stream.
-        self.num_records = len(self._ops)
+        self.num_records: int = len(self._ops)
         self.blockops = trace.blockops
         self.mem = mem
         self.metrics = metrics
@@ -160,15 +154,9 @@ class Processor:
         self._blk_write_plain = scheme != Scheme.BYPASS
 
     def record(self, pos: int) -> TraceRecord:
-        """The :class:`TraceRecord` at stream position *pos*.
-
-        For the slow paths and the observers only: a built trace returns
-        its own record object, a columnar one builds the record afresh
-        on every call.
-        """
-        records = self._records
-        if records is not None:
-            return records[pos]
+        """The :class:`TraceRecord` at stream position *pos*, built afresh
+        from the stream's columns on every call (for the slow paths and
+        the observers only)."""
         cols = self._columns
         return TraceRecord(
             OP_BY_VALUE[self._ops[pos]], self._addrs[pos],

@@ -1,10 +1,11 @@
-"""Columnar (structure-of-arrays) view of one CPU's trace stream.
+"""Columnar (structure-of-arrays) storage of one CPU's trace stream.
 
-:mod:`repro.trace.npzio` already stores each stream as one ``(N, 9)``
-int64 matrix; this module gives that layout a first-class in-memory type,
-:class:`StreamColumns`, so the trace writers, the histogram pass and the
-simulator can work on whole streams instead of touching one
-:class:`~repro.trace.record.TraceRecord` object per reference.
+:mod:`repro.trace.npzio` stores each stream as one ``(N, 9)`` int64
+matrix; :class:`StreamColumns` is the same layout in memory and the only
+storage a :class:`~repro.trace.stream.Trace` has, so the writers, the
+validator, the optimization passes and the simulator all work on whole
+columns instead of one :class:`~repro.trace.record.TraceRecord` object
+per reference.
 
 The column order is the serialization order of the npz format and the
 ``__slots__`` order of :class:`TraceRecord`::
@@ -12,13 +13,13 @@ The column order is the serialization order of the npz format and the
     op, addr, mode, dclass, pc, icount, blockop, size, arg
 
 A :class:`StreamColumns` built by :meth:`StreamColumns.from_matrix` is a
-set of zero-copy views into the loaded matrix; nothing is duplicated and
-no record objects exist until somebody asks for them.
+set of zero-copy views into the matrix; record objects exist only when
+somebody asks for them (:meth:`StreamColumns.to_records`).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Tuple
 
 import numpy as np
 
@@ -57,9 +58,12 @@ class StreamColumns:
     def __len__(self) -> int:
         return self.n
 
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, StreamColumns):
+            return NotImplemented
+        return all(np.array_equal(a, b)
+                   for a, b in zip(self.arrays(), other.arrays()))
+
     @classmethod
     def from_matrix(cls, matrix: np.ndarray) -> "StreamColumns":
         """Zero-copy column views of an ``(N, 9)`` int64 matrix."""
@@ -69,23 +73,17 @@ class StreamColumns:
                 f"got {matrix.shape}")
         return cls(*(matrix[:, i] for i in range(NUM_COLUMNS)))
 
-    @classmethod
-    def from_records(cls, records: Sequence[TraceRecord]) -> "StreamColumns":
-        """Pack a record sequence into fresh column arrays."""
-        return cls.from_matrix(to_matrix(records))
+    def arrays(self) -> Tuple[np.ndarray, ...]:
+        """The nine column arrays, in field order."""
+        return (self.ops, self.addrs, self.modes, self.dclasses, self.pcs,
+                self.icounts, self.blockops, self.sizes, self.args)
 
-    # ------------------------------------------------------------------
-    # Conversion back to the row-wise world
-    # ------------------------------------------------------------------
     def to_matrix(self) -> np.ndarray:
         """A fresh ``(N, 9)`` int64 matrix of this stream."""
-        out = np.empty((self.n, NUM_COLUMNS), dtype=np.int64)
-        for i, field in enumerate(FIELDS):
-            out[:, i] = getattr(self, _ATTR_OF_FIELD[field])
-        return out
+        return np.column_stack(self.arrays()).astype(np.int64, copy=False)
 
     def to_records(self) -> List[TraceRecord]:
-        """Materialize the per-record objects (enum-typed fields)."""
+        """Fresh record objects (enum-typed fields), one per row."""
         op_of = OP_BY_VALUE
         mode_of = MODE_BY_VALUE
         dclass_of = DCLASS_BY_VALUE
@@ -93,42 +91,19 @@ class StreamColumns:
             TraceRecord(op_of[op], addr, mode_of[mode], dclass_of[dclass],
                         pc, icount, blockop, size, arg)
             for op, addr, mode, dclass, pc, icount, blockop, size, arg
-            in zip(self.ops.tolist(), self.addrs.tolist(),
-                   self.modes.tolist(), self.dclasses.tolist(),
-                   self.pcs.tolist(), self.icounts.tolist(),
-                   self.blockops.tolist(), self.sizes.tolist(),
-                   self.args.tolist())
+            in self.iter_rows()
         ]
 
     def sim_lists(self) -> Tuple[list, ...]:
         """The op, addr, mode, pc, icount and blockop columns as plain-int
-        lists (:meth:`Trace.sim_stream
-        <repro.trace.stream.Trace.sim_stream>` gives the contract)."""
+        lists, in that order: the fields :meth:`Processor.step
+        <repro.sim.processor.Processor.step>` reads for every record.
+        Taken afresh on each call, so a column edited between two runs
+        is seen by the second."""
         return (self.ops.tolist(), self.addrs.tolist(), self.modes.tolist(),
                 self.pcs.tolist(), self.icounts.tolist(),
                 self.blockops.tolist())
 
     def iter_rows(self) -> Iterable[tuple]:
         """Iterate plain-int rows in field order (no record objects)."""
-        return zip(self.ops.tolist(), self.addrs.tolist(),
-                   self.modes.tolist(), self.dclasses.tolist(),
-                   self.pcs.tolist(), self.icounts.tolist(),
-                   self.blockops.tolist(), self.sizes.tolist(),
-                   self.args.tolist())
-
-
-#: StreamColumns attribute holding each serialized field.
-_ATTR_OF_FIELD = {
-    "op": "ops", "addr": "addrs", "mode": "modes", "dclass": "dclasses",
-    "pc": "pcs", "icount": "icounts", "blockop": "blockops", "size": "sizes",
-    "arg": "args",
-}
-
-
-def to_matrix(records: Sequence[TraceRecord]) -> np.ndarray:
-    """Pack record objects into an ``(N, 9)`` int64 matrix."""
-    out = np.empty((len(records), NUM_COLUMNS), dtype=np.int64)
-    for i, r in enumerate(records):
-        out[i] = (int(r.op), r.addr, int(r.mode), int(r.dclass), r.pc,
-                  r.icount, r.blockop, r.size, r.arg)
-    return out
+        return zip(*(col.tolist() for col in self.arrays()))

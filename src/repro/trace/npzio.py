@@ -44,12 +44,7 @@ _CODES = {FIELDS.index(name): np.array([int(v) for v in enum_type])
 
 
 def save(trace: Trace, path: str) -> None:
-    """Write *trace* to a compressed ``.npz`` archive at *path*.
-
-    Streams are serialized from the trace's column views, so a trace that
-    was itself loaded columnar (:func:`load`) round-trips without ever
-    materializing record objects.
-    """
+    """Write *trace* to a compressed ``.npz`` archive at *path*."""
     arrays = {
         "meta": np.array(json.dumps({
             "version": _VERSION,
@@ -64,7 +59,7 @@ def save(trace: Trace, path: str) -> None:
             [(s.base, s.size, int(s.dclass)) for s in trace.symbols],
             dtype=np.int64).reshape(-1, 3),
     }
-    for cpu, cols in enumerate(trace.column_streams()):
+    for cpu, cols in enumerate(trace.columns):
         arrays[f"cpu{cpu}"] = cols.to_matrix()
     np.savez_compressed(path, **arrays)
 
@@ -72,12 +67,8 @@ def save(trace: Trace, path: str) -> None:
 def load(path: str) -> Trace:
     """Read a trace previously written by :func:`save`.
 
-    The streams are loaded columnar: each ``cpu<i>`` matrix becomes a
-    zero-copy :class:`~repro.trace.columns.StreamColumns` view and the
-    trace is assembled through :meth:`Trace.from_columns`.  Per-record
-    ``TraceRecord`` objects are only built if a consumer later touches
-    ``trace.streams`` — the simulator, the histogram pass and a save
-    round-trip never do.
+    Each ``cpu<i>`` matrix becomes a zero-copy
+    :class:`~repro.trace.columns.StreamColumns` view.
 
     Every member is checked here — each stream's op, mode and data-class
     codes, the shape of every table, the block-op kinds and symbol data
@@ -110,8 +101,7 @@ def load(path: str) -> Trace:
                         f"{path}: cpu{cpu} record {row} has bad "
                         f"{FIELDS[col]} code {int(matrix[row, col])}")
             columns.append(StreamColumns.from_matrix(matrix))
-        trace = Trace.from_columns(num_cpus, columns,
-                                   metadata=meta["metadata"])
+        trace = Trace(columns, metadata=meta["metadata"])
         names = _member(archive, path, "sym_names")
         table = _table(archive, path, "sym_table", 3)
         if names.shape != (len(table),):

@@ -24,7 +24,7 @@ from typing import TextIO
 from repro.common.errors import TraceError
 from repro.common.types import BlockOpKind, DataClass, Mode, Op
 from repro.trace.record import TraceRecord
-from repro.trace.stream import Trace
+from repro.trace.stream import Trace, TraceBuilder
 
 _MAGIC = "reprotrace v1"
 
@@ -40,10 +40,7 @@ def dump(trace: Trace, fp: TextIO) -> None:
     for op in trace.blockops:
         fp.write(f"blockop {op.op_id} {int(op.kind)} {op.src} {op.dst} "
                  f"{op.size} {op.pc}\n")
-    # Write from the column views: identical output for a materialized
-    # trace, and a columnar (npz-loaded) trace serializes without ever
-    # constructing TraceRecord objects.
-    for cpu, cols in enumerate(trace.column_streams()):
+    for cpu, cols in enumerate(trace.columns):
         for op, addr, mode, dclass, pc, icount, blockop, size, arg \
                 in cols.iter_rows():
             fp.write(f"r {cpu} {op} {addr} {mode} "
@@ -73,7 +70,7 @@ def load(fp: TextIO) -> Trace:
         raise TraceError(f"line 2: missing cpu count "
                          f"(got {cpus_raw.rstrip()!r})")
     try:
-        trace = Trace(int(cpus_line[1]))
+        builder = TraceBuilder(int(cpus_line[1]))
     except ValueError as err:
         raise TraceError(f"line 2: bad cpu count: {err}") from err
     for lineno, line in enumerate(fp, start=3):
@@ -83,14 +80,14 @@ def load(fp: TextIO) -> Trace:
         kind = fields[0]
         try:
             if kind == "meta":
-                _load_meta(trace, line)
+                _load_meta(builder, line)
             elif kind == "sym":
-                trace.symbols.add(fields[1], int(fields[2]), int(fields[3]),
-                                  DataClass(int(fields[4])))
+                builder.symbols.add(fields[1], int(fields[2]),
+                                    int(fields[3]), DataClass(int(fields[4])))
             elif kind == "blockop":
-                _load_blockop(trace, fields)
+                _load_blockop(builder, fields)
             elif kind == "r":
-                _load_record(trace, fields)
+                _load_record(builder, fields)
             else:
                 raise TraceError(f"unknown line kind {kind!r}")
         except TraceError as err:
@@ -100,7 +97,10 @@ def load(fp: TextIO) -> Trace:
             # int()", out-of-range enum values, ...
             raise TraceError(
                 f"line {lineno}: malformed {kind!r} line: {err}") from err
-    return trace
+    try:
+        return builder.build(validate=False)
+    except OverflowError:
+        raise TraceError("a record field does not fit in 64 bits") from None
 
 
 def loads(text: str) -> Trace:
@@ -108,12 +108,12 @@ def loads(text: str) -> Trace:
     return load(io.StringIO(text))
 
 
-def _load_meta(trace: Trace, line: str) -> None:
+def _load_meta(builder: TraceBuilder, line: str) -> None:
     parts = line.rstrip("\n").split(" ", 2)
     if len(parts) != 3:
         raise TraceError("meta line needs a key and a value")
     _, key, value = parts
-    trace.metadata[key] = _parse_meta(value)
+    builder.metadata[key] = _parse_meta(value)
 
 
 def _parse_meta(value: str) -> object:
@@ -130,25 +130,24 @@ def _parse_meta(value: str) -> object:
     return value
 
 
-def _load_blockop(trace: Trace, fields: list) -> None:
+def _load_blockop(builder: TraceBuilder, fields: list) -> None:
     op_id, kind, src, dst, size, pc = (int(f) for f in fields[1:7])
     if BlockOpKind(kind) == BlockOpKind.COPY:
-        desc = trace.blockops.new_copy(src, dst, size, pc)
+        desc = builder.blockops.new_copy(src, dst, size, pc)
     else:
-        desc = trace.blockops.new_zero(dst, size, pc)
+        desc = builder.blockops.new_zero(dst, size, pc)
     if desc.op_id != op_id:
         raise TraceError(
             f"block op ids must be serialized in order ({op_id} != {desc.op_id})")
 
 
-def _load_record(trace: Trace, fields: list) -> None:
+def _load_record(builder: TraceBuilder, fields: list) -> None:
     values = [int(f) for f in fields[1:11]]
     if len(values) != 10:
         raise TraceError(
             f"record needs 10 fields, got {len(values)}")
     (cpu, op, addr, mode, dclass, pc, icount, blockop, size, arg) = values
-    if not 0 <= cpu < trace.num_cpus:
+    if not 0 <= cpu < builder.num_cpus:
         raise TraceError(f"record for unknown cpu {cpu}")
-    trace.streams[cpu].append(
-        TraceRecord(Op(op), addr, Mode(mode), DataClass(dclass), pc, icount,
-                    blockop, size, arg))
+    builder.emit(cpu, TraceRecord(Op(op), addr, Mode(mode), DataClass(dclass),
+                                  pc, icount, blockop, size, arg))

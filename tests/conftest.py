@@ -9,6 +9,7 @@ from repro.memsys.bus import Bus
 from repro.memsys.coherence import CoherenceController
 from repro.memsys.hierarchy import CpuMemorySystem
 from repro.sim.metrics import MissTracker
+from repro.trace import record as rec
 from repro.trace.stream import TraceBuilder
 
 
@@ -50,3 +51,24 @@ def quad_rig(machine: MachineParams) -> MemoryRig:
 def builder() -> TraceBuilder:
     """Empty four-CPU trace builder."""
     return TraceBuilder(4)
+
+
+@pytest.fixture(params=["unknown-blockop", "unreleased-lock",
+                        "oversized-barrier"])
+def broken_trace(request):
+    """A 2-CPU trace that loads but breaks a structural rule, and the
+    message :meth:`Trace.validate` gives for it."""
+    b = TraceBuilder(2)
+    if request.param == "unknown-blockop":
+        b.emit(0, rec.block_start(99))
+        b.emit(0, rec.block_end(99))
+        message = "unknown block op id 99"
+    elif request.param == "unreleased-lock":
+        b.emit(0, rec.lock_acquire(0x40))
+        message = "cpu 0: locks never released: ['0x40']"
+    else:
+        b.emit(0, rec.barrier(0x80, 3))
+        b.emit(1, rec.barrier(0x80, 3))
+        message = "barrier 0x80: bad participant count 3"
+    b.emit(1, rec.read(0x100))
+    return b.build(validate=False), message

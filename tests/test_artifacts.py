@@ -97,7 +97,7 @@ def test_roundtrip_all_artifact_kinds(warm):
     ]:
         assert len(restored) == len(original), name
         assert restored.metadata == original.metadata, name
-        for sa, sb in zip(original.streams, restored.streams):
+        for sa, sb in zip(original.columns, restored.columns):
             assert sa == sb, name
     assert reader.update_selection("Shell") == runner.update_selection("Shell")
     assert reader.hotspots("Shell") == runner.hotspots("Shell")

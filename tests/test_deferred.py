@@ -76,9 +76,9 @@ def test_apply_deferred_removes_copy_records():
     trace = b.build()
     analysis = analyze_deferred(trace)
     out = apply_deferred(trace, analysis.read_only_ids)
-    assert not any(r.blockop for r in out.streams[0])
+    assert not any(r.blockop for r in out.records(0))
     assert not any(r.op in (Op.BLOCK_START, Op.BLOCK_END)
-                   for r in out.streams[0])
+                   for r in out.records(0))
 
 
 def test_apply_deferred_remaps_reads_to_source():
@@ -88,7 +88,7 @@ def test_apply_deferred_remaps_reads_to_source():
     trace = b.build()
     analysis = analyze_deferred(trace)
     out = apply_deferred(trace, analysis.read_only_ids)
-    reads = [r for r in out.streams[0] if r.op == Op.READ]
+    reads = [r for r in out.records(0) if r.op == Op.READ]
     assert reads[-1].addr == SRC + 16
 
 
@@ -99,7 +99,7 @@ def test_non_deferred_ops_kept():
     trace = b.build()
     analysis = analyze_deferred(trace)
     out = apply_deferred(trace, analysis.read_only_ids)
-    assert len(out.streams[0]) == len(trace.streams[0])
+    assert len(out.records(0)) == len(trace.records(0))
 
 
 def test_saving_positive_when_deferrable():
@@ -117,3 +117,15 @@ def test_saving_zero_without_candidates():
     b = TraceBuilder(1)
     b.emit_block_copy(0, src=SRC, dst=DST, size=4096)  # page-sized: COW
     assert deferred_miss_saving(b.build()) == 0.0
+
+
+def test_editing_the_deferred_trace_leaves_the_source():
+    b = TraceBuilder(1)
+    b.emit_block_copy(0, src=SRC, dst=DST, size=256)
+    b.emit(0, rec.read(0x800))
+    trace = b.build()
+    before = trace.records()
+    out = apply_deferred(trace, set())
+    assert out.records() == before
+    out.columns[0].addrs += 4
+    assert trace.records() == before

@@ -30,7 +30,7 @@ from repro.memsys.coherence import CoherenceController
 from repro.memsys.hierarchy import CpuMemorySystem
 from repro.sim.config import all_configs, resolve_config, standard_configs
 from repro.sim.metrics import MissTracker
-from repro.sim.system import MultiprocessorSystem, simulate
+from repro.sim.system import MultiprocessorSystem
 from repro.synthetic.profiles import generate as generate_profile
 from repro.synthetic.workloads import WORKLOAD_ORDER
 from repro.trace import npzio, record
@@ -249,9 +249,8 @@ def test_observer_changes_no_metric(attach):
 
 
 # ----------------------------------------------------------------------
-# Columnar processor streams: an npz-loaded trace feeds the processors
-# straight from its columns; it must simulate exactly like the built
-# trace it was saved from.
+# Columnar processor streams: an npz-loaded trace must simulate exactly
+# like the built trace it was saved from.
 # ----------------------------------------------------------------------
 
 #: The paper grid's four workloads, plus one machine-axis workload on an
@@ -287,15 +286,6 @@ def test_columnar_trace_simulates_like_built(tmp_path, workload, machine):
     for scheme in all_configs():
         expected = built.run(workload, scheme).snapshot()
         assert loaded.run(workload, scheme).snapshot() == expected, scheme
-    for traces in (loaded._traces, loaded._privatized, loaded._prefetched):
-        assert not traces[workload].is_materialized()
-    assert built.trace(workload).is_materialized()
-
-
-def test_plain_simulate_keeps_npz_trace_columnar(tmp_path):
-    trace = _npz_copy(_shell_trace(), tmp_path)
-    simulate(trace, standard_configs()["Blk_ByPref"])
-    assert not trace.is_materialized()
 
 
 @pytest.mark.parametrize("form", ["built", "npz"])
@@ -304,12 +294,10 @@ def test_processor_record_matches_source(tmp_path, form):
     trace = source if form == "built" else _npz_copy(source, tmp_path)
     system = MultiprocessorSystem(trace, standard_configs()["Base"])
     for cpu, proc in enumerate(system.processors):
-        records = source.streams[cpu]
+        records = source.records(cpu)
         assert proc.num_records == len(records)
         for pos, expected in enumerate(records):
             got = proc.record(pos)
-            if form == "built":
-                assert got is expected
             assert [(type(getattr(got, f)), getattr(got, f))
                     for f in FIELDS] == \
                 [(type(getattr(expected, f)), getattr(expected, f))

@@ -48,7 +48,7 @@ def _blockop_keys(trace):
 def test_same_spec_and_seed_bit_identical(point):
     a = workload_at(point).generate(scale=SCALE)
     b = workload_at(point).generate(scale=SCALE)
-    for sa, sb in zip(a.streams, b.streams):
+    for sa, sb in zip(a.columns, b.columns):
         assert sa == sb
     assert a.metadata == b.metadata
     assert _blockop_keys(a) == _blockop_keys(b)
@@ -61,7 +61,7 @@ def test_different_seeds_diverge(point):
     a = workload_at(point).generate(scale=SCALE)
     b = workload_at((family, cpus, level, pattern, seed + 1,
                      index)).generate(scale=SCALE)
-    assert any(sa != sb for sa, sb in zip(a.streams, b.streams))
+    assert any(sa != sb for sa, sb in zip(a.columns, b.columns))
 
 
 def test_npz_bytes_identical_across_generations(tmp_path):
@@ -81,7 +81,7 @@ def test_generate_by_name_matches_workload_object():
     workload = sample(3, seed=5)[2]
     direct = workload.generate(scale=SCALE)
     by_name = generate(workload.name, seed=workload.seed, scale=SCALE)
-    for sa, sb in zip(direct.streams, by_name.streams):
+    for sa, sb in zip(direct.columns, by_name.columns):
         assert sa == sb
 
 
@@ -95,7 +95,7 @@ def test_generated_traces_well_formed(point):
     trace = workload.generate(scale=SCALE)
     trace.validate()  # seals, lock/barrier balance, block-op brackets
     assert trace.num_cpus == workload.profile.num_cpus == point[1]
-    assert all(stream for stream in trace.streams)
+    assert all(cols for cols in trace.columns)
     assert trace.metadata["workload"] == workload.name
 
 
@@ -107,7 +107,7 @@ def test_exact_round_trip_textio_and_npzio(tmp_path_factory, point):
     path = tmp / "t.npz"
     npzio.save(trace, str(path))
     reloaded = npzio.load(str(path))
-    for sa, sb in zip(trace.streams, reloaded.streams):
+    for sa, sb in zip(trace.columns, reloaded.columns):
         assert sa == sb
     assert reloaded.metadata == trace.metadata
     text_path = tmp / "t.txt"
@@ -115,7 +115,7 @@ def test_exact_round_trip_textio_and_npzio(tmp_path_factory, point):
         textio.dump(trace, fp)
     with open(text_path) as fp:
         from_text = textio.load(fp)
-    for sa, sb in zip(trace.streams, from_text.streams):
+    for sa, sb in zip(trace.columns, from_text.columns):
         assert sa == sb
     assert from_text.metadata == trace.metadata
 

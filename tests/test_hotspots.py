@@ -41,7 +41,7 @@ def test_hotspot_coverage():
 def test_insertion_adds_prefetch_records():
     trace = conflict_trace()
     out = insert_hotspot_prefetches(trace, [HOT], lead=8)
-    prefetches = [r for s in out.streams for r in s if r.op == Op.PREFETCH]
+    prefetches = [r for r in out.records() if r.op == Op.PREFETCH]
     assert prefetches
     assert all(r.pc == HOT for r in prefetches)
 
@@ -49,14 +49,14 @@ def test_insertion_adds_prefetch_records():
 def test_insertion_preserves_original_records():
     trace = conflict_trace()
     out = insert_hotspot_prefetches(trace, [HOT], lead=8)
-    original_ops = [r for r in trace.streams[0]]
-    kept = [r for r in out.streams[0] if r.op != Op.PREFETCH]
+    original_ops = [r for r in trace.records(0)]
+    kept = [r for r in out.records(0) if r.op != Op.PREFETCH]
     assert kept == original_ops
 
 
 def test_prefetch_leads_are_positive():
     out = insert_hotspot_prefetches(conflict_trace(), [HOT], lead=12)
-    stream = out.streams[0]
+    stream = out.records(0)
     for i, r in enumerate(stream):
         if r.op == Op.PREFETCH:
             # The covered demand read appears later in the stream.
@@ -70,7 +70,7 @@ def test_duplicate_line_prefetches_skipped():
         b.emit(0, rec.read(0x4000 + (i % 4) * 4, pc=HOT, icount=2))  # one line
     pref = HotspotPrefetcher([HOT], lead=10)
     out = pref.apply(b.build())
-    prefetches = [r for r in out.streams[0] if r.op == Op.PREFETCH]
+    prefetches = [r for r in out.records(0) if r.op == Op.PREFETCH]
     # Reads of one cache line within the lead window share one prefetch.
     assert len(prefetches) <= 3
     assert pref.skipped_duplicates > 0
@@ -80,12 +80,12 @@ def test_block_op_reads_not_prefetched():
     b = TraceBuilder(1)
     b.emit_block_copy(0, src=0x10000, dst=0x20000, size=256, pc=HOT)
     out = insert_hotspot_prefetches(b.build(), [HOT])
-    assert not any(r.op == Op.PREFETCH for r in out.streams[0])
+    assert not any(r.op == Op.PREFETCH for r in out.records(0))
 
 
 def test_cold_pcs_untouched():
     out = insert_hotspot_prefetches(conflict_trace(), [0x9999])
-    assert not any(r.op == Op.PREFETCH for s in out.streams for r in s)
+    assert not any(r.op == Op.PREFETCH for r in out.records())
 
 
 def test_prefetching_hides_hotspot_misses():
@@ -101,8 +101,19 @@ def test_instruction_overhead_is_small():
     trace = conflict_trace(200)
     pref = HotspotPrefetcher([HOT], lead=16)
     out = pref.apply(trace)
-    added = sum(r.icount for s in out.streams for r in s
+    added = sum(r.icount for r in out.records()
                 if r.op == Op.PREFETCH)
-    total = sum(r.icount for s in trace.streams for r in s)
+    total = sum(r.icount for r in trace.records())
     # Paper: prefetches add ~3.2% dynamic instructions in the hot spots.
     assert added / total < 0.25
+
+
+def test_editing_the_prefetched_trace_leaves_the_source():
+    trace = conflict_trace()
+    before = trace.records()
+    out = HotspotPrefetcher([HOT], lead=8, min_lead=2).apply(trace)
+    assert len(out) > len(trace)
+    for cols in out.columns:
+        cols.addrs += 4
+        cols.pcs[:] = 0
+    assert trace.records() == before

@@ -16,7 +16,7 @@ def sample_trace():
     b = TraceBuilder(2)
     b.symbols.add("proc_table", 0x1000, 512, DataClass.PROC_TABLE)
     b.symbols.add("vmmeter", 0x2000, 64, DataClass.INFREQ_COMM)
-    b.trace.metadata.update({"workload": "x", "seed": 5, "scale": 0.25})
+    b.metadata.update({"workload": "x", "seed": 5, "scale": 0.25})
     b.emit(0, rec.read(0x1000, mode=Mode.OS, dclass=DataClass.PROC_TABLE,
                        pc=0x40, icount=3))
     b.emit(1, rec.write(0x2000, mode=Mode.USER, pc=0x80))
@@ -35,7 +35,7 @@ def test_roundtrip_identical(tmp_path):
     restored = npzio.load(path)
     assert restored.num_cpus == original.num_cpus
     assert restored.metadata == original.metadata
-    for a, b in zip(original.streams, restored.streams):
+    for a, b in zip(original.columns, restored.columns):
         assert a == b
     assert len(restored.blockops) == len(original.blockops)
     assert restored.symbols.names() == original.symbols.names()
@@ -81,8 +81,7 @@ def test_bad_archive_rejected(tmp_path):
 
 
 def test_empty_trace_roundtrip(tmp_path):
-    from repro.trace.stream import Trace
-    trace = Trace(1)
+    trace = TraceBuilder(1).build()
     path = str(tmp_path / "empty.npz")
     npzio.save(trace, path)
     restored = npzio.load(path)
@@ -230,4 +229,18 @@ def test_cli_reports_corrupt_npz(tmp_path, capsys, command, edit):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"repro {command}: error: {path}: ")
+    assert "Traceback" not in err
+
+
+def test_cli_rejects_structurally_invalid_trace(tmp_path, capsys,
+                                                broken_trace):
+    """An npz trace whose members are well-formed but whose streams
+    break a structural rule fails with an error line, not a traceback."""
+    from repro.cli import main
+    trace, message = broken_trace
+    path = str(tmp_path / "bad.npz")
+    npzio.save(trace, path)
+    assert main(["simulate", path, "--config", "Base"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"repro simulate: error: {path}: {message}\n"
     assert "Traceback" not in err

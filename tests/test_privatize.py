@@ -34,8 +34,8 @@ def make_counter_trace():
 
 def test_writes_remap_to_own_replica():
     trace = privatize_and_relocate(make_counter_trace())
-    for cpu, stream in enumerate(trace.streams):
-        for rec in stream:
+    for cpu in range(trace.num_cpus):
+        for rec in trace.records(cpu):
             if rec.op == Op.WRITE and rec.dclass == DataClass.INFREQ_COMM:
                 assert rec.addr == replica_addr(0, cpu, 4)
 
@@ -49,7 +49,7 @@ def test_pager_read_expands_to_all_replicas():
     original = make_counter_trace()
     transformed = privatize_and_relocate(original)
     pager_pc = KERNEL_PC["pte_scan_loop"]
-    expanded = [r for r in transformed.streams[0]
+    expanded = [r for r in transformed.records(0)
                 if r.pc == pager_pc and r.op == Op.READ]
     assert len(expanded) == 4
     assert {r.addr for r in expanded} == {replica_addr(0, c, 4)
@@ -62,16 +62,15 @@ def test_non_counter_records_untouched():
     k.write(1, k.layout.proc_entry(3), DataClass.PROC_TABLE, "fork_entry")
     original = k.build()
     transformed = privatize_and_relocate(original, 2)
-    assert transformed.streams[0][0].addr == 0x123450
-    assert transformed.streams[1][0].addr == original.streams[1][0].addr
+    assert transformed.records(0)[0].addr == 0x123450
+    assert transformed.records(1)[0].addr == original.records(1)[0].addr
 
 
 def test_transform_is_pure():
     original = make_counter_trace()
-    before = [list(s) for s in original.streams]
+    before = original.records()
     privatize_and_relocate(original)
-    for stream, saved in zip(original.streams, before):
-        assert stream == saved
+    assert original.records() == before
 
 
 def test_timer_slots_spread_to_distinct_lines():
@@ -79,7 +78,7 @@ def test_timer_slots_spread_to_distinct_lines():
     for cpu in range(4):
         services.timer_interrupt(k, cpu)
     transformed = privatize_and_relocate(k.build())
-    slots = {r.addr // 64 for s in transformed.streams for r in s
+    slots = {r.addr // 64 for r in transformed.records()
              if r.dclass == DataClass.TIMER
              and r.addr >= lay.PRIVATE_BASE}
     assert len(slots) == 4
@@ -98,3 +97,15 @@ def test_privatization_removes_counter_coherence_misses():
 def test_metadata_flag_set():
     transformed = privatize_and_relocate(make_counter_trace())
     assert transformed.metadata["privatized"] == 1
+
+
+def test_editing_the_privatized_trace_leaves_the_source():
+    """The pass returns fresh columns: no row, rewritten or not, is
+    shared with the input trace."""
+    original = make_counter_trace()
+    before = original.records()
+    transformed = privatize_and_relocate(original)
+    for cols in transformed.columns:
+        cols.addrs += 4
+        cols.icounts[:] = 99
+    assert original.records() == before

@@ -16,7 +16,7 @@ from repro.sim import SystemConfig, simulate, standard_configs
 from repro.sim.processor import ProcStatus
 from repro.sim.system import MultiprocessorSystem
 from repro.trace import record as rec
-from repro.trace.stream import Trace, TraceBuilder
+from repro.trace.stream import TraceBuilder
 
 
 class TestErrors:
@@ -54,9 +54,10 @@ class TestProcessorEdges:
         assert m.prefetches_issued == 1
 
     def test_missing_block_end_raises(self):
-        trace = Trace(1)
-        desc = trace.blockops.new_copy(0x1000, 0x2000, 64)
-        trace.streams[0].append(rec.block_start(desc.op_id))
+        b = TraceBuilder(1)
+        desc = b.blockops.new_copy(0x1000, 0x2000, 64)
+        b.emit(0, rec.block_start(desc.op_id))
+        trace = b.build(validate=False)
         # No BLOCK_END: the DMA dispatcher must detect the corruption.
         with pytest.raises(SimulationError, match="BLOCK_END"):
             MultiprocessorSystem(trace, standard_configs()["Blk_Dma"]).run()

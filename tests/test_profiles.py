@@ -28,7 +28,7 @@ def test_paper_profiles_bit_identical(name, tmp_path):
     legacy = workloads.generate(name, seed=1996, scale=TINY)
     via_profile = generate(name, seed=1996, scale=TINY)
     assert len(via_profile) == len(legacy)
-    for sa, sb in zip(via_profile.streams, legacy.streams):
+    for sa, sb in zip(via_profile.columns, legacy.columns):
         assert sa == sb
     assert via_profile.metadata == legacy.metadata
     a, b = tmp_path / "a.npz", tmp_path / "b.npz"
@@ -41,7 +41,7 @@ def test_paper_profiles_thread_frame_policy():
     colored = generate("Shell", seed=5, scale=TINY, frame_policy="colored")
     plain = generate("Shell", seed=5, scale=TINY)
     assert colored.metadata["frame_policy"] == "colored"
-    assert any(sa != sb for sa, sb in zip(colored.streams, plain.streams))
+    assert any(sa != sb for sa, sb in zip(colored.columns, plain.columns))
 
 
 # ======================================================================
@@ -193,7 +193,7 @@ def test_new_families_compile_and_validate(family_traces):
     for name, trace in family_traces.items():
         trace.validate()
         assert trace.num_cpus == 4
-        assert all(stream for stream in trace.streams)
+        assert all(cols for cols in trace.columns)
         assert len(trace.blockops) > 0, name
 
 
@@ -231,4 +231,4 @@ def test_num_cpus_is_respected():
     trace = compile_profile(profile, seed=1, scale=0.1)
     trace.validate()
     assert trace.num_cpus == 2
-    assert all(stream for stream in trace.streams)
+    assert all(cols for cols in trace.columns)

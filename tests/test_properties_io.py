@@ -7,7 +7,7 @@ from repro.common.types import DataClass, Mode, Op
 from repro.optim.privatize import privatize_and_relocate
 from repro.trace import npzio, textio
 from repro.trace.record import TraceRecord
-from repro.trace.stream import Trace
+from repro.trace.stream import TraceBuilder
 
 
 #: Space-free identifiers usable as metadata keys and symbol names.
@@ -30,20 +30,21 @@ def random_traces(draw):
     """Arbitrary (not necessarily semantically valid) record streams,
     with random metadata and symbol tables (possibly empty)."""
     num_cpus = draw(st.integers(1, 4))
-    trace = Trace(num_cpus)
-    trace.metadata.update(draw(st.dictionaries(_names, _meta_values,
-                                               max_size=4)))
+    builder = TraceBuilder(num_cpus)
+    builder.metadata.update(draw(st.dictionaries(_names, _meta_values,
+                                                 max_size=4)))
     for i, name in enumerate(draw(st.lists(_names, unique=True,
                                            max_size=3))):
         # Disjoint 1 MB regions per symbol (overlaps are rejected).
-        trace.symbols.add(name, (i + 1) * 2**20 + draw(st.integers(0, 255)) * 4,
-                          draw(st.sampled_from([4, 64, 4096])),
-                          draw(st.sampled_from(list(DataClass))))
+        builder.symbols.add(name,
+                            (i + 1) * 2**20 + draw(st.integers(0, 255)) * 4,
+                            draw(st.sampled_from([4, 64, 4096])),
+                            draw(st.sampled_from(list(DataClass))))
     for cpu in range(num_cpus):
         n = draw(st.integers(0, 40))
         for _ in range(n):
             op = draw(st.sampled_from([Op.READ, Op.WRITE, Op.PREFETCH]))
-            trace.streams[cpu].append(TraceRecord(
+            builder.emit(cpu, TraceRecord(
                 op,
                 draw(st.integers(0, 2**31 - 1)),
                 draw(st.sampled_from(list(Mode))),
@@ -53,14 +54,14 @@ def random_traces(draw):
                 size=draw(st.sampled_from([1, 2, 4])),
                 arg=draw(st.integers(0, 100)),
             ))
-    return trace
+    return builder.build(validate=False)
 
 
 def _assert_faithful(trace, restored):
     """Records, symbols, and metadata reproduced exactly — values AND
     types (the int 7 is not the string "007")."""
     assert restored.num_cpus == trace.num_cpus
-    for a, b in zip(trace.streams, restored.streams):
+    for a, b in zip(trace.columns, restored.columns):
         assert a == b
     assert restored.metadata == trace.metadata
     for key, value in trace.metadata.items():
@@ -96,7 +97,7 @@ def _blockop_trace():
     from repro.trace.stream import TraceBuilder
 
     b = TraceBuilder(2)
-    b.trace.metadata["tag"] = "007"
+    b.metadata["tag"] = "007"
     b.emit_block_copy(0, src=0x4000, dst=0x5000, size=32)
     b.emit_block_zero(1, dst=0x6000, size=16)
     return b.build()
@@ -146,7 +147,8 @@ def test_privatize_preserves_structure(trace):
     non-target record survives verbatim, and data classes are kept."""
     out = privatize_and_relocate(trace, trace.num_cpus)
     assert out.num_cpus == trace.num_cpus
-    for orig, new in zip(trace.streams, out.streams):
+    for cpu in range(trace.num_cpus):
+        orig, new = trace.records(cpu), out.records(cpu)
         assert len(new) >= len(orig)
         # Records outside the transformed classes appear unchanged, in order.
         def untouched(stream):
@@ -166,11 +168,12 @@ def test_privatize_preserves_structure(trace):
 def test_tracestats_sharing_bounds(addresses, num_cpus):
     """Sharing profile invariants for arbitrary read streams."""
     from repro.analysis.tracestats import TraceStats
-    trace = Trace(num_cpus)
+    builder = TraceBuilder(num_cpus)
     for i, addr in enumerate(addresses):
-        trace.streams[i % num_cpus].append(
-            TraceRecord(Op.READ, addr * 4, Mode.OS, DataClass.NONE, 0, 1))
-    stats = TraceStats(trace)
+        builder.emit(i % num_cpus,
+                     TraceRecord(Op.READ, addr * 4, Mode.OS, DataClass.NONE,
+                                 0, 1))
+    stats = TraceStats(builder.build())
     profile = stats.sharing_profile()
     assert 0 <= profile.lines_shared <= profile.lines_total
     assert 0 <= profile.lines_write_shared <= profile.lines_shared

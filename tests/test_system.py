@@ -7,7 +7,7 @@ from repro.common.types import Mode, Op
 from repro.sim.config import SystemConfig, standard_configs
 from repro.sim.system import MultiprocessorSystem, simulate
 from repro.trace import record as rec
-from repro.trace.stream import Trace, TraceBuilder
+from repro.trace.stream import TraceBuilder
 
 
 def test_standard_configs_names_and_order():
@@ -17,7 +17,7 @@ def test_standard_configs_names_and_order():
 
 
 def test_trace_with_too_many_cpus_rejected():
-    trace = Trace(8)
+    trace = TraceBuilder(8).build()
     with pytest.raises(SimulationError):
         MultiprocessorSystem(trace, SystemConfig("t"))
 
@@ -63,9 +63,10 @@ def test_invariants_hold_for_every_scheme():
 def test_barrier_deadlock_detected():
     # CPU 0 waits at a 2-party barrier that nobody else ever reaches —
     # construct the malformed trace directly, bypassing validation.
-    trace = Trace(2)
-    trace.streams[0].append(rec.barrier(0x100, 2))
-    trace.streams[1].append(rec.read(0x200))
+    b = TraceBuilder(2)
+    b.emit(0, rec.barrier(0x100, 2))
+    b.emit(1, rec.read(0x200))
+    trace = b.build(validate=False)
     with pytest.raises(DeadlockError):
         MultiprocessorSystem(trace, SystemConfig("t")).run()
 
@@ -136,9 +137,8 @@ def test_idle_mode_time_attributed():
 
 
 def test_edit_of_built_record_seen_by_next_run():
-    """A built trace's records can be edited in place (the optimization
-    passes do it); each run must read the current fields, not a copy
-    taken by an earlier run."""
+    """A built trace's columns can be edited in place; each run must
+    read the current fields, not a copy taken by an earlier run."""
     b = TraceBuilder(1)
     b.emit(0, rec.read(0x1000, icount=2))
     b.emit(0, rec.read(0x1000, icount=2))
@@ -146,8 +146,8 @@ def test_edit_of_built_record_seen_by_next_run():
     config = SystemConfig("t")
     first = simulate(trace, config)
     assert (first.reads[Mode.OS], first.writes[Mode.OS]) == (2, 0)
-    edited = trace.streams[0][1]
-    edited.op, edited.mode, edited.icount = Op.WRITE, Mode.USER, 7
+    cols = trace.columns[0]
+    cols.ops[1], cols.modes[1], cols.icounts[1] = Op.WRITE, Mode.USER, 7
     second = simulate(trace, config)
     assert (second.reads[Mode.OS], second.writes[Mode.USER]) == (1, 1)
     assert second.time[Mode.USER].exec_cycles == 8

@@ -14,9 +14,9 @@ from repro.trace.stream import TraceBuilder
 def sample_trace():
     b = TraceBuilder(2)
     b.symbols.add("vmmeter", 0x1000, 64, DataClass.INFREQ_COMM)
-    b.trace.metadata["workload"] = "test"
-    b.trace.metadata["seed"] = 42
-    b.trace.metadata["scale"] = 0.5
+    b.metadata["workload"] = "test"
+    b.metadata["seed"] = 42
+    b.metadata["scale"] = 0.5
     b.emit(0, rec.read(0x1000, mode=Mode.OS, dclass=DataClass.INFREQ_COMM,
                        pc=0x40, icount=3))
     b.emit(1, rec.write(0x2000, mode=Mode.USER, pc=0x80))
@@ -33,7 +33,7 @@ def test_roundtrip_preserves_everything():
     assert restored.num_cpus == original.num_cpus
     assert restored.metadata == original.metadata
     assert len(restored) == len(original)
-    for s_orig, s_new in zip(original.streams, restored.streams):
+    for s_orig, s_new in zip(original.columns, restored.columns):
         assert s_orig == s_new
     assert len(restored.blockops) == len(original.blockops)
     for op in original.blockops:
@@ -59,8 +59,8 @@ def test_metadata_types_restored():
 def test_numeric_looking_string_metadata_roundtrips():
     """'007' must stay a string — not collapse to the int 7."""
     b = TraceBuilder(1)
-    b.trace.metadata["tag"] = "007"
-    b.trace.metadata["exp"] = "1e3"
+    b.metadata["tag"] = "007"
+    b.metadata["exp"] = "1e3"
     restored = textio.loads(textio.dumps(b.build()))
     assert restored.metadata["tag"] == "007"
     assert isinstance(restored.metadata["tag"], str)
@@ -70,7 +70,7 @@ def test_numeric_looking_string_metadata_roundtrips():
 
 def test_metadata_values_with_spaces_roundtrip():
     b = TraceBuilder(1)
-    b.trace.metadata["note"] = "two  spaced   words"
+    b.metadata["note"] = "two  spaced   words"
     restored = textio.loads(textio.dumps(b.build()))
     assert restored.metadata["note"] == "two  spaced   words"
 
@@ -147,3 +147,18 @@ def test_dump_to_file(tmp_path):
     with open(path) as fp:
         restored = textio.load(fp)
     assert len(restored) == len(trace)
+
+
+def test_cli_rejects_structurally_invalid_trace(tmp_path, capsys,
+                                                broken_trace):
+    """A text trace that parses but breaks a structural rule is reported
+    as an error line with status 2, not a traceback from the run."""
+    from repro.cli import main
+    trace, message = broken_trace
+    path = str(tmp_path / "bad.txt")
+    with open(path, "w") as fp:
+        textio.dump(trace, fp)
+    assert main(["simulate", path, "--config", "Base"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"repro simulate: error: {path}: {message}\n"
+    assert "Traceback" not in err

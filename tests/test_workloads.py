@@ -31,7 +31,7 @@ def test_traces_validate(traces):
 def test_traces_have_four_cpus(traces):
     for trace in traces.values():
         assert trace.num_cpus == 4
-        assert all(stream for stream in trace.streams)
+        assert all(cols for cols in trace.columns)
 
 
 def test_metadata_recorded(traces):
@@ -44,14 +44,14 @@ def test_metadata_recorded(traces):
 def test_determinism():
     a = generate("Shell", seed=3, scale=TINY)
     b = generate("Shell", seed=3, scale=TINY)
-    for sa, sb in zip(a.streams, b.streams):
+    for sa, sb in zip(a.columns, b.columns):
         assert sa == sb
 
 
 def test_seed_changes_trace():
     a = generate("Shell", seed=3, scale=TINY)
     b = generate("Shell", seed=4, scale=TINY)
-    assert any(sa != sb for sa, sb in zip(a.streams, b.streams))
+    assert any(sa != sb for sa, sb in zip(a.columns, b.columns))
 
 
 def test_scale_grows_trace():
