@@ -29,15 +29,13 @@ moment the protocol diverges from the reference model:
   architecturally written value must still be reachable (no lost
   write-backs), and no shadow copy may outlive its line's residency.
 
-Cost model: the checker is *never* consulted when disabled.  Hot-path
-methods of :class:`~repro.memsys.hierarchy.CpuMemorySystem` are wrapped
-per instance (plain attribute assignment — the class stays untouched),
-and the processor's inline L1-hit fast path is forced into the full call
-chain by replacing ``_pending_ready`` with an always-containing sentinel,
-a forcing that ``tests/test_fastpath_equivalence.py`` proves metric-exact.
-Cold bus-level paths in the controller carry explicit
-``if self.checker is not None`` hooks, placed exactly where the hardware
-moves data, so mutated protocol logic cannot dodge the model.
+Cost model: the checker is a :class:`~repro.memsys.sink.Probe`, so a
+system without one pays a ``probe is not None`` test at each hook site
+and nothing more.  Attached, it sees every access: the processor skips
+its inline L1-hit path while any probe is attached (a forcing
+``tests/test_fastpath_equivalence.py`` proves metric-exact).  The
+controller's hooks sit exactly where the hardware moves data, so mutated
+protocol logic cannot dodge the model.
 """
 
 from __future__ import annotations
@@ -48,8 +46,8 @@ from repro.common.errors import ConformanceError
 from repro.common.types import AdaptivePolicy
 from repro.check.oracle import (INIT, ReferenceMemory, WORD_BYTES, ZERO,
                                 word_of)
-from repro.memsys.hierarchy import (LEVEL_BUFFER, LEVEL_L2, LEVEL_MEM,
-                                    LEVEL_REGISTER)
+from repro.memsys.hierarchy import LEVEL_BUFFER, LEVEL_MEM, LEVEL_REGISTER
+from repro.memsys.sink import Probe
 from repro.memsys.states import LineState
 from repro.trace.blockop import BlockOpDescriptor
 
@@ -58,21 +56,6 @@ from repro.trace.blockop import BlockOpDescriptor
 #: snooped, so (per the paper's hardware) they may legitimately serve data
 #: that a concurrent writer has since replaced.
 _UNCHECKED_LEVELS = (LEVEL_REGISTER, LEVEL_BUFFER)
-
-
-class _AlwaysPending:
-    """Sentinel for ``Processor._pending_ready`` containing every line.
-
-    Forces the processor's inline clean-L1-hit fast path to take the full
-    ``CpuMemorySystem.read`` call chain (where the checker's wrapper
-    lives).  The slow path is bit-identical in metrics — enforced by
-    ``test_forced_slow_path_matches``.
-    """
-
-    __slots__ = ()
-
-    def __contains__(self, line: int) -> bool:
-        return True
 
 
 class _AdaptiveShadow:
@@ -160,7 +143,7 @@ class _AdaptiveShadow:
                 self._invalidate_mode.add(line)
 
 
-class ConformanceChecker:
+class ConformanceChecker(Probe):
     """Mirrors protocol data movement into the oracle and checks it."""
 
     def __init__(self, system) -> None:
@@ -173,6 +156,8 @@ class ConformanceChecker:
                                       self.l2_line_bytes)
         #: Accesses the checker actually inspected (sanity/reporting).
         self.accesses_checked = 0
+        #: Token of the write in flight (writes never nest).
+        self._write_token: object = None
         #: Pre-write remote sharers of an update-page line, per CPU.
         self._update_sharers: Dict[int, Tuple[int, List[int]]] = {}
         #: Shadow model of the adaptive policy, when one is attached.
@@ -188,13 +173,14 @@ class ConformanceChecker:
                                details=details)
 
     # ==================================================================
-    # Hooks called by the coherence controller / DMA engine / hierarchy
+    # Probe hooks of the coherence controller / DMA engine / hierarchy
     # ==================================================================
-    def invalidate(self, cpu: int, line: int) -> None:
-        """*cpu*'s copy of *line* was invalidated."""
-        self.oracle.drop_line(cpu, line)
-        if self._shadow is not None:
-            self._shadow.on_invalidate(cpu, line)
+    def invalidate(self, cpu: int, line: int, victims) -> None:
+        """The *victims*' copies of *line* were invalidated."""
+        for i in victims:
+            self.oracle.drop_line(i, line)
+            if self._shadow is not None:
+                self._shadow.on_invalidate(i, line)
 
     def fill_from_memory(self, cpu: int, line: int) -> None:
         """Memory supplies *line* to *cpu* (staged until the L2 install)."""
@@ -241,7 +227,8 @@ class ConformanceChecker:
                 self._shadow.on_invalidate(cpu, evicted)
             self._shadow.on_fill(cpu, line)
 
-    def update_word(self, cpu: int, addr: int, holders: List[int]) -> None:
+    def update(self, cpu: int, addr: int, t: int, done: int,
+               holders) -> None:
         """Firefly broadcast of *addr*'s word to the listed holders."""
         self.oracle.firefly_update(addr, holders)
 
@@ -301,7 +288,7 @@ class ConformanceChecker:
         """The bypass destination register flushed *line* to memory."""
         self.oracle.flush_store_reg(cpu, line, self.l1_line_bytes)
 
-    def dma_commit(self, cpu: int, desc: BlockOpDescriptor) -> None:
+    def dma(self, cpu: int, desc: BlockOpDescriptor, result) -> None:
         """The DMA engine performed block operation *desc*.
 
         Runs after the source and destination snoops, so memory already
@@ -336,28 +323,36 @@ class ConformanceChecker:
                     copies[dw] = o.latest[dw]
 
     # ==================================================================
-    # Access-level checks (driven by the per-instance wrappers)
+    # Probe hooks of the per-CPU accesses
     # ==================================================================
-    def write_token(self, cpu: int, proc, addr: int) -> object:
-        """Token for the write *proc* is currently performing."""
-        pos = proc.pos - 1
-        rec = proc.record(pos)
-        desc = proc._blk_desc
-        if rec.blockop and desc is not None and desc.contains_dst(addr):
-            if desc.is_copy:
-                return self.oracle.latest_value(desc.src + (addr - desc.dst))
-            return ZERO
-        return (cpu, pos)
+    def read(self, cpu: int, addr: int, t: int, res) -> None:
+        self.observe_read(cpu, addr, res.level)
+        self.after_access(cpu, addr)
 
-    def begin_write(self, cpu: int, proc, addr: int) -> object:
+    def read_bypass(self, cpu: int, addr: int, t: int, res) -> None:
+        """A read the bypass machinery served itself (a fallback through
+        the cached path is reported as a plain :meth:`read`)."""
+        if res.level == LEVEL_MEM:
+            expected = self.oracle.latest_value(addr)
+            got = self.oracle.mem_value(addr)
+            if got != expected:
+                self._fail("stale-bypass-read",
+                           f"cpu {cpu} bypass-read {addr:#x} from memory "
+                           f"and observed {got!r}, latest is {expected!r}",
+                           cpu=cpu, addr=addr, got=got, expected=expected)
+        else:
+            self.observe_read(cpu, addr, res.level)
+        self.after_access(cpu, addr)
+
+    def write_begin(self, cpu: int, addr: int, t: int) -> None:
         """Commit the write architecturally, before the machinery runs.
 
         The commit must precede the drain: a Firefly broadcast during the
         drain reads the latest token.  The writer's own copy is patched in
-        :meth:`end_write` — after the drain, whose ownership fetch fills
+        :meth:`write_end` — after the drain, whose ownership fetch fills
         the line with pre-write data.
         """
-        token = self.write_token(cpu, proc, addr)
+        token = self.write_token(cpu, addr)
         controller = self.controller
         if controller.is_update_addr(addr):
             line = self.oracle.line_of(addr)
@@ -367,10 +362,11 @@ class ConformanceChecker:
                        and p.l2.state_of(line) != LineState.INVALID]
             self._update_sharers[cpu] = (line, sharers)
         self.oracle.commit_write(addr, token)
-        return token
+        self._write_token = token
 
-    def end_write(self, cpu: int, addr: int, token: object) -> None:
-        self.oracle.set_copy(cpu, addr, token)
+    def write_end(self, cpu: int, addr: int, t: int, done: int,
+                  stall: int) -> None:
+        self.oracle.set_copy(cpu, addr, self._write_token)
         pre = self._update_sharers.pop(cpu, None)
         if pre is not None:
             line, sharers = pre
@@ -382,6 +378,31 @@ class ConformanceChecker:
                         f"Firefly write to {addr:#x} by cpu {cpu} "
                         f"invalidated sharer cpu {i} instead of updating "
                         f"it", cpu=cpu, addr=addr, sharer=i, line=line)
+        self.after_access(cpu, addr)
+
+    def write_bypass(self, cpu: int, addr: int, t: int, res) -> None:
+        """A register-buffered write is globally invisible until the flush
+        commits it (:meth:`bypass_flush`), so only its token is kept."""
+        self.oracle.set_store_reg(cpu, addr, self.write_token(cpu, addr))
+        self.after_access(cpu, addr)
+
+    def finish(self) -> None:
+        self.verify_final()
+
+    # ==================================================================
+    # Access-level checks
+    # ==================================================================
+    def write_token(self, cpu: int, addr: int) -> object:
+        """Token for the write *cpu* is currently performing."""
+        proc = self.system.processors[cpu]
+        pos = proc.pos - 1
+        rec = proc.record(pos)
+        desc = proc._blk_desc
+        if rec.blockop and desc is not None and desc.contains_dst(addr):
+            if desc.is_copy:
+                return self.oracle.latest_value(desc.src + (addr - desc.dst))
+            return ZERO
+        return (cpu, pos)
 
     def observe_read(self, cpu: int, addr: int, level: str) -> None:
         """A cached read completed; the copy must hold the latest value."""
@@ -394,24 +415,6 @@ class ConformanceChecker:
                        f"cpu {cpu} read {addr:#x} and observed {got!r}, "
                        f"architecturally latest is {expected!r}",
                        cpu=cpu, addr=addr, got=got, expected=expected)
-
-    def observe_read_bypass(self, cpu: int, addr: int, level: str) -> None:
-        """A bypassing read completed.
-
-        Only the paths the bypass machinery serves itself are checked
-        here; a fallback through the normal cached path was already
-        checked by the nested :meth:`observe_read`.
-        """
-        if level == LEVEL_L2:
-            self.observe_read(cpu, addr, level)
-        elif level == LEVEL_MEM:
-            expected = self.oracle.latest_value(addr)
-            got = self.oracle.mem_value(addr)
-            if got != expected:
-                self._fail("stale-bypass-read",
-                           f"cpu {cpu} bypass-read {addr:#x} from memory "
-                           f"and observed {got!r}, latest is {expected!r}",
-                           cpu=cpu, addr=addr, got=got, expected=expected)
 
     def after_access(self, cpu: int, addr: int) -> None:
         """Structural invariants around the line just touched."""
@@ -546,65 +549,6 @@ def attach_checker(system) -> ConformanceChecker:
     Must run before :meth:`~repro.sim.system.MultiprocessorSystem.run`.
     """
     checker = ConformanceChecker(system)
-    system.controller.checker = checker
-    for proc, mem in zip(system.processors, system.memories):
-        proc._pending_ready = _AlwaysPending()
-        _wrap_cpu(checker, mem, proc)
-    _wrap_finalize(checker, system)
+    system.attach(checker)
+    system.checker = checker
     return checker
-
-
-def _wrap_cpu(checker: ConformanceChecker, mem, proc) -> None:
-    """Wrap one CPU's access methods on the *instance* (class untouched)."""
-    cpu = mem.cpu_id
-    orig_read = mem.read
-    orig_write = mem.write
-    orig_read_bypass = mem.read_bypass
-    orig_write_bypass = mem.write_bypass
-
-    def read(addr, t):
-        res = orig_read(addr, t)
-        checker.observe_read(cpu, addr, res.level)
-        checker.after_access(cpu, addr)
-        return res
-
-    def write(addr, t):
-        token = checker.begin_write(cpu, proc, addr)
-        out = orig_write(addr, t)
-        checker.end_write(cpu, addr, token)
-        checker.after_access(cpu, addr)
-        return out
-
-    def read_bypass(addr, t):
-        res = orig_read_bypass(addr, t)
-        checker.observe_read_bypass(cpu, addr, res.level)
-        checker.after_access(cpu, addr)
-        return res
-
-    def write_bypass(addr, t):
-        # A register-buffered write is globally invisible until the flush
-        # commits it (bypass_flush), so only the token is computed here;
-        # the fallback to the cached path re-enters the wrapped write,
-        # which commits with the normal begin/end protocol.
-        token = checker.write_token(cpu, proc, addr)
-        res = orig_write_bypass(addr, t)
-        if res.level == LEVEL_REGISTER:
-            checker.oracle.set_store_reg(cpu, addr, token)
-        checker.after_access(cpu, addr)
-        return res
-
-    mem.read = read
-    mem.write = write
-    mem.read_bypass = read_bypass
-    mem.write_bypass = write_bypass
-
-
-def _wrap_finalize(checker: ConformanceChecker, system) -> None:
-    orig_finalize = system._finalize
-
-    def _finalize():
-        metrics = orig_finalize()
-        checker.verify_final()
-        return metrics
-
-    system._finalize = _finalize

@@ -6,9 +6,11 @@ snooping-protocol implementations.  The conformance checker (or its final
 oracle diff) must catch every one of them; ``tests/test_conformance_mutants.py``
 and ``python -m repro.check --mutants`` enforce that.
 
-The patched bodies replicate the originals — including the checker hooks,
-so the shadow model keeps following the (now buggy) data movement — minus
-the single omitted action.  Keep them in sync when the originals change.
+The patched bodies replicate the originals — including the probe hooks,
+so the checker's oracle and shadow model keep following the (now buggy)
+data movement — minus the single omitted action (``lost_dirty_bit``
+instead runs the original write and reverts the one state transition).
+Keep them in sync when the originals change.
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ def skip_invalidation() -> Iterator[None]:
         if self.adaptive is not None:
             decision = self.adaptive.decide(cpu, addr, line,
                                             self._holders(line, cpu))
-            if self.checker is not None:
-                self.checker.adaptive_decision(cpu, addr, line, decision)
+            if self.probe is not None:
+                self.probe.adaptive_decision(cpu, addr, line, decision)
             if decision.update:
                 return self.adaptive_update(cpu, addr, t, decision)
         elif self.is_update_addr(addr):
@@ -51,7 +53,10 @@ def skip_invalidation() -> Iterator[None]:
                                  BusOp.INVALIDATE)
         # BUG: self._invalidate_remotes(cpu, line) is never called.
         port.l2.set_state(line, LineState.MODIFIED)
-        return grant + self.bus.params.invalidate_cycles
+        done = grant + self.bus.params.invalidate_cycles
+        if self.probe is not None:
+            self.probe.upgrade(cpu, line, t, done)
+        return done
 
     CoherenceController.upgrade = upgrade
     try:
@@ -77,11 +82,12 @@ def stale_cache_supply() -> Iterator[None]:
         if port.l2.state_of(line) != LineState.INVALID:
             raise SimulationError(f"fetch_shared of resident line {line:#x}")
         holders = self._holders(line, cpu)
+        probe = self.probe
         if holders:
             # BUG: data comes from memory, ignoring the (possibly dirty)
             # cached copies; states still transition as if supplied.
-            if self.checker is not None:
-                self.checker.fill_from_memory(cpu, line)
+            if probe is not None:
+                probe.fill_from_memory(cpu, line)
             ready = self._split_transfer(t, BusOp.READ_CACHE,
                                          self.bus.params.cache_supply_cycles)
             for i in holders:
@@ -89,12 +95,14 @@ def stale_cache_supply() -> Iterator[None]:
             self.cache_to_cache += 1
             state = LineState.SHARED
         else:
-            if self.checker is not None:
-                self.checker.fill_from_memory(cpu, line)
+            if probe is not None:
+                probe.fill_from_memory(cpu, line)
             ready = self._split_transfer(t, kind,
                                          self.bus.params.memory_access_cycles)
             state = LineState.EXCLUSIVE
         self._fill_l2(cpu, line, state, ready)
+        if probe is not None:
+            probe.fill(cpu, line, t, ready, bool(holders), True)
         return ready
 
     CoherenceController.fetch_shared = fetch_shared
@@ -112,37 +120,23 @@ def lost_dirty_bit() -> Iterator[None]:
     drops the write.  Expected catch: ``clean-copy-diverged`` or
     ``lost-write`` in the final diff.
     """
-    orig = CpuMemorySystem._drain_word
+    orig = CpuMemorySystem.write
 
-    def _drain_word(self, addr, start):
-        l2 = self.l2
-        idx = l2.where.get(addr - addr % l2.line_bytes)
-        if idx is None:
-            state = LineState.INVALID
-        else:
-            state = l2.states[idx]
-            if state is LineState.MODIFIED or state is LineState.EXCLUSIVE:
-                # BUG: the E->M transition is dropped.
-                if self._touch_l2 is not None:
-                    self._touch_l2(addr)
-                return start + self.machine.write_buffers.l1_drain_cycles
-        controller = self.controller
-        if state == LineState.SHARED:
-            if controller.is_update_addr(addr):
-                service = lambda s: controller.broadcast_update(
-                    self.cpu_id, addr, s)
-            else:
-                service = lambda s: controller.upgrade(self.cpu_id, addr, s)
-        else:
-            service = lambda s: controller.fetch_owned(self.cpu_id, addr, s)
-        insert_t, _ = self.wb2.enqueue(start, service)
-        return insert_t + 1
+    def write(self, addr, t):
+        # BUG: the E->M transition is dropped.  The buffered write itself
+        # (timing, probe hooks) is the original's; only the line's state
+        # is put back afterwards.
+        clean = self.l2.state_of(addr) == LineState.EXCLUSIVE
+        out = orig(self, addr, t)
+        if clean:
+            self.l2.set_state(addr, LineState.EXCLUSIVE)
+        return out
 
-    CpuMemorySystem._drain_word = _drain_word
+    CpuMemorySystem.write = write
     try:
         yield
     finally:
-        CpuMemorySystem._drain_word = orig
+        CpuMemorySystem.write = orig
 
 
 @contextlib.contextmanager
@@ -259,14 +253,15 @@ def stale_update_after_switch() -> Iterator[None]:
                                  BusOp.UPDATE)
         # BUG: decision.to_invalidate is never dropped — those copies
         # stay resident with pre-write data.
-        if self.checker is not None:
-            self.checker.update_word(cpu, addr, list(decision.to_update))
         self.updates_sent += 1
         if decision.to_update:
             port.l2.set_state(line, LineState.SHARED)
         else:
             port.l2.set_state(line, LineState.MODIFIED)
-        return grant + self.bus.params.update_cycles
+        done = grant + self.bus.params.update_cycles
+        if self.probe is not None:
+            self.probe.update(cpu, addr, t, done, decision.to_update)
+        return done
 
     CoherenceController.adaptive_update = adaptive_update
     try:

@@ -52,6 +52,8 @@ class Bus:
         self.transactions: Counter = Counter()
         #: Held cycles by kind.
         self.cycles_by_kind: Counter = Counter()
+        #: Attached observer (:class:`~repro.memsys.sink.Probe`), or None.
+        self.probe = None
 
     def acquire(self, t: int, duration: int, kind: BusOp,
                 record_txn: bool = True) -> int:
@@ -70,6 +72,8 @@ class Bus:
         if record_txn:
             self.transactions[kind] += 1
         self.cycles_by_kind[kind] += duration
+        if self.probe is not None:
+            self.probe.bus_grant(kind, t, grant, duration)
         return grant
 
     def utilization(self, total_cycles: int) -> float:

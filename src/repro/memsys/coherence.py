@@ -72,14 +72,10 @@ class CoherenceController:
         #: keep it exact themselves (:class:`CoherentCache`), so a snoop
         #: visits the holders only, never all ports.
         self.holders: Dict[int, int] = {}
-        #: Conformance checker (:mod:`repro.check`), or None.  The hook
-        #: calls below are all on miss/bus paths, so the disabled cost is
-        #: one attribute test per bus-level operation.
-        self.checker = None
-        #: Event tracer (:mod:`repro.obs`), or None.  Set by
-        #: :func:`repro.obs.tracer.attach_tracer`; consulted by explicit
-        #: hooks on paths no instance wrapper can see (the DMA engine).
-        self.tracer = None
+        #: Attached observer (:class:`~repro.memsys.sink.Probe`), or None.
+        #: The hook calls below are all on miss/bus paths, so the
+        #: detached cost is one attribute test per bus-level operation.
+        self.probe = None
         #: Adaptive update/invalidate policy
         #: (:mod:`repro.memsys.adaptive`), or None.  Consulted only on
         #: the bus-level write paths, so the disabled cost is one
@@ -160,19 +156,17 @@ class CoherenceController:
 
     def _invalidate_remotes(self, cpu: int, line: int) -> int:
         """Invalidate every other cache's copy of *line*; returns count."""
-        count = 0
-        checker = self.checker
+        victims = self._holders(line, cpu)
         adaptive = self.adaptive
-        for i in self._holders(line, cpu):
+        for i in victims:
             self.ports[i].l2.set_state(line, LineState.INVALID)
             self._drop_from_l1(i, line, coherence=True)
-            if checker is not None:
-                checker.invalidate(i, line)
             if adaptive is not None:
                 adaptive.on_invalidate(i, line)
-            count += 1
-        self.invalidations_sent += count
-        return count
+        self.invalidations_sent += len(victims)
+        if victims and self.probe is not None:
+            self.probe.invalidate(cpu, line, victims)
+        return len(victims)
 
     def _fill_l2(self, cpu: int, line: int, state: LineState, t: int) -> None:
         """Install *line* in *cpu*'s L2, handling eviction side effects.
@@ -191,9 +185,9 @@ class CoherenceController:
                     self.machine.l2.line_bytes)
                 self.bus.acquire(t, transfer, BusOp.WRITEBACK)
                 self.writebacks += 1
-        if self.checker is not None:
-            self.checker.l2_install(cpu, line, evicted,
-                                    evicted_state == LineState.MODIFIED)
+        if self.probe is not None:
+            self.probe.l2_install(cpu, line, evicted,
+                                  evicted_state == LineState.MODIFIED)
         if self.adaptive is not None:
             if evicted != -1:
                 self.adaptive.on_invalidate(cpu, evicted)
@@ -215,11 +209,12 @@ class CoherenceController:
         if port.l2.state_of(line) != LineState.INVALID:
             raise SimulationError(f"fetch_shared of resident line {line:#x}")
         holders = self._holders(line, cpu)
+        probe = self.probe
         if holders:
-            if self.checker is not None:
+            if probe is not None:
                 # Before the state transition: the checker reads the
                 # supplier's (possibly dirty) pre-transfer state.
-                self.checker.fill_from_cache(cpu, line, holders)
+                probe.fill_from_cache(cpu, line, holders)
             ready = self._split_transfer(t, BusOp.READ_CACHE,
                                          self.bus.params.cache_supply_cycles)
             for i in holders:
@@ -227,12 +222,14 @@ class CoherenceController:
             self.cache_to_cache += 1
             state = LineState.SHARED
         else:
-            if self.checker is not None:
-                self.checker.fill_from_memory(cpu, line)
+            if probe is not None:
+                probe.fill_from_memory(cpu, line)
             ready = self._split_transfer(t, kind,
                                          self.bus.params.memory_access_cycles)
             state = LineState.EXCLUSIVE
         self._fill_l2(cpu, line, state, ready)
+        if probe is not None:
+            probe.fill(cpu, line, t, ready, bool(holders), True)
         return ready
 
     def _split_transfer(self, t: int, kind: BusOp, wait_cycles: int) -> int:
@@ -255,16 +252,21 @@ class CoherenceController:
         """Read a line over the bus without caching it (bypass schemes)."""
         line = self._l2_line(addr)
         dirty = self._dirty_holder(line, cpu)
+        probe = self.probe
         if dirty is not None:
-            if self.checker is not None:
-                self.checker.writeback(dirty, line)
+            if probe is not None:
+                probe.writeback(dirty, line)
             ready = self._split_transfer(t, BusOp.READ_CACHE,
                                          self.bus.params.cache_supply_cycles)
             # Illinois: the supplier writes back and keeps a SHARED copy.
             self.ports[dirty].l2.set_state(line, LineState.SHARED)
             self.cache_to_cache += 1
-            return ready
-        return self._split_transfer(t, kind, self.bus.params.memory_access_cycles)
+        else:
+            ready = self._split_transfer(t, kind,
+                                         self.bus.params.memory_access_cycles)
+        if probe is not None:
+            probe.supply(cpu, line, t, ready, dirty is not None)
+        return ready
 
     # ------------------------------------------------------------------
     # Write paths
@@ -285,8 +287,8 @@ class CoherenceController:
         if self.adaptive is not None:
             decision = self.adaptive.decide(cpu, addr, line,
                                             self._holders(line, cpu))
-            if self.checker is not None:
-                self.checker.adaptive_decision(cpu, addr, line, decision)
+            if self.probe is not None:
+                self.probe.adaptive_decision(cpu, addr, line, decision)
             if decision.update:
                 return self.adaptive_update(cpu, addr, t, decision)
         elif self.is_update_addr(addr):
@@ -295,7 +297,10 @@ class CoherenceController:
                                  BusOp.INVALIDATE)
         self._invalidate_remotes(cpu, line)
         port.l2.set_state(line, LineState.MODIFIED)
-        return grant + self.bus.params.invalidate_cycles
+        done = grant + self.bus.params.invalidate_cycles
+        if self.probe is not None:
+            self.probe.upgrade(cpu, line, t, done)
+        return done
 
     def fetch_owned(self, cpu: int, addr: int, t: int) -> int:
         """Write miss at L2: read-for-ownership.  Returns ready time.
@@ -305,11 +310,12 @@ class CoherenceController:
         replaces that page-set rule with its per-line decision.
         """
         line = self._l2_line(addr)
+        probe = self.probe
         if self.adaptive is not None:
             decision = self.adaptive.decide(cpu, addr, line,
                                             self._holders(line, cpu))
-            if self.checker is not None:
-                self.checker.adaptive_decision(cpu, addr, line, decision)
+            if probe is not None:
+                probe.adaptive_decision(cpu, addr, line, decision)
             if decision.update:
                 ready = self.fetch_shared(cpu, addr, t)
                 return self.adaptive_update(cpu, addr, ready, decision)
@@ -317,8 +323,8 @@ class CoherenceController:
             ready = self.fetch_shared(cpu, addr, t)
             return self.broadcast_update(cpu, addr, ready)
         dirty = self._dirty_holder(line, cpu)
-        if self.checker is not None:
-            self.checker.fill_for_ownership(cpu, line, dirty)
+        if probe is not None:
+            probe.fill_for_ownership(cpu, line, dirty)
         if dirty is not None:
             ready = self._split_transfer(t, BusOp.OWNERSHIP,
                                          self.bus.params.cache_supply_cycles)
@@ -328,6 +334,8 @@ class CoherenceController:
                                          self.bus.params.memory_access_cycles)
         self._invalidate_remotes(cpu, line)
         self._fill_l2(cpu, line, LineState.MODIFIED, ready)
+        if probe is not None:
+            probe.fill(cpu, line, t, ready, dirty is not None, False)
         return ready
 
     def broadcast_update(self, cpu: int, addr: int, t: int) -> int:
@@ -342,14 +350,15 @@ class CoherenceController:
             raise SimulationError(f"update of non-resident line {line:#x}")
         grant = self.bus.acquire(t, self.bus.params.update_cycles, BusOp.UPDATE)
         holders = self._holders(line, cpu)
-        if self.checker is not None:
-            self.checker.update_word(cpu, addr, holders)
         self.updates_sent += 1
         if holders:
             port.l2.set_state(line, LineState.SHARED)
         else:
             port.l2.set_state(line, LineState.MODIFIED)
-        return grant + self.bus.params.update_cycles
+        done = grant + self.bus.params.update_cycles
+        if self.probe is not None:
+            self.probe.update(cpu, addr, t, done, holders)
+        return done
 
     def adaptive_update(self, cpu: int, addr: int, t: int,
                         decision) -> int:
@@ -369,23 +378,24 @@ class CoherenceController:
         if port.l2.state_of(line) == LineState.INVALID:
             raise SimulationError(f"update of non-resident line {line:#x}")
         grant = self.bus.acquire(t, self.bus.params.update_cycles, BusOp.UPDATE)
-        checker = self.checker
         adaptive = self.adaptive
         for i in decision.to_invalidate:
             self.ports[i].l2.set_state(line, LineState.INVALID)
             self._drop_from_l1(i, line, coherence=True)
-            if checker is not None:
-                checker.invalidate(i, line)
             adaptive.on_invalidate(i, line)
         self.invalidations_sent += len(decision.to_invalidate)
-        if checker is not None:
-            checker.update_word(cpu, addr, list(decision.to_update))
         self.updates_sent += 1
         if decision.to_update:
             port.l2.set_state(line, LineState.SHARED)
         else:
             port.l2.set_state(line, LineState.MODIFIED)
-        return grant + self.bus.params.update_cycles
+        done = grant + self.bus.params.update_cycles
+        probe = self.probe
+        if probe is not None:
+            if decision.to_invalidate:
+                probe.invalidate(cpu, line, decision.to_invalidate)
+            probe.update(cpu, addr, t, done, decision.to_update)
+        return done
 
     def write_line_to_memory(self, cpu: int, line_addr: int, t: int,
                              kind: BusOp = BusOp.WRITEBACK,
@@ -399,6 +409,7 @@ class CoherenceController:
         transfer = self.bus.params.line_transfer_cycles(
             self.machine.l2.line_bytes)
         grant = self.bus.acquire(t, transfer, kind)
+        probe = self.probe
         if invalidate_remotes:
             self._invalidate_remotes(cpu, line)
             # The writer's own stale copy (if any) is dropped too.
@@ -406,11 +417,14 @@ class CoherenceController:
             if port.l2.state_of(line) != LineState.INVALID:
                 port.l2.set_state(line, LineState.INVALID)
                 self._drop_from_l1(cpu, line, coherence=False)
-                if self.checker is not None:
-                    self.checker.invalidate(cpu, line)
+                if probe is not None:
+                    probe.invalidate(cpu, line, [cpu])
                 if self.adaptive is not None:
                     self.adaptive.on_invalidate(cpu, line)
-        return grant + transfer
+        done = grant + transfer
+        if probe is not None:
+            probe.line_to_memory(cpu, line, t, done, kind)
+        return done
 
     # ------------------------------------------------------------------
     # DMA snooping support (section 4.2, Blk_Dma)
@@ -425,8 +439,8 @@ class CoherenceController:
         for i in holder_cpus(self.holders.get(line, 0)):
             l2 = self.ports[i].l2
             if l2.state_of(line) == LineState.MODIFIED:
-                if self.checker is not None:
-                    self.checker.writeback(i, line)
+                if self.probe is not None:
+                    self.probe.writeback(i, line)
                 l2.set_state(line, LineState.SHARED)
                 self.cache_to_cache += 1
                 return True
@@ -442,15 +456,15 @@ class CoherenceController:
         """
         line = self._l2_line(line_addr)
         holders = holder_cpus(self.holders.get(line, 0))
-        checker = self.checker
+        probe = self.probe
         for i in holders:
             l2 = self.ports[i].l2
-            if (checker is not None
+            if (probe is not None
                     and l2.state_of(line) == LineState.MODIFIED):
                 # A dirty holder flushes the line before the in-place
                 # update, so dirty words outside the transferred range
                 # survive the drop to SHARED.
-                checker.writeback(i, line)
+                probe.writeback(i, line)
             l2.set_state(line, LineState.SHARED)
         return len(holders)
 

@@ -64,11 +64,9 @@ def run_dma(mem: CpuMemorySystem, desc: BlockOpDescriptor, t: int) -> DmaResult:
     grant = bus.acquire(t, occupancy, BusOp.DMA)
     done = grant + occupancy
 
-    if controller.checker is not None:
-        controller.checker.dma_commit(mem.cpu_id, desc)
     result = DmaResult(grant, done, occupancy, penalty)
-    if controller.tracer is not None:
-        controller.tracer.dma(mem.cpu_id, desc, result)
+    if mem.probe is not None:
+        mem.probe.dma(mem.cpu_id, desc, result)
 
     # The transferred data is not brought into the originating CPU's
     # caches; mark uncached lines so reuse analysis can see them.

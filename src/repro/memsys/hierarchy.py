@@ -72,6 +72,8 @@ class CpuMemorySystem:
         self.bus = bus
         self.controller = controller
         self.sink = sink if sink is not None else MemorySink()
+        #: Attached observer (:class:`~repro.memsys.sink.Probe`), or None.
+        self.probe = None
         self.l1i = Cache(machine.l1i)
         self.l1d = Cache(machine.l1d)
         self.l2 = CoherentCache(machine.l2)
@@ -132,15 +134,20 @@ class CpuMemorySystem:
             if remaining:
                 # Prefetch in flight: partially hidden; the paper still
                 # counts it as a miss ("not issued early enough").
-                return AccessResult(t + remaining + 1, pref_stall=remaining,
-                                    miss=True, level=LEVEL_PREF)
-            return AccessResult(t + self.machine.l1_hit_cycles)
-        flags = self.sink.consume_miss_flags(line)
-        ready, level = self._fetch_for_read(addr, t)
-        self._l1_fill(addr)
-        latency = ready - t
-        return AccessResult(ready, stall=latency - self.machine.l1_hit_cycles,
-                            miss=True, level=level, flags=flags)
+                res = AccessResult(t + remaining + 1, pref_stall=remaining,
+                                   miss=True, level=LEVEL_PREF)
+            else:
+                res = AccessResult(t + self.machine.l1_hit_cycles)
+        else:
+            flags = self.sink.consume_miss_flags(line)
+            ready, level = self._fetch_for_read(addr, t)
+            self._l1_fill(addr)
+            res = AccessResult(ready,
+                               stall=ready - t - self.machine.l1_hit_cycles,
+                               miss=True, level=level, flags=flags)
+        if self.probe is not None:
+            self.probe.read(self.cpu_id, addr, t, res)
+        return res
 
     def write(self, addr: int, t: int) -> "tuple[int, int]":
         """Data write at time *t* (write-through, write-allocate L1).
@@ -150,6 +157,9 @@ class CpuMemorySystem:
         feed the paper's write accounting, so no :class:`AccessResult` is
         built.
         """
+        probe = self.probe
+        if probe is not None:
+            probe.write_begin(self.cpu_id, addr, t)
         if addr - addr % self.l1d.line_bytes not in self.l1d.where:
             # Write-allocate: the fill overlaps the buffered write, so the
             # processor does not wait for it; ownership is acquired on the
@@ -157,65 +167,54 @@ class CpuMemorySystem:
             self._l1_fill(addr)
         elif self._touch_l1d is not None:
             self._touch_l1d(addr)
-        # Owned line in the L2: fuse the WB1 enqueue with the local-drain
-        # arm of :meth:`_drain_word`, skipping the service-closure
-        # allocation.  Safe because enqueue() runs its service callback
-        # synchronously, so nothing can change the line's state between
-        # this probe and the drain.  A patched _drain_word (repro.check
-        # mutants, tests) must see every drain, so the fusion only
-        # applies to the pristine implementation.
-        if type(self)._drain_word is not _PRISTINE_DRAIN:
+        l2 = self.l2
+        idx = l2.where.get(addr - addr % l2.line_bytes)
+        state = None if idx is None else l2.states[idx]
+        if state is LineState.MODIFIED or state is LineState.EXCLUSIVE:
+            # Owned line in the L2 (the common case): the word drains
+            # locally, so the WB1 enqueue is done inline, without a
+            # service closure, and the line turns MODIFIED here (E->M).
+            wb1 = self.wb1
+            entries = wb1._entries
+            while entries and entries[0] <= t:
+                entries.popleft()
+            stall = 0
+            now = t
+            if len(entries) >= wb1.depth:
+                now = entries[0]
+                stall = now - t
+                while entries and entries[0] <= now:
+                    entries.popleft()
+                wb1.overflows += 1
+                wb1.stall_cycles += stall
+            lse = wb1.last_service_end
+            start = now if now > lse else lse
+            end = start + self.machine.write_buffers.l1_drain_cycles
+            l2.states[idx] = LineState.MODIFIED
+            if self._touch_l2 is not None:
+                self._touch_l2(addr)
+            wb1.last_service_end = end
+            entries.append(end)
+            wb1.enqueues += 1
+            done = now + 1
+        else:
             insert_t, stall = self.wb1.enqueue(
                 t, lambda s: self._drain_word(addr, s))
-            return insert_t + 1, stall
-        l2 = self.l2
-        idx = l2.where.get(addr - addr % l2.line_bytes)
-        if idx is not None:
-            state = l2.states[idx]
-            if state is LineState.MODIFIED or state is LineState.EXCLUSIVE:
-                wb1 = self.wb1
-                entries = wb1._entries
-                while entries and entries[0] <= t:
-                    entries.popleft()
-                stall = 0
-                if len(entries) >= wb1.depth:
-                    free_at = entries[0]
-                    stall = free_at - t
-                    t = free_at
-                    while entries and entries[0] <= t:
-                        entries.popleft()
-                    wb1.overflows += 1
-                    wb1.stall_cycles += stall
-                lse = wb1.last_service_end
-                start = t if t > lse else lse
-                end = start + self.machine.write_buffers.l1_drain_cycles
-                l2.states[idx] = LineState.MODIFIED
-                if self._touch_l2 is not None:
-                    self._touch_l2(addr)
-                wb1.last_service_end = end
-                entries.append(end)
-                wb1.enqueues += 1
-                return t + 1, stall
-        insert_t, stall = self.wb1.enqueue(t, lambda s: self._drain_word(addr, s))
-        return insert_t + 1, stall
+            done = insert_t + 1
+        if probe is not None:
+            probe.write_end(self.cpu_id, addr, t, done, stall)
+        return done, stall
 
     def _drain_word(self, addr: int, start: int) -> int:
-        """Retire one word from WB1 into the L2 / bus.  Returns completion."""
-        # Owned line in the L2 (the common case): one fused frame/state
-        # probe instead of a state_of + set_state pair.
-        l2 = self.l2
-        idx = l2.where.get(addr - addr % l2.line_bytes)
-        if idx is None:
-            state = LineState.INVALID
-        else:
-            state = l2.states[idx]
-            if state is LineState.MODIFIED or state is LineState.EXCLUSIVE:
-                l2.states[idx] = LineState.MODIFIED
-                if self._touch_l2 is not None:
-                    self._touch_l2(addr)
-                return start + self.machine.write_buffers.l1_drain_cycles
+        """Retire one word of a line the L2 does not own from WB1 into WB2
+        and the bus; returns when its WB1 slot frees.
+
+        :meth:`write` drains owned lines itself.  ``enqueue`` runs this
+        service synchronously, so the line's state cannot change between
+        ``write``'s L2 probe and the drain.
+        """
         controller = self.controller
-        if state == LineState.SHARED:
+        if self.l2.state_of(addr) == LineState.SHARED:
             if controller.is_update_addr(addr):
                 service = lambda s: controller.broadcast_update(self.cpu_id, addr, s)
             else:
@@ -298,39 +297,46 @@ class CpuMemorySystem:
         """Block-operation source read that bypasses the caches."""
         line = self.l1d.line_addr(addr)
         if self.l1d.present(addr):
+            # The cached path; read() reports the access.
             return self.read(addr, t)
         buffered = self.pref_buffer.lookup(line)
-        if buffered is not None:
-            self.pref_buffer.hits += 1
-            if buffered <= t:
-                return AccessResult(t + 1, level=LEVEL_BUFFER)
-            # In-flight buffer fill: a block miss that was partially hidden
-            # ("prefetch not issued early enough"), not a reuse — leave the
-            # bypass mark in place for later demand misses.
-            return AccessResult(buffered + 1, pref_stall=buffered - t,
-                                miss=True, level=LEVEL_BUFFER)
         gran = (self.machine.l2.line_bytes if self.bypass_l2_wide
                 else self.machine.l1d.line_bytes)
         reg_line = addr - addr % gran
-        if reg_line == self.bypass_src_line:
-            return AccessResult(t + 1, level=LEVEL_REGISTER)
-        # New source line: fetch into the line register, never the caches.
-        flags = self.sink.consume_miss_flags(line)
-        if self.l2.state_of(addr) != LineState.INVALID:
-            if self._touch_l2 is not None:
-                self._touch_l2(addr)
-            ready = t + self.machine.l2_hit_cycles
-            level = LEVEL_L2
+        if buffered is not None:
+            self.pref_buffer.hits += 1
+            if buffered <= t:
+                res = AccessResult(t + 1, level=LEVEL_BUFFER)
+            else:
+                # In-flight buffer fill: a block miss that was partially
+                # hidden ("prefetch not issued early enough"), not a reuse
+                # — leave the bypass mark in place for later demand misses.
+                res = AccessResult(buffered + 1, pref_stall=buffered - t,
+                                   miss=True, level=LEVEL_BUFFER)
+        elif reg_line == self.bypass_src_line:
+            res = AccessResult(t + 1, level=LEVEL_REGISTER)
         else:
-            ready = self.controller.read_nofill(self.cpu_id, addr, t)
-            level = LEVEL_MEM
-        self.bypass_src_line = reg_line
-        for sub in range(reg_line, reg_line + gran,
-                         self.machine.l1d.line_bytes):
-            if not self.l1d.present(sub):
-                self.sink.bypass_mark(sub)
-        return AccessResult(ready, stall=ready - t - 1, miss=True, level=level,
-                            flags=flags)
+            # New source line: fetch into the line register, never the
+            # caches.
+            flags = self.sink.consume_miss_flags(line)
+            if self.l2.state_of(addr) != LineState.INVALID:
+                if self._touch_l2 is not None:
+                    self._touch_l2(addr)
+                ready = t + self.machine.l2_hit_cycles
+                level = LEVEL_L2
+            else:
+                ready = self.controller.read_nofill(self.cpu_id, addr, t)
+                level = LEVEL_MEM
+            self.bypass_src_line = reg_line
+            for sub in range(reg_line, reg_line + gran,
+                             self.machine.l1d.line_bytes):
+                if not self.l1d.present(sub):
+                    self.sink.bypass_mark(sub)
+            res = AccessResult(ready, stall=ready - t - 1, miss=True,
+                               level=level, flags=flags)
+        if self.probe is not None:
+            self.probe.read_bypass(self.cpu_id, addr, t, res)
+        return res
 
     def write_bypass(self, addr: int, t: int) -> AccessResult:
         """Block-operation destination write that bypasses the caches.
@@ -340,6 +346,7 @@ class CpuMemorySystem:
         words accumulate in a line register that is flushed to memory.
         """
         if self.l1d.present(addr) or self.l2.state_of(addr) != LineState.INVALID:
+            # The cached path; write() reports the access.
             done, stall = self.write(addr, t)
             return AccessResult(done, stall=stall, level=LEVEL_WB)
         line = self.l1d.line_addr(addr)
@@ -347,7 +354,10 @@ class CpuMemorySystem:
         if line != self.bypass_dst_line:
             stall = self._flush_bypass_dst(t)
             self.bypass_dst_line = line
-        return AccessResult(t + stall + 1, stall=stall, level=LEVEL_REGISTER)
+        res = AccessResult(t + stall + 1, stall=stall, level=LEVEL_REGISTER)
+        if self.probe is not None:
+            self.probe.write_bypass(self.cpu_id, addr, t, res)
+        return res
 
     def _flush_bypass_dst(self, t: int) -> int:
         """Flush the destination line register to memory via WB2."""
@@ -363,8 +373,8 @@ class CpuMemorySystem:
         def service(start: int) -> int:
             grant = self.bus.acquire(start, transfer, BusOp.WRITEBACK)
             controller._invalidate_remotes(cpu, controller._l2_line(line))
-            if controller.checker is not None:
-                controller.checker.bypass_flush(cpu, line)
+            if self.probe is not None:
+                self.probe.bypass_flush(cpu, line)
             return grant + transfer
 
         _insert, stall = self.wb2.enqueue(t, service)
@@ -385,7 +395,3 @@ class CpuMemorySystem:
         """Release consistency: time when all buffered writes are visible."""
         return max(self.wb1.drain_time(t), self.wb2.drain_time(t))
 
-
-#: The unpatched drain implementation; :meth:`CpuMemorySystem.write`
-#: compares against it before taking its fused owned-line fast path.
-_PRISTINE_DRAIN = CpuMemorySystem._drain_word

@@ -6,8 +6,9 @@ The package turns a simulation run into inspectable artifacts:
   :func:`~repro.obs.tracer.attach_tracer`) records every miss lifecycle —
   issue, bus grant, fill/supply, write-back, invalidation, Firefly
   update, block-operation phases, DMA holds — as typed events with cycle
-  timestamps.  Like the conformance checker it wraps instance methods on
-  the miss paths only, so a system without a tracer pays nothing.
+  timestamps.  Like the conformance checker it is a
+  :class:`~repro.memsys.sink.Probe` subscriber, so a system without one
+  pays a ``probe is not None`` test per hook site.
 * :mod:`~repro.obs.export` renders the event log as Chrome-trace /
   Perfetto JSON (``repro simulate --trace-out t.json``).
 * :mod:`~repro.obs.profile` aggregates misses per program-counter site,

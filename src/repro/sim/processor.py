@@ -29,7 +29,9 @@ it runs once per trace record across every experiment cell.  It therefore:
   scheme-specific block-op handling) inline against the bound L1 frame
   index, without entering the :class:`CpuMemorySystem` call chain — the
   overwhelming majority of references in the paper's workloads are such
-  hits (Table 2 reports low miss rates on every machine);
+  hits (Table 2 reports low miss rates on every machine).  With a
+  :class:`~repro.memsys.sink.Probe` attached the inline hit is skipped,
+  so the probe sees every read;
 * takes writes from :meth:`CpuMemorySystem.write` as a plain
   ``(done, stall)`` pair, the only part of a write the accounting reads;
 * converts record fields to enum members through precomputed lookup
@@ -132,6 +134,10 @@ class Processor:
         self._blk_desc: Optional[BlockOpDescriptor] = None
         self._blk_last_src_line = -1
         self._barrier_rec: Optional[TraceRecord] = None
+        #: Attached observer (:class:`~repro.memsys.sink.Probe`), or None.
+        #: While one is attached every read takes the full
+        #: :meth:`CpuMemorySystem.read` path, where the probe sees it.
+        self.probe = None
         # --- hot-path bindings (all mutated in place by their owners) ---
         self._l1_where = mem.l1d.where
         self._l1_line_bytes = mem.l1d.line_bytes
@@ -241,7 +247,8 @@ class Processor:
             if ((blk is None or not self._blockops[pos]
                  or self._blk_read_plain)
                     and line in self._l1_where
-                    and line not in self._pending_ready):
+                    and line not in self._pending_ready
+                    and self.probe is None):
                 # Clean L1D hit: one read for this mode, zero stall.
                 self._reads[mode] += 1
                 if self._touch_l1d is not None:
@@ -368,10 +375,18 @@ class Processor:
     # ------------------------------------------------------------------
     def _do_block_start(self, rec: TraceRecord, t: int) -> int:
         desc = self.blockops.get(rec.blockop)
+        probe = self.probe
+        if probe is not None:
+            probe.block_begin(self.cpu_id, t, desc)
         self._measure_block_start(desc)
         scheme = self._scheme()
         if scheme == Scheme.DMA:
-            return self._do_block_dma(rec, desc, t)
+            # The engine runs the whole operation and swallows its word
+            # records, BLOCK_END included.
+            done = self._do_block_dma(rec, desc, t)
+            if probe is not None:
+                probe.block_end(self.cpu_id, done)
+            return done
         self._blk_desc = desc
         self._blk_last_src_line = -1
         self.mem.in_blockop = True
@@ -418,6 +433,8 @@ class Processor:
         self._blk_last_src_line = -1
         self.mem.in_blockop = False
         self.tracker.in_blockop = False
+        if self.probe is not None:
+            self.probe.block_end(self.cpu_id, t + stall)
         return t + stall
 
     def _measure_block_start(self, desc: BlockOpDescriptor) -> None:

@@ -34,6 +34,7 @@ from repro.common.types import MODE_BY_VALUE, Mode
 from repro.memsys.bus import Bus
 from repro.memsys.coherence import CoherenceController
 from repro.memsys.hierarchy import CpuMemorySystem
+from repro.memsys.sink import Probe, ProbeFanout
 from repro.sim.config import SystemConfig
 from repro.sim.metrics import SystemMetrics
 from repro.sim.processor import ProcStatus, Processor, SPIN_QUANTUM
@@ -88,30 +89,62 @@ class MultiprocessorSystem:
         #: entry while it is actually spinning, so the common case (nobody
         #: contended recently) is an empty dict, cleared by a truth test.
         self._spin_retries: dict = {}
-        #: Event tracer (:mod:`repro.obs`), None unless armed via
-        #: :func:`repro.obs.tracer.attach_tracer`.  Like the checker, it
-        #: wraps miss-path methods per instance, so the disabled case
-        #: costs nothing on the hot path.
-        self.tracer = None
+        #: Attached observers, in attach order (see :meth:`attach`).
+        self.probes: List[Probe] = []
+        #: What every component calls: None, the one attached probe, or a
+        #: fan-out over several.
+        self.probe: Optional[Probe] = None
         #: Conformance checker (repro.check), None unless requested via
         #: the ``check`` argument or the REPRO_CHECK environment variable.
-        #: Attaching wraps the per-CPU access paths, so the disabled case
-        #: costs nothing on the hot path.
         self.checker = None
         if check is None:
             check = os.environ.get(REPRO_CHECK_ENV, "") not in ("", "0")
         if check:
             from repro.check.invariants import attach_checker
-            self.checker = attach_checker(self)
+            attach_checker(self)
+
+    def attach(self, probe: Probe) -> None:
+        """Subscribe *probe* to every hook of the core.
+
+        Raises :class:`SimulationError` when a probe of the same type is
+        already attached.  Attach before :meth:`run`.
+        """
+        if any(type(p) is type(probe) for p in self.probes):
+            raise SimulationError(
+                f"a {type(probe).__name__} is already attached")
+        self.probes.append(probe)
+        self._wire()
+
+    def detach(self, probe: Probe) -> None:
+        """Unsubscribe *probe*; a probe that is not attached is ignored."""
+        if probe in self.probes:
+            self.probes.remove(probe)
+            self._wire()
+
+    def _wire(self) -> None:
+        probes = self.probes
+        if not probes:
+            probe = None
+        elif len(probes) == 1:
+            probe = probes[0]
+        else:
+            probe = ProbeFanout(probes)
+        self.probe = probe
+        self.bus.probe = probe
+        self.controller.probe = probe
+        for mem, proc in zip(self.memories, self.processors):
+            mem.probe = probe
+            proc.probe = probe
 
     def run(self) -> SystemMetrics:
         """Run every stream to completion; returns the filled metrics.
 
-        Heap scheduler — see the module docstring for the invariant.  The
-        processor's ``step`` is looked up per call on purpose: the timeline
-        recorder and several tests monkeypatch it on the instance.
+        Heap scheduler — see the module docstring for the invariant.  An
+        attached probe sees every step; the processor's ``step`` is looked
+        up per call, so a test may shadow it on the instance.
         """
         procs = self.processors
+        probe = self.probe
         running = ProcStatus.RUNNING
         blocked = ProcStatus.BLOCKED_LOCK
         push = heapq.heappush
@@ -122,7 +155,12 @@ class MultiprocessorSystem:
         while heap:
             _, cpu = pop(heap)
             proc = procs[cpu]
-            result = proc.step()
+            if probe is None:
+                result = proc.step()
+            else:
+                start, pos = proc.time, proc.pos
+                result = proc.step()
+                probe.step(proc, start, pos, result)
             status = result.status
             if status is blocked:
                 self._spin(proc, result.lock_addr, result.mode)
@@ -153,6 +191,7 @@ class MultiprocessorSystem:
         bit-identical metrics; experiments should call :meth:`run`.
         """
         procs = self.processors
+        probe = self.probe
         while True:
             runnable = [p for p in procs if p.status == ProcStatus.RUNNING]
             if not runnable:
@@ -163,7 +202,10 @@ class MultiprocessorSystem:
                 raise DeadlockError(
                     f"no runnable processor; cpus {waiting} wait at barriers")
             proc = min(runnable, key=lambda p: p.time)
+            start, pos = proc.time, proc.pos
             result = proc.step()
+            if probe is not None:
+                probe.step(proc, start, pos, result)
             if result.status == ProcStatus.BLOCKED_LOCK:
                 self._spin(proc, result.lock_addr, result.mode)
             elif self._spin_retries:
@@ -178,6 +220,8 @@ class MultiprocessorSystem:
         self.metrics.finalize([p.time for p in self.processors])
         self.metrics.capture_system_stats(self.bus, self.controller,
                                           self.locks, self.barriers)
+        if self.probe is not None:
+            self.probe.finish()
         return self.metrics
 
     def _spin(self, proc: Processor, lock_addr: int,

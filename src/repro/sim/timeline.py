@@ -1,6 +1,6 @@
 """Execution-timeline recording, for debugging and demonstration.
 
-A :class:`TimelineRecorder` wraps a :class:`MultiprocessorSystem` and
+A :class:`TimelineRecorder` observes a :class:`MultiprocessorSystem` and
 captures a bounded window of per-CPU scheduling decisions — which record
 each processor executed, at what simulated time, and how long it took.
 :func:`render_timeline` draws the window as a per-CPU lane chart so the
@@ -10,11 +10,13 @@ be inspected directly.
 This is a development tool: recording every step of a full workload would
 be enormous, so the recorder keeps only the first ``limit`` events.
 
-Instrumentation contract: attaching wraps each ``proc.step`` on the
-instance and **restores it** when :meth:`TimelineRecorder.run` completes
-(or on an explicit :meth:`TimelineRecorder.detach`), so a system can be
-recorded, re-run, and re-recorded without stacking wrappers.  Attaching
-a second recorder to an already-instrumented system raises
+Instrumentation contract: the recorder is a
+:class:`~repro.memsys.sink.Probe` whose ``step`` hook the scheduler calls
+after every processor step.  Constructing it attaches it to the system;
+:meth:`TimelineRecorder.run` detaches it when the run completes (as does
+an explicit :meth:`TimelineRecorder.detach`), so a system can be
+recorded, re-run, and re-recorded.  Attaching a second recorder to a
+system that already has one raises
 :class:`~repro.common.errors.SimulationError` instead of silently
 double-counting every step.
 """
@@ -22,11 +24,10 @@ double-counting every step.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
-from repro.common.errors import SimulationError
 from repro.common.types import Op
-from repro.sim.processor import ProcStatus
+from repro.memsys.sink import Probe
 from repro.sim.system import MultiprocessorSystem
 
 
@@ -42,69 +43,29 @@ class TimelineEvent:
     status: str
 
 
-class TimelineRecorder:
+class TimelineRecorder(Probe):
     """Records the first *limit* scheduling steps of a system run."""
 
     def __init__(self, system: MultiprocessorSystem, limit: int = 1000) -> None:
         self.system = system
         self.limit = limit
         self.events: List[TimelineEvent] = []
-        #: cpu_id -> (had instance attr, previous step, our wrapper);
-        #: emptied by detach().
-        self._originals: Dict[int, Tuple[bool, object, object]] = {}
-        self._instrument()
+        system.attach(self)
 
-    def _instrument(self) -> None:
-        if self._originals:
-            raise SimulationError("TimelineRecorder is already attached")
-        for proc in self.system.processors:
-            if getattr(proc.step, "_timeline_wrapper", False):
-                raise SimulationError(
-                    f"cpu {proc.cpu_id} is already instrumented by "
-                    f"another TimelineRecorder; detach it first")
-        for proc in self.system.processors:
-            original_step = proc.step
-            had_instance_attr = "step" in proc.__dict__
-
-            def step(proc=proc, original_step=original_step):
-                start = proc.time
-                pos = proc.pos
-                rec = proc.record(pos) if pos < proc.num_records else None
-                result = original_step()
-                if rec is not None and len(self.events) < self.limit:
-                    self.events.append(TimelineEvent(
-                        cpu=proc.cpu_id, start=start, end=proc.time,
-                        op=Op(rec.op).name, addr=rec.addr,
-                        status=result.status.value))
-                return result
-
-            step._timeline_wrapper = True
-            self._originals[proc.cpu_id] = (had_instance_attr,
-                                            original_step, step)
-            proc.step = step
+    def step(self, proc, start: int, pos: int, result) -> None:
+        if pos < proc.num_records and len(self.events) < self.limit:
+            rec = proc.record(pos)
+            self.events.append(TimelineEvent(
+                cpu=proc.cpu_id, start=start, end=proc.time,
+                op=Op(rec.op).name, addr=rec.addr,
+                status=result.status.value))
 
     def detach(self) -> None:
-        """Restore every wrapped ``proc.step``; idempotent.
-
-        A ``step`` that was re-monkeypatched *on top of* our wrapper
-        (e.g. by a test) is left alone — restoring underneath it would
-        silently discard that wrapper.
-        """
-        for proc in self.system.processors:
-            entry = self._originals.pop(proc.cpu_id, None)
-            if entry is None:
-                continue
-            had_instance_attr, original_step, wrapper = entry
-            if proc.__dict__.get("step") is not wrapper:
-                continue
-            if had_instance_attr:
-                proc.step = original_step
-            else:
-                del proc.__dict__["step"]
-        self._originals.clear()
+        """Unsubscribe from the system; idempotent."""
+        self.system.detach(self)
 
     def run(self):
-        """Run the wrapped system; detaches the wrappers on the way out."""
+        """Run the observed system; detaches on the way out."""
         try:
             return self.system.run()
         finally:

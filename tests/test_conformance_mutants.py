@@ -185,6 +185,7 @@ def test_mutant_restores_original(name):
                 CoherenceController.dma_snoop_src,
                 CoherenceController.adaptive_update,
                 CpuMemorySystem._drain_word,
+                CpuMemorySystem.write,
                 UpdateNPolicy.decide, DegreePolicy.decide)
     before = methods()
     with mutant(name):

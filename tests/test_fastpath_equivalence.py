@@ -8,8 +8,9 @@ the reference scan scheduler (:meth:`run_scan`) and to the full
 — locks, barriers, block copies/zeros, both modes, all five pure schemes —
 at both implementations and compare the complete snapshots.
 
-Observers — the conformance checker, the event tracer, an instance-patched
-``step`` — wrap the same paths per instance and must change no metric.
+Observers — the conformance checker, the event tracer and the timeline
+recorder, which subscribe to the core's probe hooks, and an
+instance-patched ``step`` — must change no metric, alone or together.
 
 An npz-loaded (columnar) trace must simulate, and be observed, exactly
 like the built trace it was saved from.
@@ -28,6 +29,8 @@ from repro.experiments.runner import ExperimentRunner
 from repro.memsys.bus import Bus
 from repro.memsys.coherence import CoherenceController
 from repro.memsys.hierarchy import CpuMemorySystem
+from repro.memsys.sink import Probe
+from repro.memsys.states import LineState
 from repro.sim.config import all_configs, resolve_config, standard_configs
 from repro.sim.metrics import MissTracker
 from repro.sim.system import MultiprocessorSystem
@@ -137,13 +140,6 @@ class TestHeapSchedulerEquivalence:
         assert heap == scan
 
 
-class _AlwaysPending:
-    """Stands in for ``pending.ready``: claims every line has a fill."""
-
-    def __contains__(self, line):
-        return True
-
-
 class TestL1FastPathEquivalence:
     @pytest.mark.parametrize("seed,machine", [
         pytest.param(seed, machine, id=str(seed) if machine is BASE_MACHINE
@@ -152,25 +148,24 @@ class TestL1FastPathEquivalence:
     def test_forced_slow_path_matches(self, seed, machine):
         """Disabling the inline L1-hit path must not change any metric.
 
-        The read fast path is guarded by ``line not in _pending_ready``;
-        substituting an always-contains object forces every read down the
-        full :meth:`CpuMemorySystem.read` chain, so hit accounting (and,
-        on set-associative machines, LRU promotion) of the two paths is
+        The processor takes no inline hit while a probe is attached;
+        a bare :class:`Probe` forces every read down the full
+        :meth:`CpuMemorySystem.read` chain, so hit accounting (and, on
+        set-associative machines, LRU promotion) of the two paths is
         compared across a whole randomized run.
         """
         config = resolve_config("Base", machine)
         trace = random_trace(seed, num_cpus=3)
         fast = MultiprocessorSystem(trace, config).run().snapshot()
         slow_sys = MultiprocessorSystem(trace, config)
-        for proc in slow_sys.processors:
-            proc._pending_ready = _AlwaysPending()
+        slow_sys.attach(Probe())
         slow = slow_sys.run().snapshot()
         assert fast == slow
 
     def test_fused_write_matches_unfused_drain(self):
         """The fused owned-L2 drain in ``write`` must match the unfused
-        ``_drain_word`` path result-for-result, on every machine point,
-        down to the frame index and LRU stamps."""
+        reference drain result-for-result, on every machine point, down
+        to the frame index and LRU stamps."""
         for machine in MACHINES:
             def rig(cls):
                 bus = Bus(machine.bus)
@@ -202,28 +197,74 @@ class TestL1FastPathEquivalence:
 
 
 class _UnfusedMemorySystem(CpuMemorySystem):
-    """Overriding ``_drain_word`` turns off the fused owned-line drain in
-    :meth:`CpuMemorySystem.write`: every write goes through the WB1
-    service callback."""
+    """The reference write: every word goes through the WB1 service
+    callback, and the drain handles owned lines itself."""
 
-    def _drain_word(self, addr, start):
-        return super()._drain_word(addr, start)
+    def write(self, addr, t):
+        if self.l1d.line_addr(addr) not in self.l1d.where:
+            self._l1_fill(addr)
+        elif self._touch_l1d is not None:
+            self._touch_l1d(addr)
+        insert_t, stall = self.wb1.enqueue(
+            t, lambda s: self._reference_drain(addr, s))
+        return insert_t + 1, stall
+
+    def _reference_drain(self, addr, start):
+        state = self.l2.state_of(addr)
+        if state in (LineState.MODIFIED, LineState.EXCLUSIVE):
+            self.l2.set_state(addr, LineState.MODIFIED)
+            if self._touch_l2 is not None:
+                self._touch_l2(addr)
+            return start + self.machine.write_buffers.l1_drain_cycles
+        return self._drain_word(addr, start)
+
+
+#: Schemes the observer-composition test runs: plain, bypass+prefetch,
+#: DMA, and an adaptive hybrid.
+OBSERVED_SCHEMES = ("Base", "Blk_ByPref", "Blk_Dma", "Hyb_UpdN")
 
 
 def _attach_checker(system):
     from repro.check.invariants import attach_checker
-    attach_checker(system)
+    checker = attach_checker(system)
+    return lambda: checker.architectural_memory()
 
 
 def _attach_tracer(system):
-    from repro.obs import Tracer
+    from repro.obs import MissProfile, Tracer
     from repro.obs.tracer import attach_tracer
-    attach_tracer(system, Tracer())
+    tracer = attach_tracer(system, Tracer())
+
+    def output():
+        profile = MissProfile(tracer)
+        return ([(e.name, e.cat, e.ph, e.ts, e.dur, e.lane, e.args)
+                 for e in tracer.events],
+                profile.render(), profile.site_kinds, profile.line_misses)
+    return output
+
+
+def _attach_timeline(system):
+    from repro.sim.timeline import TimelineRecorder
+    recorder = TimelineRecorder(system, limit=5000)
+    return lambda: recorder.events
 
 
 def _patch_step(system):
     for proc in system.processors:
         proc.step = proc.step  # an instance attribute shadowing the method
+    return lambda: None
+
+
+OBSERVERS = {"checker": _attach_checker, "tracer": _attach_tracer,
+             "timeline": _attach_timeline, "step": _patch_step}
+
+#: Every non-empty subset of the three subscribers, in both orders, plus
+#: the shadowed ``step``.
+COMBOS = ["checker", "tracer", "timeline", "step",
+          "checker+tracer", "tracer+checker",
+          "checker+timeline", "timeline+checker",
+          "tracer+timeline", "timeline+tracer",
+          "checker+tracer+timeline", "timeline+tracer+checker"]
 
 
 @lru_cache(maxsize=None)
@@ -232,20 +273,38 @@ def _shell_trace():
 
 
 @lru_cache(maxsize=None)
-def _plain_snapshot():
-    config = standard_configs()["Base"]
-    return MultiprocessorSystem(_shell_trace(), config).run().snapshot()
+def _composition_trace():
+    return generate_profile("Shell", seed=7, scale=0.03)
 
 
-@pytest.mark.parametrize("attach", [_attach_checker, _attach_tracer,
-                                    _patch_step],
-                         ids=["checker", "tracer", "step"])
-def test_observer_changes_no_metric(attach):
-    """Observers wrap per-CPU paths on the instance; none may change a
-    metric of the run they observe."""
-    system = MultiprocessorSystem(_shell_trace(), standard_configs()["Base"])
-    attach(system)
-    assert system.run().snapshot() == _plain_snapshot()
+def _observed(trace, scheme, names):
+    system = MultiprocessorSystem(trace, all_configs()[scheme], check=False)
+    outputs = [OBSERVERS[name](system) for name in names]
+    snapshot = system.run().snapshot()
+    return snapshot, [output() for output in outputs]
+
+
+@lru_cache(maxsize=None)
+def _solo(scheme, name):
+    return _observed(_composition_trace(), scheme, [name])[1][0]
+
+
+@lru_cache(maxsize=None)
+def _plain_snapshot(scheme):
+    return _observed(_composition_trace(), scheme, [])[0]
+
+
+@pytest.mark.parametrize("combo", COMBOS)
+def test_observer_changes_no_metric(combo):
+    """Observers subscribe to the core's probe hooks; no combination, in
+    either attachment order, may change a metric of the run it observes
+    or what any one observer sees alone."""
+    names = combo.split("+")
+    for scheme in OBSERVED_SCHEMES:
+        snapshot, outputs = _observed(_composition_trace(), scheme, names)
+        assert snapshot == _plain_snapshot(scheme), scheme
+        for name, output in zip(names, outputs):
+            assert output == _solo(scheme, name), (scheme, name)
 
 
 # ----------------------------------------------------------------------

@@ -130,6 +130,30 @@ def test_static_hybrid_traces_like_bcoh_relup(shell_update_runs):
             == shell_update_runs["BCoh_RelUp"][1])
 
 
+def test_bypass_read_falling_back_to_cached_path_counts_once():
+    """A Blk_Bypass source read whose line an earlier prefetch put in the
+    L1D takes the cached path; its in-flight fill is one miss, reported
+    once (not as both a read and a bypass read)."""
+    b = TraceBuilder(1)
+    b.emit(0, rec.prefetch(0x100100, pc=0x7000))
+    b.emit_block_copy(0, 0x100100, 0x202000, 64, pc=0x7000)
+    tracer = Tracer()
+    metrics = simulate(b.build(), standard_configs()["Blk_Bypass"],
+                       tracer=tracer)
+    assert tracer.read_misses == sum(metrics.read_misses.values())
+    misses = [e for e in tracer.events
+              if e.cat == CAT_MISS and e.args.get("addr") == 0x100100]
+    assert len(misses) == 1, [e.name for e in misses]
+
+
+@pytest.mark.parametrize("name", list(all_configs()))
+def test_tracer_miss_count_matches_metrics(name):
+    trace = generate("Shell", seed=1996, scale=0.05)
+    tracer = Tracer(max_events=0)
+    metrics = simulate(trace, all_configs()[name], tracer=tracer)
+    assert tracer.read_misses == sum(metrics.read_misses.values())
+
+
 def test_double_attach_raises():
     system = MultiprocessorSystem(small_trace(), SystemConfig("t"))
     attach_tracer(system)

@@ -87,24 +87,31 @@ def test_metrics_unaffected_by_recording():
     assert recorded.os_read_misses() == plain.os_read_misses()
 
 
+def _components(system):
+    return [system, system.bus, system.controller, *system.memories,
+            *system.processors]
+
+
 def test_run_detaches_wrappers():
     system = small_system()
+    before = system.probe  # the checker under REPRO_CHECK, else None
     recorder = TimelineRecorder(system)
-    assert all(getattr(p.step, "_timeline_wrapper", False)
-               for p in system.processors)
+    assert recorder in system.probes
+    assert all(c.probe is not before for c in _components(system))
     recorder.run()
-    # run() restored the class method on every processor: no instance
-    # attribute left behind, no wrapper marker.
-    for proc in system.processors:
-        assert "step" not in proc.__dict__
-        assert not getattr(proc.step, "_timeline_wrapper", False)
+    # run() unsubscribed the recorder from every component.
+    assert recorder not in system.probes
+    assert all(c.probe is before for c in _components(system))
 
 
 def test_detach_is_idempotent():
     system = small_system()
+    before = system.probe
     recorder = TimelineRecorder(system)
     recorder.detach()
     recorder.detach()
+    assert recorder not in system.probes
+    assert all(c.probe is before for c in _components(system))
     for proc in system.processors:
         assert "step" not in proc.__dict__
 
@@ -135,19 +142,3 @@ def test_reattach_after_detach_records_fresh():
     third.run()
     assert len(third.events) == 5
 
-
-def test_detach_leaves_stacked_wrapper_alone():
-    system = small_system()
-    recorder = TimelineRecorder(system)
-    proc = system.processors[0]
-    stacked = proc.step
-
-    def on_top():
-        return stacked()
-
-    proc.step = on_top
-    recorder.detach()
-    # Our wrapper was not restored underneath the test's monkeypatch...
-    assert proc.__dict__["step"] is on_top
-    # ...but every other CPU was restored normally.
-    assert "step" not in system.processors[1].__dict__
