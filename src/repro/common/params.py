@@ -156,7 +156,9 @@ class MachineParams:
     bus: BusParams = BusParams()
     write_buffers: WriteBufferParams = WriteBufferParams()
     dma: DmaParams = DmaParams()
-    #: Latency of an L1D hit (cycles).
+    #: Latency of an L1D hit (cycles).  Must be 1: a hit is charged as
+    #: its one instruction's exec cycle, so any other value would
+    #: advance the clocks by cycles no Figure 3 bar accounts for.
     l1_hit_cycles: int = 1
     #: Uncontended latency of a word read satisfied by L2 (cycles).
     l2_hit_cycles: int = 12
@@ -169,6 +171,10 @@ class MachineParams:
 
     def __post_init__(self) -> None:
         validate_num_cpus(self.num_cpus)
+        if self.l1_hit_cycles != 1:
+            raise ConfigError(
+                f"l1_hit_cycles must be 1, not {self.l1_hit_cycles}: an L1D "
+                f"hit is charged one exec cycle")
         if self.l2.line_bytes < self.l1d.line_bytes:
             raise ConfigError("L2 line must be at least as large as L1D line")
         if self.l2.size_bytes < self.l1d.size_bytes:

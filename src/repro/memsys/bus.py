@@ -11,30 +11,35 @@ cycle-by-cycle tick loop.
 
 Transaction kinds are tracked so the traffic comparisons of sections 5.2
 and 6 (update-traffic overhead, prefetch-traffic neutrality) can be
-reproduced.
+reproduced.  A kind is a :class:`BusOp`, an ``IntEnum``: the per-kind
+statistics are plain int lists indexed by its value, and names
+(:data:`BUS_OP_NAMES`) are attached only when a summary is read, so
+:meth:`Bus.acquire` never hashes an enum member.
 """
 
 from __future__ import annotations
 
 import enum
-from collections import Counter
-from typing import Dict
+from typing import Dict, List
 
 from repro.common.params import BusParams
 
 
-class BusOp(enum.Enum):
+class BusOp(enum.IntEnum):
     """Kinds of bus transactions, for traffic accounting."""
 
-    READ_MEM = "read_mem"
-    READ_CACHE = "read_cache"
-    OWNERSHIP = "ownership"
-    INVALIDATE = "invalidate"
-    UPDATE = "update"
-    WRITEBACK = "writeback"
-    PREFETCH = "prefetch"
-    DMA = "dma"
-    SYNC = "sync"
+    READ_MEM = 0
+    READ_CACHE = 1
+    OWNERSHIP = 2
+    INVALIDATE = 3
+    UPDATE = 4
+    WRITEBACK = 5
+    PREFETCH = 6
+    DMA = 7
+
+
+#: Summary key (and tracer event suffix) of each kind, by value.
+BUS_OP_NAMES = tuple(op.name.lower() for op in BusOp)
 
 
 class Bus:
@@ -48,18 +53,22 @@ class Bus:
         self.busy_cycles: int = 0
         #: Total cycles transactions waited for the bus.
         self.wait_cycles: int = 0
-        #: Transaction counts by kind.
-        self.transactions: Counter = Counter()
-        #: Held cycles by kind.
-        self.cycles_by_kind: Counter = Counter()
+        #: Transaction counts, indexed by kind.
+        self.transactions: List[int] = [0] * len(BusOp)
+        #: Held cycles, indexed by kind.
+        self.cycles_by_kind: List[int] = [0] * len(BusOp)
+        #: Reservations (both phases of a split transaction), indexed by
+        #: kind: a kind enters :meth:`traffic_summary` once it held the
+        #: bus, even for zero cycles.
+        self.grants: List[int] = [0] * len(BusOp)
         #: Attached observer (:class:`~repro.memsys.sink.Probe`), or None.
         self.probe = None
 
-    def acquire(self, t: int, duration: int, kind: BusOp,
+    def acquire(self, t: int, duration: int, kind: int,
                 record_txn: bool = True) -> int:
         """Reserve the bus for *duration* cycles starting no earlier than *t*.
 
-        Returns the grant time.  The caller's transaction completes at
+        *kind* is a :class:`BusOp` value.  Returns the grant time.  The caller's transaction completes at
         ``grant + duration``.  Split transactions reserve the bus twice
         (request phase, data phase); the second reservation passes
         ``record_txn=False`` so the transaction is counted once while its
@@ -72,6 +81,7 @@ class Bus:
         if record_txn:
             self.transactions[kind] += 1
         self.cycles_by_kind[kind] += duration
+        self.grants[kind] += 1
         if self.probe is not None:
             self.probe.bus_grant(kind, t, grant, duration)
         return grant
@@ -83,5 +93,12 @@ class Bus:
         return min(1.0, self.busy_cycles / total_cycles)
 
     def traffic_summary(self) -> Dict[str, int]:
-        """Held cycles per transaction kind, keyed by kind name."""
-        return {kind.value: cycles for kind, cycles in self.cycles_by_kind.items()}
+        """Held cycles per kind that held the bus, keyed by kind name."""
+        return {BUS_OP_NAMES[kind]: cycles
+                for kind, cycles in enumerate(self.cycles_by_kind)
+                if self.grants[kind]}
+
+    def transaction_summary(self) -> Dict[str, int]:
+        """Transaction counts per kind that ran one, keyed by kind name."""
+        return {BUS_OP_NAMES[kind]: count
+                for kind, count in enumerate(self.transactions) if count}

@@ -18,6 +18,8 @@ from typing import Dict, List, Optional, Tuple
 from repro.common.params import CacheParams
 from repro.memsys.states import LineState
 
+_INVALID = LineState.INVALID
+
 
 class Cache:
     """Tag-only cache (used for L1I and L1D).
@@ -158,7 +160,7 @@ class CoherentCache(Cache):
 
     def __init__(self, params: CacheParams) -> None:
         super().__init__(params)
-        self.states: List[LineState] = [LineState.INVALID] * self.num_lines
+        self.states: List[LineState] = [_INVALID] * self.num_lines
         self.holders: Dict[int, int] = {}
         self.bit = 1
 
@@ -166,7 +168,7 @@ class CoherentCache(Cache):
         """MESI state of the line containing *addr* (INVALID if absent)."""
         idx = self.where.get(addr - addr % self.line_bytes)
         if idx is None:
-            return LineState.INVALID
+            return _INVALID
         return self.states[idx]
 
     def set_state(self, addr: int, state: LineState) -> None:
@@ -175,7 +177,7 @@ class CoherentCache(Cache):
         idx = self.where.get(line)
         if idx is None:
             raise KeyError(f"line {line:#x} not resident")
-        if state == LineState.INVALID:
+        if state == _INVALID:
             del self.where[line]
             self._drop(idx)
         else:
@@ -217,7 +219,7 @@ class CoherentCache(Cache):
     def _drop(self, idx: int) -> None:
         self._forget(self.tags[idx])
         super()._drop(idx)
-        self.states[idx] = LineState.INVALID
+        self.states[idx] = _INVALID
 
 
 def holder_cpus(mask: int) -> List[int]:

@@ -46,6 +46,19 @@ from repro.memsys.cache import Cache, CoherentCache, holder_cpus
 from repro.memsys.sink import MemorySink
 from repro.memsys.states import LineState
 
+# Enum members bound once (a class-attribute load off an enum is slow);
+# bus kinds as plain ints, which index Bus's per-kind lists fastest.
+_INVALID = LineState.INVALID
+_SHARED = LineState.SHARED
+_EXCLUSIVE = LineState.EXCLUSIVE
+_MODIFIED = LineState.MODIFIED
+_READ_MEM = int(BusOp.READ_MEM)
+_READ_CACHE = int(BusOp.READ_CACHE)
+_OWNERSHIP = int(BusOp.OWNERSHIP)
+_INVALIDATE = int(BusOp.INVALIDATE)
+_UPDATE = int(BusOp.UPDATE)
+_WRITEBACK = int(BusOp.WRITEBACK)
+
 
 class _CpuPort:
     """Per-CPU caches and sink as seen by the controller."""
@@ -140,7 +153,7 @@ class CoherenceController:
     def _dirty_holder(self, line: int, except_cpu: int) -> Optional[int]:
         ports = self.ports
         for i in self._holders(line, except_cpu):
-            if ports[i].l2.state_of(line) == LineState.MODIFIED:
+            if ports[i].l2.state_of(line) == _MODIFIED:
                 return i
         return None
 
@@ -159,7 +172,7 @@ class CoherenceController:
         victims = self._holders(line, cpu)
         adaptive = self.adaptive
         for i in victims:
-            self.ports[i].l2.set_state(line, LineState.INVALID)
+            self.ports[i].l2.set_state(line, _INVALID)
             self._drop_from_l1(i, line, coherence=True)
             if adaptive is not None:
                 adaptive.on_invalidate(i, line)
@@ -180,14 +193,14 @@ class CoherenceController:
         evicted, evicted_state = port.l2.fill_state(line, state)
         if evicted != -1:
             self._drop_from_l1(cpu, evicted, coherence=False)
-            if evicted_state == LineState.MODIFIED:
+            if evicted_state == _MODIFIED:
                 transfer = self.bus.params.line_transfer_cycles(
                     self.machine.l2.line_bytes)
-                self.bus.acquire(t, transfer, BusOp.WRITEBACK)
+                self.bus.acquire(t, transfer, _WRITEBACK)
                 self.writebacks += 1
         if self.probe is not None:
             self.probe.l2_install(cpu, line, evicted,
-                                  evicted_state == LineState.MODIFIED)
+                                  evicted_state == _MODIFIED)
         if self.adaptive is not None:
             if evicted != -1:
                 self.adaptive.on_invalidate(cpu, evicted)
@@ -197,7 +210,7 @@ class CoherenceController:
     # Demand read path
     # ------------------------------------------------------------------
     def fetch_shared(self, cpu: int, addr: int, t: int,
-                     kind: BusOp = BusOp.READ_MEM) -> int:
+                     kind: int = _READ_MEM) -> int:
         """L2 read miss: fetch the line for reading.  Returns ready time.
 
         Illinois: a cache holding the line supplies it (dirty holders write
@@ -206,7 +219,7 @@ class CoherenceController:
         """
         line = self._l2_line(addr)
         port = self.ports[cpu]
-        if port.l2.state_of(line) != LineState.INVALID:
+        if port.l2.state_of(line) != _INVALID:
             raise SimulationError(f"fetch_shared of resident line {line:#x}")
         holders = self._holders(line, cpu)
         probe = self.probe
@@ -215,24 +228,24 @@ class CoherenceController:
                 # Before the state transition: the checker reads the
                 # supplier's (possibly dirty) pre-transfer state.
                 probe.fill_from_cache(cpu, line, holders)
-            ready = self._split_transfer(t, BusOp.READ_CACHE,
+            ready = self._split_transfer(t, _READ_CACHE,
                                          self.bus.params.cache_supply_cycles)
             for i in holders:
-                self.ports[i].l2.set_state(line, LineState.SHARED)
+                self.ports[i].l2.set_state(line, _SHARED)
             self.cache_to_cache += 1
-            state = LineState.SHARED
+            state = _SHARED
         else:
             if probe is not None:
                 probe.fill_from_memory(cpu, line)
             ready = self._split_transfer(t, kind,
                                          self.bus.params.memory_access_cycles)
-            state = LineState.EXCLUSIVE
+            state = _EXCLUSIVE
         self._fill_l2(cpu, line, state, ready)
         if probe is not None:
             probe.fill(cpu, line, t, ready, bool(holders), True)
         return ready
 
-    def _split_transfer(self, t: int, kind: BusOp, wait_cycles: int) -> int:
+    def _split_transfer(self, t: int, kind: int, wait_cycles: int) -> int:
         """Split-transaction line read: request phase, off-bus wait, data.
 
         The bus is held for the request, released while memory (or the
@@ -248,7 +261,7 @@ class CoherenceController:
         return grant2 + transfer
 
     def read_nofill(self, cpu: int, addr: int, t: int,
-                    kind: BusOp = BusOp.READ_MEM) -> int:
+                    kind: int = _READ_MEM) -> int:
         """Read a line over the bus without caching it (bypass schemes)."""
         line = self._l2_line(addr)
         dirty = self._dirty_holder(line, cpu)
@@ -256,10 +269,10 @@ class CoherenceController:
         if dirty is not None:
             if probe is not None:
                 probe.writeback(dirty, line)
-            ready = self._split_transfer(t, BusOp.READ_CACHE,
+            ready = self._split_transfer(t, _READ_CACHE,
                                          self.bus.params.cache_supply_cycles)
             # Illinois: the supplier writes back and keeps a SHARED copy.
-            self.ports[dirty].l2.set_state(line, LineState.SHARED)
+            self.ports[dirty].l2.set_state(line, _SHARED)
             self.cache_to_cache += 1
         else:
             ready = self._split_transfer(t, kind,
@@ -282,7 +295,7 @@ class CoherenceController:
         line = self._l2_line(addr)
         port = self.ports[cpu]
         state = port.l2.state_of(line)
-        if state == LineState.INVALID:
+        if state == _INVALID:
             raise SimulationError(f"upgrade of non-resident line {line:#x}")
         if self.adaptive is not None:
             decision = self.adaptive.decide(cpu, addr, line,
@@ -294,9 +307,9 @@ class CoherenceController:
         elif self.is_update_addr(addr):
             return self.broadcast_update(cpu, addr, t)
         grant = self.bus.acquire(t, self.bus.params.invalidate_cycles,
-                                 BusOp.INVALIDATE)
+                                 _INVALIDATE)
         self._invalidate_remotes(cpu, line)
-        port.l2.set_state(line, LineState.MODIFIED)
+        port.l2.set_state(line, _MODIFIED)
         done = grant + self.bus.params.invalidate_cycles
         if self.probe is not None:
             self.probe.upgrade(cpu, line, t, done)
@@ -326,14 +339,14 @@ class CoherenceController:
         if probe is not None:
             probe.fill_for_ownership(cpu, line, dirty)
         if dirty is not None:
-            ready = self._split_transfer(t, BusOp.OWNERSHIP,
+            ready = self._split_transfer(t, _OWNERSHIP,
                                          self.bus.params.cache_supply_cycles)
             self.cache_to_cache += 1
         else:
-            ready = self._split_transfer(t, BusOp.OWNERSHIP,
+            ready = self._split_transfer(t, _OWNERSHIP,
                                          self.bus.params.memory_access_cycles)
         self._invalidate_remotes(cpu, line)
-        self._fill_l2(cpu, line, LineState.MODIFIED, ready)
+        self._fill_l2(cpu, line, _MODIFIED, ready)
         if probe is not None:
             probe.fill(cpu, line, t, ready, dirty is not None, False)
         return ready
@@ -346,15 +359,15 @@ class CoherenceController:
         """
         line = self._l2_line(addr)
         port = self.ports[cpu]
-        if port.l2.state_of(line) == LineState.INVALID:
+        if port.l2.state_of(line) == _INVALID:
             raise SimulationError(f"update of non-resident line {line:#x}")
-        grant = self.bus.acquire(t, self.bus.params.update_cycles, BusOp.UPDATE)
+        grant = self.bus.acquire(t, self.bus.params.update_cycles, _UPDATE)
         holders = self._holders(line, cpu)
         self.updates_sent += 1
         if holders:
-            port.l2.set_state(line, LineState.SHARED)
+            port.l2.set_state(line, _SHARED)
         else:
-            port.l2.set_state(line, LineState.MODIFIED)
+            port.l2.set_state(line, _MODIFIED)
         done = grant + self.bus.params.update_cycles
         if self.probe is not None:
             self.probe.update(cpu, addr, t, done, holders)
@@ -375,20 +388,20 @@ class CoherenceController:
         """
         line = self._l2_line(addr)
         port = self.ports[cpu]
-        if port.l2.state_of(line) == LineState.INVALID:
+        if port.l2.state_of(line) == _INVALID:
             raise SimulationError(f"update of non-resident line {line:#x}")
-        grant = self.bus.acquire(t, self.bus.params.update_cycles, BusOp.UPDATE)
+        grant = self.bus.acquire(t, self.bus.params.update_cycles, _UPDATE)
         adaptive = self.adaptive
         for i in decision.to_invalidate:
-            self.ports[i].l2.set_state(line, LineState.INVALID)
+            self.ports[i].l2.set_state(line, _INVALID)
             self._drop_from_l1(i, line, coherence=True)
             adaptive.on_invalidate(i, line)
         self.invalidations_sent += len(decision.to_invalidate)
         self.updates_sent += 1
         if decision.to_update:
-            port.l2.set_state(line, LineState.SHARED)
+            port.l2.set_state(line, _SHARED)
         else:
-            port.l2.set_state(line, LineState.MODIFIED)
+            port.l2.set_state(line, _MODIFIED)
         done = grant + self.bus.params.update_cycles
         probe = self.probe
         if probe is not None:
@@ -398,7 +411,7 @@ class CoherenceController:
         return done
 
     def write_line_to_memory(self, cpu: int, line_addr: int, t: int,
-                             kind: BusOp = BusOp.WRITEBACK,
+                             kind: int = _WRITEBACK,
                              invalidate_remotes: bool = True) -> int:
         """Push a full line to memory (bypassing stores, DMA destination).
 
@@ -414,8 +427,8 @@ class CoherenceController:
             self._invalidate_remotes(cpu, line)
             # The writer's own stale copy (if any) is dropped too.
             port = self.ports[cpu]
-            if port.l2.state_of(line) != LineState.INVALID:
-                port.l2.set_state(line, LineState.INVALID)
+            if port.l2.state_of(line) != _INVALID:
+                port.l2.set_state(line, _INVALID)
                 self._drop_from_l1(cpu, line, coherence=False)
                 if probe is not None:
                     probe.invalidate(cpu, line, [cpu])
@@ -438,10 +451,10 @@ class CoherenceController:
         line = self._l2_line(line_addr)
         for i in holder_cpus(self.holders.get(line, 0)):
             l2 = self.ports[i].l2
-            if l2.state_of(line) == LineState.MODIFIED:
+            if l2.state_of(line) == _MODIFIED:
                 if self.probe is not None:
                     self.probe.writeback(i, line)
-                l2.set_state(line, LineState.SHARED)
+                l2.set_state(line, _SHARED)
                 self.cache_to_cache += 1
                 return True
         return False
@@ -460,12 +473,12 @@ class CoherenceController:
         for i in holders:
             l2 = self.ports[i].l2
             if (probe is not None
-                    and l2.state_of(line) == LineState.MODIFIED):
+                    and l2.state_of(line) == _MODIFIED):
                 # A dirty holder flushes the line before the in-place
                 # update, so dirty words outside the transferred range
                 # survive the drop to SHARED.
                 probe.writeback(i, line)
-            l2.set_state(line, LineState.SHARED)
+            l2.set_state(line, _SHARED)
         return len(holders)
 
     # ------------------------------------------------------------------

@@ -31,6 +31,16 @@ from repro.memsys.sink import MemorySink, MissFlags, NO_FLAGS
 from repro.memsys.states import LineState
 from repro.memsys.writebuffer import TimedWriteBuffer
 
+# Enum members bound once (a class-attribute load off an enum is slow);
+# bus kinds as plain ints, which index Bus's per-kind lists fastest.
+_INVALID = LineState.INVALID
+_SHARED = LineState.SHARED
+_EXCLUSIVE = LineState.EXCLUSIVE
+_MODIFIED = LineState.MODIFIED
+_READ_MEM = int(BusOp.READ_MEM)
+_PREFETCH = int(BusOp.PREFETCH)
+_WRITEBACK = int(BusOp.WRITEBACK)
+
 #: Levels an access can be satisfied from, for statistics.
 LEVEL_L1 = "l1"
 LEVEL_PREF = "pref"
@@ -112,9 +122,9 @@ class CpuMemorySystem:
         self.sink.l1_fill(line, evicted, self.in_blockop)
 
     def _fetch_for_read(self, addr: int, t: int,
-                        kind: BusOp = BusOp.READ_MEM) -> "tuple[int, str]":
+                        kind: int = _READ_MEM) -> "tuple[int, str]":
         """Bring *addr* to readable state at L2; return (ready, level)."""
-        if self.l2.state_of(addr) != LineState.INVALID:
+        if self.l2.state_of(addr) != _INVALID:
             if self._touch_l2 is not None:
                 self._touch_l2(addr)
             return t + self.machine.l2_hit_cycles, LEVEL_L2
@@ -170,7 +180,7 @@ class CpuMemorySystem:
         l2 = self.l2
         idx = l2.where.get(addr - addr % l2.line_bytes)
         state = None if idx is None else l2.states[idx]
-        if state is LineState.MODIFIED or state is LineState.EXCLUSIVE:
+        if state is _MODIFIED or state is _EXCLUSIVE:
             # Owned line in the L2 (the common case): the word drains
             # locally, so the WB1 enqueue is done inline, without a
             # service closure, and the line turns MODIFIED here (E->M).
@@ -190,7 +200,7 @@ class CpuMemorySystem:
             lse = wb1.last_service_end
             start = now if now > lse else lse
             end = start + self.machine.write_buffers.l1_drain_cycles
-            l2.states[idx] = LineState.MODIFIED
+            l2.states[idx] = _MODIFIED
             if self._touch_l2 is not None:
                 self._touch_l2(addr)
             wb1.last_service_end = end
@@ -214,7 +224,7 @@ class CpuMemorySystem:
         ``write``'s L2 probe and the drain.
         """
         controller = self.controller
-        if self.l2.state_of(addr) == LineState.SHARED:
+        if self.l2.state_of(addr) == _SHARED:
             if controller.is_update_addr(addr):
                 service = lambda s: controller.broadcast_update(self.cpu_id, addr, s)
             else:
@@ -240,13 +250,13 @@ class CpuMemorySystem:
         stall = 0
         while line < end:
             if not l1i.present(line):
-                if self.l2.state_of(line) != LineState.INVALID:
+                if self.l2.state_of(line) != _INVALID:
                     if self._touch_l2 is not None:
                         self._touch_l2(line)
                     stall += self.machine.l2_hit_cycles - 1
                 else:
                     ready = self.controller.fetch_shared(
-                        self.cpu_id, line, t + stall, BusOp.READ_MEM)
+                        self.cpu_id, line, t + stall, _READ_MEM)
                     stall += ready - (t + stall)
                 l1i.fill(line)
             elif self._touch_l1i is not None:
@@ -262,7 +272,7 @@ class CpuMemorySystem:
         line = self.l1d.line_addr(addr)
         if self.l1d.present(addr):
             return
-        ready, _level = self._fetch_for_read(addr, t, BusOp.PREFETCH)
+        ready, _level = self._fetch_for_read(addr, t, _PREFETCH)
         self._l1_fill(addr)
         self.pending.add(line, ready)
 
@@ -276,13 +286,13 @@ class CpuMemorySystem:
         line = self.l1d.line_addr(addr)
         if self.l1d.present(addr) or self.pref_buffer.contains(line):
             return
-        if self.l2.state_of(addr) != LineState.INVALID:
+        if self.l2.state_of(addr) != _INVALID:
             if self._touch_l2 is not None:
                 self._touch_l2(addr)
             ready = t + self.machine.l2_hit_cycles
         else:
             ready = self.controller.read_nofill(self.cpu_id, addr, t,
-                                                BusOp.PREFETCH)
+                                                _PREFETCH)
         l2_line = addr - addr % self.machine.l2.line_bytes
         for sub in range(l2_line, l2_line + self.machine.l2.line_bytes,
                          self.machine.l1d.line_bytes):
@@ -319,7 +329,7 @@ class CpuMemorySystem:
             # New source line: fetch into the line register, never the
             # caches.
             flags = self.sink.consume_miss_flags(line)
-            if self.l2.state_of(addr) != LineState.INVALID:
+            if self.l2.state_of(addr) != _INVALID:
                 if self._touch_l2 is not None:
                     self._touch_l2(addr)
                 ready = t + self.machine.l2_hit_cycles
@@ -345,7 +355,7 @@ class CpuMemorySystem:
         processor's caches a normal cache access is performed; otherwise
         words accumulate in a line register that is flushed to memory.
         """
-        if self.l1d.present(addr) or self.l2.state_of(addr) != LineState.INVALID:
+        if self.l1d.present(addr) or self.l2.state_of(addr) != _INVALID:
             # The cached path; write() reports the access.
             done, stall = self.write(addr, t)
             return AccessResult(done, stall=stall, level=LEVEL_WB)
@@ -371,7 +381,7 @@ class CpuMemorySystem:
         cpu = self.cpu_id
 
         def service(start: int) -> int:
-            grant = self.bus.acquire(start, transfer, BusOp.WRITEBACK)
+            grant = self.bus.acquire(start, transfer, _WRITEBACK)
             controller._invalidate_remotes(cpu, controller._l2_line(line))
             if self.probe is not None:
                 self.probe.bypass_flush(cpu, line)

@@ -35,6 +35,7 @@ from collections import Counter, defaultdict
 from typing import Dict, List, Optional
 
 from repro.common.types import MODE_BY_VALUE, Mode
+from repro.memsys.bus import BUS_OP_NAMES
 from repro.memsys.sink import Probe
 from repro.obs.events import (CAT_BLOCKOP, CAT_BUS, CAT_COH, CAT_DMA,
                               CAT_MISS, LANE_BUS, PH_BEGIN, PH_COMPLETE,
@@ -156,8 +157,8 @@ class Tracer(Probe):
     # Bus and coherence hooks
     # ------------------------------------------------------------------
     def bus_grant(self, kind, t: int, grant: int, duration: int) -> None:
-        self.emit(f"bus.{kind.value}", CAT_BUS, PH_COMPLETE, grant, LANE_BUS,
-                  dur=duration, args={"wait": grant - t})
+        self.emit(f"bus.{BUS_OP_NAMES[kind]}", CAT_BUS, PH_COMPLETE, grant,
+                  LANE_BUS, dur=duration, args={"wait": grant - t})
 
     def fill(self, cpu: int, line: int, t: int, ready: int,
              from_cache: bool, shared: bool) -> None:
@@ -194,7 +195,7 @@ class Tracer(Probe):
                        kind) -> None:
         self.emit("writeback", CAT_COH, PH_COMPLETE, t, cpu,
                   dur=max(0, done - t), args={"line": line,
-                                              "kind": kind.value})
+                                              "kind": BUS_OP_NAMES[kind]})
 
     def dma(self, cpu: int, desc, result) -> None:
         """The DMA engine performed *desc*; *result* is its DmaResult."""

@@ -15,6 +15,12 @@ Two classes cooperate:
   per-basic-block miss counts that drive the hot-spot selection of
   section 6, and the block-operation instrumentation of Table 3 and
   Figure 1.
+
+The per-mode quantities (``time``, ``reads``, ``writes``,
+``read_misses``) are lists indexed by the mode's int value, which the
+simulator bumps with the raw value from a trace column; :class:`Mode`
+is an ``IntEnum``, so ``m.reads[Mode.OS]`` reads them too.  Mode names
+are attached only by :meth:`SystemMetrics.snapshot`.
 """
 
 from __future__ import annotations
@@ -22,11 +28,22 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, List, Optional, Set
 
-from repro.common.types import MODE_BY_VALUE, DataClass, MissKind, Mode
+from repro.common.types import DCLASS_BY_VALUE, DataClass, MissKind, Mode
 from repro.memsys.hierarchy import AccessResult
 from repro.memsys.sink import MemorySink, MissFlags
 from repro.trace.blockop import BlockOpDescriptor
 from repro.trace.record import TraceRecord
+
+# Enum members bound once: a class-attribute load off an enum is slow.
+_OS = Mode.OS
+_BLOCK_OP = MissKind.BLOCK_OP
+_COHERENCE = MissKind.COHERENCE
+_OTHER = MissKind.OTHER
+
+#: ``snapshot()`` key of each mode, by value: ``str(Mode.OS)`` is
+#: ``"Mode.OS"`` before Python 3.11 and ``"1"`` after, so it is never
+#: spelled out.
+_MODE_KEYS = [str(m) for m in Mode]
 
 
 class TimeBreakdown:
@@ -175,11 +192,11 @@ class SystemMetrics:
         self.num_cpus = num_cpus
         self.page_bytes = page_bytes
         self.trackers: List[MissTracker] = [MissTracker() for _ in range(num_cpus)]
-        self.time: Dict[Mode, TimeBreakdown] = {m: TimeBreakdown() for m in Mode}
-        # Reference and miss counts.
-        self.reads: Counter = Counter()          # Mode -> count
-        self.writes: Counter = Counter()         # Mode -> count
-        self.read_misses: Counter = Counter()    # Mode -> count
+        #: Time components, reference and miss counts, indexed by mode.
+        self.time: List[TimeBreakdown] = [TimeBreakdown() for _ in Mode]
+        self.reads: List[int] = [0] * len(Mode)
+        self.writes: List[int] = [0] * len(Mode)
+        self.read_misses: List[int] = [0] * len(Mode)
         self.os_miss_kind: Counter = Counter()   # MissKind -> count (OS reads)
         self.os_coh_dclass: Counter = Counter()  # DataClass -> count
         self.os_miss_pc: Counter = Counter()     # basic block -> OS miss count
@@ -228,20 +245,9 @@ class SystemMetrics:
                  sync: int = 0) -> None:
         self.time[mode].add(exec_cycles, imiss, dread, dwrite, pref, sync)
 
-    def record_read_hit(self, mode: Mode) -> None:
-        """Fused :meth:`record_read` + :meth:`add_time` for a clean L1 hit.
-
-        A hit contributes exactly one read to its mode and zero cycles to
-        every stall component, so the whole accounting collapses to one
-        counter bump.  The processor's inlined fast path performs this
-        increment directly on the bound ``reads`` counter; this method is
-        the documented equivalent for other callers (and tests).
-        """
-        self.reads[mode] += 1
-
     def record_read(self, cpu: int, rec: TraceRecord, res: AccessResult,
                     in_blockop: bool) -> None:
-        mode = MODE_BY_VALUE[rec.mode]
+        mode = rec.mode
         self.reads[mode] += 1
         if rec.blockop:
             self.blk_read_stall += res.stall + res.pref_stall
@@ -260,28 +266,27 @@ class SystemMetrics:
                 self.reuse_inside += 1
             else:
                 self.reuse_outside += 1
-        if mode != Mode.OS:
+        if mode != _OS:
             return
         if rec.blockop:
-            kind = MissKind.BLOCK_OP
+            kind = _BLOCK_OP
         elif flags.coherence:
-            kind = MissKind.COHERENCE
+            kind = _COHERENCE
         else:
-            kind = MissKind.OTHER
+            kind = _OTHER
         self.os_miss_kind[kind] += 1
-        if kind == MissKind.COHERENCE:
-            group = DataClass(rec.dclass)
-            self.os_coh_dclass[group] += 1
+        dclass = DCLASS_BY_VALUE[rec.dclass]
+        if kind is _COHERENCE:
+            self.os_coh_dclass[dclass] += 1
             self.os_coh_addr[rec.addr - rec.addr % 16] += 1
         self.os_miss_pc[rec.pc] += 1
-        self.os_miss_dclass[DataClass(rec.dclass)] += 1
+        self.os_miss_dclass[dclass] += 1
         if rec.pc in self.hotspot_pcs:
             self.os_hotspot_misses += 1
 
     def record_write(self, cpu: int, rec: TraceRecord, stall: int,
                      in_blockop: bool) -> None:
-        mode = MODE_BY_VALUE[rec.mode]
-        self.writes[mode] += 1
+        self.writes[rec.mode] += 1
         if rec.blockop:
             self.blk_write_stall += stall
 
@@ -311,8 +316,7 @@ class SystemMetrics:
         self.bus_busy_cycles = bus.busy_cycles
         self.bus_wait_cycles = bus.wait_cycles
         self.bus_traffic = bus.traffic_summary()
-        self.bus_transactions = {kind.value: count for kind, count
-                                 in bus.transactions.items()}
+        self.bus_transactions = bus.transaction_summary()
         self.updates_sent = controller.updates_sent
         self.invalidations_sent = controller.invalidations_sent
         self.cache_to_cache = controller.cache_to_cache
@@ -337,7 +341,7 @@ class SystemMetrics:
     @property
     def total_cpu_cycles(self) -> int:
         """Sum of attributed cycles over all CPUs and modes."""
-        return sum(tb.total for tb in self.time.values())
+        return sum(tb.total for tb in self.time)
 
     def mode_fraction(self, mode: Mode) -> float:
         """Fraction of machine time spent in *mode* (Table 1 rows 1-3)."""
@@ -421,7 +425,7 @@ class SystemMetrics:
         the cache layer quarantines the entry on any of those.
         """
         metrics = cls(int(snap["num_cpus"]), int(snap["page_bytes"]))
-        # snapshot() renders Counter keys through str(); invert that per
+        # snapshot() renders enum keys through str(); invert that per
         # enum (robust to the IntEnum __str__ change in Python 3.11).
         by_str = {enum_cls: {str(member): member for member in enum_cls}
                   for enum_cls in (Mode, MissKind, DataClass)}
@@ -436,9 +440,9 @@ class SystemMetrics:
             breakdown = metrics.time[mode]
             for field in TimeBreakdown.__slots__:
                 setattr(breakdown, field, int(snap["time"][mode.name][field]))
-        metrics.reads = counter("reads", by_str[Mode].__getitem__)
-        metrics.writes = counter("writes", by_str[Mode].__getitem__)
-        metrics.read_misses = counter("read_misses", by_str[Mode].__getitem__)
+        for name in ("reads", "writes", "read_misses"):
+            by_mode = counter(name, by_str[Mode].__getitem__)
+            setattr(metrics, name, [by_mode[mode] for mode in Mode])
         metrics.os_miss_kind = counter("os_miss_kind",
                                        by_str[MissKind].__getitem__)
         metrics.os_coh_dclass = counter("os_coh_dclass",
@@ -480,13 +484,18 @@ class SystemMetrics:
             return {str(k): int(v) for k, v in sorted(
                 c.items(), key=lambda item: str(item[0]))}
 
+        def per_mode(counts: List[int]) -> Dict[str, int]:
+            # Zero slots are left out, as an unbumped Counter key was.
+            return {key: n for key, n in sorted(zip(_MODE_KEYS, counts))
+                    if n}
+
         return {
             "num_cpus": self.num_cpus,
             "page_bytes": self.page_bytes,
             "time": {m.name: self.time[m].as_dict() for m in Mode},
-            "reads": counter(self.reads),
-            "writes": counter(self.writes),
-            "read_misses": counter(self.read_misses),
+            "reads": per_mode(self.reads),
+            "writes": per_mode(self.writes),
+            "read_misses": per_mode(self.read_misses),
             "os_miss_kind": counter(self.os_miss_kind),
             "os_coh_dclass": counter(self.os_coh_dclass),
             "os_miss_pc": counter(self.os_miss_pc),

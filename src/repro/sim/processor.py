@@ -34,10 +34,15 @@ it runs once per trace record across every experiment cell.  It therefore:
   so the probe sees every read;
 * takes writes from :meth:`CpuMemorySystem.write` as a plain
   ``(done, stall)`` pair, the only part of a write the accounting reads;
-* converts record fields to enum members through precomputed lookup
-  tables (``MODE_BY_VALUE``) instead of enum constructors, and
-  accumulates time components directly into the plain int fields of the
-  per-mode :class:`~repro.sim.metrics.TimeBreakdown`.
+* indexes the per-mode lists of :class:`~repro.sim.metrics.SystemMetrics`
+  (``time``, ``reads``, ``writes``) with the raw mode int from the
+  column, accumulating time components directly into the plain int
+  fields of the mode's :class:`~repro.sim.metrics.TimeBreakdown`: no
+  enum member is built, hashed or looked up per record;
+* loads enum members only through module-level aliases (``_RUNNING``,
+  ``_READ``, ...): on Python 3.11 every ``ProcStatus.RUNNING``-style
+  class-attribute load goes through ``EnumType.__getattr__``'s slow
+  path, about four times the cost of a module global.
 
 Every shortcut must keep :meth:`SystemMetrics.snapshot` bit-identical to
 the straightforward path; ``tests/test_fastpath_equivalence.py`` and the
@@ -50,7 +55,7 @@ import enum
 from typing import List, Optional, Tuple
 
 from repro.common.errors import SimulationError
-from repro.common.types import (DCLASS_BY_VALUE, MODE_BY_VALUE, Mode, Op,
+from repro.common.types import (DCLASS_BY_VALUE, MODE_BY_VALUE, Op,
                                 OP_BY_VALUE, Scheme)
 from repro.memsys.dma import run_dma
 from repro.memsys.hierarchy import CpuMemorySystem
@@ -65,8 +70,6 @@ from repro.trace.stream import Trace
 #: Cycles a spinning processor waits between lock retries.
 SPIN_QUANTUM = 16
 
-_MODE_OF = MODE_BY_VALUE
-
 # Opcode values as plain ints: IntEnum members compare to ints at C speed,
 # without the enum __eq__ dispatch.
 _READ = int(Op.READ)
@@ -78,12 +81,27 @@ _BARRIER = int(Op.BARRIER)
 _BLOCK_START = int(Op.BLOCK_START)
 _BLOCK_END = int(Op.BLOCK_END)
 
+# Enum members bound once: a class-attribute load off an enum is slow.
+_PREF_SCHEME = Scheme.PREF
+_BYPASS_SCHEME = Scheme.BYPASS
+_BYPREF_SCHEME = Scheme.BYPREF
+_DMA_SCHEME = Scheme.DMA
+_EXCLUSIVE = LineState.EXCLUSIVE
+_MODIFIED = LineState.MODIFIED
+_SHARED = LineState.SHARED
+
 
 class ProcStatus(enum.Enum):
     RUNNING = "running"
     BLOCKED_LOCK = "blocked_lock"
     WAITING_BARRIER = "waiting_barrier"
     DONE = "done"
+
+
+_RUNNING = ProcStatus.RUNNING
+_BLOCKED_LOCK = ProcStatus.BLOCKED_LOCK
+_WAITING_BARRIER = ProcStatus.WAITING_BARRIER
+_DONE = ProcStatus.DONE
 
 
 class StepResult:
@@ -93,19 +111,20 @@ class StepResult:
 
     def __init__(self, status: ProcStatus, lock_addr: int = 0,
                  barrier_release: Optional[Tuple[int, List[int]]] = None,
-                 mode: Optional[Mode] = None) -> None:
+                 mode: Optional[int] = None) -> None:
         self.status = status
         self.lock_addr = lock_addr
         self.barrier_release = barrier_release
-        #: Mode of the blocking record (set for BLOCKED_LOCK results so the
-        #: scheduler can attribute spin time without re-reading the stream).
+        #: Mode value of the blocking record (set for BLOCKED_LOCK results
+        #: so the scheduler can attribute spin time without re-reading the
+        #: stream).
         self.mode = mode
 
 
 #: Shared results for the two allocation-heavy outcomes.  ``step`` returns
 #: these for plain running/done steps; callers only read the fields.
-_RESULT_RUNNING = StepResult(ProcStatus.RUNNING)
-_RESULT_DONE = StepResult(ProcStatus.DONE)
+_RESULT_RUNNING = StepResult(_RUNNING)
+_RESULT_DONE = StepResult(_DONE)
 
 
 class Processor:
@@ -129,8 +148,7 @@ class Processor:
         self.barriers = barriers
         self.pos = 0
         self.time = 0
-        self.status = (ProcStatus.RUNNING if self.num_records
-                       else ProcStatus.DONE)
+        self.status = _RUNNING if self.num_records else _DONE
         self._blk_desc: Optional[BlockOpDescriptor] = None
         self._blk_last_src_line = -1
         self._barrier_rec: Optional[TraceRecord] = None
@@ -147,7 +165,6 @@ class Processor:
         # would: through the shared hooks, None on 1-way caches.
         self._touch_l1d = mem._touch_l1d
         self._touch_l1i = mem._touch_l1i
-        self._l1_hit = mem.machine.l1_hit_cycles
         self._pending_ready = mem.pending.ready
         self._time = metrics.time
         self._reads = metrics.reads
@@ -156,8 +173,8 @@ class Processor:
         # cached fast path.  PREF/BYPREF reads need the lookahead-prefetch
         # side effects; BYPASS writes need the destination line register.
         scheme = config.scheme
-        self._blk_read_plain = scheme not in (Scheme.PREF, Scheme.BYPREF)
-        self._blk_write_plain = scheme != Scheme.BYPASS
+        self._blk_read_plain = scheme not in (_PREF_SCHEME, _BYPREF_SCHEME)
+        self._blk_write_plain = scheme != _BYPASS_SCHEME
 
     def record(self, pos: int) -> TraceRecord:
         """The :class:`TraceRecord` at stream position *pos*, built afresh
@@ -166,7 +183,7 @@ class Processor:
         cols = self._columns
         return TraceRecord(
             OP_BY_VALUE[self._ops[pos]], self._addrs[pos],
-            _MODE_OF[self._modes[pos]],
+            MODE_BY_VALUE[self._modes[pos]],
             DCLASS_BY_VALUE[cols.dclasses.item(pos)], self._pcs[pos],
             self._icounts[pos], self._blockops[pos], cols.sizes.item(pos),
             cols.args.item(pos))
@@ -176,11 +193,11 @@ class Processor:
     # ------------------------------------------------------------------
     def wake_from_barrier(self, release_time: int) -> None:
         """Resume after a barrier episode completes."""
-        if self.status != ProcStatus.WAITING_BARRIER:
+        if self.status != _WAITING_BARRIER:
             raise SimulationError(f"cpu {self.cpu_id} woken while not waiting")
         rec = self._barrier_rec
         assert rec is not None
-        mode = _MODE_OF[rec.mode]
+        mode = rec.mode
         wait = max(0, release_time - self.time)
         self.metrics.add_time(mode, sync=wait)
         self.time = max(self.time, release_time)
@@ -192,18 +209,18 @@ class Processor:
                               pref=res.pref_stall)
         self.time = res.done
         self._barrier_rec = None
-        self.status = ProcStatus.RUNNING
+        self.status = _RUNNING
 
     # ------------------------------------------------------------------
     # Main step
     # ------------------------------------------------------------------
     def step(self) -> StepResult:
         """Process the next record; returns the resulting status."""
-        if self.status is not ProcStatus.RUNNING:
+        if self.status is not _RUNNING:
             raise SimulationError(f"step on {self.status} cpu {self.cpu_id}")
         pos = self.pos
         if pos >= self.num_records:
-            self.status = ProcStatus.DONE
+            self.status = _DONE
             return _RESULT_DONE
         op = self._ops[pos]
 
@@ -213,11 +230,11 @@ class Processor:
             addr = self._addrs[pos]
             holder = self.locks.holder(addr)
             if holder is not None and holder != self.cpu_id:
-                return StepResult(ProcStatus.BLOCKED_LOCK, lock_addr=addr,
-                                  mode=_MODE_OF[self._modes[pos]])
+                return StepResult(_BLOCKED_LOCK, lock_addr=addr,
+                                  mode=self._modes[pos])
 
         self.pos = pos + 1
-        mode = _MODE_OF[self._modes[pos]]
+        mode = self._modes[pos]
         icount = self._icounts[pos]
         t = self.time
 
@@ -249,12 +266,13 @@ class Processor:
                     and line in self._l1_where
                     and line not in self._pending_ready
                     and self.probe is None):
-                # Clean L1D hit: one read for this mode, zero stall.
+                # Clean L1D hit: one read for this mode, zero stall, one
+                # cycle (MachineParams pins l1_hit_cycles to 1).
                 self._reads[mode] += 1
                 if self._touch_l1d is not None:
                     self._touch_l1d(line)
                 exec_cycles += 1
-                t += self._l1_hit
+                t += 1
             else:
                 t, extra_exec = self._do_read(self.record(pos), t)
                 exec_cycles += extra_exec
@@ -302,7 +320,7 @@ class Processor:
             self.metrics.blk_instr_exec += exec_cycles + istall
         self.time = t
         if self.pos >= self.num_records:
-            self.status = ProcStatus.DONE
+            self.status = _DONE
             return _RESULT_DONE
         return _RESULT_RUNNING
 
@@ -318,22 +336,23 @@ class Processor:
         extra_exec = 1
         in_blockop = self._blk_desc is not None
         scheme = self._scheme()
-        if rec.blockop and in_blockop and scheme in (Scheme.PREF, Scheme.BYPREF):
+        if (rec.blockop and in_blockop
+                and scheme in (_PREF_SCHEME, _BYPREF_SCHEME)):
             extra_exec += self._lookahead_prefetch(rec, t)
-        if rec.blockop and in_blockop and scheme in (Scheme.BYPASS, Scheme.BYPREF):
+        if (rec.blockop and in_blockop
+                and scheme in (_BYPASS_SCHEME, _BYPREF_SCHEME)):
             res = mem.read_bypass(rec.addr, t)
         else:
             res = mem.read(rec.addr, t)
         self.metrics.record_read(self.cpu_id, rec, res, in_blockop)
-        self.metrics.add_time(_MODE_OF[rec.mode], dread=res.stall,
-                              pref=res.pref_stall)
+        self.metrics.add_time(rec.mode, dread=res.stall, pref=res.pref_stall)
         return res.done, extra_exec
 
     def _do_write(self, rec: TraceRecord, t: int) -> int:
         """Blk_Bypass destination write (``step`` takes every other write)."""
         res = self.mem.write_bypass(rec.addr, t)
         self.metrics.record_write(self.cpu_id, rec, res.stall, True)
-        self.metrics.add_time(_MODE_OF[rec.mode], dwrite=res.stall)
+        self.metrics.add_time(rec.mode, dwrite=res.stall)
         return res.done
 
     def _lookahead_prefetch(self, rec: TraceRecord, t: int) -> int:
@@ -359,12 +378,12 @@ class Processor:
 
     def _pref_lead(self) -> int:
         """Software-pipelining depth for the active block-op scheme."""
-        if self._scheme() == Scheme.BYPREF:
+        if self._scheme() == _BYPREF_SCHEME:
             return self.config.bypref_lead_lines
         return self.config.pref_lead_lines
 
     def _issue_block_prefetch(self, addr: int, t: int) -> None:
-        if self._scheme() == Scheme.BYPREF:
+        if self._scheme() == _BYPREF_SCHEME:
             self.mem.prefetch_into_buffer(addr, t)
         else:
             self.mem.prefetch_line(addr, t)
@@ -380,7 +399,7 @@ class Processor:
             probe.block_begin(self.cpu_id, t, desc)
         self._measure_block_start(desc)
         scheme = self._scheme()
-        if scheme == Scheme.DMA:
+        if scheme == _DMA_SCHEME:
             # The engine runs the whole operation and swallows its word
             # records, BLOCK_END included.
             done = self._do_block_dma(rec, desc, t)
@@ -390,9 +409,9 @@ class Processor:
         self._blk_desc = desc
         self._blk_last_src_line = -1
         self.mem.in_blockop = True
-        self.mem.bypass_l2_wide = scheme == Scheme.BYPREF
+        self.mem.bypass_l2_wide = scheme == _BYPREF_SCHEME
         self.tracker.in_blockop = True
-        if scheme in (Scheme.PREF, Scheme.BYPREF) and desc.is_copy:
+        if scheme in (_PREF_SCHEME, _BYPREF_SCHEME) and desc.is_copy:
             # Prolog: prefetch the first `lead` source lines back-to-back.
             line_bytes = self.mem.machine.l1d.line_bytes
             for i in range(self._pref_lead()):
@@ -401,7 +420,7 @@ class Processor:
                     break
                 self._issue_block_prefetch(addr, t)
                 t += 1
-                self.metrics.add_time(_MODE_OF[rec.mode], exec_cycles=1)
+                self.metrics.add_time(rec.mode, exec_cycles=1)
         return t
 
     def _do_block_dma(self, rec: TraceRecord, desc: BlockOpDescriptor,
@@ -411,7 +430,7 @@ class Processor:
         stall = result.done - t
         self.metrics.record_dma(stall)
         # The paper assigns the whole DMA stall to D Read Miss.
-        self.metrics.add_time(_MODE_OF[rec.mode], dread=stall)
+        self.metrics.add_time(rec.mode, dread=stall)
         self.metrics.record_block_exec(stall)
         # Skip the word-level records; the engine replaced them.
         ops = self._ops
@@ -428,7 +447,7 @@ class Processor:
     def _do_block_end(self, rec: TraceRecord, t: int) -> int:
         stall = self.mem.end_block_op(t)
         if stall:
-            self.metrics.add_time(_MODE_OF[rec.mode], dwrite=stall)
+            self.metrics.add_time(rec.mode, dwrite=stall)
         self._blk_desc = None
         self._blk_last_src_line = -1
         self.mem.in_blockop = False
@@ -455,9 +474,9 @@ class Processor:
         while addr < desc.dst + desc.size:
             dst_total += 1
             state = mem.l2.state_of(addr)
-            if state in (LineState.EXCLUSIVE, LineState.MODIFIED):
+            if state in (_EXCLUSIVE, _MODIFIED):
                 dst_owned += 1
-            elif state == LineState.SHARED:
+            elif state == _SHARED:
                 dst_shared += 1
             addr += l2_bytes
         self.metrics.record_block_start(self.cpu_id, desc, src_cached,
@@ -468,7 +487,7 @@ class Processor:
     # Synchronization
     # ------------------------------------------------------------------
     def _do_lock_acquire(self, rec: TraceRecord, t: int) -> int:
-        mode = _MODE_OF[rec.mode]
+        mode = rec.mode
         ok, grant = self.locks.try_acquire(rec.addr, self.cpu_id, t)
         if not ok:  # pragma: no cover - step() checked before consuming
             raise SimulationError("lock acquired while held")
@@ -487,7 +506,7 @@ class Processor:
         return done
 
     def _do_lock_release(self, rec: TraceRecord, t: int) -> int:
-        mode = _MODE_OF[rec.mode]
+        mode = rec.mode
         # Release consistency: all buffered writes drain first.
         drained = self.mem.drain_writes(t)
         if drained > t:
@@ -501,7 +520,7 @@ class Processor:
 
     def _do_barrier(self, rec: TraceRecord, t: int, exec_cycles: int,
                     istall: int) -> StepResult:
-        mode = _MODE_OF[rec.mode]
+        mode = rec.mode
         drained = self.mem.drain_writes(t)
         if drained > t:
             self.metrics.add_time(mode, dwrite=drained - t)
@@ -518,12 +537,12 @@ class Processor:
         outcome = self.barriers.arrive(rec.addr, rec.arg, self.cpu_id, t)
         if outcome is None:
             self._barrier_rec = rec
-            self.status = ProcStatus.WAITING_BARRIER
-            return StepResult(ProcStatus.WAITING_BARRIER)
+            self.status = _WAITING_BARRIER
+            return StepResult(_WAITING_BARRIER)
         release, waiters = outcome
         self.metrics.add_time(mode, sync=max(0, release - t))
         self.time = max(t, release)
         if self.pos >= self.num_records:
-            self.status = ProcStatus.DONE
-            return StepResult(ProcStatus.DONE, barrier_release=outcome)
-        return StepResult(ProcStatus.RUNNING, barrier_release=outcome)
+            self.status = _DONE
+            return StepResult(_DONE, barrier_release=outcome)
+        return StepResult(_RUNNING, barrier_release=outcome)

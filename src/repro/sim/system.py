@@ -30,7 +30,6 @@ from typing import Iterable, List, Optional
 
 from repro.check import REPRO_CHECK_ENV
 from repro.common.errors import DeadlockError, SimulationError
-from repro.common.types import MODE_BY_VALUE, Mode
 from repro.memsys.bus import Bus
 from repro.memsys.coherence import CoherenceController
 from repro.memsys.hierarchy import CpuMemorySystem
@@ -225,10 +224,10 @@ class MultiprocessorSystem:
         return self.metrics
 
     def _spin(self, proc: Processor, lock_addr: int,
-              mode: Optional[Mode] = None) -> None:
+              mode: Optional[int] = None) -> None:
         """Advance a lock-spinning processor's clock past the holder's.
 
-        *mode* is the blocking record's mode, carried on the
+        *mode* is the blocking record's mode value, carried on the
         :class:`StepResult` so retries do not re-read the stream; ``None``
         (direct callers) falls back to looking it up.
         """
@@ -245,7 +244,7 @@ class MultiprocessorSystem:
         holder_time = self.processors[holder].time
         target = max(proc.time + SPIN_QUANTUM, holder_time + 1)
         if mode is None:
-            mode = MODE_BY_VALUE[proc.record(proc.pos).mode]
+            mode = proc.record(proc.pos).mode
         self.metrics.add_time(mode, sync=target - proc.time)
         proc.time = target
 

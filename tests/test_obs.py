@@ -140,7 +140,7 @@ def test_bypass_read_falling_back_to_cached_path_counts_once():
     tracer = Tracer()
     metrics = simulate(b.build(), standard_configs()["Blk_Bypass"],
                        tracer=tracer)
-    assert tracer.read_misses == sum(metrics.read_misses.values())
+    assert tracer.read_misses == sum(metrics.read_misses)
     misses = [e for e in tracer.events
               if e.cat == CAT_MISS and e.args.get("addr") == 0x100100]
     assert len(misses) == 1, [e.name for e in misses]
@@ -151,7 +151,7 @@ def test_tracer_miss_count_matches_metrics(name):
     trace = generate("Shell", seed=1996, scale=0.05)
     tracer = Tracer(max_events=0)
     metrics = simulate(trace, all_configs()[name], tracer=tracer)
-    assert tracer.read_misses == sum(metrics.read_misses.values())
+    assert tracer.read_misses == sum(metrics.read_misses)
 
 
 def test_double_attach_raises():
@@ -185,7 +185,7 @@ def test_miss_events_carry_classification():
         assert 0 <= ev.lane < 2
     # Every demand read miss the metrics counted was traced, and the
     # per-site OS attribution agrees with the metrics layer exactly.
-    assert tracer.read_misses == sum(metrics.read_misses.values())
+    assert tracer.read_misses == sum(metrics.read_misses)
     assert tracer.site_os == metrics.os_miss_pc
 
 

@@ -63,6 +63,13 @@ class TestMachineParams:
         assert BASE_MACHINE.l2_hit_cycles == 12
         assert BASE_MACHINE.memory_read_cycles == 51
 
+    def test_l1_hit_cycles_other_than_one_rejected(self):
+        # A hit is charged one exec cycle; a longer hit would advance the
+        # clocks by cycles that no time component accounts for.
+        for cycles in (0, 2):
+            with pytest.raises(ConfigError, match="l1_hit_cycles"):
+                MachineParams(l1_hit_cycles=cycles)
+
     def test_base_has_four_cpus(self):
         assert BASE_MACHINE.num_cpus == 4
 

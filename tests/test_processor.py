@@ -93,7 +93,7 @@ class TestLocks:
             b.emit(cpu, rec.lock_release(0x100))
         m = run(b)
         # Some CPU must have spun (sync time) because sections overlap.
-        total_sync = sum(tb.sync for tb in m.time.values())
+        total_sync = sum(tb.sync for tb in m.time)
         assert total_sync > 0
 
     def test_lock_migration_causes_coherence_misses(self):
@@ -120,7 +120,7 @@ class TestBarriers:
             b.emit(cpu, rec.read(0x9000 + cpu * 0x2000))
         m = run(b)
         assert m.makespan > 0
-        total_sync = sum(tb.sync for tb in m.time.values())
+        total_sync = sum(tb.sync for tb in m.time)
         assert total_sync > 0
 
     def test_barrier_generates_coherence_misses(self):

@@ -1,5 +1,7 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
+from collections import Counter
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -57,21 +59,45 @@ def test_write_buffer_fifo_and_bounds(ops):
     assert completions == sorted(completions)
 
 
-@given(st.lists(st.tuples(st.integers(0, 100), st.integers(1, 50)),
+#: The summary key of every bus transaction kind, as the snapshots and
+#: tracer events spell them.
+_BUS_KIND_NAMES = {
+    BusOp.READ_MEM: "read_mem", BusOp.READ_CACHE: "read_cache",
+    BusOp.OWNERSHIP: "ownership", BusOp.INVALIDATE: "invalidate",
+    BusOp.UPDATE: "update", BusOp.WRITEBACK: "writeback",
+    BusOp.PREFETCH: "prefetch", BusOp.DMA: "dma",
+}
+
+
+@given(st.lists(st.tuples(st.integers(0, 100), st.integers(0, 50),
+                          st.sampled_from(list(BusOp)), st.booleans()),
                 min_size=1, max_size=100))
 def test_bus_reservations_disjoint_and_accounted(ops):
+    """Grants never overlap, and the per-kind lists count exactly what a
+    ``Counter`` keyed by kind would, zero-cycle and uncounted
+    (``record_txn=False``) phases included."""
     bus = Bus(BASE_MACHINE.bus)
     t = 0
     intervals = []
     total = 0
-    for dt, dur in ops:
+    transactions, held = Counter(), Counter()
+    for dt, dur, kind, record_txn in ops:
         t += dt
-        grant = bus.acquire(t, dur, BusOp.READ_MEM)
+        grant = bus.acquire(t, dur, kind, record_txn=record_txn)
         intervals.append((grant, grant + dur))
         total += dur
+        if record_txn:
+            transactions[kind] += 1
+        held[kind] += dur
     assert bus.busy_cycles == total
     for (s1, e1), (s2, e2) in zip(intervals, intervals[1:]):
         assert e1 <= s2
+    assert bus.transactions == [transactions[kind] for kind in BusOp]
+    assert bus.cycles_by_kind == [held[kind] for kind in BusOp]
+    assert bus.traffic_summary() == {
+        _BUS_KIND_NAMES[kind]: cycles for kind, cycles in held.items()}
+    assert bus.transaction_summary() == {
+        _BUS_KIND_NAMES[kind]: count for kind, count in transactions.items()}
 
 
 @given(st.lists(st.tuples(st.integers(0, 3), addresses, st.booleans()),
@@ -158,8 +184,8 @@ def test_random_traces_simulate_cleanly(trace):
     # Miss taxonomy sums to the OS read-miss count.
     assert sum(metrics.os_miss_kind.values()) == metrics.os_read_misses()
     # Reads recorded >= misses recorded.
-    for mode, misses in metrics.read_misses.items():
-        assert metrics.reads[mode] >= misses
+    for reads, misses in zip(metrics.reads, metrics.read_misses):
+        assert reads >= misses
 
 
 @given(small_traces())

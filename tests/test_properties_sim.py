@@ -86,8 +86,8 @@ def test_reads_and_writes_preserved_across_schemes(trace):
     expected_writes = sum(1 for r in trace.records() if r.op == Op.WRITE)
     for name in ("Base", "Blk_Pref", "Blk_Bypass", "Blk_ByPref"):
         m = simulate(trace, standard_configs()[name])
-        assert sum(m.reads.values()) == expected_reads, name
-        assert sum(m.writes.values()) == expected_writes, name
+        assert sum(m.reads) == expected_reads, name
+        assert sum(m.writes) == expected_writes, name
 
 
 @given(block_heavy_traces())
