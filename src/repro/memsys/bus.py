@@ -41,6 +41,18 @@ class BusOp(enum.IntEnum):
 #: Summary key (and tracer event suffix) of each kind, by value.
 BUS_OP_NAMES = tuple(op.name.lower() for op in BusOp)
 
+# Each kind as a plain int module global, for the per-access callers of
+# :meth:`Bus.acquire`: it indexes the per-kind lists directly and costs
+# no enum class-attribute load.
+BUS_READ_MEM = int(BusOp.READ_MEM)
+BUS_READ_CACHE = int(BusOp.READ_CACHE)
+BUS_OWNERSHIP = int(BusOp.OWNERSHIP)
+BUS_INVALIDATE = int(BusOp.INVALIDATE)
+BUS_UPDATE = int(BusOp.UPDATE)
+BUS_WRITEBACK = int(BusOp.WRITEBACK)
+BUS_PREFETCH = int(BusOp.PREFETCH)
+BUS_DMA = int(BusOp.DMA)
+
 
 class Bus:
     """Reservation-timeline bus with per-kind traffic statistics."""
@@ -57,10 +69,6 @@ class Bus:
         self.transactions: List[int] = [0] * len(BusOp)
         #: Held cycles, indexed by kind.
         self.cycles_by_kind: List[int] = [0] * len(BusOp)
-        #: Reservations (both phases of a split transaction), indexed by
-        #: kind: a kind enters :meth:`traffic_summary` once it held the
-        #: bus, even for zero cycles.
-        self.grants: List[int] = [0] * len(BusOp)
         #: Attached observer (:class:`~repro.memsys.sink.Probe`), or None.
         self.probe = None
 
@@ -81,7 +89,6 @@ class Bus:
         if record_txn:
             self.transactions[kind] += 1
         self.cycles_by_kind[kind] += duration
-        self.grants[kind] += 1
         if self.probe is not None:
             self.probe.bus_grant(kind, t, grant, duration)
         return grant
@@ -93,10 +100,15 @@ class Bus:
         return min(1.0, self.busy_cycles / total_cycles)
 
     def traffic_summary(self) -> Dict[str, int]:
-        """Held cycles per kind that held the bus, keyed by kind name."""
+        """Held cycles per kind that ran a transaction, keyed by kind name.
+
+        A kind's uncounted data phases always follow its counted request
+        phase, so this is every kind that held the bus, for zero cycles
+        too.
+        """
         return {BUS_OP_NAMES[kind]: cycles
                 for kind, cycles in enumerate(self.cycles_by_kind)
-                if self.grants[kind]}
+                if self.transactions[kind]}
 
     def transaction_summary(self) -> Dict[str, int]:
         """Transaction counts per kind that ran one, keyed by kind name."""

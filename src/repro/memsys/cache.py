@@ -16,9 +16,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.common.params import CacheParams
-from repro.memsys.states import LineState
-
-_INVALID = LineState.INVALID
+from repro.memsys.states import INVALID, LineState
 
 
 class Cache:
@@ -160,7 +158,7 @@ class CoherentCache(Cache):
 
     def __init__(self, params: CacheParams) -> None:
         super().__init__(params)
-        self.states: List[LineState] = [_INVALID] * self.num_lines
+        self.states: List[LineState] = [INVALID] * self.num_lines
         self.holders: Dict[int, int] = {}
         self.bit = 1
 
@@ -168,7 +166,7 @@ class CoherentCache(Cache):
         """MESI state of the line containing *addr* (INVALID if absent)."""
         idx = self.where.get(addr - addr % self.line_bytes)
         if idx is None:
-            return _INVALID
+            return INVALID
         return self.states[idx]
 
     def set_state(self, addr: int, state: LineState) -> None:
@@ -177,7 +175,7 @@ class CoherentCache(Cache):
         idx = self.where.get(line)
         if idx is None:
             raise KeyError(f"line {line:#x} not resident")
-        if state == _INVALID:
+        if state == INVALID:
             del self.where[line]
             self._drop(idx)
         else:
@@ -219,7 +217,7 @@ class CoherentCache(Cache):
     def _drop(self, idx: int) -> None:
         self._forget(self.tags[idx])
         super()._drop(idx)
-        self.states[idx] = _INVALID
+        self.states[idx] = INVALID
 
 
 def holder_cpus(mask: int) -> List[int]:

@@ -41,23 +41,12 @@ from typing import Dict, Iterable, List, Optional, Set
 
 from repro.common.errors import SimulationError
 from repro.common.params import MachineParams
-from repro.memsys.bus import Bus, BusOp
+from repro.memsys.bus import (BUS_INVALIDATE, BUS_OWNERSHIP, BUS_READ_CACHE,
+                              BUS_READ_MEM, BUS_UPDATE, BUS_WRITEBACK, Bus)
 from repro.memsys.cache import Cache, CoherentCache, holder_cpus
 from repro.memsys.sink import MemorySink
-from repro.memsys.states import LineState
-
-# Enum members bound once (a class-attribute load off an enum is slow);
-# bus kinds as plain ints, which index Bus's per-kind lists fastest.
-_INVALID = LineState.INVALID
-_SHARED = LineState.SHARED
-_EXCLUSIVE = LineState.EXCLUSIVE
-_MODIFIED = LineState.MODIFIED
-_READ_MEM = int(BusOp.READ_MEM)
-_READ_CACHE = int(BusOp.READ_CACHE)
-_OWNERSHIP = int(BusOp.OWNERSHIP)
-_INVALIDATE = int(BusOp.INVALIDATE)
-_UPDATE = int(BusOp.UPDATE)
-_WRITEBACK = int(BusOp.WRITEBACK)
+from repro.memsys.states import (EXCLUSIVE, INVALID, MODIFIED, SHARED,
+                                 LineState)
 
 
 class _CpuPort:
@@ -153,7 +142,7 @@ class CoherenceController:
     def _dirty_holder(self, line: int, except_cpu: int) -> Optional[int]:
         ports = self.ports
         for i in self._holders(line, except_cpu):
-            if ports[i].l2.state_of(line) == _MODIFIED:
+            if ports[i].l2.state_of(line) == MODIFIED:
                 return i
         return None
 
@@ -172,7 +161,7 @@ class CoherenceController:
         victims = self._holders(line, cpu)
         adaptive = self.adaptive
         for i in victims:
-            self.ports[i].l2.set_state(line, _INVALID)
+            self.ports[i].l2.set_state(line, INVALID)
             self._drop_from_l1(i, line, coherence=True)
             if adaptive is not None:
                 adaptive.on_invalidate(i, line)
@@ -193,14 +182,14 @@ class CoherenceController:
         evicted, evicted_state = port.l2.fill_state(line, state)
         if evicted != -1:
             self._drop_from_l1(cpu, evicted, coherence=False)
-            if evicted_state == _MODIFIED:
+            if evicted_state == MODIFIED:
                 transfer = self.bus.params.line_transfer_cycles(
                     self.machine.l2.line_bytes)
-                self.bus.acquire(t, transfer, _WRITEBACK)
+                self.bus.acquire(t, transfer, BUS_WRITEBACK)
                 self.writebacks += 1
         if self.probe is not None:
             self.probe.l2_install(cpu, line, evicted,
-                                  evicted_state == _MODIFIED)
+                                  evicted_state == MODIFIED)
         if self.adaptive is not None:
             if evicted != -1:
                 self.adaptive.on_invalidate(cpu, evicted)
@@ -210,7 +199,7 @@ class CoherenceController:
     # Demand read path
     # ------------------------------------------------------------------
     def fetch_shared(self, cpu: int, addr: int, t: int,
-                     kind: int = _READ_MEM) -> int:
+                     kind: int = BUS_READ_MEM) -> int:
         """L2 read miss: fetch the line for reading.  Returns ready time.
 
         Illinois: a cache holding the line supplies it (dirty holders write
@@ -219,7 +208,7 @@ class CoherenceController:
         """
         line = self._l2_line(addr)
         port = self.ports[cpu]
-        if port.l2.state_of(line) != _INVALID:
+        if port.l2.state_of(line) != INVALID:
             raise SimulationError(f"fetch_shared of resident line {line:#x}")
         holders = self._holders(line, cpu)
         probe = self.probe
@@ -228,18 +217,18 @@ class CoherenceController:
                 # Before the state transition: the checker reads the
                 # supplier's (possibly dirty) pre-transfer state.
                 probe.fill_from_cache(cpu, line, holders)
-            ready = self._split_transfer(t, _READ_CACHE,
+            ready = self._split_transfer(t, BUS_READ_CACHE,
                                          self.bus.params.cache_supply_cycles)
             for i in holders:
-                self.ports[i].l2.set_state(line, _SHARED)
+                self.ports[i].l2.set_state(line, SHARED)
             self.cache_to_cache += 1
-            state = _SHARED
+            state = SHARED
         else:
             if probe is not None:
                 probe.fill_from_memory(cpu, line)
             ready = self._split_transfer(t, kind,
                                          self.bus.params.memory_access_cycles)
-            state = _EXCLUSIVE
+            state = EXCLUSIVE
         self._fill_l2(cpu, line, state, ready)
         if probe is not None:
             probe.fill(cpu, line, t, ready, bool(holders), True)
@@ -261,7 +250,7 @@ class CoherenceController:
         return grant2 + transfer
 
     def read_nofill(self, cpu: int, addr: int, t: int,
-                    kind: int = _READ_MEM) -> int:
+                    kind: int = BUS_READ_MEM) -> int:
         """Read a line over the bus without caching it (bypass schemes)."""
         line = self._l2_line(addr)
         dirty = self._dirty_holder(line, cpu)
@@ -269,10 +258,10 @@ class CoherenceController:
         if dirty is not None:
             if probe is not None:
                 probe.writeback(dirty, line)
-            ready = self._split_transfer(t, _READ_CACHE,
+            ready = self._split_transfer(t, BUS_READ_CACHE,
                                          self.bus.params.cache_supply_cycles)
             # Illinois: the supplier writes back and keeps a SHARED copy.
-            self.ports[dirty].l2.set_state(line, _SHARED)
+            self.ports[dirty].l2.set_state(line, SHARED)
             self.cache_to_cache += 1
         else:
             ready = self._split_transfer(t, kind,
@@ -295,7 +284,7 @@ class CoherenceController:
         line = self._l2_line(addr)
         port = self.ports[cpu]
         state = port.l2.state_of(line)
-        if state == _INVALID:
+        if state == INVALID:
             raise SimulationError(f"upgrade of non-resident line {line:#x}")
         if self.adaptive is not None:
             decision = self.adaptive.decide(cpu, addr, line,
@@ -307,9 +296,9 @@ class CoherenceController:
         elif self.is_update_addr(addr):
             return self.broadcast_update(cpu, addr, t)
         grant = self.bus.acquire(t, self.bus.params.invalidate_cycles,
-                                 _INVALIDATE)
+                                 BUS_INVALIDATE)
         self._invalidate_remotes(cpu, line)
-        port.l2.set_state(line, _MODIFIED)
+        port.l2.set_state(line, MODIFIED)
         done = grant + self.bus.params.invalidate_cycles
         if self.probe is not None:
             self.probe.upgrade(cpu, line, t, done)
@@ -339,14 +328,14 @@ class CoherenceController:
         if probe is not None:
             probe.fill_for_ownership(cpu, line, dirty)
         if dirty is not None:
-            ready = self._split_transfer(t, _OWNERSHIP,
+            ready = self._split_transfer(t, BUS_OWNERSHIP,
                                          self.bus.params.cache_supply_cycles)
             self.cache_to_cache += 1
         else:
-            ready = self._split_transfer(t, _OWNERSHIP,
+            ready = self._split_transfer(t, BUS_OWNERSHIP,
                                          self.bus.params.memory_access_cycles)
         self._invalidate_remotes(cpu, line)
-        self._fill_l2(cpu, line, _MODIFIED, ready)
+        self._fill_l2(cpu, line, MODIFIED, ready)
         if probe is not None:
             probe.fill(cpu, line, t, ready, dirty is not None, False)
         return ready
@@ -359,15 +348,15 @@ class CoherenceController:
         """
         line = self._l2_line(addr)
         port = self.ports[cpu]
-        if port.l2.state_of(line) == _INVALID:
+        if port.l2.state_of(line) == INVALID:
             raise SimulationError(f"update of non-resident line {line:#x}")
-        grant = self.bus.acquire(t, self.bus.params.update_cycles, _UPDATE)
+        grant = self.bus.acquire(t, self.bus.params.update_cycles, BUS_UPDATE)
         holders = self._holders(line, cpu)
         self.updates_sent += 1
         if holders:
-            port.l2.set_state(line, _SHARED)
+            port.l2.set_state(line, SHARED)
         else:
-            port.l2.set_state(line, _MODIFIED)
+            port.l2.set_state(line, MODIFIED)
         done = grant + self.bus.params.update_cycles
         if self.probe is not None:
             self.probe.update(cpu, addr, t, done, holders)
@@ -388,20 +377,20 @@ class CoherenceController:
         """
         line = self._l2_line(addr)
         port = self.ports[cpu]
-        if port.l2.state_of(line) == _INVALID:
+        if port.l2.state_of(line) == INVALID:
             raise SimulationError(f"update of non-resident line {line:#x}")
-        grant = self.bus.acquire(t, self.bus.params.update_cycles, _UPDATE)
+        grant = self.bus.acquire(t, self.bus.params.update_cycles, BUS_UPDATE)
         adaptive = self.adaptive
         for i in decision.to_invalidate:
-            self.ports[i].l2.set_state(line, _INVALID)
+            self.ports[i].l2.set_state(line, INVALID)
             self._drop_from_l1(i, line, coherence=True)
             adaptive.on_invalidate(i, line)
         self.invalidations_sent += len(decision.to_invalidate)
         self.updates_sent += 1
         if decision.to_update:
-            port.l2.set_state(line, _SHARED)
+            port.l2.set_state(line, SHARED)
         else:
-            port.l2.set_state(line, _MODIFIED)
+            port.l2.set_state(line, MODIFIED)
         done = grant + self.bus.params.update_cycles
         probe = self.probe
         if probe is not None:
@@ -411,7 +400,7 @@ class CoherenceController:
         return done
 
     def write_line_to_memory(self, cpu: int, line_addr: int, t: int,
-                             kind: int = _WRITEBACK,
+                             kind: int = BUS_WRITEBACK,
                              invalidate_remotes: bool = True) -> int:
         """Push a full line to memory (bypassing stores, DMA destination).
 
@@ -427,8 +416,8 @@ class CoherenceController:
             self._invalidate_remotes(cpu, line)
             # The writer's own stale copy (if any) is dropped too.
             port = self.ports[cpu]
-            if port.l2.state_of(line) != _INVALID:
-                port.l2.set_state(line, _INVALID)
+            if port.l2.state_of(line) != INVALID:
+                port.l2.set_state(line, INVALID)
                 self._drop_from_l1(cpu, line, coherence=False)
                 if probe is not None:
                     probe.invalidate(cpu, line, [cpu])
@@ -451,10 +440,10 @@ class CoherenceController:
         line = self._l2_line(line_addr)
         for i in holder_cpus(self.holders.get(line, 0)):
             l2 = self.ports[i].l2
-            if l2.state_of(line) == _MODIFIED:
+            if l2.state_of(line) == MODIFIED:
                 if self.probe is not None:
                     self.probe.writeback(i, line)
-                l2.set_state(line, _SHARED)
+                l2.set_state(line, SHARED)
                 self.cache_to_cache += 1
                 return True
         return False
@@ -473,12 +462,12 @@ class CoherenceController:
         for i in holders:
             l2 = self.ports[i].l2
             if (probe is not None
-                    and l2.state_of(line) == _MODIFIED):
+                    and l2.state_of(line) == MODIFIED):
                 # A dirty holder flushes the line before the in-place
                 # update, so dirty words outside the transferred range
                 # survive the drop to SHARED.
                 probe.writeback(i, line)
-            l2.set_state(line, _SHARED)
+            l2.set_state(line, SHARED)
         return len(holders)
 
     # ------------------------------------------------------------------

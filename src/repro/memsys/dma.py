@@ -12,7 +12,7 @@ line dirty supplies the data, slowing the transfer slightly.
 from __future__ import annotations
 
 from repro.common.units import align_down, ceil_div
-from repro.memsys.bus import BusOp
+from repro.memsys.bus import BUS_DMA
 from repro.memsys.hierarchy import CpuMemorySystem
 from repro.trace.blockop import BlockOpDescriptor
 
@@ -61,7 +61,7 @@ def run_dma(mem: CpuMemorySystem, desc: BlockOpDescriptor, t: int) -> DmaResult:
         penalty += 2 * holders
 
     occupancy += penalty
-    grant = bus.acquire(t, occupancy, BusOp.DMA)
+    grant = bus.acquire(t, occupancy, BUS_DMA)
     done = grant + occupancy
 
     result = DmaResult(grant, done, occupancy, penalty)

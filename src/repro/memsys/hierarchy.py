@@ -23,23 +23,13 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.common.params import MachineParams
-from repro.memsys.bus import Bus, BusOp
+from repro.memsys.bus import BUS_PREFETCH, BUS_READ_MEM, BUS_WRITEBACK, Bus
 from repro.memsys.cache import Cache, CoherentCache
 from repro.memsys.coherence import CoherenceController
 from repro.memsys.prefetch import PendingFills, PrefetchLineBuffer
 from repro.memsys.sink import MemorySink, MissFlags, NO_FLAGS
-from repro.memsys.states import LineState
+from repro.memsys.states import EXCLUSIVE, INVALID, MODIFIED, SHARED
 from repro.memsys.writebuffer import TimedWriteBuffer
-
-# Enum members bound once (a class-attribute load off an enum is slow);
-# bus kinds as plain ints, which index Bus's per-kind lists fastest.
-_INVALID = LineState.INVALID
-_SHARED = LineState.SHARED
-_EXCLUSIVE = LineState.EXCLUSIVE
-_MODIFIED = LineState.MODIFIED
-_READ_MEM = int(BusOp.READ_MEM)
-_PREFETCH = int(BusOp.PREFETCH)
-_WRITEBACK = int(BusOp.WRITEBACK)
 
 #: Levels an access can be satisfied from, for statistics.
 LEVEL_L1 = "l1"
@@ -122,9 +112,9 @@ class CpuMemorySystem:
         self.sink.l1_fill(line, evicted, self.in_blockop)
 
     def _fetch_for_read(self, addr: int, t: int,
-                        kind: int = _READ_MEM) -> "tuple[int, str]":
+                        kind: int = BUS_READ_MEM) -> "tuple[int, str]":
         """Bring *addr* to readable state at L2; return (ready, level)."""
-        if self.l2.state_of(addr) != _INVALID:
+        if self.l2.state_of(addr) != INVALID:
             if self._touch_l2 is not None:
                 self._touch_l2(addr)
             return t + self.machine.l2_hit_cycles, LEVEL_L2
@@ -180,7 +170,7 @@ class CpuMemorySystem:
         l2 = self.l2
         idx = l2.where.get(addr - addr % l2.line_bytes)
         state = None if idx is None else l2.states[idx]
-        if state is _MODIFIED or state is _EXCLUSIVE:
+        if state is MODIFIED or state is EXCLUSIVE:
             # Owned line in the L2 (the common case): the word drains
             # locally, so the WB1 enqueue is done inline, without a
             # service closure, and the line turns MODIFIED here (E->M).
@@ -200,7 +190,7 @@ class CpuMemorySystem:
             lse = wb1.last_service_end
             start = now if now > lse else lse
             end = start + self.machine.write_buffers.l1_drain_cycles
-            l2.states[idx] = _MODIFIED
+            l2.states[idx] = MODIFIED
             if self._touch_l2 is not None:
                 self._touch_l2(addr)
             wb1.last_service_end = end
@@ -224,7 +214,7 @@ class CpuMemorySystem:
         ``write``'s L2 probe and the drain.
         """
         controller = self.controller
-        if self.l2.state_of(addr) == _SHARED:
+        if self.l2.state_of(addr) == SHARED:
             if controller.is_update_addr(addr):
                 service = lambda s: controller.broadcast_update(self.cpu_id, addr, s)
             else:
@@ -250,13 +240,13 @@ class CpuMemorySystem:
         stall = 0
         while line < end:
             if not l1i.present(line):
-                if self.l2.state_of(line) != _INVALID:
+                if self.l2.state_of(line) != INVALID:
                     if self._touch_l2 is not None:
                         self._touch_l2(line)
                     stall += self.machine.l2_hit_cycles - 1
                 else:
                     ready = self.controller.fetch_shared(
-                        self.cpu_id, line, t + stall, _READ_MEM)
+                        self.cpu_id, line, t + stall, BUS_READ_MEM)
                     stall += ready - (t + stall)
                 l1i.fill(line)
             elif self._touch_l1i is not None:
@@ -272,7 +262,7 @@ class CpuMemorySystem:
         line = self.l1d.line_addr(addr)
         if self.l1d.present(addr):
             return
-        ready, _level = self._fetch_for_read(addr, t, _PREFETCH)
+        ready, _level = self._fetch_for_read(addr, t, BUS_PREFETCH)
         self._l1_fill(addr)
         self.pending.add(line, ready)
 
@@ -286,13 +276,13 @@ class CpuMemorySystem:
         line = self.l1d.line_addr(addr)
         if self.l1d.present(addr) or self.pref_buffer.contains(line):
             return
-        if self.l2.state_of(addr) != _INVALID:
+        if self.l2.state_of(addr) != INVALID:
             if self._touch_l2 is not None:
                 self._touch_l2(addr)
             ready = t + self.machine.l2_hit_cycles
         else:
             ready = self.controller.read_nofill(self.cpu_id, addr, t,
-                                                _PREFETCH)
+                                                BUS_PREFETCH)
         l2_line = addr - addr % self.machine.l2.line_bytes
         for sub in range(l2_line, l2_line + self.machine.l2.line_bytes,
                          self.machine.l1d.line_bytes):
@@ -329,7 +319,7 @@ class CpuMemorySystem:
             # New source line: fetch into the line register, never the
             # caches.
             flags = self.sink.consume_miss_flags(line)
-            if self.l2.state_of(addr) != _INVALID:
+            if self.l2.state_of(addr) != INVALID:
                 if self._touch_l2 is not None:
                     self._touch_l2(addr)
                 ready = t + self.machine.l2_hit_cycles
@@ -355,7 +345,7 @@ class CpuMemorySystem:
         processor's caches a normal cache access is performed; otherwise
         words accumulate in a line register that is flushed to memory.
         """
-        if self.l1d.present(addr) or self.l2.state_of(addr) != _INVALID:
+        if self.l1d.present(addr) or self.l2.state_of(addr) != INVALID:
             # The cached path; write() reports the access.
             done, stall = self.write(addr, t)
             return AccessResult(done, stall=stall, level=LEVEL_WB)
@@ -381,7 +371,7 @@ class CpuMemorySystem:
         cpu = self.cpu_id
 
         def service(start: int) -> int:
-            grant = self.bus.acquire(start, transfer, _WRITEBACK)
+            grant = self.bus.acquire(start, transfer, BUS_WRITEBACK)
             controller._invalidate_remotes(cpu, controller._l2_line(line))
             if self.probe is not None:
                 self.probe.bypass_flush(cpu, line)

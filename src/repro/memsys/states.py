@@ -22,8 +22,16 @@ class LineState(enum.IntEnum):
     MODIFIED = 3
 
 
+# The members as module globals, for the per-access paths: on Python 3.11+
+# every class-attribute load off an enum takes EnumType.__getattr__'s slow
+# path, so hot code imports these instead of spelling ``LineState.X``.
+INVALID = LineState.INVALID
+SHARED = LineState.SHARED
+EXCLUSIVE = LineState.EXCLUSIVE
+MODIFIED = LineState.MODIFIED
+
 #: States in which the owning cache may write without a bus transaction.
-OWNED_STATES = (LineState.EXCLUSIVE, LineState.MODIFIED)
+OWNED_STATES = (EXCLUSIVE, MODIFIED)
 
 
 def is_owned(state: LineState) -> bool:

@@ -39,8 +39,8 @@ it runs once per trace record across every experiment cell.  It therefore:
   column, accumulating time components directly into the plain int
   fields of the mode's :class:`~repro.sim.metrics.TimeBreakdown`: no
   enum member is built, hashed or looked up per record;
-* loads enum members only through module-level aliases (``_RUNNING``,
-  ``_READ``, ...): on Python 3.11 every ``ProcStatus.RUNNING``-style
+* loads enum members only through module globals (``_RUNNING``,
+  ``_READ``, and ``EXCLUSIVE`` from :mod:`repro.memsys.states`): on Python 3.11 every ``ProcStatus.RUNNING``-style
   class-attribute load goes through ``EnumType.__getattr__``'s slow
   path, about four times the cost of a module global.
 
@@ -59,7 +59,7 @@ from repro.common.types import (DCLASS_BY_VALUE, MODE_BY_VALUE, Op,
                                 OP_BY_VALUE, Scheme)
 from repro.memsys.dma import run_dma
 from repro.memsys.hierarchy import CpuMemorySystem
-from repro.memsys.states import LineState
+from repro.memsys.states import EXCLUSIVE, MODIFIED, SHARED
 from repro.sim.config import SystemConfig
 from repro.sim.metrics import SystemMetrics
 from repro.sim.sync import BarrierManager, LockTable
@@ -86,9 +86,6 @@ _PREF_SCHEME = Scheme.PREF
 _BYPASS_SCHEME = Scheme.BYPASS
 _BYPREF_SCHEME = Scheme.BYPREF
 _DMA_SCHEME = Scheme.DMA
-_EXCLUSIVE = LineState.EXCLUSIVE
-_MODIFIED = LineState.MODIFIED
-_SHARED = LineState.SHARED
 
 
 class ProcStatus(enum.Enum):
@@ -474,9 +471,9 @@ class Processor:
         while addr < desc.dst + desc.size:
             dst_total += 1
             state = mem.l2.state_of(addr)
-            if state in (_EXCLUSIVE, _MODIFIED):
+            if state in (EXCLUSIVE, MODIFIED):
                 dst_owned += 1
-            elif state == _SHARED:
+            elif state == SHARED:
                 dst_shared += 1
             addr += l2_bytes
         self.metrics.record_block_start(self.cpu_id, desc, src_cached,

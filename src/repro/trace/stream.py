@@ -91,6 +91,8 @@ class Trace:
     def validate(self) -> None:
         """Check structural invariants; raises :class:`TraceError`.
 
+        * every record's mode is a :class:`Mode` value (the simulator
+          indexes its per-mode lists with it unchecked);
         * every LOCK_ACQ is followed (on the same CPU) by a LOCK_REL of the
           same lock before the next acquire of that lock there;
         * barrier arrivals are balanced: each barrier episode sees exactly
@@ -101,12 +103,21 @@ class Trace:
 
         Only the lock, barrier and marker rows are visited one by one;
         the block-op word rows are checked in whole-column steps.  When a
-        stream breaks several rules, the error reported is the one a
-        record-by-record walk would meet first.
+        stream breaks several of the other rules, the error reported is the
+        one a record-by-record walk would meet first.
         """
+        self._validate_modes()
         self._validate_locks()
         self._validate_barriers()
         self._validate_blockops()
+
+    def _validate_modes(self) -> None:
+        for cpu, cols in enumerate(self.columns):
+            bad = np.flatnonzero((cols.modes < 0) | (cols.modes >= len(Mode)))
+            if bad.size:
+                row = int(bad[0])
+                raise TraceError(f"cpu {cpu}: record {row}: bad mode "
+                                 f"{int(cols.modes[row])}")
 
     def _validate_locks(self) -> None:
         for cpu, cols in enumerate(self.columns):

@@ -6,7 +6,9 @@ load goes through ``EnumType.__getattr__``'s slow path, a plain
 ``Enum`` member hashes in Python code, and an enum constructor runs the
 whole ``EnumType.__call__`` machinery, so none of them may appear in a
 function that runs once per trace record or memory access.  Members are
-bound to module-level aliases (``_INVALID = LineState.INVALID``) instead.
+bound to module globals instead (``INVALID = LineState.INVALID`` in
+:mod:`repro.memsys.states`, ``BUS_READ_MEM = int(BusOp.READ_MEM)`` in
+:mod:`repro.memsys.bus`).
 
 The guard reads each function's bytecode with :mod:`dis`, including the
 lambdas and closures nested in it, and fails on any load of an enum
@@ -82,7 +84,7 @@ def enum_loads(fn) -> list:
 def test_hot_function_loads_no_enum(fn):
     assert enum_loads(fn) == [], (
         f"{fn.__qualname__} loads an enum class; bind the member to a "
-        f"module-level alias instead")
+        f"module global instead")
 
 
 def _member_load():

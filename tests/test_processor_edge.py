@@ -10,7 +10,7 @@ from repro.common.errors import (
     SimulationError,
     TraceError,
 )
-from repro.common.types import COHERENCE_GROUPS, DataClass, Op, Scheme
+from repro.common.types import COHERENCE_GROUPS, DataClass, Mode, Op, Scheme
 from repro.memsys.states import LineState, is_owned
 from repro.sim import SystemConfig, simulate, standard_configs
 from repro.sim.processor import ProcStatus
@@ -84,7 +84,7 @@ class TestProcessorEdges:
         b = TraceBuilder(1)
         b.emit(0, rec.read(0x1000, icount=0))
         m = simulate(b.build(), SystemConfig("t"))
-        assert m.reads
+        assert m.reads[Mode.OS] == 1
 
     def test_lock_handoff_delay(self):
         # A lock re-acquired immediately after release still pays the

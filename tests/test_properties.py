@@ -70,25 +70,31 @@ _BUS_KIND_NAMES = {
 
 
 @given(st.lists(st.tuples(st.integers(0, 100), st.integers(0, 50),
-                          st.sampled_from(list(BusOp)), st.booleans()),
+                          st.sampled_from(list(BusOp)),
+                          st.none() | st.integers(0, 50)),
                 min_size=1, max_size=100))
 def test_bus_reservations_disjoint_and_accounted(ops):
     """Grants never overlap, and the per-kind lists count exactly what a
-    ``Counter`` keyed by kind would, zero-cycle and uncounted
-    (``record_txn=False``) phases included."""
+    ``Counter`` keyed by kind would, zero-cycle holds and uncounted
+    (``record_txn=False``) data phases included.  A data phase follows
+    its kind's counted request phase, as a split transfer issues them."""
     bus = Bus(BASE_MACHINE.bus)
     t = 0
     intervals = []
     total = 0
     transactions, held = Counter(), Counter()
-    for dt, dur, kind, record_txn in ops:
+    for dt, dur, kind, data_dur in ops:
         t += dt
-        grant = bus.acquire(t, dur, kind, record_txn=record_txn)
-        intervals.append((grant, grant + dur))
-        total += dur
-        if record_txn:
-            transactions[kind] += 1
-        held[kind] += dur
+        phases = [(dur, True)]
+        if data_dur is not None:
+            phases.append((data_dur, False))
+        for duration, record_txn in phases:
+            grant = bus.acquire(t, duration, kind, record_txn=record_txn)
+            intervals.append((grant, grant + duration))
+            total += duration
+            if record_txn:
+                transactions[kind] += 1
+            held[kind] += duration
     assert bus.busy_cycles == total
     for (s1, e1), (s2, e2) in zip(intervals, intervals[1:]):
         assert e1 <= s2

@@ -161,6 +161,13 @@ class TestValidation:
         with pytest.raises(TraceError, match="without start"):
             builder.build()
 
+    @pytest.mark.parametrize("mode", [-1, 3])
+    def test_bad_mode_fails(self, builder, mode):
+        builder.emit(0, rec.read(0x1000))
+        builder.emit(0, rec.read(0x1004, mode=mode))
+        with pytest.raises(TraceError, match=f"cpu 0: record 1: bad mode {mode}"):
+            builder.build()
+
     def test_end_of_op_zero_without_start_fails(self, builder):
         builder.emit(0, rec.block_end(0))
         with pytest.raises(TraceError, match="BLOCK_END 0 without start"):
