@@ -294,22 +294,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    from repro.experiments.all import run_all
+    from repro.experiments.all import build_report, make_runner
     only = [n.strip() for n in args.only.split(",") if n.strip()] or None
-    cache_dir = None if args.no_cache else args.cache_dir
-    report = run_all(scale=args.scale, seed=args.seed, only=only,
-                     verbose=not args.quiet, workers=args.workers,
-                     cache_dir=cache_dir, ledger=args.ledger or None,
-                     max_retries=args.max_retries,
-                     job_timeout=args.job_timeout)
+    runner = make_runner(scale=args.scale, seed=args.seed,
+                         workers=args.workers,
+                         cache_dir=None if args.no_cache else args.cache_dir,
+                         ledger=args.ledger or None,
+                         max_retries=args.max_retries,
+                         job_timeout=args.job_timeout)
+    report = build_report(runner, only=only, verbose=not args.quiet)
     if args.ascii:
         from repro.analysis.ascii_charts import ascii_render
         from repro.analysis.figures import ALL_FIGURES
-        from repro.experiments.artifacts import ArtifactCache
-        from repro.experiments.runner import ExperimentRunner
-        cache = ArtifactCache(cache_dir) if cache_dir else None
-        runner = ExperimentRunner(scale=args.scale, seed=args.seed,
-                                  cache=cache)
+        # The report's runner holds every figure cell's metrics.
         chunks = [report]
         for name in (only or list(ALL_FIGURES)):
             if name in ALL_FIGURES:

@@ -18,7 +18,10 @@ function here reproduces one of those arguments as a parameter study:
   (section 6 picks 12).
 
 Each study returns a list of :class:`AblationPoint` rows, ready for
-:func:`render_study`.
+:func:`render_study`.  A study simulates its own parameter variants
+with :func:`~repro.sim.system.simulate`, in process, and takes its
+inputs (traces, the update selection, the BCoh_RelUp profile) from the
+runner's caches; it runs no sweep, so it never uses the parallel engine.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional, Sequence
 
-from repro.common.params import MachineParams
 from repro.common.types import MissKind, Scheme
 from repro.experiments.runner import ExperimentRunner
 from repro.optim.hotspots import HotspotPrefetcher
@@ -190,37 +192,22 @@ def render_study(title: str, points: List[AblationPoint]) -> str:
     return "\n".join(lines)
 
 
-#: Studies whose derivation inputs need profiling runs of the standard
-#: systems; the runner pre-computes those cells through the parallel
-#: engine when built with multiple workers.
-_PROFILED_STUDIES = {
-    "update_policy": ["Base"],
-    "hotspot_count": ["Base", "BCoh_RelUp"],
-}
-
-
 def run_study(name: str, workload: str = "TRFD_4", scale: float = 0.3,
               seed: int = 1996,
               runner: Optional[ExperimentRunner] = None,
-              cache_dir: Optional[str] = None,
-              workers: Optional[int] = 1) -> List[AblationPoint]:
+              cache_dir: Optional[str] = None) -> List[AblationPoint]:
     """Run one named study (convenience for the CLI and benches).
 
     *cache_dir* attaches the on-disk artifact cache so a study reuses
-    traces/derivations produced by earlier sweeps; *workers* > 1 runs
-    the study's profiling cells through the parallel engine first.
+    traces/derivations produced by earlier sweeps.
     """
     if runner is None:
         from repro.experiments.artifacts import ArtifactCache
         cache = ArtifactCache(cache_dir) if cache_dir else None
-        runner = ExperimentRunner(scale=scale, seed=seed, cache=cache,
-                                  workers=workers)
+        runner = ExperimentRunner(scale=scale, seed=seed, cache=cache)
     try:
         study = ALL_STUDIES[name]
     except KeyError:
         raise KeyError(f"unknown study {name!r}; "
                        f"choose from {sorted(ALL_STUDIES)}") from None
-    profiles = _PROFILED_STUDIES.get(name)
-    if profiles and runner.workers > 1:
-        runner.run_cells([(workload, config, None) for config in profiles])
     return study(runner, workload)

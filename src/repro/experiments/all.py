@@ -8,18 +8,19 @@ Usage::
         [--ledger PATH] [--max-retries N] [--job-timeout SECONDS]
 
 One :class:`~repro.experiments.runner.ExperimentRunner` is shared across
-all artifacts so each trace, transform and simulation runs once.  With
-``--workers > 1`` the full workload x configuration matrix behind the
-selected artifacts is decomposed into jobs and pre-computed by the
-parallel engine (:mod:`repro.experiments.parallel`), printing a live job
-ledger; the table/figure builders then render from the warm in-memory
-cache.  ``--cache-dir`` (default ``.repro-cache``) persists traces and
-derived artifacts across runs — a repeat sweep skips every generation
-and derivation stage.  The rendered output prints the same rows/series
-the paper reports and is identical for any worker count and cache
-temperature.
+all artifacts so each trace, transform and simulation runs once.  The
+full workload x configuration matrix behind the selected artifacts is
+decomposed into jobs and pre-computed by the parallel engine
+(:mod:`repro.experiments.parallel`) with ``--workers`` processes — one
+worker runs the jobs in this process — printing a live job ledger; the
+table/figure builders then render from the warm in-memory cache.
+``--cache-dir`` (default ``.repro-cache``) persists traces and derived
+artifacts across runs — a repeat sweep skips every generation and
+derivation stage; ``--no-cache`` sweeps through a throwaway temporary
+cache.  The rendered output prints the same rows/series the paper
+reports and is identical for any worker count and cache temperature.
 
-Parallel sweeps are fault tolerant: failed or timed-out jobs are
+Sweeps are fault tolerant: failed or timed-out jobs are
 retried with deterministic backoff (``--max-retries``,
 ``--job-timeout``), dead workers get a rebuilt pool, and corrupt cache
 artifacts are quarantined and regenerated.  Every lifecycle event lands
@@ -115,22 +116,13 @@ def artifact_cells(name: str) -> List[Cell]:
     return [(w, s, None) for w in WORKLOAD_ORDER for s in systems]
 
 
-def run_all(scale: float = 0.5, seed: int = 1996,
-            only: Optional[List[str]] = None, verbose: bool = True,
-            workers: Optional[int] = 1,
-            cache_dir: Optional[str] = None,
-            ledger: Optional[str] = None,
-            max_retries: Optional[int] = None,
-            job_timeout: Optional[float] = None) -> str:
-    """Build the selected artifacts; returns the rendered report.
-
-    *workers* > 1 routes the sweep through the parallel engine (``None``
-    means ``os.cpu_count()``); *cache_dir* attaches a persistent on-disk
-    artifact cache.  *ledger*, *max_retries* and *job_timeout* tune the
-    engine's fault tolerance.  None of these change the report's
-    contents — a sweep that survived retries, pool rebuilds, or
-    artifact quarantine renders bit-identically to a clean serial run.
-    """
+def make_runner(scale: float = 0.5, seed: int = 1996,
+                workers: Optional[int] = 1,
+                cache_dir: Optional[str] = None,
+                ledger: Optional[str] = None,
+                max_retries: Optional[int] = None,
+                job_timeout: Optional[float] = None) -> ExperimentRunner:
+    """The runner a report sweeps on; the options are :func:`run_all`'s."""
     cache = ArtifactCache(cache_dir) if cache_dir else None
     policy = None
     if max_retries is not None or job_timeout is not None:
@@ -139,27 +131,29 @@ def run_all(scale: float = 0.5, seed: int = 1996,
             max_retries=(max_retries if max_retries is not None
                          else defaults.max_retries),
             job_timeout=job_timeout)
-    runner = ExperimentRunner(scale=scale, seed=seed, cache=cache,
-                              workers=workers, retry_policy=policy,
-                              ledger_path=ledger)
+    return ExperimentRunner(scale=scale, seed=seed, cache=cache,
+                            workers=workers, retry_policy=policy,
+                            ledger_path=ledger)
+
+
+def build_report(runner: ExperimentRunner,
+                 only: Optional[List[str]] = None,
+                 verbose: bool = True) -> str:
+    """Sweep the cells behind the selected artifacts on *runner*, then
+    render them; returns the report.  The runner keeps every metric, so
+    further renders from it (``repro report --ascii``) simulate nothing.
+    """
     wanted = only if only else ARTIFACT_ORDER
     unknown = [n for n in wanted
                if n not in ALL_TABLES and n not in ALL_FIGURES]
     if unknown:
         raise KeyError(f"unknown artifact {unknown[0]!r}; "
                        f"choose from {ARTIFACT_ORDER + EXTRA_ARTIFACTS}")
-    if runner.workers > 1:
-        cells: List[Cell] = []
-        seen = set()
-        for name in wanted:
-            for cell in artifact_cells(name):
-                marker = (cell[0], cell[1], cell[2])
-                if marker not in seen:
-                    seen.add(marker)
-                    cells.append(cell)
-        runner.run_cells(cells, verbose=verbose)
-    chunks = [f"Reproduction report (scale={scale}, seed={seed})",
-              "=" * 60, ""]
+    cells = list(dict.fromkeys(cell for name in wanted
+                               for cell in artifact_cells(name)))
+    runner.run_cells(cells, verbose=verbose)
+    chunks = [f"Reproduction report (scale={runner.scale}, "
+              f"seed={runner.seed})", "=" * 60, ""]
     for name in wanted:
         builder = ALL_TABLES.get(name) or ALL_FIGURES.get(name)
         # Monotonic, like every other duration in the package: an NTP
@@ -179,6 +173,29 @@ def run_all(scale: float = 0.5, seed: int = 1996,
               f"'python -m repro.experiments.ledger --summarize "
               f"{runner.last_ledger_path}']", file=sys.stderr)
     return "\n".join(chunks)
+
+
+def run_all(scale: float = 0.5, seed: int = 1996,
+            only: Optional[List[str]] = None, verbose: bool = True,
+            workers: Optional[int] = 1,
+            cache_dir: Optional[str] = None,
+            ledger: Optional[str] = None,
+            max_retries: Optional[int] = None,
+            job_timeout: Optional[float] = None) -> str:
+    """Build the selected artifacts; returns the rendered report.
+
+    The sweep runs through the parallel engine with *workers* processes
+    (``None`` means ``os.cpu_count()``); *cache_dir* attaches a
+    persistent on-disk artifact cache.  *ledger*, *max_retries* and
+    *job_timeout* tune the engine's fault tolerance.  None of these
+    change the report's contents — a sweep that survived retries, pool
+    rebuilds, or artifact quarantine renders bit-identically to a clean
+    one-worker run.
+    """
+    runner = make_runner(scale=scale, seed=seed, workers=workers,
+                         cache_dir=cache_dir, ledger=ledger,
+                         max_retries=max_retries, job_timeout=job_timeout)
+    return build_report(runner, only=only, verbose=verbose)
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -77,24 +77,10 @@ def page_coloring_study(workload: str, seed: int = 1996, scale: float = 0.3,
 
 def page_coloring_sweep(seed: int = 1996, scale: float = 0.3,
                         workloads: List[str] = None,
-                        workers: int = 1) -> Dict[str, ColoringResult]:
-    """Run the coloring study on every workload.
-
-    The per-workload studies are independent, so *workers* > 1 fans
-    them out across a process pool; results are merged in workload
-    order, identical to a serial sweep.
-    """
-    workloads = list(workloads or WORKLOAD_ORDER)
-    if workers > 1 and len(workloads) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(
-                max_workers=min(workers, len(workloads))) as pool:
-            futures = {w: pool.submit(page_coloring_study, w,
-                                      seed=seed, scale=scale)
-                       for w in workloads}
-            return {w: futures[w].result() for w in workloads}
+                        ) -> Dict[str, ColoringResult]:
+    """Run the coloring study on every workload, in workload order."""
     return {w: page_coloring_study(w, seed=seed, scale=scale)
-            for w in workloads}
+            for w in workloads or WORKLOAD_ORDER}
 
 
 def render_coloring(results: Dict[str, ColoringResult]) -> str:

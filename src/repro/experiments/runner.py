@@ -1,4 +1,4 @@
-"""Experiment runner: workload x configuration matrix with caching.
+"""Experiment runner: the per-process cache of artifacts and metrics.
 
 Reproducing a figure needs several coordinated steps — generate the
 workload trace, profile it on the Base machine, derive the optimization
@@ -6,6 +6,12 @@ inputs (the privatized trace, the update-protocol page set, the hot-spot
 basic blocks, the prefetch-annotated trace), and simulate the requested
 configuration.  :class:`ExperimentRunner` performs and caches each step so
 a full table/figure sweep generates each trace and derived artifact once.
+:meth:`ExperimentRunner.run` is the body of every sweep job and the
+serial reference the determinism tests compare against; sweeps
+themselves (:meth:`~ExperimentRunner.run_cells`,
+:meth:`~ExperimentRunner.run_matrix`) always run through
+:meth:`repro.experiments.parallel.ParallelEngine.execute`, at any worker
+count.
 
 Caching is two-level: every artifact lives in this process's in-memory
 maps, and — when the runner is given an
@@ -37,7 +43,6 @@ else — so the trace fits.
 from __future__ import annotations
 
 import dataclasses
-import os
 import tempfile
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -65,18 +70,19 @@ class ExperimentRunner:
     """Caches traces, derived artifacts, and simulation results.
 
     :param cache: optional on-disk artifact cache shared across runs and
-        worker processes.  Without one, artifacts live only in memory.
-    :param workers: process count for :meth:`run_matrix` /
-        :meth:`run_cells`; ``1`` keeps the historical serial behaviour,
-        ``None`` means ``os.cpu_count()``.  A multi-worker runner with no
-        cache gets a private temporary cache for the life of the runner,
-        since workers exchange artifacts through the cache directory.
-    :param retry_policy: fault-tolerance policy for parallel sweeps
-        (retries, backoff, per-job timeout); ``None`` uses the default
+        the engine's jobs.  A runner without one keeps artifacts in
+        memory until its first sweep, which attaches a throwaway
+        temporary cache for the life of the runner: sweep jobs exchange
+        artifacts through the cache directory.
+    :param workers: the engine's process count for :meth:`run_matrix` /
+        :meth:`run_cells`; ``1`` runs the jobs in this process, ``None``
+        means ``os.cpu_count()``.
+    :param retry_policy: fault-tolerance policy for sweeps (retries,
+        backoff, per-job timeout); ``None`` uses the default
         :class:`~repro.experiments.faults.RetryPolicy`.
-    :param ledger_path: JSONL run-ledger destination for parallel
-        sweeps; ``None`` writes one inside the cache directory.  The
-        ledger of the most recent sweep is on :attr:`last_ledger_path`.
+    :param ledger_path: JSONL run-ledger destination for sweeps;
+        ``None`` writes one inside the cache directory.  The ledger of
+        the most recent sweep is on :attr:`last_ledger_path`.
     """
 
     def __init__(self, scale: float = 0.5, seed: int = 1996,
@@ -84,22 +90,16 @@ class ExperimentRunner:
                  cache: Optional[ArtifactCache] = None,
                  workers: Optional[int] = 1,
                  retry_policy: Optional[RetryPolicy] = None,
-                 ledger_path: Optional[str] = None,
-                 fault_dir: Optional[str] = None) -> None:
+                 ledger_path: Optional[str] = None) -> None:
         self.scale = scale
         self.seed = seed
         self.machine = machine
-        self.workers = workers if workers is not None else (os.cpu_count() or 1)
+        self.workers = workers
         self.retry_policy = retry_policy
         self.ledger_path = ledger_path
-        self.fault_dir = fault_dir
-        #: Ledger written by the most recent parallel run_cells() sweep.
+        #: Ledger written by the most recent run_cells() sweep.
         self.last_ledger_path: Optional[str] = None
         self._tmp_cache_dir: Optional[tempfile.TemporaryDirectory] = None
-        if cache is None and self.workers > 1:
-            self._tmp_cache_dir = tempfile.TemporaryDirectory(
-                prefix="repro-artifacts-")
-            cache = ArtifactCache(self._tmp_cache_dir.name)
         self.cache = cache
         self._traces: Dict[str, Trace] = {}
         self._privatized: Dict[str, Trace] = {}
@@ -260,33 +260,34 @@ class ExperimentRunner:
     # ------------------------------------------------------------------
     def run_cells(self, cells: Sequence[Cell],
                   verbose: bool = False) -> Dict[SimKey, SystemMetrics]:
-        """Run many (workload, config, machine) cells, in parallel when
-        the runner was built with ``workers > 1``.
+        """Run many (workload, config, machine) cells through the
+        parallel engine, with the runner's worker count.
 
         Results are merged into the in-memory metrics cache, so later
-        serial :meth:`run` calls (e.g. from table/figure builders) are
-        cache hits.  The returned map covers exactly the requested
-        cells; its contents are independent of worker count and job
-        completion order.
+        :meth:`run` calls (e.g. from table/figure builders) are cache
+        hits.  The returned map covers exactly the requested cells; its
+        contents are independent of worker count and job completion
+        order.
         """
+        from repro.experiments.parallel import ParallelEngine
+
         cells = [(w, c, m if m is not None else self.machine)
                  for (w, c, m) in cells]
         wanted = {SimKey.of(w, c, m) for (w, c, m) in cells}
         todo = [(w, c, m) for (w, c, m) in cells
                 if SimKey.of(w, c, m) not in self._metrics]
-        if todo and self.workers > 1:
-            from repro.experiments.parallel import ParallelEngine
+        if todo:
+            if self.cache is None:
+                self._tmp_cache_dir = tempfile.TemporaryDirectory(
+                    prefix="repro-artifacts-")
+                self.cache = ArtifactCache(self._tmp_cache_dir.name)
             engine = ParallelEngine(scale=self.scale, seed=self.seed,
                                     machine=self.machine, cache=self.cache,
                                     workers=self.workers,
                                     retry_policy=self.retry_policy,
-                                    ledger_path=self.ledger_path,
-                                    fault_dir=self.fault_dir)
+                                    ledger_path=self.ledger_path)
             self._metrics.update(engine.execute(todo, verbose=verbose))
             self.last_ledger_path = engine.ledger_path
-        else:
-            for (w, c, m) in todo:
-                self.run(w, c, machine=m)
         return {key: self._metrics[key] for key in wanted}
 
     def run_matrix(self, config_names: Iterable[str],

@@ -9,8 +9,10 @@ normalized quantities of Tables 1-2 and Figure 3:
 * the block/coherence/other miss split;
 * the Blk_Dma and BCPref speedups over Base.
 
-The benchmark/shape assertions in ``benchmarks/`` were set with these
-spreads in mind.
+Each seed runs on its own :class:`~repro.experiments.runner.ExperimentRunner`
+(every quantity is a handful of :meth:`~ExperimentRunner.run` calls, not
+a sweep).  The benchmark/shape assertions in ``benchmarks/`` were set
+with these spreads in mind.
 """
 
 from __future__ import annotations
@@ -69,39 +71,15 @@ def _quantities(runner: ExperimentRunner, workload: str,
     return out
 
 
-def _sweep_one(args: tuple) -> Dict[str, float]:
-    """One seed's quantities (top-level so worker processes can run it)."""
-    workload, seed, scale, with_optimized, cache_dir = args
-    cache = None
-    if cache_dir:
-        from repro.experiments.artifacts import ArtifactCache
-        cache = ArtifactCache(cache_dir)
-    runner = ExperimentRunner(scale=scale, seed=seed, cache=cache)
-    return _quantities(runner, workload, with_optimized)
-
-
 def seed_sweep(workload: str, seeds: Sequence[int] = (1, 2, 3, 4, 5),
-               scale: float = 0.25, with_optimized: bool = False,
-               workers: int = 1,
-               cache_dir: str = "") -> Dict[str, Spread]:
-    """Run *workload* across *seeds* and summarize the key quantities.
-
-    Each seed's runs are independent, so *workers* > 1 fans the seeds
-    out across a process pool; the merged spreads are identical to a
-    serial sweep.  *cache_dir* lets the per-seed runners share the
-    on-disk artifact cache (each seed keys its own artifacts).
-    """
-    jobs = [(workload, seed, scale, with_optimized, cache_dir)
-            for seed in seeds]
-    if workers > 1 and len(jobs) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-            per_seed = list(pool.map(_sweep_one, jobs))
-    else:
-        per_seed = [_sweep_one(job) for job in jobs]
+               scale: float = 0.25,
+               with_optimized: bool = False) -> Dict[str, Spread]:
+    """Run *workload* across *seeds* and summarize the key quantities."""
     samples: Dict[str, List[float]] = {}
-    for quantities in per_seed:
-        for name, value in quantities.items():
+    for seed in seeds:
+        runner = ExperimentRunner(scale=scale, seed=seed)
+        for name, value in _quantities(runner, workload,
+                                       with_optimized).items():
             samples.setdefault(name, []).append(value)
     return {name: Spread.of(values) for name, values in samples.items()}
 

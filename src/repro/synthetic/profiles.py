@@ -74,6 +74,24 @@ _PROB_FIELDS = (
     "buffer_switch_prob",
 )
 
+#: Field types a spec must match (bools are not numbers here); a spec
+#: read from JSON or YAML can carry any value in any field.
+_STR_FIELDS = ("name", "family", "legacy", "description", "pattern", "app")
+_INT_FIELDS = ("num_cpus", "rounds", "app_refs", "kmem_refs",
+               "barrier_phases", "fault_target", "timer_every",
+               "pager_every")
+_REAL_FIELDS = _PROB_FIELDS + ("kmem_jump_prob",)
+_INT_TUPLE_FIELDS = ("io_sizes", "idle_spins")
+_REAL_TUPLE_FIELDS = ("io_weights",)
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value: object) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
 
 @dataclass(frozen=True)
 class WorkloadProfile:
@@ -138,6 +156,7 @@ class WorkloadProfile:
 
         if not self.name or not isinstance(self.name, str):
             raise ProfileError("profile needs a non-empty string name")
+        self._validate_types(bad)
         if self.legacy and self.legacy not in WORKLOADS:
             raise bad("legacy", f"{self.legacy!r} is not a paper workload "
                                 f"(choose from {WORKLOAD_ORDER})")
@@ -166,11 +185,29 @@ class WorkloadProfile:
             raise bad("io_sizes/io_weights",
                       "need equal-length, positive size/weight lists "
                       "with sizes >= 4 bytes")
+        if len(self.idle_spins) != 2:
+            raise bad("idle_spins", f"{self.idle_spins} is not a (lo, hi) pair")
         lo, hi = self.idle_spins
         if not 1 <= lo <= hi:
             raise bad("idle_spins", f"({lo}, {hi}) is not a valid range")
         if self.timer_every < 0 or self.pager_every < 0:
             raise bad("timer_every/pager_every", "must be >= 0")
+
+    def _validate_types(self, bad) -> None:
+        checks = [(_STR_FIELDS, lambda v: isinstance(v, str), "a string"),
+                  (_INT_FIELDS, _is_int, "an integer"),
+                  (_REAL_FIELDS, _is_real, "a number")]
+        for fieldnames, ok, what in checks:
+            for fieldname in fieldnames:
+                value = getattr(self, fieldname)
+                if not ok(value):
+                    raise bad(fieldname, f"{value!r} is not {what}")
+        for fieldnames, ok, what in [(_INT_TUPLE_FIELDS, _is_int, "integers"),
+                                     (_REAL_TUPLE_FIELDS, _is_real, "numbers")]:
+            for fieldname in fieldnames:
+                value = getattr(self, fieldname)
+                if not (isinstance(value, tuple) and all(map(ok, value))):
+                    raise bad(fieldname, f"{value!r} is not a list of {what}")
 
     # ------------------------------------------------------------------
     # Spec serialization
@@ -199,7 +236,8 @@ def profile_from_dict(spec: Dict[str, object]) -> WorkloadProfile:
     if not isinstance(spec, dict):
         raise ProfileError(f"profile spec must be a mapping, got "
                            f"{type(spec).__name__}")
-    unknown = sorted(set(spec) - _FIELD_NAMES)
+    # key=str: YAML keys need not be strings, nor comparable.
+    unknown = sorted(set(spec) - _FIELD_NAMES, key=str)
     if unknown:
         raise ProfileError(f"unknown profile fields {unknown}; "
                            f"known fields: {sorted(_FIELD_NAMES)}")

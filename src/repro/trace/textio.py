@@ -22,6 +22,7 @@ import json
 from typing import TextIO
 
 from repro.common.errors import TraceError
+from repro.common.params import MAX_CPUS
 from repro.common.types import BlockOpKind, DataClass, Mode, Op
 from repro.trace.record import TraceRecord
 from repro.trace.stream import Trace, TraceBuilder
@@ -70,9 +71,13 @@ def load(fp: TextIO) -> Trace:
         raise TraceError(f"line 2: missing cpu count "
                          f"(got {cpus_raw.rstrip()!r})")
     try:
-        builder = TraceBuilder(int(cpus_line[1]))
+        cpus = int(cpus_line[1])
     except ValueError as err:
         raise TraceError(f"line 2: bad cpu count: {err}") from err
+    # Bound the count before the builder allocates one stream per CPU.
+    if not 1 <= cpus <= MAX_CPUS:
+        raise TraceError(f"line 2: cpu count {cpus} outside [1, {MAX_CPUS}]")
+    builder = TraceBuilder(cpus)
     for lineno, line in enumerate(fp, start=3):
         fields = line.split()
         if not fields:

@@ -80,6 +80,26 @@ def test_report_single_artifact(tmp_path, capsys):
     assert "Block Op. (%)" in text
 
 
+def test_report_ascii_simulates_each_cell_once(monkeypatch, capsys):
+    """The ASCII figures render from the runner that built the report,
+    so every figure cell is simulated exactly once."""
+    from repro.experiments import runner as runner_mod
+    from repro.experiments.all import artifact_cells
+
+    calls = []
+    real = runner_mod.simulate
+
+    def counting(trace, config, **kwargs):
+        calls.append(config.name)
+        return real(trace, config, **kwargs)
+
+    monkeypatch.setattr(runner_mod, "simulate", counting)
+    assert main(["report", "--only", "figure3", "--scale", "0.03",
+                 "--workers", "1", "--no-cache", "--ascii", "-q"]) == 0
+    assert "### figure3 (ascii)" in capsys.readouterr().out
+    assert len(calls) == len(set(artifact_cells("figure3")))
+
+
 def test_ablation_unknown_study(capsys):
     assert main(["ablation", "nope", "--scale", "0.05"]) == 2
     assert "unknown study" in capsys.readouterr().err

@@ -21,9 +21,12 @@ def test_artifact_order_covers_everything():
 
 
 def test_hybrid_artifact_has_parallel_cells():
-    # The parallel engine pre-computes artifact_cells(name); the hybrid
-    # table must declare its full family x scheme grid or --workers > 1
-    # crashes on it while --workers 1 silently works.
+    # The engine pre-computes artifact_cells(name) at every worker
+    # count; the hybrid table must declare its full family x scheme grid
+    # or its builder falls back to simulating the missing cells one by
+    # one in the parent process.  (Before every sweep ran through the
+    # engine, the missing cells crashed --workers > 1 and only
+    # --workers 1 worked.)
     cells = artifact_cells("hybrid")
     assert {(w, s) for (w, s, _) in cells} == {
         (w, s) for w in HYBRID_FAMILIES
@@ -36,6 +39,12 @@ def test_run_all_selected_artifacts():
     assert "### table2" in report
     assert "Block Op. (%)" in report
     assert "figure3" not in report
+
+
+def test_run_all_renders_identically_at_any_worker_count():
+    kwargs = dict(scale=0.05, seed=1996, only=["table2", "figure3"],
+                  verbose=False)
+    assert run_all(workers=1, **kwargs) == run_all(workers=2, **kwargs)
 
 
 def test_run_all_unknown_artifact():

@@ -14,7 +14,7 @@ import pytest
 
 from repro.common.errors import JobFailedError
 from repro.experiments import ledger as ledger_mod
-from repro.experiments.artifacts import ArtifactCache
+from repro.experiments.artifacts import ArtifactCache, SimKey
 from repro.experiments.faults import (FAULT_HANG, FAULT_KILL, FAULT_RAISE,
                                       RetryPolicy, arm_fault, consume_fault)
 from repro.experiments.parallel import ParallelEngine
@@ -41,9 +41,11 @@ def _events(path):
 
 @pytest.fixture(scope="module")
 def clean_serial():
-    """Golden snapshot: the sweep run serially, in-process, no faults."""
+    """Golden snapshot: every cell through ExperimentRunner.run, in
+    process, no engine and no faults."""
     runner = ExperimentRunner(scale=SCALE, seed=SEED)
-    return _snapshots(runner.run_cells(CELLS))
+    return _snapshots({SimKey.of(w, c, runner.machine): runner.run(w, c)
+                       for (w, c, _m) in CELLS})
 
 
 def _engine(tmp_path, policy, fault_dir=None, workers=2):

@@ -5,7 +5,9 @@ a pure function of (scale, seed, workload, config, machine) — worker
 count, job completion order, and artifact-cache temperature must not
 change a single counter.  These tests run the same matrix serially and
 through the engine with 1, 2, and 4 workers, cold- and warm-cache, and
-compare full :meth:`SystemMetrics.snapshot` dumps cell by cell.
+compare full :meth:`SystemMetrics.snapshot` dumps cell by cell.  The
+serial reference is a plain :meth:`ExperimentRunner.run` loop, which
+never touches the engine.
 """
 
 import pytest
@@ -37,10 +39,20 @@ def _assert_identical(expected, actual, label):
             f"{label}: metrics diverged for {key}")
 
 
+def _run_serially(cells):
+    """Every cell through ExperimentRunner.run, in process, no engine."""
+    runner = ExperimentRunner(scale=SCALE, seed=SEED)
+    results = {}
+    for workload, config, machine in cells:
+        machine = machine if machine is not None else runner.machine
+        results[SimKey.of(workload, config, machine)] = runner.run(
+            workload, config, machine=machine)
+    return _snapshots(results)
+
+
 @pytest.fixture(scope="module")
 def serial():
-    runner = ExperimentRunner(scale=SCALE, seed=SEED)
-    return _snapshots(runner.run_cells(CELLS))
+    return _run_serially(CELLS)
 
 
 @pytest.fixture(scope="module")
@@ -91,8 +103,7 @@ def test_machine_variant_cells(serial, cache_dir):
     """Figure 6/7-style cells (machine overrides) stay deterministic."""
     small = BASE_MACHINE.with_l1d(size_bytes=16 * KB)
     cells = [("Shell", "Base", small), ("Shell", "BCPref", small)]
-    baseline = ExperimentRunner(scale=SCALE, seed=SEED)
-    expected = _snapshots(baseline.run_cells(cells))
+    expected = _run_serially(cells)
     runner = ExperimentRunner(scale=SCALE, seed=SEED,
                               cache=ArtifactCache(cache_dir), workers=2)
     actual = _snapshots(runner.run_cells(cells))

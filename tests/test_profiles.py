@@ -1,5 +1,6 @@
 """Tests for the declarative workload-profile layer (repro.synthetic.profiles)."""
 
+import dataclasses
 import json
 
 import pytest
@@ -99,6 +100,34 @@ def test_validation_rejects(changes, match):
     base = WorkloadProfile(name="v")
     with pytest.raises(ProfileError, match=match):
         base.replaced(**changes)
+
+
+@pytest.mark.parametrize("field,value,match", [
+    ("rounds", "x", "rounds: 'x' is not an integer"),
+    ("rounds", 24.5, "rounds: 24.5 is not an integer"),
+    ("num_cpus", True, "num_cpus: True is not an integer"),
+    ("syscall_prob", "a", "syscall_prob: 'a' is not a number"),
+    ("kmem_jump_prob", None, "kmem_jump_prob: None is not a number"),
+    ("app", [], "app: \\[\\] is not a string"),
+    ("legacy", {}, "legacy"),
+    ("io_sizes", ["64"] * 6, "io_sizes: .* is not a list of integers"),
+    ("io_weights", [None] * 6, "io_weights: .* is not a list of numbers"),
+    ("idle_spins", [1], "idle_spins: .* is not a \\(lo, hi\\) pair"),
+    ("idle_spins", [1.5, 4], "idle_spins"),
+])
+def test_from_dict_type_checks_fields(field, value, match):
+    """Wrongly typed spec values raise ProfileError naming the field —
+    never a bare TypeError, and a float round count is not truncated."""
+    with pytest.raises(ProfileError, match=match):
+        profile_from_dict({"name": "bad", "family": "server", field: value})
+
+
+def test_type_checks_cover_every_scalar_field():
+    from repro.synthetic import profiles
+    checked = (set(profiles._STR_FIELDS) | set(profiles._INT_FIELDS)
+               | set(profiles._REAL_FIELDS) | set(profiles._INT_TUPLE_FIELDS)
+               | set(profiles._REAL_TUPLE_FIELDS))
+    assert checked == {f.name for f in dataclasses.fields(WorkloadProfile)}
 
 
 def test_validation_names_offending_profile():

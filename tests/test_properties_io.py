@@ -1,5 +1,7 @@
 """Property-based tests on serialization and trace transformations."""
 
+import dataclasses
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -179,3 +181,99 @@ def test_tracestats_sharing_bounds(addresses, num_cpus):
     assert 0 <= profile.lines_write_shared <= profile.lines_shared
     assert profile.max_sharers <= num_cpus
     assert stats.data_references() == len(addresses)
+
+
+# ======================================================================
+# Parser fuzzing: malformed input fails with the parser's typed error
+# ======================================================================
+#: Replacement tokens for mutated trace text: out-of-range and huge
+#: numbers, signs, non-numbers, line kinds and stray whitespace.
+_tokens = st.one_of(
+    st.integers(-2**70, 2**70).map(str),
+    st.sampled_from(["", "-", "x", "1.5", "nan", "1e400", "r", "sym",
+                     "blockop", "meta", "cpus", "\n", " ", "{", "\"",
+                     "[1]", "reprotrace", "v1"]),
+    st.text(max_size=4),
+)
+
+
+@st.composite
+def mutated_dumps(draw):
+    """A real dumps() text with a few token-level edits, line drops and
+    line duplications applied."""
+    lines = textio.dumps(draw(random_traces())).split("\n")
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(lines) - 1))
+        action = draw(st.sampled_from(["token", "drop", "dup", "insert"]))
+        if action == "token":
+            fields = lines[i].split(" ")
+            j = draw(st.integers(0, len(fields) - 1))
+            fields[j] = draw(_tokens)
+            lines[i] = " ".join(fields)
+        elif action == "drop":
+            del lines[i]
+            if not lines:
+                lines = [""]
+        elif action == "dup":
+            lines.insert(i, lines[i])
+        else:
+            lines.insert(i, " ".join(draw(st.lists(_tokens, max_size=11))))
+    return "\n".join(lines)
+
+
+@given(mutated_dumps())
+@settings(max_examples=200, deadline=None)
+def test_textio_fuzz_mutated_dumps_raise_only_trace_error(text):
+    from repro.common.errors import TraceError
+
+    try:
+        textio.loads(text)
+    except TraceError:
+        pass
+
+
+#: Any JSON/YAML-shaped value, plus NaN/inf floats.
+_spec_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-2**70, 2**70),
+              st.floats(), st.text(max_size=8),
+              st.sampled_from(["steady", "shell", "server", "Shell"])),
+    lambda inner: st.one_of(st.lists(inner, max_size=7),
+                            st.dictionaries(st.text(max_size=4), inner,
+                                            max_size=3)),
+    max_leaves=8)
+
+
+@st.composite
+def profile_specs(draw):
+    """Spec dicts over the real field names (and a few stray keys), each
+    field holding either a well-typed value or an arbitrary one."""
+    from repro.synthetic.profiles import WorkloadProfile
+
+    fields = [f.name for f in dataclasses.fields(WorkloadProfile)]
+    defaults = WorkloadProfile(name="fuzz").to_dict()
+    keys = draw(st.lists(st.sampled_from(fields), unique=True, max_size=8))
+    spec = {}
+    for key in keys:
+        spec[key] = draw(st.one_of(st.just(defaults[key]), _spec_values))
+    if draw(st.booleans()):
+        spec.setdefault("name", "fuzz")
+    if draw(st.integers(0, 9)) == 0:
+        # Stray keys; YAML keys need not even be strings.
+        for key in draw(st.lists(st.one_of(st.integers(),
+                                           st.text(max_size=4)),
+                                 min_size=1, max_size=3)):
+            spec[key] = 1
+    return spec
+
+
+@given(profile_specs())
+@settings(max_examples=300, deadline=None)
+def test_profile_from_dict_fuzz_raises_only_profile_error(spec):
+    from repro.common.errors import ProfileError
+    from repro.synthetic.profiles import WorkloadProfile, profile_from_dict
+
+    try:
+        profile = profile_from_dict(spec)
+    except ProfileError:
+        return
+    assert isinstance(profile, WorkloadProfile)

@@ -131,6 +131,21 @@ def test_bad_cpu_count_is_trace_error():
         textio.loads("reprotrace v1\ncpus zz\n")
 
 
+@pytest.mark.parametrize("count", ["0", "-1", "33", "400000000",
+                                   "9" * 40])
+def test_cpu_count_out_of_range_rejected(count):
+    """The header is bounded before any per-CPU stream is allocated: a
+    huge count fails as a TraceError, not a MemoryError."""
+    with pytest.raises(TraceError, match=r"line 2: cpu count .* outside"):
+        textio.loads(f"reprotrace v1\ncpus {count}\n")
+
+
+def test_widest_cpu_count_accepted():
+    from repro.common.params import MAX_CPUS
+    assert textio.loads(f"reprotrace v1\ncpus {MAX_CPUS}\n").num_cpus \
+        == MAX_CPUS
+
+
 def test_no_bare_value_error_escapes():
     for bad in ("r 0", "sym", "blockop 0", "meta x", "r 0 1 2"):
         try:
