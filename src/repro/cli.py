@@ -18,12 +18,6 @@ Subcommands::
                     [--ledger PATH] [--max-retries N] [--job-timeout S]
     repro ablation  <study> [--workload W] [--scale S] [--cache-dir DIR]
     repro calibrate [--scale S] [--only table2]
-    repro serve     [--host H] [--port P] [--cache-dir DIR] [--workers N]
-    repro submit    [--url U] [--workloads W1,W2] [--configs C1,C2]
-                    [--scales S1,S2] [--generate N] [--wait]
-    repro status    [JOB] [--url U] [--all] [--results] [--full]
-                    [--events N]
-    repro cancel    <JOB> [--url U]
 
 ``generate``/``simulate``/``sweep`` accept any workload-profile name: the
 four paper workloads, the built-in families (``server``, ``bursty_mp``,
@@ -339,93 +333,6 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_serve(args: argparse.Namespace) -> int:
-    """Run the sweep service daemon (see docs/sweep-service.md)."""
-    from repro.experiments.faults import RetryPolicy
-    from repro.experiments.service import SweepService
-    policy = None
-    if args.max_retries is not None or args.job_timeout is not None:
-        policy = RetryPolicy(
-            **({"max_retries": args.max_retries}
-               if args.max_retries is not None else {}),
-            **({"job_timeout": args.job_timeout}
-               if args.job_timeout is not None else {}))
-    service = SweepService(args.cache_dir, workers=args.workers,
-                           retry_policy=policy,
-                           heartbeat_interval=args.heartbeat,
-                           verbose=not args.quiet)
-    service.serve(host=args.host, port=args.port)
-    return 0
-
-
-def _service_call(args: argparse.Namespace, call) -> int:
-    """Run one client call, printing JSON; exit 1 on service errors."""
-    import json
-
-    from repro.experiments.service import ServiceError, SweepClient
-    client = SweepClient(args.url, timeout=args.timeout)
-    try:
-        payload = call(client)
-    except ServiceError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    return 0
-
-
-def cmd_submit(args: argparse.Namespace) -> int:
-    """Submit a sweep matrix to a running service."""
-    body: dict = {}
-    workloads = [w.strip() for w in args.workloads.split(",") if w.strip()]
-    if workloads:
-        body["workloads"] = workloads
-    if args.generate:
-        generate_block: dict = {"count": args.generate,
-                                "seed": args.generate_seed}
-        if args.families:
-            generate_block["families"] = [
-                f.strip() for f in args.families.split(",") if f.strip()]
-        if args.cpus:
-            generate_block["cpus"] = [
-                int(c) for c in args.cpus.split(",") if c.strip()]
-        body["generate"] = generate_block
-    body["configs"] = [c.strip() for c in args.configs.split(",")
-                       if c.strip()]
-    body["scales"] = [float(s) for s in args.scales.split(",") if s.strip()]
-    body["seed"] = args.seed
-    if args.assoc != 1:
-        body["assoc"] = args.assoc
-    if args.bus_width is not None:
-        body["bus_width"] = args.bus_width
-
-    def call(client):
-        status = client.submit(body)
-        if args.wait:
-            status = client.wait(status["job_id"], timeout=args.timeout)
-        return status
-
-    return _service_call(args, call)
-
-
-def cmd_status(args: argparse.Namespace) -> int:
-    """Query a running service: health, one job, or its results."""
-    def call(client):
-        if not args.job:
-            return client.healthz() if not args.all else \
-                {"jobs": client.jobs()}
-        if args.results or args.full:
-            return client.results(args.job, full=args.full)
-        if args.events is not None:
-            return client.events(args.job, since=args.events)
-        return client.status(args.job)
-
-    return _service_call(args, call)
-
-
-def cmd_cancel(args: argparse.Namespace) -> int:
-    return _service_call(args, lambda client: client.cancel(args.job))
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -566,77 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1996)
     p.add_argument("--only", default="")
     p.set_defaults(fn=cmd_calibrate)
-
-    p = sub.add_parser("serve",
-                       help="run the persistent sweep-service daemon")
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=8765)
-    p.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
-                   help="artifact cache shared by every sweep "
-                        f"(default {DEFAULT_CACHE_DIR!r})")
-    p.add_argument("--workers", type=int, default=os.cpu_count(),
-                   help="persistent worker-pool size "
-                        "(default: os.cpu_count())")
-    p.add_argument("--heartbeat", type=float, default=5.0,
-                   help="seconds between ledger heartbeats (default 5)")
-    p.add_argument("--max-retries", type=int, default=None,
-                   help="re-submissions allowed per failed sweep job")
-    p.add_argument("--job-timeout", type=float, default=None,
-                   help="per-job wall-clock timeout in seconds")
-    p.add_argument("-q", "--quiet", action="store_true")
-    p.set_defaults(fn=cmd_serve)
-
-    p = sub.add_parser("submit",
-                       help="submit a sweep matrix to a running service")
-    p.add_argument("--url", default="http://127.0.0.1:8765",
-                   help="service base URL (default http://127.0.0.1:8765)")
-    p.add_argument("--workloads", default="",
-                   help="comma-separated workload names (profiles or "
-                        "gen:... sweep names)")
-    p.add_argument("--configs", default="Base,Blk_Dma",
-                   help="comma-separated scheme names "
-                        "(default Base,Blk_Dma)")
-    p.add_argument("--scales", default="0.1",
-                   help="comma-separated scale factors (default 0.1)")
-    p.add_argument("--seed", type=int, default=1996)
-    p.add_argument("--generate", type=int, default=0, metavar="N",
-                   help="also generate N random workloads server-side")
-    p.add_argument("--generate-seed", type=int, default=0)
-    p.add_argument("--families", default="",
-                   help="families for --generate (comma-separated)")
-    p.add_argument("--cpus", default="",
-                   help="CPU counts for --generate (comma-separated)")
-    p.add_argument("--assoc", type=int, default=1,
-                   help="set associativity of all caches (power of two; "
-                        "default 1 = the paper's direct-mapped machine)")
-    p.add_argument("--bus-width", type=int, default=None,
-                   help="bus width in bytes (power of two; default 8)")
-    p.add_argument("--wait", action="store_true",
-                   help="block until the job reaches a terminal state")
-    p.add_argument("--timeout", type=float, default=600.0)
-    p.set_defaults(fn=cmd_submit)
-
-    p = sub.add_parser("status",
-                       help="query a running sweep service")
-    p.add_argument("job", nargs="?", default="",
-                   help="job id; omitted: service health")
-    p.add_argument("--url", default="http://127.0.0.1:8765")
-    p.add_argument("--all", action="store_true",
-                   help="list every job instead of service health")
-    p.add_argument("--results", action="store_true",
-                   help="fetch the job's per-cell summary")
-    p.add_argument("--full", action="store_true",
-                   help="fetch full SystemMetrics snapshots")
-    p.add_argument("--events", type=int, default=None, metavar="N",
-                   help="stream ledger events from line N on")
-    p.add_argument("--timeout", type=float, default=30.0)
-    p.set_defaults(fn=cmd_status)
-
-    p = sub.add_parser("cancel", help="cancel a queued or running sweep")
-    p.add_argument("job")
-    p.add_argument("--url", default="http://127.0.0.1:8765")
-    p.add_argument("--timeout", type=float, default=30.0)
-    p.set_defaults(fn=cmd_cancel)
     return parser
 
 

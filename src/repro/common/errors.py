@@ -2,7 +2,8 @@
 
 All library errors derive from :class:`ReproError` so callers can catch one
 base class.  Each subclass corresponds to a layer of the system: trace
-construction, memory-system modelling, simulation, and configuration.
+construction, memory-system modelling, simulation, configuration, and the
+sweep engine (failed or timed-out jobs, corrupt cache artifacts).
 """
 
 from __future__ import annotations
@@ -91,17 +92,6 @@ class JobFailedError(ReproError):
 
 class JobTimeoutError(JobFailedError):
     """A sweep job exceeded its per-job wall-clock timeout."""
-
-
-class SweepCancelledError(ReproError):
-    """A sweep was cancelled before it completed.
-
-    Raised by the parallel experiment engine when the caller's cancel
-    event is set mid-sweep (the sweep service sets it on a client
-    ``cancel`` request).  Deliberately *not* a :class:`JobFailedError`:
-    no job failed, the caller changed its mind, and the engine's
-    retry/failure accounting must not treat it as a fault.
-    """
 
 
 class ArtifactCorruptError(ReproError):

@@ -219,8 +219,8 @@ def machine_for(num_cpus: int, *, assoc: int = 1,
     """The Base machine resized to exactly *num_cpus* processors.
 
     This is the single authority for turning a trace's or sweep's CPU
-    count into a :class:`MachineParams` — the CLI, the sweep service
-    and the conformance fuzzer all use it, so a 2-CPU trace simulates
+    count into a :class:`MachineParams` — the CLI's ``simulate`` and
+    ``sweep`` and the conformance fuzzer all use it, so a 2-CPU trace simulates
     on a 2-CPU machine rather than the 4-CPU Base with phantom idle
     processors.  *assoc* applies the same set associativity to all
     three caches; *bus_width_bytes* widens (or narrows) the bus for

@@ -122,7 +122,7 @@ def metrics_key(scale: float, seed: int, key: SimKey,
 
     Unlike :func:`stage_key`, this keys a finished
     :class:`~repro.sim.metrics.SystemMetrics`, so repeat cells can be
-    served without re-simulating (the sweep service's warm path).
+    served without re-simulating (a ``reuse_sims`` engine's warm path).
     *profiling_machine* is the fingerprint of the machine the derivation
     pipeline profiled on: the update-page set and hot-spot list depend
     on it even when the simulated machine differs (Figures 6-7 sweep

@@ -18,7 +18,7 @@ Event schema (field presence varies by event)::
 Event names: ``sweep_start``, ``scheduled``, ``finished``, ``retried``,
 ``timed_out``, ``quarantined``, ``artifact_corrupt``, ``heartbeat``,
 ``job_failed``, ``pool_broken``, ``pool_rebuilt``, ``degraded_serial``,
-``sweep_end``.
+``served_cached``, ``sweep_end``.
 
 Timing fields: the ``ts`` wall-clock stamp is for humans reading the
 file; every ``duration``/``elapsed`` field is measured with
@@ -174,8 +174,7 @@ def summarize(path: str) -> str:
     lines.append("")
     for name in ("retried", "timed_out", "quarantined", "artifact_corrupt",
                  "job_failed", "pool_broken", "pool_rebuilt",
-                 "degraded_serial", "heartbeat", "served_cached",
-                 "sweep_cancelled"):
+                 "degraded_serial", "heartbeat", "served_cached"):
         lines.append(f"{name:<16} {counts.get(name, 0):>4}")
     if retried_jobs:
         lines.append("")

@@ -33,9 +33,8 @@ Hyb_Static     BCoh_Reloc + unbounded updates on the selected pages
                (BCoh_RelUp as the N=infinity special case, bit-exactly)
 =============  =========================================================
 
-:func:`all_configs` merges both maps; the CLI, the experiment runner,
-the sweep service and the conformance fuzzer all resolve scheme names
-through it.
+:func:`all_configs` merges both maps; the CLI, the experiment runner
+and the conformance fuzzer all resolve scheme names through it.
 """
 
 from __future__ import annotations

@@ -240,7 +240,7 @@ def test_cold_cache_counts_misses(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Cached simulation results (the sweep service's warm path)
+# Cached simulation results (the reuse_sims warm path)
 # ----------------------------------------------------------------------
 def test_metrics_key_distinguishes_profiling_machine():
     sim = SimKey.of("Shell", "Base", BASE_MACHINE)

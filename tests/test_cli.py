@@ -193,48 +193,24 @@ def test_sweep_smoke(tmp_path, capsys):
     assert "OS time" in capsys.readouterr().out
 
 
-def test_sweep_rejects_unknown_config(capsys):
-    assert main(["sweep", "--samples", "1", "--configs", "Warp"]) == 2
-    assert "unknown configs" in capsys.readouterr().err
-
-
-def test_sweep_rejects_unknown_family(capsys):
-    assert main(["sweep", "--samples", "1", "--families", "Shell"]) == 2
-    assert "bad sweep" in capsys.readouterr().err
-
-
-def test_service_client_commands_handle_unreachable_service(capsys):
-    url = "http://127.0.0.1:9"  # discard port: nothing listens
-    assert main(["status", "--url", url]) == 1
-    assert "error:" in capsys.readouterr().err
-    assert main(["submit", "--url", url, "--workloads", "Shell"]) == 1
-    assert "error:" in capsys.readouterr().err
-    assert main(["cancel", "job-0001", "--url", url]) == 1
-    assert "error:" in capsys.readouterr().err
-
-
-def test_submit_and_status_against_live_service(tmp_path, capsys):
-    from repro.experiments.service import SweepService
-    service = SweepService(str(tmp_path / "cache"), workers=1,
-                           heartbeat_interval=None)
-    host, port = service.start_http()
-    url = f"http://{host}:{port}"
-    try:
-        assert main(["status", "--url", url]) == 0
-        assert '"ok": true' in capsys.readouterr().out
-        assert main(["submit", "--url", url, "--workloads", "Shell",
-                     "--configs", "Base", "--scales", "0.02",
-                     "--seed", "9", "--wait", "--timeout", "300"]) == 0
-        out = capsys.readouterr().out
-        assert '"state": "done"' in out and '"job_id": "job-0001"' in out
-        assert main(["status", "--url", url, "--all"]) == 0
-        assert "job-0001" in capsys.readouterr().out
-        assert main(["status", "job-0001", "--url", url, "--results"]) == 0
-        assert "Shell|Base|0.02" in capsys.readouterr().out
-        assert main(["status", "job-0001", "--url", url,
-                     "--events", "0"]) == 0
-        assert "sweep_end" in capsys.readouterr().out
-        assert main(["cancel", "job-0001", "--url", url]) == 0
-        assert '"state": "done"' in capsys.readouterr().out  # no-op
-    finally:
-        service.stop()
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--samples", "1", "--configs", "Warp"], "unknown configs"),
+    (["sweep", "--samples", "1", "--families", "Shell"], "bad sweep"),
+    (["sweep", "--samples", "1", "--assoc", "3"], "bad sweep machine"),
+    (["sweep", "--samples", "1", "--bus-width", "12"], "bad sweep machine"),
+    (["serve"], "invalid choice"),
+    (["submit"], "invalid choice"),
+    (["status"], "invalid choice"),
+    (["cancel", "job-0001"], "invalid choice"),
+], ids=["unknown-config", "unknown-family", "assoc-3", "bus-width-12",
+        "serve", "submit", "status", "cancel"])
+def test_rejected_invocations_exit_2(argv, message, capsys):
+    """Bad sweep inputs exit 2 with a message; the removed sweep-daemon
+    commands are argparse errors (SystemExit 2)."""
+    if argv[0] == "sweep":
+        assert main(argv) == 2
+    else:
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+    assert message in capsys.readouterr().err

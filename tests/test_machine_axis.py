@@ -10,7 +10,6 @@ from repro.analysis.tables import (MACHINE_COMPARE_SCHEMES, MACHINE_POINTS,
                                    machine_point, machine_workload)
 from repro.common.params import BASE_MACHINE, machine_for
 from repro.experiments.all import artifact_cells
-from repro.experiments.queue import BadRequestError, SweepRequest
 from repro.sim.config import all_configs, resolve_config
 from repro.sim.system import MultiprocessorSystem, simulate
 from repro.synthetic.profiles import generate
@@ -114,43 +113,6 @@ class TestPaperPointUnchanged:
 
     def test_machine_for_4_is_base(self):
         assert machine_for(4) is BASE_MACHINE
-
-
-class TestSweepRequestMachineFields:
-    def test_assoc_and_bus_width_accepted(self):
-        request = SweepRequest.from_payload(
-            {"workloads": ["gen:server:c8:i060:steady:0:0"],
-             "configs": ["Base"], "scale": 0.05, "assoc": 2,
-             "bus_width": 16})
-        request.validate()
-        machine = request.machine()
-        assert machine.num_cpus == 8
-        assert machine.l1d.assoc == 2
-        assert machine.bus.width_bytes == 16
-        assert "assoc" in request.describe()
-
-    def test_defaults_build_base_shaped_machine(self):
-        request = SweepRequest.from_payload(
-            {"workloads": ["Shell"], "configs": ["Base"]})
-        assert request.machine() is BASE_MACHINE
-
-    def test_bad_assoc_rejected(self):
-        with pytest.raises(BadRequestError, match="power of two"):
-            SweepRequest.from_payload(
-                {"workloads": ["Shell"], "configs": ["Base"], "assoc": 3})
-        with pytest.raises(BadRequestError):
-            SweepRequest.from_payload(
-                {"workloads": ["Shell"], "configs": ["Base"],
-                 "assoc": "two"})
-
-    def test_parameterized_config_accepted(self):
-        request = SweepRequest.from_payload(
-            {"workloads": ["Shell"], "configs": ["Hyb_UpdN@N8"]})
-        request.validate()
-        with pytest.raises(BadRequestError):
-            SweepRequest.from_payload(
-                {"workloads": ["Shell"],
-                 "configs": ["Hyb_UpdN@X8"]}).validate()
 
 
 class TestMachinesArtifact:

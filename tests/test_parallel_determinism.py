@@ -10,11 +10,16 @@ serial reference is a plain :meth:`ExperimentRunner.run` loop, which
 never touches the engine.
 """
 
+import os
+import shutil
+
 import pytest
 
 from repro.common.params import BASE_MACHINE
 from repro.common.units import KB
-from repro.experiments.artifacts import ArtifactCache, SimKey
+from repro.experiments.artifacts import (ArtifactCache, SimKey,
+                                         machine_fingerprint, metrics_key)
+from repro.experiments.ledger import read_events
 from repro.experiments.parallel import ParallelEngine, plan_jobs
 from repro.experiments.runner import ExperimentRunner
 from repro.synthetic.workloads import WORKLOAD_ORDER
@@ -134,3 +139,69 @@ def test_result_independent_of_cell_order(cache_dir):
                                 cache=ArtifactCache(cache_dir), workers=2)
     backward = _snapshots(shuffled.run_cells(list(reversed(CELLS))))
     _assert_identical(forward, backward, "reversed cell order")
+
+
+# ----------------------------------------------------------------------
+# reuse_sims: a warm engine serves stored simulation results
+# ----------------------------------------------------------------------
+#: One workload, every config kind: raw trace, DMA, derive-covered
+#: profile and the full optimization stack.
+REUSE_CELLS = [("Shell", c, BASE_MACHINE) for c in CONFIGS]
+
+
+@pytest.fixture(scope="module")
+def cold_store(tmp_path_factory):
+    """A cache filled by one cold execute, and that run's snapshots."""
+    root = tmp_path_factory.mktemp("reuse-cache")
+    engine = ParallelEngine(scale=SCALE, seed=SEED,
+                            cache=ArtifactCache(root), workers=1)
+    results = engine.execute(REUSE_CELLS)
+    return root, _snapshots(results)
+
+
+def _reuse_engine(root, ledger):
+    return ParallelEngine(scale=SCALE, seed=SEED, cache=ArtifactCache(root),
+                          workers=1, reuse_sims=True,
+                          ledger_path=str(ledger))
+
+
+def test_reuse_sims_serves_every_cell_from_store(cold_store, tmp_path):
+    root, cold = cold_store
+    engine = _reuse_engine(root, tmp_path / "warm.jsonl")
+    warm = _snapshots(engine.execute(REUSE_CELLS))
+    assert engine.last_job_kinds == {}
+    assert engine.last_cached == len(REUSE_CELLS)
+    assert set(warm) == {SimKey.of(*cell) for cell in REUSE_CELLS}
+    _assert_identical({k: cold[k] for k in warm}, warm, "reuse_sims")
+    events = [ev["event"] for ev in read_events(engine.ledger_path)]
+    assert "served_cached" in events and "scheduled" not in events
+
+
+def test_reuse_sims_resimulates_only_a_corrupt_entry(cold_store, tmp_path):
+    root, cold = cold_store
+    copy = tmp_path / "cache"
+    shutil.copytree(root, copy)
+    victim = SimKey.of("Shell", "Blk_Dma", BASE_MACHINE)
+    key = metrics_key(SCALE, SEED, victim, machine_fingerprint(BASE_MACHINE))
+    path = ArtifactCache(copy)._path(key, "json")
+    with open(path, "r+b") as fp:  # flip one byte: the hash check fails
+        first = fp.read(1)
+        fp.seek(0)
+        fp.write(bytes([first[0] ^ 0xFF]))
+    engine = _reuse_engine(copy, tmp_path / "warm.jsonl")
+    warm = _snapshots(engine.execute(REUSE_CELLS))
+    assert os.path.exists(path + ".quarantined")
+    assert engine.last_stats["metrics.quarantine"] == 1
+    assert engine.last_cached == len(REUSE_CELLS) - 1
+    assert engine.last_job_kinds["sim"] == 1
+    assert "derive" not in engine.last_job_kinds
+    events = read_events(engine.ledger_path)
+    assert [ev["job"] for ev in events if ev["event"] == "finished"
+            and ev["kind"] == "sim"] == [
+        f"sim:Shell:Blk_Dma:{victim.machine}"]
+    _assert_identical({k: cold[k] for k in warm}, warm, "after quarantine")
+    # The re-simulated result was stored again: the next engine serves
+    # every cell.
+    again = _reuse_engine(copy, tmp_path / "again.jsonl")
+    again.execute(REUSE_CELLS)
+    assert again.last_cached == len(REUSE_CELLS)

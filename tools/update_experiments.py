@@ -32,6 +32,20 @@ def parse_figure_totals(name, systems):
             totals[parts[0]].append(float(parts[-1]))
     return totals
 
+def replace_row(md, heading, pattern, row):
+    """Substitute *row* for the line matching *pattern*, inside the
+    ``## <heading>`` section only: Tables 2 and 5 share row labels."""
+    start = re.search(r"^## " + re.escape(heading) + r"\b", md, re.MULTILINE)
+    if start is None:
+        raise KeyError(f"section not found in EXPERIMENTS.md: {heading}")
+    end = re.compile(r"^## ", re.MULTILINE).search(md, start.end())
+    stop = end.start() if end else len(md)
+    section, count = pattern.subn(lambda _m: row, md[start.start():stop])
+    if not count:
+        raise KeyError(f"row not found in EXPERIMENTS.md {heading}: "
+                       f"{pattern.pattern}")
+    return md[:start.start()] + section + md[stop:]
+
 # Label maps: EXPERIMENTS.md row label -> report row label (per table).
 MAPS = {
     "table1": {
@@ -87,9 +101,7 @@ for table, label_map in MAPS.items():
         new_row = f"| {md_label} | {cells} |"
         pattern = re.compile(r"^\| " + re.escape(md_label) + r" \|.*$",
                              re.MULTILINE)
-        if not pattern.search(md):
-            raise KeyError(f"row not found in EXPERIMENTS.md: {md_label}")
-        md = pattern.sub(new_row, md)
+        md = replace_row(md, f"Table {table[-1]}", pattern, new_row)
 
 # Figure 2 and 3 tables: rows "| System | paper range | v v v v |"
 for fig, systems, ranges in (
@@ -111,9 +123,7 @@ for fig, systems, ranges in (
         pattern = re.compile(r"^\| " + re.escape(system) + r" \| "
                              + re.escape(ranges[system]) + r" \|.*$",
                              re.MULTILINE)
-        if not pattern.search(md):
-            raise KeyError(f"figure row not found: {fig} {system}")
-        md = pattern.sub(row, md)
+        md = replace_row(md, f"Figure {fig[-1]}", pattern, row)
 
 open("EXPERIMENTS.md", "w").write(md)
 
