@@ -11,7 +11,8 @@ Public API tour:
   transformations and analyses.
 * :mod:`repro.analysis` — builders for every table and figure.
 * :mod:`repro.experiments` — the cached experiment runner and the
-  regenerate-everything driver (``python -m repro.experiments.all``).
+  report builder behind ``repro report``, which regenerates every table
+  and figure.
 """
 
 from repro.common import BASE_MACHINE, MachineParams, Mode, Scheme

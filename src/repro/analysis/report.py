@@ -2,7 +2,7 @@
 
 The experiment drivers print the same rows/series the paper reports; these
 helpers keep the formatting in one place so tests, benchmarks, examples
-and the ``repro.experiments.all`` driver all produce identical output.
+and ``repro report`` all produce identical output.
 """
 
 from __future__ import annotations

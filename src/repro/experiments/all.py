@@ -1,38 +1,22 @@
 """Regenerate every table and figure of the paper.
 
-Usage::
+``repro report`` (:func:`repro.cli.cmd_report`) is the command;
+this module holds what it sweeps and renders.  :func:`artifact_cells`
+names the (workload, config, machine) cells behind each artifact,
+:func:`make_runner` builds the runner a report sweeps on, and
+:func:`build_report` pre-computes every selected cell through the
+parallel engine (:mod:`repro.experiments.parallel`), then renders the
+tables and figures from the warm runner.  The report is identical for
+any worker count, cache temperature, retry or pool rebuild.
 
-    python -m repro.experiments.all [--scale 0.5] [--seed 1996]
-        [--only table1,figure3] [--out results.txt]
-        [--workers N] [--cache-dir DIR] [--no-cache]
-        [--ledger PATH] [--max-retries N] [--job-timeout SECONDS]
-
-One :class:`~repro.experiments.runner.ExperimentRunner` is shared across
-all artifacts so each trace, transform and simulation runs once.  The
-full workload x configuration matrix behind the selected artifacts is
-decomposed into jobs and pre-computed by the parallel engine
-(:mod:`repro.experiments.parallel`) with ``--workers`` processes — one
-worker runs the jobs in this process — printing a live job ledger; the
-table/figure builders then render from the warm in-memory cache.
-``--cache-dir`` (default ``.repro-cache``) persists traces and derived
-artifacts across runs — a repeat sweep skips every generation and
-derivation stage; ``--no-cache`` sweeps through a throwaway temporary
-cache.  The rendered output prints the same rows/series the paper
-reports and is identical for any worker count and cache temperature.
-
-Sweeps are fault tolerant: failed or timed-out jobs are
-retried with deterministic backoff (``--max-retries``,
-``--job-timeout``), dead workers get a rebuilt pool, and corrupt cache
-artifacts are quarantined and regenerated.  Every lifecycle event lands
-in a JSONL run ledger (``--ledger``, default: inside the cache
-directory) whose path is printed at sweep end; summarize it with
-``python -m repro.experiments.ledger --summarize <path>``.
+The committed ``results/full_report.txt`` is the output of
+``repro report --scale 0.5 --seed 1996 --no-cache --workers 2 -o FILE``;
+``benchmarks/test_paper_results.py`` holds it byte-identical and checks
+the paper's shapes on the same runner.
 """
 
 from __future__ import annotations
 
-import argparse
-import os
 import sys
 import time
 from typing import List, Optional
@@ -46,7 +30,7 @@ from repro.analysis.tables import (ALL_TABLES, HYBRID_COMPARE_SCHEMES,
                                    machine_workload)
 from repro.common.params import BASE_MACHINE
 from repro.common.units import KB
-from repro.experiments.artifacts import DEFAULT_CACHE_DIR, ArtifactCache
+from repro.experiments.artifacts import ArtifactCache
 from repro.experiments.faults import RetryPolicy
 from repro.experiments.runner import Cell, ExperimentRunner
 from repro.synthetic.workloads import WORKLOAD_ORDER
@@ -122,7 +106,13 @@ def make_runner(scale: float = 0.5, seed: int = 1996,
                 ledger: Optional[str] = None,
                 max_retries: Optional[int] = None,
                 job_timeout: Optional[float] = None) -> ExperimentRunner:
-    """The runner a report sweeps on; the options are :func:`run_all`'s."""
+    """The runner a report sweeps on.
+
+    *workers* is the engine's process count (``None`` means
+    ``os.cpu_count()``); *cache_dir* attaches a persistent on-disk
+    artifact cache.  *ledger*, *max_retries* and *job_timeout* tune the
+    engine's fault tolerance.  None of them change a report's contents.
+    """
     cache = ArtifactCache(cache_dir) if cache_dir else None
     policy = None
     if max_retries is not None or job_timeout is not None:
@@ -173,72 +163,3 @@ def build_report(runner: ExperimentRunner,
               f"'python -m repro.experiments.ledger --summarize "
               f"{runner.last_ledger_path}']", file=sys.stderr)
     return "\n".join(chunks)
-
-
-def run_all(scale: float = 0.5, seed: int = 1996,
-            only: Optional[List[str]] = None, verbose: bool = True,
-            workers: Optional[int] = 1,
-            cache_dir: Optional[str] = None,
-            ledger: Optional[str] = None,
-            max_retries: Optional[int] = None,
-            job_timeout: Optional[float] = None) -> str:
-    """Build the selected artifacts; returns the rendered report.
-
-    The sweep runs through the parallel engine with *workers* processes
-    (``None`` means ``os.cpu_count()``); *cache_dir* attaches a
-    persistent on-disk artifact cache.  *ledger*, *max_retries* and
-    *job_timeout* tune the engine's fault tolerance.  None of these
-    change the report's contents — a sweep that survived retries, pool
-    rebuilds, or artifact quarantine renders bit-identically to a clean
-    one-worker run.
-    """
-    runner = make_runner(scale=scale, seed=seed, workers=workers,
-                         cache_dir=cache_dir, ledger=ledger,
-                         max_retries=max_retries, job_timeout=job_timeout)
-    return build_report(runner, only=only, verbose=verbose)
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Reproduce every table and figure of the paper")
-    parser.add_argument("--scale", type=float, default=0.5,
-                        help="workload length multiplier (default 0.5)")
-    parser.add_argument("--seed", type=int, default=1996)
-    parser.add_argument("--only", type=str, default="",
-                        help="comma-separated artifact names")
-    parser.add_argument("--out", type=str, default="",
-                        help="also write the report to this file")
-    parser.add_argument("--workers", type=int, default=os.cpu_count(),
-                        help="parallel sweep processes "
-                             "(default: os.cpu_count())")
-    parser.add_argument("--cache-dir", type=str, default=DEFAULT_CACHE_DIR,
-                        help="on-disk artifact cache directory "
-                             f"(default {DEFAULT_CACHE_DIR!r})")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="do not persist traces/artifacts on disk")
-    parser.add_argument("--ledger", type=str, default="",
-                        help="JSONL run-ledger path (default: a fresh "
-                             "file inside the cache directory)")
-    parser.add_argument("--max-retries", type=int, default=None,
-                        help="re-submissions allowed per failed job "
-                             "(default 2)")
-    parser.add_argument("--job-timeout", type=float, default=None,
-                        help="per-job wall-clock timeout in seconds "
-                             "(default: unlimited)")
-    args = parser.parse_args(argv)
-    only = [n.strip() for n in args.only.split(",") if n.strip()] or None
-    cache_dir = None if args.no_cache else args.cache_dir
-    report = run_all(scale=args.scale, seed=args.seed, only=only,
-                     workers=args.workers, cache_dir=cache_dir,
-                     ledger=args.ledger or None,
-                     max_retries=args.max_retries,
-                     job_timeout=args.job_timeout)
-    print(report)
-    if args.out:
-        with open(args.out, "w") as fp:
-            fp.write(report)
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

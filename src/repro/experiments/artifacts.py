@@ -5,10 +5,10 @@ four derived artifacts (the privatized trace, the update-core selection,
 the hot-spot PC list, and the prefetch-annotated trace).  All of them
 are deterministic functions of ``(scale, seed, workload, machine
 parameters, derivation stage)``, so they can be cached on disk and
-shared both *across runs* (a second ``experiments/all.py`` sweep skips
-every generation/derivation step) and *across processes* (the parallel
-engine's workers exchange artifacts through the cache instead of
-pickling multi-megabyte traces over pipes).
+shared both *across runs* (a second ``repro report`` sweep on one
+``--cache-dir`` skips every generation/derivation step) and *across
+processes* (the parallel engine's workers exchange artifacts through
+the cache instead of pickling multi-megabyte traces over pipes).
 
 Design:
 

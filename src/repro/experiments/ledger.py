@@ -34,6 +34,7 @@ the sweep is still running.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -43,6 +44,9 @@ from typing import Any, Dict, List, Optional
 
 #: Canonical ledger filename prefix used when no path is given.
 DEFAULT_BASENAME = "sweep-ledger"
+
+#: Per-process call counter of :func:`default_path`.
+_PATH_SEQUENCE = itertools.count()
 
 
 class RunLedger:
@@ -189,10 +193,13 @@ def summarize(path: str) -> str:
 
 
 def default_path(directory: str) -> str:
-    """A fresh ledger path inside *directory*, unique per process."""
+    """A fresh ledger path inside *directory*: the pid and a per-process
+    call counter keep two sweeps started within one second (in one
+    process or in two) from appending to one file."""
     stamp = time.strftime("%Y%m%d-%H%M%S")
-    return os.path.join(directory,
-                        f"{DEFAULT_BASENAME}-{stamp}-{os.getpid()}.jsonl")
+    name = (f"{DEFAULT_BASENAME}-{stamp}-{os.getpid()}-"
+            f"{next(_PATH_SEQUENCE)}.jsonl")
+    return os.path.join(directory, name)
 
 
 def main(argv: Optional[List[str]] = None) -> int:

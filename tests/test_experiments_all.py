@@ -1,4 +1,5 @@
-"""Tests for the regenerate-everything driver (repro.experiments.all)."""
+"""Tests for the report builder behind ``repro report``
+(repro.experiments.all)."""
 
 import re
 import time as real_time
@@ -6,9 +7,10 @@ import time as real_time
 import pytest
 
 from repro.analysis.tables import HYBRID_COMPARE_SCHEMES, HYBRID_FAMILIES
+from repro.cli import main
 from repro.experiments import all as all_mod
 from repro.experiments.all import (ARTIFACT_ORDER, EXTRA_ARTIFACTS,
-                                   artifact_cells, main, run_all)
+                                   artifact_cells, build_report, make_runner)
 
 
 def test_artifact_order_covers_everything():
@@ -35,21 +37,25 @@ def test_hybrid_artifact_has_parallel_cells():
 
 
 def test_run_all_selected_artifacts():
-    report = run_all(scale=0.05, seed=3, only=["table2"], verbose=False)
+    report = build_report(make_runner(scale=0.05, seed=3), only=["table2"],
+                          verbose=False)
     assert "### table2" in report
     assert "Block Op. (%)" in report
     assert "figure3" not in report
 
 
 def test_run_all_renders_identically_at_any_worker_count():
-    kwargs = dict(scale=0.05, seed=1996, only=["table2", "figure3"],
-                  verbose=False)
-    assert run_all(workers=1, **kwargs) == run_all(workers=2, **kwargs)
+    def report(workers):
+        return build_report(make_runner(scale=0.05, seed=1996,
+                                        workers=workers),
+                            only=["table2", "figure3"], verbose=False)
+    assert report(1) == report(2)
 
 
 def test_run_all_unknown_artifact():
     with pytest.raises(KeyError, match="unknown artifact"):
-        run_all(scale=0.05, only=["table9"], verbose=False)
+        build_report(make_runner(scale=0.05), only=["table9"],
+                     verbose=False)
 
 
 class BackwardsWallClock:
@@ -71,7 +77,8 @@ class BackwardsWallClock:
 def test_artifact_elapsed_survives_backwards_wall_clock(
         monkeypatch, capsys):
     monkeypatch.setattr(all_mod, "time", BackwardsWallClock())
-    report = run_all(scale=0.05, seed=3, only=["table2"], verbose=True)
+    report = build_report(make_runner(scale=0.05, seed=3), only=["table2"],
+                          verbose=True)
     assert "### table2" in report
     timings = re.findall(r"\[table2 built in (-?[\d.]+)s\]",
                          capsys.readouterr().err)
@@ -81,8 +88,8 @@ def test_artifact_elapsed_survives_backwards_wall_clock(
 
 def test_main_writes_output(tmp_path, capsys):
     out = tmp_path / "report.txt"
-    code = main(["--scale", "0.05", "--seed", "3", "--only", "table2",
-                 "--out", str(out)])
+    code = main(["report", "--scale", "0.05", "--seed", "3",
+                 "--only", "table2", "--no-cache", "-o", str(out)])
     assert code == 0
     text = out.read_text()
     assert "### table2" in text

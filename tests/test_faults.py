@@ -226,6 +226,23 @@ def test_serial_engine_writes_ledger(clean_serial, tmp_path):
     assert events[0] == "sweep_start" and events[-1] == "sweep_end"
 
 
+def test_back_to_back_sweeps_get_their_own_ledgers(monkeypatch, tmp_path):
+    """Two engines without a ledger path that sweep one cache within
+    the same second each write a ledger of their own sweep only."""
+    monkeypatch.setattr(ledger_mod.time, "strftime",
+                        lambda *args: "20260101-000000")
+    paths = []
+    for _ in range(2):
+        engine = ParallelEngine(scale=SCALE, seed=SEED,
+                                cache=ArtifactCache(tmp_path / "cache"),
+                                workers=1)
+        engine.execute(CELLS[:1])
+        paths.append(engine.ledger_path)
+    assert paths[0] != paths[1]
+    for path in paths:
+        assert _events(path).count("sweep_start") == 1
+
+
 def test_runner_threads_policy_and_ledger_through(clean_serial, tmp_path):
     runner = ExperimentRunner(scale=SCALE, seed=SEED,
                               cache=ArtifactCache(tmp_path / "cache"),

@@ -62,7 +62,7 @@ def test_user_work_unaffected_by_os_optimizations(runner):
     The OS optimizations never change what user code does: its reads,
     misses and executed instructions are identical.  (User *stall* time
     does move in our simulator — the DMA engine holds the bus, so user
-    misses on other CPUs queue longer; deviation D6 in EXPERIMENTS.md.)
+    misses on other CPUs queue longer; deviation D7 in EXPERIMENTS.md.)
     """
     base = runner.run("TRFD_4", "Base")
     full = runner.run("TRFD_4", "BCPref")

@@ -1,6 +1,8 @@
 """``tools/update_experiments.py`` rewrites each EXPERIMENTS.md row from
 its own table: Tables 2 and 5 both have an "Other %" row, and each must
-carry its own table's values.  A second run must change nothing."""
+carry its own table's values.  The committed EXPERIMENTS.md must already
+match the committed report (the first run changes nothing), and so must
+a second run."""
 
 import os
 import shutil
@@ -48,6 +50,10 @@ def test_shared_row_labels_stay_in_their_own_table(tmp_path):
 
     _run_tool(tmp_path)
     once = (tmp_path / "EXPERIMENTS.md").read_text()
+    with open(os.path.join(REPO, "EXPERIMENTS.md")) as fp:
+        assert once == fp.read(), (
+            "EXPERIMENTS.md drifted from results/full_report.txt; run "
+            "tools/update_experiments.py from the repo root")
     for table, heading in (("table2", "Table 2"), ("table5", "Table 5")):
         assert (_section_row(once, heading, "| Other % |")
                 == _expected_row(report, table, "Other (%)")), heading
