@@ -235,8 +235,9 @@ class CpuMemorySystem:
         line_bytes = l1i.line_bytes
         line = pc - pc % line_bytes
         end = pc + 4 * icount
-        # A whole fetch within one resident line, the common case, never
-        # gets here: Processor.step resolves it inline.
+        # A fetch whose lines are all resident, the common case, never
+        # gets here: Processor.step resolves it inline.  A fetch that
+        # does arrives with none of its lines touched yet.
         stall = 0
         while line < end:
             if not l1i.present(line):

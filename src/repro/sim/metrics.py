@@ -30,9 +30,8 @@ from typing import Dict, List, Optional, Set
 
 from repro.common.types import DCLASS_BY_VALUE, DataClass, MissKind, Mode
 from repro.memsys.hierarchy import AccessResult
-from repro.memsys.sink import MemorySink, MissFlags
+from repro.memsys.sink import MemorySink, MissFlags, NO_FLAGS
 from repro.trace.blockop import BlockOpDescriptor
-from repro.trace.record import TraceRecord
 
 # Enum members bound once: a class-attribute load off an enum is slow.
 _OS = Mode.OS
@@ -117,6 +116,8 @@ class MissTracker(MemorySink):
         coherence = l1_line in self.coh_pending
         displaced = l1_line in self.displaced
         bypassed = l1_line in self.bypassed
+        if not (coherence or displaced or bypassed):
+            return NO_FLAGS
         if coherence:
             self.coh_pending.discard(l1_line)
         if displaced:
@@ -240,16 +241,14 @@ class SystemMetrics:
     # ------------------------------------------------------------------
     # Recording (called by the processor)
     # ------------------------------------------------------------------
-    def add_time(self, mode: Mode, exec_cycles: int = 0, imiss: int = 0,
-                 dread: int = 0, dwrite: int = 0, pref: int = 0,
-                 sync: int = 0) -> None:
-        self.time[mode].add(exec_cycles, imiss, dread, dwrite, pref, sync)
-
-    def record_read(self, cpu: int, rec: TraceRecord, res: AccessResult,
+    def record_read(self, mode: int, addr: int, pc: int, dclass: int,
+                    blockop: int, res: AccessResult,
                     in_blockop: bool) -> None:
-        mode = rec.mode
+        """Count one processor read of *addr* in *mode* from basic block
+        *pc*, and classify it when *res* is a miss.  *dclass* is read
+        only for a miss, so a caller may pass anything for a hit."""
         self.reads[mode] += 1
-        if rec.blockop:
+        if blockop:
             self.blk_read_stall += res.stall + res.pref_stall
         if not res.miss:
             return
@@ -268,26 +267,26 @@ class SystemMetrics:
                 self.reuse_outside += 1
         if mode != _OS:
             return
-        if rec.blockop:
+        if blockop:
             kind = _BLOCK_OP
         elif flags.coherence:
             kind = _COHERENCE
         else:
             kind = _OTHER
         self.os_miss_kind[kind] += 1
-        dclass = DCLASS_BY_VALUE[rec.dclass]
+        member = DCLASS_BY_VALUE[dclass]
         if kind is _COHERENCE:
-            self.os_coh_dclass[dclass] += 1
-            self.os_coh_addr[rec.addr - rec.addr % 16] += 1
-        self.os_miss_pc[rec.pc] += 1
-        self.os_miss_dclass[dclass] += 1
-        if rec.pc in self.hotspot_pcs:
+            self.os_coh_dclass[member] += 1
+            self.os_coh_addr[addr - addr % 16] += 1
+        self.os_miss_pc[pc] += 1
+        self.os_miss_dclass[member] += 1
+        if pc in self.hotspot_pcs:
             self.os_hotspot_misses += 1
 
-    def record_write(self, cpu: int, rec: TraceRecord, stall: int,
-                     in_blockop: bool) -> None:
-        self.writes[rec.mode] += 1
-        if rec.blockop:
+    def record_write(self, mode: int, blockop: int, stall: int) -> None:
+        """Count one processor write in *mode* that waited *stall* cycles."""
+        self.writes[mode] += 1
+        if blockop:
             self.blk_write_stall += stall
 
     def record_block_exec(self, cycles: int) -> None:

@@ -20,11 +20,15 @@ it runs once per trace record across every experiment cell.  It therefore:
   parallel plain-int lists taken from the stream's columns
   (:meth:`StreamColumns.sim_lists
   <repro.trace.columns.StreamColumns.sim_lists>`), never from a
-  :class:`~repro.trace.record.TraceRecord`: a trace is simulated without
-  building one record object per reference.  The slow paths that need a
-  whole record — L1 misses, block-op and Blk_Bypass accesses, locks,
-  barriers, block-op markers — and the observers take it from
-  :meth:`Processor.record`;
+  :class:`~repro.trace.record.TraceRecord`.  The slow paths — L1 misses,
+  block-op and Blk_Bypass accesses, locks, barriers, block-op markers —
+  read the same lists, plus the data class (only on a miss) and the
+  barrier width straight from their columns, so no processor path
+  builds a record; :meth:`Processor.record` is for the observers only;
+* resolves an instruction fetch whose every L1I line is resident inline,
+  with one frame-index probe per spanned line and, on set-associative
+  caches, the lines promoted in order; a fetch with any line absent goes
+  to :meth:`CpuMemorySystem.ifetch` with no line touched;
 * resolves a *clean L1D hit* (line resident, no pending prefetch fill, no
   scheme-specific block-op handling) inline against the bound L1 frame
   index, without entering the :class:`CpuMemorySystem` call chain — the
@@ -37,8 +41,9 @@ it runs once per trace record across every experiment cell.  It therefore:
 * indexes the per-mode lists of :class:`~repro.sim.metrics.SystemMetrics`
   (``time``, ``reads``, ``writes``) with the raw mode int from the
   column, accumulating time components directly into the plain int
-  fields of the mode's :class:`~repro.sim.metrics.TimeBreakdown`: no
-  enum member is built, hashed or looked up per record;
+  fields of the mode's :class:`~repro.sim.metrics.TimeBreakdown`, on
+  the slow paths too: no enum member is built, hashed or looked up per
+  record, and no keyword call charges time;
 * loads enum members only through module globals (``_RUNNING``,
   ``_READ``, and ``EXCLUSIVE`` from :mod:`repro.memsys.states`): on Python 3.11 every ``ProcStatus.RUNNING``-style
   class-attribute load goes through ``EnumType.__getattr__``'s slow
@@ -148,7 +153,8 @@ class Processor:
         self.status = _RUNNING if self.num_records else _DONE
         self._blk_desc: Optional[BlockOpDescriptor] = None
         self._blk_last_src_line = -1
-        self._barrier_rec: Optional[TraceRecord] = None
+        #: Stream position of the barrier record this CPU waits at, or -1.
+        self._barrier_pos = -1
         #: Attached observer (:class:`~repro.memsys.sink.Probe`), or None.
         #: While one is attached every read takes the full
         #: :meth:`CpuMemorySystem.read` path, where the probe sees it.
@@ -171,12 +177,14 @@ class Processor:
         # side effects; BYPASS writes need the destination line register.
         scheme = config.scheme
         self._blk_read_plain = scheme not in (_PREF_SCHEME, _BYPREF_SCHEME)
+        self._blk_read_bypass = scheme in (_BYPASS_SCHEME, _BYPREF_SCHEME)
         self._blk_write_plain = scheme != _BYPASS_SCHEME
 
     def record(self, pos: int) -> TraceRecord:
         """The :class:`TraceRecord` at stream position *pos*, built afresh
-        from the stream's columns on every call (for the slow paths and
-        the observers only)."""
+        from the stream's columns on every call, for the observers only:
+        the tracer, the timeline recorder and the checker.  No path of
+        the simulation itself calls it."""
         cols = self._columns
         return TraceRecord(
             OP_BY_VALUE[self._ops[pos]], self._addrs[pos],
@@ -192,20 +200,15 @@ class Processor:
         """Resume after a barrier episode completes."""
         if self.status != _WAITING_BARRIER:
             raise SimulationError(f"cpu {self.cpu_id} woken while not waiting")
-        rec = self._barrier_rec
-        assert rec is not None
-        mode = rec.mode
-        wait = max(0, release_time - self.time)
-        self.metrics.add_time(mode, sync=wait)
+        pos = self._barrier_pos
+        breakdown = self._time[self._modes[pos]]
+        breakdown.sync += max(0, release_time - self.time)
         self.time = max(self.time, release_time)
         # Re-read the barrier word the releaser just wrote (the spin-exit
         # read): the invalidation protocol makes this a coherence miss.
-        res = self.mem.read(rec.addr, self.time)
-        self.metrics.record_read(self.cpu_id, rec, res, in_blockop=False)
-        self.metrics.add_time(mode, exec_cycles=1, dread=res.stall,
-                              pref=res.pref_stall)
-        self.time = res.done
-        self._barrier_rec = None
+        breakdown.exec_cycles += 1
+        self.time = self._sync_read(pos, self.time, False)
+        self._barrier_pos = -1
         self.status = _RUNNING
 
     # ------------------------------------------------------------------
@@ -235,21 +238,27 @@ class Processor:
         icount = self._icounts[pos]
         t = self.time
 
-        # Instruction fetch and execution for this basic block.  The
-        # whole-fetch-in-one-resident-L1I-line case (short basic blocks)
-        # is resolved inline; anything else goes through the hierarchy.
+        # Instruction fetch and execution for this basic block.  A fetch
+        # whose every L1I line is resident stalls 0 and is resolved
+        # inline, promoting its lines in order as ``ifetch`` would; any
+        # other fetch goes through the hierarchy with no line touched.
+        istall = 0
         if icount:
             pc = self._pcs[pos]
             i_bytes = self._l1i_line_bytes
-            iline = pc - pc % i_bytes
-            if pc + 4 * icount <= iline + i_bytes and iline in self._l1i_where:
-                istall = 0
-                if self._touch_l1i is not None:
-                    self._touch_l1i(iline)
-            else:
+            where = self._l1i_where
+            first = pc - pc % i_bytes
+            end = pc + 4 * icount
+            iline = first
+            while iline < end and iline in where:
+                iline += i_bytes
+            if iline < end:
                 istall = self.mem.ifetch(pc, icount, t)
-        else:
-            istall = 0
+            elif self._touch_l1i is not None:
+                touch = self._touch_l1i
+                while first < end:
+                    touch(first)
+                    first += i_bytes
         exec_cycles = icount
         t += icount + istall
 
@@ -271,7 +280,7 @@ class Processor:
                 exec_cycles += 1
                 t += 1
             else:
-                t, extra_exec = self._do_read(self.record(pos), t)
+                t, extra_exec = self._do_read(pos, addr, mode, t)
                 exec_cycles += extra_exec
         elif op == _WRITE:
             exec_cycles += 1
@@ -285,23 +294,22 @@ class Processor:
                     self._time[mode].dwrite += stall
                 t = done
             else:
-                t = self._do_write(self.record(pos), t)
+                t = self._do_write(self._addrs[pos], mode, t)
         elif op == _PREFETCH:
             self.mem.prefetch_line(self._addrs[pos], t)
             self.metrics.record_prefetch_issued()
         elif op == _LOCK_ACQ:
-            t = self._do_lock_acquire(self.record(pos), t)
+            t = self._do_lock_acquire(pos, mode, t)
             exec_cycles += 2
         elif op == _LOCK_REL:
-            t = self._do_lock_release(self.record(pos), t)
+            t = self._do_lock_release(pos, mode, t)
             exec_cycles += 1
         elif op == _BLOCK_START:
-            t = self._do_block_start(self.record(pos), t)
+            t = self._do_block_start(pos, mode, t)
         elif op == _BLOCK_END:
-            t = self._do_block_end(self.record(pos), t)
+            t = self._do_block_end(mode, t)
         elif op == _BARRIER:
-            return self._do_barrier(self.record(pos), t, exec_cycles,
-                                    istall)
+            return self._do_barrier(pos, mode, t, exec_cycles, istall)
         else:  # pragma: no cover - enum is exhaustive
             raise SimulationError(f"unhandled op {op}")
 
@@ -327,32 +335,63 @@ class Processor:
     def _scheme(self) -> Scheme:
         return self.config.scheme
 
-    def _do_read(self, rec: TraceRecord, t: int) -> Tuple[int, int]:
+    def _do_read(self, pos: int, addr: int, mode: int,
+                 t: int) -> Tuple[int, int]:
         """Perform a data read; returns (completion, extra exec cycles)."""
         mem = self.mem
         extra_exec = 1
         in_blockop = self._blk_desc is not None
-        scheme = self._scheme()
-        if (rec.blockop and in_blockop
-                and scheme in (_PREF_SCHEME, _BYPREF_SCHEME)):
-            extra_exec += self._lookahead_prefetch(rec, t)
-        if (rec.blockop and in_blockop
-                and scheme in (_BYPASS_SCHEME, _BYPREF_SCHEME)):
-            res = mem.read_bypass(rec.addr, t)
+        blockop = self._blockops[pos]
+        if blockop and in_blockop:
+            if not self._blk_read_plain:
+                extra_exec += self._lookahead_prefetch(addr, t)
+            if self._blk_read_bypass:
+                res = mem.read_bypass(addr, t)
+            else:
+                res = mem.read(addr, t)
         else:
-            res = mem.read(rec.addr, t)
-        self.metrics.record_read(self.cpu_id, rec, res, in_blockop)
-        self.metrics.add_time(rec.mode, dread=res.stall, pref=res.pref_stall)
+            res = mem.read(addr, t)
+        self.metrics.record_read(
+            mode, addr, self._pcs[pos],
+            self._columns.dclasses.item(pos) if res.miss else 0, blockop,
+            res, in_blockop)
+        breakdown = self._time[mode]
+        breakdown.dread += res.stall
+        breakdown.pref += res.pref_stall
         return res.done, extra_exec
 
-    def _do_write(self, rec: TraceRecord, t: int) -> int:
-        """Blk_Bypass destination write (``step`` takes every other write)."""
-        res = self.mem.write_bypass(rec.addr, t)
-        self.metrics.record_write(self.cpu_id, rec, res.stall, True)
-        self.metrics.add_time(rec.mode, dwrite=res.stall)
+    def _do_write(self, addr: int, mode: int, t: int) -> int:
+        """Blk_Bypass destination write (``step`` takes every other write),
+        always a block-op word."""
+        res = self.mem.write_bypass(addr, t)
+        self.metrics.record_write(mode, 1, res.stall)
+        self._time[mode].dwrite += res.stall
         return res.done
 
-    def _lookahead_prefetch(self, rec: TraceRecord, t: int) -> int:
+    def _sync_read(self, pos: int, t: int, in_blockop: bool) -> int:
+        """Read the lock or barrier word of the record at *pos* at *t*,
+        recorded and charged like a data read; returns its completion."""
+        addr = self._addrs[pos]
+        mode = self._modes[pos]
+        res = self.mem.read(addr, t)
+        self.metrics.record_read(
+            mode, addr, self._pcs[pos],
+            self._columns.dclasses.item(pos) if res.miss else 0,
+            self._blockops[pos], res, in_blockop)
+        breakdown = self._time[mode]
+        breakdown.dread += res.stall
+        breakdown.pref += res.pref_stall
+        return res.done
+
+    def _sync_write(self, pos: int, mode: int, t: int) -> int:
+        """Write the lock or barrier word of the record at *pos* at *t*;
+        returns its completion."""
+        done, stall = self.mem.write(self._addrs[pos], t)
+        self.metrics.record_write(mode, self._blockops[pos], stall)
+        self._time[mode].dwrite += stall
+        return done
+
+    def _lookahead_prefetch(self, addr: int, t: int) -> int:
         """Software-pipelined source prefetch for Blk_Pref / Blk_ByPref.
 
         On each new source line, prefetch the line ``lead`` lines ahead.
@@ -360,10 +399,10 @@ class Processor:
         """
         desc = self._blk_desc
         assert desc is not None
-        if not desc.is_copy or not desc.contains_src(rec.addr):
+        if not desc.is_copy or not desc.contains_src(addr):
             return 0
         line_bytes = self.mem.machine.l1d.line_bytes
-        line = rec.addr - (rec.addr % line_bytes)
+        line = addr - (addr % line_bytes)
         if line == self._blk_last_src_line:
             return 0
         self._blk_last_src_line = line
@@ -389,8 +428,8 @@ class Processor:
     # ------------------------------------------------------------------
     # Block operations
     # ------------------------------------------------------------------
-    def _do_block_start(self, rec: TraceRecord, t: int) -> int:
-        desc = self.blockops.get(rec.blockop)
+    def _do_block_start(self, pos: int, mode: int, t: int) -> int:
+        desc = self.blockops.get(self._blockops[pos])
         probe = self.probe
         if probe is not None:
             probe.block_begin(self.cpu_id, t, desc)
@@ -399,7 +438,7 @@ class Processor:
         if scheme == _DMA_SCHEME:
             # The engine runs the whole operation and swallows its word
             # records, BLOCK_END included.
-            done = self._do_block_dma(rec, desc, t)
+            done = self._do_block_dma(desc, mode, t)
             if probe is not None:
                 probe.block_end(self.cpu_id, done)
             return done
@@ -411,23 +450,24 @@ class Processor:
         if scheme in (_PREF_SCHEME, _BYPREF_SCHEME) and desc.is_copy:
             # Prolog: prefetch the first `lead` source lines back-to-back.
             line_bytes = self.mem.machine.l1d.line_bytes
+            breakdown = self._time[mode]
             for i in range(self._pref_lead()):
                 addr = desc.src + i * line_bytes
                 if not desc.contains_src(addr):
                     break
                 self._issue_block_prefetch(addr, t)
                 t += 1
-                self.metrics.add_time(rec.mode, exec_cycles=1)
+                breakdown.exec_cycles += 1
         return t
 
-    def _do_block_dma(self, rec: TraceRecord, desc: BlockOpDescriptor,
+    def _do_block_dma(self, desc: BlockOpDescriptor, mode: int,
                       t: int) -> int:
         """Run the operation on the DMA engine and skip its word records."""
         result = run_dma(self.mem, desc, t)
         stall = result.done - t
         self.metrics.record_dma(stall)
         # The paper assigns the whole DMA stall to D Read Miss.
-        self.metrics.add_time(rec.mode, dread=stall)
+        self._time[mode].dread += stall
         self.metrics.record_block_exec(stall)
         # Skip the word-level records; the engine replaced them.
         ops = self._ops
@@ -441,10 +481,10 @@ class Processor:
                 f"cpu {self.cpu_id}: block op {desc.op_id} missing BLOCK_END")
         return result.done
 
-    def _do_block_end(self, rec: TraceRecord, t: int) -> int:
+    def _do_block_end(self, mode: int, t: int) -> int:
         stall = self.mem.end_block_op(t)
         if stall:
-            self.metrics.add_time(rec.mode, dwrite=stall)
+            self._time[mode].dwrite += stall
         self._blk_desc = None
         self._blk_last_src_line = -1
         self.mem.in_blockop = False
@@ -483,61 +523,50 @@ class Processor:
     # ------------------------------------------------------------------
     # Synchronization
     # ------------------------------------------------------------------
-    def _do_lock_acquire(self, rec: TraceRecord, t: int) -> int:
-        mode = rec.mode
-        ok, grant = self.locks.try_acquire(rec.addr, self.cpu_id, t)
+    def _do_lock_acquire(self, pos: int, mode: int, t: int) -> int:
+        ok, grant = self.locks.try_acquire(self._addrs[pos], self.cpu_id, t)
         if not ok:  # pragma: no cover - step() checked before consuming
             raise SimulationError("lock acquired while held")
         if grant > t:
-            self.metrics.add_time(mode, sync=grant - t)
+            self._time[mode].sync += grant - t
             t = grant
         # The RMW on the lock word: read (possibly a coherence miss on a
         # lock previously held elsewhere) then write (invalidates sharers).
-        res = self.mem.read(rec.addr, t)
-        self.metrics.record_read(self.cpu_id, rec, res,
-                                 self._blk_desc is not None)
-        self.metrics.add_time(mode, dread=res.stall, pref=res.pref_stall)
-        done, stall = self.mem.write(rec.addr, res.done)
-        self.metrics.record_write(self.cpu_id, rec, stall, False)
-        self.metrics.add_time(mode, dwrite=stall)
-        return done
+        t = self._sync_read(pos, t, self._blk_desc is not None)
+        return self._sync_write(pos, mode, t)
 
-    def _do_lock_release(self, rec: TraceRecord, t: int) -> int:
-        mode = rec.mode
+    def _do_lock_release(self, pos: int, mode: int, t: int) -> int:
         # Release consistency: all buffered writes drain first.
         drained = self.mem.drain_writes(t)
         if drained > t:
-            self.metrics.add_time(mode, dwrite=drained - t)
+            self._time[mode].dwrite += drained - t
             t = drained
-        done, stall = self.mem.write(rec.addr, t)
-        self.metrics.record_write(self.cpu_id, rec, stall, False)
-        self.metrics.add_time(mode, dwrite=stall)
-        self.locks.release(rec.addr, self.cpu_id, done)
+        done = self._sync_write(pos, mode, t)
+        self.locks.release(self._addrs[pos], self.cpu_id, done)
         return done
 
-    def _do_barrier(self, rec: TraceRecord, t: int, exec_cycles: int,
+    def _do_barrier(self, pos: int, mode: int, t: int, exec_cycles: int,
                     istall: int) -> StepResult:
-        mode = rec.mode
+        breakdown = self._time[mode]
         drained = self.mem.drain_writes(t)
         if drained > t:
-            self.metrics.add_time(mode, dwrite=drained - t)
+            breakdown.dwrite += drained - t
             t = drained
         # Arrival: read-modify-write of the barrier word.
-        res = self.mem.read(rec.addr, t)
-        self.metrics.record_read(self.cpu_id, rec, res, False)
-        self.metrics.add_time(mode, dread=res.stall, pref=res.pref_stall)
-        t, stall = self.mem.write(rec.addr, res.done)
-        self.metrics.record_write(self.cpu_id, rec, stall, False)
-        self.metrics.add_time(mode, dwrite=stall,
-                              exec_cycles=exec_cycles + 2, imiss=istall)
+        t = self._sync_read(pos, t, False)
+        t = self._sync_write(pos, mode, t)
+        breakdown.exec_cycles += exec_cycles + 2
+        breakdown.imiss += istall
         self.time = t
-        outcome = self.barriers.arrive(rec.addr, rec.arg, self.cpu_id, t)
+        outcome = self.barriers.arrive(self._addrs[pos],
+                                       self._columns.args.item(pos),
+                                       self.cpu_id, t)
         if outcome is None:
-            self._barrier_rec = rec
+            self._barrier_pos = pos
             self.status = _WAITING_BARRIER
             return StepResult(_WAITING_BARRIER)
         release, waiters = outcome
-        self.metrics.add_time(mode, sync=max(0, release - t))
+        breakdown.sync += max(0, release - t)
         self.time = max(t, release)
         if self.pos >= self.num_records:
             self.status = _DONE

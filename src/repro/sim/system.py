@@ -244,8 +244,8 @@ class MultiprocessorSystem:
         holder_time = self.processors[holder].time
         target = max(proc.time + SPIN_QUANTUM, holder_time + 1)
         if mode is None:
-            mode = proc.record(proc.pos).mode
-        self.metrics.add_time(mode, sync=target - proc.time)
+            mode = proc._modes[proc.pos]
+        self.metrics.time[mode].sync += target - proc.time
         proc.time = target
 
     def check_invariants(self) -> None:

@@ -29,7 +29,7 @@ from repro.memsys.cache import CoherentCache
 from repro.memsys.coherence import CoherenceController
 from repro.memsys.hierarchy import CpuMemorySystem
 from repro.memsys.states import LineState
-from repro.sim.metrics import SystemMetrics
+from repro.sim.metrics import MissTracker, SystemMetrics
 from repro.sim.processor import Processor, ProcStatus
 
 ENUMS = frozenset(cls.__name__ for cls in (
@@ -37,6 +37,8 @@ ENUMS = frozenset(cls.__name__ for cls in (
 
 HOT_FUNCTIONS = [
     Processor.step,
+    Processor._do_read,
+    Processor._do_write,
     CpuMemorySystem.read,
     CpuMemorySystem.write,
     CpuMemorySystem.ifetch,
@@ -58,9 +60,10 @@ HOT_FUNCTIONS = [
     CoherenceController._fill_l2,
     CoherenceController._invalidate_remotes,
     CoherenceController._dirty_holder,
-    SystemMetrics.add_time,
     SystemMetrics.record_read,
     SystemMetrics.record_write,
+    MissTracker.consume_miss_flags,
+    MissTracker.l1_fill,
 ]
 
 

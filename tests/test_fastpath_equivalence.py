@@ -195,6 +195,63 @@ class TestL1FastPathEquivalence:
                 assert f.l2.states == u.l2.states, machine_id(machine)
                 assert f.wb1.stall_cycles == u.wb1.stall_cycles
 
+    @pytest.mark.parametrize("machine", MACHINES, ids=machine_id)
+    def test_inline_spanning_ifetch_matches_hierarchy(self, machine):
+        """A fetch ``Processor.step`` resolves inline — every L1I line it
+        spans resident — must match :meth:`CpuMemorySystem.ifetch`
+        result for result: same stall, same frame index, same LRU
+        stamps, same L2 states.
+
+        The twin rig's processor gets an empty L1I index, so its inline
+        probe never succeeds and every fetch goes through ``ifetch``.
+        Fetches span 1-4 lines from a pool whose aliases, 16 KB apart,
+        share a set on every machine point and evict each other.
+        """
+        line_bytes = machine.l1i.line_bytes
+        rng = random.Random(23)
+        builder = TraceBuilder(1)
+        for _ in range(600):
+            span = rng.randint(1, 4)
+            pc = (0x1000 + line_bytes * rng.randrange(24)
+                  + 0x4000 * rng.choice((0, 0, 0, 0, 1, 2, 3, 4))
+                  + 4 * rng.randrange(line_bytes // 4))
+            room = span * line_bytes - pc % line_bytes
+            icount = rng.randint(max(1, room // 4 - line_bytes // 4 + 1),
+                                 room // 4)
+            builder.emit(0, record.read(0x80000, pc=pc, icount=icount))
+        trace = builder.build()
+        config = resolve_config("Base", machine)
+        fast_sys = MultiprocessorSystem(trace, config)
+        slow_sys = MultiprocessorSystem(trace, config)
+        fast, slow = fast_sys.processors[0], slow_sys.processors[0]
+        slow._l1i_where = {}
+        fast_l1i = fast.mem.l1i
+        spanning_inline = partial = 0
+        for pos in range(fast.num_records):
+            rec = fast.record(pos)
+            first = rec.pc - rec.pc % line_bytes
+            lines = range(first, rec.pc + 4 * rec.icount, line_bytes)
+            resident = sum(line in fast_l1i.where for line in lines)
+            if resident == len(lines) > 1:
+                spanning_inline += 1
+            elif 0 < resident < len(lines):
+                partial += 1
+            before = (fast.metrics.time[rec.mode].imiss,
+                      slow.metrics.time[rec.mode].imiss)
+            fast.step()
+            slow.step()
+            assert (fast.metrics.time[rec.mode].imiss - before[0]
+                    == slow.metrics.time[rec.mode].imiss - before[1]), pos
+            assert fast.time == slow.time, pos
+        assert spanning_inline > 40 and partial > 40
+        for cache in ("l1i", "l2"):
+            a, b = getattr(fast.mem, cache), getattr(slow.mem, cache)
+            assert a.tags == b.tags, cache
+            assert a.where == b.where, cache
+            assert a.stamps == b.stamps, cache
+        assert fast.mem.l2.states == slow.mem.l2.states
+        assert fast_sys.metrics.snapshot() == slow_sys.metrics.snapshot()
+
 
 class _UnfusedMemorySystem(CpuMemorySystem):
     """The reference write: every word goes through the WB1 service

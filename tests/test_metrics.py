@@ -99,11 +99,16 @@ class TestSystemMetrics:
     def miss(self, flags=MissFlags(), stall=50):
         return AccessResult(done=51, stall=stall, miss=True, flags=flags)
 
+    @staticmethod
+    def record_read(m, rec, res, in_blockop):
+        m.record_read(rec.mode, rec.addr, rec.pc, rec.dclass, rec.blockop,
+                      res, in_blockop)
+
     def test_read_counting_by_mode(self):
         m = self.make()
-        m.record_read(0, read_rec(0x100, mode=Mode.USER),
-                      AccessResult(done=1), False)
-        m.record_read(0, read_rec(0x100, mode=Mode.OS), self.miss(), False)
+        self.record_read(m, read_rec(0x100, mode=Mode.USER),
+                         AccessResult(done=1), False)
+        self.record_read(m, read_rec(0x100, mode=Mode.OS), self.miss(), False)
         assert m.reads[Mode.USER] == 1
         assert m.reads[Mode.OS] == 1
         assert m.read_misses[Mode.OS] == 1
@@ -111,46 +116,46 @@ class TestSystemMetrics:
 
     def test_block_miss_classification(self):
         m = self.make()
-        m.record_read(0, read_rec(0x100, blockop=3), self.miss(), True)
+        self.record_read(m, read_rec(0x100, blockop=3), self.miss(), True)
         assert m.os_miss_kind[MissKind.BLOCK_OP] == 1
 
     def test_coherence_classification_and_addr_tracking(self):
         m = self.make()
         rec = read_rec(0x104, dclass=DataClass.LOCK_VAR)
-        m.record_read(0, rec, self.miss(MissFlags(coherence=True)), False)
+        self.record_read(m, rec, self.miss(MissFlags(coherence=True)), False)
         assert m.os_miss_kind[MissKind.COHERENCE] == 1
         assert m.os_coh_dclass[DataClass.LOCK_VAR] == 1
         assert m.os_coh_addr[0x100] == 1
 
     def test_displacement_and_reuse_counters(self):
         m = self.make()
-        m.record_read(0, read_rec(0x100), self.miss(MissFlags(displaced=True)),
-                      True)
-        m.record_read(0, read_rec(0x200), self.miss(MissFlags(displaced=True)),
-                      False)
-        m.record_read(0, read_rec(0x300), self.miss(MissFlags(bypassed=True)),
-                      False)
+        self.record_read(m, read_rec(0x100),
+                         self.miss(MissFlags(displaced=True)), True)
+        self.record_read(m, read_rec(0x200),
+                         self.miss(MissFlags(displaced=True)), False)
+        self.record_read(m, read_rec(0x300),
+                         self.miss(MissFlags(bypassed=True)), False)
         assert m.displacement_inside == 1
         assert m.displacement_outside == 1
         assert m.reuse_outside == 1
 
     def test_user_misses_not_in_os_taxonomy(self):
         m = self.make()
-        m.record_read(0, read_rec(0x100, mode=Mode.USER), self.miss(), False)
+        self.record_read(m, read_rec(0x100, mode=Mode.USER), self.miss(), False)
         assert sum(m.os_miss_kind.values()) == 0
 
     def test_hotspot_miss_counting(self):
         m = self.make()
         m.hotspot_pcs = {0x40}
-        m.record_read(0, read_rec(0x100, pc=0x40), self.miss(), False)
-        m.record_read(0, read_rec(0x100, pc=0x80), self.miss(), False)
+        self.record_read(m, read_rec(0x100, pc=0x40), self.miss(), False)
+        self.record_read(m, read_rec(0x100, pc=0x80), self.miss(), False)
         assert m.os_hotspot_misses == 1
 
     def test_mode_fractions_sum_to_one(self):
         m = self.make()
-        m.add_time(Mode.USER, exec_cycles=60)
-        m.add_time(Mode.OS, exec_cycles=30)
-        m.add_time(Mode.IDLE, exec_cycles=10)
+        m.time[Mode.USER].add(exec_cycles=60)
+        m.time[Mode.OS].add(exec_cycles=30)
+        m.time[Mode.IDLE].add(exec_cycles=10)
         total = sum(m.mode_fraction(mode) for mode in Mode)
         assert total == pytest.approx(1.0)
 
