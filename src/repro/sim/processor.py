@@ -179,6 +179,16 @@ class Processor:
         self._blk_read_plain = scheme not in (_PREF_SCHEME, _BYPREF_SCHEME)
         self._blk_read_bypass = scheme in (_BYPASS_SCHEME, _BYPREF_SCHEME)
         self._blk_write_plain = scheme != _BYPASS_SCHEME
+        self._blk_dma = scheme == _DMA_SCHEME
+        self._blk_bypref = scheme == _BYPREF_SCHEME
+        # Blk_Pref / Blk_ByPref source prefetch: its software-pipelining
+        # depth and where a prefetched line goes.
+        if self._blk_bypref:
+            self._pref_lead_lines = config.bypref_lead_lines
+            self._block_prefetch = mem.prefetch_into_buffer
+        else:
+            self._pref_lead_lines = config.pref_lead_lines
+            self._block_prefetch = mem.prefetch_line
 
     def record(self, pos: int) -> TraceRecord:
         """The :class:`TraceRecord` at stream position *pos*, built afresh
@@ -332,9 +342,6 @@ class Processor:
     # ------------------------------------------------------------------
     # Data accesses
     # ------------------------------------------------------------------
-    def _scheme(self) -> Scheme:
-        return self.config.scheme
-
     def _do_read(self, pos: int, addr: int, mode: int,
                  t: int) -> Tuple[int, int]:
         """Perform a data read; returns (completion, extra exec cycles)."""
@@ -406,24 +413,12 @@ class Processor:
         if line == self._blk_last_src_line:
             return 0
         self._blk_last_src_line = line
-        target = line + self._pref_lead() * line_bytes
+        target = line + self._pref_lead_lines * line_bytes
         if not desc.contains_src(target):
             return 0
-        self._issue_block_prefetch(target, t)
-        return 1
-
-    def _pref_lead(self) -> int:
-        """Software-pipelining depth for the active block-op scheme."""
-        if self._scheme() == _BYPREF_SCHEME:
-            return self.config.bypref_lead_lines
-        return self.config.pref_lead_lines
-
-    def _issue_block_prefetch(self, addr: int, t: int) -> None:
-        if self._scheme() == _BYPREF_SCHEME:
-            self.mem.prefetch_into_buffer(addr, t)
-        else:
-            self.mem.prefetch_line(addr, t)
+        self._block_prefetch(target, t)
         self.metrics.record_prefetch_issued()
+        return 1
 
     # ------------------------------------------------------------------
     # Block operations
@@ -434,8 +429,7 @@ class Processor:
         if probe is not None:
             probe.block_begin(self.cpu_id, t, desc)
         self._measure_block_start(desc)
-        scheme = self._scheme()
-        if scheme == _DMA_SCHEME:
+        if self._blk_dma:
             # The engine runs the whole operation and swallows its word
             # records, BLOCK_END included.
             done = self._do_block_dma(desc, mode, t)
@@ -445,17 +439,18 @@ class Processor:
         self._blk_desc = desc
         self._blk_last_src_line = -1
         self.mem.in_blockop = True
-        self.mem.bypass_l2_wide = scheme == _BYPREF_SCHEME
+        self.mem.bypass_l2_wide = self._blk_bypref
         self.tracker.in_blockop = True
-        if scheme in (_PREF_SCHEME, _BYPREF_SCHEME) and desc.is_copy:
+        if not self._blk_read_plain and desc.is_copy:
             # Prolog: prefetch the first `lead` source lines back-to-back.
             line_bytes = self.mem.machine.l1d.line_bytes
             breakdown = self._time[mode]
-            for i in range(self._pref_lead()):
+            for i in range(self._pref_lead_lines):
                 addr = desc.src + i * line_bytes
                 if not desc.contains_src(addr):
                     break
-                self._issue_block_prefetch(addr, t)
+                self._block_prefetch(addr, t)
+                self.metrics.record_prefetch_issued()
                 t += 1
                 breakdown.exec_cycles += 1
         return t

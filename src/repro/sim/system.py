@@ -223,13 +223,11 @@ class MultiprocessorSystem:
             self.probe.finish()
         return self.metrics
 
-    def _spin(self, proc: Processor, lock_addr: int,
-              mode: Optional[int] = None) -> None:
+    def _spin(self, proc: Processor, lock_addr: int, mode: int) -> None:
         """Advance a lock-spinning processor's clock past the holder's.
 
         *mode* is the blocking record's mode value, carried on the
-        :class:`StepResult` so retries do not re-read the stream; ``None``
-        (direct callers) falls back to looking it up.
+        :class:`StepResult` so retries do not re-read the stream.
         """
         holder = self.locks.holder(lock_addr)
         if holder is None:
@@ -243,8 +241,6 @@ class MultiprocessorSystem:
         self.locks.note_contention()
         holder_time = self.processors[holder].time
         target = max(proc.time + SPIN_QUANTUM, holder_time + 1)
-        if mode is None:
-            mode = proc._modes[proc.pos]
         self.metrics.time[mode].sync += target - proc.time
         proc.time = target
 

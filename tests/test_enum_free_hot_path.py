@@ -39,6 +39,7 @@ HOT_FUNCTIONS = [
     Processor.step,
     Processor._do_read,
     Processor._do_write,
+    Processor._lookahead_prefetch,
     CpuMemorySystem.read,
     CpuMemorySystem.write,
     CpuMemorySystem.ifetch,

@@ -14,7 +14,6 @@ Examples::
     PYTHONPATH=src python tools/profile_sim.py
     PYTHONPATH=src python tools/profile_sim.py --workload ARC2D+Fsck \\
         --config Blk_Pref --scale 0.5 --sort tottime --limit 25
-    PYTHONPATH=src python tools/profile_sim.py --scan   # reference scheduler
     PYTHONPATH=src python tools/profile_sim.py \\
         --workload gen:server:c32:i060:steady:0:0 \\
         --machine 32cpu-4way-32B --scale 0.05 --sort tottime
@@ -50,9 +49,6 @@ def main(argv=None) -> int:
                         help="pstats sort key (default: cumulative)")
     parser.add_argument("--limit", type=int, default=20,
                         help="rows to print (default: 20)")
-    parser.add_argument("--scan", action="store_true",
-                        help="profile the reference scan scheduler "
-                             "(run_scan) instead of the heap scheduler")
     args = parser.parse_args(argv)
 
     from repro.analysis.tables import MACHINE_POINTS, machine_point
@@ -78,15 +74,10 @@ def main(argv=None) -> int:
 
     print(f"profiling {args.workload}/{args.config} on {args.machine} "
           f"scale={args.scale} "
-          f"({len(trace)} records from npz, "
-          f"{'scan' if args.scan else 'heap'} scheduler)", file=sys.stderr)
+          f"({len(trace)} records from npz)", file=sys.stderr)
     profiler = cProfile.Profile()
     profiler.enable()
-    system = MultiprocessorSystem(trace, config)
-    if args.scan:
-        system.run_scan()
-    else:
-        system.run()
+    MultiprocessorSystem(trace, config).run()
     profiler.disable()
     stats = pstats.Stats(profiler, stream=sys.stdout)
     stats.strip_dirs().sort_stats(args.sort).print_stats(args.limit)
