@@ -5,16 +5,21 @@ One runner sweeps the full report at the committed operating point
 report byte-identical to ``results/full_report.txt``, the numbers
 EXPERIMENTS.md publishes; every shape test after it reads its table,
 figure or ablation study from that same runner, so the shapes are
-checked on the published numbers.  Nothing here writes a file or
-times anything (timing belongs to ``benchmarks/e2e``).
+checked on the published numbers.  The two beyond-paper artifacts,
+``results/machine_comparison.txt`` and ``results/hybrid_comparison.txt``,
+are rebuilt with their EXPERIMENTS.md commands into a temporary
+directory and held byte-identical too.  Nothing here writes into the
+repository or times anything (timing belongs to ``benchmarks/e2e``).
 
 Run with ``python -m pytest benchmarks/test_paper_results.py -q``
-(about 75 s on two cores, most of it the report's sweep).
+(about 90 s on two cores, most of it the report's sweep).
 """
 
 import pathlib
 
 import pytest
+
+from repro import cli
 
 from repro.analysis.figures import (FIG3_SYSTEMS, figure1, figure2, figure3,
                                     figure4, figure5, figure6, figure7)
@@ -30,8 +35,20 @@ from repro.experiments.all import build_report, make_runner
 from repro.experiments.extensions import page_coloring_sweep
 from repro.synthetic.workloads import WORKLOAD_ORDER
 
-COMMITTED_REPORT = (pathlib.Path(__file__).resolve().parent.parent
-                    / "results" / "full_report.txt")
+RESULTS = pathlib.Path(__file__).resolve().parent.parent / "results"
+COMMITTED_REPORT = RESULTS / "full_report.txt"
+
+#: Each beyond-paper artifact and the ``repro`` command EXPERIMENTS.md
+#: regenerates it with; the test adds two workers, a throwaway cache
+#: and a temporary output path, none of which changes the output.
+COMPARISONS = {
+    "machine_comparison.txt": ["report", "--only", "machines",
+                               "--scale", "0.1"],
+    "hybrid_comparison.txt": [
+        "sweep", "--samples", "6", "--configs",
+        "Base,Blk_Dma,BCoh_Reloc,BCoh_RelUp,Hyb_Static,Hyb_UpdN,Hyb_Deg",
+        "--scale", "0.1", "--seed", "0"],
+}
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +67,15 @@ def runner(paper):
 def test_full_report_matches_committed(paper):
     report, _ = paper
     assert report == COMMITTED_REPORT.read_text()
+
+
+@pytest.mark.parametrize("name", sorted(COMPARISONS))
+def test_comparison_matches_committed(name, tmp_path):
+    out = tmp_path / name
+    argv = COMPARISONS[name] + ["--workers", "2", "--no-cache", "--quiet",
+                                "-o", str(out)]
+    assert cli.main(argv) == 0
+    assert out.read_bytes() == (RESULTS / name).read_bytes()
 
 
 # -- Tables 1-5 ------------------------------------------------------------

@@ -179,10 +179,9 @@ def table5(runner: ExperimentRunner) -> TableData:
 
 
 #: Schemes of the hybrid comparison, in presentation order: the paper's
-#: coherence ladder followed by the adaptive hybrids.  ``Hyb_Static``'s
-#: rows must equal ``BCoh_RelUp``'s exactly (the N=infinity-on-sync-pages
-#: special case); ``tests/test_adaptive_properties.py`` proves it per
-#: trace, this table shows it in the report.
+#: coherence ladder followed by the adaptive hybrids.  ``Hyb_Static``
+#: is ``BCoh_RelUp`` under its hybrid-family name, simulated once with
+#: it, so its rows equal ``BCoh_RelUp``'s exactly.
 HYBRID_COMPARE_SCHEMES = ["Blk_Dma", "BCoh_Reloc", "BCoh_RelUp",
                           "Hyb_Static", "Hyb_UpdN", "Hyb_Deg"]
 

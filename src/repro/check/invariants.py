@@ -353,16 +353,25 @@ class ConformanceChecker(Probe):
         the line with pre-write data.
         """
         token = self.write_token(cpu, addr)
-        controller = self.controller
-        if controller.is_update_addr(addr):
+        if self._must_update(addr):
             line = self.oracle.line_of(addr)
-            ports = controller.ports
+            ports = self.controller.ports
             sharers = [i for i, p in enumerate(ports)
                        if i != cpu
                        and p.l2.state_of(line) != LineState.INVALID]
             self._update_sharers[cpu] = (line, sharers)
         self.oracle.commit_write(addr, token)
         self._write_token = token
+
+    def _must_update(self, addr: int) -> bool:
+        """True when a write to *addr* must update, not invalidate, its
+        sharers: everywhere under pure update, and on the static
+        policy's pages (selective update)."""
+        if self.controller.update_everywhere:
+            return True
+        shadow = self._shadow
+        return (shadow is not None and shadow.kind == AdaptivePolicy.STATIC
+                and addr - addr % shadow.page_bytes in shadow.pages)
 
     def write_end(self, cpu: int, addr: int, t: int, done: int,
                   stall: int) -> None:

@@ -47,7 +47,7 @@ def skip_invalidation() -> Iterator[None]:
                 self.probe.adaptive_decision(cpu, addr, line, decision)
             if decision.update:
                 return self.adaptive_update(cpu, addr, t, decision)
-        elif self.is_update_addr(addr):
+        elif self.update_everywhere:
             return self.broadcast_update(cpu, addr, t)
         grant = self.bus.acquire(t, self.bus.params.invalidate_cycles,
                                  BusOp.INVALIDATE)

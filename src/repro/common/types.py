@@ -130,8 +130,8 @@ class AdaptivePolicy(enum.IntEnum):
     """Per-line adaptive update/invalidate policy of a hybrid scheme.
 
     Selected by :attr:`~repro.sim.config.SystemConfig.adaptive`;
-    ``None`` there means the plain protocol (invalidate, or the page-set
-    Firefly of ``selective_update``) with no adaptive layer attached.
+    ``None`` there means the plain protocol (invalidate, or update
+    everywhere for ``pure_update``) with no adaptive layer attached.
     """
 
     #: Competitive update-N-then-invalidate: each remote copy receives

@@ -1,14 +1,17 @@
 """Content-addressed on-disk artifact cache for experiment sweeps.
 
 A full table/figure sweep needs, per workload, a generated trace plus
-four derived artifacts (the privatized trace, the update-core selection,
-the hot-spot PC list, and the prefetch-annotated trace).  All of them
-are deterministic functions of ``(scale, seed, workload, machine
+two derived artifacts that take profiling simulations to find (the
+update-core selection and the hot-spot PC list).  All of them are
+deterministic functions of ``(scale, seed, workload, machine
 parameters, derivation stage)``, so they can be cached on disk and
 shared both *across runs* (a second ``repro report`` sweep on one
 ``--cache-dir`` skips every generation/derivation step) and *across
 processes* (the parallel engine's workers exchange artifacts through
-the cache instead of pickling multi-megabyte traces over pipes).
+the cache instead of pickling multi-megabyte traces over pipes).  The
+privatized and prefetched traces are not stored: the runner rebuilds
+them in memory from the raw trace and the hot spots faster than an
+npz round trip.
 
 Design:
 
@@ -63,7 +66,7 @@ from repro.trace.stream import Trace
 CACHE_VERSION = 1
 
 #: Known derivation stages, in pipeline order (used for reporting).
-STAGES = ("trace", "privatized", "update", "hotspots", "prefetched")
+STAGES = ("trace", "update", "hotspots")
 
 #: Default on-disk cache location used by the CLI (relative to the CWD).
 DEFAULT_CACHE_DIR = ".repro-cache"
@@ -101,7 +104,7 @@ def stage_key(stage: str, scale: float, seed: int, workload: str,
     """Content hash identifying one artifact.
 
     *machine* is omitted for stages that do not depend on the hardware
-    (trace generation and privatization are pure trace transforms).
+    (trace generation).
     """
     payload = {
         "version": CACHE_VERSION,

@@ -15,10 +15,22 @@ count.
 
 Caching is two-level: every artifact lives in this process's in-memory
 maps, and — when the runner is given an
-:class:`~repro.experiments.artifacts.ArtifactCache` — traces and derived
-artifacts also persist in the content-addressed on-disk cache, shared
-across runs and across the parallel engine's worker processes.
-Simulation results are keyed by the frozen
+:class:`~repro.experiments.artifacts.ArtifactCache` — the raw trace, the
+update selection and the hot spots also persist in the
+content-addressed on-disk cache, shared across runs and across the
+parallel engine's worker processes.  The privatized and prefetched
+traces are never stored: rebuilding them from the raw trace and the
+cached hot spots takes a few tens of milliseconds, less than writing
+and reading them back.  A sweep process keeps one runner for the whole
+sweep and calls :meth:`~ExperimentRunner.retain` before each job, so
+it holds the traces of one workload at a time.
+
+A simulation is identified by its behaviour
+(:attr:`~repro.sim.config.SystemConfig.behaviour`, the resolved
+configuration without its name): :meth:`~ExperimentRunner.run`
+simulates each (workload, behaviour) once and returns that result
+under every name that resolves to it (``Hyb_Static`` is
+``BCoh_RelUp``).  Results are keyed by the frozen
 :class:`~repro.experiments.artifacts.SimKey` dataclass.
 
 The derivation pipeline mirrors the paper's methodology:
@@ -26,7 +38,7 @@ The derivation pipeline mirrors the paper's methodology:
 * privatization/relocation and hot-spot prefetching are kernel source
   changes -> trace transformations;
 * the update-protocol core is chosen by analyzing coherence misses of a
-  profiling run (section 5.2) and handed to the coherence controller;
+  profiling run (section 5.2) and handed to the static update policy;
 * hot spots are the 12 basic blocks with the most misses remaining after
   the block and coherence optimizations (section 6), i.e. they are
   measured on the BCoh_RelUp system, not on Base.
@@ -107,13 +119,14 @@ class ExperimentRunner:
         self._hot_pcs: Dict[str, List[int]] = {}
         self._prefetched: Dict[str, Trace] = {}
         self._metrics: Dict[SimKey, SystemMetrics] = {}
+        #: (workload, config behaviour) -> its one simulation's metrics.
+        self._sims: Dict[Tuple[str, SystemConfig], SystemMetrics] = {}
 
     # ------------------------------------------------------------------
     # Cache keys
     # ------------------------------------------------------------------
     def _key(self, stage: str, workload: str, **extra) -> str:
-        machine = self.machine if stage in ("update", "hotspots",
-                                            "prefetched") else None
+        machine = self.machine if stage in ("update", "hotspots") else None
         return stage_key(stage, self.scale, self.seed, workload,
                          machine=machine, extra=extra or None)
 
@@ -146,16 +159,9 @@ class ExperimentRunner:
     def privatized_trace(self, workload: str) -> Trace:
         """The trace after privatization/relocation (section 5.1)."""
         if workload not in self._privatized:
-            trace = None
-            key = self._key("privatized", workload)
-            if self.cache is not None:
-                trace = self.cache.load_trace(key, "privatized")
-            if trace is None:
-                raw = self.trace(workload)
-                trace = privatize_and_relocate(raw, raw.num_cpus)
-                if self.cache is not None:
-                    self.cache.store_trace(key, trace, "privatized")
-            self._privatized[workload] = trace
+            raw = self.trace(workload)
+            self._privatized[workload] = privatize_and_relocate(
+                raw, raw.num_cpus)
         return self._privatized[workload]
 
     def update_selection(self, workload: str) -> UpdateSelection:
@@ -196,29 +202,31 @@ class ExperimentRunner:
         """The privatized trace with hot-spot prefetches inserted."""
         if workload not in self._prefetched:
             config = standard_configs()["BCPref"]
-            trace = None
-            key = self._key("prefetched", workload, count=NUM_HOTSPOTS,
-                            lead=config.hotspot_lead_records)
-            if self.cache is not None:
-                trace = self.cache.load_trace(key, "prefetched")
-            if trace is None:
-                prefetcher = HotspotPrefetcher(
-                    self.hotspots(workload),
-                    lead=config.hotspot_lead_records,
-                    line_bytes=self.machine.l1d.line_bytes)
-                trace = prefetcher.apply(self.privatized_trace(workload))
-                if self.cache is not None:
-                    self.cache.store_trace(key, trace, "prefetched")
-            self._prefetched[workload] = trace
+            prefetcher = HotspotPrefetcher(
+                self.hotspots(workload), lead=config.hotspot_lead_records,
+                line_bytes=self.machine.l1d.line_bytes)
+            self._prefetched[workload] = prefetcher.apply(
+                self.privatized_trace(workload))
         return self._prefetched[workload]
+
+    def retain(self, workload: str) -> None:
+        """Drop the in-memory traces of every workload but *workload*.
+
+        A sweep process calls this before each job, so its runner holds
+        one workload's raw, privatized and prefetched traces at a time;
+        derived selections, hot spots and metrics are small and stay.
+        """
+        for traces in (self._traces, self._privatized, self._prefetched):
+            for name in [w for w in traces if w != workload]:
+                del traces[name]
 
     def derive_all(self, workload: str) -> None:
         """Materialize every derived artifact of *workload*.
 
         Runs the full derivation chain (Base profile -> update selection
         -> BCoh_RelUp profile -> hot spots -> prefetched trace); with a
-        disk cache attached this persists all five artifact stages.  The
-        parallel engine's "derive" jobs call this in a worker.
+        disk cache attached this persists the update selection and the
+        hot spots.  The parallel engine's "derive" jobs call this.
         """
         self.prefetched_trace(workload)
         self.update_selection(workload)
@@ -228,14 +236,22 @@ class ExperimentRunner:
     # ------------------------------------------------------------------
     def run(self, workload: str, config_name: str,
             machine: Optional[MachineParams] = None) -> SystemMetrics:
-        """Simulate *workload* under the named standard configuration."""
+        """Simulate *workload* under the named configuration.
+
+        A name whose behaviour this runner has already simulated on
+        *workload* gets that result without a second simulation.
+        """
         machine = machine if machine is not None else self.machine
         key = SimKey.of(workload, config_name, machine)
-        if key in self._metrics:
-            return self._metrics[key]
-        config = resolve_config(config_name, machine)
-        metrics = self._run_config(workload, config)
-        self._metrics[key] = metrics
+        metrics = self._metrics.get(key)
+        if metrics is None:
+            config = resolve_config(config_name, machine)
+            behaviour = (workload, config.behaviour)
+            metrics = self._sims.get(behaviour)
+            if metrics is None:
+                metrics = self._run_config(workload, config)
+                self._sims[behaviour] = metrics
+            self._metrics[key] = metrics
         return metrics
 
     def _run_config(self, workload: str,

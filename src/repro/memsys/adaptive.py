@@ -1,9 +1,10 @@
 """Per-line adaptive update/invalidate policies (the hybrid schemes).
 
-The paper's ``BCoh_RelUp`` hard-codes the Firefly update protocol for one
+The paper's ``BCoh_RelUp`` runs the Firefly update protocol on one
 384-byte page set; the hybrid literature (Dovgopol & Rosonke's
-update-once / competitive schemes) generalizes that to *per-line*
-decisions.  This module implements three such policies as a thin layer on
+update-once / competitive schemes) treats that static page split as one
+point of a space of *per-line* decisions.  This module implements three
+such policies as a thin layer on
 :class:`~repro.memsys.coherence.CoherenceController`:
 
 ``UpdateNPolicy`` (``Hyb_UpdN``)
@@ -25,11 +26,11 @@ decisions.  This module implements three such policies as a thin layer on
     finds no remote copies at all), at which point the next epoch starts
     fresh in update mode.
 
-``StaticHybridPolicy`` (``Hyb_Static``)
+``StaticHybridPolicy`` (``BCoh_RelUp``, ``BCPref``, ``Hyb_Static``)
     The per-page hybrid: unbounded updates on the configured pages,
-    invalidation everywhere else.  This subsumes ``BCoh_RelUp`` as the
-    N=infinity-on-sync-pages special case and is metric-identical to it
-    (``tests/test_adaptive_properties.py`` proves that bit for bit).
+    invalidation everywhere else — the N=infinity-on-sync-pages point.
+    Every ``selective_update`` configuration runs on it, so section
+    5.2's selective update has this one implementation.
 
 Design constraints (why the hooks look the way they do):
 
@@ -236,10 +237,9 @@ class DegreePolicy(BaseAdaptivePolicy):
 class StaticHybridPolicy(BaseAdaptivePolicy):
     """Unbounded updates on the configured pages, invalidate elsewhere.
 
-    With the sync pages configured this is exactly ``BCoh_RelUp``: the
-    update route is taken for every write to a hybrid page — including
-    writes that find no remote copy (the Firefly write-through), which
-    is what makes the metric equivalence bit-exact.
+    This is section 5.2's selective update: the update route is taken
+    for every write to a configured page — including writes that find
+    no remote copy (the Firefly write-through).
     """
 
     kind = PolicyKind.STATIC
@@ -271,9 +271,9 @@ def build_policy(config, update_pages: Optional[Iterable[int]] = None
                  ) -> BaseAdaptivePolicy:
     """Instantiate the policy a :class:`SystemConfig` selects.
 
-    *update_pages* feeds :class:`StaticHybridPolicy` (the runner derives
-    them exactly as for ``BCoh_RelUp``); the other policies are
-    page-agnostic and ignore them.
+    *update_pages* feeds :class:`StaticHybridPolicy` (the runner's
+    update-core selection); the other policies are page-agnostic and
+    ignore them.
     """
     kind = config.adaptive
     page_bytes = config.machine.page_bytes

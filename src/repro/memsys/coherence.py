@@ -19,25 +19,25 @@ The Illinois protocol supplies lines cache-to-cache: a read miss that finds
 the line in another cache gets it from that cache (faster than memory);
 a dirty supplier writes the line back and drops to SHARED.
 
-The Firefly *update* protocol is applied only to the pages registered via
-:meth:`CoherenceController.set_update_pages` — the 384-byte core of barrier
-words, hot locks and producer-consumer variables selected in section 5.2.
-Writes to those pages broadcast the new data instead of invalidating, so
-the other processors' copies stay valid and their coherence misses
-disappear, at the cost of update traffic on the bus.
-
-The *adaptive* hybrid schemes (:mod:`repro.memsys.adaptive`) generalize
-that page-set rule to per-line update/invalidate decisions.  When a
-policy is attached (:attr:`CoherenceController.adaptive`), every
-bus-level write consults it instead of :meth:`is_update_addr`: the update
-route runs :meth:`CoherenceController.adaptive_update`, which broadcasts
-to the in-budget holders and drops the rest in the same bus transaction;
-the invalidate route is the unmodified MESI path.
+The Firefly *update* protocol is chosen per write by an attached
+update/invalidate policy (:attr:`CoherenceController.adaptive`, see
+:mod:`repro.memsys.adaptive`).  Section 5.2's selective update is the
+static policy: writes to the 384-byte core of barrier words, hot locks
+and producer-consumer variables broadcast the new data instead of
+invalidating, so the other processors' copies stay valid and their
+coherence misses disappear, at the cost of update traffic on the bus.
+The hybrid policies decide per line.  The update route runs
+:meth:`CoherenceController.adaptive_update`, which broadcasts to the
+chosen holders and drops the rest in the same bus transaction; the
+invalidate route is the unmodified MESI path.  Without a policy every
+write invalidates, unless :attr:`~CoherenceController.update_everywhere`
+(the pure-update comparison point) broadcasts them all through
+:meth:`~CoherenceController.broadcast_update`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, List, Optional
 
 from repro.common.errors import SimulationError
 from repro.common.params import MachineParams
@@ -83,8 +83,6 @@ class CoherenceController:
         #: the bus-level write paths, so the disabled cost is one
         #: attribute test per bus write.
         self.adaptive = None
-        #: Page-aligned base addresses running the Firefly update protocol.
-        self.update_pages: Set[int] = set()
         #: Run Firefly update on *every* address (the pure-update
         #: comparison point of section 5.2).
         self.update_everywhere = False
@@ -114,19 +112,6 @@ class CoherenceController:
         :attr:`holders`."""
         policy.holders = self.holders
         self.adaptive = policy
-
-    def set_update_pages(self, pages: Iterable[int]) -> None:
-        """Run Firefly update on the given page-aligned addresses."""
-        page = self.machine.page_bytes
-        self.update_pages = {p - (p % page) for p in pages}
-
-    def is_update_addr(self, addr: int) -> bool:
-        """True when *addr* lies in a Firefly-update page."""
-        if self.update_everywhere:
-            return True
-        if not self.update_pages:
-            return False
-        return addr - (addr % self.machine.page_bytes) in self.update_pages
 
     # ------------------------------------------------------------------
     # Internal helpers
@@ -237,10 +222,14 @@ class CoherenceController:
     def _split_transfer(self, t: int, kind: int, wait_cycles: int) -> int:
         """Split-transaction line read: request phase, off-bus wait, data.
 
-        The bus is held for the request, released while memory (or the
-        supplying cache) works, then held again for the line transfer —
-        5 + 26 + 20 = 51 uncontended cycles for a memory read, matching
-        section 2.4, with only 25 cycles of bus occupancy.
+        The bus is held for the request, then for the line transfer
+        once memory (or the supplying cache) has worked — 5 + 26 + 20 =
+        51 uncontended cycles for a memory read, matching section 2.4,
+        with 25 cycles of bus occupancy.  The wait is not given to other
+        requests: :class:`~repro.memsys.bus.Bus` keeps one ``next_free``
+        cursor, and reserving the data phase moves it past the wait, so
+        a request that arrives meanwhile is granted only after the data
+        phase ends.
         """
         bus = self.bus.params
         transfer = bus.line_transfer_cycles(self.machine.l2.line_bytes)
@@ -276,10 +265,10 @@ class CoherenceController:
     def upgrade(self, cpu: int, addr: int, t: int) -> int:
         """S -> M upgrade: invalidate other copies.  Returns completion.
 
-        For Firefly-update addresses this becomes a broadcast update
-        instead and the line stays SHARED.  An attached adaptive policy
-        replaces that page-set rule: its decision routes the write to
-        :meth:`adaptive_update` or to the invalidation below.
+        An attached update/invalidate policy routes the write to
+        :meth:`adaptive_update` or to the invalidation below; with
+        :attr:`update_everywhere` it is a broadcast update and the line
+        stays SHARED.
         """
         line = self._l2_line(addr)
         port = self.ports[cpu]
@@ -293,7 +282,7 @@ class CoherenceController:
                 self.probe.adaptive_decision(cpu, addr, line, decision)
             if decision.update:
                 return self.adaptive_update(cpu, addr, t, decision)
-        elif self.is_update_addr(addr):
+        elif self.update_everywhere:
             return self.broadcast_update(cpu, addr, t)
         grant = self.bus.acquire(t, self.bus.params.invalidate_cycles,
                                  BUS_INVALIDATE)
@@ -307,9 +296,9 @@ class CoherenceController:
     def fetch_owned(self, cpu: int, addr: int, t: int) -> int:
         """Write miss at L2: read-for-ownership.  Returns ready time.
 
-        Firefly-update addresses instead fetch SHARED and broadcast the
-        write, leaving remote copies valid.  An attached adaptive policy
-        replaces that page-set rule with its per-line decision.
+        A write the attached policy (or :attr:`update_everywhere`)
+        routes to update instead fetches SHARED and broadcasts the
+        write, leaving remote copies valid.
         """
         line = self._l2_line(addr)
         probe = self.probe
@@ -321,7 +310,7 @@ class CoherenceController:
             if decision.update:
                 ready = self.fetch_shared(cpu, addr, t)
                 return self.adaptive_update(cpu, addr, ready, decision)
-        elif self.is_update_addr(addr):
+        elif self.update_everywhere:
             ready = self.fetch_shared(cpu, addr, t)
             return self.broadcast_update(cpu, addr, ready)
         dirty = self._dirty_holder(line, cpu)
@@ -372,8 +361,8 @@ class CoherenceController:
         over-budget subset is dropped by the holders' own snoop logic
         riding on that same transaction (a partial invalidation costs no
         extra bus time).  With an empty ``to_invalidate`` this is
-        bit-identical to :meth:`broadcast_update`, which is what makes
-        ``Hyb_Static`` equal ``BCoh_RelUp`` exactly.
+        bit-identical to :meth:`broadcast_update`: the static policy's
+        selective update costs what a page-set broadcast would.
         """
         line = self._l2_line(addr)
         port = self.ports[cpu]

@@ -48,17 +48,19 @@ def run_dma(mem: CpuMemorySystem, desc: BlockOpDescriptor, t: int) -> DmaResult:
         dma.bus_cycles_per_beat * bus.params.cpu_cycles_per_bus_cycle)
 
     # Snoop work: dirty source suppliers and destination updates slow the
-    # pipelined transfer by a few cycles each.
+    # pipelined transfer by a few cycles each.  Only a line some L2
+    # holds (the presence directory) has a snoop to do.
     penalty = 0
+    held = controller.holders
     if desc.is_copy:
         first = align_down(desc.src, l2_line)
         for line in range(first, desc.src + desc.size, l2_line):
-            if controller.dma_snoop_src(mem.cpu_id, line):
+            if line in held and controller.dma_snoop_src(mem.cpu_id, line):
                 penalty += bus.params.cpu_cycles_per_bus_cycle
     first = align_down(desc.dst, l2_line)
     for line in range(first, desc.dst + desc.size, l2_line):
-        holders = controller.dma_update_dst(mem.cpu_id, line)
-        penalty += 2 * holders
+        if line in held:
+            penalty += 2 * controller.dma_update_dst(mem.cpu_id, line)
 
     occupancy += penalty
     grant = bus.acquire(t, occupancy, BUS_DMA)
@@ -73,9 +75,11 @@ def run_dma(mem: CpuMemorySystem, desc: BlockOpDescriptor, t: int) -> DmaResult:
     ranges = [desc.dst_range()]
     if desc.is_copy:
         ranges.append(desc.src_range())
+    resident = mem.l1d.where
+    mark = mem.sink.bypass_mark
     for rng in ranges:
         first = align_down(rng.start, l1_line)
         for line in range(first, rng.stop, l1_line):
-            if not mem.l1d.present(line):
-                mem.sink.bypass_mark(line)
+            if line not in resident:
+                mark(line)
     return result

@@ -215,7 +215,7 @@ class CpuMemorySystem:
         """
         controller = self.controller
         if self.l2.state_of(addr) == SHARED:
-            if controller.is_update_addr(addr):
+            if controller.update_everywhere:
                 service = lambda s: controller.broadcast_update(self.cpu_id, addr, s)
             else:
                 service = lambda s: controller.upgrade(self.cpu_id, addr, s)

@@ -19,9 +19,9 @@ BCPref         BCoh_RelUp + prefetching at the 12 hottest miss spots
 
 ``privatize`` and ``hotspot_prefetch`` are *trace transformations* applied
 by the experiment runner before simulation (they model kernel source
-changes); ``selective_update`` configures the coherence controller's
-Firefly pages; ``scheme`` changes how the processor executes block-op
-records.
+changes); ``selective_update`` runs Firefly update on the selected pages
+through the static hybrid policy of :mod:`repro.memsys.adaptive`;
+``scheme`` changes how the processor executes block-op records.
 
 Beyond the paper's eight, :func:`hybrid_configs` registers the three
 adaptive update/invalidate schemes built on :mod:`repro.memsys.adaptive`:
@@ -30,8 +30,12 @@ adaptive update/invalidate schemes built on :mod:`repro.memsys.adaptive`:
 Hyb_UpdN       BCoh_Reloc + competitive update-N-then-invalidate (N=4)
 Hyb_Deg        BCoh_Reloc + sharing-degree update->invalidate switching
 Hyb_Static     BCoh_Reloc + unbounded updates on the selected pages
-               (BCoh_RelUp as the N=infinity special case, bit-exactly)
+               (BCoh_RelUp under its hybrid-family name)
 =============  =========================================================
+
+A simulation is identified by :attr:`SystemConfig.behaviour`, the
+configuration without its display name: ``Hyb_Static`` and
+``BCoh_RelUp`` have one behaviour, so a sweep simulates it once.
 
 :func:`all_configs` merges both maps; the CLI, the experiment runner
 and the conformance fuzzer all resolve scheme names through it.
@@ -55,7 +59,8 @@ class SystemConfig:
     scheme: Scheme = Scheme.BASE
     #: Apply the privatization/relocation trace transform (section 5.1).
     privatize: bool = False
-    #: Run Firefly update on the selected variable core (section 5.2).
+    #: Run Firefly update on the selected variable core (section 5.2),
+    #: through :attr:`AdaptivePolicy.STATIC` fed with the selected pages.
     selective_update: bool = False
     #: Run Firefly update on *every* OS/user variable — the pure-update
     #: comparison point of section 5.2 ("the resulting number of
@@ -66,9 +71,8 @@ class SystemConfig:
     hotspot_prefetch: bool = False
     #: Per-line adaptive update/invalidate policy
     #: (:mod:`repro.memsys.adaptive`); ``None`` means no adaptive layer.
-    #: When set, it replaces the page-set Firefly rule — for
-    #: :attr:`AdaptivePolicy.STATIC` the ``selective_update`` pages feed
-    #: the policy instead of the controller.
+    #: ``selective_update`` without a policy gets
+    #: :attr:`AdaptivePolicy.STATIC`, whose pages are the selected ones.
     adaptive: Optional[AdaptivePolicy] = None
     #: Update budget per remote copy for :attr:`AdaptivePolicy.UPDATE_N`
     #: (0 degenerates to the pure invalidation protocol).
@@ -85,6 +89,16 @@ class SystemConfig:
     bypref_lead_lines: int = 6
     #: Records of lead given to each inserted hot-spot prefetch.
     hotspot_lead_records: int = 24
+
+    def __post_init__(self) -> None:
+        if self.selective_update and self.adaptive is None:
+            object.__setattr__(self, "adaptive", AdaptivePolicy.STATIC)
+
+    @property
+    def behaviour(self) -> "SystemConfig":
+        """This configuration without its name: what a simulation of it
+        depends on, so two names with one behaviour simulate once."""
+        return dataclasses.replace(self, name="")
 
     def with_machine(self, machine: MachineParams) -> "SystemConfig":
         """Same configuration on different hardware (Figures 6 and 7)."""
@@ -118,9 +132,9 @@ def hybrid_configs(machine: MachineParams = BASE_MACHINE) -> Dict[str, SystemCon
     All three keep the DMA block-op scheme and the privatization
     transform, so their only delta against ``BCoh_Reloc``/``BCoh_RelUp``
     is the write-coherence policy — the comparison the hybrid table
-    isolates.  ``Hyb_Static`` sets ``selective_update`` so the
-    experiment runner derives the same update-page core as for
-    ``BCoh_RelUp``; the pages feed the static policy.
+    isolates.  ``Hyb_Static`` is ``BCoh_RelUp`` field for field: the
+    runner derives the same update-page core and both run it on the
+    static policy.
     """
     return {
         "Hyb_UpdN": SystemConfig("Hyb_UpdN", machine, Scheme.DMA,

@@ -464,16 +464,14 @@ class Processor:
         # The paper assigns the whole DMA stall to D Read Miss.
         self._time[mode].dread += stall
         self.metrics.record_block_exec(stall)
-        # Skip the word-level records; the engine replaced them.
-        ops = self._ops
-        while self.pos < self.num_records:
-            op = ops[self.pos]
-            self.pos += 1
-            if op == _BLOCK_END:
-                break
-        else:
+        # Skip the word-level records and the BLOCK_END; the engine
+        # replaced them.
+        try:
+            self.pos = self._ops.index(_BLOCK_END, self.pos) + 1
+        except ValueError:
             raise SimulationError(
-                f"cpu {self.cpu_id}: block op {desc.op_id} missing BLOCK_END")
+                f"cpu {self.cpu_id}: block op {desc.op_id} missing "
+                f"BLOCK_END") from None
         return result.done
 
     def _do_block_end(self, mode: int, t: int) -> int:
@@ -495,22 +493,27 @@ class Processor:
         l2_bytes = mem.machine.l2.line_bytes
         src_cached = src_total = 0
         if desc.is_copy:
-            addr = desc.src - (desc.src % l1_bytes)
-            while addr < desc.src + desc.size:
-                src_total += 1
-                if mem.l1d.present(addr):
+            resident = mem.l1d.where
+            lines = range(desc.src - desc.src % l1_bytes,
+                          desc.src + desc.size, l1_bytes)
+            src_total = len(lines)
+            for line in lines:
+                if line in resident:
                     src_cached += 1
-                addr += l1_bytes
-        dst_owned = dst_shared = dst_total = 0
-        addr = desc.dst - (desc.dst % l2_bytes)
-        while addr < desc.dst + desc.size:
-            dst_total += 1
-            state = mem.l2.state_of(addr)
-            if state in (EXCLUSIVE, MODIFIED):
-                dst_owned += 1
-            elif state == SHARED:
-                dst_shared += 1
-            addr += l2_bytes
+        dst_owned = dst_shared = 0
+        frames = mem.l2.where
+        states = mem.l2.states
+        lines = range(desc.dst - desc.dst % l2_bytes,
+                      desc.dst + desc.size, l2_bytes)
+        dst_total = len(lines)
+        for line in lines:
+            idx = frames.get(line)
+            if idx is not None:
+                state = states[idx]
+                if state == EXCLUSIVE or state == MODIFIED:
+                    dst_owned += 1
+                elif state == SHARED:
+                    dst_shared += 1
         self.metrics.record_block_start(self.cpu_id, desc, src_cached,
                                         src_total, dst_owned, dst_shared,
                                         dst_total)

@@ -64,15 +64,12 @@ class MultiprocessorSystem:
         if hotspot_pcs:
             self.metrics.hotspot_pcs = set(hotspot_pcs)
         if config.adaptive is not None:
-            # Adaptive schemes own the whole update/invalidate decision:
-            # the pages (if any) feed the policy, never the controller's
-            # page-set rule, so every broadcast goes through the policy.
+            # The policy owns the whole update/invalidate decision; the
+            # selected pages (``selective_update``) feed the static one.
             from repro.memsys.adaptive import build_policy
             self.controller.attach_policy(build_policy(config, update_pages))
         elif config.pure_update:
             self.controller.update_everywhere = True
-        elif config.selective_update and update_pages:
-            self.controller.set_update_pages(update_pages)
         self.locks = LockTable()
         self.barriers = BarrierManager(machine.barrier_release_cycles)
         self.memories: List[CpuMemorySystem] = []

@@ -50,7 +50,7 @@ def test_stage_key_distinguishes_inputs():
         stage_key("trace", 0.5, 1996, "TRFD_4"),
         stage_key("trace", 0.5, 1997, "Shell"),
         stage_key("trace", 0.25, 1996, "Shell"),
-        stage_key("privatized", 0.5, 1996, "Shell"),
+        stage_key("update", 0.5, 1996, "Shell", machine=BASE_MACHINE),
         stage_key("hotspots", 0.5, 1996, "Shell", machine=BASE_MACHINE),
         stage_key("hotspots", 0.5, 1996, "Shell", machine=BASE_MACHINE,
                   extra={"count": 8}),
@@ -84,10 +84,16 @@ def test_simkey_is_typed_and_hashable():
 # ----------------------------------------------------------------------
 # Round-trips of every artifact kind
 # ----------------------------------------------------------------------
-def test_roundtrip_all_artifact_kinds(warm):
+def test_roundtrip_all_artifact_kinds(warm, monkeypatch):
+    """The raw trace, update selection and hot spots come back from disk;
+    the privatized and prefetched traces, which are never stored, are
+    rebuilt from them equal to the originals without a simulation."""
+    from repro.experiments import runner as runner_module
+
     root, runner = warm
     reader = ExperimentRunner(scale=SCALE, seed=SEED,
                               cache=ArtifactCache(root))
+    monkeypatch.setattr(runner_module, "simulate", None)  # must not run
     for name, original, restored in [
         ("trace", runner.trace("Shell"), reader.trace("Shell")),
         ("privatized", runner.privatized_trace("Shell"),
@@ -106,6 +112,8 @@ def test_roundtrip_all_artifact_kinds(warm):
     assert stats["trace.hit"] == 1
     assert all(not event.endswith(".miss") or count == 0
                for event, count in stats.items()), dict(stats)
+    # Only the raw trace was ever stored as npz.
+    assert len(_cache_files(root, ".npz")) == 1
 
 
 def test_update_selection_payload_roundtrip(tmp_path):

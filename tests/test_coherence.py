@@ -3,6 +3,7 @@
 import pytest
 
 from repro.common.errors import SimulationError
+from repro.memsys.adaptive import StaticHybridPolicy
 from repro.memsys.bus import BusOp
 from repro.memsys.states import LineState
 
@@ -93,14 +94,18 @@ class TestWritePaths:
 
 class TestFirefly:
     def setup_update(self, rig):
-        rig.controller.set_update_pages([LINE])
+        """Selective update: the static policy on LINE's page."""
+        rig.controller.attach_policy(
+            StaticHybridPolicy(rig.machine.page_bytes, [LINE]))
 
-    def test_is_update_addr_page_granularity(self, rig):
+    def test_update_page_granularity(self, rig):
         self.setup_update(rig)
         page = rig.machine.page_bytes
-        assert rig.controller.is_update_addr(LINE)
-        assert rig.controller.is_update_addr(LINE + page - 1)
-        assert not rig.controller.is_update_addr(LINE + page)
+        policy = rig.controller.adaptive
+        for addr, update in ((LINE, True), (LINE + page - 1, True),
+                             (LINE + page, False)):
+            line = addr - addr % rig.machine.l2.line_bytes
+            assert policy.decide(0, addr, line, []).update is update
 
     def test_update_keeps_remote_copies_valid(self, rig):
         self.setup_update(rig)

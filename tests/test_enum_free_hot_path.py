@@ -26,7 +26,9 @@ import pytest
 from repro.common.types import DataClass, MissKind, Mode, Scheme
 from repro.memsys.bus import Bus, BusOp
 from repro.memsys.cache import CoherentCache
+from repro.memsys.adaptive import BaseAdaptivePolicy, StaticHybridPolicy
 from repro.memsys.coherence import CoherenceController
+from repro.memsys.dma import run_dma
 from repro.memsys.hierarchy import CpuMemorySystem
 from repro.memsys.states import LineState
 from repro.sim.metrics import MissTracker, SystemMetrics
@@ -40,6 +42,9 @@ HOT_FUNCTIONS = [
     Processor._do_read,
     Processor._do_write,
     Processor._lookahead_prefetch,
+    Processor._do_block_dma,
+    Processor._measure_block_start,
+    run_dma,
     CpuMemorySystem.read,
     CpuMemorySystem.write,
     CpuMemorySystem.ifetch,
@@ -61,6 +66,11 @@ HOT_FUNCTIONS = [
     CoherenceController._fill_l2,
     CoherenceController._invalidate_remotes,
     CoherenceController._dirty_holder,
+    CoherenceController.dma_snoop_src,
+    CoherenceController.dma_update_dst,
+    BaseAdaptivePolicy.on_fill,
+    BaseAdaptivePolicy.on_invalidate,
+    StaticHybridPolicy.decide,
     SystemMetrics.record_read,
     SystemMetrics.record_write,
     MissTracker.consume_miss_flags,

@@ -157,6 +157,26 @@ def test_corrupt_artifact_quarantined_bit_identical(clean_serial, tmp_path):
     assert engine.last_stats["trace.quarantine"] == 1
 
 
+def test_corrupt_trace_quarantined_by_next_serial_engine(clean_serial,
+                                                        tmp_path):
+    """A 1-worker sweep keeps its traces in memory, but only for its own
+    execute() call: the next engine reads the cache again, so a
+    bit-flipped trace is quarantined and regenerated."""
+    _engine(tmp_path, RetryPolicy(**FAST), workers=1).execute(CELLS)
+    (npz,) = glob.glob(str(tmp_path / "cache" / "v1" / "*" / "*.npz"))
+    with open(npz, "r+b") as fp:
+        fp.seek(50)
+        byte = fp.read(1)
+        fp.seek(50)
+        fp.write(bytes([byte[0] ^ 0xFF]))
+
+    engine = _engine(tmp_path, RetryPolicy(**FAST), workers=1)
+    _assert_matches_golden(clean_serial, engine.execute(CELLS))
+    assert engine.last_stats["trace.quarantine"] == 1
+    assert engine.last_stats["trace.store"] == 1
+    assert os.path.exists(npz + ".quarantined")
+
+
 # ----------------------------------------------------------------------
 # Exhaustion, degradation, ledger plumbing
 # ----------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.common.errors import SimulationError
+from repro.memsys.adaptive import StaticHybridPolicy
 from repro.memsys.states import LineState
 
 ADDR = 0x60000
@@ -65,14 +66,16 @@ class TestPrefetchEdges:
 
 class TestWriteEdges:
     def test_write_to_update_page_keeps_sharers(self, rig):
-        rig.controller.set_update_pages([ADDR])
+        rig.controller.attach_policy(
+            StaticHybridPolicy(rig.machine.page_bytes, [ADDR]))
         rig[0].read(ADDR, 0)
         rig[1].read(ADDR, 100)
         rig[0].write(ADDR, 1000)
         assert rig[1].l2.state_of(ADDR) != LineState.INVALID
 
     def test_write_miss_on_update_page(self, rig):
-        rig.controller.set_update_pages([ADDR])
+        rig.controller.attach_policy(
+            StaticHybridPolicy(rig.machine.page_bytes, [ADDR]))
         rig[1].read(ADDR, 0)
         # cpu0 writes without ever holding the line: fetch + update.
         rig[0].write(ADDR, 100)

@@ -126,9 +126,31 @@ def test_plan_shares_stages_across_cells():
     assert kinds.count("derive") == 1
     # Base and BCoh_RelUp fall out of the derive job's profiling runs.
     derive = next(job for job in jobs if job.kind == "derive")
-    assert set(derive.profiles) == {"Base", "BCoh_RelUp"}
+    assert set(derive.configs) == {"Base", "BCoh_RelUp"}
     sims = [job.config for job in jobs if job.kind == "sim"]
     assert sorted(sims) == ["BCPref", "Blk_Dma"]
+
+
+def test_plan_folds_hyb_static_into_bcoh_relup_producer():
+    """Hyb_Static has BCoh_RelUp's behaviour: the derive job that
+    profiles BCoh_RelUp returns it, and on another machine one sim job
+    returns both names."""
+    cells = [("Shell", c, BASE_MACHINE)
+             for c in ("Base", "BCoh_RelUp", "Hyb_Static", "Hyb_UpdN")]
+    jobs = plan_jobs(cells, BASE_MACHINE)
+    derive = next(job for job in jobs if job.kind == "derive")
+    assert derive.configs == ("Base", "BCoh_RelUp", "Hyb_Static")
+    assert [job.configs for job in jobs if job.kind == "sim"] == [
+        ("Hyb_UpdN",)]
+
+    small = BASE_MACHINE.with_l1d(size_bytes=16 * KB)
+    jobs = plan_jobs([("Shell", "Hyb_Static", small),
+                      ("Shell", "BCoh_RelUp", small)], BASE_MACHINE)
+    sims = [job for job in jobs if job.kind == "sim"]
+    assert len(sims) == 1
+    assert sims[0].configs == ("Hyb_Static", "BCoh_RelUp")
+    assert sims[0].config == "Hyb_Static"
+    assert sims[0].machine == small
 
 
 def test_result_independent_of_cell_order(cache_dir):
@@ -205,3 +227,46 @@ def test_reuse_sims_resimulates_only_a_corrupt_entry(cold_store, tmp_path):
     again = _reuse_engine(copy, tmp_path / "again.jsonl")
     again.execute(REUSE_CELLS)
     assert again.last_cached == len(REUSE_CELLS)
+
+
+# ----------------------------------------------------------------------
+# One piece of work once: in-memory traces, one simulation per behaviour
+# ----------------------------------------------------------------------
+def test_cold_serial_sweep_loads_no_npz_and_simulates_each_behaviour_once(
+        monkeypatch, tmp_path):
+    """A cold 1-worker sweep of one workload x every scheme reads no
+    trace back from disk, simulates each distinct behaviour once
+    (Hyb_Static is BCoh_RelUp), and matches per-cell runner.run."""
+    from repro.experiments import runner as runner_module
+    from repro.sim.config import all_configs, resolve_config
+    from repro.trace import npzio
+
+    schemes = list(all_configs())
+    cells = [("Shell", c, BASE_MACHINE) for c in schemes]
+    reference = ExperimentRunner(scale=SCALE, seed=SEED)
+    expected = {SimKey.of(*cell): reference.run("Shell", cell[1]).snapshot()
+                for cell in cells}
+
+    loads, sims = [], []
+    load, simulate = npzio.load, runner_module.simulate
+    monkeypatch.setattr(npzio, "load",
+                        lambda *a, **k: loads.append(a) or load(*a, **k))
+    monkeypatch.setattr(runner_module, "simulate",
+                        lambda trace, config, **k: sims.append(config.name)
+                        or simulate(trace, config, **k))
+    engine = ParallelEngine(scale=SCALE, seed=SEED,
+                            cache=ArtifactCache(tmp_path), workers=1,
+                            ledger_path=str(tmp_path / "sweep.jsonl"))
+    results = engine.execute(cells)
+
+    assert loads == []
+    behaviours = {resolve_config(c).behaviour for c in schemes}
+    assert len(behaviours) == len(schemes) - 1
+    assert len(sims) == len(set(sims)) == len(behaviours)
+    assert "Hyb_Static" not in sims
+    _assert_identical(expected, _snapshots(
+        {key: results[key] for key in expected}), "cold serial sweep")
+    # Only the raw trace went to disk; the derived traces never do.
+    assert engine.last_stats["trace.store"] == 1
+    assert not any(event.startswith(("privatized", "prefetched"))
+                   for event in engine.last_stats)
