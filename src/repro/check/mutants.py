@@ -270,6 +270,34 @@ def stale_update_after_switch() -> Iterator[None]:
         CoherenceController.adaptive_update = orig
 
 
+@contextlib.contextmanager
+def static_update_skips_holder() -> Iterator[None]:
+    """The static policy leaves one remote copy out of an update.
+
+    A write to an update page broadcasts to every holder but the last,
+    which is neither updated nor invalidated and keeps pre-write data.
+    Expected catch: ``adaptive-decision-mismatch`` at that write.
+    Needs a ``selective_update`` configuration (``BCoh_RelUp``).
+    """
+    from repro.memsys.adaptive import AdaptiveDecision, StaticHybridPolicy
+    orig = StaticHybridPolicy.decide
+
+    def decide(self, cpu, addr, line, holders):
+        page = addr - (addr % self.page_bytes)
+        if page in self.pages:
+            self.update_writes += 1
+            # BUG: the last holder is dropped from the update set.
+            return AdaptiveDecision(True, tuple(holders[:-1]), ())
+        self.invalidate_writes += 1
+        return AdaptiveDecision(False, (), tuple(holders))
+
+    StaticHybridPolicy.decide = decide
+    try:
+        yield
+    finally:
+        StaticHybridPolicy.decide = orig
+
+
 #: name -> (mutant context manager, configurations that can expose it).
 MUTANTS: Dict[str, Tuple[Callable[[], "contextlib.AbstractContextManager"],
                          Tuple[str, ...]]] = {
@@ -284,6 +312,8 @@ MUTANTS: Dict[str, Tuple[Callable[[], "contextlib.AbstractContextManager"],
     "adaptive_threshold_off_by_one": (adaptive_threshold_off_by_one,
                                       ("Hyb_Deg",)),
     "stale_update_after_switch": (stale_update_after_switch, ("Hyb_UpdN",)),
+    "static_update_skips_holder": (static_update_skips_holder,
+                                   ("BCoh_RelUp",)),
 }
 
 

@@ -25,6 +25,12 @@ and reading them back.  A sweep process keeps one runner for the whole
 sweep and calls :meth:`~ExperimentRunner.retain` before each job, so
 it holds the traces of one workload at a time.
 
+Every trace the runner holds is read-only
+(:meth:`~repro.trace.stream.Trace.freeze`), so the simulations of one
+trace share one conversion of its columns to the simulator's int lists
+(:meth:`~repro.trace.columns.StreamColumns.sim_lists`).  The runner
+keeps those lists for one trace at a time: the one it simulated last.
+
 A simulation is identified by its behaviour
 (:attr:`~repro.sim.config.SystemConfig.behaviour`, the resolved
 configuration without its name): :meth:`~ExperimentRunner.run`
@@ -121,6 +127,8 @@ class ExperimentRunner:
         self._metrics: Dict[SimKey, SystemMetrics] = {}
         #: (workload, config behaviour) -> its one simulation's metrics.
         self._sims: Dict[Tuple[str, SystemConfig], SystemMetrics] = {}
+        #: The trace whose simulator lists are kept: the last simulated.
+        self._listed: Optional[Trace] = None
 
     # ------------------------------------------------------------------
     # Cache keys
@@ -153,7 +161,7 @@ class ExperimentRunner:
                 trace = generate(workload, seed=self.seed, scale=self.scale)
                 if self.cache is not None:
                     self.cache.store_trace(key, trace, "trace")
-            self._traces[workload] = trace
+            self._traces[workload] = trace.freeze()
         return self._traces[workload]
 
     def privatized_trace(self, workload: str) -> Trace:
@@ -161,7 +169,7 @@ class ExperimentRunner:
         if workload not in self._privatized:
             raw = self.trace(workload)
             self._privatized[workload] = privatize_and_relocate(
-                raw, raw.num_cpus)
+                raw, raw.num_cpus).freeze()
         return self._privatized[workload]
 
     def update_selection(self, workload: str) -> UpdateSelection:
@@ -206,7 +214,7 @@ class ExperimentRunner:
                 self.hotspots(workload), lead=config.hotspot_lead_records,
                 line_bytes=self.machine.l1d.line_bytes)
             self._prefetched[workload] = prefetcher.apply(
-                self.privatized_trace(workload))
+                self.privatized_trace(workload)).freeze()
         return self._prefetched[workload]
 
     def retain(self, workload: str) -> None:
@@ -218,7 +226,21 @@ class ExperimentRunner:
         """
         for traces in (self._traces, self._privatized, self._prefetched):
             for name in [w for w in traces if w != workload]:
-                del traces[name]
+                self._forget(traces.pop(name))
+
+    def drop_trace(self, workload: str) -> None:
+        """Drop *workload*'s raw trace from memory, for a caller that will
+        simulate no more configurations reading it (privatized and
+        prefetched traces do not)."""
+        trace = self._traces.pop(workload, None)
+        if trace is not None:
+            self._forget(trace)
+
+    def _forget(self, trace: Trace) -> None:
+        """Release the simulator lists of *trace* if they are kept."""
+        if trace is self._listed:
+            trace.drop_sim_lists()
+            self._listed = None
 
     def derive_all(self, workload: str) -> None:
         """Materialize every derived artifact of *workload*.
@@ -268,6 +290,10 @@ class ExperimentRunner:
         hotspot_pcs: Iterable[int] = ()
         if config.hotspot_prefetch:
             hotspot_pcs = self.hotspots(workload)
+        if trace is not self._listed:
+            if self._listed is not None:
+                self._listed.drop_sim_lists()
+            self._listed = trace
         return simulate(trace, config, update_pages=update_pages,
                         hotspot_pcs=hotspot_pcs)
 

@@ -37,11 +37,15 @@ class Cache:
     victim is the first empty way of the set, else its least recently
     used way.  :meth:`present` is a
     pure query (the conformance checker probes it freely).
+
+    :attr:`removals` counts every line that leaves the cache, by
+    eviction or invalidation: a span of lines found resident is still
+    resident while the count has not moved.
     """
 
     __slots__ = ("params", "line_bytes", "num_lines", "num_sets", "assoc",
                  "tags", "where", "stamps", "_tick", "fills",
-                 "evictions")
+                 "evictions", "removals")
 
     def __init__(self, params: CacheParams) -> None:
         self.params = params
@@ -58,6 +62,8 @@ class Cache:
         self._tick = 0
         self.fills = 0
         self.evictions = 0
+        #: Lines removed so far, evicted by :meth:`fill` or dropped.
+        self.removals = 0
 
     def line_addr(self, addr: int) -> int:
         """Line-aligned address containing *addr*."""
@@ -110,6 +116,7 @@ class Cache:
         if old != -1:
             del where[old]
             self.evictions += 1
+            self.removals += 1
         where[line] = idx
         tags[idx] = line
         self.fills += 1
@@ -119,6 +126,7 @@ class Cache:
         """Empty frame *idx* (already removed from :attr:`where`)."""
         self.tags[idx] = -1
         self.stamps[idx] = 0
+        self.removals += 1
 
     def invalidate(self, addr: int) -> bool:
         """Drop the line containing *addr*; returns True if it was present."""

@@ -28,7 +28,11 @@ it runs once per trace record across every experiment cell.  It therefore:
 * resolves an instruction fetch whose every L1I line is resident inline,
   with one frame-index probe per spanned line and, on set-associative
   caches, the lines promoted in order; a fetch with any line absent goes
-  to :meth:`CpuMemorySystem.ifetch` with no line touched;
+  to :meth:`CpuMemorySystem.ifetch` with no line touched.  On a
+  direct-mapped L1I each CPU remembers the last span such a walk found
+  resident, with the cache's :attr:`~repro.memsys.cache.Cache.removals`
+  count at the time; a fetch inside that span, with no line removed
+  since, skips the walk;
 * resolves a *clean L1D hit* (line resident, no pending prefetch fill, no
   scheme-specific block-op handling) inline against the bound L1 frame
   index, without entering the :class:`CpuMemorySystem` call chain — the
@@ -162,8 +166,14 @@ class Processor:
         # --- hot-path bindings (all mutated in place by their owners) ---
         self._l1_where = mem.l1d.where
         self._l1_line_bytes = mem.l1d.line_bytes
+        self._l1i = mem.l1i
         self._l1i_where = mem.l1i.where
         self._l1i_line_bytes = mem.l1i.line_bytes
+        # The fetch memo: lines [_ifirst, _iend) were all resident when
+        # the L1I had removed _iremovals lines.  Set only on a 1-way L1I,
+        # whose resident hits promote nothing; empty until then.
+        self._ifirst = self._iend = 0
+        self._iremovals = -1
         # An inline hit promotes exactly as the CpuMemorySystem path
         # would: through the shared hooks, None on 1-way caches.
         self._touch_l1d = mem._touch_l1d
@@ -252,23 +262,31 @@ class Processor:
         # whose every L1I line is resident stalls 0 and is resolved
         # inline, promoting its lines in order as ``ifetch`` would; any
         # other fetch goes through the hierarchy with no line touched.
+        # A fetch inside the span the last resident walk found, with no
+        # L1I line removed since, is resident without a walk.
         istall = 0
         if icount:
             pc = self._pcs[pos]
-            i_bytes = self._l1i_line_bytes
-            where = self._l1i_where
-            first = pc - pc % i_bytes
             end = pc + 4 * icount
-            iline = first
-            while iline < end and iline in where:
-                iline += i_bytes
-            if iline < end:
-                istall = self.mem.ifetch(pc, icount, t)
-            elif self._touch_l1i is not None:
-                touch = self._touch_l1i
-                while first < end:
-                    touch(first)
-                    first += i_bytes
+            if (pc < self._ifirst or end > self._iend
+                    or self._l1i.removals != self._iremovals):
+                i_bytes = self._l1i_line_bytes
+                where = self._l1i_where
+                first = pc - pc % i_bytes
+                iline = first
+                while iline < end and iline in where:
+                    iline += i_bytes
+                if iline < end:
+                    istall = self.mem.ifetch(pc, icount, t)
+                elif self._touch_l1i is not None:
+                    touch = self._touch_l1i
+                    while first < end:
+                        touch(first)
+                        first += i_bytes
+                else:
+                    self._ifirst = first
+                    self._iend = iline
+                    self._iremovals = self._l1i.removals
         exec_cycles = icount
         t += icount + istall
 

@@ -12,10 +12,13 @@ sections.
 ``(time, cpu_id)`` entries, so each scheduling decision costs ``O(log P)``
 instead of rebuilding and scanning a list of all processors per record.
 The heap invariant is strict: **every RUNNING processor has exactly one
-entry, pushed immediately after its clock last changed** — a processor is
-out of the heap precisely while it is being stepped, waiting at a barrier,
-or done, so there are no stale entries and no lazy deletion.  Ties break on
-``cpu_id``, which reproduces the scan's first-minimum choice exactly.
+entry, replaced immediately after its clock last changed** — the loop
+steps the processor at ``heap[0]`` in place and then replaces its entry
+(``heapq.heapreplace``) if it still runs or pops it if it waits at a
+barrier or is done, so a processor is out of the heap precisely while
+it waits at a barrier or is done, with no stale entries and no lazy
+deletion.  Ties break on ``cpu_id``, which reproduces the scan's
+first-minimum choice exactly.
 
 :meth:`run_scan` preserves the original scan-based loop as an executable
 reference; the equivalence tests run both over randomized traces and
@@ -42,6 +45,12 @@ from repro.trace.stream import Trace
 
 #: Consecutive failed lock retries after which we declare deadlock.
 MAX_SPIN_RETRIES = 1_000_000
+
+# Enum members bound once: a class-attribute load off an enum is slow.
+_RUNNING = ProcStatus.RUNNING
+_BLOCKED_LOCK = ProcStatus.BLOCKED_LOCK
+_WAITING_BARRIER = ProcStatus.WAITING_BARRIER
+_DONE = ProcStatus.DONE
 
 
 class MultiprocessorSystem:
@@ -141,15 +150,16 @@ class MultiprocessorSystem:
         """
         procs = self.processors
         probe = self.probe
-        running = ProcStatus.RUNNING
-        blocked = ProcStatus.BLOCKED_LOCK
+        running = _RUNNING
+        blocked = _BLOCKED_LOCK
         push = heapq.heappush
         pop = heapq.heappop
+        replace = heapq.heapreplace
         spin_retries = self._spin_retries
         heap = [(p.time, p.cpu_id) for p in procs if p.status is running]
         heapq.heapify(heap)
         while heap:
-            _, cpu = pop(heap)
+            cpu = heap[0][1]
             proc = procs[cpu]
             if probe is None:
                 result = proc.step()
@@ -160,21 +170,23 @@ class MultiprocessorSystem:
             status = result.status
             if status is blocked:
                 self._spin(proc, result.lock_addr, result.mode)
-                push(heap, (proc.time, cpu))
+                replace(heap, (proc.time, cpu))
                 continue
             if spin_retries:
                 spin_retries.pop(cpu, None)
             if status is running:
-                push(heap, (proc.time, cpu))
+                replace(heap, (proc.time, cpu))
+            else:
+                pop(heap)
             if result.barrier_release is not None:
                 release, waiters = result.barrier_release
                 for wcpu in waiters:
                     wproc = procs[wcpu]
                     wproc.wake_from_barrier(release)
                     push(heap, (wproc.time, wcpu))
-        if not all(p.status is ProcStatus.DONE for p in procs):
+        if not all(p.status is _DONE for p in procs):
             waiting = [p.cpu_id for p in procs
-                       if p.status is ProcStatus.WAITING_BARRIER]
+                       if p.status is _WAITING_BARRIER]
             raise DeadlockError(
                 f"no runnable processor; cpus {waiting} wait at barriers")
         return self._finalize()

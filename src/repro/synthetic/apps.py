@@ -21,13 +21,16 @@ from __future__ import annotations
 from repro.common.types import DataClass, Mode, Op
 from repro.synthetic.kernel import Kernel, Process
 from repro.synthetic.layout import user_pc
-from repro.trace.record import TraceRecord
+from repro.trace.record import DEFAULT_ACCESS_BYTES
+
+_USER = int(Mode.USER)
+_USER_DATA = int(DataClass.USER_DATA)
 
 
 def _emit_user(k: Kernel, cpu: int, op: Op, addr: int, pc: int,
                icount: int) -> None:
-    k.builder.emit(cpu, TraceRecord(op, addr, Mode.USER, DataClass.USER_DATA,
-                                    pc, icount))
+    k.builder.emit_row(cpu, (op, addr, _USER, _USER_DATA, pc, icount, 0,
+                             DEFAULT_ACCESS_BYTES, 0))
 
 
 def trfd_chunk(k: Kernel, cpu: int, proc: Process, refs: int) -> None:

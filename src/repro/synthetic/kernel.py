@@ -15,9 +15,16 @@ from repro.common.rng import RngStream
 from repro.common.types import DataClass, Mode
 from repro.synthetic import layout as lay
 from repro.synthetic.layout import KERNEL_PC, KernelLayout, PAGE
-from repro.trace.record import TraceRecord
 from repro.common.types import Op
+from repro.trace.record import DEFAULT_ACCESS_BYTES
 from repro.trace.stream import TraceBuilder
+
+# Field values as plain ints, for the rows the emitters append.
+_READ = int(Op.READ)
+_WRITE = int(Op.WRITE)
+_IDLE = int(Mode.IDLE)
+_SCHED = int(DataClass.SCHED)
+_WORD = DEFAULT_ACCESS_BYTES
 
 
 class Process:
@@ -156,13 +163,13 @@ class Kernel:
     # ------------------------------------------------------------------
     def read(self, cpu: int, addr: int, dclass: DataClass, block: str,
              icount: int = 2, mode: Mode = Mode.OS) -> None:
-        self.builder.emit(cpu, TraceRecord(Op.READ, addr, mode, dclass,
-                                           KERNEL_PC[block], icount))
+        self.builder.emit_row(cpu, (_READ, addr, mode, dclass,
+                                    KERNEL_PC[block], icount, 0, _WORD, 0))
 
     def write(self, cpu: int, addr: int, dclass: DataClass, block: str,
               icount: int = 2, mode: Mode = Mode.OS) -> None:
-        self.builder.emit(cpu, TraceRecord(Op.WRITE, addr, mode, dclass,
-                                           KERNEL_PC[block], icount))
+        self.builder.emit_row(cpu, (_WRITE, addr, mode, dclass,
+                                    KERNEL_PC[block], icount, 0, _WORD, 0))
 
     def bump_counter(self, cpu: int, name: str, block: str = "counter_code") -> None:
         """Increment an infrequently-communicated event counter."""
@@ -294,11 +301,10 @@ class Kernel:
 
     def idle(self, cpu: int, spins: int) -> None:
         """Idle loop: cheap private reads in IDLE mode."""
-        addr = lay.SCHED_BASE + 256 + cpu * 16
+        row = (_READ, lay.SCHED_BASE + 256 + cpu * 16, _IDLE, _SCHED,
+               KERNEL_PC["idle_loop"], 24, 0, _WORD, 0)
         for _ in range(spins):
-            self.builder.emit(cpu, TraceRecord(
-                Op.READ, addr, Mode.IDLE, DataClass.SCHED,
-                KERNEL_PC["idle_loop"], 24))
+            self.builder.emit_row(cpu, row)
 
     def build(self, validate: bool = True):
         """Finish trace construction."""

@@ -19,7 +19,7 @@ somebody asks for them (:meth:`StreamColumns.to_records`).
 
 from __future__ import annotations
 
-from typing import Iterable, List, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -38,7 +38,7 @@ class StreamColumns:
     """Parallel int64 arrays holding one CPU's records column-wise."""
 
     __slots__ = ("ops", "addrs", "modes", "dclasses", "pcs", "icounts",
-                 "blockops", "sizes", "args", "n")
+                 "blockops", "sizes", "args", "n", "_lists")
 
     def __init__(self, ops: np.ndarray, addrs: np.ndarray, modes: np.ndarray,
                  dclasses: np.ndarray, pcs: np.ndarray, icounts: np.ndarray,
@@ -54,6 +54,8 @@ class StreamColumns:
         self.sizes = sizes
         self.args = args
         self.n = len(ops)
+        #: :meth:`sim_lists` of a read-only stream, once taken.
+        self._lists: Optional[Tuple[list, ...]] = None
 
     def __len__(self) -> int:
         return self.n
@@ -94,15 +96,40 @@ class StreamColumns:
             in self.iter_rows()
         ]
 
+    def _sim_arrays(self) -> Tuple[np.ndarray, ...]:
+        return (self.ops, self.addrs, self.modes, self.pcs, self.icounts,
+                self.blockops)
+
+    def _convert(self) -> Tuple[list, ...]:
+        """The :meth:`sim_lists` columns, converted now."""
+        return tuple(col.tolist() for col in self._sim_arrays())
+
     def sim_lists(self) -> Tuple[list, ...]:
         """The op, addr, mode, pc, icount and blockop columns as plain-int
         lists, in that order: the fields :meth:`Processor.step
         <repro.sim.processor.Processor.step>` reads for every record.
-        Taken afresh on each call, so a column edited between two runs
-        is seen by the second."""
-        return (self.ops.tolist(), self.addrs.tolist(), self.modes.tolist(),
-                self.pcs.tolist(), self.icounts.tolist(),
-                self.blockops.tolist())
+
+        A read-only stream (:meth:`freeze`) is converted once and every
+        later call returns the same lists, which callers must not edit;
+        :meth:`drop_sim_lists` frees them.  A writable stream is
+        converted afresh on each call, so a column edited between two
+        runs is seen by the second."""
+        if any(col.flags.writeable for col in self._sim_arrays()):
+            self._lists = None
+            return self._convert()
+        if self._lists is None:
+            self._lists = self._convert()
+        return self._lists
+
+    def drop_sim_lists(self) -> None:
+        """Free the lists a read-only stream's :meth:`sim_lists` kept."""
+        self._lists = None
+
+    def freeze(self) -> None:
+        """Make every column read-only, so :meth:`sim_lists` may convert
+        the stream once for all the simulations that read it."""
+        for col in self.arrays():
+            col.flags.writeable = False
 
     def iter_rows(self) -> Iterable[tuple]:
         """Iterate plain-int rows in field order (no record objects)."""

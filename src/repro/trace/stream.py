@@ -58,6 +58,19 @@ class Trace:
         """Total record count across all CPUs."""
         return sum(len(cols) for cols in self.columns)
 
+    def freeze(self) -> "Trace":
+        """Make every stream read-only (:meth:`StreamColumns.freeze`), so
+        the simulations that read this trace share one list conversion
+        per stream; returns the trace."""
+        for cols in self.columns:
+            cols.freeze()
+        return self
+
+    def drop_sim_lists(self) -> None:
+        """Free the simulator lists a read-only trace's streams keep."""
+        for cols in self.columns:
+            cols.drop_sim_lists()
+
     def records(self, cpu: Optional[int] = None) -> List[TraceRecord]:
         """Row objects of *cpu*'s stream, or of every stream CPU by CPU.
 
@@ -236,8 +249,11 @@ class Trace:
 class TraceBuilder:
     """Write-side API for constructing a :class:`Trace` one CPU at a time.
 
-    Records are collected per CPU as they are emitted and packed into
-    columns once, by :meth:`build`.
+    Each CPU's stream is collected as a sequence of chunks: runs of
+    plain-int rows (:meth:`emit_row`, and :meth:`emit` for record
+    objects) and the ready-made ``(N, 9)`` matrices of block-operation
+    word loops.  :meth:`build` packs each stream's chunks into columns
+    once.
     """
 
     def __init__(self, num_cpus: int, symbols: Optional[SymbolMap] = None,
@@ -248,16 +264,31 @@ class TraceBuilder:
         self.blockops = BlockOpRegistry()
         self.symbols = symbols if symbols is not None else SymbolMap()
         self.metadata: Dict[str, object] = dict(metadata or {})
-        self._pending: List[List[TraceRecord]] = [
-            [] for _ in range(num_cpus)]
+        #: Per CPU: the row run being appended to, and the chunks
+        #: (finished row runs and block-op matrices) before it.
+        self._rows: List[List[tuple]] = [[] for _ in range(num_cpus)]
+        self._chunks: List[list] = [[] for _ in range(num_cpus)]
 
     def emit(self, cpu: int, record_: TraceRecord) -> None:
         """Append one record to *cpu*'s stream."""
-        self._pending[cpu].append(record_)
+        self._rows[cpu].append(_ROW(record_))
 
     def emit_many(self, cpu: int, records: Iterable[TraceRecord]) -> None:
         """Append several records to *cpu*'s stream."""
-        self._pending[cpu].extend(records)
+        self._rows[cpu].extend(map(_ROW, records))
+
+    def emit_row(self, cpu: int, row: tuple) -> None:
+        """Append one record, given as its nine plain-int fields in
+        column order (:data:`~repro.trace.columns.FIELDS`)."""
+        self._rows[cpu].append(row)
+
+    def _emit_matrix(self, cpu: int, matrix: np.ndarray) -> None:
+        """Append the rows of an ``(N, 9)`` int64 matrix."""
+        chunks = self._chunks[cpu]
+        if self._rows[cpu]:
+            chunks.append(self._rows[cpu])
+            self._rows[cpu] = []
+        chunks.append(matrix)
 
     def emit_block_copy(self, cpu: int, src: int, dst: int, size: int, *,
                         mode: Mode = Mode.OS, pc: int = 0,
@@ -271,15 +302,15 @@ class TraceBuilder:
         is how the Concentrix copy loop behaves on the traced machine.
         """
         desc = self.blockops.new_copy(src, dst, size, pc)
-        stream = self._pending[cpu]
-        stream.append(rec.block_start(desc.op_id, mode=mode, pc=pc))
-        for off in range(0, size, BLOCK_WORD_BYTES):
-            nbytes = min(BLOCK_WORD_BYTES, size - off)
-            stream.append(TraceRecord(Op.READ, src + off, mode, src_dclass,
-                                      pc, 2, desc.op_id, nbytes))
-            stream.append(TraceRecord(Op.WRITE, dst + off, mode, dst_dclass,
-                                      pc, 1, desc.op_id, nbytes))
-        stream.append(rec.block_end(desc.op_id, mode=mode, pc=pc))
+        offs, nbytes = _word_offsets(size)
+        matrix = _block_matrix(desc.op_id, mode, pc, 2 * len(offs))
+        words = matrix[1:-1].reshape(len(offs), 2, NUM_COLUMNS)
+        words[:, 0] = (_READ, 0, mode, src_dclass, pc, 2, desc.op_id, 0, 0)
+        words[:, 0, _ADDR] = src + offs
+        words[:, 1] = (_WRITE, 0, mode, dst_dclass, pc, 1, desc.op_id, 0, 0)
+        words[:, 1, _ADDR] = dst + offs
+        words[:, :, _SIZE] = nbytes[:, None]
+        self._emit_matrix(cpu, matrix)
         return desc
 
     def emit_block_zero(self, cpu: int, dst: int, size: int, *,
@@ -288,19 +319,20 @@ class TraceBuilder:
                         ) -> BlockOpDescriptor:
         """Emit the word loop of a ``bzero(dst, size)`` (writes only)."""
         desc = self.blockops.new_zero(dst, size, pc)
-        stream = self._pending[cpu]
-        stream.append(rec.block_start(desc.op_id, mode=mode, pc=pc))
-        for off in range(0, size, BLOCK_WORD_BYTES):
-            nbytes = min(BLOCK_WORD_BYTES, size - off)
-            stream.append(TraceRecord(Op.WRITE, dst + off, mode, dst_dclass,
-                                      pc, 2, desc.op_id, nbytes))
-        stream.append(rec.block_end(desc.op_id, mode=mode, pc=pc))
+        offs, nbytes = _word_offsets(size)
+        matrix = _block_matrix(desc.op_id, mode, pc, len(offs))
+        words = matrix[1:-1]
+        words[:] = (_WRITE, 0, mode, dst_dclass, pc, 2, desc.op_id, 0, 0)
+        words[:, _ADDR] = dst + offs
+        words[:, _SIZE] = nbytes
+        self._emit_matrix(cpu, matrix)
         return desc
 
     def build(self, validate: bool = True) -> Trace:
         """Pack the emitted records into a trace and (optionally)
         validate it."""
-        trace = Trace([_pack(records) for records in self._pending],
+        trace = Trace([_pack(chunks + [rows]) for chunks, rows
+                       in zip(self._chunks, self._rows)],
                       blockops=self.blockops, symbols=self.symbols,
                       metadata=self.metadata)
         if validate:
@@ -311,9 +343,32 @@ class TraceBuilder:
 #: The fields of a record, in column order.
 _ROW = operator.attrgetter(*FIELDS)
 
+_READ = int(Op.READ)
+_WRITE = int(Op.WRITE)
+_ADDR = FIELDS.index("addr")
+_SIZE = FIELDS.index("size")
 
-def _pack(records: List[TraceRecord]) -> StreamColumns:
-    """One stream's records as fresh columns."""
-    flat = np.fromiter(chain.from_iterable(map(_ROW, records)),
-                       dtype=np.int64, count=len(records) * NUM_COLUMNS)
-    return StreamColumns.from_matrix(flat.reshape(-1, NUM_COLUMNS))
+
+def _word_offsets(size: int):
+    """The byte offset and width of each word of a *size*-byte loop."""
+    offs = np.arange(0, size, BLOCK_WORD_BYTES, dtype=np.int64)
+    return offs, np.minimum(BLOCK_WORD_BYTES, size - offs)
+
+
+def _block_matrix(op_id: int, mode: int, pc: int, words: int) -> np.ndarray:
+    """A block operation's matrix: its BLOCK_START and BLOCK_END marker
+    rows around *words* rows left for the caller to fill."""
+    matrix = np.empty((words + 2, NUM_COLUMNS), dtype=np.int64)
+    matrix[0] = _ROW(rec.block_start(op_id, mode=mode, pc=pc))
+    matrix[-1] = _ROW(rec.block_end(op_id, mode=mode, pc=pc))
+    return matrix
+
+
+def _pack(chunks: list) -> StreamColumns:
+    """One stream's chunks (row runs and matrices) as fresh columns."""
+    parts = [chunk if isinstance(chunk, np.ndarray) else
+             np.fromiter(chain.from_iterable(chunk), dtype=np.int64,
+                         count=len(chunk) * NUM_COLUMNS
+                         ).reshape(-1, NUM_COLUMNS)
+             for chunk in chunks]
+    return StreamColumns.from_matrix(np.concatenate(parts))

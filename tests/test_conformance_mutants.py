@@ -173,10 +173,33 @@ def test_stale_update_after_switch_caught():
                                       "owned-and-shared"), excinfo.value
 
 
+def test_static_update_skips_holder_caught():
+    # W sits on an update page that cpu0 and cpu1 both cache: cpu0's
+    # write must update cpu1's copy, and the mutant leaves it out.
+    config = CONFIGS["BCoh_RelUp"]
+    page = W - W % config.machine.page_bytes
+    b = TraceBuilder(2)
+    b.emit(0, rec.read(W, pc=PC))
+    b.emit(1, rec.read(W, pc=PC))
+    b.emit(0, rec.barrier(BAR, 2, pc=PC))
+    b.emit(1, rec.barrier(BAR, 2, pc=PC))
+    b.emit(0, rec.write(W, pc=PC))
+    b.emit(0, rec.barrier(BAR + 0x40, 2, pc=PC))
+    b.emit(1, rec.barrier(BAR + 0x40, 2, pc=PC))
+    b.emit(1, rec.read(W, pc=PC))
+    trace = b.build()
+    simulate(trace, config, update_pages=[page], check=True)
+    with mutant("static_update_skips_holder"):
+        with pytest.raises(ConformanceError) as excinfo:
+            simulate(trace, config, update_pages=[page], check=True)
+    assert excinfo.value.kind == "adaptive-decision-mismatch", excinfo.value
+
+
 @pytest.mark.parametrize("name", list(MUTANTS))
 def test_mutant_restores_original(name):
     """Leaving the context restores the pristine protocol methods."""
-    from repro.memsys.adaptive import DegreePolicy, UpdateNPolicy
+    from repro.memsys.adaptive import (DegreePolicy, StaticHybridPolicy,
+                                       UpdateNPolicy)
     from repro.memsys.coherence import CoherenceController
     from repro.memsys.hierarchy import CpuMemorySystem
     def methods():
@@ -186,7 +209,8 @@ def test_mutant_restores_original(name):
                 CoherenceController.adaptive_update,
                 CpuMemorySystem._drain_word,
                 CpuMemorySystem.write,
-                UpdateNPolicy.decide, DegreePolicy.decide)
+                UpdateNPolicy.decide, DegreePolicy.decide,
+                StaticHybridPolicy.decide)
     before = methods()
     with mutant(name):
         pass

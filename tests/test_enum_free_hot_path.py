@@ -25,7 +25,7 @@ import pytest
 
 from repro.common.types import DataClass, MissKind, Mode, Scheme
 from repro.memsys.bus import Bus, BusOp
-from repro.memsys.cache import CoherentCache
+from repro.memsys.cache import Cache, CoherentCache
 from repro.memsys.adaptive import BaseAdaptivePolicy, StaticHybridPolicy
 from repro.memsys.coherence import CoherenceController
 from repro.memsys.dma import run_dma
@@ -33,11 +33,13 @@ from repro.memsys.hierarchy import CpuMemorySystem
 from repro.memsys.states import LineState
 from repro.sim.metrics import MissTracker, SystemMetrics
 from repro.sim.processor import Processor, ProcStatus
+from repro.sim.system import MultiprocessorSystem
 
 ENUMS = frozenset(cls.__name__ for cls in (
     LineState, BusOp, ProcStatus, Scheme, MissKind, DataClass, Mode))
 
 HOT_FUNCTIONS = [
+    MultiprocessorSystem.run,
     Processor.step,
     Processor._do_read,
     Processor._do_write,
@@ -52,6 +54,9 @@ HOT_FUNCTIONS = [
     CpuMemorySystem._l1_fill,
     CpuMemorySystem._drain_word,
     Bus.acquire,
+    Cache.fill,
+    Cache.invalidate,
+    Cache._drop,
     CoherentCache.state_of,
     CoherentCache.set_state,
     CoherentCache.fill,

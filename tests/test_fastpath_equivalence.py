@@ -253,6 +253,71 @@ class TestL1FastPathEquivalence:
         assert fast_sys.metrics.snapshot() == slow_sys.metrics.snapshot()
 
 
+class _CountingIndex(dict):
+    """A cache's line index that counts membership probes."""
+
+    probes = 0
+
+    def __contains__(self, line):
+        self.probes += 1
+        return dict.__contains__(self, line)
+
+
+class _MovingRemovals:
+    """An L1I stand-in whose removal count moves on every read, so a
+    processor's fetch memo never holds and every fetch walks."""
+
+    def __init__(self):
+        self._count = 0
+
+    @property
+    def removals(self):
+        self._count += 1
+        return self._count
+
+
+def _fetch_rig(trace, config, memo):
+    """A system whose L1I indexes count probes; without *memo* its
+    processors walk every fetch."""
+    system = MultiprocessorSystem(trace, config)
+    for proc in system.processors:
+        where = _CountingIndex(proc.mem.l1i.where)
+        proc.mem.l1i.where = proc._l1i_where = where
+        if not memo:
+            proc._l1i = _MovingRemovals()
+    return system
+
+
+#: The paper machine, a Figure 7 point (64-B L1D and L2 lines, so an L2
+#: eviction drops four L1I lines) and a 2-way machine-axis point, where
+#: the LRU touches of a resident fetch leave the memo off.
+MEMO_MACHINES = [BASE_MACHINE,
+                 BASE_MACHINE.with_l1d(line_bytes=64, l2_line_bytes=64),
+                 machine_for(8, assoc=2)]
+
+
+@pytest.mark.parametrize("machine", MEMO_MACHINES,
+                         ids=["paper", "fig7-64B", "8cpu-2way"])
+@pytest.mark.parametrize("scheme", ["Base", "BCPref"])
+def test_fetch_memo_matches_walk(machine, scheme):
+    """Skipping the walk of a fetch inside the last resident span must
+    change no metric: twin systems, one with every fetch walked, give
+    the same snapshot.  On a 1-way L1I the memo saves probes; on a
+    set-associative one it is never set."""
+    config = resolve_config(scheme, machine)
+    trace = _shell_trace()
+    memo = _fetch_rig(trace, config, memo=True)
+    walk = _fetch_rig(trace, config, memo=False)
+    assert memo.run().snapshot() == walk.run().snapshot()
+    probes = [sum(p.mem.l1i.where.probes for p in system.processors)
+              for system in (memo, walk)]
+    if machine.l1i.assoc == 1:
+        assert probes[0] < probes[1] // 2, probes
+    else:
+        assert probes[0] == probes[1]
+        assert all(p._iremovals == -1 for p in memo.processors)
+
+
 class _UnfusedMemorySystem(CpuMemorySystem):
     """The reference write: every word goes through the WB1 service
     callback, and the drain handles owned lines itself."""

@@ -75,6 +75,39 @@ class TestBasics:
         assert m.os_miss_pc[0xAA] == 1
 
 
+class TestFetchMemo:
+    def test_inclusion_eviction_ends_the_remembered_span(self):
+        """A data miss whose L2 fill evicts the code's L2 line drops the
+        L1I lines of the span the CPU last found resident; the next
+        fetch in that span must walk, miss and stall."""
+        from repro.sim.system import MultiprocessorSystem
+        pc, icount = 0x1300, 8  # two 16-B L1I lines, one 32-B L2 line
+        b = single_cpu_builder()
+        b.emit(0, rec.read(0x80000, pc=pc, icount=icount))  # cold fetch
+        b.emit(0, rec.read(0x80004, pc=pc, icount=icount))  # resident walk
+        # 256 KB above the code: the same direct-mapped L2 set.
+        b.emit(0, rec.read(pc + 0x40000, pc=pc, icount=icount))
+        b.emit(0, rec.read(0x80008, pc=pc, icount=icount))
+        system = MultiprocessorSystem(b.build(), SystemConfig("test"))
+        proc = system.processors[0]
+        l1i = proc.mem.l1i
+        time = system.metrics.time[Mode.OS]
+
+        proc.step()
+        cold = time.imiss
+        assert cold > 0
+        proc.step()
+        assert time.imiss == cold
+        assert (proc._ifirst, proc._iend) == (pc, pc + 4 * icount)
+        assert proc._iremovals == l1i.removals
+        proc.step()
+        assert time.imiss == cold
+        assert pc not in l1i.where
+        assert l1i.removals > proc._iremovals
+        proc.step()
+        assert time.imiss > cold
+
+
 class TestLocks:
     def test_uncontended_lock(self):
         b = single_cpu_builder()

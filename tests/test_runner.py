@@ -73,3 +73,53 @@ def test_config_progression_reduces_misses(runner):
     base = runner.run("Shell", "Base").os_read_misses()
     full = runner.run("Shell", "BCPref").os_read_misses()
     assert full < base
+
+
+def test_cold_serial_sweep_converts_each_trace_once(tmp_path, monkeypatch):
+    """A cold 1-worker sweep of one workload under every scheme converts
+    each of its three traces (raw, privatized, prefetched) to the
+    simulator's lists once, and holds no raw trace after the derive
+    job: the simulations that follow it never see the raw trace alive."""
+    import weakref
+
+    from repro.experiments import runner as runner_module
+    from repro.experiments.artifacts import ArtifactCache
+    from repro.sim.config import all_configs
+    from repro.trace.columns import StreamColumns
+
+    converted = []
+    convert = StreamColumns._convert
+
+    def counting_convert(cols):
+        converted.append(cols)
+        return convert(cols)
+
+    raw = []
+    generate = runner_module.generate
+
+    def remembering_generate(*args, **kwargs):
+        trace = generate(*args, **kwargs)
+        raw.append(weakref.ref(trace))
+        return trace
+
+    sims = {}
+    simulate = runner_module.simulate
+
+    def noting_simulate(trace, config, **kwargs):
+        sims[config.name] = raw[0]() is not None
+        return simulate(trace, config, **kwargs)
+
+    monkeypatch.setattr(StreamColumns, "_convert", counting_convert)
+    monkeypatch.setattr(runner_module, "generate", remembering_generate)
+    monkeypatch.setattr(runner_module, "simulate", noting_simulate)
+    sweep = ExperimentRunner(scale=0.05, seed=13,
+                             cache=ArtifactCache(str(tmp_path)), workers=1)
+    sweep.run_matrix(all_configs(), ["Shell"])
+
+    num_cpus = sweep.trace("Shell").num_cpus
+    assert len(converted) == 3 * num_cpus
+    assert len({id(cols) for cols in converted}) == len(converted)
+    assert sims == {"Blk_Pref": True, "Blk_Bypass": True,
+                    "Blk_ByPref": True, "Blk_Dma": True, "Base": True,
+                    "BCoh_RelUp": True, "BCoh_Reloc": False,
+                    "Hyb_UpdN": False, "Hyb_Deg": False, "BCPref": False}

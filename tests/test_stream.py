@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import TraceError
-from repro.common.types import Mode, Op
+from repro.common.types import DataClass, Mode, Op
 from repro.trace import record as rec
 from repro.trace.stream import Trace, TraceBuilder
 
@@ -88,6 +88,49 @@ class TestBlockEmission:
         builder.emit_block_copy(0, src=0x1000, dst=0x2000, size=10)
         reads = [r for r in builder.build().records(0) if r.op == Op.READ]
         assert sum(r.size for r in reads) == 10
+
+    @pytest.mark.parametrize("size", [1, 3, 4, 6, 13, 4094])
+    def test_matrix_matches_per_word_expansion(self, size):
+        """The word loops, written as matrix chunks between plain rows,
+        match the record-by-record expansion, last partial word included."""
+        b = TraceBuilder(2)
+        b.emit(0, rec.read(0x40, pc=0x100, icount=3))
+        b.emit_block_copy(0, src=0x1002, dst=0x2001, size=size,
+                          mode=Mode.USER, pc=0x200)
+        b.emit_row(0, (Op.WRITE, 0x44, Mode.OS, DataClass.BUFFER, 0x100,
+                       2, 0, 4, 0))
+        b.emit_block_zero(1, dst=0x3003, size=size, pc=0x300)
+        b.emit_block_zero(0, dst=0x5000, size=size, pc=0x300,
+                          dst_dclass=DataClass.BUFFER)
+
+        ref = TraceBuilder(2)
+        ref.emit(0, rec.read(0x40, pc=0x100, icount=3))
+        copy = ref.blockops.new_copy(0x1002, 0x2001, size, 0x200)
+        ref.emit(0, rec.block_start(copy.op_id, mode=Mode.USER, pc=0x200))
+        for off in range(0, size, 4):
+            n = min(4, size - off)
+            ref.emit(0, rec.TraceRecord(
+                Op.READ, 0x1002 + off, Mode.USER, DataClass.BUFFER, 0x200,
+                2, copy.op_id, n))
+            ref.emit(0, rec.TraceRecord(
+                Op.WRITE, 0x2001 + off, Mode.USER, DataClass.PAGE_FRAME,
+                0x200, 1, copy.op_id, n))
+        ref.emit(0, rec.block_end(copy.op_id, mode=Mode.USER, pc=0x200))
+        ref.emit(0, rec.write(0x44, dclass=DataClass.BUFFER, pc=0x100,
+                              icount=2))
+        for cpu, dst, dclass in ((1, 0x3003, DataClass.PAGE_FRAME),
+                                 (0, 0x5000, DataClass.BUFFER)):
+            zero = ref.blockops.new_zero(dst, size, 0x300)
+            ref.emit(cpu, rec.block_start(zero.op_id, pc=0x300))
+            for off in range(0, size, 4):
+                ref.emit(cpu, rec.TraceRecord(
+                    Op.WRITE, dst + off, Mode.OS, dclass, 0x300, 2,
+                    zero.op_id, min(4, size - off)))
+            ref.emit(cpu, rec.block_end(zero.op_id, pc=0x300))
+
+        built, expected = b.build(), ref.build()
+        assert built.columns == expected.columns
+        assert all(cols.ops.dtype == np.int64 for cols in built.columns)
 
 
 class TestValidation:

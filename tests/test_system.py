@@ -156,6 +156,30 @@ def test_edit_of_built_record_seen_by_next_run():
     assert second.time[Mode.USER].exec_cycles == 8
 
 
+def test_read_only_trace_converted_once():
+    """The simulations of a read-only trace share one conversion of
+    each stream to the simulator's lists; a writable trace is
+    converted afresh for every run."""
+    b = TraceBuilder(2)
+    for cpu in range(2):
+        b.emit(cpu, rec.read(0x1000 * (cpu + 1), icount=2))
+    config = SystemConfig("t")
+    writable = b.build()
+    frozen = b.build().freeze()
+    for trace, shared in ((frozen, True), (writable, False)):
+        first = MultiprocessorSystem(trace, config)
+        second = MultiprocessorSystem(trace, config)
+        first.run()
+        second.run()
+        for one, two in zip(first.processors, second.processors):
+            assert (one._ops is two._ops) == shared
+            assert (one._addrs is two._addrs) == shared
+            assert one._ops == two._ops
+    kept = frozen.columns[0].sim_lists()
+    frozen.drop_sim_lists()
+    assert frozen.columns[0].sim_lists() is not kept
+
+
 #: Schemes whose block copies issue lookahead prefetches
 #: (``Processor._lookahead_prefetch``).
 LOOKAHEAD_SCHEMES = ("Blk_Pref", "Blk_ByPref")
