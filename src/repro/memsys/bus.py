@@ -57,6 +57,9 @@ BUS_DMA = int(BusOp.DMA)
 class Bus:
     """Reservation-timeline bus with per-kind traffic statistics."""
 
+    __slots__ = ("params", "next_free", "busy_cycles", "wait_cycles",
+                 "transactions", "cycles_by_kind", "probe")
+
     def __init__(self, params: BusParams) -> None:
         self.params = params
         #: First cycle at which the bus is free.

@@ -32,10 +32,16 @@ class Cache:
     paths bind it once and test ``line in where`` directly; like ``tags``
     it is mutated in place only, so a bound reference never goes stale.
 
-    Recency is a per-frame stamp from a monotonic use counter: fills into
-    sets of more than one way and :meth:`touch` stamp the frame, and the
-    victim is the first empty way of the set, else its least recently
-    used way.  :meth:`present` is a
+    Recency is a canonical rank per frame: within a set the resident
+    lines hold ranks ``0 .. k-1``, most recently used first, and every
+    empty frame holds ``assoc``.  The ranks are a function of the set's
+    recency order alone, so two caches that saw the same order hold the
+    same ranks however many no-op promotions either made.  The victim is
+    the set's maximum-rank frame: its first empty way, else its least
+    recently used way.  :meth:`promote` makes a frame rank 0; promoting a
+    rank-0 frame changes nothing, so the hit paths promote only a frame
+    whose rank is non-zero, and on a direct-mapped cache, whose resident
+    frames all hold rank 0, they never promote.  :meth:`present` is a
     pure query (the conformance checker probes it freely).
 
     :attr:`removals` counts every line that leaves the cache, by
@@ -44,7 +50,7 @@ class Cache:
     """
 
     __slots__ = ("params", "line_bytes", "num_lines", "num_sets", "assoc",
-                 "tags", "where", "stamps", "_tick", "fills",
+                 "tags", "where", "ranks", "fills",
                  "evictions", "removals")
 
     def __init__(self, params: CacheParams) -> None:
@@ -57,9 +63,9 @@ class Cache:
         self.tags: List[int] = [-1] * self.num_lines
         #: Resident line address -> frame index.
         self.where: Dict[int, int] = {}
-        #: Use stamp per frame; larger == more recently used.
-        self.stamps: List[int] = [0] * self.num_lines
-        self._tick = 0
+        #: Recency rank per frame: 0 is its set's MRU line, ``assoc`` an
+        #: empty frame.
+        self.ranks: List[int] = [self.assoc] * self.num_lines
         self.fills = 0
         self.evictions = 0
         #: Lines removed so far, evicted by :meth:`fill` or dropped.
@@ -80,9 +86,19 @@ class Cache:
     def touch(self, addr: int) -> None:
         """Promote the line containing *addr* to most recently used."""
         idx = self.where.get(addr - addr % self.line_bytes)
-        if idx is not None:
-            self._tick += 1
-            self.stamps[idx] = self._tick
+        if idx is not None and self.ranks[idx]:
+            self.promote(idx)
+
+    def promote(self, idx: int) -> None:
+        """Make frame *idx* its set's most recently used: every line of
+        the set used more recently than it moves one rank down."""
+        ranks = self.ranks
+        rank = ranks[idx]
+        first = idx - idx % self.assoc
+        for way in range(first, first + self.assoc):
+            if ranks[way] < rank:
+                ranks[way] += 1
+        ranks[idx] = 0
 
     def fill(self, addr: int) -> int:
         """Install the line containing *addr* in its set's least recently
@@ -91,26 +107,24 @@ class Cache:
         Returns the line address evicted to make room, or -1 when the set
         had an empty way or already held the line (which is promoted).
 
-        On ``assoc > 1`` empty frames hold stamp 0 and resident ones a
-        positive stamp, so the minimum-stamp frame is the set's first
-        empty way, else its LRU way.  A 1-way set has one frame: nothing
-        to search or stamp.
+        The maximum-rank frame is the set's first empty way, else its LRU
+        way.  A 1-way set has one frame: nothing to search or reorder.
         """
         line = addr - addr % self.line_bytes
         where = self.where
         idx = where.get(line)
         if idx is not None:
-            self._tick += 1
-            self.stamps[idx] = self._tick
+            if self.ranks[idx]:
+                self.promote(idx)
             return -1
         assoc = self.assoc
         idx = (line // self.line_bytes) % self.num_sets * assoc
         if assoc > 1:
-            stamps = self.stamps
-            ways = stamps[idx:idx + assoc]
-            idx += ways.index(min(ways))
-            self._tick += 1
-            stamps[idx] = self._tick
+            ways = self.ranks[idx:idx + assoc]
+            idx += ways.index(max(ways))
+            self.promote(idx)
+        else:
+            self.ranks[idx] = 0
         tags = self.tags
         old = tags[idx]
         if old != -1:
@@ -123,9 +137,17 @@ class Cache:
         return old
 
     def _drop(self, idx: int) -> None:
-        """Empty frame *idx* (already removed from :attr:`where`)."""
+        """Empty frame *idx* (already removed from :attr:`where`): every
+        line of its set used less recently than it moves one rank up."""
         self.tags[idx] = -1
-        self.stamps[idx] = 0
+        ranks = self.ranks
+        rank = ranks[idx]
+        assoc = self.assoc
+        first = idx - idx % assoc
+        for way in range(first, first + assoc):
+            if rank < ranks[way] < assoc:
+                ranks[way] -= 1
+        ranks[idx] = assoc
         self.removals += 1
 
     def invalidate(self, addr: int) -> bool:

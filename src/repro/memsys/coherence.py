@@ -65,6 +65,10 @@ class _CpuPort:
 class CoherenceController:
     """Global snooping state machine over all L2 caches."""
 
+    __slots__ = ("machine", "bus", "ports", "holders", "probe", "adaptive",
+                 "update_everywhere", "invalidations_sent", "updates_sent",
+                 "cache_to_cache", "writebacks")
+
     def __init__(self, machine: MachineParams, bus: Bus) -> None:
         self.machine = machine
         self.bus = bus

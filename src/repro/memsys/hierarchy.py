@@ -65,6 +65,12 @@ class AccessResult:
 class CpuMemorySystem:
     """All memory-system state private to one processor."""
 
+    __slots__ = ("machine", "bus", "controller", "sink", "probe", "l1i",
+                 "l1d", "l2", "wb1", "wb2", "pending", "pref_buffer",
+                 "bypass_src_line", "bypass_dst_line", "bypass_l2_wide",
+                 "in_blockop", "_touch_l1i", "_touch_l1d", "_touch_l2",
+                 "cpu_id")
+
     def __init__(self, machine: MachineParams, bus: Bus,
                  controller: CoherenceController,
                  sink: Optional[MemorySink] = None) -> None:
@@ -94,7 +100,9 @@ class CpuMemorySystem:
         self.in_blockop = False
         #: LRU-promotion hooks, ``None`` on 1-way caches, whose only
         #: possible victim is the resident line: a hit promotes only when
-        #: ``assoc > 1``.  The processor's inline hit paths share them.
+        #: ``assoc > 1``.  A hit whose frame already holds rank 0 (its
+        #: set's MRU line) changes nothing, so the hooks and the inline
+        #: hit paths promote only a non-zero rank.
         self._touch_l1i = self.l1i.touch if machine.l1i.assoc != 1 else None
         self._touch_l1d = self.l1d.touch if machine.l1d.assoc != 1 else None
         self._touch_l2 = self.l2.touch if machine.l2.assoc != 1 else None
@@ -160,13 +168,17 @@ class CpuMemorySystem:
         probe = self.probe
         if probe is not None:
             probe.write_begin(self.cpu_id, addr, t)
-        if addr - addr % self.l1d.line_bytes not in self.l1d.where:
+        l1d = self.l1d
+        line = addr - addr % l1d.line_bytes
+        if line not in l1d.where:
             # Write-allocate: the fill overlaps the buffered write, so the
             # processor does not wait for it; ownership is acquired on the
             # drain path.
             self._l1_fill(addr)
         elif self._touch_l1d is not None:
-            self._touch_l1d(addr)
+            idx = l1d.where[line]
+            if l1d.ranks[idx]:
+                l1d.promote(idx)
         l2 = self.l2
         idx = l2.where.get(addr - addr % l2.line_bytes)
         state = None if idx is None else l2.states[idx]
@@ -191,8 +203,9 @@ class CpuMemorySystem:
             start = now if now > lse else lse
             end = start + self.machine.write_buffers.l1_drain_cycles
             l2.states[idx] = MODIFIED
-            if self._touch_l2 is not None:
-                self._touch_l2(addr)
+            # A resident frame of a 1-way L2 always holds rank 0.
+            if l2.ranks[idx]:
+                l2.promote(idx)
             wb1.last_service_end = end
             entries.append(end)
             wb1.enqueues += 1

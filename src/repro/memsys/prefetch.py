@@ -29,6 +29,8 @@ class PendingFills:
     which calls :meth:`consume`).  The dict is mutated in place only.
     """
 
+    __slots__ = ("ready", "issued")
+
     def __init__(self) -> None:
         #: line address -> cycle the prefetched data arrives.
         self.ready: Dict[int, int] = {}

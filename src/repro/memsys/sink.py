@@ -38,6 +38,8 @@ NO_FLAGS = MissFlags()
 class MemorySink:
     """No-op sink; subclass and override what you need."""
 
+    __slots__ = ()
+
     def coherence_invalidate(self, l1_line: int) -> None:
         """A remote write invalidated *l1_line* while it sat in this L1D."""
 

@@ -24,6 +24,9 @@ from typing import Callable, Deque, Tuple
 class TimedWriteBuffer:
     """FIFO buffer whose entries are (completion-time) timestamps."""
 
+    __slots__ = ("depth", "name", "_entries", "last_service_end",
+                 "stall_cycles", "enqueues", "overflows")
+
     def __init__(self, depth: int, name: str = "wb") -> None:
         if depth < 1:
             raise ValueError("buffer depth must be >= 1")

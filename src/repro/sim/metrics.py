@@ -87,6 +87,8 @@ class TimeBreakdown:
 class MissTracker(MemorySink):
     """Per-CPU cause bookkeeping for the miss taxonomy."""
 
+    __slots__ = ("coh_pending", "displaced", "bypassed", "in_blockop")
+
     def __init__(self) -> None:
         #: L1D lines invalidated by remote writes while resident.
         self.coh_pending: Set[int] = set()
@@ -188,6 +190,19 @@ class BlockOpStats:
 
 class SystemMetrics:
     """All measurements from one simulation run."""
+
+    __slots__ = ("num_cpus", "page_bytes", "trackers", "time", "reads",
+                 "writes", "read_misses", "os_miss_kind", "os_coh_dclass",
+                 "os_miss_pc", "os_miss_dclass", "os_coh_addr",
+                 "displacement_inside", "displacement_outside",
+                 "reuse_inside", "reuse_outside", "blk_read_stall",
+                 "blk_write_stall", "blk_displ_stall", "blk_instr_exec",
+                 "blockops", "dma_ops", "dma_stall", "prefetches_issued",
+                 "hotspot_pcs", "os_hotspot_misses", "bus_busy_cycles",
+                 "bus_wait_cycles", "bus_traffic", "bus_transactions",
+                 "updates_sent", "invalidations_sent", "cache_to_cache",
+                 "writebacks", "lock_acquisitions", "lock_contended",
+                 "barrier_episodes", "cpu_end_times", "makespan")
 
     def __init__(self, num_cpus: int, page_bytes: int = 4096) -> None:
         self.num_cpus = num_cpus

@@ -16,6 +16,11 @@ Hot-path layout
 :meth:`Processor.step` is the single hottest function in the repository —
 it runs once per trace record across every experiment cell.  It therefore:
 
+* reads attributes that live in slots: :class:`Processor`,
+  :class:`~repro.sim.metrics.SystemMetrics`, :class:`CpuMemorySystem`
+  and the bus, coherence, write-buffer, pending-fill and miss-tracker
+  objects behind them declare ``__slots__``, so no ``self.x`` on the
+  per-record path probes an instance dict;
 * reads each record's op, addr, mode, pc, icount and blockop from six
   parallel plain-int lists taken from the stream's columns
   (:meth:`StreamColumns.sim_lists
@@ -27,17 +32,22 @@ it runs once per trace record across every experiment cell.  It therefore:
   builds a record; :meth:`Processor.record` is for the observers only;
 * resolves an instruction fetch whose every L1I line is resident inline,
   with one frame-index probe per spanned line and, on set-associative
-  caches, the lines promoted in order; a fetch with any line absent goes
-  to :meth:`CpuMemorySystem.ifetch` with no line touched.  On a
-  direct-mapped L1I each CPU remembers the last span such a walk found
+  caches, each line whose recency rank is non-zero promoted in order; a
+  fetch with any line absent goes to :meth:`CpuMemorySystem.ifetch` with
+  no line touched.  Each CPU remembers the last span such a walk found
   resident, with the cache's :attr:`~repro.memsys.cache.Cache.removals`
-  count at the time; a fetch inside that span, with no line removed
-  since, skips the walk;
+  count at the time; a fetch inside that span, with no line removed and
+  no ``ifetch`` since, skips the walk.  Each line of the span is then
+  still its set's most recently used, so the walk would promote
+  nothing.  Every ``ifetch`` clears the memo: a fill into an empty way
+  removes no line but demotes the remembered line of its set;
 * resolves a *clean L1D hit* (line resident, no pending prefetch fill, no
   scheme-specific block-op handling) inline against the bound L1 frame
-  index, without entering the :class:`CpuMemorySystem` call chain — the
-  overwhelming majority of references in the paper's workloads are such
-  hits (Table 2 reports low miss rates on every machine).  With a
+  index, without entering the :class:`CpuMemorySystem` call chain, and
+  promotes the frame only on a set-associative L1D and only when its
+  rank is non-zero — the overwhelming majority of references in the
+  paper's workloads are such hits (Table 2 reports low miss rates on
+  every machine).  With a
   :class:`~repro.memsys.sink.Probe` attached the inline hit is skipped,
   so the probe sees every read;
 * takes writes from :meth:`CpuMemorySystem.write` as a plain
@@ -136,6 +146,19 @@ _RESULT_DONE = StepResult(_DONE)
 class Processor:
     """One simulated CPU."""
 
+    __slots__ = ("cpu_id", "_columns", "_ops", "_addrs", "_modes", "_pcs",
+                 "_icounts", "_blockops", "num_records", "blockops", "mem",
+                 "metrics", "tracker", "config", "locks", "barriers", "pos",
+                 "time", "status", "_blk_desc", "_blk_last_src_line",
+                 "_barrier_pos", "probe", "_l1_where", "_l1_line_bytes",
+                 "_l1d_ranks", "_promote_l1d", "_l1i", "_l1i_where",
+                 "_l1i_line_bytes", "_l1i_ranks", "_promote_l1i",
+                 "_imemo_bytes", "_ifirst", "_iend", "_iremovals",
+                 "_pending_ready", "_time", "_reads", "_writes",
+                 "_blk_read_plain", "_blk_read_bypass", "_blk_write_plain",
+                 "_blk_dma", "_blk_bypref", "_pref_lead_lines",
+                 "_block_prefetch")
+
     def __init__(self, cpu_id: int, trace: Trace, mem: CpuMemorySystem,
                  metrics: SystemMetrics, config: SystemConfig,
                  locks: LockTable, barriers: BarrierManager) -> None:
@@ -164,20 +187,25 @@ class Processor:
         #: :meth:`CpuMemorySystem.read` path, where the probe sees it.
         self.probe = None
         # --- hot-path bindings (all mutated in place by their owners) ---
-        self._l1_where = mem.l1d.where
-        self._l1_line_bytes = mem.l1d.line_bytes
-        self._l1i = mem.l1i
-        self._l1i_where = mem.l1i.where
-        self._l1i_line_bytes = mem.l1i.line_bytes
-        # The fetch memo: lines [_ifirst, _iend) were all resident when
-        # the L1I had removed _iremovals lines.  Set only on a 1-way L1I,
-        # whose resident hits promote nothing; empty until then.
+        l1d, l1i = mem.l1d, mem.l1i
+        self._l1_where = l1d.where
+        self._l1_line_bytes = l1d.line_bytes
+        self._l1i = l1i
+        self._l1i_where = l1i.where
+        self._l1i_line_bytes = l1i.line_bytes
+        # An inline hit promotes exactly as the CpuMemorySystem path
+        # would: only on a set-associative cache (the promote hooks are
+        # None on 1-way ones) and only a frame whose rank is non-zero.
+        self._l1d_ranks = l1d.ranks
+        self._promote_l1d = None if mem._touch_l1d is None else l1d.promote
+        self._l1i_ranks = l1i.ranks
+        self._promote_l1i = None if mem._touch_l1i is None else l1i.promote
+        # The fetch memo: lines [_ifirst, _iend) were all resident, each
+        # its set's MRU line, when the L1I had removed _iremovals lines.
+        # A span remembers at most one line per set, _imemo_bytes.
+        self._imemo_bytes = l1i.num_sets * l1i.line_bytes
         self._ifirst = self._iend = 0
         self._iremovals = -1
-        # An inline hit promotes exactly as the CpuMemorySystem path
-        # would: through the shared hooks, None on 1-way caches.
-        self._touch_l1d = mem._touch_l1d
-        self._touch_l1i = mem._touch_l1i
         self._pending_ready = mem.pending.ready
         self._time = metrics.time
         self._reads = metrics.reads
@@ -263,7 +291,8 @@ class Processor:
         # inline, promoting its lines in order as ``ifetch`` would; any
         # other fetch goes through the hierarchy with no line touched.
         # A fetch inside the span the last resident walk found, with no
-        # L1I line removed since, is resident without a walk.
+        # L1I line removed and no ``ifetch`` since, is resident without a
+        # walk, and each of its lines is already its set's MRU line.
         istall = 0
         if icount:
             pc = self._pcs[pos]
@@ -278,12 +307,22 @@ class Processor:
                     iline += i_bytes
                 if iline < end:
                     istall = self.mem.ifetch(pc, icount, t)
-                elif self._touch_l1i is not None:
-                    touch = self._touch_l1i
-                    while first < end:
-                        touch(first)
-                        first += i_bytes
+                    # A fill into an empty way removes nothing but
+                    # demotes the remembered line of its set.
+                    self._iend = 0
                 else:
+                    if self._promote_l1i is not None:
+                        promote = self._promote_l1i
+                        ranks = self._l1i_ranks
+                        line = first
+                        while line < iline:
+                            idx = where[line]
+                            if ranks[idx]:
+                                promote(idx)
+                            line += i_bytes
+                        if iline - first > self._imemo_bytes:
+                            # Only the last line of each set is its MRU.
+                            first = iline - self._imemo_bytes
                     self._ifirst = first
                     self._iend = iline
                     self._iremovals = self._l1i.removals
@@ -303,8 +342,10 @@ class Processor:
                 # Clean L1D hit: one read for this mode, zero stall, one
                 # cycle (MachineParams pins l1_hit_cycles to 1).
                 self._reads[mode] += 1
-                if self._touch_l1d is not None:
-                    self._touch_l1d(line)
+                if self._promote_l1d is not None:
+                    idx = self._l1_where[line]
+                    if self._l1d_ranks[idx]:
+                        self._promote_l1d(idx)
                 exec_cycles += 1
                 t += 1
             else:

@@ -146,7 +146,7 @@ class MultiprocessorSystem:
 
         Heap scheduler — see the module docstring for the invariant.  An
         attached probe sees every step; the processor's ``step`` is looked
-        up per call, so a test may shadow it on the instance.
+        up per call, so a subclass may override it.
         """
         procs = self.processors
         probe = self.probe

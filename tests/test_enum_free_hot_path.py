@@ -1,4 +1,5 @@
-"""Bytecode guard: the per-record and per-access functions touch no enum.
+"""Guards on the per-record path: it touches no enum, and the objects it
+reads keep their attributes in slots.
 
 The simulation core counts in plain ints and names things only at
 ``snapshot()`` time.  On Python 3.11+ every ``LineState.INVALID``-style
@@ -30,7 +31,9 @@ from repro.memsys.adaptive import BaseAdaptivePolicy, StaticHybridPolicy
 from repro.memsys.coherence import CoherenceController
 from repro.memsys.dma import run_dma
 from repro.memsys.hierarchy import CpuMemorySystem
+from repro.memsys.prefetch import PendingFills
 from repro.memsys.states import LineState
+from repro.memsys.writebuffer import TimedWriteBuffer
 from repro.sim.metrics import MissTracker, SystemMetrics
 from repro.sim.processor import Processor, ProcStatus
 from repro.sim.system import MultiprocessorSystem
@@ -55,6 +58,7 @@ HOT_FUNCTIONS = [
     CpuMemorySystem._drain_word,
     Bus.acquire,
     Cache.fill,
+    Cache.promote,
     Cache.invalidate,
     Cache._drop,
     CoherentCache.state_of,
@@ -136,3 +140,34 @@ def test_guard_sees_enum_loads(fn, enum):
 
 def test_guard_allows_aliases():
     assert enum_loads(_alias_load) == []
+
+
+def _hot_objects():
+    """One built instance of every class the per-record path reads."""
+    from repro.sim.config import SystemConfig
+    from repro.trace import record
+    from repro.trace.stream import TraceBuilder
+    builder = TraceBuilder(1)
+    builder.emit(0, record.read(0x1000, pc=0x100, icount=2))
+    system = MultiprocessorSystem(builder.build(), SystemConfig("slots"),
+                                  check=False)
+    mem = system.memories[0]
+    return [system.processors[0], system.metrics, mem, system.bus,
+            system.controller, mem.wb1, mem.wb2, mem.pending,
+            system.metrics.trackers[0], mem.l1d, mem.l2]
+
+
+#: Classes whose instances must carry no ``__dict__``.
+SLOTTED = (Processor, SystemMetrics, CpuMemorySystem, Bus,
+           CoherenceController, TimedWriteBuffer, PendingFills, MissTracker,
+           Cache, CoherentCache)
+
+
+def test_hot_objects_have_no_instance_dict():
+    """Every attribute load on the per-record path is a slot read, not
+    an instance-dict probe: each class in ``SLOTTED`` declares
+    ``__slots__`` all the way up its bases."""
+    objects = _hot_objects()
+    assert {type(obj) for obj in objects} == set(SLOTTED)
+    for obj in objects:
+        assert not hasattr(obj, "__dict__"), type(obj).__name__

@@ -107,6 +107,71 @@ class TestFetchMemo:
         proc.step()
         assert time.imiss > cold
 
+    def test_fill_into_empty_way_ends_the_remembered_span(self):
+        """On a 2-way L1I a miss that fills an empty way removes no line
+        but demotes the remembered line of its set.  The next fetch of
+        that line must walk and promote it again, so a third line of the
+        set evicts the line that missed, not the remembered one."""
+        from repro.common.params import machine_for
+        from repro.sim.config import resolve_config
+        from repro.sim.system import MultiprocessorSystem
+        machine = machine_for(1, assoc=2)
+        l1i_params = machine.l1i
+        stride = l1i_params.num_sets * l1i_params.line_bytes
+        a, z, w = 0x1300, 0x1300 + stride, 0x1300 + 2 * stride
+        b = single_cpu_builder()
+        for pc in (a, a, z, a, w):
+            b.emit(0, rec.read(0x80000, pc=pc, icount=4))
+        system = MultiprocessorSystem(b.build(),
+                                      resolve_config("Base", machine))
+        proc = system.processors[0]
+        l1i = proc.mem.l1i
+
+        proc.step()  # cold fetch of A
+        proc.step()  # resident walk: the memo holds A
+        assert (proc._ifirst, proc._iend) == (a, a + 16)
+        removals = l1i.removals
+        proc.step()  # Z fills the set's empty way
+        assert l1i.removals == removals
+        assert l1i.ranks[l1i.where[a]] == 1
+        proc.step()  # A again: walked, promoted
+        assert l1i.ranks[l1i.where[a]] == 0
+        proc.step()  # W evicts the set's LRU line
+        assert a in l1i.where
+        assert z not in l1i.where
+
+    def test_wide_span_remembers_one_line_per_set(self):
+        """A resident span wider than the 2-way L1I's sets holds two
+        lines of its first sets, the earlier one not its set's MRU.  A
+        later fetch of that earlier line alone must walk and promote it,
+        so the next miss in its set evicts the span's later line."""
+        from repro.common.params import machine_for
+        from repro.sim.config import resolve_config
+        from repro.sim.system import MultiprocessorSystem
+        machine = machine_for(1, assoc=2)
+        line_bytes = machine.l1i.line_bytes
+        stride = machine.l1i.num_sets * line_bytes
+        wide = stride + 2 * line_bytes  # sets 0 and 1 get two lines
+        b = single_cpu_builder()
+        b.emit(0, rec.read(0x80000, pc=0, icount=wide // 4))  # cold
+        b.emit(0, rec.read(0x80000, pc=0, icount=wide // 4))  # walk
+        b.emit(0, rec.read(0x80000, pc=0, icount=1))
+        b.emit(0, rec.read(0x80000, pc=2 * stride, icount=1))
+        system = MultiprocessorSystem(b.build(),
+                                      resolve_config("Base", machine))
+        proc = system.processors[0]
+        l1i = proc.mem.l1i
+
+        proc.step()
+        proc.step()
+        assert (proc._ifirst, proc._iend) == (wide - stride, wide)
+        assert l1i.ranks[l1i.where[0]] == 1
+        proc.step()  # line 0 alone: outside the memo, walked
+        assert l1i.ranks[l1i.where[0]] == 0
+        proc.step()  # a third line of set 0 evicts the set's LRU line
+        assert 0 in l1i.where
+        assert stride not in l1i.where
+
 
 class TestLocks:
     def test_uncontended_lock(self):

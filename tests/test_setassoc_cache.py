@@ -5,8 +5,8 @@ Covers the LRU replacement policy, per-set isolation, the coherent
 hypothesis properties — that the ``where`` frame index stays consistent
 with the authoritative ``tags`` list under any sequence of mutations (the
 inline hit paths silently diverge if a mutation path forgets it), and that
-evictions match a per-set ``OrderedDict`` LRU reference model at 1, 2 and
-4 ways.
+evictions and the canonical recency ranks match a per-set ``OrderedDict``
+LRU reference model at 1, 2 and 4 ways.
 """
 
 from collections import OrderedDict
@@ -310,15 +310,25 @@ class LruModel:
         return {line: state for ways in self.sets
                 for line, state in ways.items()}
 
+    def ranks(self):
+        """Line -> recency rank: 0 for its set's MRU line."""
+        return {line: len(ways) - 1 - pos for ways in self.sets
+                for pos, line in enumerate(ways)}
+
 
 def _assert_matches_model(cache, model):
     _assert_mirrors(cache)
     resident = model.resident()
     assert set(cache.where) == set(resident)
+    ranks = model.ranks()
     for line, frame in cache.where.items():
         assert frame // cache.assoc == cache.set_index(line)
+        assert cache.ranks[frame] == ranks[line]
         if resident[line] is not None:
             assert cache.states[frame] == resident[line]
+    # Empty frames hold ``assoc``.
+    assert all(cache.ranks[frame] == cache.assoc
+               for frame, tag in enumerate(cache.tags) if tag == -1)
 
 
 @settings(max_examples=60, deadline=None)

@@ -108,25 +108,26 @@ def _brute_dirty(controller, line, except_cpu):
 
 
 def _cross_checked(controller):
-    """Wrap the two snoop helpers so every call is compared against the
-    per-port scan they replaced."""
-    holders, dirty = controller._holders, controller._dirty_holder
+    """Give *controller* a subclass whose two snoop helpers compare every
+    call against the per-port scan they replaced."""
     calls = [0]
 
-    def _holders(line, except_cpu):
-        got = holders(line, except_cpu)
-        assert got == _brute_holders(controller, line, except_cpu)
-        calls[0] += 1
-        return got
+    class CrossChecked(CoherenceController):
+        __slots__ = ()
 
-    def _dirty_holder(line, except_cpu):
-        got = dirty(line, except_cpu)
-        assert got == _brute_dirty(controller, line, except_cpu)
-        calls[0] += 1
-        return got
+        def _holders(self, line, except_cpu):
+            got = CoherenceController._holders(self, line, except_cpu)
+            assert got == _brute_holders(self, line, except_cpu)
+            calls[0] += 1
+            return got
 
-    controller._holders = _holders
-    controller._dirty_holder = _dirty_holder
+        def _dirty_holder(self, line, except_cpu):
+            got = CoherenceController._dirty_holder(self, line, except_cpu)
+            assert got == _brute_dirty(self, line, except_cpu)
+            calls[0] += 1
+            return got
+
+    controller.__class__ = CrossChecked
     return calls
 
 
