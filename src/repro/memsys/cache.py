@@ -213,12 +213,17 @@ class CoherentCache(Cache):
 
     def fill(self, addr: int) -> int:
         """:meth:`Cache.fill`, keeping the presence directory in step."""
-        old = super().fill(addr)
+        old = Cache.fill(self, addr)
         holders = self.holders
+        bit = self.bit
         line = addr - addr % self.line_bytes
-        holders[line] = holders.get(line, 0) | self.bit
+        holders[line] = holders.get(line, 0) | bit
         if old != -1:
-            self._forget(old)
+            mask = holders[old] & ~bit
+            if mask:
+                holders[old] = mask
+            else:
+                del holders[old]
         return old
 
     def fill_state(self, addr: int, state: LineState) -> Tuple[int, Optional[LineState]]:

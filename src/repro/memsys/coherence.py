@@ -136,14 +136,25 @@ class CoherenceController:
         return None
 
     def _drop_from_l1(self, cpu: int, l2_line: int, coherence: bool) -> None:
-        """Enforce inclusion: drop the L1 sublines of *l2_line*."""
+        """Enforce inclusion: drop the L1 sublines of the L2 line at
+        *l2_line*, telling the sink of each L1D line a coherence
+        invalidation drops."""
         port = self.ports[cpu]
-        size = self.machine.l2.line_bytes
-        dropped = port.l1d.invalidate_range(l2_line, size)
-        if coherence:
-            for sub in dropped:
-                port.sink.coherence_invalidate(sub)
-        port.l1i.invalidate_range(l2_line, size)
+        end = l2_line + self.machine.l2.line_bytes
+        sink = port.sink if coherence else None
+        for l1 in (port.l1d, port.l1i):
+            where = l1.where
+            step = l1.line_bytes
+            sub = l2_line - l2_line % step
+            while sub < end:
+                idx = where.pop(sub, None)
+                if idx is not None:
+                    l1._drop(idx)
+                    if sink is not None:
+                        sink.coherence_invalidate(sub)
+                sub += step
+            # Only a dropped L1D line is a later coherence miss.
+            sink = None
 
     def _invalidate_remotes(self, cpu: int, line: int) -> int:
         """Invalidate every other cache's copy of *line*; returns count."""
@@ -167,18 +178,21 @@ class CoherenceController:
         sublines are dropped for inclusion (a conflict, not a coherence,
         invalidation).
         """
-        port = self.ports[cpu]
-        evicted, evicted_state = port.l2.fill_state(line, state)
+        l2 = self.ports[cpu].l2
+        evicted = l2.fill(line)
+        idx = l2.where[line]
+        # fill() leaves the frame's state alone: it is still the victim's.
+        dirty = evicted != -1 and l2.states[idx] is MODIFIED
+        l2.states[idx] = state
         if evicted != -1:
-            self._drop_from_l1(cpu, evicted, coherence=False)
-            if evicted_state == MODIFIED:
+            self._drop_from_l1(cpu, evicted, False)
+            if dirty:
                 transfer = self.bus.params.line_transfer_cycles(
                     self.machine.l2.line_bytes)
                 self.bus.acquire(t, transfer, BUS_WRITEBACK)
                 self.writebacks += 1
         if self.probe is not None:
-            self.probe.l2_install(cpu, line, evicted,
-                                  evicted_state == MODIFIED)
+            self.probe.l2_install(cpu, line, evicted, dirty)
         if self.adaptive is not None:
             if evicted != -1:
                 self.adaptive.on_invalidate(cpu, evicted)
@@ -195,13 +209,14 @@ class CoherenceController:
         back and drop to SHARED); otherwise memory supplies it and the
         requester loads it EXCLUSIVE.
         """
-        line = self._l2_line(addr)
-        port = self.ports[cpu]
-        if port.l2.state_of(line) != INVALID:
+        line = addr - addr % self.machine.l2.line_bytes
+        if line in self.ports[cpu].l2.where:
             raise SimulationError(f"fetch_shared of resident line {line:#x}")
-        holders = self._holders(line, cpu)
+        # The directory mask of the other holders; most fills find none.
+        others = self.holders.get(line, 0) & ~(1 << cpu)
         probe = self.probe
-        if holders:
+        if others:
+            holders = holder_cpus(others)
             if probe is not None:
                 # Before the state transition: the checker reads the
                 # supplier's (possibly dirty) pre-transfer state.
@@ -220,7 +235,7 @@ class CoherenceController:
             state = EXCLUSIVE
         self._fill_l2(cpu, line, state, ready)
         if probe is not None:
-            probe.fill(cpu, line, t, ready, bool(holders), True)
+            probe.fill(cpu, line, t, ready, others != 0, True)
         return ready
 
     def _split_transfer(self, t: int, kind: int, wait_cycles: int) -> int:

@@ -133,11 +133,19 @@ class CpuMemorySystem:
     # Cached access paths (Base machine)
     # ------------------------------------------------------------------
     def read(self, addr: int, t: int) -> AccessResult:
-        """Demand data read at time *t*."""
-        line = self.l1d.line_addr(addr)
-        if self.l1d.present(addr):
-            if self._touch_l1d is not None:
-                self._touch_l1d(addr)
+        """Demand data read at time *t*.
+
+        A miss is resolved here, without helper hops: an L2 hit is one
+        probe of the L2's frame index (a resident L2 frame is never
+        INVALID), and the L1D fill is one :meth:`Cache.fill`.
+        """
+        l1d = self.l1d
+        line = addr - addr % l1d.line_bytes
+        idx = l1d.where.get(line)
+        if idx is not None:
+            # A resident frame of a 1-way cache always holds rank 0.
+            if l1d.ranks[idx]:
+                l1d.promote(idx)
             remaining = self.pending.consume(line, t)
             if remaining:
                 # Prefetch in flight: partially hidden; the paper still
@@ -148,8 +156,22 @@ class CpuMemorySystem:
                 res = AccessResult(t + self.machine.l1_hit_cycles)
         else:
             flags = self.sink.consume_miss_flags(line)
-            ready, level = self._fetch_for_read(addr, t)
-            self._l1_fill(addr)
+            l2 = self.l2
+            idx = l2.where.get(addr - addr % l2.line_bytes)
+            if idx is not None:
+                # A resident frame of a 1-way L2 always holds rank 0.
+                if l2.ranks[idx]:
+                    l2.promote(idx)
+                ready = t + self.machine.l2_hit_cycles
+                level = LEVEL_L2
+            else:
+                ready = self.controller.fetch_shared(self.cpu_id, addr, t,
+                                                     BUS_READ_MEM)
+                level = LEVEL_MEM
+            evicted = l1d.fill(line)
+            if evicted != -1:
+                self.pending.ready.pop(evicted, None)
+            self.sink.l1_fill(line, evicted, self.in_blockop)
             res = AccessResult(ready,
                                stall=ready - t - self.machine.l1_hit_cycles,
                                miss=True, level=level, flags=flags)

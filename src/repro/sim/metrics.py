@@ -259,10 +259,20 @@ class SystemMetrics:
     def record_read(self, mode: int, addr: int, pc: int, dclass: int,
                     blockop: int, res: AccessResult,
                     in_blockop: bool) -> None:
-        """Count one processor read of *addr* in *mode* from basic block
-        *pc*, and classify it when *res* is a miss.  *dclass* is read
-        only for a miss, so a caller may pass anything for a hit."""
+        """Count one read of a lock or barrier word and classify it as
+        :meth:`classify_read` does (the processor counts the READ
+        records of its stream once, when it finishes)."""
         self.reads[mode] += 1
+        self.classify_read(mode, addr, pc, dclass, blockop, res,
+                           in_blockop)
+
+    def classify_read(self, mode: int, addr: int, pc: int, dclass: int,
+                      blockop: int, res: AccessResult,
+                      in_blockop: bool) -> None:
+        """Charge the block-op stall of a read of *addr* in *mode* from
+        basic block *pc*, and classify it when *res* is a miss.  *dclass*
+        is read only for a miss, so a caller may pass anything for a
+        hit."""
         if blockop:
             self.blk_read_stall += res.stall + res.pref_stall
         if not res.miss:
@@ -299,7 +309,9 @@ class SystemMetrics:
             self.os_hotspot_misses += 1
 
     def record_write(self, mode: int, blockop: int, stall: int) -> None:
-        """Count one processor write in *mode* that waited *stall* cycles."""
+        """Count one write of a lock or barrier word in *mode* that
+        waited *stall* cycles (the processor counts the WRITE records of
+        its stream once, when it finishes)."""
         self.writes[mode] += 1
         if blockop:
             self.blk_write_stall += stall

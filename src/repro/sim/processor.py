@@ -1,10 +1,31 @@
 """The in-order trace-driven processor model.
 
 Each processor consumes its CPU's trace stream record by record.  For every
-record it charges instruction execution and instruction-fetch stall, then
-performs the data access along the path selected by the system
-configuration — cached, prefetched, bypassed, or DMA for block operations —
-and reports times and misses to the metrics layer.
+record it charges instruction-fetch stall, then performs the data access
+along the path selected by the system configuration — cached, prefetched,
+bypassed, or DMA for block operations — and reports times and misses to
+the metrics layer.
+
+What the trace alone fixes is counted once per stream, not per record.
+:class:`Processor` tallies three things over its stream's columns with
+numpy when it is built (:func:`_tally`):
+
+* the per-mode execution cycles: each record's ``icount`` plus 1 per
+  READ, WRITE and LOCK_REL and 2 per LOCK_ACQ and BARRIER;
+* the per-mode READ and WRITE record counts;
+* the execution part of ``blk_instr_exec``: the same cycles of every
+  record from a BLOCK_START through its BLOCK_END, barriers excluded.
+
+It adds them to :class:`~repro.sim.metrics.SystemMetrics` once, when it
+reaches DONE (:meth:`Processor._fold`).  Under Blk_Dma the engine
+swallows a block operation's word records and its BLOCK_END, and
+:meth:`Processor._swallow` takes their share back out, so they charge
+no execution.  Per record, :meth:`Processor.step` charges only what
+timing decides: the I-stall (at the fetch), the D-read, Pref and
+D-write stalls, the lookahead and prolog prefetch instructions of
+Blk_Pref and Blk_ByPref, synchronization waits, and the lock and
+barrier word accesses (:meth:`SystemMetrics.record_read
+<repro.sim.metrics.SystemMetrics.record_read>` and ``record_write``).
 
 Synchronization records interact with the shared lock table and barrier
 manager; a processor that cannot make progress returns a blocked status and
@@ -52,12 +73,12 @@ it runs once per trace record across every experiment cell.  It therefore:
   so the probe sees every read;
 * takes writes from :meth:`CpuMemorySystem.write` as a plain
   ``(done, stall)`` pair, the only part of a write the accounting reads;
-* indexes the per-mode lists of :class:`~repro.sim.metrics.SystemMetrics`
-  (``time``, ``reads``, ``writes``) with the raw mode int from the
-  column, accumulating time components directly into the plain int
-  fields of the mode's :class:`~repro.sim.metrics.TimeBreakdown`, on
-  the slow paths too: no enum member is built, hashed or looked up per
-  record, and no keyword call charges time;
+* indexes the per-mode ``time`` list of
+  :class:`~repro.sim.metrics.SystemMetrics` with the raw mode int from
+  the column, accumulating stalls directly into the plain int fields of
+  the mode's :class:`~repro.sim.metrics.TimeBreakdown`, on the slow
+  paths too: no enum member is built, hashed or looked up per record,
+  and no keyword call charges time;
 * loads enum members only through module globals (``_RUNNING``,
   ``_READ``, and ``EXCLUSIVE`` from :mod:`repro.memsys.states`): on Python 3.11 every ``ProcStatus.RUNNING``-style
   class-attribute load goes through ``EnumType.__getattr__``'s slow
@@ -72,6 +93,8 @@ from __future__ import annotations
 
 import enum
 from typing import List, Optional, Tuple
+
+import numpy as np
 
 from repro.common.errors import SimulationError
 from repro.common.types import (DCLASS_BY_VALUE, MODE_BY_VALUE, Op,
@@ -99,6 +122,13 @@ _LOCK_REL = int(Op.LOCK_REL)
 _BARRIER = int(Op.BARRIER)
 _BLOCK_START = int(Op.BLOCK_START)
 _BLOCK_END = int(Op.BLOCK_END)
+
+#: Execution cycles each opcode adds to its record's ``icount``: the
+#: data access of a READ, WRITE or LOCK_REL, the read-modify-write of a
+#: LOCK_ACQ or BARRIER arrival.
+_OP_EXEC = np.zeros(max(Op) + 1, dtype=np.int8)
+_OP_EXEC[[_READ, _WRITE, _LOCK_REL]] = 1
+_OP_EXEC[[_LOCK_ACQ, _BARRIER]] = 2
 
 # Enum members bound once: a class-attribute load off an enum is slow.
 _PREF_SCHEME = Scheme.PREF
@@ -137,6 +167,50 @@ class StepResult:
         self.mode = mode
 
 
+def _tally(ops: np.ndarray, modes: np.ndarray, icounts: np.ndarray,
+           in_block, num_modes: int
+           ) -> Tuple[List[int], List[int], List[int], int]:
+    """What the records of the given columns charge whatever the timing:
+    per-mode execution cycles, per-mode READ and WRITE counts, and the
+    execution cycles of the records the mask *in_block* marks (True:
+    all), barriers excluded (their ``blk_instr_exec`` share).
+
+    Every temporary is a byte per record: the sums read the columns
+    through masks instead of copying them.
+    """
+    op_exec = _OP_EXEC[ops]
+
+    def cycles(mask) -> int:
+        return (int(icounts.sum(where=mask))
+                + int(op_exec.sum(where=mask, dtype=np.int64)))
+
+    is_read = ops == _READ
+    is_write = ops == _WRITE
+    exec_cycles, reads, writes = [], [], []
+    for m in range(num_modes):
+        mask = modes == m
+        exec_cycles.append(cycles(mask))
+        reads.append(int(np.count_nonzero(mask & is_read)))
+        writes.append(int(np.count_nonzero(mask & is_write)))
+    return exec_cycles, reads, writes, cycles(in_block & (ops != _BARRIER))
+
+
+def _block_context(ops: np.ndarray) -> np.ndarray:
+    """Mask of the records a processor runs inside a block operation:
+    every BLOCK_START and BLOCK_END, and the records after a BLOCK_START
+    up to the next marker (or the end of the stream)."""
+    starts = ops == _BLOCK_START
+    markers = starts | (ops == _BLOCK_END)
+    marks = np.flatnonzero(markers)
+    opened = starts[marks]
+    # Each interval (start, next marker] adds 1 from its first record
+    # on and takes it back after its last; the intervals are disjoint.
+    edges = np.zeros(len(ops) + 1, dtype=np.int8)
+    edges[marks[opened] + 1] += 1
+    edges[np.append(marks[1:], len(ops) - 1)[opened] + 1] -= 1
+    return (np.cumsum(edges[:-1], dtype=np.int8) > 0) | markers
+
+
 #: Shared results for the two allocation-heavy outcomes.  ``step`` returns
 #: these for plain running/done steps; callers only read the fields.
 _RESULT_RUNNING = StepResult(_RUNNING)
@@ -155,6 +229,7 @@ class Processor:
                  "_l1i_line_bytes", "_l1i_ranks", "_promote_l1i",
                  "_imemo_bytes", "_ifirst", "_iend", "_iremovals",
                  "_pending_ready", "_time", "_reads", "_writes",
+                 "_exec_due", "_reads_due", "_writes_due", "_blk_due",
                  "_blk_read_plain", "_blk_read_bypass", "_blk_write_plain",
                  "_blk_dma", "_blk_bypref", "_pref_lead_lines",
                  "_block_prefetch")
@@ -163,9 +238,16 @@ class Processor:
                  metrics: SystemMetrics, config: SystemConfig,
                  locks: LockTable, barriers: BarrierManager) -> None:
         self.cpu_id = cpu_id
-        self._columns = trace.columns[cpu_id]
+        self._columns = cols = trace.columns[cpu_id]
+        # What the stream charges whatever the timing, folded into the
+        # metrics when this CPU reaches DONE.  Tallied before the lists
+        # are taken, so their first conversion can reuse the memory the
+        # tally's temporaries freed instead of raising the peak.
+        (self._exec_due, self._reads_due, self._writes_due,
+         self._blk_due) = _tally(cols.ops, cols.modes, cols.icounts,
+                                 _block_context(cols.ops), len(metrics.reads))
         (self._ops, self._addrs, self._modes, self._pcs, self._icounts,
-         self._blockops) = self._columns.sim_lists()
+         self._blockops) = cols.sim_lists()
         #: Records in this CPU's stream.
         self.num_records: int = len(self._ops)
         self.blockops = trace.blockops
@@ -268,7 +350,7 @@ class Processor:
             raise SimulationError(f"step on {self.status} cpu {self.cpu_id}")
         pos = self.pos
         if pos >= self.num_records:
-            self.status = _DONE
+            self._fold()
             return _RESULT_DONE
         op = self._ops[pos]
 
@@ -286,14 +368,15 @@ class Processor:
         icount = self._icounts[pos]
         t = self.time
 
-        # Instruction fetch and execution for this basic block.  A fetch
-        # whose every L1I line is resident stalls 0 and is resolved
-        # inline, promoting its lines in order as ``ifetch`` would; any
-        # other fetch goes through the hierarchy with no line touched.
+        # Instruction fetch for this basic block (its execution cycles
+        # are counted per stream).  A fetch whose every L1I line is
+        # resident stalls 0 and is resolved inline, promoting its lines
+        # in order as ``ifetch`` would; any other fetch goes through the
+        # hierarchy with no line touched, and its stall is charged here.
         # A fetch inside the span the last resident walk found, with no
         # L1I line removed and no ``ifetch`` since, is resident without a
         # walk, and each of its lines is already its set's MRU line.
-        istall = 0
+        blk = self._blk_desc
         if icount:
             pc = self._pcs[pos]
             end = pc + 4 * icount
@@ -310,6 +393,16 @@ class Processor:
                     # A fill into an empty way removes nothing but
                     # demotes the remembered line of its set.
                     self._iend = 0
+                    if istall:
+                        self._time[mode].imiss += istall
+                        # ``blk`` is the pre-step state: a BLOCK_START
+                        # enters (and a BLOCK_END leaves) block context
+                        # during this very record.  A barrier's stall
+                        # is not block-op time.
+                        if ((blk is not None or op == _BLOCK_START
+                             or op == _BLOCK_END) and op != _BARRIER):
+                            self.metrics.blk_instr_exec += istall
+                        t += istall
                 else:
                     if self._promote_l1i is not None:
                         promote = self._promote_l1i
@@ -326,10 +419,8 @@ class Processor:
                     self._ifirst = first
                     self._iend = iline
                     self._iremovals = self._l1i.removals
-        exec_cycles = icount
-        t += icount + istall
+            t += icount
 
-        blk = self._blk_desc
         if op == _READ:
             addr = self._addrs[pos]
             line_bytes = self._l1_line_bytes
@@ -339,24 +430,19 @@ class Processor:
                     and line in self._l1_where
                     and line not in self._pending_ready
                     and self.probe is None):
-                # Clean L1D hit: one read for this mode, zero stall, one
-                # cycle (MachineParams pins l1_hit_cycles to 1).
-                self._reads[mode] += 1
+                # Clean L1D hit: zero stall, one cycle (MachineParams
+                # pins l1_hit_cycles to 1).
                 if self._promote_l1d is not None:
                     idx = self._l1_where[line]
                     if self._l1d_ranks[idx]:
                         self._promote_l1d(idx)
-                exec_cycles += 1
                 t += 1
             else:
-                t, extra_exec = self._do_read(pos, addr, mode, t)
-                exec_cycles += extra_exec
+                t = self._do_read(pos, addr, mode, t)
         elif op == _WRITE:
-            exec_cycles += 1
             blockop = self._blockops[pos]
             if blk is None or not blockop or self._blk_write_plain:
                 done, stall = self.mem.write(self._addrs[pos], t)
-                self._writes[mode] += 1
                 if blockop:
                     self.metrics.blk_write_stall += stall
                 if stall:
@@ -369,68 +455,70 @@ class Processor:
             self.metrics.record_prefetch_issued()
         elif op == _LOCK_ACQ:
             t = self._do_lock_acquire(pos, mode, t)
-            exec_cycles += 2
         elif op == _LOCK_REL:
             t = self._do_lock_release(pos, mode, t)
-            exec_cycles += 1
         elif op == _BLOCK_START:
             t = self._do_block_start(pos, mode, t)
         elif op == _BLOCK_END:
             t = self._do_block_end(mode, t)
         elif op == _BARRIER:
-            return self._do_barrier(pos, mode, t, exec_cycles, istall)
+            return self._do_barrier(pos, mode, t)
         else:  # pragma: no cover - enum is exhaustive
             raise SimulationError(f"unhandled op {op}")
 
-        breakdown = self._time[mode]
-        breakdown.exec_cycles += exec_cycles
-        if istall:
-            breakdown.imiss += istall
-        # ``blk`` is the pre-step state: a BLOCK_START enters (and a
-        # BLOCK_END leaves) block context during this very record, which
-        # the opcode checks cover — matching the post-step condition the
-        # accounting was defined with.
-        if blk is not None or op == _BLOCK_START or op == _BLOCK_END:
-            self.metrics.blk_instr_exec += exec_cycles + istall
         self.time = t
         if self.pos >= self.num_records:
-            self.status = _DONE
+            self._fold()
             return _RESULT_DONE
         return _RESULT_RUNNING
+
+    def _fold(self) -> None:
+        """Enter DONE and add what the stream charges whatever the
+        timing (see the module docstring) to the metrics, once."""
+        self.status = _DONE
+        time, reads, writes = self._time, self._reads, self._writes
+        for mode, cycles in enumerate(self._exec_due):
+            time[mode].exec_cycles += cycles
+            reads[mode] += self._reads_due[mode]
+            writes[mode] += self._writes_due[mode]
+        self.metrics.blk_instr_exec += self._blk_due
+        self._exec_due = self._reads_due = self._writes_due = ()
+        self._blk_due = 0
 
     # ------------------------------------------------------------------
     # Data accesses
     # ------------------------------------------------------------------
-    def _do_read(self, pos: int, addr: int, mode: int,
-                 t: int) -> Tuple[int, int]:
-        """Perform a data read; returns (completion, extra exec cycles)."""
+    def _do_read(self, pos: int, addr: int, mode: int, t: int) -> int:
+        """Perform a data read (counted per stream); returns its
+        completion."""
         mem = self.mem
-        extra_exec = 1
+        breakdown = self._time[mode]
         in_blockop = self._blk_desc is not None
         blockop = self._blockops[pos]
         if blockop and in_blockop:
-            if not self._blk_read_plain:
-                extra_exec += self._lookahead_prefetch(addr, t)
+            if not self._blk_read_plain and self._lookahead_prefetch(addr, t):
+                # The prefetch instruction executes inside the block op.
+                breakdown.exec_cycles += 1
+                self.metrics.blk_instr_exec += 1
             if self._blk_read_bypass:
                 res = mem.read_bypass(addr, t)
             else:
                 res = mem.read(addr, t)
         else:
             res = mem.read(addr, t)
-        self.metrics.record_read(
+        self.metrics.classify_read(
             mode, addr, self._pcs[pos],
             self._columns.dclasses.item(pos) if res.miss else 0, blockop,
             res, in_blockop)
-        breakdown = self._time[mode]
         breakdown.dread += res.stall
         breakdown.pref += res.pref_stall
-        return res.done, extra_exec
+        return res.done
 
     def _do_write(self, addr: int, mode: int, t: int) -> int:
         """Blk_Bypass destination write (``step`` takes every other write),
-        always a block-op word."""
+        always a block-op word, counted per stream."""
         res = self.mem.write_bypass(addr, t)
-        self.metrics.record_write(mode, 1, res.stall)
+        self.metrics.blk_write_stall += res.stall
         self._time[mode].dwrite += res.stall
         return res.done
 
@@ -467,7 +555,7 @@ class Processor:
         assert desc is not None
         if not desc.is_copy or not desc.contains_src(addr):
             return 0
-        line_bytes = self.mem.machine.l1d.line_bytes
+        line_bytes = self._l1_line_bytes
         line = addr - (addr % line_bytes)
         if line == self._blk_last_src_line:
             return 0
@@ -502,7 +590,7 @@ class Processor:
         self.tracker.in_blockop = True
         if not self._blk_read_plain and desc.is_copy:
             # Prolog: prefetch the first `lead` source lines back-to-back.
-            line_bytes = self.mem.machine.l1d.line_bytes
+            line_bytes = self._l1_line_bytes
             breakdown = self._time[mode]
             for i in range(self._pref_lead_lines):
                 addr = desc.src + i * line_bytes
@@ -525,13 +613,29 @@ class Processor:
         self.metrics.record_block_exec(stall)
         # Skip the word-level records and the BLOCK_END; the engine
         # replaced them.
+        start = self.pos
         try:
-            self.pos = self._ops.index(_BLOCK_END, self.pos) + 1
+            self.pos = self._ops.index(_BLOCK_END, start) + 1
         except ValueError:
             raise SimulationError(
                 f"cpu {self.cpu_id}: block op {desc.op_id} missing "
                 f"BLOCK_END") from None
+        self._swallow(start, self.pos)
         return result.done
+
+    def _swallow(self, start: int, stop: int) -> None:
+        """Take the records ``[start, stop)``, which the DMA engine ran
+        instead, out of the stream's tallies: they charge nothing."""
+        cols = self._columns
+        ops = cols.ops[start:stop]
+        exec_cycles, reads, writes, blk = _tally(
+            ops, cols.modes[start:stop], cols.icounts[start:stop], True,
+            len(self._reads))
+        for mode, cycles in enumerate(exec_cycles):
+            self._exec_due[mode] -= cycles
+            self._reads_due[mode] -= reads[mode]
+            self._writes_due[mode] -= writes[mode]
+        self._blk_due -= blk
 
     def _do_block_end(self, mode: int, t: int) -> int:
         stall = self.mem.end_block_op(t)
@@ -548,8 +652,8 @@ class Processor:
     def _measure_block_start(self, desc: BlockOpDescriptor) -> None:
         """Table 3 instrumentation: line residency right before the op."""
         mem = self.mem
-        l1_bytes = mem.machine.l1d.line_bytes
-        l2_bytes = mem.machine.l2.line_bytes
+        l1_bytes = self._l1_line_bytes
+        l2_bytes = mem.l2.line_bytes
         src_cached = src_total = 0
         if desc.is_copy:
             resident = mem.l1d.where
@@ -602,8 +706,7 @@ class Processor:
         self.locks.release(self._addrs[pos], self.cpu_id, done)
         return done
 
-    def _do_barrier(self, pos: int, mode: int, t: int, exec_cycles: int,
-                    istall: int) -> StepResult:
+    def _do_barrier(self, pos: int, mode: int, t: int) -> StepResult:
         breakdown = self._time[mode]
         drained = self.mem.drain_writes(t)
         if drained > t:
@@ -612,8 +715,6 @@ class Processor:
         # Arrival: read-modify-write of the barrier word.
         t = self._sync_read(pos, t, False)
         t = self._sync_write(pos, mode, t)
-        breakdown.exec_cycles += exec_cycles + 2
-        breakdown.imiss += istall
         self.time = t
         outcome = self.barriers.arrive(self._addrs[pos],
                                        self._columns.args.item(pos),
@@ -626,6 +727,6 @@ class Processor:
         breakdown.sync += max(0, release - t)
         self.time = max(t, release)
         if self.pos >= self.num_records:
-            self.status = _DONE
+            self._fold()
             return StepResult(_DONE, barrier_release=outcome)
         return StepResult(_RUNNING, barrier_release=outcome)

@@ -35,7 +35,7 @@ from repro.memsys.prefetch import PendingFills
 from repro.memsys.states import LineState
 from repro.memsys.writebuffer import TimedWriteBuffer
 from repro.sim.metrics import MissTracker, SystemMetrics
-from repro.sim.processor import Processor, ProcStatus
+from repro.sim.processor import Processor, ProcStatus, _tally
 from repro.sim.system import MultiprocessorSystem
 
 ENUMS = frozenset(cls.__name__ for cls in (
@@ -46,9 +46,14 @@ HOT_FUNCTIONS = [
     Processor.step,
     Processor._do_read,
     Processor._do_write,
+    Processor._fold,
     Processor._lookahead_prefetch,
+    Processor._do_block_start,
     Processor._do_block_dma,
+    Processor._swallow,
+    _tally,
     Processor._measure_block_start,
+    Processor._do_barrier,
     run_dma,
     CpuMemorySystem.read,
     CpuMemorySystem.write,
@@ -74,6 +79,7 @@ HOT_FUNCTIONS = [
     CoherenceController._split_transfer,
     CoherenceController._fill_l2,
     CoherenceController._invalidate_remotes,
+    CoherenceController._drop_from_l1,
     CoherenceController._dirty_holder,
     CoherenceController.dma_snoop_src,
     CoherenceController.dma_update_dst,
@@ -81,6 +87,7 @@ HOT_FUNCTIONS = [
     BaseAdaptivePolicy.on_invalidate,
     StaticHybridPolicy.decide,
     SystemMetrics.record_read,
+    SystemMetrics.classify_read,
     SystemMetrics.record_write,
     MissTracker.consume_miss_flags,
     MissTracker.l1_fill,

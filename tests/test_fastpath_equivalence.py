@@ -206,11 +206,23 @@ class TestL1FastPathEquivalence:
         The twin rig's processor gets an empty L1I index, so its inline
         probe never succeeds and every fetch goes through ``ifetch``.
         Fetches span 1-4 lines from a pool whose aliases, 16 KB apart,
-        share a set on every machine point and evict each other.
+        share a set on every machine point and evict each other.  The
+        L1I ranks are compared after every step.
+
+        The trace opens on a cold cache: a span is fetched and then found
+        resident (remembered), an alias of its set misses into an empty
+        way, and the span is fetched again.  On a set-associative L1I the
+        miss removed no line but demoted the remembered one, so the
+        refetch must walk and promote it; a memo that outlived the miss
+        would leave the ranks behind the hierarchy's.
         """
         line_bytes = machine.l1i.line_bytes
         rng = random.Random(23)
         builder = TraceBuilder(1)
+        home = 0x1000
+        for alias in range(1, 5):
+            for pc in (home, home, home + 0x4000 * alias, home):
+                builder.emit(0, record.read(0x80000, pc=pc, icount=1))
         for _ in range(600):
             span = rng.randint(1, 4)
             pc = (0x1000 + line_bytes * rng.randrange(24)
@@ -244,6 +256,7 @@ class TestL1FastPathEquivalence:
             assert (fast.metrics.time[rec.mode].imiss - before[0]
                     == slow.metrics.time[rec.mode].imiss - before[1]), pos
             assert fast.time == slow.time, pos
+            assert fast_l1i.ranks == slow.mem.l1i.ranks, pos
         assert spanning_inline > 40 and partial > 40
         for cache in ("l1i", "l2"):
             a, b = getattr(fast.mem, cache), getattr(slow.mem, cache)
