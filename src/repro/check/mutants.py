@@ -20,6 +20,7 @@ from typing import Callable, Dict, Iterator, Tuple
 
 from repro.common.errors import SimulationError
 from repro.memsys.bus import BusOp
+from repro.memsys.cache import holder_cpus
 from repro.memsys.coherence import CoherenceController
 from repro.memsys.hierarchy import CpuMemorySystem
 from repro.memsys.states import LineState
@@ -51,7 +52,7 @@ def skip_invalidation() -> Iterator[None]:
             return self.broadcast_update(cpu, addr, t)
         grant = self.bus.acquire(t, self.bus.params.invalidate_cycles,
                                  BusOp.INVALIDATE)
-        # BUG: self._invalidate_remotes(cpu, line) is never called.
+        # BUG: self._invalidate_remotes(cpu, line, ...) is never called.
         port.l2.set_state(line, LineState.MODIFIED)
         done = grant + self.bus.params.invalidate_cycles
         if self.probe is not None:
@@ -77,19 +78,20 @@ def stale_cache_supply() -> Iterator[None]:
     orig = CoherenceController.fetch_shared
 
     def fetch_shared(self, cpu, addr, t, kind=BusOp.READ_MEM):
-        line = self._l2_line(addr)
-        port = self.ports[cpu]
-        if port.l2.state_of(line) != LineState.INVALID:
+        line = addr - addr % self.machine.l2.line_bytes
+        if line in self.ports[cpu].l2.where:
             raise SimulationError(f"fetch_shared of resident line {line:#x}")
-        holders = self._holders(line, cpu)
+        others = self.holders.get(line, 0) & ~(1 << cpu)
         probe = self.probe
-        if holders:
+        if others:
+            holders = holder_cpus(others)
             # BUG: data comes from memory, ignoring the (possibly dirty)
             # cached copies; states still transition as if supplied.
             if probe is not None:
                 probe.fill_from_memory(cpu, line)
-            ready = self._split_transfer(t, BusOp.READ_CACHE,
-                                         self.bus.params.cache_supply_cycles)
+            ready = self.bus.split_transaction(
+                t, BusOp.READ_CACHE, self.bus.params.cache_supply_cycles,
+                self.line_transfer)
             for i in holders:
                 self.ports[i].l2.set_state(line, LineState.SHARED)
             self.cache_to_cache += 1
@@ -97,12 +99,13 @@ def stale_cache_supply() -> Iterator[None]:
         else:
             if probe is not None:
                 probe.fill_from_memory(cpu, line)
-            ready = self._split_transfer(t, kind,
-                                         self.bus.params.memory_access_cycles)
+            ready = self.bus.split_transaction(
+                t, kind, self.bus.params.memory_access_cycles,
+                self.line_transfer)
             state = LineState.EXCLUSIVE
         self._fill_l2(cpu, line, state, ready)
         if probe is not None:
-            probe.fill(cpu, line, t, ready, bool(holders), True)
+            probe.fill(cpu, line, t, ready, others != 0, True)
         return ready
 
     CoherenceController.fetch_shared = fetch_shared
@@ -118,7 +121,9 @@ def lost_dirty_bit() -> Iterator[None]:
 
     The line stays EXCLUSIVE, so its eviction (or final state) silently
     drops the write.  Expected catch: ``clean-copy-diverged`` or
-    ``lost-write`` in the final diff.
+    ``lost-write`` in the final diff.  ``Processor.step`` resolves clean
+    writes itself only while no probe is attached, so under the checker
+    every write reaches the patched method.
     """
     orig = CpuMemorySystem.write
 

@@ -13,8 +13,8 @@ bypass flushes, DMA transfers) into this model.
 
 Why the model is exact rather than approximate: every memory-state
 mutation in the simulator happens *synchronously* inside the trace record
-that causes it (write-buffer entries are timestamps; their service
-callbacks run at enqueue time).  Record commit order therefore doubles as
+that causes it (write-buffer entries are timestamps; each entry's
+service runs when the entry is admitted).  Record commit order therefore doubles as
 a per-location sequentially-consistent order, so after any read the
 reader's copy must hold the globally latest token for that word — on any
 trace, racy or not.  A divergence is a protocol bug, never a scheduling

@@ -75,26 +75,54 @@ class Bus:
         #: Attached observer (:class:`~repro.memsys.sink.Probe`), or None.
         self.probe = None
 
-    def acquire(self, t: int, duration: int, kind: int,
-                record_txn: bool = True) -> int:
+    def acquire(self, t: int, duration: int, kind: int) -> int:
         """Reserve the bus for *duration* cycles starting no earlier than *t*.
 
-        *kind* is a :class:`BusOp` value.  Returns the grant time.  The caller's transaction completes at
-        ``grant + duration``.  Split transactions reserve the bus twice
-        (request phase, data phase); the second reservation passes
-        ``record_txn=False`` so the transaction is counted once while its
-        occupancy is still charged.
+        *kind* is a :class:`BusOp` value.  Returns the grant time; the
+        caller's transaction completes at ``grant + duration``.  The
+        transaction is counted once.
         """
         grant = t if t >= self.next_free else self.next_free
         self.next_free = grant + duration
         self.busy_cycles += duration
         self.wait_cycles += grant - t
-        if record_txn:
-            self.transactions[kind] += 1
+        self.transactions[kind] += 1
         self.cycles_by_kind[kind] += duration
         if self.probe is not None:
             self.probe.bus_grant(kind, t, grant, duration)
         return grant
+
+    def split_transaction(self, t: int, kind: int, wait: int,
+                          data: int) -> int:
+        """Reserve both phases of one split transaction asked for at *t*;
+        returns when its data phase ends.
+
+        The request phase holds the bus for ``request_cycles`` from the
+        grant; the data phase holds it for *data* cycles from *wait*
+        (>= 0) cycles after the request phase ends, while memory or the
+        supplying cache works.  The transaction is counted once, the
+        occupancy of both phases is charged, and an attached probe sees
+        one ``bus_grant`` per phase.
+
+        The wait is not given to other requests: :attr:`next_free` is
+        one cursor, and the data phase moves it past the wait, so a
+        request that arrives meanwhile is granted only after the data
+        phase ends.  A bus model that releases the bus between the
+        phases replaces this method.
+        """
+        request = self.params.request_cycles
+        grant = t if t >= self.next_free else self.next_free
+        data_at = grant + request + wait
+        end = data_at + data
+        self.next_free = end
+        self.busy_cycles += request + data
+        self.wait_cycles += grant - t
+        self.transactions[kind] += 1
+        self.cycles_by_kind[kind] += request + data
+        if self.probe is not None:
+            self.probe.bus_grant(kind, t, grant, request)
+            self.probe.bus_grant(kind, data_at, data_at, data)
+        return end
 
     def utilization(self, total_cycles: int) -> float:
         """Fraction of *total_cycles* the bus was held."""
@@ -105,9 +133,8 @@ class Bus:
     def traffic_summary(self) -> Dict[str, int]:
         """Held cycles per kind that ran a transaction, keyed by kind name.
 
-        A kind's uncounted data phases always follow its counted request
-        phase, so this is every kind that held the bus, for zero cycles
-        too.
+        Every hold of the bus belongs to a counted transaction, so this
+        is every kind that held the bus, for zero cycles too.
         """
         return {BUS_OP_NAMES[kind]: cycles
                 for kind, cycles in enumerate(self.cycles_by_kind)

@@ -13,7 +13,7 @@ read instead of probing every CPU.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
 from repro.common.params import CacheParams
 from repro.memsys.states import INVALID, LineState
@@ -158,15 +158,6 @@ class Cache:
         self._drop(idx)
         return True
 
-    def invalidate_range(self, base: int, size: int) -> List[int]:
-        """Drop every cached line overlapping ``[base, base+size)``.
-
-        Returns the line addresses actually dropped.
-        """
-        first = self.line_addr(base)
-        return [line for line in range(first, base + size, self.line_bytes)
-                if self.invalidate(line)]
-
     def resident_lines(self) -> List[int]:
         """All line addresses currently cached, in frame order."""
         return [t for t in self.tags if t != -1]
@@ -225,21 +216,6 @@ class CoherentCache(Cache):
             else:
                 del holders[old]
         return old
-
-    def fill_state(self, addr: int, state: LineState) -> Tuple[int, Optional[LineState]]:
-        """Install the line containing *addr* in *state*.
-
-        Returns ``(evicted_line_addr, evicted_state)`` —
-        ``(-1, None)`` when nothing was displaced.  A resident line only
-        changes state (and is promoted).
-        """
-        line = addr - addr % self.line_bytes
-        old = self.fill(line)
-        idx = self.where[line]
-        # fill() leaves the frame's state alone: it is still the victim's.
-        evicted = (-1, None) if old == -1 else (old, self.states[idx])
-        self.states[idx] = state
-        return evicted
 
     def _forget(self, line: int) -> None:
         """Clear this cache's bit in *line*'s directory entry."""

@@ -65,13 +65,18 @@ class _CpuPort:
 class CoherenceController:
     """Global snooping state machine over all L2 caches."""
 
-    __slots__ = ("machine", "bus", "ports", "holders", "probe", "adaptive",
-                 "update_everywhere", "invalidations_sent", "updates_sent",
-                 "cache_to_cache", "writebacks")
+    __slots__ = ("machine", "bus", "line_transfer", "ports", "holders",
+                 "probe", "adaptive", "update_everywhere",
+                 "invalidations_sent", "updates_sent", "cache_to_cache",
+                 "writebacks")
 
     def __init__(self, machine: MachineParams, bus: Bus) -> None:
         self.machine = machine
         self.bus = bus
+        #: Bus cycles one L2 line takes to move (a data phase, a
+        #: write-back).
+        self.line_transfer = bus.params.line_transfer_cycles(
+            machine.l2.line_bytes)
         self.ports: List[_CpuPort] = []
         #: Presence directory shared by every attached L2: line ->
         #: bitmask of the CPUs holding it (bit ``1 << cpu``).  The L2s
@@ -128,10 +133,11 @@ class CoherenceController:
         ascending."""
         return holder_cpus(self.holders.get(line, 0) & ~(1 << except_cpu))
 
-    def _dirty_holder(self, line: int, except_cpu: int) -> Optional[int]:
+    def _dirty_holder(self, line: int, cpus: List[int]) -> Optional[int]:
+        """The CPU among *cpus* whose L2 holds *line* MODIFIED, or None."""
         ports = self.ports
-        for i in self._holders(line, except_cpu):
-            if ports[i].l2.state_of(line) == MODIFIED:
+        for i in cpus:
+            if ports[i].l2.state_of(line) is MODIFIED:
                 return i
         return None
 
@@ -156,9 +162,10 @@ class CoherenceController:
             # Only a dropped L1D line is a later coherence miss.
             sink = None
 
-    def _invalidate_remotes(self, cpu: int, line: int) -> int:
-        """Invalidate every other cache's copy of *line*; returns count."""
-        victims = self._holders(line, cpu)
+    def _invalidate_remotes(self, cpu: int, line: int,
+                            victims: List[int]) -> None:
+        """Invalidate *line* in the caches of *victims*, the CPUs other
+        than *cpu* that hold it (:meth:`_holders`), for *cpu*'s write."""
         adaptive = self.adaptive
         for i in victims:
             self.ports[i].l2.set_state(line, INVALID)
@@ -168,7 +175,6 @@ class CoherenceController:
         self.invalidations_sent += len(victims)
         if victims and self.probe is not None:
             self.probe.invalidate(cpu, line, victims)
-        return len(victims)
 
     def _fill_l2(self, cpu: int, line: int, state: LineState, t: int) -> None:
         """Install *line* in *cpu*'s L2, handling eviction side effects.
@@ -187,9 +193,7 @@ class CoherenceController:
         if evicted != -1:
             self._drop_from_l1(cpu, evicted, False)
             if dirty:
-                transfer = self.bus.params.line_transfer_cycles(
-                    self.machine.l2.line_bytes)
-                self.bus.acquire(t, transfer, BUS_WRITEBACK)
+                self.bus.acquire(t, self.line_transfer, BUS_WRITEBACK)
                 self.writebacks += 1
         if self.probe is not None:
             self.probe.l2_install(cpu, line, evicted, dirty)
@@ -221,8 +225,9 @@ class CoherenceController:
                 # Before the state transition: the checker reads the
                 # supplier's (possibly dirty) pre-transfer state.
                 probe.fill_from_cache(cpu, line, holders)
-            ready = self._split_transfer(t, BUS_READ_CACHE,
-                                         self.bus.params.cache_supply_cycles)
+            ready = self.bus.split_transaction(
+                t, BUS_READ_CACHE, self.bus.params.cache_supply_cycles,
+                self.line_transfer)
             for i in holders:
                 self.ports[i].l2.set_state(line, SHARED)
             self.cache_to_cache += 1
@@ -230,50 +235,34 @@ class CoherenceController:
         else:
             if probe is not None:
                 probe.fill_from_memory(cpu, line)
-            ready = self._split_transfer(t, kind,
-                                         self.bus.params.memory_access_cycles)
+            ready = self.bus.split_transaction(
+                t, kind, self.bus.params.memory_access_cycles,
+                self.line_transfer)
             state = EXCLUSIVE
         self._fill_l2(cpu, line, state, ready)
         if probe is not None:
             probe.fill(cpu, line, t, ready, others != 0, True)
         return ready
 
-    def _split_transfer(self, t: int, kind: int, wait_cycles: int) -> int:
-        """Split-transaction line read: request phase, off-bus wait, data.
-
-        The bus is held for the request, then for the line transfer
-        once memory (or the supplying cache) has worked — 5 + 26 + 20 =
-        51 uncontended cycles for a memory read, matching section 2.4,
-        with 25 cycles of bus occupancy.  The wait is not given to other
-        requests: :class:`~repro.memsys.bus.Bus` keeps one ``next_free``
-        cursor, and reserving the data phase moves it past the wait, so
-        a request that arrives meanwhile is granted only after the data
-        phase ends.
-        """
-        bus = self.bus.params
-        transfer = bus.line_transfer_cycles(self.machine.l2.line_bytes)
-        grant = self.bus.acquire(t, bus.request_cycles, kind)
-        data_at = grant + bus.request_cycles + wait_cycles
-        grant2 = self.bus.acquire(data_at, transfer, kind, record_txn=False)
-        return grant2 + transfer
-
     def read_nofill(self, cpu: int, addr: int, t: int,
                     kind: int = BUS_READ_MEM) -> int:
         """Read a line over the bus without caching it (bypass schemes)."""
         line = self._l2_line(addr)
-        dirty = self._dirty_holder(line, cpu)
+        dirty = self._dirty_holder(line, self._holders(line, cpu))
         probe = self.probe
         if dirty is not None:
             if probe is not None:
                 probe.writeback(dirty, line)
-            ready = self._split_transfer(t, BUS_READ_CACHE,
-                                         self.bus.params.cache_supply_cycles)
+            ready = self.bus.split_transaction(
+                t, BUS_READ_CACHE, self.bus.params.cache_supply_cycles,
+                self.line_transfer)
             # Illinois: the supplier writes back and keeps a SHARED copy.
             self.ports[dirty].l2.set_state(line, SHARED)
             self.cache_to_cache += 1
         else:
-            ready = self._split_transfer(t, kind,
-                                         self.bus.params.memory_access_cycles)
+            ready = self.bus.split_transaction(
+                t, kind, self.bus.params.memory_access_cycles,
+                self.line_transfer)
         if probe is not None:
             probe.supply(cpu, line, t, ready, dirty is not None)
         return ready
@@ -305,7 +294,7 @@ class CoherenceController:
             return self.broadcast_update(cpu, addr, t)
         grant = self.bus.acquire(t, self.bus.params.invalidate_cycles,
                                  BUS_INVALIDATE)
-        self._invalidate_remotes(cpu, line)
+        self._invalidate_remotes(cpu, line, self._holders(line, cpu))
         port.l2.set_state(line, MODIFIED)
         done = grant + self.bus.params.invalidate_cycles
         if self.probe is not None:
@@ -317,13 +306,15 @@ class CoherenceController:
 
         A write the attached policy (or :attr:`update_everywhere`)
         routes to update instead fetches SHARED and broadcasts the
-        write, leaving remote copies valid.
+        write, leaving remote copies valid.  The other holders are read
+        from the directory once, for the policy, the dirty-holder search
+        and the invalidation: nothing in between changes another cache.
         """
         line = self._l2_line(addr)
+        others = self._holders(line, cpu)
         probe = self.probe
         if self.adaptive is not None:
-            decision = self.adaptive.decide(cpu, addr, line,
-                                            self._holders(line, cpu))
+            decision = self.adaptive.decide(cpu, addr, line, others)
             if probe is not None:
                 probe.adaptive_decision(cpu, addr, line, decision)
             if decision.update:
@@ -332,17 +323,19 @@ class CoherenceController:
         elif self.update_everywhere:
             ready = self.fetch_shared(cpu, addr, t)
             return self.broadcast_update(cpu, addr, ready)
-        dirty = self._dirty_holder(line, cpu)
+        dirty = self._dirty_holder(line, others)
         if probe is not None:
             probe.fill_for_ownership(cpu, line, dirty)
         if dirty is not None:
-            ready = self._split_transfer(t, BUS_OWNERSHIP,
-                                         self.bus.params.cache_supply_cycles)
+            ready = self.bus.split_transaction(
+                t, BUS_OWNERSHIP, self.bus.params.cache_supply_cycles,
+                self.line_transfer)
             self.cache_to_cache += 1
         else:
-            ready = self._split_transfer(t, BUS_OWNERSHIP,
-                                         self.bus.params.memory_access_cycles)
-        self._invalidate_remotes(cpu, line)
+            ready = self.bus.split_transaction(
+                t, BUS_OWNERSHIP, self.bus.params.memory_access_cycles,
+                self.line_transfer)
+        self._invalidate_remotes(cpu, line, others)
         self._fill_l2(cpu, line, MODIFIED, ready)
         if probe is not None:
             probe.fill(cpu, line, t, ready, dirty is not None, False)
@@ -416,12 +409,11 @@ class CoherenceController:
         the caller updates them itself (DMA does).
         """
         line = self._l2_line(line_addr)
-        transfer = self.bus.params.line_transfer_cycles(
-            self.machine.l2.line_bytes)
+        transfer = self.line_transfer
         grant = self.bus.acquire(t, transfer, kind)
         probe = self.probe
         if invalidate_remotes:
-            self._invalidate_remotes(cpu, line)
+            self._invalidate_remotes(cpu, line, self._holders(line, cpu))
             # The writer's own stale copy (if any) is dropped too.
             port = self.ports[cpu]
             if port.l2.state_of(line) != INVALID:

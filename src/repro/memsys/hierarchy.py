@@ -111,14 +111,6 @@ class CpuMemorySystem:
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    def _l1_fill(self, addr: int) -> None:
-        """Install *addr*'s line in the L1D, reporting fill/eviction."""
-        line = self.l1d.line_addr(addr)
-        evicted = self.l1d.fill(addr)
-        if evicted != -1:
-            self.pending.drop(evicted)
-        self.sink.l1_fill(line, evicted, self.in_blockop)
-
     def _fetch_for_read(self, addr: int, t: int,
                         kind: int = BUS_READ_MEM) -> "tuple[int, str]":
         """Bring *addr* to readable state at L2; return (ready, level)."""
@@ -185,80 +177,72 @@ class CpuMemorySystem:
         Returns ``(done, stall)``: when the processor may proceed and the
         cycles it waited for a WB1 slot.  Hit/miss classification does not
         feed the paper's write accounting, so no :class:`AccessResult` is
-        built.
+        built.  A write the processor resolves itself (an L1D hit on a
+        line the L2 owns, with WB1 room, and no probe attached) never
+        gets here.
         """
         probe = self.probe
         if probe is not None:
             probe.write_begin(self.cpu_id, addr, t)
         l1d = self.l1d
         line = addr - addr % l1d.line_bytes
-        if line not in l1d.where:
+        idx = l1d.where.get(line)
+        if idx is None:
             # Write-allocate: the fill overlaps the buffered write, so the
             # processor does not wait for it; ownership is acquired on the
             # drain path.
-            self._l1_fill(addr)
-        elif self._touch_l1d is not None:
-            idx = l1d.where[line]
-            if l1d.ranks[idx]:
-                l1d.promote(idx)
+            evicted = l1d.fill(line)
+            if evicted != -1:
+                self.pending.ready.pop(evicted, None)
+            self.sink.l1_fill(line, evicted, self.in_blockop)
+        elif l1d.ranks[idx]:
+            # A resident frame of a 1-way L1D always holds rank 0.
+            l1d.promote(idx)
         l2 = self.l2
         idx = l2.where.get(addr - addr % l2.line_bytes)
         state = None if idx is None else l2.states[idx]
+        wb1 = self.wb1
+        now, stall, start = wb1.admit(t)
         if state is MODIFIED or state is EXCLUSIVE:
-            # Owned line in the L2 (the common case): the word drains
-            # locally, so the WB1 enqueue is done inline, without a
-            # service closure, and the line turns MODIFIED here (E->M).
-            wb1 = self.wb1
-            entries = wb1._entries
-            while entries and entries[0] <= t:
-                entries.popleft()
-            stall = 0
-            now = t
-            if len(entries) >= wb1.depth:
-                now = entries[0]
-                stall = now - t
-                while entries and entries[0] <= now:
-                    entries.popleft()
-                wb1.overflows += 1
-                wb1.stall_cycles += stall
-            lse = wb1.last_service_end
-            start = now if now > lse else lse
-            end = start + self.machine.write_buffers.l1_drain_cycles
+            # Owned line in the L2: the word drains locally and the line
+            # turns MODIFIED here (E->M).
             l2.states[idx] = MODIFIED
             # A resident frame of a 1-way L2 always holds rank 0.
             if l2.ranks[idx]:
                 l2.promote(idx)
-            wb1.last_service_end = end
-            entries.append(end)
-            wb1.enqueues += 1
-            done = now + 1
+            wb1.complete(start,
+                         start + self.machine.write_buffers.l1_drain_cycles)
         else:
-            insert_t, stall = self.wb1.enqueue(
-                t, lambda s: self._drain_word(addr, s))
-            done = insert_t + 1
+            wb1.complete(start, self._drain_word(addr, state, start))
+        done = now + 1
         if probe is not None:
             probe.write_end(self.cpu_id, addr, t, done, stall)
         return done, stall
 
-    def _drain_word(self, addr: int, start: int) -> int:
-        """Retire one word of a line the L2 does not own from WB1 into WB2
-        and the bus; returns when its WB1 slot frees.
+    def _drain_word(self, addr: int, state, start: int) -> int:
+        """Retire one word of a line the L2 holds in *state* (SHARED, or
+        None when absent) from WB1 into WB2 and the bus, with its WB1
+        service starting at *start*; returns when its WB1 slot frees.
 
-        :meth:`write` drains owned lines itself.  ``enqueue`` runs this
-        service synchronously, so the line's state cannot change between
-        ``write``'s L2 probe and the drain.
+        :meth:`write` drains owned lines itself and calls this for the
+        rest with the state it read: nothing between its L2 probe and the
+        drain changes the line.  The WB2 service is the bus transaction,
+        run here through the controller: an upgrade (or a Firefly update)
+        of a SHARED line, a read-for-ownership of an absent one.
         """
         controller = self.controller
-        if self.l2.state_of(addr) == SHARED:
-            if controller.update_everywhere:
-                service = lambda s: controller.broadcast_update(self.cpu_id, addr, s)
-            else:
-                service = lambda s: controller.upgrade(self.cpu_id, addr, s)
-        else:
-            service = lambda s: controller.fetch_owned(self.cpu_id, addr, s)
+        wb2 = self.wb2
         # The WB1 slot frees once the word is handed to WB2.
-        insert_t, _ = self.wb2.enqueue(start, service)
-        return insert_t + 1
+        now, _stall, begin = wb2.admit(start)
+        if state is SHARED:
+            if controller.update_everywhere:
+                end = controller.broadcast_update(self.cpu_id, addr, begin)
+            else:
+                end = controller.upgrade(self.cpu_id, addr, begin)
+        else:
+            end = controller.fetch_owned(self.cpu_id, addr, begin)
+        wb2.complete(begin, end)
+        return now + 1
 
     def ifetch(self, pc: int, icount: int, t: int) -> int:
         """Fetch *icount* 4-byte instructions starting at *pc*.
@@ -299,7 +283,10 @@ class CpuMemorySystem:
         if self.l1d.present(addr):
             return
         ready, _level = self._fetch_for_read(addr, t, BUS_PREFETCH)
-        self._l1_fill(addr)
+        evicted = self.l1d.fill(line)
+        if evicted != -1:
+            self.pending.drop(evicted)
+        self.sink.l1_fill(line, evicted, self.in_blockop)
         self.pending.add(line, ready)
 
     def prefetch_into_buffer(self, addr: int, t: int) -> None:
@@ -405,15 +392,15 @@ class CpuMemorySystem:
             self.machine.l1d.line_bytes)
         controller = self.controller
         cpu = self.cpu_id
-
-        def service(start: int) -> int:
-            grant = self.bus.acquire(start, transfer, BUS_WRITEBACK)
-            controller._invalidate_remotes(cpu, controller._l2_line(line))
-            if self.probe is not None:
-                self.probe.bypass_flush(cpu, line)
-            return grant + transfer
-
-        _insert, stall = self.wb2.enqueue(t, service)
+        wb2 = self.wb2
+        _insert, stall, start = wb2.admit(t)
+        grant = self.bus.acquire(start, transfer, BUS_WRITEBACK)
+        l2_line = controller._l2_line(line)
+        controller._invalidate_remotes(cpu, l2_line,
+                                       controller._holders(l2_line, cpu))
+        if self.probe is not None:
+            self.probe.bypass_flush(cpu, line)
+        wb2.complete(start, grant + transfer)
         self.sink.bypass_mark(line)
         return stall
 

@@ -18,11 +18,17 @@ the processor.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Tuple
+from typing import Deque, Tuple
 
 
 class TimedWriteBuffer:
-    """FIFO buffer whose entries are (completion-time) timestamps."""
+    """FIFO buffer whose entries are (completion-time) timestamps.
+
+    An entry goes in through two plain calls, with no service callback:
+    :meth:`admit` takes a slot and says when the entry's service may
+    start; the caller runs the service itself (an L2 drain, a bus
+    transaction) and hands its end to :meth:`complete`.
+    """
 
     __slots__ = ("depth", "name", "_entries", "last_service_end",
                  "stall_cycles", "enqueues", "overflows")
@@ -53,31 +59,39 @@ class TimedWriteBuffer:
         self._expire(t)
         return len(self._entries)
 
-    def enqueue(self, t: int, service: Callable[[int], int]) -> Tuple[int, int]:
-        """Insert an entry at time *t*.
+    def admit(self, t: int) -> Tuple[int, int, int]:
+        """Admit an entry at time *t*, waiting for a slot if the buffer
+        is full.
 
-        ``service(start)`` must return the entry's completion time given
-        that its drain begins at ``start``; drains are serialized FIFO.
-        Returns ``(insert_time, stall)`` where ``stall`` is how long the
-        caller waited for a free slot (0 when the buffer had room).
+        Returns ``(insert_time, stall, start)``: when the entry went in,
+        how long the caller waited for a free slot (0 when the buffer had
+        room), and when its service may begin, after the previous entry's
+        (FIFO drain).  The caller runs the service from ``start`` and
+        passes its end to :meth:`complete` before admitting another entry.
         """
-        self._expire(t)
+        entries = self._entries
+        while entries and entries[0] <= t:
+            entries.popleft()
         stall = 0
-        if len(self._entries) >= self.depth:
-            free_at = self._entries[0]
+        if len(entries) >= self.depth:
+            free_at = entries[0]
             stall = free_at - t
             t = free_at
-            self._expire(t)
+            while entries and entries[0] <= t:
+                entries.popleft()
             self.overflows += 1
             self.stall_cycles += stall
-        start = t if t > self.last_service_end else self.last_service_end
-        end = service(start)
+        lse = self.last_service_end
+        return t, stall, t if t > lse else lse
+
+    def complete(self, start: int, end: int) -> None:
+        """Record that the entry admitted with service start *start*
+        drains at *end*."""
         if end < start:
             raise ValueError(f"{self.name}: service ended before it started")
         self.last_service_end = end
         self._entries.append(end)
         self.enqueues += 1
-        return t, stall
 
     def drain_time(self, t: int) -> int:
         """Earliest time at or after *t* when the buffer is empty.

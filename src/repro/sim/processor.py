@@ -68,11 +68,21 @@ it runs once per trace record across every experiment cell.  It therefore:
   promotes the frame only on a set-associative L1D and only when its
   rank is non-zero — the overwhelming majority of references in the
   paper's workloads are such hits (Table 2 reports low miss rates on
-  every machine).  With a
+  every machine).  Under Blk_Pref and Blk_ByPref a block-copy read of
+  the source line the lookahead prefetcher last handled takes the same
+  inline hit: it has no prefetch to issue, and a bypassing read of a
+  resident line is the cached read.  With a
   :class:`~repro.memsys.sink.Probe` attached the inline hit is skipped,
   so the probe sees every read;
-* takes writes from :meth:`CpuMemorySystem.write` as a plain
-  ``(done, stall)`` pair, the only part of a write the accounting reads;
+* resolves a *clean write* (L1D hit, L2 line EXCLUSIVE or MODIFIED, a
+  free WB1 slot) inline as well: the L1D and L2 frames are promoted
+  when their rank is non-zero, the L2 line turns MODIFIED, and the
+  word's WB1 entry drains into it — the side effects
+  :meth:`CpuMemorySystem.write` has, at one cycle and no stall.  Clean
+  writes are most of the writes; the rest, and every write while a
+  probe is attached, go to :meth:`CpuMemorySystem.write`, which returns
+  a plain ``(done, stall)`` pair, the only part of a write the
+  accounting reads;
 * indexes the per-mode ``time`` list of
   :class:`~repro.sim.metrics.SystemMetrics` with the raw mode int from
   the column, accumulating stalls directly into the plain int fields of
@@ -80,9 +90,11 @@ it runs once per trace record across every experiment cell.  It therefore:
   paths too: no enum member is built, hashed or looked up per record,
   and no keyword call charges time;
 * loads enum members only through module globals (``_RUNNING``,
-  ``_READ``, and ``EXCLUSIVE`` from :mod:`repro.memsys.states`): on Python 3.11 every ``ProcStatus.RUNNING``-style
-  class-attribute load goes through ``EnumType.__getattr__``'s slow
-  path, about four times the cost of a module global.
+  ``_READ``, and ``EXCLUSIVE`` and ``MODIFIED`` from
+  :mod:`repro.memsys.states`): on Python 3.11 every
+  ``ProcStatus.RUNNING``-style class-attribute load goes through
+  ``EnumType.__getattr__``'s slow path, about four times the cost of a
+  module global.
 
 Every shortcut must keep :meth:`SystemMetrics.snapshot` bit-identical to
 the straightforward path; ``tests/test_fastpath_equivalence.py`` and the
@@ -225,7 +237,10 @@ class Processor:
                  "metrics", "tracker", "config", "locks", "barriers", "pos",
                  "time", "status", "_blk_desc", "_blk_last_src_line",
                  "_barrier_pos", "probe", "_l1_where", "_l1_line_bytes",
-                 "_l1d_ranks", "_promote_l1d", "_l1i", "_l1i_where",
+                 "_l1d_ranks", "_promote_l1d", "_l2_where", "_l2_line_bytes",
+                 "_l2_states", "_l2_ranks", "_promote_l2", "_wb1",
+                 "_wb1_entries", "_wb1_depth", "_wb1_drain", "_l1i",
+                 "_l1i_where",
                  "_l1i_line_bytes", "_l1i_ranks", "_promote_l1i",
                  "_imemo_bytes", "_ifirst", "_iend", "_iremovals",
                  "_pending_ready", "_time", "_reads", "_writes",
@@ -282,6 +297,17 @@ class Processor:
         self._promote_l1d = None if mem._touch_l1d is None else l1d.promote
         self._l1i_ranks = l1i.ranks
         self._promote_l1i = None if mem._touch_l1i is None else l1i.promote
+        # The inline clean write: the L2 frame index and states, and WB1.
+        l2, wb1 = mem.l2, mem.wb1
+        self._l2_where = l2.where
+        self._l2_line_bytes = l2.line_bytes
+        self._l2_states = l2.states
+        self._l2_ranks = l2.ranks
+        self._promote_l2 = l2.promote
+        self._wb1 = wb1
+        self._wb1_entries = wb1._entries
+        self._wb1_depth = wb1.depth
+        self._wb1_drain = mem.machine.write_buffers.l1_drain_cycles
         # The fetch memo: lines [_ifirst, _iend) were all resident, each
         # its set's MRU line, when the L1I had removed _iremovals lines.
         # A span remembers at most one line per set, _imemo_bytes.
@@ -425,8 +451,12 @@ class Processor:
             addr = self._addrs[pos]
             line_bytes = self._l1_line_bytes
             line = addr - addr % line_bytes
+            # A Blk_Pref/Blk_ByPref block-op read of the source line the
+            # lookahead last handled (_blk_last_src_line) has no prefetch
+            # to issue, and a resident line's bypassing read is the
+            # cached read.
             if ((blk is None or not self._blockops[pos]
-                 or self._blk_read_plain)
+                 or self._blk_read_plain or line == self._blk_last_src_line)
                     and line in self._l1_where
                     and line not in self._pending_ready
                     and self.probe is None):
@@ -442,12 +472,42 @@ class Processor:
         elif op == _WRITE:
             blockop = self._blockops[pos]
             if blk is None or not blockop or self._blk_write_plain:
-                done, stall = self.mem.write(self._addrs[pos], t)
-                if blockop:
-                    self.metrics.blk_write_stall += stall
-                if stall:
-                    self._time[mode].dwrite += stall
-                t = done
+                addr = self._addrs[pos]
+                idx = self._l1_where.get(addr - addr % self._l1_line_bytes)
+                state = None
+                if idx is not None and self.probe is None:
+                    # Inclusion: the L2 holds every L1D line.
+                    l2_idx = self._l2_where[addr - addr % self._l2_line_bytes]
+                    state = self._l2_states[l2_idx]
+                    entries = self._wb1_entries
+                    while entries and entries[0] <= t:
+                        entries.popleft()
+                    if len(entries) >= self._wb1_depth:
+                        state = None
+                if state is MODIFIED or state is EXCLUSIVE:
+                    # Clean write: the word drains into the owned L2 line,
+                    # which turns MODIFIED, and WB1 had room, so nothing
+                    # stalls.  A resident frame of a 1-way cache always
+                    # holds rank 0, so only set-associative ones promote.
+                    if self._l1d_ranks[idx]:
+                        self._promote_l1d(idx)
+                    self._l2_states[l2_idx] = MODIFIED
+                    if self._l2_ranks[l2_idx]:
+                        self._promote_l2(l2_idx)
+                    wb1 = self._wb1
+                    lse = wb1.last_service_end
+                    end = (t if t > lse else lse) + self._wb1_drain
+                    wb1.last_service_end = end
+                    entries.append(end)
+                    wb1.enqueues += 1
+                    t += 1
+                else:
+                    done, stall = self.mem.write(addr, t)
+                    if blockop:
+                        self.metrics.blk_write_stall += stall
+                    if stall:
+                        self._time[mode].dwrite += stall
+                    t = done
             else:
                 t = self._do_write(self._addrs[pos], mode, t)
         elif op == _PREFETCH:

@@ -52,14 +52,17 @@ class TestDirectMapped:
         cache.fill(0x100)
         cache.fill(0x110)
         cache.fill(0x120)
-        dropped = cache.invalidate_range(0x100, 32)
+        dropped = [line for line in range(0x100, 0x120, 16)
+                   if cache.invalidate(line)]
         assert dropped == [0x100, 0x110]
         assert cache.present(0x120)
+        assert cache.resident_lines() == [0x120]
 
     def test_invalidate_range_unaligned_base(self, cache):
         cache.fill(0x100)
-        dropped = cache.invalidate_range(0x108, 4)
-        assert dropped == [0x100]
+        assert cache.invalidate(0x108)
+        assert not cache.present(0x100)
+        assert not cache.invalidate(0x10C)
 
     def test_distinct_lines_same_set_never_coresident(self, cache):
         cache.fill(0x0)
@@ -73,17 +76,20 @@ class TestCoherent:
         assert l2.state_of(0x40) == LineState.INVALID
 
     def test_fill_state(self, l2):
-        l2.fill_state(0x40, LineState.EXCLUSIVE)
+        l2.fill(0x40)
+        l2.set_state(0x40, LineState.EXCLUSIVE)
         assert l2.state_of(0x40) == LineState.EXCLUSIVE
         assert l2.state_of(0x5F) == LineState.EXCLUSIVE
 
     def test_set_state(self, l2):
-        l2.fill_state(0x40, LineState.EXCLUSIVE)
+        l2.fill(0x40)
+        l2.set_state(0x40, LineState.EXCLUSIVE)
         l2.set_state(0x40, LineState.MODIFIED)
         assert l2.state_of(0x40) == LineState.MODIFIED
 
     def test_set_state_invalid_drops_line(self, l2):
-        l2.fill_state(0x40, LineState.SHARED)
+        l2.fill(0x40)
+        l2.set_state(0x40, LineState.SHARED)
         l2.set_state(0x40, LineState.INVALID)
         assert not l2.present(0x40)
 
@@ -92,16 +98,19 @@ class TestCoherent:
             l2.set_state(0x40, LineState.SHARED)
 
     def test_fill_state_reports_dirty_eviction(self, l2):
-        l2.fill_state(0x40, LineState.MODIFIED)
-        evicted, state = l2.fill_state(0x40 + 2048, LineState.SHARED)
-        assert evicted == 0x40
-        assert state == LineState.MODIFIED
+        l2.fill(0x40)
+        l2.set_state(0x40, LineState.MODIFIED)
+        assert l2.fill(0x40 + 2048) == 0x40
+        # fill() leaves the frame's state alone: until the caller sets
+        # it, it is the victim's, which decides the write-back.
+        assert l2.states[l2.where[0x40 + 2048]] == LineState.MODIFIED
 
     def test_fill_state_no_eviction(self, l2):
-        evicted, state = l2.fill_state(0x40, LineState.SHARED)
-        assert evicted == -1 and state is None
+        assert l2.fill(0x40) == -1
+        assert l2.states[l2.where[0x40]] == LineState.INVALID
 
     def test_invalidate_clears_state(self, l2):
-        l2.fill_state(0x40, LineState.MODIFIED)
+        l2.fill(0x40)
+        l2.set_state(0x40, LineState.MODIFIED)
         assert l2.invalidate(0x40)
         assert l2.state_of(0x40) == LineState.INVALID

@@ -165,14 +165,16 @@ class TestInvariants:
         rig.controller.check_invariants()
 
     def test_double_owner_detected(self, rig):
-        rig[0].l2.fill_state(LINE, LineState.MODIFIED)
-        rig[1].l2.fill_state(LINE, LineState.MODIFIED)
+        for cpu in (0, 1):
+            rig[cpu].l2.fill(LINE)
+            rig[cpu].l2.set_state(LINE, LineState.MODIFIED)
         with pytest.raises(SimulationError, match="multiple owners"):
             rig.controller.check_invariants()
 
     def test_owner_plus_sharer_detected(self, rig):
-        rig[0].l2.fill_state(LINE, LineState.MODIFIED)
-        rig[1].l2.fill_state(LINE, LineState.SHARED)
+        for cpu, state in ((0, LineState.MODIFIED), (1, LineState.SHARED)):
+            rig[cpu].l2.fill(LINE)
+            rig[cpu].l2.set_state(LINE, state)
         with pytest.raises(SimulationError):
             rig.controller.check_invariants()
 

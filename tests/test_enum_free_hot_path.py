@@ -59,9 +59,12 @@ HOT_FUNCTIONS = [
     CpuMemorySystem.write,
     CpuMemorySystem.ifetch,
     CpuMemorySystem._fetch_for_read,
-    CpuMemorySystem._l1_fill,
     CpuMemorySystem._drain_word,
+    CpuMemorySystem._flush_bypass_dst,
+    TimedWriteBuffer.admit,
+    TimedWriteBuffer.complete,
     Bus.acquire,
+    Bus.split_transaction,
     Cache.fill,
     Cache.promote,
     Cache.invalidate,
@@ -76,7 +79,6 @@ HOT_FUNCTIONS = [
     CoherenceController.upgrade,
     CoherenceController.broadcast_update,
     CoherenceController.adaptive_update,
-    CoherenceController._split_transfer,
     CoherenceController._fill_l2,
     CoherenceController._invalidate_remotes,
     CoherenceController._drop_from_l1,

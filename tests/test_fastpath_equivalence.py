@@ -24,7 +24,7 @@ from functools import lru_cache
 import pytest
 
 from repro.common.params import BASE_MACHINE, machine_for
-from repro.common.types import DataClass, Mode
+from repro.common.types import DataClass, Mode, Op
 from repro.experiments.runner import ExperimentRunner
 from repro.memsys.bus import Bus
 from repro.memsys.coherence import CoherenceController
@@ -141,21 +141,32 @@ class TestHeapSchedulerEquivalence:
         assert heap == scan
 
 
-class TestL1FastPathEquivalence:
-    @pytest.mark.parametrize("seed,machine", [
-        pytest.param(seed, machine, id=str(seed) if machine is BASE_MACHINE
-                     else f"{machine_id(machine)}-{seed}")
-        for machine in MACHINES for seed in (11, 12)])
-    def test_forced_slow_path_matches(self, seed, machine):
-        """Disabling the inline L1-hit path must not change any metric.
+def _slow_path_id(scheme, seed, machine):
+    point = (str(seed) if machine is BASE_MACHINE
+             else f"{machine_id(machine)}-{seed}")
+    return point if scheme == "Base" else f"{scheme}-{point}"
 
-        The processor takes no inline hit while a probe is attached;
+
+class TestL1FastPathEquivalence:
+    @pytest.mark.parametrize("scheme,seed,machine", [
+        pytest.param(scheme, seed, machine,
+                     id=_slow_path_id(scheme, seed, machine))
+        for scheme in ("Base", "Blk_Pref", "Blk_Bypass", "Blk_ByPref")
+        for machine in MACHINES for seed in (11, 12)])
+    def test_forced_slow_path_matches(self, scheme, seed, machine):
+        """Disabling the inline L1-hit and clean-write paths must not
+        change any metric.
+
+        The processor resolves nothing inline while a probe is attached;
         a bare :class:`Probe` forces every read down the full
-        :meth:`CpuMemorySystem.read` chain, so hit accounting (and, on
+        :meth:`CpuMemorySystem.read` chain and every write through
+        :meth:`CpuMemorySystem.write`, so hit accounting (and, on
         set-associative machines, LRU promotion) of the two paths is
-        compared across a whole randomized run.
+        compared across a whole randomized run.  Under Blk_Pref and
+        Blk_ByPref the block-copy reads of the source line the lookahead
+        prefetcher last handled are among the inline hits.
         """
-        config = resolve_config("Base", machine)
+        config = resolve_config(scheme, machine)
         trace = random_trace(seed, num_cpus=3)
         fast = MultiprocessorSystem(trace, config).run().snapshot()
         slow_sys = MultiprocessorSystem(trace, config)
@@ -195,6 +206,69 @@ class TestL1FastPathEquivalence:
                     assert a.ranks == b.ranks, (machine_id(machine), cache)
                 assert f.l2.states == u.l2.states, machine_id(machine)
                 assert f.wb1.stall_cycles == u.wb1.stall_cycles
+
+    @pytest.mark.parametrize("machine", MACHINES, ids=machine_id)
+    def test_inline_clean_write_matches_hierarchy(self, machine):
+        """A write ``Processor.step`` resolves inline — an L1D hit on a
+        line the L2 owns, with WB1 room — must leave the caches and WB1
+        exactly as :meth:`CpuMemorySystem.write` would: same frame
+        index, LRU ranks and MESI states, same WB1 entries, service end
+        and counters, same clock.
+
+        The twin rig's processors see a zero-depth WB1, so their inline
+        test never passes and every write goes through ``write``.  Two
+        CPUs read and write a pool whose aliases, 64 KB apart, share a
+        set in the L1D and the L2 on every machine point, so lines are
+        owned, shared, evicted and invalidated, and bursts of writes
+        fill WB1.  Both rigs step the CPUs in the same order and are
+        compared after every step.
+        """
+        rng = random.Random(31)
+        builder = TraceBuilder(2)
+        for cpu in range(2):
+            for _ in range(500):
+                own = cpu * 0x40 if rng.random() < 0.8 else 0x80
+                addr = (SHARED_BASE + own + 4 * rng.randrange(16)
+                        + 0x10000 * rng.choice((0, 0, 0, 0, 1, 2)))
+                emit = record.write if rng.random() < 0.7 else record.read
+                builder.emit(cpu, emit(addr, pc=0x1000,
+                                       icount=rng.choice((1, 1, 2, 6))))
+        trace = builder.build()
+        config = resolve_config("Base", machine)
+        fast_sys = MultiprocessorSystem(trace, config)
+        slow_sys = MultiprocessorSystem(trace, config)
+        calls = {}
+        for name, system in (("fast", fast_sys), ("slow", slow_sys)):
+            calls[name] = _count_writes(system.memories)
+        for proc in slow_sys.processors:
+            proc._wb1_depth = 0
+        for pos in range(500):
+            for fast, slow in zip(fast_sys.processors, slow_sys.processors):
+                fast.step()
+                slow.step()
+                assert fast.time == slow.time, (fast.cpu_id, pos)
+                a, b = fast.mem, slow.mem
+                for cache in ("l1d", "l2"):
+                    x, y = getattr(a, cache), getattr(b, cache)
+                    assert x.tags == y.tags, (cache, fast.cpu_id, pos)
+                    assert x.where == y.where, (cache, fast.cpu_id, pos)
+                    assert x.ranks == y.ranks, (cache, fast.cpu_id, pos)
+                assert a.l2.states == b.l2.states, (fast.cpu_id, pos)
+                for wb in ("wb1", "wb2"):
+                    x, y = getattr(a, wb), getattr(b, wb)
+                    assert list(x._entries) == list(y._entries), (wb, pos)
+                    assert (x.last_service_end, x.enqueues, x.overflows,
+                            x.stall_cycles) == \
+                        (y.last_service_end, y.enqueues, y.overflows,
+                         y.stall_cycles), (wb, fast.cpu_id, pos)
+        writes = sum(trace.columns[cpu].ops.tolist().count(int(Op.WRITE))
+                     for cpu in range(2))
+        assert calls["slow"][0] == writes
+        # Most writes are clean and resolved inline; the rest (misses,
+        # shared lines, a full WB1) still reach ``write``.
+        assert writes - calls["fast"][0] > 250, (writes, calls)
+        assert calls["fast"][0] > 100
+        assert fast_sys.metrics.snapshot() == slow_sys.metrics.snapshot()
 
     @pytest.mark.parametrize("machine", MACHINES, ids=machine_id)
     def test_inline_spanning_ifetch_matches_hierarchy(self, machine):
@@ -267,6 +341,23 @@ class TestL1FastPathEquivalence:
         assert fast_sys.metrics.snapshot() == slow_sys.metrics.snapshot()
 
 
+def _count_writes(memories):
+    """Give each memory system a subclass whose ``write`` counts its
+    calls into the returned one-element list."""
+    calls = [0]
+
+    class CountingMemorySystem(CpuMemorySystem):
+        __slots__ = ()
+
+        def write(self, addr, t):
+            calls[0] += 1
+            return CpuMemorySystem.write(self, addr, t)
+
+    for mem in memories:
+        mem.__class__ = CountingMemorySystem
+    return calls
+
+
 class _CountingIndex(dict):
     """A cache's line index that counts membership probes."""
 
@@ -333,16 +424,20 @@ def test_fetch_memo_matches_walk(machine, scheme):
 
 
 class _UnfusedMemorySystem(CpuMemorySystem):
-    """The reference write: every word goes through the WB1 service
-    callback, and the drain handles owned lines itself."""
+    """The reference write: every word takes a WB1 slot and is drained
+    by one reference service, which handles owned lines itself."""
 
     def write(self, addr, t):
-        if self.l1d.line_addr(addr) not in self.l1d.where:
-            self._l1_fill(addr)
+        line = self.l1d.line_addr(addr)
+        if line not in self.l1d.where:
+            evicted = self.l1d.fill(line)
+            if evicted != -1:
+                self.pending.drop(evicted)
+            self.sink.l1_fill(line, evicted, self.in_blockop)
         elif self._touch_l1d is not None:
             self._touch_l1d(addr)
-        insert_t, stall = self.wb1.enqueue(
-            t, lambda s: self._reference_drain(addr, s))
+        insert_t, stall, start = self.wb1.admit(t)
+        self.wb1.complete(start, self._reference_drain(addr, start))
         return insert_t + 1, stall
 
     def _reference_drain(self, addr, start):
@@ -352,7 +447,7 @@ class _UnfusedMemorySystem(CpuMemorySystem):
             if self._touch_l2 is not None:
                 self._touch_l2(addr)
             return start + self.machine.write_buffers.l1_drain_cycles
-        return self._drain_word(addr, start)
+        return self._drain_word(addr, state, start)
 
 
 #: Schemes the observer-composition test runs: plain, bypass+prefetch,

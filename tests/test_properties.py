@@ -50,7 +50,9 @@ def test_write_buffer_fifo_and_bounds(ops):
     completions = []
     for dt, dur in ops:
         t += dt
-        insert_t, stall = wb.enqueue(t, lambda start, d=dur: start + d)
+        insert_t, stall, start = wb.admit(t)
+        assert start >= insert_t
+        wb.complete(start, start + dur)
         completions.append(wb.last_service_end)
         assert stall >= 0
         assert wb.occupancy(insert_t) <= wb.depth
@@ -69,33 +71,65 @@ _BUS_KIND_NAMES = {
 }
 
 
+class _GrantLog:
+    """Probe stand-in recording every ``bus_grant``."""
+
+    def __init__(self):
+        self.grants = []
+
+    def bus_grant(self, kind, t, grant, duration):
+        self.grants.append((kind, t, grant, duration))
+
+
 @given(st.lists(st.tuples(st.integers(0, 100), st.integers(0, 50),
                           st.sampled_from(list(BusOp)),
-                          st.none() | st.integers(0, 50)),
+                          st.none() | st.tuples(st.integers(0, 40),
+                                                st.integers(0, 50))),
                 min_size=1, max_size=100))
 def test_bus_reservations_disjoint_and_accounted(ops):
     """Grants never overlap, and the per-kind lists count exactly what a
-    ``Counter`` keyed by kind would, zero-cycle holds and uncounted
-    (``record_txn=False``) data phases included.  A data phase follows
-    its kind's counted request phase, as a split transfer issues them."""
+    ``Counter`` keyed by kind would, zero-cycle holds included.  A split
+    transaction is one transaction whose two phases are the request
+    phase then, *wait* cycles after it, the data phase, each reserved
+    and reported to the probe as a single hold would be."""
     bus = Bus(BASE_MACHINE.bus)
+    bus.probe = log = _GrantLog()
+    request = BASE_MACHINE.bus.request_cycles
     t = 0
+    next_free = 0
     intervals = []
-    total = 0
+    grants = []
+    total = wait_total = 0
     transactions, held = Counter(), Counter()
-    for dt, dur, kind, data_dur in ops:
+    for dt, dur, kind, split in ops:
         t += dt
-        phases = [(dur, True)]
-        if data_dur is not None:
-            phases.append((data_dur, False))
-        for duration, record_txn in phases:
-            grant = bus.acquire(t, duration, kind, record_txn=record_txn)
-            intervals.append((grant, grant + duration))
+        if split is None:
+            phases = [(t, dur)]
+            grant = bus.acquire(t, dur, kind)
+        else:
+            wait, data = split
+            phases = [(t, request), (None, data)]
+            end = bus.split_transaction(t, kind, wait, data)
+        # The reference: each phase granted at max(asked, bus free).
+        for asked, duration in phases:
+            if asked is None:
+                asked = intervals[-1][1] + wait
+            granted = max(asked, next_free)
+            next_free = granted + duration
+            intervals.append((granted, next_free))
+            grants.append((kind, asked, granted, duration))
             total += duration
-            if record_txn:
-                transactions[kind] += 1
+            wait_total += granted - asked
             held[kind] += duration
+        transactions[kind] += 1
+        if split is None:
+            assert grant == intervals[-1][0]
+        else:
+            assert end == intervals[-1][1]
+    assert bus.next_free == next_free
     assert bus.busy_cycles == total
+    assert bus.wait_cycles == wait_total
+    assert log.grants == grants
     for (s1, e1), (s2, e2) in zip(intervals, intervals[1:]):
         assert e1 <= s2
     assert bus.transactions == [transactions[kind] for kind in BusOp]

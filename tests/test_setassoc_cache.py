@@ -133,10 +133,30 @@ class TestLru:
         assert cache.present(0)
 
 
+def fill_in_state(cache, addr, state):
+    """Install *addr*'s line in *state* as the coherence controller does:
+    ``fill``, then the frame's state, which is still the victim's until
+    it is overwritten.  Returns the evicted ``(line, state)``, or
+    ``(-1, None)`` when nothing was displaced."""
+    evicted = cache.fill(addr)
+    idx = cache.where[cache.line_addr(addr)]
+    victim = (-1, None) if evicted == -1 else (evicted, cache.states[idx])
+    cache.states[idx] = state
+    return victim
+
+
+def invalidate_lines(cache, base, size):
+    """Drop every line overlapping ``[base, base + size)`` one
+    ``invalidate`` at a time; returns the lines dropped."""
+    return [line for line in range(cache.line_addr(base), base + size,
+                                   cache.line_bytes)
+            if cache.invalidate(line)]
+
+
 class TestCoherentSetAssociative:
     def test_fill_state_and_state_of(self):
         l2 = CoherentCache(CacheParams(2048, 32, 2))
-        assert l2.fill_state(0, LineState.EXCLUSIVE) == (-1, None)
+        assert fill_in_state(l2, 0, LineState.EXCLUSIVE) == (-1, None)
         assert l2.state_of(0) == LineState.EXCLUSIVE
         assert l2.state_of(17) == LineState.EXCLUSIVE  # same line
         assert l2.state_of(32) == LineState.INVALID
@@ -144,14 +164,14 @@ class TestCoherentSetAssociative:
     def test_eviction_returns_victim_state(self):
         l2 = CoherentCache(CacheParams(2048, 32, 2))
         stride = 1024  # 32 sets of 2: lines 0, 1024, 2048 share set 0
-        l2.fill_state(0, LineState.MODIFIED)
-        l2.fill_state(stride, LineState.SHARED)
-        evicted, state = l2.fill_state(2 * stride, LineState.EXCLUSIVE)
+        fill_in_state(l2, 0, LineState.MODIFIED)
+        fill_in_state(l2, stride, LineState.SHARED)
+        evicted, state = fill_in_state(l2, 2 * stride, LineState.EXCLUSIVE)
         assert (evicted, state) == (0, LineState.MODIFIED)
 
     def test_set_state_invalid_clears_frame(self):
         l2 = CoherentCache(CacheParams(2048, 32, 2))
-        l2.fill_state(0, LineState.SHARED)
+        fill_in_state(l2, 0, LineState.SHARED)
         l2.set_state(0, LineState.INVALID)
         assert not l2.present(0)
         assert l2.state_of(0) == LineState.INVALID
@@ -163,17 +183,17 @@ class TestCoherentSetAssociative:
 
     def test_fill_state_on_resident_line_updates_state_only(self):
         l2 = CoherentCache(CacheParams(2048, 32, 2))
-        l2.fill_state(0, LineState.SHARED)
+        fill_in_state(l2, 0, LineState.SHARED)
         fills = l2.fills
-        assert l2.fill_state(0, LineState.MODIFIED) == (-1, None)
+        assert fill_in_state(l2, 0, LineState.MODIFIED) == (-1, None)
         assert l2.fills == fills
         assert l2.state_of(0) == LineState.MODIFIED
 
     def test_invalidate_range_drops_all_ways(self):
         l2 = CoherentCache(CacheParams(2048, 32, 2))
-        l2.fill_state(0, LineState.SHARED)
-        l2.fill_state(32, LineState.EXCLUSIVE)
-        dropped = l2.invalidate_range(0, 64)
+        fill_in_state(l2, 0, LineState.SHARED)
+        fill_in_state(l2, 32, LineState.EXCLUSIVE)
+        dropped = invalidate_lines(l2, 0, 64)
         assert sorted(dropped) == [0, 32]
         assert l2.resident_lines() == []
 
@@ -237,15 +257,15 @@ _TAG_PARAMS = [CacheParams(256, 16, assoc) for assoc in (1, 2, 4)]
 _STATE_PARAMS = [CacheParams(512, 32, assoc) for assoc in (1, 2, 4)]
 
 _ops = st.lists(
-    st.tuples(st.sampled_from(["fill", "invalidate", "invalidate_range",
+    st.tuples(st.sampled_from(["fill", "invalidate", "invalidate_lines",
                                "touch"]),
               st.integers(min_value=0, max_value=1 << 12),
               st.integers(min_value=1, max_value=128)),
     min_size=1, max_size=300)
 
 _state_ops = st.lists(
-    st.tuples(st.sampled_from(["fill", "fill_state", "set_state",
-                               "invalidate", "invalidate_range", "touch"]),
+    st.tuples(st.sampled_from(["fill", "fill_in_state", "set_state",
+                               "invalidate", "invalidate_lines", "touch"]),
               st.integers(min_value=0, max_value=1 << 12),
               st.integers(min_value=1, max_value=128),
               st.sampled_from(list(LineState))),
@@ -341,12 +361,12 @@ def test_tag_cache_matches_lru_model(ops, params):
             assert cache.fill(addr) == model.fill(addr)[0]
         elif op == "invalidate":
             assert cache.invalidate(addr) == model.drop(addr)
-        elif op == "invalidate_range":
+        elif op == "invalidate_lines":
             first = model.line(addr)
             expected = [line for line in range(first, addr + size,
                                                params.line_bytes)
                         if model.drop(line)]
-            assert cache.invalidate_range(addr, size) == expected
+            assert invalidate_lines(cache, addr, size) == expected
         else:
             cache.touch(addr)
             model.touch(addr)
@@ -359,10 +379,11 @@ def test_coherent_cache_matches_lru_model(ops, params):
     cache = CoherentCache(params)
     model = LruModel(params)
     for op, addr, size, state in ops:
-        if op in ("fill", "fill_state"):
+        if op in ("fill", "fill_in_state"):
             if state == LineState.INVALID:
                 continue
-            assert cache.fill_state(addr, state) == model.fill(addr, state)
+            assert fill_in_state(cache, addr, state) == \
+                model.fill(addr, state)
         elif op == "set_state":
             if cache.present(addr):
                 cache.set_state(addr, state)
@@ -372,12 +393,12 @@ def test_coherent_cache_matches_lru_model(ops, params):
                     cache.set_state(addr, state)
         elif op == "invalidate":
             assert cache.invalidate(addr) == model.drop(addr)
-        elif op == "invalidate_range":
+        elif op == "invalidate_lines":
             first = model.line(addr)
             expected = [line for line in range(first, addr + size,
                                                params.line_bytes)
                         if model.drop(line)]
-            assert cache.invalidate_range(addr, size) == expected
+            assert invalidate_lines(cache, addr, size) == expected
         else:
             cache.touch(addr)
             model.touch(addr)
@@ -393,8 +414,8 @@ def test_tag_mirror_stays_identical(ops, params):
             cache.fill(addr)
         elif op == "invalidate":
             cache.invalidate(addr)
-        elif op == "invalidate_range":
-            cache.invalidate_range(addr, size)
+        elif op == "invalidate_lines":
+            invalidate_lines(cache, addr, size)
         else:
             cache.touch(addr)
         _assert_mirrors(cache)
@@ -407,15 +428,15 @@ def test_state_mirror_stays_identical(ops, params):
     for op, addr, size, state in ops:
         if op == "fill":
             cache.fill(addr)
-        elif op == "fill_state":
-            cache.fill_state(addr, state)
+        elif op == "fill_in_state":
+            fill_in_state(cache, addr, state)
         elif op == "set_state":
             if cache.present(addr):
                 cache.set_state(addr, state)
         elif op == "invalidate":
             cache.invalidate(addr)
-        elif op == "invalidate_range":
-            cache.invalidate_range(addr, size)
+        elif op == "invalidate_lines":
+            invalidate_lines(cache, addr, size)
         else:
             cache.touch(addr)
         _assert_mirrors(cache)
@@ -436,8 +457,8 @@ def test_lru_never_evicts_most_recently_used(ops):
         elif op == "invalidate":
             if cache.invalidate(addr) and cache.line_addr(addr) == last_used:
                 last_used = None
-        elif op == "invalidate_range":
-            cache.invalidate_range(addr, size)
+        elif op == "invalidate_lines":
+            invalidate_lines(cache, addr, size)
             last_used = None
         else:
             if cache.present(addr):

@@ -28,8 +28,8 @@ _L2_PARAMS = [CacheParams(256, 32, 1), CacheParams(256, 32, 2),
               CacheParams(512, 32, 4)]
 
 _OPS = st.lists(
-    st.tuples(st.sampled_from(["fill", "fill_state", "set_state",
-                               "invalidate", "invalidate_range", "touch"]),
+    st.tuples(st.sampled_from(["fill", "set_state", "invalidate",
+                               "invalidate_lines", "touch"]),
               st.integers(0, 4),                      # cache index
               st.integers(0, 2047),                   # address
               st.integers(1, 160),                    # range size
@@ -66,15 +66,15 @@ def test_directory_tracks_every_residency_change(num_caches, params, ops):
         l2 = l2s[which % num_caches]
         if op == "fill":
             l2.fill(addr)
-        elif op == "fill_state":
-            l2.fill_state(addr, state)
         elif op == "set_state":
             if l2.present(addr):
                 l2.set_state(addr, state)
         elif op == "invalidate":
             l2.invalidate(addr)
-        elif op == "invalidate_range":
-            l2.invalidate_range(addr, size)
+        elif op == "invalidate_lines":
+            for line in range(addr - addr % l2.line_bytes, addr + size,
+                              l2.line_bytes):
+                l2.invalidate(line)
         else:
             l2.touch(addr)
         assert controller.holders == _rebuilt(l2s)
@@ -83,7 +83,8 @@ def test_directory_tracks_every_residency_change(num_caches, params, ops):
 
 def test_standalone_cache_keeps_a_private_directory():
     l2 = CoherentCache(CacheParams(256, 32, 2))
-    l2.fill_state(0x40, LineState.SHARED)
+    l2.fill(0x40)
+    l2.set_state(0x40, LineState.SHARED)
     assert l2.holders == {0x40: 1}
     l2.set_state(0x40, LineState.INVALID)
     assert l2.holders == {}
@@ -100,9 +101,11 @@ def _brute_holders(controller, line, except_cpu):
             if i != except_cpu and p.l2.state_of(line) != LineState.INVALID]
 
 
-def _brute_dirty(controller, line, except_cpu):
+def _brute_dirty(controller, line, cpus):
+    """The first port among *cpus* holding *line* MODIFIED, scanning
+    every port."""
     for i, p in enumerate(controller.ports):
-        if i != except_cpu and p.l2.state_of(line) == LineState.MODIFIED:
+        if i in cpus and p.l2.state_of(line) == LineState.MODIFIED:
             return i
     return None
 
@@ -121,9 +124,9 @@ def _cross_checked(controller):
             calls[0] += 1
             return got
 
-        def _dirty_holder(self, line, except_cpu):
-            got = CoherenceController._dirty_holder(self, line, except_cpu)
-            assert got == _brute_dirty(self, line, except_cpu)
+        def _dirty_holder(self, line, cpus):
+            got = CoherenceController._dirty_holder(self, line, cpus)
+            assert got == _brute_dirty(self, line, cpus)
             calls[0] += 1
             return got
 
@@ -158,5 +161,6 @@ def test_snoops_match_brute_force_on_machine_points(point, scheme, seed):
         for cpu in {0, cpus - 1, *holder_cpus(mask)}:
             assert (controller._holders(line, cpu)
                     == _brute_holders(controller, line, cpu))
-            assert (controller._dirty_holder(line, cpu)
-                    == _brute_dirty(controller, line, cpu))
+            others = _brute_holders(controller, line, cpu)
+            assert (controller._dirty_holder(line, others)
+                    == _brute_dirty(controller, line, others))
