@@ -15,7 +15,7 @@ Subcommands::
                     [--assoc A] [--bus-width B]
     repro report    [--scale S] [--only table1,figure3] [--ascii] [-o FILE]
                     [--workers N] [--cache-dir DIR] [--no-cache]
-                    [--ledger PATH] [--max-retries N] [--job-timeout S]
+                    [--ledger PATH]
     repro ablation  <study> [--workload W] [--scale S] [--cache-dir DIR]
     repro calibrate [--scale S] [--only table2]
 
@@ -34,7 +34,8 @@ import os
 import sys
 from typing import List, Optional
 
-from repro.common.errors import ConfigError, ProfileError, TraceError
+from repro.common.errors import (ConfigError, JobFailedError, ProfileError,
+                                 TraceError)
 from repro.common.params import machine_for
 from repro.common.types import Mode
 from repro.experiments.artifacts import DEFAULT_CACHE_DIR
@@ -260,7 +261,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     print(f"sweep: {len(workloads)} workloads x {len(config_names)} "
           f"configs at scale {args.scale} (seed {args.seed})")
     cells = [(w.name, c, None) for w in workloads for c in config_names]
-    runner.run_cells(cells, verbose=not args.quiet)
+    try:
+        runner.run_cells(cells, verbose=not args.quiet)
+    except JobFailedError as err:
+        print(f"sweep failed: {err}", file=sys.stderr)
+        return 1
     name_w = max(len(w.name) for w in workloads)
     conf_w = max(10, max(len(c) for c in config_names))
     header = (f"{'workload':<{name_w}}  {'config':<{conf_w}}  "
@@ -293,10 +298,12 @@ def cmd_report(args: argparse.Namespace) -> int:
     runner = make_runner(scale=args.scale, seed=args.seed,
                          workers=args.workers,
                          cache_dir=None if args.no_cache else args.cache_dir,
-                         ledger=args.ledger or None,
-                         max_retries=args.max_retries,
-                         job_timeout=args.job_timeout)
-    report = build_report(runner, only=only, verbose=not args.quiet)
+                         ledger=args.ledger or None)
+    try:
+        report = build_report(runner, only=only, verbose=not args.quiet)
+    except JobFailedError as err:
+        print(f"sweep failed: {err}", file=sys.stderr)
+        return 1
     if args.ascii:
         from repro.analysis.ascii_charts import ascii_render
         from repro.analysis.figures import ALL_FIGURES
@@ -450,12 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ledger", default="",
                    help="JSONL run-ledger path (default: a fresh file "
                         "inside the cache directory)")
-    p.add_argument("--max-retries", type=int, default=None,
-                   help="re-submissions allowed per failed sweep job "
-                        "(default 2)")
-    p.add_argument("--job-timeout", type=float, default=None,
-                   help="per-job wall-clock timeout in seconds "
-                        "(default: unlimited)")
     p.set_defaults(fn=cmd_report)
 
     p = sub.add_parser("ablation", help="run a design-choice study")

@@ -3,7 +3,7 @@
 All library errors derive from :class:`ReproError` so callers can catch one
 base class.  Each subclass corresponds to a layer of the system: trace
 construction, memory-system modelling, simulation, configuration, and the
-sweep engine (failed or timed-out jobs, corrupt cache artifacts).
+sweep engine (a failed job or dead worker, corrupt cache artifacts).
 """
 
 from __future__ import annotations
@@ -75,23 +75,25 @@ class ProfileError(ReproError):
 
 
 class JobFailedError(ReproError):
-    """A sweep job exhausted its retry budget (or failed unrecoverably).
+    """A sweep job failed, and with it the sweep.
 
-    Raised by the parallel experiment engine when a job keeps failing
-    after every retry the :class:`~repro.experiments.faults.RetryPolicy`
-    allows.  ``job_id`` names the failed DAG node and ``attempts`` the
-    number of attempts consumed.
+    Raised by the parallel experiment engine as soon as one job raises
+    or a worker process dies; jobs are deterministic, so none is
+    retried.  ``job_id`` names the failed DAG node and ``cell`` its
+    ``(workload, config, machine fingerprint)``; both are empty when a
+    worker died, since the pool does not say which job it was running.
+    ``in_flight`` names the jobs the failure may lie with: the failed
+    job, or every job the pool was running when its worker died.  The
+    original exception is chained as ``__cause__``.
     """
 
     def __init__(self, message: str, job_id: str = "",
-                 attempts: int = 0) -> None:
+                 cell: "tuple[str, ...]" = (),
+                 in_flight: "tuple[str, ...]" = ()) -> None:
         super().__init__(message)
         self.job_id = job_id
-        self.attempts = attempts
-
-
-class JobTimeoutError(JobFailedError):
-    """A sweep job exceeded its per-job wall-clock timeout."""
+        self.cell = tuple(cell)
+        self.in_flight = tuple(in_flight)
 
 
 class ArtifactCorruptError(ReproError):

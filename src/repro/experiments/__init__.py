@@ -12,7 +12,6 @@ from repro.experiments.extensions import (
     page_coloring_sweep,
     render_coloring,
 )
-from repro.experiments.faults import RetryPolicy
 from repro.experiments.runner import ExperimentRunner, NUM_HOTSPOTS
 from repro.experiments.sensitivity import Spread, render_sweep, seed_sweep
 
@@ -22,7 +21,6 @@ __all__ = [
     "ColoringResult",
     "ExperimentRunner",
     "NUM_HOTSPOTS",
-    "RetryPolicy",
     "Spread",
     "page_coloring_study",
     "page_coloring_sweep",

@@ -7,7 +7,7 @@ names the (workload, config, machine) cells behind each artifact,
 :func:`build_report` pre-computes every selected cell through the
 parallel engine (:mod:`repro.experiments.parallel`), then renders the
 tables and figures from the warm runner.  The report is identical for
-any worker count, cache temperature, retry or pool rebuild.
+any worker count or cache temperature.
 
 The committed ``results/full_report.txt`` is the output of
 ``repro report --scale 0.5 --seed 1996 --no-cache --workers 2 -o FILE``;
@@ -31,7 +31,6 @@ from repro.analysis.tables import (ALL_TABLES, HYBRID_COMPARE_SCHEMES,
 from repro.common.params import BASE_MACHINE
 from repro.common.units import KB
 from repro.experiments.artifacts import ArtifactCache
-from repro.experiments.faults import RetryPolicy
 from repro.experiments.runner import Cell, ExperimentRunner
 from repro.synthetic.workloads import WORKLOAD_ORDER
 
@@ -103,27 +102,17 @@ def artifact_cells(name: str) -> List[Cell]:
 def make_runner(scale: float = 0.5, seed: int = 1996,
                 workers: Optional[int] = 1,
                 cache_dir: Optional[str] = None,
-                ledger: Optional[str] = None,
-                max_retries: Optional[int] = None,
-                job_timeout: Optional[float] = None) -> ExperimentRunner:
+                ledger: Optional[str] = None) -> ExperimentRunner:
     """The runner a report sweeps on.
 
     *workers* is the engine's process count (``None`` means
     ``os.cpu_count()``); *cache_dir* attaches a persistent on-disk
-    artifact cache.  *ledger*, *max_retries* and *job_timeout* tune the
-    engine's fault tolerance.  None of them change a report's contents.
+    artifact cache; *ledger* is the sweep's run-ledger path.  None of
+    them change a report's contents.
     """
     cache = ArtifactCache(cache_dir) if cache_dir else None
-    policy = None
-    if max_retries is not None or job_timeout is not None:
-        defaults = RetryPolicy()
-        policy = RetryPolicy(
-            max_retries=(max_retries if max_retries is not None
-                         else defaults.max_retries),
-            job_timeout=job_timeout)
     return ExperimentRunner(scale=scale, seed=seed, cache=cache,
-                            workers=workers, retry_policy=policy,
-                            ledger_path=ledger)
+                            workers=workers, ledger_path=ledger)
 
 
 def build_report(runner: ExperimentRunner,

@@ -1,24 +1,25 @@
 """Structured JSONL run ledger for sweep execution.
 
-Every job lifecycle event of a parallel sweep — scheduled, finished,
-retried, timed out, quarantined artifacts, worker-pool breakage — is
-appended as one JSON object per line to a ledger file.  A crash leaves
-behind a complete, append-only record of what ran, what failed, and
-what was recovered; a clean run leaves an auditable timing profile.
+Every job lifecycle event of a sweep — scheduled, finished, quarantined
+artifacts, the failure that ended it — is appended as one JSON object
+per line to a ledger file.  A failed sweep leaves behind a complete,
+append-only record of what ran and what failed; a clean run leaves an
+auditable timing profile.
 
 Event schema (field presence varies by event)::
 
     {"ts": <unix seconds>, "event": "<name>", "job": "<job id>",
      "kind": "trace|derive|sim", "workload": ..., "config": ...,
-     "attempt": N, "duration": seconds, "worker_pid": pid,
+     "duration": seconds, "worker_pid": pid,
      "cache": {"hits": H, "misses": M, "stores": S, "quarantines": Q},
      "sim_keys": [{"workload": ..., "config": ..., "machine": ...}],
      ...}
 
-Event names: ``sweep_start``, ``scheduled``, ``finished``, ``retried``,
-``timed_out``, ``quarantined``, ``artifact_corrupt``, ``heartbeat``,
-``job_failed``, ``pool_broken``, ``pool_rebuilt``, ``degraded_serial``,
-``served_cached``, ``sweep_end``.
+Event names: ``sweep_start``, ``served_cached``, ``scheduled``,
+``finished``, ``quarantined``, ``artifact_corrupt``, ``job_failed``,
+``sweep_end``.  A failed sweep ends ``job_failed`` (its ``error``, the
+failed job's ``job`` and ``cell``, and the ``in_flight`` jobs), then
+``sweep_end`` with ``ok: false``.
 
 Timing fields: the ``ts`` wall-clock stamp is for humans reading the
 file; every ``duration``/``elapsed`` field is measured with
@@ -26,9 +27,8 @@ file; every ``duration``/``elapsed`` field is measured with
 (or make negative) the profile.
 
 ``python -m repro.experiments.ledger --summarize <ledger.jsonl>``
-renders per-stage timing, retry counts, fault totals, cache hit rate,
-and throughput — including live progress from ``heartbeat`` events when
-the sweep is still running.
+renders per-stage timing, throughput, cache hit rate, quarantines and
+failures.
 """
 
 from __future__ import annotations
@@ -120,13 +120,13 @@ def read_events(path: str) -> List[Dict[str, Any]]:
 
 
 def summarize(path: str) -> str:
-    """Human-readable per-stage timing / retry / fault summary."""
+    """Human-readable per-stage timing / cache / failure summary."""
     events = read_events(path)
     per_kind: Dict[str, Dict[str, float]] = defaultdict(
         lambda: {"jobs": 0, "seconds": 0.0})
     counts: Counter = Counter()
     cache = Counter()
-    retried_jobs: Counter = Counter()
+    failures: List[str] = []
     for ev in events:
         name = ev.get("event", "?")
         counts[name] += 1
@@ -136,14 +136,13 @@ def summarize(path: str) -> str:
             per_kind[kind]["seconds"] += float(ev.get("duration", 0.0))
             for stat, n in (ev.get("cache") or {}).items():
                 cache[stat] += n
-        elif name in ("retried", "timed_out"):
-            retried_jobs[ev.get("job", "?")] += 1
+        elif name == "job_failed":
+            failures.append(str(ev.get("error", "?")))
 
     lines = [f"run ledger: {path}",
              f"events: {sum(counts.values())}"]
     starts = [ev for ev in events if ev.get("event") == "sweep_start"]
     ends = [ev for ev in events if ev.get("event") == "sweep_end"]
-    beats = [ev for ev in events if ev.get("event") == "heartbeat"]
     finished = counts.get("finished", 0)
     elapsed = None
     if ends and isinstance(ends[-1].get("elapsed"), (int, float)):
@@ -152,14 +151,6 @@ def summarize(path: str) -> str:
     elif starts and ends:
         lines.append(f"sweep wall-clock: "
                      f"{max(0.0, ends[-1]['ts'] - starts[0]['ts']):.1f}s")
-    elif beats:
-        last = beats[-1]
-        lines.append(f"in progress: {last.get('done', '?')} done, "
-                     f"{last.get('running', '?')} running, "
-                     f"{last.get('pending', '?')} pending "
-                     f"(heartbeat at +{last.get('elapsed', 0.0):.1f}s)")
-        if isinstance(last.get("elapsed"), (int, float)):
-            elapsed = float(last["elapsed"])
     if elapsed and finished:
         lines.append(f"throughput: {finished / elapsed:.2f} jobs/s "
                      f"({finished} jobs in {elapsed:.1f}s)")
@@ -176,15 +167,13 @@ def summarize(path: str) -> str:
         lines.append(f"{kind:<10} {jobs:>6} {row['seconds']:>9.1f} "
                      f"{mean:>8.2f}")
     lines.append("")
-    for name in ("retried", "timed_out", "quarantined", "artifact_corrupt",
-                 "job_failed", "pool_broken", "pool_rebuilt",
-                 "degraded_serial", "heartbeat", "served_cached"):
+    for name in ("quarantined", "artifact_corrupt", "job_failed",
+                 "served_cached"):
         lines.append(f"{name:<16} {counts.get(name, 0):>4}")
-    if retried_jobs:
+    if failures:
         lines.append("")
-        lines.append("jobs with retries:")
-        for job, n in retried_jobs.most_common():
-            lines.append(f"  {job}  x{n}")
+        lines.append("failed:")
+        lines.extend(f"  {error}" for error in failures)
     if cache:
         lines.append("")
         lines.append("cache: " + ", ".join(
@@ -207,8 +196,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         description="Inspect a sweep run ledger (JSONL)")
     parser.add_argument("ledger", help="path to a *.jsonl run ledger")
     parser.add_argument("--summarize", action="store_true", default=True,
-                        help="render per-stage timing and retry counts "
-                             "(default)")
+                        help="render per-stage timing, cache and "
+                             "failure counts (default)")
     args = parser.parse_args(argv)
     if not os.path.exists(args.ledger):
         print(f"no such ledger: {args.ledger}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Parallel experiment engine: the sweep matrix as a fault-tolerant job DAG.
+"""Parallel experiment engine: the sweep matrix as a job DAG.
 
 A paper sweep is a workload x configuration matrix.  Serially it is
 bottlenecked by Python's single-core simulation loop; but the matrix
@@ -35,35 +35,22 @@ the raw trace, update pages and hot-spot list, never pickled over
 pipes.  The privatized and prefetched traces are rebuilt in memory
 from them.  Every job is a deterministic function of its inputs, so
 the merged result map is bit-identical to a serial sweep regardless of
-worker count, completion order, cache temperature — or which faults
-fire along the way.
+worker count, completion order or cache temperature.
 
-Fault tolerance (see :mod:`repro.experiments.faults`):
-
-* a job that raises is retried with deterministic exponential backoff,
-  up to :attr:`RetryPolicy.max_retries` times, then the sweep fails
-  with :class:`~repro.common.errors.JobFailedError`;
-* a job that overruns :attr:`RetryPolicy.job_timeout` raises
-  :class:`~repro.common.errors.JobTimeoutError` inside the worker (soft
-  timeout); a worker that is wedged past the hard deadline is killed
-  from the scheduler side;
-* worker death (``BrokenProcessPool``) rebuilds the pool and re-submits
-  every affected job; after :attr:`RetryPolicy.max_pool_rebuilds`
-  rebuilds the engine degrades to serial in-process execution rather
-  than give up;
-* cache artifacts that fail hash verification are quarantined and
-  regenerated by the owning job (see
-  :class:`~repro.experiments.artifacts.ArtifactCache`).
+Failures are fatal, since a deterministic job that failed once fails
+again.  The first job that raises, or a worker process that dies, ends
+the sweep with :class:`~repro.common.errors.JobFailedError`: no further
+job is submitted, queued ones are cancelled and the pool is shut down
+before :meth:`~ParallelEngine.execute` raises, so no worker outlives
+it.  Cache artifacts that fail hash verification are not failures: the
+owning job quarantines and regenerates them (see
+:class:`~repro.experiments.artifacts.ArtifactCache`).
 
 Every lifecycle event is appended to a JSONL run ledger
 (:mod:`repro.experiments.ledger`); the ledger path is reported at sweep
-end and kept on :attr:`ParallelEngine.ledger_path`.  While jobs are in
-flight the scheduler records periodic ``heartbeat`` events (every
-:attr:`ParallelEngine.heartbeat_interval` seconds) carrying live
-done/running/pending counts, so ``python -m repro.experiments.ledger
---summarize`` can report progress on a sweep that is still running.
-All ``duration``/``elapsed`` fields are measured with
-``time.monotonic()`` so wall-clock steps cannot corrupt the profile.
+end and kept on :attr:`ParallelEngine.ledger_path`.  All
+``duration``/``elapsed`` fields are measured with ``time.monotonic()``
+so wall-clock steps cannot corrupt the profile.
 
 The ``derive`` job necessarily simulates Base and BCoh_RelUp on the
 engine's machine (the paper derives its optimizations from profiling
@@ -83,12 +70,10 @@ from concurrent.futures import (FIRST_COMPLETED, BrokenExecutor,
                                 ProcessPoolExecutor, wait)
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.common.errors import JobFailedError, JobTimeoutError
+from repro.common.errors import JobFailedError
 from repro.common.params import BASE_MACHINE, MachineParams
-from repro.experiments import faults
 from repro.experiments.artifacts import (ArtifactCache, SimKey,
                                          machine_fingerprint, metrics_key)
-from repro.experiments.faults import RetryPolicy
 from repro.experiments.ledger import RunLedger, default_path
 from repro.sim.config import SystemConfig, resolve_config
 from repro.sim.metrics import SystemMetrics
@@ -98,13 +83,6 @@ Cell = Tuple[str, str, MachineParams]
 
 #: Config names whose metrics fall out of a derivation run for free.
 DERIVE_PROFILES = ("Base", "BCoh_RelUp")
-
-#: Scheduler-side hard deadline on top of the worker-side soft timeout:
-#: a worker that has not returned by ``soft * HARD_TIMEOUT_FACTOR +
-#: HARD_TIMEOUT_SLACK`` seconds is presumed wedged beyond signal
-#: delivery and its pool is killed.
-HARD_TIMEOUT_FACTOR = 3.0
-HARD_TIMEOUT_SLACK = 10.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -132,6 +110,13 @@ class Job:
         if self.config:
             parts.append(self.config)
         return " ".join(parts)
+
+    def cell(self) -> Tuple[str, str, str]:
+        """(workload, config, machine fingerprint); a trace or derive job
+        has no config, and only a sim job names its machine."""
+        machine = (machine_fingerprint(self.machine)
+                   if self.machine is not None else "")
+        return (self.workload, self.config, machine)
 
 
 def _needs_derivation(config_name: str) -> bool:
@@ -249,14 +234,7 @@ def _execute_job(payload: dict, runner=None) -> dict:
     :meth:`RunLedger.record` writes whole lines through ``O_APPEND``.
     """
     start = time.monotonic()
-    job_id = payload["job_id"]
-    ledger = RunLedger(payload.get("ledger_path"))
-    with ledger, faults.soft_timeout(payload.get("job_timeout"),
-                                     label=job_id):
-        fault = faults.consume_fault(payload.get("fault_dir"), job_id)
-        if fault is not None:
-            faults.inject(fault,
-                          in_worker=os.getpid() != payload.get("parent_pid"))
+    with RunLedger(payload.get("ledger_path")) as ledger:
         if runner is None:
             runner = _worker_runner
         cache = runner.cache
@@ -295,7 +273,7 @@ def _execute_job(payload: dict, runner=None) -> dict:
         stats = Counter(cache.stats)
         stats.subtract(before)
     return {
-        "job_id": job_id,
+        "job_id": payload["job_id"],
         "elapsed": time.monotonic() - start,
         "results": results,
         "stats": {event: n for event, n in stats.items() if n},
@@ -304,27 +282,21 @@ def _execute_job(payload: dict, runner=None) -> dict:
 
 
 class ParallelEngine:
-    """Executes a sweep's job DAG across a process pool, surviving and
-    explaining worker death, hung jobs, and corrupt cache artifacts."""
+    """Executes a sweep's job DAG across a process pool, and stops at the
+    first job that fails or worker that dies."""
 
     def __init__(self, scale: float = 0.5, seed: int = 1996,
                  machine: MachineParams = BASE_MACHINE,
                  cache: Optional[ArtifactCache] = None,
                  workers: Optional[int] = None,
-                 retry_policy: Optional[RetryPolicy] = None,
                  ledger_path: Optional[str] = None,
-                 fault_dir: Optional[str] = None,
-                 heartbeat_interval: Optional[float] = 30.0,
                  reuse_sims: bool = False) -> None:
         self.scale = scale
         self.seed = seed
         self.machine = machine
         self.cache = cache
         self.workers = workers if workers is not None else (os.cpu_count() or 1)
-        self.retry_policy = retry_policy if retry_policy is not None \
-            else RetryPolicy()
         self._ledger_path_arg = ledger_path
-        self.fault_dir = fault_dir
         #: When True, cells whose simulation result is already in the
         #: artifact store (stored by an earlier sweep on the same cache)
         #: are served straight from it — no jobs are planned for them;
@@ -332,16 +304,8 @@ class ParallelEngine:
         #: engine's tests deliberately exercise the recompute path
         #: (corrupt-trace quarantine needs the trace to be read).
         self.reuse_sims = reuse_sims
-        #: Seconds between ``heartbeat`` ledger events while jobs are in
-        #: flight (``ledger --summarize`` renders them as live progress).
-        #: ``None`` disables heartbeats; ``0`` records one per scheduler
-        #: pass (tests use this).
-        self.heartbeat_interval = heartbeat_interval
         #: Aggregated worker-side cache stats of the last execute() call.
         self.last_stats: Counter = Counter()
-        #: Per-job attempt counts of the last execute() call (attempts
-        #: beyond 1 mean retries happened).
-        self.last_attempts: Dict[str, int] = {}
         #: The JSONL run ledger written by the last execute() call.
         self.ledger_path: Optional[str] = None
         #: Cells of the last execute() call served straight from the
@@ -361,9 +325,6 @@ class ParallelEngine:
             "seed": self.seed,
             "machine": self.machine,
             "cache_dir": cache_dir,
-            "job_timeout": self.retry_policy.job_timeout,
-            "fault_dir": self.fault_dir,
-            "parent_pid": os.getpid(),
             "ledger_path": self.ledger_path,
         }
 
@@ -378,6 +339,9 @@ class ParallelEngine:
         Jobs exchange artifacts through the engine's cache, so an engine
         without one cannot execute (``ExperimentRunner.run_cells`` gives
         a cacheless runner a throwaway one).
+
+        :raises JobFailedError: when a job raises or a worker dies; no
+            worker process of the sweep is left running.
         """
         if self.cache is None:
             raise ValueError("ParallelEngine.execute needs an artifact cache")
@@ -428,9 +392,9 @@ class ParallelEngine:
 class _Scheduler:
     """One execute() call's mutable scheduling state.
 
-    Separated from :class:`ParallelEngine` so the retry bookkeeping,
-    pool lifecycle, and ledger plumbing live in one place with a clear
-    lifetime (the engine itself stays reusable and nearly stateless).
+    Separated from :class:`ParallelEngine` so the pool lifecycle and
+    ledger plumbing live in one place with a clear lifetime (the engine
+    itself stays reusable and nearly stateless).
     """
 
     def __init__(self, engine: ParallelEngine, jobs: List[Job],
@@ -447,7 +411,6 @@ class _Scheduler:
         #: the cache stats those lookups accrued.
         self.cached = cached or {}
         self.cached_stats = cached_stats or Counter()
-        self.policy = engine.retry_policy
         self.by_id = {job.job_id: job for job in jobs}
         self.pending: Dict[str, Set[str]] = {
             job.job_id: set(job.deps) for job in jobs}
@@ -456,78 +419,17 @@ class _Scheduler:
             if missing:  # pragma: no cover - planner invariant
                 raise ValueError(f"job {job_id} depends on unknown {missing}")
         self.results: Dict[SimKey, SystemMetrics] = {}
-        self.attempts: Counter = Counter()  # job_id -> failures so far
         self.done_count = 0
-        #: This sweep's private executor while the pooled phase runs.
-        self.pool: Optional[ProcessPoolExecutor] = None
-        #: This process's runner for the sweep, made by the first
-        #: serial job.
-        self.runner = None
-        self.rebuilds = 0
-        #: Jobs whose hard deadline expired (their pool was killed); the
-        #: resulting BrokenExecutor is accounted to them as a timeout,
-        #: not to the innocent jobs that shared the pool.
-        self.expired: Set[str] = set()
-        #: Monotonic sweep start / next heartbeat due time, set by run().
-        self.start = 0.0
-        self._next_beat: Optional[float] = None
 
-    # ------------------------------------------------------------------
-    # Logging
-    # ------------------------------------------------------------------
     def _log(self, message: str) -> None:
         ParallelEngine._log(self.verbose, message)
 
-    def _hard_deadline(self) -> Optional[float]:
-        soft = self.policy.job_timeout
-        if not soft:
-            return None
-        return soft * HARD_TIMEOUT_FACTOR + HARD_TIMEOUT_SLACK
-
-    def _maybe_heartbeat(self, running: int,
-                         job: Optional[str] = None) -> None:
-        """Record a ``heartbeat`` progress event when one is due.
-
-        Heartbeats let ``python -m repro.experiments.ledger --summarize``
-        show live done/running/pending counts and throughput while a long
-        sweep is still in flight (and leave a progress trail if it dies).
-        *job* names the job executing in-process during degraded-serial
-        (and ``workers=1``) runs, where *running* would otherwise hide
-        the single in-flight job the scheduler itself is executing.
-        """
-        if self._next_beat is None:
-            return
-        now = time.monotonic()
-        if now < self._next_beat:
-            return
-        elapsed = now - self.start
-        extra = {"job": job} if job is not None else {}
-        self.ledger.record(
-            "heartbeat", done=self.done_count, running=running,
-            pending=len(self.pending), jobs=len(self.jobs),
-            retries=sum(self.attempts.values()),
-            elapsed=round(elapsed, 3),
-            throughput=round(self.done_count / elapsed, 3) if elapsed else 0.0,
-            cache={"hits": sum(n for e, n in
-                               self.engine.last_stats.items()
-                               if e.endswith(".hit"))},
-            **extra)
-        self._next_beat = now + (self.engine.heartbeat_interval or 0.0)
-        if self._next_beat <= now:  # interval 0: one beat per pass
-            self._next_beat = now
-
-    # ------------------------------------------------------------------
-    # Main loop
-    # ------------------------------------------------------------------
     def run(self) -> Dict[SimKey, SystemMetrics]:
         engine = self.engine
         # Durations come from the monotonic clock; the ledger's own
         # ``ts`` fields stay wall-clock for human readers.
-        start = self.start = time.monotonic()
-        interval = engine.heartbeat_interval
-        self._next_beat = (start + interval) if interval is not None else None
+        start = time.monotonic()
         engine.last_stats = Counter()
-        engine.last_attempts = {}
         engine.last_cached = len(self.cached)
         engine.last_job_kinds = Counter()
         self._log(f"[engine] {len(self.jobs)} jobs across "
@@ -553,23 +455,23 @@ class _Scheduler:
         try:
             if engine.workers > 1 and len(self.jobs) > 1:
                 self._run_pooled()
-            if self.pending:  # degraded, worker cap 1, or single job
+            else:
                 self._run_serial()
         except JobFailedError as err:
-            self.ledger.record("job_failed", job=err.job_id,
-                               attempts=err.attempts, error=str(err))
+            self.ledger.record("job_failed", job=err.job_id or None,
+                               cell=list(err.cell) or None,
+                               in_flight=list(err.in_flight),
+                               error=str(err))
             self.ledger.record("sweep_end", ok=False,
                                elapsed=round(time.monotonic() - start, 3))
             raise
-        engine.last_attempts = dict(self.attempts)
         hits = sum(n for e, n in engine.last_stats.items()
                    if e.endswith(".hit"))
         stores = sum(n for e, n in engine.last_stats.items()
                      if e.endswith(".store"))
-        retries = sum(self.attempts.values())  # failed attempts redone
         self.ledger.record("sweep_end", ok=True,
                            elapsed=round(time.monotonic() - start, 3),
-                           jobs=self.done_count, retries=retries,
+                           jobs=self.done_count,
                            cached_cells=len(self.cached))
         self._log(f"[engine] sweep finished in "
                   f"{time.monotonic() - start:.1f}s "
@@ -582,178 +484,68 @@ class _Scheduler:
     # Pooled execution
     # ------------------------------------------------------------------
     def _run_pooled(self) -> None:
-        self.pool = self._new_pool(min(self.engine.workers, len(self.jobs)))
-        running: Dict[object, Tuple[str, float]] = {}  # future -> (id, t0)
-        hard = self._hard_deadline()
-        try:
-            self._submit_ready(running)
-            while running:
-                self._maybe_heartbeat(len(running))
-                now = time.monotonic()
-                bounds = []
-                if hard is not None:
-                    bounds.append(max(0.05, min(
-                        t0 + hard - now for _id, t0 in running.values())))
-                if self._next_beat is not None:
-                    # Wake up in time for the next heartbeat even when no
-                    # future completes.
-                    bounds.append(max(0.05, self._next_beat - now))
-                timeout = min(bounds) if bounds else None
-                finished, _ = wait(running, timeout=timeout,
-                                   return_when=FIRST_COMPLETED)
-                broken = False
-                resubmit: List[str] = []
-                for future in finished:
-                    job_id, _t0 = running.pop(future)
-                    broken |= self._collect(future, job_id, resubmit)
-                if not finished and hard is not None:
-                    broken |= self._expire_overdue(running, hard)
-                if broken:
-                    # Every future still in flight on a broken pool is
-                    # doomed; drain them and rebuild (or degrade).
-                    for future, (job_id, _t0) in running.items():
-                        if job_id not in resubmit:
-                            resubmit.append(job_id)
-                    running.clear()
-                    if not self._rebuild_pool():
-                        # Degraded: put unfinished jobs back on pending
-                        # and let the serial fallback finish the sweep.
-                        for job_id in resubmit:
-                            self.pending[job_id] = set()
-                        return
-                for job_id in resubmit:
-                    self.pending[job_id] = set()  # deps already satisfied
-                self._submit_ready(running)
-        finally:
-            # On an abnormal exit (exhausted retries) drop work that has
-            # not started yet — in-flight jobs run to completion in the
-            # background, their results simply discarded.
-            for future in running:
-                future.cancel()
-            self._discard_pool()
-
-    def _submit_ready(self, running: Dict[object, Tuple[str, float]]) -> None:
-        for job_id in list(self.pending):
-            if not self.pending[job_id]:
-                job = self.by_id[job_id]
-                attempt = self.attempts[job_id] + 1
-                self.ledger.record("scheduled", job=job_id, kind=job.kind,
-                                   workload=job.workload,
-                                   config=job.config or None,
-                                   attempt=attempt)
-                future = self.pool.submit(
-                    _execute_job, self.engine._payload(job, self.cache_dir))
-                running[future] = (job_id, time.monotonic())
-                del self.pending[job_id]
-
-    def _collect(self, future, job_id: str, resubmit: List[str]) -> bool:
-        """Fold one finished future into the sweep state.
-
-        Appends *job_id* to *resubmit* when it must run again; returns
-        True when the pool is broken and must be rebuilt.
-        """
-        try:
-            outcome = future.result()
-        except BrokenExecutor:
-            if job_id in self.expired:
-                self.expired.discard(job_id)
-                self._register_timeout(job_id)
-            else:
-                self.ledger.record("pool_broken", job=job_id)
-                self._log(f"[engine] worker died running "
-                          f"{self.by_id[job_id].label()}; rebuilding pool")
-                self._register_failure(job_id, "worker process died")
-            resubmit.append(job_id)
-            return True
-        except JobTimeoutError:
-            self._register_timeout(job_id)
-            resubmit.append(job_id)
-            return False
-        except Exception as err:
-            self._register_failure(job_id, repr(err))
-            resubmit.append(job_id)
-            return False
-        self._finish(job_id, outcome)
-        return False
-
-    def _expire_overdue(self, running: Dict[object, Tuple[str, float]],
-                        hard: float) -> bool:
-        """Kill the pool if any in-flight job blew its hard deadline."""
-        now = time.monotonic()
-        overdue = [job_id for (job_id, t0) in running.values()
-                   if now - t0 > hard]
-        if not overdue:
-            return False
-        self.expired.update(overdue)
-        self._log(f"[engine] hard timeout: killing pool "
-                  f"(wedged: {', '.join(overdue)})")
-        self._kill_pool_workers()
-        return False  # the kill surfaces as BrokenExecutor on next wait
-
-    def _kill_pool_workers(self) -> None:
-        # ProcessPoolExecutor has no public "terminate workers" API; the
-        # private _processes map is stable across supported versions and
-        # this path only triggers for workers already presumed wedged.
-        procs = getattr(self.pool, "_processes", None) or {}
-        for proc in list(procs.values()):
-            try:
-                proc.terminate()
-            except Exception:
-                pass
-
-    def _new_pool(self, workers: int) -> ProcessPoolExecutor:
-        """A private pool whose workers each keep a runner for this
-        sweep (:func:`_start_worker`)."""
+        """Run the jobs on a private pool whose workers each keep a
+        runner for this sweep (:func:`_start_worker`)."""
         engine = self.engine
-        return ProcessPoolExecutor(
-            max_workers=workers, initializer=_start_worker,
+        pool = ProcessPoolExecutor(
+            max_workers=min(engine.workers, len(self.jobs)),
+            initializer=_start_worker,
             initargs=(engine.scale, engine.seed, engine.machine,
                       self.cache_dir))
-
-    def _discard_pool(self) -> None:
-        """Shut the executor down without waiting; safe when none."""
-        pool, self.pool = self.pool, None
-        if pool is not None:
-            try:
-                pool.shutdown(wait=False, cancel_futures=True)
-            except Exception:
-                pass
-
-    def _rebuild_pool(self) -> bool:
-        """Replace a broken pool; False means degrade to serial."""
-        self._discard_pool()
-        self.rebuilds += 1
-        if self.rebuilds > self.policy.max_pool_rebuilds:
-            self.ledger.record("degraded_serial", rebuilds=self.rebuilds)
-            self._log("[engine] worker pool keeps breaking; degrading to "
-                      "serial in-process execution")
-            return False
-        # Size by the jobs that still have to run, not the full DAG: a
-        # pool rebuilt late in a sweep would otherwise spawn workers that
-        # never receive a job.
+        running: Dict[object, str] = {}  # future -> job id
         try:
-            self.pool = self._new_pool(max(1, min(
-                self.engine.workers, len(self.jobs) - self.done_count)))
-        except Exception as err:  # pragma: no cover - resource exhaustion
-            self.ledger.record("degraded_serial", rebuilds=self.rebuilds,
-                               error=repr(err))
-            return False
-        self.ledger.record("pool_rebuilt", rebuilds=self.rebuilds)
-        return True
+            self._submit_ready(pool, running)
+            while running:
+                finished, _ = wait(running, return_when=FIRST_COMPLETED)
+                for future in finished:
+                    self._collect(future, running)
+                self._submit_ready(pool, running)
+        finally:
+            # After a failure: drop the queued jobs and wait out the
+            # running ones, so no worker process outlives execute().
+            pool.shutdown(wait=True, cancel_futures=True)
+
+    def _submit_ready(self, pool: ProcessPoolExecutor,
+                      running: Dict[object, str]) -> None:
+        for job_id in [job_id for job_id, deps in self.pending.items()
+                       if not deps]:
+            del self.pending[job_id]
+            job = self._scheduled(job_id)
+            future = pool.submit(_execute_job,
+                                 self.engine._payload(job, self.cache_dir))
+            running[future] = job_id
+
+    def _collect(self, future, running: Dict[object, str]) -> None:
+        """Fold one finished future into the sweep state, or raise
+        :class:`JobFailedError` for its failure."""
+        job_id = running[future]
+        try:
+            outcome = future.result()
+        except BrokenExecutor as err:
+            # The pool does not say which worker died, or how: name
+            # every job it was running.
+            in_flight = tuple(sorted(running.values()))
+            raise JobFailedError(
+                f"a worker process died with {len(in_flight)} job(s) in "
+                f"flight: " + "; ".join(self._describe(j) for j in in_flight),
+                in_flight=in_flight) from err
+        except Exception as err:
+            raise self._failed(job_id, err) from err
+        del running[future]
+        self._finish(job_id, outcome)
 
     # ------------------------------------------------------------------
-    # Serial fallback (and workers == 1)
+    # Serial execution (workers == 1, or a single job)
     # ------------------------------------------------------------------
     def _run_serial(self) -> None:
-        """Run the pending jobs in process on the sweep's runner, one
-        workload at a time, in the order of the trace each job reads
+        """Run the jobs in process on one runner, one workload at a
+        time, in the order of the trace each job reads
         (:func:`_trace_stage`), so each trace is converted to the
         simulator's lists once.  The raw trace is dropped after the
         last job that reads it."""
-        if self.runner is None:
-            engine = self.engine
-            self.runner = _sweep_runner(engine.scale, engine.seed,
-                                        engine.machine, self.cache_dir)
+        engine = self.engine
+        runner = _sweep_runner(engine.scale, engine.seed, engine.machine,
+                               self.cache_dir)
         rank: Dict[str, int] = {}
         for job in self.jobs:
             rank.setdefault(job.workload, len(rank))
@@ -765,40 +557,38 @@ class _Scheduler:
                     if _trace_stage(self.by_id[job_id]) <= _DERIVE}
         for job_id in order:
             if self.pending.pop(job_id):  # pragma: no cover - plan order
-                raise JobFailedError(f"job {job_id} reached before its "
-                                     f"dependencies finished")
-            # One job is in flight right now: report it, so a live
-            # ``ledger --summarize`` of a degraded-serial run does
-            # not claim the engine is idle mid-job.
-            self._maybe_heartbeat(1, job=job_id)
-            self._run_serial_job(job_id)
-            workload = self.by_id[job_id].workload
-            if last_raw.get(workload) == job_id:
-                self.runner.drop_trace(workload)
-        self._maybe_heartbeat(0)
-
-    def _run_serial_job(self, job_id: str) -> None:
-        job = self.by_id[job_id]
-        payload = self.engine._payload(job, self.cache_dir)
-        while True:
-            self.ledger.record("scheduled", job=job_id, kind=job.kind,
-                               workload=job.workload,
-                               config=job.config or None,
-                               attempt=self.attempts[job_id] + 1,
-                               serial=True)
+                raise ValueError(f"job {job_id} reached before its "
+                                 f"dependencies finished")
+            job = self._scheduled(job_id, serial=True)
             try:
-                outcome = _execute_job(payload, self.runner)
-            except JobTimeoutError:
-                self._register_timeout(job_id)
+                outcome = _execute_job(
+                    engine._payload(job, self.cache_dir), runner)
             except Exception as err:
-                self._register_failure(job_id, repr(err))
-            else:
-                self._finish(job_id, outcome)
-                return
+                raise self._failed(job_id, err) from err
+            self._finish(job_id, outcome)
+            if last_raw.get(job.workload) == job_id:
+                runner.drop_trace(job.workload)
 
     # ------------------------------------------------------------------
     # Shared accounting
     # ------------------------------------------------------------------
+    def _scheduled(self, job_id: str, **extra) -> Job:
+        job = self.by_id[job_id]
+        self.ledger.record("scheduled", job=job_id, kind=job.kind,
+                           workload=job.workload, config=job.config or None,
+                           **extra)
+        return job
+
+    def _describe(self, job_id: str) -> str:
+        workload, config, machine = self.by_id[job_id].cell()
+        return (f"{job_id} (workload {workload}, config {config or '-'}, "
+                f"machine {machine or '-'})")
+
+    def _failed(self, job_id: str, err: Exception) -> JobFailedError:
+        return JobFailedError(f"job {self._describe(job_id)} failed: {err!r}",
+                              job_id=job_id, cell=self.by_id[job_id].cell(),
+                              in_flight=(job_id,))
+
     def _finish(self, job_id: str, outcome: dict) -> None:
         assert outcome["job_id"] == job_id
         job = self.by_id[job_id]
@@ -806,7 +596,6 @@ class _Scheduler:
             self.results[key] = metrics
         stats = outcome["stats"]
         self.engine.last_stats.update(stats)
-        self.attempts[job_id] += 0  # materialize the key
         self.done_count += 1
         self.engine.last_job_kinds[job.kind] += 1
         quarantines = {stage: n for stage, n in stats.items()
@@ -826,7 +615,6 @@ class _Scheduler:
         self.ledger.record(
             "finished", job=job_id, kind=job.kind, workload=job.workload,
             config=job.config or None,
-            attempt=self.attempts[job_id] + 1,
             duration=round(outcome["elapsed"], 3),
             worker_pid=outcome["worker_pid"], cache=cache,
             sim_keys=[{"workload": k.workload, "config": k.config,
@@ -836,33 +624,3 @@ class _Scheduler:
                   f"{outcome['elapsed']:>6.1f}s  {job.label()}")
         for deps in self.pending.values():
             deps.discard(job_id)
-
-    def _register_timeout(self, job_id: str) -> None:
-        self.attempts[job_id] += 1
-        attempt = self.attempts[job_id]
-        self.ledger.record("timed_out", job=job_id, attempt=attempt,
-                           timeout=self.policy.job_timeout)
-        self._log(f"[engine] {self.by_id[job_id].label()} timed out "
-                  f"(attempt {attempt})")
-        self._check_budget(job_id, "timed out", timeout=True)
-
-    def _register_failure(self, job_id: str, reason: str) -> None:
-        self.attempts[job_id] += 1
-        attempt = self.attempts[job_id]
-        self.ledger.record("retried", job=job_id, attempt=attempt,
-                           error=reason)
-        self._log(f"[engine] {self.by_id[job_id].label()} failed "
-                  f"(attempt {attempt}): {reason}")
-        self._check_budget(job_id, reason)
-
-    def _check_budget(self, job_id: str, reason: str,
-                      timeout: bool = False) -> None:
-        attempts = self.attempts[job_id]
-        if self.policy.exhausted(attempts):
-            cls = JobTimeoutError if timeout else JobFailedError
-            raise cls(f"job {job_id} failed after {attempts} attempts "
-                      f"({self.policy.max_retries} retries allowed): "
-                      f"{reason}", job_id=job_id, attempts=attempts)
-        delay = self.policy.delay(self.engine.seed, job_id, attempts)
-        if delay > 0:
-            time.sleep(delay)

@@ -66,7 +66,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.common.params import BASE_MACHINE, MachineParams
 from repro.experiments.artifacts import ArtifactCache, SimKey, stage_key
-from repro.experiments.faults import RetryPolicy
 from repro.optim.hotspots import HotspotPrefetcher, find_hotspots
 from repro.optim.privatize import privatize_and_relocate
 from repro.optim.update_select import UpdateSelection, select_update_core
@@ -95,9 +94,6 @@ class ExperimentRunner:
     :param workers: the engine's process count for :meth:`run_matrix` /
         :meth:`run_cells`; ``1`` runs the jobs in this process, ``None``
         means ``os.cpu_count()``.
-    :param retry_policy: fault-tolerance policy for sweeps (retries,
-        backoff, per-job timeout); ``None`` uses the default
-        :class:`~repro.experiments.faults.RetryPolicy`.
     :param ledger_path: JSONL run-ledger destination for sweeps;
         ``None`` writes one inside the cache directory.  The ledger of
         the most recent sweep is on :attr:`last_ledger_path`.
@@ -107,13 +103,11 @@ class ExperimentRunner:
                  machine: MachineParams = BASE_MACHINE,
                  cache: Optional[ArtifactCache] = None,
                  workers: Optional[int] = 1,
-                 retry_policy: Optional[RetryPolicy] = None,
                  ledger_path: Optional[str] = None) -> None:
         self.scale = scale
         self.seed = seed
         self.machine = machine
         self.workers = workers
-        self.retry_policy = retry_policy
         self.ledger_path = ledger_path
         #: Ledger written by the most recent run_cells() sweep.
         self.last_ledger_path: Optional[str] = None
@@ -326,7 +320,6 @@ class ExperimentRunner:
             engine = ParallelEngine(scale=self.scale, seed=self.seed,
                                     machine=self.machine, cache=self.cache,
                                     workers=self.workers,
-                                    retry_policy=self.retry_policy,
                                     ledger_path=self.ledger_path)
             self._metrics.update(engine.execute(todo, verbose=verbose))
             self.last_ledger_path = engine.ledger_path

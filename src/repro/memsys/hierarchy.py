@@ -68,8 +68,8 @@ class CpuMemorySystem:
     __slots__ = ("machine", "bus", "controller", "sink", "probe", "l1i",
                  "l1d", "l2", "wb1", "wb2", "pending", "pref_buffer",
                  "bypass_src_line", "bypass_dst_line", "bypass_l2_wide",
-                 "in_blockop", "_touch_l1i", "_touch_l1d", "_touch_l2",
-                 "cpu_id")
+                 "in_blockop", "_touch_l1i", "_touch_l2",
+                 "_l1d_line_transfer", "cpu_id")
 
     def __init__(self, machine: MachineParams, bus: Bus,
                  controller: CoherenceController,
@@ -104,8 +104,11 @@ class CpuMemorySystem:
         #: set's MRU line) changes nothing, so the hooks and the inline
         #: hit paths promote only a non-zero rank.
         self._touch_l1i = self.l1i.touch if machine.l1i.assoc != 1 else None
-        self._touch_l1d = self.l1d.touch if machine.l1d.assoc != 1 else None
         self._touch_l2 = self.l2.touch if machine.l2.assoc != 1 else None
+        #: Bus cycles of one L1D line, as the bypass destination register
+        #: flushes it (the controller's ``line_transfer`` is an L2 line).
+        self._l1d_line_transfer = bus.params.line_transfer_cycles(
+            machine.l1d.line_bytes)
         self.cpu_id = controller.attach(self.l1i, self.l1d, self.l2, self.sink)
 
     # ------------------------------------------------------------------
@@ -388,8 +391,7 @@ class CpuMemorySystem:
             return 0
         line = self.bypass_dst_line
         self.bypass_dst_line = -1
-        transfer = self.bus.params.line_transfer_cycles(
-            self.machine.l1d.line_bytes)
+        transfer = self._l1d_line_transfer
         controller = self.controller
         cpu = self.cpu_id
         wb2 = self.wb2

@@ -294,7 +294,7 @@ class Processor:
         # would: only on a set-associative cache (the promote hooks are
         # None on 1-way ones) and only a frame whose rank is non-zero.
         self._l1d_ranks = l1d.ranks
-        self._promote_l1d = None if mem._touch_l1d is None else l1d.promote
+        self._promote_l1d = None if l1d.assoc == 1 else l1d.promote
         self._l1i_ranks = l1i.ranks
         self._promote_l1i = None if mem._touch_l1i is None else l1i.promote
         # The inline clean write: the L2 frame index and states, and WB1.

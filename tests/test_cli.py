@@ -183,6 +183,34 @@ def test_simulate_unknown_profile(capsys):
     assert "unknown workload" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, config", [
+    (["report", "--only", "table3", "--scale", "0.03"], "Blk_Bypass"),
+    (["sweep", "--samples", "1", "--configs", "Base,Blk_Dma",
+      "--scale", "0.04"], "Blk_Dma"),
+])
+def test_failed_sweep_exits_1_naming_the_cell(monkeypatch, capsys, argv,
+                                              config):
+    """A failing sweep job ends report/sweep with one ``sweep failed``
+    line naming the cell, exit status 1 and no traceback."""
+    from repro.experiments import runner as runner_mod
+    real = runner_mod.simulate
+
+    def failing(trace, system, **kwargs):
+        if system.name == config:
+            raise RuntimeError("simulator exploded")
+        return real(trace, system, **kwargs)
+
+    monkeypatch.setattr(runner_mod, "simulate", failing)
+    assert main(argv + ["--workers", "1", "--no-cache"]) == 1
+    err = capsys.readouterr().err
+    failed = [line for line in err.splitlines()
+              if line.startswith("sweep failed:")]
+    assert len(failed) == 1
+    assert f"config {config}" in failed[0]
+    assert "simulator exploded" in failed[0]
+    assert "Traceback" not in err
+
+
 def test_sweep_smoke(tmp_path, capsys):
     out = tmp_path / "sweep.txt"
     assert main(["sweep", "--samples", "2", "--configs", "Base",

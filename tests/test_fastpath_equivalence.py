@@ -434,8 +434,8 @@ class _UnfusedMemorySystem(CpuMemorySystem):
             if evicted != -1:
                 self.pending.drop(evicted)
             self.sink.l1_fill(line, evicted, self.in_blockop)
-        elif self._touch_l1d is not None:
-            self._touch_l1d(addr)
+        elif self.l1d.assoc != 1:
+            self.l1d.touch(addr)
         insert_t, stall, start = self.wb1.admit(t)
         self.wb1.complete(start, self._reference_drain(addr, start))
         return insert_t + 1, stall

@@ -1,22 +1,26 @@
-"""Fault-injection tests for the parallel engine (repro.experiments).
+"""Typed-failure tests for the parallel engine (repro.experiments).
 
-The engine's contract under faults: SIGKILL-ing a worker mid-sweep, a
-job overrunning its wall-clock timeout, and a bit-flipped cache
-artifact must each produce a *completed* sweep whose merged
-``SystemMetrics`` snapshots are bit-identical to a clean serial run,
-with the recovery visible in the JSONL run ledger.
+The engine's contract under failure: a job that raises, in process or
+in a pool worker, or a worker process that dies, ends the sweep at once
+with a :class:`JobFailedError` naming the job and its cell, with no
+retry, no worker left running and the ledger closed by ``job_failed``
+and ``sweep_end ok=false``.  A bit-flipped cache artifact is not a
+failure: it is quarantined and regenerated, and the sweep's merged
+``SystemMetrics`` snapshots stay bit-identical to a clean serial run.
 """
 
 import glob
+import multiprocessing
 import os
+import signal
+import time
 
 import pytest
 
 from repro.common.errors import JobFailedError
 from repro.experiments import ledger as ledger_mod
+from repro.experiments import runner as runner_mod
 from repro.experiments.artifacts import ArtifactCache, SimKey
-from repro.experiments.faults import (FAULT_HANG, FAULT_KILL, FAULT_RAISE,
-                                      RetryPolicy, arm_fault, consume_fault)
 from repro.experiments.parallel import ParallelEngine
 from repro.experiments.runner import ExperimentRunner
 
@@ -27,8 +31,13 @@ SEED = 9
 #: plus two sim jobs without the (slow) derivation pipeline.
 CELLS = [("Shell", "Base", None), ("Shell", "Blk_Dma", None)]
 
-#: Fast backoff so retry storms do not slow the suite down.
-FAST = dict(max_retries=2, backoff_base=0.01, backoff_cap=0.05)
+#: The config the failure tests make fail.
+FAILING = "Blk_Dma"
+
+#: The pid of the test process; a patched simulate kills only workers.
+TEST_PID = os.getpid()
+
+_simulate = runner_mod.simulate
 
 
 def _snapshots(results):
@@ -42,17 +51,16 @@ def _events(path):
 @pytest.fixture(scope="module")
 def clean_serial():
     """Golden snapshot: every cell through ExperimentRunner.run, in
-    process, no engine and no faults."""
+    process, no engine."""
     runner = ExperimentRunner(scale=SCALE, seed=SEED)
     return _snapshots({SimKey.of(w, c, runner.machine): runner.run(w, c)
                        for (w, c, _m) in CELLS})
 
 
-def _engine(tmp_path, policy, fault_dir=None, workers=2):
+def _engine(tmp_path, workers=2):
     return ParallelEngine(scale=SCALE, seed=SEED,
                           cache=ArtifactCache(tmp_path / "cache"),
-                          workers=workers, retry_policy=policy,
-                          fault_dir=str(fault_dir) if fault_dir else None)
+                          workers=workers)
 
 
 def _assert_matches_golden(clean_serial, results):
@@ -63,89 +71,100 @@ def _assert_matches_golden(clean_serial, results):
             f"metrics diverged from clean run for {key}")
 
 
-# ----------------------------------------------------------------------
-# RetryPolicy
-# ----------------------------------------------------------------------
-def test_retry_policy_deterministic_backoff():
-    policy = RetryPolicy()
-    a = [policy.delay(1996, "sim:Shell:Base:xyz", n) for n in (1, 2, 3)]
-    b = [policy.delay(1996, "sim:Shell:Base:xyz", n) for n in (1, 2, 3)]
-    assert a == b
-    assert all(delay > 0 for delay in a)
-    # Bounded: never above the cap, even at absurd attempt numbers.
-    assert policy.delay(1996, "sim:Shell:Base:xyz", 40) <= policy.backoff_cap
-    # Seed- and job-sensitive (different runs/jobs decorrelate).
-    assert policy.delay(1997, "sim:Shell:Base:xyz", 1) != a[0] or \
-        policy.delay(1996, "sim:Other", 1) != a[0]
-
-
-def test_retry_policy_budget():
-    policy = RetryPolicy(max_retries=2)
-    assert not policy.exhausted(2)
-    assert policy.exhausted(3)
-
-
-def test_fault_markers_fire_exactly_once(tmp_path):
-    arm_fault(str(tmp_path), FAULT_RAISE, "sim:Shell", count=2)
-    assert consume_fault(str(tmp_path), "sim:Shell:Base:abc") == FAULT_RAISE
-    assert consume_fault(str(tmp_path), "sim:Shell:Base:abc") == FAULT_RAISE
-    assert consume_fault(str(tmp_path), "sim:Shell:Base:abc") is None
-    assert consume_fault(str(tmp_path), "trace:Shell") is None  # no match
-    assert consume_fault(None, "sim:Shell:Base:abc") is None
-
-
-# ----------------------------------------------------------------------
-# Scenario 1: worker death (SIGKILL mid-job)
-# ----------------------------------------------------------------------
-def test_worker_kill_recovers_bit_identical(clean_serial, tmp_path):
-    faults = tmp_path / "faults"
-    arm_fault(str(faults), FAULT_KILL, "sim:Shell:Blk_Dma", count=1)
-    engine = _engine(tmp_path, RetryPolicy(**FAST), fault_dir=faults)
-    results = engine.execute(CELLS)
-    _assert_matches_golden(clean_serial, results)
-    events = _events(engine.ledger_path)
-    assert "pool_broken" in events
-    assert "pool_rebuilt" in events
-    assert "retried" in events
-    assert events[0] == "sweep_start" and events[-1] == "sweep_end"
-    # The killed job really was re-run.
-    assert any(n >= 1 for job, n in engine.last_attempts.items()
-               if job.startswith("sim:Shell:Blk_Dma"))
-
-
-# ----------------------------------------------------------------------
-# Scenario 2: hung job exceeding its wall-clock timeout
-# ----------------------------------------------------------------------
-def test_job_timeout_recovers_bit_identical(clean_serial, tmp_path):
-    faults = tmp_path / "faults"
-    arm_fault(str(faults), FAULT_HANG, "sim:Shell:Base", count=1)
-    engine = _engine(tmp_path,
-                     RetryPolicy(job_timeout=2.0, **FAST),
-                     fault_dir=faults)
-    results = engine.execute(CELLS)
-    _assert_matches_golden(clean_serial, results)
-    events = _events(engine.ledger_path)
-    assert "timed_out" in events
-    timed = [e for e in ledger_mod.read_events(engine.ledger_path)
-             if e["event"] == "timed_out"]
-    assert timed[0]["timeout"] == 2.0
-    assert timed[0]["job"].startswith("sim:Shell:Base")
-
-
-# ----------------------------------------------------------------------
-# Scenario 3: bit-flipped cache artifact
-# ----------------------------------------------------------------------
-def test_corrupt_artifact_quarantined_bit_identical(clean_serial, tmp_path):
-    warm = _engine(tmp_path, RetryPolicy(**FAST))
-    warm.execute(CELLS)  # populate the cache
+def _flip_trace_byte(tmp_path, offset=50):
     (npz,) = glob.glob(str(tmp_path / "cache" / "v1" / "*" / "*.npz"))
     with open(npz, "r+b") as fp:  # flip one payload bit
-        fp.seek(50)
+        fp.seek(offset)
         byte = fp.read(1)
-        fp.seek(50)
+        fp.seek(offset)
         fp.write(bytes([byte[0] ^ 0xFF]))
+    return npz
 
-    engine = _engine(tmp_path, RetryPolicy(**FAST))
+
+# ----------------------------------------------------------------------
+# Fail fast: a raising job, a dead worker
+# ----------------------------------------------------------------------
+def _raise_for_failing(trace, config, *args, **kwargs):
+    if config.name == FAILING:
+        raise RuntimeError(f"injected failure simulating {config.name}")
+    return _simulate(trace, config, *args, **kwargs)
+
+
+def _kill_worker_for_failing(trace, config, *args, **kwargs):
+    if config.name == FAILING and os.getpid() != TEST_PID:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _simulate(trace, config, *args, **kwargs)
+
+
+def _assert_failed_sweep(engine):
+    """The ledger of a failed sweep holds job events only (no retry,
+    timeout or pool event of any kind) and ends ``job_failed`` then
+    ``sweep_end ok=false``."""
+    events = ledger_mod.read_events(engine.ledger_path)
+    names = [ev["event"] for ev in events]
+    assert set(names) <= {"sweep_start", "scheduled", "finished",
+                          "job_failed", "sweep_end"}
+    assert names[-2:] == ["job_failed", "sweep_end"]
+    assert events[-1]["ok"] is False
+    assert multiprocessing.active_children() == []
+    return events
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_raising_job_fails_fast(tmp_path, monkeypatch, workers):
+    if workers > 1 and multiprocessing.get_start_method() != "fork":
+        pytest.skip("pool workers see the patched simulate only when forked")
+    sleeps = []
+    monkeypatch.setattr(runner_mod, "simulate", _raise_for_failing)
+    monkeypatch.setattr(time, "sleep", sleeps.append)
+    engine = _engine(tmp_path, workers=workers)
+    with pytest.raises(JobFailedError) as excinfo:
+        engine.execute(CELLS)
+    err = excinfo.value
+    assert err.job_id.startswith(f"sim:Shell:{FAILING}:")
+    workload, config, machine = err.cell
+    assert (workload, config) == ("Shell", FAILING)
+    assert err.job_id.endswith(machine)
+    assert err.in_flight == (err.job_id,)
+    assert isinstance(err.__cause__, RuntimeError)
+    assert "injected failure" in str(err) and FAILING in str(err)
+    assert sleeps == []  # no backoff
+    events = _assert_failed_sweep(engine)
+    scheduled = [ev for ev in events if ev["event"] == "scheduled"
+                 and ev["job"] == err.job_id]
+    assert len(scheduled) == 1
+    assert events[-2]["job"] == err.job_id
+    assert events[-2]["cell"] == list(err.cell)
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="pool workers see the patched simulate only "
+                           "when forked")
+def test_killed_worker_fails_fast(tmp_path, monkeypatch):
+    monkeypatch.setattr(runner_mod, "simulate", _kill_worker_for_failing)
+    engine = _engine(tmp_path, workers=2)
+    with pytest.raises(JobFailedError) as excinfo:
+        engine.execute(CELLS)
+    err = excinfo.value
+    assert "worker process died" in str(err)
+    assert err.job_id == "" and err.cell == ()
+    killed = [job for job in err.in_flight
+              if job.startswith(f"sim:Shell:{FAILING}:")]
+    assert len(killed) == 1 and killed[0] in str(err)
+    events = _assert_failed_sweep(engine)
+    assert events[-2]["in_flight"] == list(err.in_flight)
+    scheduled = [ev["job"] for ev in events if ev["event"] == "scheduled"]
+    assert scheduled.count(killed[0]) == 1
+
+
+# ----------------------------------------------------------------------
+# Bit-flipped cache artifact: quarantined, regenerated, bit-identical
+# ----------------------------------------------------------------------
+def test_corrupt_artifact_quarantined_bit_identical(clean_serial, tmp_path):
+    _engine(tmp_path).execute(CELLS)  # populate the cache
+    npz = _flip_trace_byte(tmp_path)
+
+    engine = _engine(tmp_path)
     results = engine.execute(CELLS)
     _assert_matches_golden(clean_serial, results)
     quarantined = glob.glob(str(tmp_path / "cache" / "v1" / "*"
@@ -162,15 +181,10 @@ def test_corrupt_trace_quarantined_by_next_serial_engine(clean_serial,
     """A 1-worker sweep keeps its traces in memory, but only for its own
     execute() call: the next engine reads the cache again, so a
     bit-flipped trace is quarantined and regenerated."""
-    _engine(tmp_path, RetryPolicy(**FAST), workers=1).execute(CELLS)
-    (npz,) = glob.glob(str(tmp_path / "cache" / "v1" / "*" / "*.npz"))
-    with open(npz, "r+b") as fp:
-        fp.seek(50)
-        byte = fp.read(1)
-        fp.seek(50)
-        fp.write(bytes([byte[0] ^ 0xFF]))
+    _engine(tmp_path, workers=1).execute(CELLS)
+    npz = _flip_trace_byte(tmp_path)
 
-    engine = _engine(tmp_path, RetryPolicy(**FAST), workers=1)
+    engine = _engine(tmp_path, workers=1)
     _assert_matches_golden(clean_serial, engine.execute(CELLS))
     assert engine.last_stats["trace.quarantine"] == 1
     assert engine.last_stats["trace.store"] == 1
@@ -178,60 +192,8 @@ def test_corrupt_trace_quarantined_by_next_serial_engine(clean_serial,
 
 
 # ----------------------------------------------------------------------
-# Exhaustion, degradation, ledger plumbing
+# Ledger plumbing
 # ----------------------------------------------------------------------
-def test_persistent_failure_raises_job_failed(tmp_path):
-    faults = tmp_path / "faults"
-    arm_fault(str(faults), FAULT_RAISE, "sim:Shell:Blk_Dma", count=10)
-    engine = _engine(tmp_path,
-                     RetryPolicy(max_retries=1, backoff_base=0.01),
-                     fault_dir=faults)
-    with pytest.raises(JobFailedError) as excinfo:
-        engine.execute(CELLS)
-    assert excinfo.value.job_id.startswith("sim:Shell:Blk_Dma")
-    assert excinfo.value.attempts == 2  # first try + one retry
-    events = _events(engine.ledger_path)
-    assert "job_failed" in events
-    assert events[-1] == "sweep_end"
-
-
-def test_degrades_to_serial_when_pool_keeps_breaking(clean_serial, tmp_path):
-    faults = tmp_path / "faults"
-    arm_fault(str(faults), FAULT_KILL, "sim:Shell:Blk_Dma", count=1)
-    engine = _engine(tmp_path,
-                     RetryPolicy(max_pool_rebuilds=0, **FAST),
-                     fault_dir=faults)
-    results = engine.execute(CELLS)
-    _assert_matches_golden(clean_serial, results)
-    events = _events(engine.ledger_path)
-    assert "degraded_serial" in events
-    assert "pool_rebuilt" not in events
-
-
-def test_rebuilt_pool_sized_by_remaining_jobs(tmp_path):
-    """A pool rebuilt late in a sweep must be sized by the jobs still
-    to run, not the full DAG (regression: rebuilds used len(jobs))."""
-    from repro.common.params import BASE_MACHINE
-    from repro.experiments.ledger import RunLedger
-    from repro.experiments.parallel import _Scheduler, plan_jobs
-
-    engine = ParallelEngine(scale=SCALE, seed=SEED, workers=8,
-                            retry_policy=RetryPolicy(**FAST))
-    cells = [("Shell", config, BASE_MACHINE)
-             for config in ("Base", "Blk_Pref", "Blk_Bypass", "Blk_ByPref",
-                            "Blk_Dma")]
-    jobs = plan_jobs(cells, BASE_MACHINE)  # 1 trace + 5 sims
-    assert len(jobs) == 6
-    scheduler = _Scheduler(engine, jobs, str(tmp_path), RunLedger.null(),
-                           verbose=False)
-    scheduler.done_count = len(jobs) - 2  # only two jobs left to run
-    assert scheduler._rebuild_pool()
-    try:
-        assert scheduler.pool._max_workers == 2
-    finally:
-        scheduler.pool.shutdown(wait=False, cancel_futures=True)
-
-
 def test_serial_engine_writes_ledger(clean_serial, tmp_path):
     """workers=1 runs in-process yet still ledgers every event."""
     ledger_path = tmp_path / "run.jsonl"
@@ -267,7 +229,6 @@ def test_runner_threads_policy_and_ledger_through(clean_serial, tmp_path):
     runner = ExperimentRunner(scale=SCALE, seed=SEED,
                               cache=ArtifactCache(tmp_path / "cache"),
                               workers=2,
-                              retry_policy=RetryPolicy(**FAST),
                               ledger_path=str(tmp_path / "sweep.jsonl"))
     results = runner.run_cells(CELLS)
     _assert_matches_golden(clean_serial, results)
@@ -275,11 +236,18 @@ def test_runner_threads_policy_and_ledger_through(clean_serial, tmp_path):
     assert os.path.exists(runner.last_ledger_path)
 
 
-def test_ledger_summarize_renders(tmp_path):
-    engine = _engine(tmp_path, RetryPolicy(**FAST))
+def test_ledger_summarize_renders(tmp_path, monkeypatch):
+    engine = _engine(tmp_path)
     engine.execute(CELLS)
     text = ledger_mod.summarize(engine.ledger_path)
     assert "stage" in text and "sim" in text and "trace" in text
-    assert "retried" in text
+    assert "throughput:" in text and "job_failed" in text
     assert ledger_mod.main([engine.ledger_path, "--summarize"]) == 0
     assert ledger_mod.main([str(tmp_path / "missing.jsonl")]) == 2
+
+    monkeypatch.setattr(runner_mod, "simulate", _raise_for_failing)
+    failing = _engine(tmp_path, workers=1)
+    with pytest.raises(JobFailedError):
+        failing.execute(CELLS)
+    text = ledger_mod.summarize(failing.ledger_path)
+    assert "failed:" in text and "injected failure" in text

@@ -1,9 +1,8 @@
-"""Sweep-observability tests: heartbeats, monotonic durations, and the
+"""Sweep-observability tests: monotonic durations and the
 ledger/artifact hardening (repro.experiments).
 
 Covers the clock-correctness contract (durations come from
-``time.monotonic()`` and survive wall-clock steps), the ``heartbeat``
-progress events and their ``--summarize`` rendering, the "never raises,
+``time.monotonic()`` and survive wall-clock steps), the "never raises,
 never tears a line" :meth:`RunLedger.record` guarantee, and the
 ``artifact_corrupt`` ledger events emitted on quarantine.
 """
@@ -17,8 +16,7 @@ import pytest
 from repro.experiments import ledger as ledger_mod
 from repro.experiments import parallel as parallel_mod
 from repro.experiments.artifacts import ArtifactCache
-from repro.experiments.faults import RetryPolicy
-from repro.experiments.ledger import RunLedger, read_events, summarize
+from repro.experiments.ledger import RunLedger, read_events
 from repro.experiments.parallel import ParallelEngine
 
 SCALE = 0.03
@@ -28,15 +26,12 @@ SEED = 9
 #: a trace job plus two sim jobs, no slow derivation pipeline.
 CELLS = [("Shell", "Base", None), ("Shell", "Blk_Dma", None)]
 
-FAST = dict(max_retries=2, backoff_base=0.01, backoff_cap=0.05)
-
 
 def _events(path):
     return [event["event"] for event in read_events(path)]
 
 
 def _engine(tmp_path, **kw):
-    kw.setdefault("retry_policy", RetryPolicy(**FAST))
     return ParallelEngine(scale=SCALE, seed=SEED,
                           cache=ArtifactCache(tmp_path / "cache"), **kw)
 
@@ -63,7 +58,7 @@ def test_durations_survive_backwards_wall_clock(tmp_path, monkeypatch):
     clock = BackwardsWallClock()
     monkeypatch.setattr(parallel_mod, "time", clock)
     monkeypatch.setattr(ledger_mod, "time", clock)
-    engine = _engine(tmp_path, workers=1, heartbeat_interval=0.0)
+    engine = _engine(tmp_path, workers=1)
     results = engine.execute(CELLS)
     assert len(results) == 2
     events = read_events(engine.ledger_path)
@@ -78,63 +73,6 @@ def test_durations_survive_backwards_wall_clock(tmp_path, monkeypatch):
             assert ev["elapsed"] >= 0, ev
     ends = [ev for ev in events if ev["event"] == "sweep_end"]
     assert ends and ends[-1]["ok"] and ends[-1]["elapsed"] >= 0
-
-
-# ----------------------------------------------------------------------
-# Heartbeats
-# ----------------------------------------------------------------------
-def test_serial_sweep_emits_heartbeats(tmp_path):
-    engine = _engine(tmp_path, workers=1, heartbeat_interval=0.0)
-    engine.execute(CELLS)
-    events = read_events(engine.ledger_path)
-    beats = [ev for ev in events if ev["event"] == "heartbeat"]
-    # One beat per job as it starts, plus a final idle beat (interval 0).
-    assert len(beats) == 4
-    for beat in beats[:-1]:
-        # While a job executes in-process the beat must say so — a live
-        # summary of a serial run should never claim the engine is idle.
-        assert beat["running"] == 1
-        assert beat["job"] in {ev["job"] for ev in events
-                               if ev["event"] == "scheduled"}
-    for beat in beats:
-        assert beat["done"] + beat["running"] + beat["pending"] \
-            <= beat["jobs"] == 3
-        assert beat["elapsed"] >= 0 and beat["throughput"] >= 0
-    assert beats[-1]["done"] == 3 and beats[-1]["pending"] == 0
-    assert beats[-1]["running"] == 0 and "job" not in beats[-1]
-
-
-def test_pooled_sweep_emits_heartbeats(tmp_path):
-    engine = _engine(tmp_path, workers=2, heartbeat_interval=0.0)
-    engine.execute(CELLS)
-    names = _events(engine.ledger_path)
-    assert "heartbeat" in names
-    assert names[0] == "sweep_start" and names[-1] == "sweep_end"
-
-
-def test_heartbeats_disabled_by_default_interval_none(tmp_path):
-    engine = _engine(tmp_path, workers=1, heartbeat_interval=None)
-    engine.execute(CELLS)
-    assert "heartbeat" not in _events(engine.ledger_path)
-
-
-def test_summarize_renders_throughput_and_live_progress(tmp_path):
-    engine = _engine(tmp_path, workers=1, heartbeat_interval=0.0)
-    engine.execute(CELLS)
-    out = summarize(engine.ledger_path)
-    assert "throughput:" in out
-    assert "cache hit rate:" in out or "0 hits" not in out
-    assert "heartbeat" in out
-    # A ledger cut off mid-sweep (crash) renders live progress from the
-    # last heartbeat instead of a wall-clock total.
-    partial = tmp_path / "partial.jsonl"
-    with open(engine.ledger_path) as src, open(partial, "w") as dst:
-        for line in src:
-            if '"sweep_end"' in line:
-                break
-            dst.write(line)
-    out = summarize(str(partial))
-    assert "in progress:" in out
 
 
 # ----------------------------------------------------------------------
@@ -241,7 +179,7 @@ def test_unexpected_exception_propagates(tmp_path, monkeypatch):
 def test_corrupt_artifact_event_reaches_sweep_ledger(tmp_path):
     """End to end: a worker hitting a corrupt artifact writes the
     artifact_corrupt event into the shared sweep ledger."""
-    engine = _engine(tmp_path, workers=1, heartbeat_interval=None)
+    engine = _engine(tmp_path, workers=1)
     engine.execute(CELLS)
     (npz_file,) = _cache_files(tmp_path / "cache", ".npz")
     with open(npz_file, "r+b") as fp:
@@ -249,7 +187,7 @@ def test_corrupt_artifact_event_reaches_sweep_ledger(tmp_path):
         byte = fp.read(1)
         fp.seek(64)
         fp.write(bytes([byte[0] ^ 0xFF]))
-    fresh = _engine(tmp_path, workers=1, heartbeat_interval=None)
+    fresh = _engine(tmp_path, workers=1)
     fresh.execute(CELLS)
     names = _events(fresh.ledger_path)
     assert "artifact_corrupt" in names
