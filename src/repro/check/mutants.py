@@ -121,9 +121,10 @@ def lost_dirty_bit() -> Iterator[None]:
 
     The line stays EXCLUSIVE, so its eviction (or final state) silently
     drops the write.  Expected catch: ``clean-copy-diverged`` or
-    ``lost-write`` in the final diff.  ``Processor.step`` resolves clean
-    writes itself only while no probe is attached, so under the checker
-    every write reaches the patched method.
+    ``lost-write`` in the final diff.  The record loop
+    (``Processor.steps``) resolves clean writes itself only while no
+    probe is attached, so under the checker every write reaches the
+    patched method.
     """
     orig = CpuMemorySystem.write
 

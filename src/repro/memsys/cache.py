@@ -150,14 +150,6 @@ class Cache:
         ranks[idx] = assoc
         self.removals += 1
 
-    def invalidate(self, addr: int) -> bool:
-        """Drop the line containing *addr*; returns True if it was present."""
-        idx = self.where.pop(addr - addr % self.line_bytes, None)
-        if idx is None:
-            return False
-        self._drop(idx)
-        return True
-
     def resident_lines(self) -> List[int]:
         """All line addresses currently cached, in frame order."""
         return [t for t in self.tags if t != -1]

@@ -258,7 +258,7 @@ class CpuMemorySystem:
         line = pc - pc % line_bytes
         end = pc + 4 * icount
         # A fetch whose lines are all resident, the common case, never
-        # gets here: Processor.step resolves it inline.  A fetch that
+        # gets here: Processor.steps resolves it inline.  A fetch that
         # does arrives with none of its lines touched yet.
         stall = 0
         while line < end:
@@ -320,7 +320,12 @@ class CpuMemorySystem:
     # Bypassing paths (Blk_Bypass / Blk_ByPref)
     # ------------------------------------------------------------------
     def read_bypass(self, addr: int, t: int) -> AccessResult:
-        """Block-operation source read that bypasses the caches."""
+        """Block-operation source read that bypasses the caches.
+
+        A read the processor resolves itself (a line the L1D lacks that
+        a ready buffer line or the source line register serves, with no
+        lookahead prefetch to issue) never gets here.
+        """
         line = self.l1d.line_addr(addr)
         if self.l1d.present(addr):
             # The cached path; read() reports the access.
@@ -369,7 +374,9 @@ class CpuMemorySystem:
 
         Per the paper, when the line is already in the originating
         processor's caches a normal cache access is performed; otherwise
-        words accumulate in a line register that is flushed to memory.
+        words accumulate in a line register that is flushed to memory.  A
+        write to the line the register already holds is resolved by the
+        processor itself and never gets here.
         """
         if self.l1d.present(addr) or self.l2.state_of(addr) != INVALID:
             # The cached path; write() reports the access.

@@ -64,33 +64,41 @@ class PendingFills:
 
 
 class PrefetchLineBuffer:
-    """FIFO buffer of prefetched lines, accessed as fast as the L1."""
+    """FIFO buffer of prefetched lines, accessed as fast as the L1.
+
+    ``lines`` is public for the same reason as :attr:`PendingFills.ready`:
+    the processor's record loop binds it once and serves a block-op read
+    of a ready buffered line itself, counting it in :attr:`hits`.  It is
+    mutated in place only.
+    """
+
+    __slots__ = ("capacity", "lines", "hits")
 
     def __init__(self, capacity: int = 8) -> None:
         if capacity < 1:
             raise ValueError("prefetch buffer needs capacity >= 1")
         self.capacity = capacity
-        self._lines: "OrderedDict[int, int]" = OrderedDict()
+        #: line address -> cycle the prefetched data arrives, oldest first.
+        self.lines: "OrderedDict[int, int]" = OrderedDict()
         self.hits = 0
-        self.misses = 0
 
     def insert(self, line: int, ready: int) -> None:
         """Add *line* (arriving at *ready*), evicting the oldest if full."""
-        if line in self._lines:
-            self._lines.pop(line)
-        elif len(self._lines) >= self.capacity:
-            self._lines.popitem(last=False)
-        self._lines[line] = ready
+        if line in self.lines:
+            self.lines.pop(line)
+        elif len(self.lines) >= self.capacity:
+            self.lines.popitem(last=False)
+        self.lines[line] = ready
 
     def lookup(self, line: int) -> Optional[int]:
         """Arrival time of *line* if buffered, else None."""
-        return self._lines.get(line)
+        return self.lines.get(line)
 
     def contains(self, line: int) -> bool:
-        return line in self._lines
+        return line in self.lines
 
     def clear(self) -> None:
-        self._lines.clear()
+        self.lines.clear()
 
     def __len__(self) -> int:
-        return len(self._lines)
+        return len(self.lines)

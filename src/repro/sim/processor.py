@@ -20,11 +20,11 @@ It adds them to :class:`~repro.sim.metrics.SystemMetrics` once, when it
 reaches DONE (:meth:`Processor._fold`).  Under Blk_Dma the engine
 swallows a block operation's word records and its BLOCK_END, and
 :meth:`Processor._swallow` takes their share back out, so they charge
-no execution.  Per record, :meth:`Processor.step` charges only what
-timing decides: the I-stall (at the fetch), the D-read, Pref and
-D-write stalls, the lookahead and prolog prefetch instructions of
-Blk_Pref and Blk_ByPref, synchronization waits, and the lock and
-barrier word accesses (:meth:`SystemMetrics.record_read
+no execution.  Per record, the record loop (:meth:`Processor.steps`)
+charges only what timing decides: the I-stall (at the fetch), the
+D-read, Pref and D-write stalls, the lookahead and prolog prefetch
+instructions of Blk_Pref and Blk_ByPref, synchronization waits, and the
+lock and barrier word accesses (:meth:`SystemMetrics.record_read
 <repro.sim.metrics.SystemMetrics.record_read>` and ``record_write``).
 
 Synchronization records interact with the shared lock table and barrier
@@ -34,62 +34,85 @@ the system scheduler advances simulated time for it.
 Hot-path layout
 ---------------
 
-:meth:`Processor.step` is the single hottest function in the repository —
-it runs once per trace record across every experiment cell.  It therefore:
+The record loop, :meth:`Processor.steps`, is the single hottest code in
+the repository: it runs once per trace record across every experiment
+cell.  It is one generator per CPU, resumed by the scheduler once per
+*burst* (see :mod:`repro.sim.system`), and it therefore:
 
-* reads attributes that live in slots: :class:`Processor`,
-  :class:`~repro.sim.metrics.SystemMetrics`, :class:`CpuMemorySystem`
-  and the bus, coherence, write-buffer, pending-fill and miss-tracker
-  objects behind them declare ``__slots__``, so no ``self.x`` on the
-  per-record path probes an instance dict;
-* reads each record's op, addr, mode, pc, icount and blockop from six
-  parallel plain-int lists taken from the stream's columns
-  (:meth:`StreamColumns.sim_lists
-  <repro.trace.columns.StreamColumns.sim_lists>`), never from a
-  :class:`~repro.trace.record.TraceRecord`.  The slow paths — L1 misses,
-  block-op and Blk_Bypass accesses, locks, barriers, block-op markers —
-  read the same lists, plus the data class (only on a miss) and the
-  barrier width straight from their columns, so no processor path
-  builds a record; :meth:`Processor.record` is for the observers only;
+* retires records until its clock reaches the limit it was resumed
+  with, or its status changes (a held lock, a barrier, DONE), before it
+  yields: one resumption, one :class:`StepResult` and one heap update
+  per burst, not per record.  :meth:`Processor.step` resumes it with a
+  limit of 0, which retires exactly one record, so the scan reference,
+  the hand-stepping tests and every run with a probe attached go
+  through the same loop body.  The clock and stream position live in
+  locals for the burst and are written back before each yield; the
+  position is also kept current while a probe is attached, since
+  observers read it;
+* binds its hot state once, as locals, when first resumed: the stream's
+  six parallel plain-int columns (:meth:`StreamColumns.sim_lists
+  <repro.trace.columns.StreamColumns.sim_lists>`: op, addr, mode, pc,
+  icount, blockop), the L1I, L1D and L2 frame indexes, ranks and
+  states, WB1's entries, the pending-fill dict, the prefetch buffer,
+  the per-mode :class:`~repro.sim.metrics.TimeBreakdown` list and the
+  scheme flags — all mutated in place by their owners, never rebound.
+  The fetch memo (below) is three locals.  The objects behind them
+  (:class:`Processor`, :class:`~repro.sim.metrics.SystemMetrics`,
+  :class:`CpuMemorySystem`, the bus, coherence, write-buffer,
+  pending-fill, prefetch-buffer and miss-tracker objects) declare
+  ``__slots__``.  No path builds a :class:`~repro.trace.record.TraceRecord`:
+  the slow paths read the same columns, plus the data class (only on a
+  miss) and the barrier width; :meth:`Processor.record` is for the
+  observers only;
 * resolves an instruction fetch whose every L1I line is resident inline,
   with one frame-index probe per spanned line and, on set-associative
   caches, each line whose recency rank is non-zero promoted in order; a
   fetch with any line absent goes to :meth:`CpuMemorySystem.ifetch` with
-  no line touched.  Each CPU remembers the last span such a walk found
-  resident, with the cache's :attr:`~repro.memsys.cache.Cache.removals`
-  count at the time; a fetch inside that span, with no line removed and
-  no ``ifetch`` since, skips the walk.  Each line of the span is then
-  still its set's most recently used, so the walk would promote
-  nothing.  Every ``ifetch`` clears the memo: a fill into an empty way
-  removes no line but demotes the remembered line of its set;
+  no line touched.  The *fetch memo* remembers the last span such a
+  walk found resident, with the cache's
+  :attr:`~repro.memsys.cache.Cache.removals` count at the time; a fetch
+  inside that span, with no line removed and no ``ifetch`` since, skips
+  the walk.  Each line of the span is then still its set's most
+  recently used, so the walk would promote nothing.  Every ``ifetch``
+  clears the memo: a fill into an empty way removes no line but demotes
+  the remembered line of its set;
 * resolves a *clean L1D hit* (line resident, no pending prefetch fill, no
-  scheme-specific block-op handling) inline against the bound L1 frame
-  index, without entering the :class:`CpuMemorySystem` call chain, and
+  lookahead prefetch to issue) inline against the bound L1 frame index,
+  without entering the :class:`CpuMemorySystem` call chain, and
   promotes the frame only on a set-associative L1D and only when its
   rank is non-zero — the overwhelming majority of references in the
   paper's workloads are such hits (Table 2 reports low miss rates on
   every machine).  Under Blk_Pref and Blk_ByPref a block-copy read of
-  the source line the lookahead prefetcher last handled takes the same
-  inline hit: it has no prefetch to issue, and a bypassing read of a
-  resident line is the cached read.  With a
-  :class:`~repro.memsys.sink.Probe` attached the inline hit is skipped,
-  so the probe sees every read;
+  the source line the lookahead prefetcher last handled has no
+  prefetch to issue, and a bypassing read of a resident line is the
+  cached read.  With a :class:`~repro.memsys.sink.Probe` attached the
+  inline hit is skipped, so the probe sees every cached read;
+* resolves the *bypass hits* of block operations inline as well: under
+  Blk_Bypass and Blk_ByPref, a block-op read of a line the L1D lacks
+  that a ready prefetch-buffer line or the source line register serves
+  (one cycle, no stall, as :meth:`CpuMemorySystem.read_bypass`), when
+  the lookahead has nothing to do; under Blk_Bypass, a destination
+  write to the line the destination register holds, when neither cache
+  has it (one cycle, no flush, as
+  :meth:`CpuMemorySystem.write_bypass`).  These run with a probe
+  attached too: they then call the probe's ``read_bypass`` or
+  ``write_bypass`` hook with the :class:`AccessResult` the hierarchy
+  would have built, and build it only then;
 * resolves a *clean write* (L1D hit, L2 line EXCLUSIVE or MODIFIED, a
-  free WB1 slot) inline as well: the L1D and L2 frames are promoted
-  when their rank is non-zero, the L2 line turns MODIFIED, and the
-  word's WB1 entry drains into it — the side effects
-  :meth:`CpuMemorySystem.write` has, at one cycle and no stall.  Clean
-  writes are most of the writes; the rest, and every write while a
-  probe is attached, go to :meth:`CpuMemorySystem.write`, which returns
-  a plain ``(done, stall)`` pair, the only part of a write the
-  accounting reads;
+  free WB1 slot) inline: the L1D and L2 frames are promoted when their
+  rank is non-zero, the L2 line turns MODIFIED, and the word's WB1
+  entry drains into it — the side effects :meth:`CpuMemorySystem.write`
+  has, at one cycle and no stall.  Clean writes are most of the writes;
+  the rest, and every write while a probe is attached, go to
+  :meth:`CpuMemorySystem.write`, which returns a plain ``(done,
+  stall)`` pair, the only part of a write the accounting reads;
 * indexes the per-mode ``time`` list of
   :class:`~repro.sim.metrics.SystemMetrics` with the raw mode int from
   the column, accumulating stalls directly into the plain int fields of
   the mode's :class:`~repro.sim.metrics.TimeBreakdown`, on the slow
   paths too: no enum member is built, hashed or looked up per record,
   and no keyword call charges time;
-* loads enum members only through module globals (``_RUNNING``,
+* loads enum members only through module globals (``_BLOCKED_LOCK``,
   ``_READ``, and ``EXCLUSIVE`` and ``MODIFIED`` from
   :mod:`repro.memsys.states`): on Python 3.11 every
   ``ProcStatus.RUNNING``-style class-attribute load goes through
@@ -104,7 +127,7 @@ golden-value tests enforce this.
 from __future__ import annotations
 
 import enum
-from typing import List, Optional, Tuple
+from typing import Generator, List, Optional, Tuple
 
 import numpy as np
 
@@ -112,7 +135,8 @@ from repro.common.errors import SimulationError
 from repro.common.types import (DCLASS_BY_VALUE, MODE_BY_VALUE, Op,
                                 OP_BY_VALUE, Scheme)
 from repro.memsys.dma import run_dma
-from repro.memsys.hierarchy import CpuMemorySystem
+from repro.memsys.hierarchy import (LEVEL_BUFFER, LEVEL_REGISTER,
+                                    AccessResult, CpuMemorySystem)
 from repro.memsys.states import EXCLUSIVE, MODIFIED, SHARED
 from repro.sim.config import SystemConfig
 from repro.sim.metrics import SystemMetrics
@@ -163,7 +187,8 @@ _DONE = ProcStatus.DONE
 
 
 class StepResult:
-    """Outcome of one :meth:`Processor.step` call."""
+    """Outcome of one resumption of :meth:`Processor.steps`: how its
+    burst ended."""
 
     __slots__ = ("status", "lock_addr", "barrier_release", "mode")
 
@@ -223,9 +248,10 @@ def _block_context(ops: np.ndarray) -> np.ndarray:
     return (np.cumsum(edges[:-1], dtype=np.int8) > 0) | markers
 
 
-#: Shared results for the two allocation-heavy outcomes.  ``step`` returns
-#: these for plain running/done steps; callers only read the fields.
-_RESULT_RUNNING = StepResult(_RUNNING)
+#: Shared results for the two allocation-heavy outcomes: a burst that
+#: reached its clock limit, and one that retired the stream's last
+#: record.  Callers only read the fields.
+RUNNING_RESULT = StepResult(_RUNNING)
 _RESULT_DONE = StepResult(_DONE)
 
 
@@ -236,18 +262,12 @@ class Processor:
                  "_icounts", "_blockops", "num_records", "blockops", "mem",
                  "metrics", "tracker", "config", "locks", "barriers", "pos",
                  "time", "status", "_blk_desc", "_blk_last_src_line",
-                 "_barrier_pos", "probe", "_l1_where", "_l1_line_bytes",
-                 "_l1d_ranks", "_promote_l1d", "_l2_where", "_l2_line_bytes",
-                 "_l2_states", "_l2_ranks", "_promote_l2", "_wb1",
-                 "_wb1_entries", "_wb1_depth", "_wb1_drain", "_l1i",
-                 "_l1i_where",
-                 "_l1i_line_bytes", "_l1i_ranks", "_promote_l1i",
-                 "_imemo_bytes", "_ifirst", "_iend", "_iremovals",
-                 "_pending_ready", "_time", "_reads", "_writes",
+                 "_barrier_pos", "probe", "_gen", "_l1_line_bytes", "_l1i",
+                 "_l1i_where", "_wb1_depth", "_time", "_reads", "_writes",
                  "_exec_due", "_reads_due", "_writes_due", "_blk_due",
                  "_blk_read_plain", "_blk_read_bypass", "_blk_write_plain",
-                 "_blk_dma", "_blk_bypref", "_pref_lead_lines",
-                 "_block_prefetch")
+                 "_blk_dma", "_blk_bypref", "_bypass_hits",
+                 "_pref_lead_lines", "_block_prefetch")
 
     def __init__(self, cpu_id: int, trace: Trace, mem: CpuMemorySystem,
                  metrics: SystemMetrics, config: SystemConfig,
@@ -280,41 +300,16 @@ class Processor:
         #: Stream position of the barrier record this CPU waits at, or -1.
         self._barrier_pos = -1
         #: Attached observer (:class:`~repro.memsys.sink.Probe`), or None.
-        #: While one is attached every read takes the full
-        #: :meth:`CpuMemorySystem.read` path, where the probe sees it.
+        #: While one is attached the clean L1D read hit and the clean
+        #: write take the full :class:`CpuMemorySystem` path, where the
+        #: probe sees them.
         self.probe = None
-        # --- hot-path bindings (all mutated in place by their owners) ---
-        l1d, l1i = mem.l1d, mem.l1i
-        self._l1_where = l1d.where
-        self._l1_line_bytes = l1d.line_bytes
-        self._l1i = l1i
-        self._l1i_where = l1i.where
-        self._l1i_line_bytes = l1i.line_bytes
-        # An inline hit promotes exactly as the CpuMemorySystem path
-        # would: only on a set-associative cache (the promote hooks are
-        # None on 1-way ones) and only a frame whose rank is non-zero.
-        self._l1d_ranks = l1d.ranks
-        self._promote_l1d = None if l1d.assoc == 1 else l1d.promote
-        self._l1i_ranks = l1i.ranks
-        self._promote_l1i = None if mem._touch_l1i is None else l1i.promote
-        # The inline clean write: the L2 frame index and states, and WB1.
-        l2, wb1 = mem.l2, mem.wb1
-        self._l2_where = l2.where
-        self._l2_line_bytes = l2.line_bytes
-        self._l2_states = l2.states
-        self._l2_ranks = l2.ranks
-        self._promote_l2 = l2.promote
-        self._wb1 = wb1
-        self._wb1_entries = wb1._entries
-        self._wb1_depth = wb1.depth
-        self._wb1_drain = mem.machine.write_buffers.l1_drain_cycles
-        # The fetch memo: lines [_ifirst, _iend) were all resident, each
-        # its set's MRU line, when the L1I had removed _iremovals lines.
-        # A span remembers at most one line per set, _imemo_bytes.
-        self._imemo_bytes = l1i.num_sets * l1i.line_bytes
-        self._ifirst = self._iend = 0
-        self._iremovals = -1
-        self._pending_ready = mem.pending.ready
+        self._l1_line_bytes = mem.l1d.line_bytes
+        # The record loop's views of the L1I and of WB1's depth, which a
+        # twin test rig may replace to switch an inline path off.
+        self._l1i = mem.l1i
+        self._l1i_where = mem.l1i.where
+        self._wb1_depth = mem.wb1.depth
         self._time = metrics.time
         self._reads = metrics.reads
         self._writes = metrics.writes
@@ -327,6 +322,10 @@ class Processor:
         self._blk_write_plain = scheme != _BYPASS_SCHEME
         self._blk_dma = scheme == _DMA_SCHEME
         self._blk_bypref = scheme == _BYPREF_SCHEME
+        #: Whether the record loop serves the line-register and
+        #: prefetch-buffer hits of block-op words itself (a twin test rig
+        #: clears it to send them through ``_do_read``/``_do_write``).
+        self._bypass_hits = self._blk_read_bypass
         # Blk_Pref / Blk_ByPref source prefetch: its software-pipelining
         # depth and where a prefetched line goes.
         if self._blk_bypref:
@@ -335,6 +334,11 @@ class Processor:
         else:
             self._pref_lead_lines = config.pref_lead_lines
             self._block_prefetch = mem.prefetch_line
+        #: The record loop (:meth:`steps`), primed; None once DONE.
+        self._gen = None
+        if self.status is _RUNNING:
+            self._gen = self.steps()
+            next(self._gen)
 
     def record(self, pos: int) -> TraceRecord:
         """The :class:`TraceRecord` at stream position *pos*, built afresh
@@ -368,174 +372,302 @@ class Processor:
         self.status = _RUNNING
 
     # ------------------------------------------------------------------
-    # Main step
+    # The record loop
     # ------------------------------------------------------------------
     def step(self) -> StepResult:
-        """Process the next record; returns the resulting status."""
+        """Process the next record; returns the resulting status.
+
+        One resumption of :meth:`steps` with a clock limit of 0, which
+        retires exactly one record through the same loop body as the
+        scheduler's bursts."""
         if self.status is not _RUNNING:
             raise SimulationError(f"step on {self.status} cpu {self.cpu_id}")
-        pos = self.pos
-        if pos >= self.num_records:
-            self._fold()
-            return _RESULT_DONE
-        op = self._ops[pos]
+        return self._gen.send(0)
 
-        # A held lock blocks *before* the record is consumed; the system
-        # scheduler advances our clock (spinning) and retries.
-        if op == _LOCK_ACQ:
-            addr = self._addrs[pos]
-            holder = self.locks.holder(addr)
-            if holder is not None and holder != self.cpu_id:
-                return StepResult(_BLOCKED_LOCK, lock_addr=addr,
-                                  mode=self._modes[pos])
+    def steps(self) -> Generator[Optional[StepResult], int, None]:
+        """This CPU's record loop, resumed once per burst.
 
-        self.pos = pos + 1
-        mode = self._modes[pos]
-        icount = self._icounts[pos]
-        t = self.time
+        ``send(limit)`` retires records until the clock reaches *limit*
+        or the status changes (a held lock, a barrier, DONE), writes the
+        clock and stream position back, and yields the
+        :class:`StepResult`.  ``__init__`` primes the generator; it binds
+        its hot state as locals when first resumed, so a test rig may
+        replace ``_l1i``, ``_l1i_where`` or ``_wb1_depth`` before the
+        first step.  The clock, the position, the probe and the block
+        operation in progress are re-read on every resumption: the
+        scheduler moves the clock of a spinning or woken CPU.
+        """
+        limit = yield None
+        ops, addrs, modes = self._ops, self._addrs, self._modes
+        pcs, icounts, blockops = self._pcs, self._icounts, self._blockops
+        num_records = self.num_records
+        cpu_id = self.cpu_id
+        holder_of = self.locks.holder
+        mem = self.mem
+        metrics = self.metrics
+        breakdowns = self._time
+        # An inline hit promotes exactly as the CpuMemorySystem path
+        # would: only on a set-associative cache (the promote hooks are
+        # None on 1-way ones) and only a frame whose rank is non-zero.
+        l1d = mem.l1d
+        l1_where = l1d.where
+        l1_line_bytes = self._l1_line_bytes
+        l1d_ranks = l1d.ranks
+        promote_l1d = None if l1d.assoc == 1 else l1d.promote
+        l1i = self._l1i
+        l1i_where = self._l1i_where
+        i_bytes = mem.l1i.line_bytes
+        l1i_ranks = mem.l1i.ranks
+        promote_l1i = None if mem.l1i.assoc == 1 else mem.l1i.promote
+        # The fetch memo: lines [ifirst, iend) were all resident, each
+        # its set's MRU line, when the L1I had removed iremovals lines.
+        # A span remembers at most one line per set, imemo_bytes.
+        imemo_bytes = mem.l1i.num_sets * i_bytes
+        ifirst = iend = 0
+        iremovals = -1
+        pending_ready = mem.pending.ready
+        # The inline clean write: the L2 frame index and states, and WB1.
+        l2 = mem.l2
+        l2_where = l2.where
+        l2_line_bytes = l2.line_bytes
+        l2_states = l2.states
+        l2_ranks = l2.ranks
+        promote_l2 = l2.promote
+        wb1 = mem.wb1
+        wb1_entries = wb1._entries
+        wb1_depth = self._wb1_depth
+        wb1_drain = mem.machine.write_buffers.l1_drain_cycles
+        blk_read_plain = self._blk_read_plain
+        blk_write_plain = self._blk_write_plain
+        # The inline bypass hits: the prefetch buffer, and the width of
+        # the source line register (read_bypass's granularity).
+        bypass_hits = self._bypass_hits
+        pbuf = mem.pref_buffer
+        pbuf_lines = pbuf.lines
+        reg_bytes = l2_line_bytes if self._blk_bypref else l1_line_bytes
+        while True:
+            t = self.time
+            pos = self.pos
+            probe = self.probe
+            blk = self._blk_desc
+            if probe is not None:
+                # A probe sees one record per resumption, and reads the
+                # position of the record in flight.
+                limit = 0
+                self.pos = pos + 1
+            while pos < num_records:
+                op = ops[pos]
+                # A held lock blocks *before* the record is consumed; the
+                # scheduler advances our clock (spinning) and retries.
+                if op == _LOCK_ACQ:
+                    holder = holder_of(addrs[pos])
+                    if holder is not None and holder != cpu_id:
+                        result = StepResult(_BLOCKED_LOCK,
+                                            lock_addr=addrs[pos],
+                                            mode=modes[pos])
+                        break
+                mode = modes[pos]
+                icount = icounts[pos]
 
-        # Instruction fetch for this basic block (its execution cycles
-        # are counted per stream).  A fetch whose every L1I line is
-        # resident stalls 0 and is resolved inline, promoting its lines
-        # in order as ``ifetch`` would; any other fetch goes through the
-        # hierarchy with no line touched, and its stall is charged here.
-        # A fetch inside the span the last resident walk found, with no
-        # L1I line removed and no ``ifetch`` since, is resident without a
-        # walk, and each of its lines is already its set's MRU line.
-        blk = self._blk_desc
-        if icount:
-            pc = self._pcs[pos]
-            end = pc + 4 * icount
-            if (pc < self._ifirst or end > self._iend
-                    or self._l1i.removals != self._iremovals):
-                i_bytes = self._l1i_line_bytes
-                where = self._l1i_where
-                first = pc - pc % i_bytes
-                iline = first
-                while iline < end and iline in where:
-                    iline += i_bytes
-                if iline < end:
-                    istall = self.mem.ifetch(pc, icount, t)
-                    # A fill into an empty way removes nothing but
-                    # demotes the remembered line of its set.
-                    self._iend = 0
-                    if istall:
-                        self._time[mode].imiss += istall
-                        # ``blk`` is the pre-step state: a BLOCK_START
-                        # enters (and a BLOCK_END leaves) block context
-                        # during this very record.  A barrier's stall
-                        # is not block-op time.
-                        if ((blk is not None or op == _BLOCK_START
-                             or op == _BLOCK_END) and op != _BARRIER):
-                            self.metrics.blk_instr_exec += istall
-                        t += istall
-                else:
-                    if self._promote_l1i is not None:
-                        promote = self._promote_l1i
-                        ranks = self._l1i_ranks
-                        line = first
-                        while line < iline:
-                            idx = where[line]
-                            if ranks[idx]:
-                                promote(idx)
-                            line += i_bytes
-                        if iline - first > self._imemo_bytes:
-                            # Only the last line of each set is its MRU.
-                            first = iline - self._imemo_bytes
-                    self._ifirst = first
-                    self._iend = iline
-                    self._iremovals = self._l1i.removals
-            t += icount
+                # Instruction fetch for this basic block (its execution
+                # cycles are counted per stream).  A fetch whose every L1I
+                # line is resident stalls 0 and is resolved inline,
+                # promoting its lines in order as ``ifetch`` would; any
+                # other fetch goes through the hierarchy with no line
+                # touched, and its stall is charged here.  A fetch inside
+                # the span the last resident walk found, with no L1I line
+                # removed and no ``ifetch`` since, is resident without a
+                # walk, and each of its lines is already its set's MRU.
+                if icount:
+                    pc = pcs[pos]
+                    end = pc + 4 * icount
+                    if (pc < ifirst or end > iend
+                            or l1i.removals != iremovals):
+                        first = pc - pc % i_bytes
+                        iline = first
+                        while iline < end and iline in l1i_where:
+                            iline += i_bytes
+                        if iline < end:
+                            istall = mem.ifetch(pc, icount, t)
+                            # A fill into an empty way removes nothing but
+                            # demotes the remembered line of its set.
+                            iend = 0
+                            if istall:
+                                breakdowns[mode].imiss += istall
+                                # ``blk`` is the pre-record state: a
+                                # BLOCK_START enters (and a BLOCK_END
+                                # leaves) block context during this very
+                                # record.  A barrier's stall is not
+                                # block-op time.
+                                if ((blk is not None or op == _BLOCK_START
+                                     or op == _BLOCK_END)
+                                        and op != _BARRIER):
+                                    metrics.blk_instr_exec += istall
+                                t += istall
+                        else:
+                            if promote_l1i is not None:
+                                line = first
+                                while line < iline:
+                                    idx = l1i_where[line]
+                                    if l1i_ranks[idx]:
+                                        promote_l1i(idx)
+                                    line += i_bytes
+                                if iline - first > imemo_bytes:
+                                    # Only the last line of each set is
+                                    # its MRU.
+                                    first = iline - imemo_bytes
+                            ifirst = first
+                            iend = iline
+                            iremovals = l1i.removals
+                    t += icount
 
-        if op == _READ:
-            addr = self._addrs[pos]
-            line_bytes = self._l1_line_bytes
-            line = addr - addr % line_bytes
-            # A Blk_Pref/Blk_ByPref block-op read of the source line the
-            # lookahead last handled (_blk_last_src_line) has no prefetch
-            # to issue, and a resident line's bypassing read is the
-            # cached read.
-            if ((blk is None or not self._blockops[pos]
-                 or self._blk_read_plain or line == self._blk_last_src_line)
-                    and line in self._l1_where
-                    and line not in self._pending_ready
-                    and self.probe is None):
-                # Clean L1D hit: zero stall, one cycle (MachineParams
-                # pins l1_hit_cycles to 1).
-                if self._promote_l1d is not None:
-                    idx = self._l1_where[line]
-                    if self._l1d_ranks[idx]:
-                        self._promote_l1d(idx)
-                t += 1
-            else:
-                t = self._do_read(pos, addr, mode, t)
-        elif op == _WRITE:
-            blockop = self._blockops[pos]
-            if blk is None or not blockop or self._blk_write_plain:
-                addr = self._addrs[pos]
-                idx = self._l1_where.get(addr - addr % self._l1_line_bytes)
-                state = None
-                if idx is not None and self.probe is None:
-                    # Inclusion: the L2 holds every L1D line.
-                    l2_idx = self._l2_where[addr - addr % self._l2_line_bytes]
-                    state = self._l2_states[l2_idx]
-                    entries = self._wb1_entries
-                    while entries and entries[0] <= t:
-                        entries.popleft()
-                    if len(entries) >= self._wb1_depth:
+                if op == _READ:
+                    addr = addrs[pos]
+                    line = addr - addr % l1_line_bytes
+                    if (blk is not None and blockops[pos]
+                            and not blk_read_plain
+                            and line != self._blk_last_src_line):
+                        # A Blk_Pref/Blk_ByPref block-op read of a source
+                        # line the lookahead prefetcher has not handled.
+                        t = self._do_read(pos, addr, mode, t)
+                    elif line in l1_where:
+                        # A bypassing read of a resident line is the
+                        # cached read.
+                        if line in pending_ready or probe is not None:
+                            t = self._do_read(pos, addr, mode, t)
+                        else:
+                            # Clean L1D hit: zero stall, one cycle
+                            # (MachineParams pins l1_hit_cycles to 1).
+                            if promote_l1d is not None:
+                                idx = l1_where[line]
+                                if l1d_ranks[idx]:
+                                    promote_l1d(idx)
+                            t += 1
+                    elif blk is None or not bypass_hits or not blockops[pos]:
+                        t = self._do_read(pos, addr, mode, t)
+                    else:
+                        # A Blk_Bypass/Blk_ByPref block-op read of a line
+                        # the L1D lacks, served in one cycle by a ready
+                        # prefetch-buffer line or else by the source line
+                        # register, as ``read_bypass`` would.
+                        ready = pbuf_lines.get(line)
+                        if ready is not None and ready <= t:
+                            pbuf.hits += 1
+                            if probe is not None:
+                                probe.read_bypass(
+                                    cpu_id, addr, t,
+                                    AccessResult(t + 1, level=LEVEL_BUFFER))
+                            t += 1
+                        elif (ready is None and addr - addr % reg_bytes
+                              == mem.bypass_src_line):
+                            if probe is not None:
+                                probe.read_bypass(
+                                    cpu_id, addr, t,
+                                    AccessResult(t + 1, level=LEVEL_REGISTER))
+                            t += 1
+                        else:
+                            t = self._do_read(pos, addr, mode, t)
+                elif op == _WRITE:
+                    addr = addrs[pos]
+                    blockop = blockops[pos]
+                    if blk is None or not blockop or blk_write_plain:
+                        idx = l1_where.get(addr - addr % l1_line_bytes)
                         state = None
-                if state is MODIFIED or state is EXCLUSIVE:
-                    # Clean write: the word drains into the owned L2 line,
-                    # which turns MODIFIED, and WB1 had room, so nothing
-                    # stalls.  A resident frame of a 1-way cache always
-                    # holds rank 0, so only set-associative ones promote.
-                    if self._l1d_ranks[idx]:
-                        self._promote_l1d(idx)
-                    self._l2_states[l2_idx] = MODIFIED
-                    if self._l2_ranks[l2_idx]:
-                        self._promote_l2(l2_idx)
-                    wb1 = self._wb1
-                    lse = wb1.last_service_end
-                    end = (t if t > lse else lse) + self._wb1_drain
-                    wb1.last_service_end = end
-                    entries.append(end)
-                    wb1.enqueues += 1
-                    t += 1
-                else:
-                    done, stall = self.mem.write(addr, t)
-                    if blockop:
-                        self.metrics.blk_write_stall += stall
-                    if stall:
-                        self._time[mode].dwrite += stall
-                    t = done
-            else:
-                t = self._do_write(self._addrs[pos], mode, t)
-        elif op == _PREFETCH:
-            self.mem.prefetch_line(self._addrs[pos], t)
-            self.metrics.record_prefetch_issued()
-        elif op == _LOCK_ACQ:
-            t = self._do_lock_acquire(pos, mode, t)
-        elif op == _LOCK_REL:
-            t = self._do_lock_release(pos, mode, t)
-        elif op == _BLOCK_START:
-            t = self._do_block_start(pos, mode, t)
-        elif op == _BLOCK_END:
-            t = self._do_block_end(mode, t)
-        elif op == _BARRIER:
-            return self._do_barrier(pos, mode, t)
-        else:  # pragma: no cover - enum is exhaustive
-            raise SimulationError(f"unhandled op {op}")
+                        if idx is not None and probe is None:
+                            # Inclusion: the L2 holds every L1D line.
+                            l2_idx = l2_where[addr - addr % l2_line_bytes]
+                            state = l2_states[l2_idx]
+                            while wb1_entries and wb1_entries[0] <= t:
+                                wb1_entries.popleft()
+                            if len(wb1_entries) >= wb1_depth:
+                                state = None
+                        if state is MODIFIED or state is EXCLUSIVE:
+                            # Clean write: the word drains into the owned
+                            # L2 line, which turns MODIFIED, and WB1 had
+                            # room, so nothing stalls.  A resident frame of
+                            # a 1-way cache always holds rank 0, so only
+                            # set-associative ones promote.
+                            if l1d_ranks[idx]:
+                                promote_l1d(idx)
+                            l2_states[l2_idx] = MODIFIED
+                            if l2_ranks[l2_idx]:
+                                promote_l2(l2_idx)
+                            lse = wb1.last_service_end
+                            end = (t if t > lse else lse) + wb1_drain
+                            wb1.last_service_end = end
+                            wb1_entries.append(end)
+                            wb1.enqueues += 1
+                            t += 1
+                        else:
+                            done, stall = mem.write(addr, t)
+                            if blockop:
+                                metrics.blk_write_stall += stall
+                            if stall:
+                                breakdowns[mode].dwrite += stall
+                            t = done
+                    else:
+                        # A Blk_Bypass destination write to the line the
+                        # destination register holds, which neither cache
+                        # has (by inclusion, the L1D only if the L2 does):
+                        # one cycle and no flush, as ``write_bypass``.
+                        if (bypass_hits and addr - addr % l1_line_bytes
+                                == mem.bypass_dst_line
+                                and addr - addr % l2_line_bytes
+                                not in l2_where):
+                            if probe is not None:
+                                probe.write_bypass(
+                                    cpu_id, addr, t,
+                                    AccessResult(t + 1, level=LEVEL_REGISTER))
+                            t += 1
+                        else:
+                            t = self._do_write(addr, mode, t)
+                elif op == _PREFETCH:
+                    mem.prefetch_line(addrs[pos], t)
+                    metrics.record_prefetch_issued()
+                elif op == _LOCK_ACQ:
+                    t = self._do_lock_acquire(pos, mode, t)
+                elif op == _LOCK_REL:
+                    t = self._do_lock_release(pos, mode, t)
+                elif op == _BLOCK_START:
+                    # Under Blk_Dma the engine moves the position past the
+                    # operation's BLOCK_END.
+                    self.pos = pos + 1
+                    t = self._do_block_start(pos, mode, t)
+                    pos = self.pos - 1
+                    blk = self._blk_desc
+                elif op == _BLOCK_END:
+                    t = self._do_block_end(mode, t)
+                    blk = None
+                elif op == _BARRIER:
+                    self.pos = pos + 1
+                    result = self._do_barrier(pos, mode, t)
+                    pos += 1
+                    t = self.time
+                    break
+                else:  # pragma: no cover - enum is exhaustive
+                    raise SimulationError(f"unhandled op {op}")
 
-        self.time = t
-        if self.pos >= self.num_records:
-            self._fold()
-            return _RESULT_DONE
-        return _RESULT_RUNNING
+                pos += 1
+                if t >= limit and pos < num_records:
+                    result = RUNNING_RESULT
+                    break
+            else:
+                # Past the last record, or woken from a barrier that was
+                # the last record.
+                self._fold()
+                result = _RESULT_DONE
+            self.time = t
+            self.pos = pos
+            limit = yield result
 
     def _fold(self) -> None:
         """Enter DONE and add what the stream charges whatever the
         timing (see the module docstring) to the metrics, once."""
         self.status = _DONE
+        # The suspended loop's frame refers to this processor: dropping
+        # the loop here keeps the two out of a reference cycle, which
+        # would hold the whole system until the cyclic collector ran.
+        self._gen = None
         time, reads, writes = self._time, self._reads, self._writes
         for mode, cycles in enumerate(self._exec_due):
             time[mode].exec_cycles += cycles
@@ -575,8 +707,9 @@ class Processor:
         return res.done
 
     def _do_write(self, addr: int, mode: int, t: int) -> int:
-        """Blk_Bypass destination write (``step`` takes every other write),
-        always a block-op word, counted per stream."""
+        """Blk_Bypass destination write that is not a hit on the
+        destination register (the record loop takes those and every
+        other write); always a block-op word, counted per stream."""
         res = self.mem.write_bypass(addr, t)
         self.metrics.blk_write_stall += res.stall
         self._time[mode].dwrite += res.stall
@@ -746,7 +879,7 @@ class Processor:
     # ------------------------------------------------------------------
     def _do_lock_acquire(self, pos: int, mode: int, t: int) -> int:
         ok, grant = self.locks.try_acquire(self._addrs[pos], self.cpu_id, t)
-        if not ok:  # pragma: no cover - step() checked before consuming
+        if not ok:  # pragma: no cover - the loop checked before consuming
             raise SimulationError("lock acquired while held")
         if grant > t:
             self._time[mode].sync += grant - t

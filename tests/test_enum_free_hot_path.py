@@ -31,7 +31,7 @@ from repro.memsys.adaptive import BaseAdaptivePolicy, StaticHybridPolicy
 from repro.memsys.coherence import CoherenceController
 from repro.memsys.dma import run_dma
 from repro.memsys.hierarchy import CpuMemorySystem
-from repro.memsys.prefetch import PendingFills
+from repro.memsys.prefetch import PendingFills, PrefetchLineBuffer
 from repro.memsys.states import LineState
 from repro.memsys.writebuffer import TimedWriteBuffer
 from repro.sim.metrics import MissTracker, SystemMetrics
@@ -44,6 +44,7 @@ ENUMS = frozenset(cls.__name__ for cls in (
 HOT_FUNCTIONS = [
     MultiprocessorSystem.run,
     Processor.step,
+    Processor.steps,
     Processor._do_read,
     Processor._do_write,
     Processor._fold,
@@ -67,7 +68,6 @@ HOT_FUNCTIONS = [
     Bus.split_transaction,
     Cache.fill,
     Cache.promote,
-    Cache.invalidate,
     Cache._drop,
     CoherentCache.state_of,
     CoherentCache.set_state,
@@ -163,13 +163,13 @@ def _hot_objects():
     mem = system.memories[0]
     return [system.processors[0], system.metrics, mem, system.bus,
             system.controller, mem.wb1, mem.wb2, mem.pending,
-            system.metrics.trackers[0], mem.l1d, mem.l2]
+            mem.pref_buffer, system.metrics.trackers[0], mem.l1d, mem.l2]
 
 
 #: Classes whose instances must carry no ``__dict__``.
 SLOTTED = (Processor, SystemMetrics, CpuMemorySystem, Bus,
-           CoherenceController, TimedWriteBuffer, PendingFills, MissTracker,
-           Cache, CoherentCache)
+           CoherenceController, TimedWriteBuffer, PendingFills,
+           PrefetchLineBuffer, MissTracker, Cache, CoherentCache)
 
 
 def test_hot_objects_have_no_instance_dict():

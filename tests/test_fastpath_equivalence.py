@@ -1,16 +1,18 @@
 """Equivalence tests for the simulator-core fast paths.
 
-The optimized scheduler (:meth:`MultiprocessorSystem.run`, min-heap) and
-the inlined L1-hit short circuits in :meth:`Processor.step` must be pure
-speedups: on any trace, the metrics snapshot has to be *bit-identical* to
-the reference scan scheduler (:meth:`run_scan`) and to the full
+The optimized scheduler (:meth:`MultiprocessorSystem.run`, min-heap
+bursts) and the inline short circuits of the record loop
+(:meth:`Processor.steps`) must be pure speedups: on any trace, the
+metrics snapshot has to be *bit-identical* to the reference scan
+scheduler (:meth:`run_scan`) and to the full
 :class:`CpuMemorySystem` call chain.  These tests throw randomized traces
 — locks, barriers, block copies/zeros, both modes, all five pure schemes —
 at both implementations and compare the complete snapshots.
 
 Observers — the conformance checker, the event tracer and the timeline
-recorder, which subscribe to the core's probe hooks, and a subclass
-overriding ``step`` — must change no metric, alone or together.
+recorder, which subscribe to the core's probe hooks, and a bare probe
+counting the scheduler's steps — must change no metric, alone or
+together.
 
 An npz-loaded (columnar) trace must simulate, and be observed, exactly
 like the built trace it was saved from.
@@ -33,7 +35,6 @@ from repro.memsys.sink import Probe
 from repro.memsys.states import LineState
 from repro.sim.config import all_configs, resolve_config, standard_configs
 from repro.sim.metrics import MissTracker
-from repro.sim.processor import Processor
 from repro.sim.system import MultiprocessorSystem
 from repro.synthetic.profiles import generate as generate_profile
 from repro.synthetic.workloads import WORKLOAD_ORDER
@@ -209,7 +210,7 @@ class TestL1FastPathEquivalence:
 
     @pytest.mark.parametrize("machine", MACHINES, ids=machine_id)
     def test_inline_clean_write_matches_hierarchy(self, machine):
-        """A write ``Processor.step`` resolves inline — an L1D hit on a
+        """A write the record loop resolves inline — an L1D hit on a
         line the L2 owns, with WB1 room — must leave the caches and WB1
         exactly as :meth:`CpuMemorySystem.write` would: same frame
         index, LRU ranks and MESI states, same WB1 entries, service end
@@ -272,7 +273,7 @@ class TestL1FastPathEquivalence:
 
     @pytest.mark.parametrize("machine", MACHINES, ids=machine_id)
     def test_inline_spanning_ifetch_matches_hierarchy(self, machine):
-        """A fetch ``Processor.step`` resolves inline — every L1I line it
+        """A fetch the record loop resolves inline — every L1I line it
         spans resident — must match :meth:`CpuMemorySystem.ifetch`
         result for result: same stall, same frame index, same LRU
         ranks, same L2 states.
@@ -339,6 +340,138 @@ class TestL1FastPathEquivalence:
             assert a.ranks == b.ranks, cache
         assert fast.mem.l2.states == slow.mem.l2.states
         assert fast_sys.metrics.snapshot() == slow_sys.metrics.snapshot()
+
+
+class _BypassEvents(Probe):
+    """Every bypass read and write the core reports, with its result."""
+
+    def __init__(self):
+        self.events = []
+
+    def read_bypass(self, cpu, addr, t, res):
+        self.events.append(("read", cpu, addr, t, res.done, res.stall,
+                            res.pref_stall, res.miss, res.level))
+
+    def write_bypass(self, cpu, addr, t, res):
+        self.events.append(("write", cpu, addr, t, res.done, res.stall,
+                            res.pref_stall, res.miss, res.level))
+
+
+def _count_bypass_calls(memories):
+    """Give each memory system a subclass counting its ``read_bypass``
+    and ``write_bypass`` calls into the returned dict."""
+    calls = {"read_bypass": 0, "write_bypass": 0}
+
+    class CountingMemorySystem(CpuMemorySystem):
+        __slots__ = ()
+
+        def read_bypass(self, addr, t):
+            calls["read_bypass"] += 1
+            return CpuMemorySystem.read_bypass(self, addr, t)
+
+        def write_bypass(self, addr, t):
+            calls["write_bypass"] += 1
+            return CpuMemorySystem.write_bypass(self, addr, t)
+
+    for mem in memories:
+        mem.__class__ = CountingMemorySystem
+    return calls
+
+
+def _bypass_run(trace, config, inline, probed):
+    system = MultiprocessorSystem(trace, config, check=False)
+    calls = _count_bypass_calls(system.memories)
+    events = _BypassEvents()
+    if probed:
+        system.attach(events)
+    if not inline:
+        for proc in system.processors:
+            proc._bypass_hits = False
+    snapshot = system.run().snapshot()
+    state = [(m.pref_buffer.hits, list(m.pref_buffer.lines.items()),
+              m.bypass_src_line, m.bypass_dst_line, m.l1d.ranks, m.l2.ranks)
+             for m in system.memories]
+    return snapshot, events.events, state, calls
+
+
+@pytest.mark.parametrize("probed", [False, True], ids=["plain", "probed"])
+@pytest.mark.parametrize("scheme", ["Blk_Bypass", "Blk_ByPref"])
+@pytest.mark.parametrize("machine", MACHINES, ids=machine_id)
+def test_inline_bypass_hits_match_hierarchy(machine, scheme, probed):
+    """The block-op words the record loop serves itself — reads that
+    hit the source line register or a ready prefetch-buffer line, and
+    Blk_Bypass destination writes to the line the destination register
+    holds — must match ``_do_read``/``_do_write`` through
+    ``read_bypass``/``write_bypass``: the same snapshot, buffer hit
+    count and contents, line registers and LRU ranks and, with a probe
+    attached, the same bypass events with the same results in the same
+    order.  The twin's processors have ``_bypass_hits`` cleared, so
+    every such word takes the hierarchy's path."""
+    config = resolve_config(scheme, machine)
+    trace = _shell_trace()
+    snapshot, events, state, calls = _bypass_run(trace, config, True, probed)
+    slow_snapshot, slow_events, slow_state, slow_calls = _bypass_run(
+        trace, config, False, probed)
+    assert snapshot == slow_snapshot
+    assert events == slow_events
+    assert state == slow_state
+    assert bool(events) == probed
+    # Many bypass words resolve inline: the first word of each new
+    # source line, under Blk_ByPref, and the resident lines' reads, with
+    # a probe attached, still reach ``read_bypass``.
+    reads = slow_calls["read_bypass"]
+    assert reads - calls["read_bypass"] > reads // 5
+    if scheme == "Blk_Bypass":
+        writes = slow_calls["write_bypass"]
+        assert writes - calls["write_bypass"] > writes // 2
+    else:
+        assert slow_calls["write_bypass"] == 0
+
+
+def test_register_line_cached_again_takes_the_cached_write():
+    """Blk_Bypass: a destination write to the line the destination
+    register holds is a register hit only while neither cache has the
+    line.  Here a plain read caches it (L1D and L2), and a conflicting
+    read then evicts it from the L1D alone; the next destination word
+    must take the cached write, as ``write_bypass`` would, on the
+    inline rig as on its twin, clock for clock."""
+    machine = BASE_MACHINE
+    pc, src, dst = 0x1000, 0x200100, 0x284000  # three L2 sets
+    alias = dst + machine.l1d.size_bytes  # dst's L1D set, another L2 set
+    builder = TraceBuilder(1)
+    desc = builder.blockops.new_copy(src, dst, 16, pc)
+    words = [record.read(src, pc=pc, blockop=desc.op_id),
+             record.write(dst, pc=pc, blockop=desc.op_id),
+             record.write(dst + 4, pc=pc, blockop=desc.op_id),  # register
+             record.read(dst, pc=pc),                 # caches the line
+             record.read(alias, pc=pc),               # out of the L1D
+             record.write(dst + 8, pc=pc, blockop=desc.op_id),
+             record.write(dst + 12, pc=pc, blockop=desc.op_id)]
+    builder.emit(0, record.block_start(desc.op_id, pc=pc))
+    for rec in words:
+        builder.emit(0, rec)
+    builder.emit(0, record.block_end(desc.op_id, pc=pc))
+    trace = builder.build()
+    config = resolve_config("Blk_Bypass", machine)
+    fast_sys = MultiprocessorSystem(trace, config, check=False)
+    slow_sys = MultiprocessorSystem(trace, config, check=False)
+    fast, slow = fast_sys.processors[0], slow_sys.processors[0]
+    slow._bypass_hits = False
+    bypasses = _count_bypass_calls(fast_sys.memories)
+    mem = fast.mem
+    for pos in range(fast.num_records):
+        fast.step()
+        slow.step()
+        assert fast.time == slow.time, pos
+        if pos == 5:
+            # Before the next destination word: the register holds the
+            # line, which only the L2 has.
+            assert mem.bypass_dst_line == dst
+            assert dst not in mem.l1d.where and mem.l2.present(dst)
+    # The register hit at dst + 4 stayed in the loop; the words after the
+    # line was cached went through write_bypass (to the cached write).
+    assert bypasses["write_bypass"] == 3
+    assert fast_sys.metrics.snapshot() == slow_sys.metrics.snapshot()
 
 
 def _count_writes(memories):
@@ -480,34 +613,32 @@ def _attach_timeline(system):
     return lambda: recorder.events
 
 
-def _override_step(system):
-    """Give every processor a subclass whose ``step`` counts its calls:
-    the scheduler looks ``step`` up on each call, so every step of the
-    run goes through the override."""
-    calls = [0]
+class _StepCounter(Probe):
+    """A bare probe that counts the scheduler's ``step`` hooks."""
 
-    class CountingProcessor(Processor):
-        __slots__ = ()
+    def __init__(self):
+        self.calls = 0
 
-        def step(self):
-            calls[0] += 1
-            return Processor.step(self)
+    def step(self, proc, start, pos, result):
+        self.calls += 1
 
-    for proc in system.processors:
-        proc.__class__ = CountingProcessor
+
+def _count_steps(system):
+    counter = _StepCounter()
+    system.attach(counter)
 
     def output():
-        assert calls[0] > 0
-        return calls[0]
+        assert counter.calls > 0
+        return counter.calls
     return output
 
 
 OBSERVERS = {"checker": _attach_checker, "tracer": _attach_tracer,
-             "timeline": _attach_timeline, "step": _override_step}
+             "timeline": _attach_timeline, "probe": _count_steps}
 
 #: Every non-empty subset of the three subscribers, in both orders, plus
-#: the overridden ``step``.
-COMBOS = ["checker", "tracer", "timeline", "step",
+#: a bare probe counting the scheduler's steps.
+COMBOS = ["checker", "tracer", "timeline", "probe",
           "checker+tracer", "tracer+checker",
           "checker+timeline", "timeline+checker",
           "tracer+timeline", "timeline+tracer",

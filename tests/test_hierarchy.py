@@ -101,7 +101,8 @@ class TestIfetch:
 
     def test_ifetch_l2_hit_cheaper_than_memory(self, rig):
         cold = rig[0].ifetch(0x1000, 4, 0)
-        rig[0].l1i.invalidate(0x1000)  # still in L2
+        # Drop the L1 lines of the L2 line, which the L2 keeps.
+        rig[0].controller._drop_from_l1(rig[0].cpu_id, 0x1000, False)
         warm = rig[0].ifetch(0x1000, 4, 100)
         assert warm < cold
 

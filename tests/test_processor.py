@@ -75,22 +75,52 @@ class TestBasics:
         assert m.os_miss_pc[0xAA] == 1
 
 
+class _CountingIndex(dict):
+    """An L1I line index that counts membership probes."""
+
+    probes = 0
+
+    def __contains__(self, line):
+        self.probes += 1
+        return dict.__contains__(self, line)
+
+
+def _counting_l1i(proc):
+    """Give *proc*'s L1I a probe-counting line index, before its first
+    step.  A fetch the memo serves probes nothing; a fetch that walks
+    probes each resident line it spans."""
+    where = _CountingIndex(proc.mem.l1i.where)
+    proc.mem.l1i.where = proc._l1i_where = where
+    return where
+
+
 class TestFetchMemo:
+    """The fetch memo (see ``Processor.steps``) holds the span of L1I
+    lines the last resident walk found, until a line is removed or an
+    ``ifetch`` runs.  Each test ends on a refetch of a remembered span
+    right after an ``ifetch`` that removed no line: a memo that outlived
+    the ``ifetch`` would skip the walk."""
+
     def test_inclusion_eviction_ends_the_remembered_span(self):
         """A data miss whose L2 fill evicts the code's L2 line drops the
         L1I lines of the span the CPU last found resident; the next
         fetch in that span must walk, miss and stall."""
         from repro.sim.system import MultiprocessorSystem
         pc, icount = 0x1300, 8  # two 16-B L1I lines, one 32-B L2 line
+        other = 0x2000          # another L1I and L2 set, cold
         b = single_cpu_builder()
         b.emit(0, rec.read(0x80000, pc=pc, icount=icount))  # cold fetch
         b.emit(0, rec.read(0x80004, pc=pc, icount=icount))  # resident walk
         # 256 KB above the code: the same direct-mapped L2 set.
         b.emit(0, rec.read(pc + 0x40000, pc=pc, icount=icount))
         b.emit(0, rec.read(0x80008, pc=pc, icount=icount))
+        b.emit(0, rec.read(0x8000C, pc=pc, icount=icount))  # resident walk
+        b.emit(0, rec.read(0x80010, pc=other, icount=1))    # empty frame
+        b.emit(0, rec.read(0x80014, pc=pc, icount=icount))
         system = MultiprocessorSystem(b.build(), SystemConfig("test"))
         proc = system.processors[0]
         l1i = proc.mem.l1i
+        where = _counting_l1i(proc)
         time = system.metrics.time[Mode.OS]
 
         proc.step()
@@ -98,14 +128,26 @@ class TestFetchMemo:
         assert cold > 0
         proc.step()
         assert time.imiss == cold
-        assert (proc._ifirst, proc._iend) == (pc, pc + 4 * icount)
-        assert proc._iremovals == l1i.removals
-        proc.step()
+        assert where.probes > 0
+        probes, removals = where.probes, l1i.removals
+        proc.step()  # inside the remembered span: no walk
         assert time.imiss == cold
+        assert where.probes == probes
         assert pc not in l1i.where
-        assert l1i.removals > proc._iremovals
+        assert l1i.removals > removals
         proc.step()
         assert time.imiss > cold
+        assert pc in l1i.where
+        proc.step()  # resident walk: the memo holds the span again
+        stalled = time.imiss
+        removals = l1i.removals
+        proc.step()  # a miss that fills an empty frame
+        assert time.imiss > stalled
+        assert l1i.removals == removals
+        probes, stalled = where.probes, time.imiss
+        proc.step()  # after an ifetch: walked, resident
+        assert where.probes == probes + 2
+        assert time.imiss == stalled
 
     def test_fill_into_empty_way_ends_the_remembered_span(self):
         """On a 2-way L1I a miss that fills an empty way removes no line
@@ -120,21 +162,26 @@ class TestFetchMemo:
         stride = l1i_params.num_sets * l1i_params.line_bytes
         a, z, w = 0x1300, 0x1300 + stride, 0x1300 + 2 * stride
         b = single_cpu_builder()
-        for pc in (a, a, z, a, w):
+        for pc in (a, a, a, z, a, w):
             b.emit(0, rec.read(0x80000, pc=pc, icount=4))
         system = MultiprocessorSystem(b.build(),
                                       resolve_config("Base", machine))
         proc = system.processors[0]
         l1i = proc.mem.l1i
+        where = _counting_l1i(proc)
 
         proc.step()  # cold fetch of A
         proc.step()  # resident walk: the memo holds A
-        assert (proc._ifirst, proc._iend) == (a, a + 16)
+        probes = where.probes
+        proc.step()  # A from the memo
+        assert where.probes == probes
         removals = l1i.removals
         proc.step()  # Z fills the set's empty way
         assert l1i.removals == removals
         assert l1i.ranks[l1i.where[a]] == 1
+        probes = where.probes
         proc.step()  # A again: walked, promoted
+        assert where.probes > probes
         assert l1i.ranks[l1i.where[a]] == 0
         proc.step()  # W evicts the set's LRU line
         assert a in l1i.where
@@ -152,25 +199,42 @@ class TestFetchMemo:
         line_bytes = machine.l1i.line_bytes
         stride = machine.l1i.num_sets * line_bytes
         wide = stride + 2 * line_bytes  # sets 0 and 1 get two lines
+        third = 2 * line_bytes          # set 2: one line of the span
         b = single_cpu_builder()
         b.emit(0, rec.read(0x80000, pc=0, icount=wide // 4))  # cold
         b.emit(0, rec.read(0x80000, pc=0, icount=wide // 4))  # walk
         b.emit(0, rec.read(0x80000, pc=0, icount=1))
         b.emit(0, rec.read(0x80000, pc=2 * stride, icount=1))
+        b.emit(0, rec.read(0x80000, pc=third, icount=1))
+        b.emit(0, rec.read(0x80000, pc=2 * stride + third, icount=1))
+        b.emit(0, rec.read(0x80000, pc=third, icount=1))
+        b.emit(0, rec.read(0x80000, pc=3 * stride + third, icount=1))
         system = MultiprocessorSystem(b.build(),
                                       resolve_config("Base", machine))
         proc = system.processors[0]
         l1i = proc.mem.l1i
+        where = _counting_l1i(proc)
 
         proc.step()
         proc.step()
-        assert (proc._ifirst, proc._iend) == (wide - stride, wide)
         assert l1i.ranks[l1i.where[0]] == 1
+        probes = where.probes
         proc.step()  # line 0 alone: outside the memo, walked
+        assert where.probes > probes
         assert l1i.ranks[l1i.where[0]] == 0
         proc.step()  # a third line of set 0 evicts the set's LRU line
         assert 0 in l1i.where
         assert stride not in l1i.where
+        proc.step()  # the span's line of set 2: the memo holds it
+        removals = l1i.removals
+        proc.step()  # fills set 2's empty way, demoting that line
+        assert l1i.removals == removals
+        assert l1i.ranks[l1i.where[third]] == 1
+        proc.step()  # walked, promoted
+        assert l1i.ranks[l1i.where[third]] == 0
+        proc.step()  # a third line of set 2 evicts the set's LRU line
+        assert third in l1i.where
+        assert 2 * stride + third not in l1i.where
 
 
 class TestLocks:

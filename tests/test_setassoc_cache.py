@@ -20,6 +20,7 @@ from repro.common.params import (BASE_MACHINE, MAX_CPUS, CacheParams,
                                  MachineParams, machine_for)
 from repro.memsys.cache import Cache, CoherentCache
 from repro.memsys.states import LineState
+from tests.test_cache import drop
 
 
 # 1024 B, 16-B lines, 4-way: 64 frames in 16 sets.  Lines 0, 256, 512,
@@ -107,7 +108,7 @@ class TestLru:
         cache = Cache(PARAMS_4WAY)
         for i in range(4):
             cache.fill(set0_line(i))
-        assert cache.invalidate(set0_line(2))
+        assert drop(cache, set0_line(2))
         assert cache.fill(set0_line(4)) == -1  # empty way, no eviction
         assert cache.present(set0_line(4))
 
@@ -146,11 +147,11 @@ def fill_in_state(cache, addr, state):
 
 
 def invalidate_lines(cache, base, size):
-    """Drop every line overlapping ``[base, base + size)`` one
-    ``invalidate`` at a time; returns the lines dropped."""
+    """Drop every line overlapping ``[base, base + size)`` one line at a
+    time; returns the lines dropped."""
     return [line for line in range(cache.line_addr(base), base + size,
                                    cache.line_bytes)
-            if cache.invalidate(line)]
+            if drop(cache, line)]
 
 
 class TestCoherentSetAssociative:
@@ -360,7 +361,7 @@ def test_tag_cache_matches_lru_model(ops, params):
         if op == "fill":
             assert cache.fill(addr) == model.fill(addr)[0]
         elif op == "invalidate":
-            assert cache.invalidate(addr) == model.drop(addr)
+            assert drop(cache, addr) == model.drop(addr)
         elif op == "invalidate_lines":
             first = model.line(addr)
             expected = [line for line in range(first, addr + size,
@@ -392,7 +393,7 @@ def test_coherent_cache_matches_lru_model(ops, params):
                 with pytest.raises(KeyError):
                     cache.set_state(addr, state)
         elif op == "invalidate":
-            assert cache.invalidate(addr) == model.drop(addr)
+            assert drop(cache, addr) == model.drop(addr)
         elif op == "invalidate_lines":
             first = model.line(addr)
             expected = [line for line in range(first, addr + size,
@@ -413,7 +414,7 @@ def test_tag_mirror_stays_identical(ops, params):
         if op == "fill":
             cache.fill(addr)
         elif op == "invalidate":
-            cache.invalidate(addr)
+            drop(cache, addr)
         elif op == "invalidate_lines":
             invalidate_lines(cache, addr, size)
         else:
@@ -434,7 +435,7 @@ def test_state_mirror_stays_identical(ops, params):
             if cache.present(addr):
                 cache.set_state(addr, state)
         elif op == "invalidate":
-            cache.invalidate(addr)
+            drop(cache, addr)
         elif op == "invalidate_lines":
             invalidate_lines(cache, addr, size)
         else:
@@ -455,7 +456,7 @@ def test_lru_never_evicts_most_recently_used(ops):
                 assert evicted != last_used
             last_used = line
         elif op == "invalidate":
-            if cache.invalidate(addr) and cache.line_addr(addr) == last_used:
+            if drop(cache, addr) and cache.line_addr(addr) == last_used:
                 last_used = None
         elif op == "invalidate_lines":
             invalidate_lines(cache, addr, size)

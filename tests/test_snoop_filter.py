@@ -21,6 +21,7 @@ from repro.memsys.cache import Cache, CoherentCache, holder_cpus
 from repro.memsys.coherence import CoherenceController
 from repro.memsys.sink import MemorySink
 from repro.memsys.states import LineState
+from tests.test_cache import drop
 from repro.sim.config import all_configs
 from repro.sim.system import MultiprocessorSystem
 
@@ -70,11 +71,11 @@ def test_directory_tracks_every_residency_change(num_caches, params, ops):
             if l2.present(addr):
                 l2.set_state(addr, state)
         elif op == "invalidate":
-            l2.invalidate(addr)
+            drop(l2, addr)
         elif op == "invalidate_lines":
             for line in range(addr - addr % l2.line_bytes, addr + size,
                               l2.line_bytes):
-                l2.invalidate(line)
+                drop(l2, line)
         else:
             l2.touch(addr)
         assert controller.holders == _rebuilt(l2s)
