@@ -22,7 +22,8 @@ from repro.common.errors import SimulationError
 from repro.memsys.bus import BusOp
 from repro.memsys.cache import holder_cpus
 from repro.memsys.coherence import CoherenceController
-from repro.memsys.hierarchy import CpuMemorySystem
+from repro.memsys.hierarchy import LEVEL_L2, AccessResult, CpuMemorySystem
+from repro.memsys.sink import NO_FLAGS, MissFlags
 from repro.memsys.states import LineState
 
 
@@ -143,6 +144,60 @@ def lost_dirty_bit() -> Iterator[None]:
         yield
     finally:
         CpuMemorySystem.write = orig
+
+
+@contextlib.contextmanager
+def l2_miss_served_as_hit() -> Iterator[None]:
+    """The read routine serves a line the L2 lacks as an L2 hit.
+
+    ``CpuMemorySystem.load`` skips ``fetch_shared``: no bus read, no
+    snoop of the other holders, no L2 fill; the L1D is filled at L2-hit
+    latency with data that came from nowhere.  Expected catch:
+    ``stale-read`` at the very read (the CPU holds no copy of the line),
+    or ``inclusion`` (an L1D line whose L2 line is not resident).  The
+    record loop calls the routine directly, probe or not, so under the
+    checker every L1D read miss reaches the patched method.
+    """
+    orig = CpuMemorySystem.load
+
+    def load(self, addr, t, mode, pc, dclass, blockop, inside,
+             bypass=False, result=False):
+        l1d = self.l1d
+        line = addr - addr % l1d.line_bytes
+        if (bypass or line in l1d.where
+                or addr - addr % self.l2.line_bytes in self.l2.where):
+            return orig(self, addr, t, mode, pc, dclass, blockop, inside,
+                        bypass, result)
+        tracker = self.tracker
+        flags = MissFlags(line in tracker.coh_pending,
+                          line in tracker.displaced,
+                          line in tracker.bypassed)
+        for causes in (tracker.coh_pending, tracker.displaced,
+                       tracker.bypassed):
+            causes.discard(line)
+        # BUG: the L2 lookup's miss branch is lost: no fetch_shared.
+        done = t + self.machine.l2_hit_cycles
+        evicted = l1d.fill(line)
+        if evicted != -1:
+            self.pending.ready.pop(evicted, None)
+            if self.in_blockop:
+                tracker.displaced.add(evicted)
+        # The miss is counted and charged; its OS taxonomy is left out
+        # (the checker verifies values and states, not the metrics).
+        stall = done - t - 1
+        self.metrics.time[mode].dread += stall
+        self.metrics.read_misses[mode] += 1
+        res = AccessResult(done, stall, 0, True, LEVEL_L2,
+                           flags if any(flags) else NO_FLAGS)
+        if self.probe is not None:
+            self.probe.read(self.cpu_id, addr, t, res)
+        return res if result else done
+
+    CpuMemorySystem.load = load
+    try:
+        yield
+    finally:
+        CpuMemorySystem.load = orig
 
 
 @contextlib.contextmanager
@@ -312,6 +367,8 @@ MUTANTS: Dict[str, Tuple[Callable[[], "contextlib.AbstractContextManager"],
     "stale_cache_supply": (stale_cache_supply,
                            ("Base", "Blk_Pref", "Blk_Bypass")),
     "lost_dirty_bit": (lost_dirty_bit, ("Base", "Blk_Dma")),
+    "l2_miss_served_as_hit": (l2_miss_served_as_hit,
+                              ("Base", "Blk_Pref", "Blk_Bypass")),
     "dma_stale_source": (dma_stale_source,
                          ("Blk_Dma", "BCoh_Reloc", "BCoh_RelUp", "BCPref")),
     "adaptive_counter_stuck": (adaptive_counter_stuck, ("Hyb_UpdN",)),

@@ -6,7 +6,7 @@ from repro.memsys.coherence import CoherenceController
 from repro.memsys.dma import DmaResult, run_dma
 from repro.memsys.hierarchy import AccessResult, CpuMemorySystem
 from repro.memsys.prefetch import PendingFills, PrefetchLineBuffer
-from repro.memsys.sink import MemorySink
+from repro.memsys.sink import MissTracker
 from repro.memsys.states import LineState, is_owned
 from repro.memsys.writebuffer import TimedWriteBuffer
 
@@ -20,7 +20,7 @@ __all__ = [
     "CpuMemorySystem",
     "DmaResult",
     "LineState",
-    "MemorySink",
+    "MissTracker",
     "PendingFills",
     "PrefetchLineBuffer",
     "TimedWriteBuffer",

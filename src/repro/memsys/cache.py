@@ -6,14 +6,15 @@ The paper's machine is direct-mapped everywhere; the machine axis adds
 the 1-way point (each frame is its own set, so the only possible victim
 is the line already there).  Timing lives in the hierarchy/coherence
 layers; this module only answers presence questions and performs fills,
-evictions and invalidations.  The L2s (:class:`CoherentCache`) also keep
+evictions and invalidations.  An L2 (:class:`CoherentCache`) also keeps
 the bus's presence directory, which the coherence controller's snoops
-read instead of probing every CPU.
+read instead of probing every CPU; the one :meth:`Cache.fill` updates it
+for any cache that has one.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from repro.common.params import CacheParams
 from repro.memsys.states import INVALID, LineState
@@ -47,11 +48,15 @@ class Cache:
     :attr:`removals` counts every line that leaves the cache, by
     eviction or invalidation: a span of lines found resident is still
     resident while the count has not moved.
+
+    ``holders`` is the presence directory a cache reports its fills to,
+    or None (an L1): line address -> bitmask of the caches whose
+    :attr:`where` holds the line, this cache contributing ``bit``.
     """
 
     __slots__ = ("params", "line_bytes", "num_lines", "num_sets", "assoc",
                  "tags", "where", "ranks", "fills",
-                 "evictions", "removals")
+                 "evictions", "removals", "holders", "bit")
 
     def __init__(self, params: CacheParams) -> None:
         self.params = params
@@ -70,6 +75,9 @@ class Cache:
         self.evictions = 0
         #: Lines removed so far, evicted by :meth:`fill` or dropped.
         self.removals = 0
+        #: Presence directory and this cache's bit in it (see above).
+        self.holders: Optional[Dict[int, int]] = None
+        self.bit = 0
 
     def line_addr(self, addr: int) -> int:
         """Line-aligned address containing *addr*."""
@@ -102,13 +110,16 @@ class Cache:
 
     def fill(self, addr: int) -> int:
         """Install the line containing *addr* in its set's least recently
-        used frame, leaving the frame's MESI state (if any) to the caller.
+        used frame, leaving the frame's MESI state (if any) to the caller,
+        and keep the presence directory (if any) in step.
 
         Returns the line address evicted to make room, or -1 when the set
         had an empty way or already held the line (which is promoted).
 
         The maximum-rank frame is the set's first empty way, else its LRU
-        way.  A 1-way set has one frame: nothing to search or reorder.
+        way; it becomes rank 0 as :meth:`promote` would make it, without
+        the call.  A 1-way set has one frame: nothing to search or
+        reorder.
         """
         line = addr - addr % self.line_bytes
         where = self.where
@@ -119,12 +130,16 @@ class Cache:
             return -1
         assoc = self.assoc
         idx = (line // self.line_bytes) % self.num_sets * assoc
+        ranks = self.ranks
         if assoc > 1:
-            ways = self.ranks[idx:idx + assoc]
-            idx += ways.index(max(ways))
-            self.promote(idx)
-        else:
-            self.ranks[idx] = 0
+            first = idx
+            ways = ranks[first:first + assoc]
+            top = max(ways)
+            idx += ways.index(top)
+            for way in range(first, first + assoc):
+                if ranks[way] < top:
+                    ranks[way] += 1
+        ranks[idx] = 0
         tags = self.tags
         old = tags[idx]
         if old != -1:
@@ -134,6 +149,16 @@ class Cache:
         where[line] = idx
         tags[idx] = line
         self.fills += 1
+        holders = self.holders
+        if holders is not None:
+            bit = self.bit
+            holders[line] = holders.get(line, 0) | bit
+            if old != -1:
+                mask = holders[old] & ~bit
+                if mask:
+                    holders[old] = mask
+                else:
+                    del holders[old]
         return old
 
     def _drop(self, idx: int) -> None:
@@ -159,20 +184,19 @@ class CoherentCache(Cache):
     """Cache with a MESI state per frame (the L2).
 
     ``holders`` is the presence directory (snoop filter) of the bus the
-    cache sits on: line address -> bitmask of the L2s whose :attr:`where`
-    holds the line, this cache contributing ``bit``.  Residency changes
-    only in :meth:`fill` and :meth:`_drop`, so those two methods keep it
-    exact.  A standalone cache owns a private directory and bit 1;
+    cache sits on.  Residency changes only in :meth:`Cache.fill` and
+    :meth:`_drop`, so those two methods keep it exact.  A standalone
+    cache owns a private directory and bit 1;
     :meth:`~repro.memsys.coherence.CoherenceController.attach` hands it
     the controller's shared directory and bit ``1 << cpu``.
     """
 
-    __slots__ = ("states", "holders", "bit")
+    __slots__ = ("states",)
 
     def __init__(self, params: CacheParams) -> None:
         super().__init__(params)
         self.states: List[LineState] = [INVALID] * self.num_lines
-        self.holders: Dict[int, int] = {}
+        self.holders = {}
         self.bit = 1
 
     def state_of(self, addr: int) -> LineState:
@@ -193,21 +217,6 @@ class CoherentCache(Cache):
             self._drop(idx)
         else:
             self.states[idx] = state
-
-    def fill(self, addr: int) -> int:
-        """:meth:`Cache.fill`, keeping the presence directory in step."""
-        old = Cache.fill(self, addr)
-        holders = self.holders
-        bit = self.bit
-        line = addr - addr % self.line_bytes
-        holders[line] = holders.get(line, 0) | bit
-        if old != -1:
-            mask = holders[old] & ~bit
-            if mask:
-                holders[old] = mask
-            else:
-                del holders[old]
-        return old
 
     def _forget(self, line: int) -> None:
         """Clear this cache's bit in *line*'s directory entry."""

@@ -10,8 +10,8 @@ line states consistently.
 Snoops are filtered by a presence directory,
 :attr:`CoherenceController.holders`: line -> bitmask of the CPUs whose
 L2 holds it.  The L2s update it themselves in
-:meth:`~repro.memsys.cache.CoherentCache.fill` and ``_drop``, the only
-two places residency changes, so a snoop visits the holders (in
+:meth:`~repro.memsys.cache.Cache.fill` and ``_drop``, the only two
+places residency changes, so a snoop visits the holders (in
 ascending CPU order, as a walk over every port would) and its cost
 grows with the sharers, not with the machine's CPU count.
 
@@ -44,22 +44,22 @@ from repro.common.params import MachineParams
 from repro.memsys.bus import (BUS_INVALIDATE, BUS_OWNERSHIP, BUS_READ_CACHE,
                               BUS_READ_MEM, BUS_UPDATE, BUS_WRITEBACK, Bus)
 from repro.memsys.cache import Cache, CoherentCache, holder_cpus
-from repro.memsys.sink import MemorySink
+from repro.memsys.sink import MissTracker
 from repro.memsys.states import (EXCLUSIVE, INVALID, MODIFIED, SHARED,
                                  LineState)
 
 
 class _CpuPort:
-    """Per-CPU caches and sink as seen by the controller."""
+    """Per-CPU caches and miss tracker as seen by the controller."""
 
-    __slots__ = ("l1i", "l1d", "l2", "sink")
+    __slots__ = ("l1i", "l1d", "l2", "tracker")
 
     def __init__(self, l1i: Cache, l1d: Cache,
-                 l2: CoherentCache, sink: MemorySink) -> None:
+                 l2: CoherentCache, tracker: MissTracker) -> None:
         self.l1i = l1i
         self.l1d = l1d
         self.l2 = l2
-        self.sink = sink
+        self.tracker = tracker
 
 
 class CoherenceController:
@@ -105,7 +105,7 @@ class CoherenceController:
     # Configuration
     # ------------------------------------------------------------------
     def attach(self, l1i: Cache, l1d: Cache,
-               l2: CoherentCache, sink: MemorySink) -> int:
+               l2: CoherentCache, tracker: MissTracker) -> int:
         """Register one CPU's (still empty) caches; returns its id.
 
         The L2 joins the shared presence directory as bit ``1 << id``.
@@ -113,7 +113,7 @@ class CoherenceController:
         cpu = len(self.ports)
         l2.holders = self.holders
         l2.bit = 1 << cpu
-        self.ports.append(_CpuPort(l1i, l1d, l2, sink))
+        self.ports.append(_CpuPort(l1i, l1d, l2, tracker))
         return cpu
 
     def attach_policy(self, policy) -> None:
@@ -143,11 +143,11 @@ class CoherenceController:
 
     def _drop_from_l1(self, cpu: int, l2_line: int, coherence: bool) -> None:
         """Enforce inclusion: drop the L1 sublines of the L2 line at
-        *l2_line*, telling the sink of each L1D line a coherence
+        *l2_line*, telling the miss tracker of each L1D line a coherence
         invalidation drops."""
         port = self.ports[cpu]
         end = l2_line + self.machine.l2.line_bytes
-        sink = port.sink if coherence else None
+        tracker = port.tracker if coherence else None
         for l1 in (port.l1d, port.l1i):
             where = l1.where
             step = l1.line_bytes
@@ -156,11 +156,11 @@ class CoherenceController:
                 idx = where.pop(sub, None)
                 if idx is not None:
                     l1._drop(idx)
-                    if sink is not None:
-                        sink.coherence_invalidate(sub)
+                    if tracker is not None:
+                        tracker.coherence_invalidate(sub)
                 sub += step
             # Only a dropped L1D line is a later coherence miss.
-            sink = None
+            tracker = None
 
     def _invalidate_remotes(self, cpu: int, line: int,
                             victims: List[int]) -> None:

@@ -76,7 +76,7 @@ def run_dma(mem: CpuMemorySystem, desc: BlockOpDescriptor, t: int) -> DmaResult:
     if desc.is_copy:
         ranges.append(desc.src_range())
     resident = mem.l1d.where
-    mark = mem.sink.bypass_mark
+    mark = mem.tracker.bypass_mark
     for rng in ranges:
         first = align_down(rng.start, l1_line)
         for line in range(first, rng.stop, l1_line):

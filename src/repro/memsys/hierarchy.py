@@ -11,23 +11,29 @@ implements every access path the paper's systems need:
 * write-buffer drains with ownership acquisition, upgrades, and Firefly
   updates.
 
-Timing contract: every method takes the processor's current time ``t`` and
-returns an :class:`AccessResult` (a plain ``(done, stall)`` pair for
-:meth:`CpuMemorySystem.write`) whose ``done`` is when the processor may
-proceed.  Stall components are split the way Figure 3 reports them
-(``stall`` -> D Read Miss or D Write; ``pref_stall`` -> Pref).
+Timing contract: every access method takes the processor's current time
+``t`` and returns when the processor may proceed: :meth:`CpuMemorySystem.load`
+the completion time, :meth:`CpuMemorySystem.write` a plain ``(done,
+stall)`` pair, the other paths an :class:`AccessResult`.  Stall components
+are split the way Figure 3 reports them (``stall`` -> D Read Miss or D
+Write; ``pref_stall`` -> Pref).
+
+Every data read below the record loop is one call of
+:meth:`CpuMemorySystem.load`, which serves it, fills, tracks the line's
+miss causes and counts and classifies a miss into the run's metrics
+itself: no result object is built unless a probe or the caller asks for
+one.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.common.params import MachineParams
+from repro.common.types import DCLASS_BY_VALUE, MissKind, Mode
 from repro.memsys.bus import BUS_PREFETCH, BUS_READ_MEM, BUS_WRITEBACK, Bus
 from repro.memsys.cache import Cache, CoherentCache
 from repro.memsys.coherence import CoherenceController
 from repro.memsys.prefetch import PendingFills, PrefetchLineBuffer
-from repro.memsys.sink import MemorySink, MissFlags, NO_FLAGS
+from repro.memsys.sink import MissFlags, MissTracker, NO_FLAGS
 from repro.memsys.states import EXCLUSIVE, INVALID, MODIFIED, SHARED
 from repro.memsys.writebuffer import TimedWriteBuffer
 
@@ -39,6 +45,14 @@ LEVEL_REGISTER = "register"
 LEVEL_L2 = "l2"
 LEVEL_MEM = "mem"
 LEVEL_WB = "wb"
+
+# Enum values and members bound once: a class-attribute load off an enum
+# is slow.  The miss-kind counter is keyed by the members themselves.
+_USER = int(Mode.USER)
+_OS = int(Mode.OS)
+_BLOCK_OP = MissKind.BLOCK_OP
+_COHERENCE = MissKind.COHERENCE
+_OTHER = MissKind.OTHER
 
 
 class AccessResult:
@@ -65,19 +79,24 @@ class AccessResult:
 class CpuMemorySystem:
     """All memory-system state private to one processor."""
 
-    __slots__ = ("machine", "bus", "controller", "sink", "probe", "l1i",
-                 "l1d", "l2", "wb1", "wb2", "pending", "pref_buffer",
+    __slots__ = ("machine", "bus", "controller", "metrics", "tracker",
+                 "probe", "l1i", "l1d", "l2", "wb1", "wb2", "pending",
+                 "pref_buffer",
                  "bypass_src_line", "bypass_dst_line", "bypass_l2_wide",
                  "in_blockop", "_touch_l1i", "_touch_l2",
                  "_l1d_line_transfer", "cpu_id")
 
     def __init__(self, machine: MachineParams, bus: Bus,
-                 controller: CoherenceController,
-                 sink: Optional[MemorySink] = None) -> None:
+                 controller: CoherenceController, metrics) -> None:
         self.machine = machine
         self.bus = bus
         self.controller = controller
-        self.sink = sink if sink is not None else MemorySink()
+        #: The run's :class:`~repro.sim.metrics.SystemMetrics`, into which
+        #: :meth:`load` counts and classifies misses (duck-typed:
+        #: :mod:`repro.memsys` imports nothing from the simulator layer).
+        self.metrics = metrics
+        #: This CPU's miss causes.
+        self.tracker = MissTracker()
         #: Attached observer (:class:`~repro.memsys.sink.Probe`), or None.
         self.probe = None
         self.l1i = Cache(machine.l1i)
@@ -95,8 +114,8 @@ class CpuMemorySystem:
         #: blocking first-level-line loads; Blk_ByPref streams through its
         #: buffer at second-level-line granularity.
         self.bypass_l2_wide = False
-        #: Set by the processor while a block operation is in progress; the
-        #: sink uses it to distinguish *inside* displacement misses.
+        #: Set by the processor while a block operation is in progress: a
+        #: line an L1D fill evicts meanwhile is marked displaced.
         self.in_blockop = False
         #: LRU-promotion hooks, ``None`` on 1-way caches, whose only
         #: possible victim is the resident line: a hit promotes only when
@@ -109,7 +128,8 @@ class CpuMemorySystem:
         #: flushes it (the controller's ``line_transfer`` is an L2 line).
         self._l1d_line_transfer = bus.params.line_transfer_cycles(
             machine.l1d.line_bytes)
-        self.cpu_id = controller.attach(self.l1i, self.l1d, self.l2, self.sink)
+        self.cpu_id = controller.attach(self.l1i, self.l1d, self.l2,
+                                        self.tracker)
 
     # ------------------------------------------------------------------
     # Helpers
@@ -127,52 +147,171 @@ class CpuMemorySystem:
     # ------------------------------------------------------------------
     # Cached access paths (Base machine)
     # ------------------------------------------------------------------
-    def read(self, addr: int, t: int) -> AccessResult:
-        """Demand data read at time *t*.
+    def load(self, addr: int, t: int, mode: int, pc: int, dclass: int,
+             blockop: int, inside: bool, bypass: bool = False,
+             result: bool = False):
+        """Data read of *addr* at time *t* that the record loop does not
+        resolve itself; returns its completion time.
 
-        A miss is resolved here, without helper hops: an L2 hit is one
-        probe of the L2's frame index (a resident L2 frame is never
-        INVALID), and the L1D fill is one :meth:`Cache.fill`.
+        The one implementation of an L1D read miss.  It consumes the
+        line's miss causes, serves the line from the L2 frame (a resident
+        L2 frame is never INVALID) or through
+        :meth:`CoherenceController.fetch_shared`, fills the L1D, drops the
+        victim's pending prefetch fill and, inside a block operation,
+        marks it displaced.  A resident line is a hit, or a miss partly
+        hidden by a prefetch still in flight.  A *bypass* read (a
+        Blk_Bypass/Blk_ByPref block-op source word) of a line the L1D
+        lacks is served by the prefetch buffer, the source line register
+        or a fetch into that register, never the caches.
+
+        A miss is counted and classified into :attr:`metrics` here: read
+        in *mode* from basic block *pc*, of data class *dclass*, for
+        block operation *blockop* (0: none), inside a block operation
+        when *inside* (a barrier's read never is); its D-read and Pref
+        stalls are charged to the mode's time.  An :class:`AccessResult`
+        is built only for an attached probe's ``read`` (or, for what the
+        bypass machinery served, ``read_bypass``) hook, or to be returned
+        in place of the time when *result* is set.
         """
         l1d = self.l1d
         line = addr - addr % l1d.line_bytes
-        idx = l1d.where.get(line)
-        if idx is not None:
+        resident = l1d.where.get(line)
+        coherence = displaced = bypassed = miss = False
+        stall = pref = 0
+        if resident is not None:
             # A resident frame of a 1-way cache always holds rank 0.
-            if l1d.ranks[idx]:
-                l1d.promote(idx)
-            remaining = self.pending.consume(line, t)
-            if remaining:
-                # Prefetch in flight: partially hidden; the paper still
-                # counts it as a miss ("not issued early enough").
-                res = AccessResult(t + remaining + 1, pref_stall=remaining,
-                                   miss=True, level=LEVEL_PREF)
+            if l1d.ranks[resident]:
+                l1d.promote(resident)
+            arrival = self.pending.ready.pop(line, t)
+            if arrival <= t:
+                done = t + 1
+                level = LEVEL_L1
             else:
-                res = AccessResult(t + self.machine.l1_hit_cycles)
+                done = arrival + 1
+                pref = arrival - t
+                level = LEVEL_PREF
+                miss = True
+        elif bypass and (line in self.pref_buffer.lines
+                         or addr - addr % self._register_bytes()
+                         == self.bypass_src_line):
+            arrival = self.pref_buffer.lines.get(line, t)
+            if arrival <= t:
+                done = t + 1
+                level = (LEVEL_BUFFER if line in self.pref_buffer.lines
+                         else LEVEL_REGISTER)
+            else:
+                # An in-flight buffer fill: a block miss partially hidden,
+                # not a reuse; the line's bypass mark stays for later
+                # demand misses.
+                done = arrival + 1
+                pref = arrival - t
+                level = LEVEL_BUFFER
+                miss = True
         else:
-            flags = self.sink.consume_miss_flags(line)
+            # The miss: its causes are read (and cleared) before the fill.
+            tracker = self.tracker
+            causes = tracker.coh_pending
+            if line in causes:
+                causes.remove(line)
+                coherence = True
+            causes = tracker.displaced
+            if line in causes:
+                causes.remove(line)
+                displaced = True
+            causes = tracker.bypassed
+            if line in causes:
+                causes.remove(line)
+                bypassed = True
             l2 = self.l2
-            idx = l2.where.get(addr - addr % l2.line_bytes)
-            if idx is not None:
+            frame = l2.where.get(addr - addr % l2.line_bytes)
+            if frame is not None:
                 # A resident frame of a 1-way L2 always holds rank 0.
-                if l2.ranks[idx]:
-                    l2.promote(idx)
-                ready = t + self.machine.l2_hit_cycles
+                if l2.ranks[frame]:
+                    l2.promote(frame)
+                done = t + self.machine.l2_hit_cycles
                 level = LEVEL_L2
-            else:
-                ready = self.controller.fetch_shared(self.cpu_id, addr, t,
-                                                     BUS_READ_MEM)
+            elif bypass:
+                done = self.controller.read_nofill(self.cpu_id, addr, t)
                 level = LEVEL_MEM
-            evicted = l1d.fill(line)
-            if evicted != -1:
-                self.pending.ready.pop(evicted, None)
-            self.sink.l1_fill(line, evicted, self.in_blockop)
-            res = AccessResult(ready,
-                               stall=ready - t - self.machine.l1_hit_cycles,
-                               miss=True, level=level, flags=flags)
-        if self.probe is not None:
-            self.probe.read(self.cpu_id, addr, t, res)
-        return res
+            else:
+                done = self.controller.fetch_shared(self.cpu_id, addr, t,
+                                                    BUS_READ_MEM)
+                level = LEVEL_MEM
+            if bypass:
+                # The new source line goes to the line register; its
+                # uncached sublines are marked for reuse analysis.
+                reg_bytes = self._register_bytes()
+                reg_line = addr - addr % reg_bytes
+                self.bypass_src_line = reg_line
+                where = l1d.where
+                for sub in range(reg_line, reg_line + reg_bytes,
+                                 l1d.line_bytes):
+                    if sub not in where:
+                        tracker.bypassed.add(sub)
+            else:
+                evicted = l1d.fill(line)
+                if evicted != -1:
+                    self.pending.ready.pop(evicted, None)
+                    if self.in_blockop:
+                        tracker.displaced.add(evicted)
+            # MachineParams pins l1_hit_cycles (and a register read) to 1.
+            stall = done - t - 1
+            miss = True
+        if miss:
+            # Count and classify the miss.
+            metrics = self.metrics
+            breakdown = metrics.time[mode]
+            breakdown.dread += stall
+            breakdown.pref += pref
+            if blockop:
+                metrics.blk_read_stall += stall + pref
+            metrics.read_misses[mode] += 1
+            if displaced:
+                if inside:
+                    metrics.displacement_inside += 1
+                else:
+                    metrics.displacement_outside += 1
+                metrics.blk_displ_stall += stall
+            if bypassed:
+                if inside:
+                    metrics.reuse_inside += 1
+                else:
+                    metrics.reuse_outside += 1
+            if mode == _OS:
+                member = DCLASS_BY_VALUE[dclass]
+                if blockop:
+                    metrics.os_miss_kind[_BLOCK_OP] += 1
+                elif coherence:
+                    metrics.os_miss_kind[_COHERENCE] += 1
+                    metrics.os_coh_dclass[member] += 1
+                    metrics.os_coh_addr[addr - addr % 16] += 1
+                else:
+                    metrics.os_miss_kind[_OTHER] += 1
+                metrics.os_miss_pc[pc] += 1
+                metrics.os_miss_dclass[member] += 1
+                if pc in metrics.hotspot_pcs:
+                    metrics.os_hotspot_misses += 1
+        probe = self.probe
+        if probe is None and not result:
+            return done
+        res = AccessResult(
+            done, stall, pref, miss, level,
+            MissFlags(coherence, displaced, bypassed)
+            if coherence or displaced or bypassed else NO_FLAGS)
+        if probe is not None:
+            if bypass and resident is None:
+                probe.read_bypass(self.cpu_id, addr, t, res)
+            else:
+                probe.read(self.cpu_id, addr, t, res)
+        return res if result else done
+
+    def read(self, addr: int, t: int, mode: int = _USER, pc: int = 0,
+             dclass: int = 0, blockop: int = 0,
+             inside: bool = False) -> AccessResult:
+        """Demand data read at time *t*, as :meth:`load` counts it, with
+        its :class:`AccessResult`."""
+        return self.load(addr, t, mode, pc, dclass, blockop, inside, False,
+                         True)
 
     def write(self, addr: int, t: int) -> "tuple[int, int]":
         """Data write at time *t* (write-through, write-allocate L1).
@@ -197,7 +336,7 @@ class CpuMemorySystem:
             evicted = l1d.fill(line)
             if evicted != -1:
                 self.pending.ready.pop(evicted, None)
-            self.sink.l1_fill(line, evicted, self.in_blockop)
+            self.tracker.l1_fill(line, evicted, self.in_blockop)
         elif l1d.ranks[idx]:
             # A resident frame of a 1-way L1D always holds rank 0.
             l1d.promote(idx)
@@ -289,7 +428,7 @@ class CpuMemorySystem:
         evicted = self.l1d.fill(line)
         if evicted != -1:
             self.pending.drop(evicted)
-        self.sink.l1_fill(line, evicted, self.in_blockop)
+        self.tracker.l1_fill(line, evicted, self.in_blockop)
         self.pending.add(line, ready)
 
     def prefetch_into_buffer(self, addr: int, t: int) -> None:
@@ -314,60 +453,26 @@ class CpuMemorySystem:
                          self.machine.l1d.line_bytes):
             if not self.l1d.present(sub):
                 self.pref_buffer.insert(sub, ready)
-                self.sink.bypass_mark(sub)
+                self.tracker.bypass_mark(sub)
 
     # ------------------------------------------------------------------
     # Bypassing paths (Blk_Bypass / Blk_ByPref)
     # ------------------------------------------------------------------
-    def read_bypass(self, addr: int, t: int) -> AccessResult:
-        """Block-operation source read that bypasses the caches.
+    def read_bypass(self, addr: int, t: int, mode: int = _USER,
+                    pc: int = 0, dclass: int = 0, blockop: int = 0,
+                    inside: bool = False) -> AccessResult:
+        """Block-operation source read that bypasses the caches, as
+        :meth:`load` counts it, with its :class:`AccessResult`; a read of
+        a resident line is the cached read."""
+        return self.load(addr, t, mode, pc, dclass, blockop, inside, True,
+                         True)
 
-        A read the processor resolves itself (a line the L1D lacks that
-        a ready buffer line or the source line register serves, with no
-        lookahead prefetch to issue) never gets here.
-        """
-        line = self.l1d.line_addr(addr)
-        if self.l1d.present(addr):
-            # The cached path; read() reports the access.
-            return self.read(addr, t)
-        buffered = self.pref_buffer.lookup(line)
-        gran = (self.machine.l2.line_bytes if self.bypass_l2_wide
+    def _register_bytes(self) -> int:
+        """Width of the source line register: plain Blk_Bypass issues
+        blocking first-level-line loads; Blk_ByPref streams through its
+        buffer at second-level-line granularity."""
+        return (self.machine.l2.line_bytes if self.bypass_l2_wide
                 else self.machine.l1d.line_bytes)
-        reg_line = addr - addr % gran
-        if buffered is not None:
-            self.pref_buffer.hits += 1
-            if buffered <= t:
-                res = AccessResult(t + 1, level=LEVEL_BUFFER)
-            else:
-                # In-flight buffer fill: a block miss that was partially
-                # hidden ("prefetch not issued early enough"), not a reuse
-                # — leave the bypass mark in place for later demand misses.
-                res = AccessResult(buffered + 1, pref_stall=buffered - t,
-                                   miss=True, level=LEVEL_BUFFER)
-        elif reg_line == self.bypass_src_line:
-            res = AccessResult(t + 1, level=LEVEL_REGISTER)
-        else:
-            # New source line: fetch into the line register, never the
-            # caches.
-            flags = self.sink.consume_miss_flags(line)
-            if self.l2.state_of(addr) != INVALID:
-                if self._touch_l2 is not None:
-                    self._touch_l2(addr)
-                ready = t + self.machine.l2_hit_cycles
-                level = LEVEL_L2
-            else:
-                ready = self.controller.read_nofill(self.cpu_id, addr, t)
-                level = LEVEL_MEM
-            self.bypass_src_line = reg_line
-            for sub in range(reg_line, reg_line + gran,
-                             self.machine.l1d.line_bytes):
-                if not self.l1d.present(sub):
-                    self.sink.bypass_mark(sub)
-            res = AccessResult(ready, stall=ready - t - 1, miss=True,
-                               level=level, flags=flags)
-        if self.probe is not None:
-            self.probe.read_bypass(self.cpu_id, addr, t, res)
-        return res
 
     def write_bypass(self, addr: int, t: int) -> AccessResult:
         """Block-operation destination write that bypasses the caches.
@@ -410,7 +515,7 @@ class CpuMemorySystem:
         if self.probe is not None:
             self.probe.bypass_flush(cpu, line)
         wb2.complete(start, grant + transfer)
-        self.sink.bypass_mark(line)
+        self.tracker.bypass_mark(line)
         return stall
 
     def end_block_op(self, t: int) -> int:

@@ -68,11 +68,10 @@ class PrefetchLineBuffer:
 
     ``lines`` is public for the same reason as :attr:`PendingFills.ready`:
     the processor's record loop binds it once and serves a block-op read
-    of a ready buffered line itself, counting it in :attr:`hits`.  It is
-    mutated in place only.
+    of a ready buffered line itself.  It is mutated in place only.
     """
 
-    __slots__ = ("capacity", "lines", "hits")
+    __slots__ = ("capacity", "lines")
 
     def __init__(self, capacity: int = 8) -> None:
         if capacity < 1:
@@ -80,7 +79,6 @@ class PrefetchLineBuffer:
         self.capacity = capacity
         #: line address -> cycle the prefetched data arrives, oldest first.
         self.lines: "OrderedDict[int, int]" = OrderedDict()
-        self.hits = 0
 
     def insert(self, line: int, ready: int) -> None:
         """Add *line* (arriving at *ready*), evicting the oldest if full."""

@@ -1,11 +1,14 @@
-"""The core's two observation protocols: metrics sinks and probes.
+"""The core's two observation protocols: miss-cause tracking and probes.
 
-The memory system reports the events the paper's miss taxonomy needs —
-coherence invalidations, fills and displacements during block operations,
-lines fetched in bypass mode — to a per-CPU sink.  :class:`MemorySink` is
-the no-op base; :class:`repro.sim.metrics.MissTracker` implements the real
-bookkeeping.  Keeping the protocol here lets :mod:`repro.memsys` stay
-independent of the simulator layer.
+:class:`MissTracker` (one per CPU, owned by its
+:class:`~repro.memsys.hierarchy.CpuMemorySystem`) remembers the events
+the paper's miss taxonomy needs: which L1D lines were invalidated by
+remote writes, displaced by block-operation fills, or moved uncached by
+a bypassing scheme.  The hierarchy's read routine
+(:meth:`~repro.memsys.hierarchy.CpuMemorySystem.load`) reads and clears
+the sets inline when the line misses, so each miss can be labelled
+*coherence*, *block displacement* or *reuse* exactly as sections 3-4
+define them.
 
 :class:`Probe` is the one way anything else hooks into the core: the
 conformance checker, the miss tracer and the timeline recorder subscribe
@@ -14,7 +17,7 @@ to its hooks through :meth:`~repro.sim.system.MultiprocessorSystem.attach`.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import NamedTuple, Set
 
 
 class MissFlags(NamedTuple):
@@ -35,29 +38,45 @@ class MissFlags(NamedTuple):
 NO_FLAGS = MissFlags()
 
 
-class MemorySink:
-    """No-op sink; subclass and override what you need."""
+class MissTracker:
+    """Per-CPU cause bookkeeping for the miss taxonomy.
 
-    __slots__ = ()
+    The three sets are public: the read routine tests and clears a
+    missing line's causes inline, and marks the victim of a block-op
+    fill, without a method call.
+    """
+
+    __slots__ = ("coh_pending", "displaced", "bypassed")
+
+    def __init__(self) -> None:
+        #: L1D lines invalidated by remote writes while resident.
+        self.coh_pending: Set[int] = set()
+        #: L1D lines evicted by a block-operation fill.
+        self.displaced: Set[int] = set()
+        #: Lines moved uncached by a bypassing scheme.
+        self.bypassed: Set[int] = set()
 
     def coherence_invalidate(self, l1_line: int) -> None:
         """A remote write invalidated *l1_line* while it sat in this L1D."""
+        self.coh_pending.add(l1_line)
+        self.displaced.discard(l1_line)
 
-    def l1_fill(self, l1_line: int, evicted_line: int, during_blockop: bool) -> None:
-        """*l1_line* was installed in the L1D, evicting *evicted_line* (-1
-        when the set was empty).  ``during_blockop`` is True when the fill
-        was triggered by a block-operation access, which makes the eviction
-        a potential *block displacement miss* later (section 4.1.3)."""
+    def l1_fill(self, l1_line: int, evicted_line: int,
+                during_blockop: bool) -> None:
+        """A write or prefetch installed *l1_line* in the L1D, evicting
+        *evicted_line* (-1 when the set had room): the line's causes are
+        void, and a fill inside a block operation makes the eviction a
+        potential *block displacement miss* later (section 4.1.3)."""
+        self.coh_pending.discard(l1_line)
+        self.displaced.discard(l1_line)
+        self.bypassed.discard(l1_line)
+        if during_blockop and evicted_line != -1:
+            self.displaced.add(evicted_line)
 
     def bypass_mark(self, l1_line: int) -> None:
         """*l1_line* was moved by a bypassing scheme without being cached;
         a later demand miss on it is a *reuse* miss (section 4.1.3)."""
-
-    def consume_miss_flags(self, l1_line: int) -> MissFlags:
-        """Called by the hierarchy at the moment of an L1D read miss,
-        *before* the refill clears the bookkeeping.  Returns (and clears)
-        the cause flags for *l1_line*."""
-        return NO_FLAGS
+        self.bypassed.add(l1_line)
 
 
 class Probe:
@@ -68,7 +87,7 @@ class Probe:
     <repro.sim.system.MultiprocessorSystem.attach>` hands every component
     one ``probe`` reference — ``None`` when nothing is attached, so each
     hook site costs one ``is not None`` test — and the components call
-    the hooks below at the moments they name.  Unlike :class:`MemorySink`,
+    the hooks below at the moments they name.  Unlike :class:`MissTracker`,
     which feeds the always-on metrics, a probe only observes.
 
     Each processor access is reported once, with its final result: a

@@ -2,7 +2,7 @@
 
 from repro.sim.config import (SystemConfig, all_configs, hybrid_configs,
                               standard_configs)
-from repro.sim.metrics import BlockOpStats, MissTracker, SystemMetrics, TimeBreakdown
+from repro.sim.metrics import BlockOpStats, SystemMetrics, TimeBreakdown
 from repro.sim.processor import ProcStatus, Processor, StepResult
 from repro.sim.sync import BarrierManager, LockTable
 from repro.sim.system import MultiprocessorSystem, simulate
@@ -11,7 +11,6 @@ __all__ = [
     "BarrierManager",
     "BlockOpStats",
     "LockTable",
-    "MissTracker",
     "MultiprocessorSystem",
     "ProcStatus",
     "Processor",

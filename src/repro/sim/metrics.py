@@ -1,20 +1,18 @@
 """Measurement layer: time decomposition and the paper's miss taxonomy.
 
-Two classes cooperate:
+:class:`SystemMetrics` aggregates everything the tables and figures
+report: execution-time components per mode (Exec / I Miss / D Read Miss /
+D Write / Pref / sync), read and miss counts per mode, the OS miss
+breakdown of Table 2, the coherence-source breakdown of Table 5, the
+per-basic-block miss counts that drive the hot-spot selection of
+section 6, and the block-operation instrumentation of Table 3 and
+Figure 1.
 
-* :class:`MissTracker` (one per CPU) implements the memory-system sink
-  protocol.  It remembers which L1D lines were invalidated by remote
-  writes, displaced by block-operation fills, or moved uncached by a
-  bypassing scheme, so each later miss can be labelled *coherence*,
-  *block displacement* or *reuse* exactly as sections 3-4 define them.
-
-* :class:`SystemMetrics` aggregates everything the tables and figures
-  report: execution-time components per mode (Exec / I Miss / D Read Miss /
-  D Write / Pref / sync), read and miss counts per mode, the OS miss
-  breakdown of Table 2, the coherence-source breakdown of Table 5, the
-  per-basic-block miss counts that drive the hot-spot selection of
-  section 6, and the block-operation instrumentation of Table 3 and
-  Figure 1.
+Every read miss is counted and classified where it happens, by
+:meth:`CpuMemorySystem.load <repro.memsys.hierarchy.CpuMemorySystem.load>`,
+from the causes its CPU's :class:`~repro.memsys.sink.MissTracker`
+recorded: *block-op*, *coherence* or *other* for OS misses, with
+*block displacement* and *reuse* as sub-causes in every mode.
 
 The per-mode quantities (``time``, ``reads``, ``writes``,
 ``read_misses``) are lists indexed by the mode's int value, which the
@@ -26,18 +24,10 @@ are attached only by :meth:`SystemMetrics.snapshot`.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set
 
-from repro.common.types import DCLASS_BY_VALUE, DataClass, MissKind, Mode
-from repro.memsys.hierarchy import AccessResult
-from repro.memsys.sink import MemorySink, MissFlags, NO_FLAGS
+from repro.common.types import DataClass, MissKind, Mode
 from repro.trace.blockop import BlockOpDescriptor
-
-# Enum members bound once: a class-attribute load off an enum is slow.
-_OS = Mode.OS
-_BLOCK_OP = MissKind.BLOCK_OP
-_COHERENCE = MissKind.COHERENCE
-_OTHER = MissKind.OTHER
 
 #: ``snapshot()`` key of each mode, by value: ``str(Mode.OS)`` is
 #: ``"Mode.OS"`` before Python 3.11 and ``"1"`` after, so it is never
@@ -82,51 +72,6 @@ class TimeBreakdown:
 
     def as_dict(self) -> Dict[str, int]:
         return {f: getattr(self, f) for f in self.__slots__}
-
-
-class MissTracker(MemorySink):
-    """Per-CPU cause bookkeeping for the miss taxonomy."""
-
-    __slots__ = ("coh_pending", "displaced", "bypassed", "in_blockop")
-
-    def __init__(self) -> None:
-        #: L1D lines invalidated by remote writes while resident.
-        self.coh_pending: Set[int] = set()
-        #: L1D lines evicted by a block-operation fill.
-        self.displaced: Set[int] = set()
-        #: Lines moved uncached by a bypassing scheme.
-        self.bypassed: Set[int] = set()
-        #: Mirrors the processor's "inside a block operation" state.
-        self.in_blockop = False
-
-    def coherence_invalidate(self, l1_line: int) -> None:
-        self.coh_pending.add(l1_line)
-        self.displaced.discard(l1_line)
-
-    def l1_fill(self, l1_line: int, evicted_line: int,
-                during_blockop: bool) -> None:
-        self.coh_pending.discard(l1_line)
-        self.displaced.discard(l1_line)
-        self.bypassed.discard(l1_line)
-        if during_blockop and evicted_line != -1:
-            self.displaced.add(evicted_line)
-
-    def bypass_mark(self, l1_line: int) -> None:
-        self.bypassed.add(l1_line)
-
-    def consume_miss_flags(self, l1_line: int) -> MissFlags:
-        coherence = l1_line in self.coh_pending
-        displaced = l1_line in self.displaced
-        bypassed = l1_line in self.bypassed
-        if not (coherence or displaced or bypassed):
-            return NO_FLAGS
-        if coherence:
-            self.coh_pending.discard(l1_line)
-        if displaced:
-            self.displaced.discard(l1_line)
-        if bypassed:
-            self.bypassed.discard(l1_line)
-        return MissFlags(coherence, displaced, bypassed)
 
 
 class BlockOpStats:
@@ -191,7 +136,7 @@ class BlockOpStats:
 class SystemMetrics:
     """All measurements from one simulation run."""
 
-    __slots__ = ("num_cpus", "page_bytes", "trackers", "time", "reads",
+    __slots__ = ("num_cpus", "page_bytes", "time", "reads",
                  "writes", "read_misses", "os_miss_kind", "os_coh_dclass",
                  "os_miss_pc", "os_miss_dclass", "os_coh_addr",
                  "displacement_inside", "displacement_outside",
@@ -207,7 +152,6 @@ class SystemMetrics:
     def __init__(self, num_cpus: int, page_bytes: int = 4096) -> None:
         self.num_cpus = num_cpus
         self.page_bytes = page_bytes
-        self.trackers: List[MissTracker] = [MissTracker() for _ in range(num_cpus)]
         #: Time components, reference and miss counts, indexed by mode.
         self.time: List[TimeBreakdown] = [TimeBreakdown() for _ in Mode]
         self.reads: List[int] = [0] * len(Mode)
@@ -256,58 +200,6 @@ class SystemMetrics:
     # ------------------------------------------------------------------
     # Recording (called by the processor)
     # ------------------------------------------------------------------
-    def record_read(self, mode: int, addr: int, pc: int, dclass: int,
-                    blockop: int, res: AccessResult,
-                    in_blockop: bool) -> None:
-        """Count one read of a lock or barrier word and classify it as
-        :meth:`classify_read` does (the processor counts the READ
-        records of its stream once, when it finishes)."""
-        self.reads[mode] += 1
-        self.classify_read(mode, addr, pc, dclass, blockop, res,
-                           in_blockop)
-
-    def classify_read(self, mode: int, addr: int, pc: int, dclass: int,
-                      blockop: int, res: AccessResult,
-                      in_blockop: bool) -> None:
-        """Charge the block-op stall of a read of *addr* in *mode* from
-        basic block *pc*, and classify it when *res* is a miss.  *dclass*
-        is read only for a miss, so a caller may pass anything for a
-        hit."""
-        if blockop:
-            self.blk_read_stall += res.stall + res.pref_stall
-        if not res.miss:
-            return
-        self.read_misses[mode] += 1
-        flags = res.flags
-        if flags.displaced:
-            if in_blockop:
-                self.displacement_inside += 1
-            else:
-                self.displacement_outside += 1
-            self.blk_displ_stall += res.stall
-        if flags.bypassed:
-            if in_blockop:
-                self.reuse_inside += 1
-            else:
-                self.reuse_outside += 1
-        if mode != _OS:
-            return
-        if blockop:
-            kind = _BLOCK_OP
-        elif flags.coherence:
-            kind = _COHERENCE
-        else:
-            kind = _OTHER
-        self.os_miss_kind[kind] += 1
-        member = DCLASS_BY_VALUE[dclass]
-        if kind is _COHERENCE:
-            self.os_coh_dclass[member] += 1
-            self.os_coh_addr[addr - addr % 16] += 1
-        self.os_miss_pc[pc] += 1
-        self.os_miss_dclass[member] += 1
-        if pc in self.hotspot_pcs:
-            self.os_hotspot_misses += 1
-
     def record_write(self, mode: int, blockop: int, stall: int) -> None:
         """Count one write of a lock or barrier word in *mode* that
         waited *stall* cycles (the processor counts the WRITE records of

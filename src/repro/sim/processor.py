@@ -24,8 +24,13 @@ no execution.  Per record, the record loop (:meth:`Processor.steps`)
 charges only what timing decides: the I-stall (at the fetch), the
 D-read, Pref and D-write stalls, the lookahead and prolog prefetch
 instructions of Blk_Pref and Blk_ByPref, synchronization waits, and the
-lock and barrier word accesses (:meth:`SystemMetrics.record_read
-<repro.sim.metrics.SystemMetrics.record_read>` and ``record_write``).
+lock and barrier word accesses (their reads counted by
+:meth:`Processor._sync_read`, their writes by
+:meth:`SystemMetrics.record_write
+<repro.sim.metrics.SystemMetrics.record_write>`).  Every read miss is
+counted and classified by the one read routine,
+:meth:`CpuMemorySystem.load
+<repro.memsys.hierarchy.CpuMemorySystem.load>`.
 
 Synchronization records interact with the shared lock table and barrier
 manager; a processor that cannot make progress returns a blocked status and
@@ -48,7 +53,10 @@ cell.  It is one generator per CPU, resumed by the scheduler once per
   through the same loop body.  The clock and stream position live in
   locals for the burst and are written back before each yield; the
   position is also kept current while a probe is attached, since
-  observers read it;
+  observers read it.  While suspended the loop holds its processor
+  only through a weak reference, so the two form no reference cycle:
+  a system dropped before its run ends (never run, or ended by an
+  error) is freed at once, without the cyclic collector;
 * binds its hot state once, as locals, when first resumed: the stream's
   six parallel plain-int columns (:meth:`StreamColumns.sim_lists
   <repro.trace.columns.StreamColumns.sim_lists>`: op, addr, mode, pc,
@@ -87,6 +95,12 @@ cell.  It is one generator per CPU, resumed by the scheduler once per
   prefetch to issue, and a bypassing read of a resident line is the
   cached read.  With a :class:`~repro.memsys.sink.Probe` attached the
   inline hit is skipped, so the probe sees every cached read;
+* sends every other data read without a lookahead prefetch to issue —
+  an L1D miss, a resident line with a prefetch fill pending, a bypass
+  read the loop does not serve — straight to
+  :meth:`CpuMemorySystem.load`, the one read routine, which resolves
+  it, counts and classifies a miss and charges its stalls in one call,
+  probe or not;
 * resolves the *bypass hits* of block operations inline as well: under
   Blk_Bypass and Blk_ByPref, a block-op read of a line the L1D lacks
   that a ready prefetch-buffer line or the source line register serves
@@ -127,6 +141,7 @@ golden-value tests enforce this.
 from __future__ import annotations
 
 import enum
+import weakref
 from typing import Generator, List, Optional, Tuple
 
 import numpy as np
@@ -260,14 +275,14 @@ class Processor:
 
     __slots__ = ("cpu_id", "_columns", "_ops", "_addrs", "_modes", "_pcs",
                  "_icounts", "_blockops", "num_records", "blockops", "mem",
-                 "metrics", "tracker", "config", "locks", "barriers", "pos",
+                 "metrics", "config", "locks", "barriers", "pos",
                  "time", "status", "_blk_desc", "_blk_last_src_line",
                  "_barrier_pos", "probe", "_gen", "_l1_line_bytes", "_l1i",
                  "_l1i_where", "_wb1_depth", "_time", "_reads", "_writes",
                  "_exec_due", "_reads_due", "_writes_due", "_blk_due",
                  "_blk_read_plain", "_blk_read_bypass", "_blk_write_plain",
                  "_blk_dma", "_blk_bypref", "_bypass_hits",
-                 "_pref_lead_lines", "_block_prefetch")
+                 "_pref_lead_lines", "_block_prefetch", "__weakref__")
 
     def __init__(self, cpu_id: int, trace: Trace, mem: CpuMemorySystem,
                  metrics: SystemMetrics, config: SystemConfig,
@@ -288,7 +303,6 @@ class Processor:
         self.blockops = trace.blockops
         self.mem = mem
         self.metrics = metrics
-        self.tracker = metrics.trackers[cpu_id]
         self.config = config
         self.locks = locks
         self.barriers = barriers
@@ -324,7 +338,7 @@ class Processor:
         self._blk_bypref = scheme == _BYPREF_SCHEME
         #: Whether the record loop serves the line-register and
         #: prefetch-buffer hits of block-op words itself (a twin test rig
-        #: clears it to send them through ``_do_read``/``_do_write``).
+        #: clears it to send them through ``load``/``_do_write``).
         self._bypass_hits = self._blk_read_bypass
         # Blk_Pref / Blk_ByPref source prefetch: its software-pipelining
         # depth and where a prefetched line goes.
@@ -396,14 +410,24 @@ class Processor:
         first step.  The clock, the position, the probe and the block
         operation in progress are re-read on every resumption: the
         scheduler moves the clock of a spinning or woken CPU.
+
+        While suspended the loop refers to its processor weakly: it
+        drops ``self`` before each yield and takes it back from the weak
+        reference when resumed, so a processor and its loop form no
+        reference cycle.
         """
+        me = weakref.ref(self)
+        del self
         limit = yield None
+        self = me()
         ops, addrs, modes = self._ops, self._addrs, self._modes
         pcs, icounts, blockops = self._pcs, self._icounts, self._blockops
+        dclass_of = self._columns.dclasses.item
         num_records = self.num_records
         cpu_id = self.cpu_id
         holder_of = self.locks.holder
         mem = self.mem
+        load = mem.load
         metrics = self.metrics
         breakdowns = self._time
         # An inline hit promotes exactly as the CpuMemorySystem path
@@ -438,12 +462,12 @@ class Processor:
         wb1_depth = self._wb1_depth
         wb1_drain = mem.machine.write_buffers.l1_drain_cycles
         blk_read_plain = self._blk_read_plain
+        blk_read_bypass = self._blk_read_bypass
         blk_write_plain = self._blk_write_plain
         # The inline bypass hits: the prefetch buffer, and the width of
         # the source line register (read_bypass's granularity).
         bypass_hits = self._bypass_hits
-        pbuf = mem.pref_buffer
-        pbuf_lines = pbuf.lines
+        pbuf_lines = mem.pref_buffer.lines
         reg_bytes = l2_line_bytes if self._blk_bypref else l1_line_bytes
         while True:
             t = self.time
@@ -534,7 +558,8 @@ class Processor:
                         # A bypassing read of a resident line is the
                         # cached read.
                         if line in pending_ready or probe is not None:
-                            t = self._do_read(pos, addr, mode, t)
+                            t = load(addr, t, mode, pcs[pos], dclass_of(pos),
+                                     blockops[pos], blk is not None)
                         else:
                             # Clean L1D hit: zero stall, one cycle
                             # (MachineParams pins l1_hit_cycles to 1).
@@ -543,22 +568,25 @@ class Processor:
                                 if l1d_ranks[idx]:
                                     promote_l1d(idx)
                             t += 1
-                    elif blk is None or not bypass_hits or not blockops[pos]:
-                        t = self._do_read(pos, addr, mode, t)
+                    elif (blk is None or not blockops[pos]
+                          or not blk_read_bypass):
+                        # An L1D read miss.
+                        t = load(addr, t, mode, pcs[pos], dclass_of(pos),
+                                 blockops[pos], blk is not None)
                     else:
                         # A Blk_Bypass/Blk_ByPref block-op read of a line
                         # the L1D lacks, served in one cycle by a ready
                         # prefetch-buffer line or else by the source line
-                        # register, as ``read_bypass`` would.
+                        # register, as ``load`` would.
                         ready = pbuf_lines.get(line)
-                        if ready is not None and ready <= t:
-                            pbuf.hits += 1
+                        if bypass_hits and ready is not None and ready <= t:
                             if probe is not None:
                                 probe.read_bypass(
                                     cpu_id, addr, t,
                                     AccessResult(t + 1, level=LEVEL_BUFFER))
                             t += 1
-                        elif (ready is None and addr - addr % reg_bytes
+                        elif (bypass_hits and ready is None
+                              and addr - addr % reg_bytes
                               == mem.bypass_src_line):
                             if probe is not None:
                                 probe.read_bypass(
@@ -566,7 +594,8 @@ class Processor:
                                     AccessResult(t + 1, level=LEVEL_REGISTER))
                             t += 1
                         else:
-                            t = self._do_read(pos, addr, mode, t)
+                            t = load(addr, t, mode, pcs[pos], dclass_of(pos),
+                                     blockops[pos], True, True)
                 elif op == _WRITE:
                     addr = addrs[pos]
                     blockop = blockops[pos]
@@ -658,15 +687,15 @@ class Processor:
                 result = _RESULT_DONE
             self.time = t
             self.pos = pos
+            del self
             limit = yield result
+            self = me()
 
     def _fold(self) -> None:
         """Enter DONE and add what the stream charges whatever the
         timing (see the module docstring) to the metrics, once."""
         self.status = _DONE
-        # The suspended loop's frame refers to this processor: dropping
-        # the loop here keeps the two out of a reference cycle, which
-        # would hold the whole system until the cyclic collector ran.
+        # Nothing resumes a DONE processor's loop.
         self._gen = None
         time, reads, writes = self._time, self._reads, self._writes
         for mode, cycles in enumerate(self._exec_due):
@@ -681,30 +710,18 @@ class Processor:
     # Data accesses
     # ------------------------------------------------------------------
     def _do_read(self, pos: int, addr: int, mode: int, t: int) -> int:
-        """Perform a data read (counted per stream); returns its
-        completion."""
-        mem = self.mem
-        breakdown = self._time[mode]
-        in_blockop = self._blk_desc is not None
-        blockop = self._blockops[pos]
-        if blockop and in_blockop:
-            if not self._blk_read_plain and self._lookahead_prefetch(addr, t):
-                # The prefetch instruction executes inside the block op.
-                breakdown.exec_cycles += 1
-                self.metrics.blk_instr_exec += 1
-            if self._blk_read_bypass:
-                res = mem.read_bypass(addr, t)
-            else:
-                res = mem.read(addr, t)
-        else:
-            res = mem.read(addr, t)
-        self.metrics.classify_read(
-            mode, addr, self._pcs[pos],
-            self._columns.dclasses.item(pos) if res.miss else 0, blockop,
-            res, in_blockop)
-        breakdown.dread += res.stall
-        breakdown.pref += res.pref_stall
-        return res.done
+        """A Blk_Pref/Blk_ByPref block-op read of a source line the
+        lookahead prefetcher has not handled: issue the lookahead
+        prefetch, then read (bypassing the caches under Blk_ByPref);
+        returns the read's completion."""
+        if self._lookahead_prefetch(addr, t):
+            # The prefetch instruction executes inside the block op.
+            self._time[mode].exec_cycles += 1
+            self.metrics.blk_instr_exec += 1
+        return self.mem.load(addr, t, mode, self._pcs[pos],
+                             self._columns.dclasses.item(pos),
+                             self._blockops[pos], True,
+                             self._blk_read_bypass)
 
     def _do_write(self, addr: int, mode: int, t: int) -> int:
         """Blk_Bypass destination write that is not a hit on the
@@ -715,20 +732,15 @@ class Processor:
         self._time[mode].dwrite += res.stall
         return res.done
 
-    def _sync_read(self, pos: int, t: int, in_blockop: bool) -> int:
-        """Read the lock or barrier word of the record at *pos* at *t*,
-        recorded and charged like a data read; returns its completion."""
-        addr = self._addrs[pos]
+    def _sync_read(self, pos: int, t: int, inside: bool) -> int:
+        """Count and perform the read of the lock or barrier word of the
+        record at *pos* at *t* (inside a block operation when *inside*);
+        returns its completion."""
         mode = self._modes[pos]
-        res = self.mem.read(addr, t)
-        self.metrics.record_read(
-            mode, addr, self._pcs[pos],
-            self._columns.dclasses.item(pos) if res.miss else 0,
-            self._blockops[pos], res, in_blockop)
-        breakdown = self._time[mode]
-        breakdown.dread += res.stall
-        breakdown.pref += res.pref_stall
-        return res.done
+        self._reads[mode] += 1
+        return self.mem.load(self._addrs[pos], t, mode, self._pcs[pos],
+                             self._columns.dclasses.item(pos),
+                             self._blockops[pos], inside)
 
     def _sync_write(self, pos: int, mode: int, t: int) -> int:
         """Write the lock or barrier word of the record at *pos* at *t*;
@@ -780,7 +792,6 @@ class Processor:
         self._blk_last_src_line = -1
         self.mem.in_blockop = True
         self.mem.bypass_l2_wide = self._blk_bypref
-        self.tracker.in_blockop = True
         if not self._blk_read_plain and desc.is_copy:
             # Prolog: prefetch the first `lead` source lines back-to-back.
             line_bytes = self._l1_line_bytes
@@ -837,7 +848,6 @@ class Processor:
         self._blk_desc = None
         self._blk_last_src_line = -1
         self.mem.in_blockop = False
-        self.tracker.in_blockop = False
         if self.probe is not None:
             self.probe.block_end(self.cpu_id, t + stall)
         return t + stall

@@ -109,7 +109,7 @@ class MultiprocessorSystem:
         self.processors: List[Processor] = []
         for cpu in range(trace.num_cpus):
             mem = CpuMemorySystem(machine, self.bus, self.controller,
-                                  self.metrics.trackers[cpu])
+                                  self.metrics)
             self.memories.append(mem)
             self.processors.append(
                 Processor(cpu, trace, mem, self.metrics, config, self.locks,

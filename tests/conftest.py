@@ -8,7 +8,7 @@ from repro.common.params import BASE_MACHINE, MachineParams
 from repro.memsys.bus import Bus
 from repro.memsys.coherence import CoherenceController
 from repro.memsys.hierarchy import CpuMemorySystem
-from repro.sim.metrics import MissTracker
+from repro.sim.metrics import SystemMetrics
 from repro.trace import record as rec
 from repro.trace.stream import TraceBuilder
 
@@ -25,11 +25,12 @@ class MemoryRig:
         self.machine = machine
         self.bus = Bus(machine.bus)
         self.controller = CoherenceController(machine, self.bus)
-        self.trackers = [MissTracker() for _ in range(num_cpus)]
+        self.metrics = SystemMetrics(num_cpus, machine.page_bytes)
         self.mems = [
-            CpuMemorySystem(machine, self.bus, self.controller, tracker)
-            for tracker in self.trackers
+            CpuMemorySystem(machine, self.bus, self.controller, self.metrics)
+            for _ in range(num_cpus)
         ]
+        self.trackers = [mem.tracker for mem in self.mems]
 
     def __getitem__(self, cpu: int) -> CpuMemorySystem:
         return self.mems[cpu]

@@ -91,6 +91,24 @@ def test_lost_dirty_bit_caught():
                                       "lost-write"), (assoc, excinfo.value)
 
 
+def test_l2_miss_served_as_hit_caught():
+    # cpu1 dirties W; cpu0's read misses in its L1D and its L2, and the
+    # mutant read routine serves it as an L2 hit without fetching, so
+    # cpu0 sees no copy of the latest value.  The record loop calls the
+    # routine directly, as it does without a probe: the checker runs the
+    # production miss path.
+    b = TraceBuilder(2)
+    b.emit(1, rec.write(W, pc=PC))
+    b.emit(1, rec.barrier(BAR, 2, pc=PC))
+    b.emit(0, rec.barrier(BAR, 2, pc=PC))
+    b.emit(0, rec.read(W + 4, pc=PC))
+    trace = b.build()
+    for config_name in MUTANTS["l2_miss_served_as_hit"][1]:
+        run_checked(trace, config_name)
+        with mutant("l2_miss_served_as_hit"):
+            expect_catch(trace, ("stale-read", "inclusion"), config_name)
+
+
 def test_dma_stale_source_caught():
     # A REMOTE cache dirties the copy source (the issuing CPU's own dirty
     # lines are flushed before the transfer, so only a remote holder

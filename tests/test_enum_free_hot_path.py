@@ -32,9 +32,10 @@ from repro.memsys.coherence import CoherenceController
 from repro.memsys.dma import run_dma
 from repro.memsys.hierarchy import CpuMemorySystem
 from repro.memsys.prefetch import PendingFills, PrefetchLineBuffer
+from repro.memsys.sink import MissTracker
 from repro.memsys.states import LineState
 from repro.memsys.writebuffer import TimedWriteBuffer
-from repro.sim.metrics import MissTracker, SystemMetrics
+from repro.sim.metrics import SystemMetrics
 from repro.sim.processor import Processor, ProcStatus, _tally
 from repro.sim.system import MultiprocessorSystem
 
@@ -47,6 +48,7 @@ HOT_FUNCTIONS = [
     Processor.steps,
     Processor._do_read,
     Processor._do_write,
+    Processor._sync_read,
     Processor._fold,
     Processor._lookahead_prefetch,
     Processor._do_block_start,
@@ -56,6 +58,7 @@ HOT_FUNCTIONS = [
     Processor._measure_block_start,
     Processor._do_barrier,
     run_dma,
+    CpuMemorySystem.load,
     CpuMemorySystem.read,
     CpuMemorySystem.write,
     CpuMemorySystem.ifetch,
@@ -71,7 +74,6 @@ HOT_FUNCTIONS = [
     Cache._drop,
     CoherentCache.state_of,
     CoherentCache.set_state,
-    CoherentCache.fill,
     CoherentCache._drop,
     CoherenceController.fetch_shared,
     CoherenceController.fetch_owned,
@@ -88,10 +90,7 @@ HOT_FUNCTIONS = [
     BaseAdaptivePolicy.on_fill,
     BaseAdaptivePolicy.on_invalidate,
     StaticHybridPolicy.decide,
-    SystemMetrics.record_read,
-    SystemMetrics.classify_read,
     SystemMetrics.record_write,
-    MissTracker.consume_miss_flags,
     MissTracker.l1_fill,
 ]
 
@@ -163,7 +162,7 @@ def _hot_objects():
     mem = system.memories[0]
     return [system.processors[0], system.metrics, mem, system.bus,
             system.controller, mem.wb1, mem.wb2, mem.pending,
-            mem.pref_buffer, system.metrics.trackers[0], mem.l1d, mem.l2]
+            mem.pref_buffer, mem.tracker, mem.l1d, mem.l2]
 
 
 #: Classes whose instances must carry no ``__dict__``.

@@ -34,7 +34,7 @@ from repro.memsys.hierarchy import CpuMemorySystem
 from repro.memsys.sink import Probe
 from repro.memsys.states import LineState
 from repro.sim.config import all_configs, resolve_config, standard_configs
-from repro.sim.metrics import MissTracker
+from repro.sim.metrics import SystemMetrics
 from repro.sim.system import MultiprocessorSystem
 from repro.synthetic.profiles import generate as generate_profile
 from repro.synthetic.workloads import WORKLOAD_ORDER
@@ -158,9 +158,9 @@ class TestL1FastPathEquivalence:
         """Disabling the inline L1-hit and clean-write paths must not
         change any metric.
 
-        The processor resolves nothing inline while a probe is attached;
-        a bare :class:`Probe` forces every read down the full
-        :meth:`CpuMemorySystem.read` chain and every write through
+        The processor resolves no cached read or write inline while a
+        probe is attached; a bare :class:`Probe` sends every read through
+        :meth:`CpuMemorySystem.load` and every write through
         :meth:`CpuMemorySystem.write`, so hit accounting (and, on
         set-associative machines, LRU promotion) of the two paths is
         compared across a whole randomized run.  Under Blk_Pref and
@@ -183,7 +183,8 @@ class TestL1FastPathEquivalence:
             def rig(cls):
                 bus = Bus(machine.bus)
                 controller = CoherenceController(machine, bus)
-                return [cls(machine, bus, controller, MissTracker())
+                metrics = SystemMetrics(2)
+                return [cls(machine, bus, controller, metrics)
                         for _ in range(2)]
 
             fused, unfused = rig(CpuMemorySystem), rig(_UnfusedMemorySystem)
@@ -358,16 +359,19 @@ class _BypassEvents(Probe):
 
 
 def _count_bypass_calls(memories):
-    """Give each memory system a subclass counting its ``read_bypass``
-    and ``write_bypass`` calls into the returned dict."""
+    """Give each memory system a subclass counting its bypassing
+    ``load`` calls (as ``read_bypass``) and its ``write_bypass`` calls
+    into the returned dict."""
     calls = {"read_bypass": 0, "write_bypass": 0}
 
     class CountingMemorySystem(CpuMemorySystem):
         __slots__ = ()
 
-        def read_bypass(self, addr, t):
-            calls["read_bypass"] += 1
-            return CpuMemorySystem.read_bypass(self, addr, t)
+        def load(self, addr, t, mode, pc, dclass, blockop, inside,
+                 bypass=False, result=False):
+            calls["read_bypass"] += bypass
+            return CpuMemorySystem.load(self, addr, t, mode, pc, dclass,
+                                        blockop, inside, bypass, result)
 
         def write_bypass(self, addr, t):
             calls["write_bypass"] += 1
@@ -388,7 +392,7 @@ def _bypass_run(trace, config, inline, probed):
         for proc in system.processors:
             proc._bypass_hits = False
     snapshot = system.run().snapshot()
-    state = [(m.pref_buffer.hits, list(m.pref_buffer.lines.items()),
+    state = [(list(m.pref_buffer.lines.items()),
               m.bypass_src_line, m.bypass_dst_line, m.l1d.ranks, m.l2.ranks)
              for m in system.memories]
     return snapshot, events.events, state, calls
@@ -401,9 +405,9 @@ def test_inline_bypass_hits_match_hierarchy(machine, scheme, probed):
     """The block-op words the record loop serves itself — reads that
     hit the source line register or a ready prefetch-buffer line, and
     Blk_Bypass destination writes to the line the destination register
-    holds — must match ``_do_read``/``_do_write`` through
-    ``read_bypass``/``write_bypass``: the same snapshot, buffer hit
-    count and contents, line registers and LRU ranks and, with a probe
+    holds — must match the hierarchy's bypassing ``load`` and
+    ``write_bypass``: the same snapshot, buffer contents, line
+    registers and LRU ranks and, with a probe
     attached, the same bypass events with the same results in the same
     order.  The twin's processors have ``_bypass_hits`` cleared, so
     every such word takes the hierarchy's path."""
@@ -417,8 +421,8 @@ def test_inline_bypass_hits_match_hierarchy(machine, scheme, probed):
     assert state == slow_state
     assert bool(events) == probed
     # Many bypass words resolve inline: the first word of each new
-    # source line, under Blk_ByPref, and the resident lines' reads, with
-    # a probe attached, still reach ``read_bypass``.
+    # source line, and under Blk_ByPref each lookahead read, still reach
+    # the bypassing ``load``.
     reads = slow_calls["read_bypass"]
     assert reads - calls["read_bypass"] > reads // 5
     if scheme == "Blk_Bypass":
@@ -566,7 +570,7 @@ class _UnfusedMemorySystem(CpuMemorySystem):
             evicted = self.l1d.fill(line)
             if evicted != -1:
                 self.pending.drop(evicted)
-            self.sink.l1_fill(line, evicted, self.in_blockop)
+            self.tracker.l1_fill(line, evicted, self.in_blockop)
         elif self.l1d.assoc != 1:
             self.l1d.touch(addr)
         insert_t, stall, start = self.wb1.admit(t)

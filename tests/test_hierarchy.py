@@ -189,12 +189,10 @@ class TestDisplacementTracking:
         victim = ADDR
         mem.read(victim, 0)
         mem.in_blockop = True
-        rig.trackers[0].in_blockop = True
         conflicting = victim + rig.machine.l1d.size_bytes
         mem.read(conflicting, 100)
         assert victim in rig.trackers[0].displaced
         mem.in_blockop = False
-        rig.trackers[0].in_blockop = False
         res = mem.read(victim, 1000)
         assert res.miss and res.flags.displaced
 

@@ -3,14 +3,8 @@
 import pytest
 
 from repro.common.types import DataClass, MissKind, Mode
-from repro.memsys.hierarchy import AccessResult
-from repro.memsys.sink import MissFlags
-from repro.sim.metrics import (
-    BlockOpStats,
-    MissTracker,
-    SystemMetrics,
-    TimeBreakdown,
-)
+from repro.memsys.sink import MissTracker
+from repro.sim.metrics import BlockOpStats, SystemMetrics, TimeBreakdown
 from repro.trace.blockop import BlockOpRegistry
 from repro.trace.record import read as read_rec
 
@@ -35,13 +29,22 @@ class TestTimeBreakdown:
                           "pref", "sync"}
 
 
+def evict(rig, line):
+    """Evict *line* from CPU 0's direct-mapped L1D (it stays in the L2)."""
+    rig[0].read(line + rig.machine.l1d.size_bytes, 0)
+    assert line not in rig[0].l1d.where
+
+
 class TestMissTracker:
-    def test_coherence_flag_lifecycle(self):
-        t = MissTracker()
-        t.coherence_invalidate(0x100)
-        flags = t.consume_miss_flags(0x100)
-        assert flags.coherence
-        assert not t.consume_miss_flags(0x100).coherence  # consumed
+    """The causes a CPU's L1D read misses are classified by.  The one
+    read routine, ``CpuMemorySystem.load``, reads and clears them."""
+
+    def test_coherence_flag_lifecycle(self, rig):
+        rig.trackers[0].coherence_invalidate(0x100)
+        assert rig[0].read(0x100, 0).flags.coherence
+        evict(rig, 0x100)
+        res = rig[0].read(0x100, 1000)  # consumed
+        assert res.miss and not res.flags.coherence
 
     def test_fill_clears_all_state(self):
         t = MissTracker()
@@ -49,24 +52,23 @@ class TestMissTracker:
         t.bypass_mark(0x100)
         t.displaced.add(0x100)
         t.l1_fill(0x100, evicted_line=-1, during_blockop=False)
-        flags = t.consume_miss_flags(0x100)
-        assert flags == MissFlags(False, False, False)
+        assert 0x100 not in t.coh_pending | t.displaced | t.bypassed
 
     def test_blockop_fill_marks_victim(self):
         t = MissTracker()
         t.l1_fill(0x200, evicted_line=0x100, during_blockop=True)
-        assert t.consume_miss_flags(0x100).displaced
+        assert 0x100 in t.displaced
 
     def test_plain_fill_does_not_mark_victim(self):
         t = MissTracker()
         t.l1_fill(0x200, evicted_line=0x100, during_blockop=False)
-        assert not t.consume_miss_flags(0x100).displaced
+        assert 0x100 not in t.displaced
 
-    def test_coherence_invalidate_overrides_displacement(self):
-        t = MissTracker()
+    def test_coherence_invalidate_overrides_displacement(self, rig):
+        t = rig.trackers[0]
         t.displaced.add(0x100)
         t.coherence_invalidate(0x100)
-        flags = t.consume_miss_flags(0x100)
+        flags = rig[0].read(0x100, 0).flags
         assert flags.coherence and not flags.displaced
 
 
@@ -96,59 +98,59 @@ class TestSystemMetrics:
     def make(self):
         return SystemMetrics(num_cpus=2)
 
-    def miss(self, flags=MissFlags(), stall=50):
-        return AccessResult(done=51, stall=stall, miss=True, flags=flags)
-
     @staticmethod
-    def record_read(m, rec, res, in_blockop):
-        m.record_read(rec.mode, rec.addr, rec.pc, rec.dclass, rec.blockop,
-                      res, in_blockop)
+    def miss(rig, rec, inside=False, causes=()):
+        """CPU 0 misses on *rec*'s line, which first gets *causes* (names
+        of its tracker's sets); returns the rig's metrics."""
+        line = rec.addr - rec.addr % rig.machine.l1d.line_bytes
+        for name in causes:
+            getattr(rig.trackers[0], name).add(line)
+        res = rig[0].read(rec.addr, 0, rec.mode, rec.pc, rec.dclass,
+                          rec.blockop, inside)
+        assert res.miss
+        return rig.metrics
 
     def test_read_counting_by_mode(self):
-        m = self.make()
-        self.record_read(m, read_rec(0x100, mode=Mode.USER),
-                         AccessResult(done=1), False)
-        self.record_read(m, read_rec(0x100, mode=Mode.OS), self.miss(), False)
+        from repro.sim.config import SystemConfig
+        from repro.sim.system import simulate
+        from repro.trace.stream import TraceBuilder
+        builder = TraceBuilder(1)
+        builder.emit(0, read_rec(0x100, mode=Mode.OS))
+        builder.emit(0, read_rec(0x104, mode=Mode.USER))  # same line: a hit
+        m = simulate(builder.build(), SystemConfig("count"))
         assert m.reads[Mode.USER] == 1
         assert m.reads[Mode.OS] == 1
         assert m.read_misses[Mode.OS] == 1
         assert m.read_misses[Mode.USER] == 0
 
-    def test_block_miss_classification(self):
-        m = self.make()
-        self.record_read(m, read_rec(0x100, blockop=3), self.miss(), True)
+    def test_block_miss_classification(self, rig):
+        m = self.miss(rig, read_rec(0x100, blockop=3), inside=True)
         assert m.os_miss_kind[MissKind.BLOCK_OP] == 1
 
-    def test_coherence_classification_and_addr_tracking(self):
-        m = self.make()
+    def test_coherence_classification_and_addr_tracking(self, rig):
         rec = read_rec(0x104, dclass=DataClass.LOCK_VAR)
-        self.record_read(m, rec, self.miss(MissFlags(coherence=True)), False)
+        m = self.miss(rig, rec, causes=["coh_pending"])
         assert m.os_miss_kind[MissKind.COHERENCE] == 1
         assert m.os_coh_dclass[DataClass.LOCK_VAR] == 1
         assert m.os_coh_addr[0x100] == 1
 
-    def test_displacement_and_reuse_counters(self):
-        m = self.make()
-        self.record_read(m, read_rec(0x100),
-                         self.miss(MissFlags(displaced=True)), True)
-        self.record_read(m, read_rec(0x200),
-                         self.miss(MissFlags(displaced=True)), False)
-        self.record_read(m, read_rec(0x300),
-                         self.miss(MissFlags(bypassed=True)), False)
+    def test_displacement_and_reuse_counters(self, rig):
+        self.miss(rig, read_rec(0x100), True, ["displaced"])
+        self.miss(rig, read_rec(0x200), False, ["displaced"])
+        m = self.miss(rig, read_rec(0x300), False, ["bypassed"])
         assert m.displacement_inside == 1
         assert m.displacement_outside == 1
         assert m.reuse_outside == 1
 
-    def test_user_misses_not_in_os_taxonomy(self):
-        m = self.make()
-        self.record_read(m, read_rec(0x100, mode=Mode.USER), self.miss(), False)
+    def test_user_misses_not_in_os_taxonomy(self, rig):
+        m = self.miss(rig, read_rec(0x100, mode=Mode.USER))
+        assert m.read_misses[Mode.USER] == 1
         assert sum(m.os_miss_kind.values()) == 0
 
-    def test_hotspot_miss_counting(self):
-        m = self.make()
-        m.hotspot_pcs = {0x40}
-        self.record_read(m, read_rec(0x100, pc=0x40), self.miss(), False)
-        self.record_read(m, read_rec(0x100, pc=0x80), self.miss(), False)
+    def test_hotspot_miss_counting(self, rig):
+        rig.metrics.hotspot_pcs = {0x40}
+        self.miss(rig, read_rec(0x100, pc=0x40))
+        m = self.miss(rig, read_rec(0x200, pc=0x80))
         assert m.os_hotspot_misses == 1
 
     def test_mode_fractions_sum_to_one(self):

@@ -13,7 +13,7 @@ from repro.memsys.hierarchy import CpuMemorySystem
 from repro.memsys.states import LineState
 from repro.memsys.writebuffer import TimedWriteBuffer
 from repro.sim.config import SystemConfig
-from repro.sim.metrics import MissTracker
+from repro.sim.metrics import SystemMetrics
 from repro.sim.system import MultiprocessorSystem
 from repro.trace import record as rec
 from repro.trace.stream import TraceBuilder
@@ -148,7 +148,8 @@ def test_coherence_single_owner_invariant(ops):
     machine = BASE_MACHINE
     bus = Bus(machine.bus)
     controller = CoherenceController(machine, bus)
-    mems = [CpuMemorySystem(machine, bus, controller, MissTracker())
+    metrics = SystemMetrics(4)
+    mems = [CpuMemorySystem(machine, bus, controller, metrics)
             for _ in range(4)]
     t = 0
     for cpu, addr, is_write in ops:
@@ -168,7 +169,8 @@ def test_access_results_well_formed(ops):
     machine = BASE_MACHINE
     bus = Bus(machine.bus)
     controller = CoherenceController(machine, bus)
-    mems = [CpuMemorySystem(machine, bus, controller, MissTracker())
+    metrics = SystemMetrics(4)
+    mems = [CpuMemorySystem(machine, bus, controller, metrics)
             for _ in range(4)]
     t = 0
     for cpu, addr, is_write in ops:

@@ -1,7 +1,7 @@
 """The coherence controller's presence directory (snoop filter).
 
 ``CoherenceController.holders`` maps every L2 line to a bitmask of the
-CPUs holding it; the L2s keep it exact in ``CoherentCache.fill`` and
+CPUs holding it; the L2s keep it exact in ``Cache.fill`` and
 ``_drop``.  These tests pin that invariant at the cache level (random
 operation sequences over several attached caches) and at the system
 level (every ``_holders`` / ``_dirty_holder`` answer equals a brute-force
@@ -19,7 +19,7 @@ from repro.common.params import BASE_MACHINE, CacheParams
 from repro.memsys.bus import Bus
 from repro.memsys.cache import Cache, CoherentCache, holder_cpus
 from repro.memsys.coherence import CoherenceController
-from repro.memsys.sink import MemorySink
+from repro.memsys.sink import MissTracker
 from repro.memsys.states import LineState
 from tests.test_cache import drop
 from repro.sim.config import all_configs
@@ -44,7 +44,7 @@ def _rig(num_caches, params):
     for _ in range(num_caches):
         l2 = CoherentCache(params)
         controller.attach(Cache(CacheParams(128, 16)),
-                          Cache(CacheParams(128, 16)), l2, MemorySink())
+                          Cache(CacheParams(128, 16)), l2, MissTracker())
         l2s.append(l2)
     return controller, l2s
 

@@ -1,5 +1,7 @@
 """System-level tests: scheduling, deadlock detection, invariants."""
 
+import gc
+
 import pytest
 
 from repro.common.errors import DeadlockError, SimulationError
@@ -7,6 +9,7 @@ from repro.common.params import BASE_MACHINE, machine_for
 from repro.common.types import Mode, Op
 from repro.experiments.runner import ExperimentRunner
 from repro.sim.config import SystemConfig, all_configs, standard_configs
+from repro.sim.processor import ProcStatus
 from repro.sim.system import MultiprocessorSystem, simulate
 from repro.synthetic.workloads import WORKLOAD_ORDER
 from repro.trace import record as rec
@@ -206,3 +209,52 @@ def test_attributed_cycles_match_cpu_clocks(workload, machine):
             assert 0 < gap <= metrics.prefetches_issued, name
         else:
             assert gap == 0, name
+
+
+def _live_processors():
+    from repro.sim.processor import Processor
+    return sum(isinstance(obj, Processor) for obj in gc.get_objects())
+
+
+def _build_and_drop(case):
+    """Build a 4-CPU system, end it as *case* says, and drop it."""
+    b = TraceBuilder(4)
+    for cpu in range(4):
+        for i in range(50):
+            b.emit(cpu, rec.read(0x10000 * (cpu + 1) + 16 * i, pc=0x100))
+    config = SystemConfig("t")
+    if case == "deadlock":
+        # CPU 0 waits at a barrier nobody else reaches.
+        b.emit(0, rec.barrier(0x8000, 2))
+    elif case == "simulation-error":
+        # Under Blk_Dma a block operation without its BLOCK_END raises
+        # inside CPU 0's record loop while the others are suspended.
+        config = standard_configs()["Blk_Dma"]
+        desc = b.blockops.new_zero(0x90000, 64)
+        b.emit(0, rec.block_start(desc.op_id))
+    system = MultiprocessorSystem(b.build(validate=False), config,
+                                  check=False)
+    assert _live_processors() >= 4
+    if case != "never-run":
+        with pytest.raises((DeadlockError, SimulationError)):
+            system.run()
+        assert any(p.status is not ProcStatus.DONE
+                   and p._gen is not None for p in system.processors)
+
+
+@pytest.mark.parametrize("case", ["never-run", "deadlock",
+                                  "simulation-error"])
+def test_dropped_system_frees_its_processors(case):
+    """A system dropped before its run completes — never run, or ended by
+    a DeadlockError or a SimulationError, with processors suspended
+    mid-stream — frees every processor by reference counting alone: a
+    suspended record loop holds its processor weakly, so the two form
+    no reference cycle."""
+    gc.collect()
+    gc.disable()
+    try:
+        before = _live_processors()
+        _build_and_drop(case)
+        assert _live_processors() == before
+    finally:
+        gc.enable()
