@@ -31,11 +31,12 @@ moment the protocol diverges from the reference model:
 
 Cost model: the checker is a :class:`~repro.memsys.sink.Probe`, so a
 system without one pays a ``probe is not None`` test at each hook site
-and nothing more.  Attached, it sees every access: the processor skips
-its inline L1-hit path while any probe is attached (a forcing
-``tests/test_fastpath_equivalence.py`` proves metric-exact).  The
-controller's hooks sit exactly where the hardware moves data, so mutated
-protocol logic cannot dodge the model.
+and nothing more.  Attached, it sees every access on the paths that run
+without it: the processor's inline hits and clean writes call the same
+hooks the hierarchy would (``tests/test_fastpath_equivalence.py`` pins
+that a probe changes no hierarchy call).  The controller's hooks sit
+exactly where the hardware moves data, so mutated protocol logic cannot
+dodge the model.
 """
 
 from __future__ import annotations

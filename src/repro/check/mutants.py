@@ -10,7 +10,10 @@ The patched bodies replicate the originals — including the probe hooks,
 so the checker's oracle and shadow model keep following the (now buggy)
 data movement — minus the single omitted action (``lost_dirty_bit``
 instead runs the original write and reverts the one state transition).
-Keep them in sync when the originals change.
+Keep them in sync when the originals change.  Bugs in the record loop
+itself (``lost_dirty_bit`` again, and ``clean_write_on_shared``) rebind
+a line state that :mod:`repro.sim.processor` reads as a module global,
+so the checker catches them on the code that runs without it.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from repro.memsys.coherence import CoherenceController
 from repro.memsys.hierarchy import LEVEL_L2, AccessResult, CpuMemorySystem
 from repro.memsys.sink import NO_FLAGS, MissFlags
 from repro.memsys.states import LineState
+from repro.sim import processor
 
 
 @contextlib.contextmanager
@@ -117,15 +121,37 @@ def stale_cache_supply() -> Iterator[None]:
 
 
 @contextlib.contextmanager
+def _processor_global(name: str, value) -> Iterator[None]:
+    """Rebind the module global *name* of :mod:`repro.sim.processor`.
+
+    The record loop (``Processor.steps``) loads the line states it
+    tests and sets as module globals at each use, so a loop that is
+    already primed runs with *value* until the context exits.
+    ``Processor._measure_block_start`` (the Table 3 counters, which the
+    checker does not verify) reads the same globals.
+    """
+    orig = getattr(processor, name)
+    setattr(processor, name, value)
+    try:
+        yield
+    finally:
+        setattr(processor, name, orig)
+
+
+@contextlib.contextmanager
 def lost_dirty_bit() -> Iterator[None]:
     """A write hitting an owned L2 line never sets the dirty bit.
 
     The line stays EXCLUSIVE, so its eviction (or final state) silently
     drops the write.  Expected catch: ``clean-copy-diverged`` or
-    ``lost-write`` in the final diff.  The record loop
-    (``Processor.steps``) resolves clean writes itself only while no
-    probe is attached, so under the checker every write reaches the
-    patched method.
+    ``lost-write`` in the final diff.  Both write paths carry the bug.
+    :meth:`CpuMemorySystem.write` runs the original and puts the line's
+    state back.  The record loop's inline clean write sees the
+    processor module's ``MODIFIED`` rebound to EXCLUSIVE, so it leaves
+    an EXCLUSIVE line EXCLUSIVE (a MODIFIED line then takes ``write``).
+    Meanwhile the Table 3 counters of ``Processor._measure_block_start``,
+    which the checker does not verify, count no MODIFIED destination
+    line as owned.
     """
     orig = CpuMemorySystem.write
 
@@ -141,9 +167,28 @@ def lost_dirty_bit() -> Iterator[None]:
 
     CpuMemorySystem.write = write
     try:
-        yield
+        with _processor_global("MODIFIED", LineState.EXCLUSIVE):
+            yield
     finally:
         CpuMemorySystem.write = orig
+
+
+@contextlib.contextmanager
+def clean_write_on_shared() -> Iterator[None]:
+    """The record loop's inline clean write also fires on a SHARED line.
+
+    The writer's L2 line turns MODIFIED in place, with no bus upgrade,
+    so no remote copy is invalidated.  Expected catch:
+    ``owned-and-shared`` (SWMR) at the very write.  The processor
+    module's ``EXCLUSIVE`` is rebound to SHARED, so the inline test
+    passes on MODIFIED and SHARED lines and an EXCLUSIVE line takes the
+    unchanged :meth:`CpuMemorySystem.write`.  Meanwhile the Table 3
+    counters of ``Processor._measure_block_start``, which the checker
+    does not verify, count a SHARED destination line as owned and an
+    EXCLUSIVE one not at all.
+    """
+    with _processor_global("EXCLUSIVE", LineState.SHARED):
+        yield
 
 
 @contextlib.contextmanager
@@ -367,6 +412,8 @@ MUTANTS: Dict[str, Tuple[Callable[[], "contextlib.AbstractContextManager"],
     "stale_cache_supply": (stale_cache_supply,
                            ("Base", "Blk_Pref", "Blk_Bypass")),
     "lost_dirty_bit": (lost_dirty_bit, ("Base", "Blk_Dma")),
+    "clean_write_on_shared": (clean_write_on_shared,
+                              ("Base", "Blk_Pref", "Blk_Dma")),
     "l2_miss_served_as_hit": (l2_miss_served_as_hit,
                               ("Base", "Blk_Pref", "Blk_Bypass")),
     "dma_stale_source": (dma_stale_source,

@@ -320,8 +320,8 @@ class CpuMemorySystem:
         cycles it waited for a WB1 slot.  Hit/miss classification does not
         feed the paper's write accounting, so no :class:`AccessResult` is
         built.  A write the processor resolves itself (an L1D hit on a
-        line the L2 owns, with WB1 room, and no probe attached) never
-        gets here.
+        line the L2 owns, with WB1 room) never gets here; the processor
+        then calls the probe's hooks itself.
         """
         probe = self.probe
         if probe is not None:

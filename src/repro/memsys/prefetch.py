@@ -17,7 +17,7 @@ Two mechanisms from the paper live here:
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Optional
+from typing import Dict
 
 
 class PendingFills:
@@ -25,42 +25,25 @@ class PendingFills:
 
     ``ready`` is public: the simulator's L1-hit fast path binds the dict
     once and uses a membership probe to decide whether a resident line
-    still has a fill in flight (in which case it takes the slow path,
-    which calls :meth:`consume`).  The dict is mutated in place only.
+    still has a fill in flight (in which case it sends the read to
+    :meth:`CpuMemorySystem.load
+    <repro.memsys.hierarchy.CpuMemorySystem.load>`, which pops the
+    entry).  The dict is mutated in place only.
     """
 
-    __slots__ = ("ready", "issued")
+    __slots__ = ("ready",)
 
     def __init__(self) -> None:
         #: line address -> cycle the prefetched data arrives.
         self.ready: Dict[int, int] = {}
-        self.issued = 0
 
     def add(self, line: int, ready: int) -> None:
         """Record that *line* was requested and arrives at *ready*."""
         self.ready[line] = ready
-        self.issued += 1
-
-    def consume(self, line: int, t: int) -> int:
-        """Remaining latency of *line* at time *t* (0 when absent/arrived).
-
-        The entry is removed once the data has arrived or been waited for.
-        """
-        ready = self.ready.pop(line, None)
-        if ready is None or ready <= t:
-            return 0
-        return ready - t
-
-    def peek(self, line: int) -> Optional[int]:
-        """Arrival time of *line* if a fill is pending, else None."""
-        return self.ready.get(line)
 
     def drop(self, line: int) -> None:
         """Forget a pending fill (line was invalidated or evicted)."""
         self.ready.pop(line, None)
-
-    def __len__(self) -> int:
-        return len(self.ready)
 
 
 class PrefetchLineBuffer:
@@ -88,15 +71,8 @@ class PrefetchLineBuffer:
             self.lines.popitem(last=False)
         self.lines[line] = ready
 
-    def lookup(self, line: int) -> Optional[int]:
-        """Arrival time of *line* if buffered, else None."""
-        return self.lines.get(line)
-
     def contains(self, line: int) -> bool:
         return line in self.lines
 
     def clear(self) -> None:
         self.lines.clear()
-
-    def __len__(self) -> int:
-        return len(self.lines)

@@ -5,11 +5,10 @@ A :class:`Tracer` is a :class:`~repro.memsys.sink.Probe`:
 :class:`~repro.sim.system.MultiprocessorSystem`, and the core calls its
 hooks — per-CPU accesses, the controller's bus-level operations, bus
 grants and block-op brackets — at the moments they name.  A system
-without a tracer pays one ``probe is not None`` test per hook site.
-While any probe is attached the processor skips its inline L1-hit path;
-those are clean hits, never misses, and the slow path is metric-exact,
-so the metrics stay bit-identical (``tests/test_obs.py`` proves this for
-every scheme).
+without a tracer pays one ``probe is not None`` test per hook site.  An
+attached probe changes no path the simulation takes, so the metrics
+stay bit-identical (``tests/test_obs.py`` proves this for every
+scheme).
 
 Recorded lifecycle:
 

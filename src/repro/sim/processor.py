@@ -94,7 +94,9 @@ cell.  It is one generator per CPU, resumed by the scheduler once per
   the source line the lookahead prefetcher last handled has no
   prefetch to issue, and a bypassing read of a resident line is the
   cached read.  With a :class:`~repro.memsys.sink.Probe` attached the
-  inline hit is skipped, so the probe sees every cached read;
+  inline hit calls the probe's ``read`` hook with the
+  :class:`AccessResult` ``load`` would have built, and builds it only
+  then;
 * sends every other data read without a lookahead prefetch to issue —
   an L1D miss, a resident line with a prefetch fill pending, a bypass
   read the loop does not serve — straight to
@@ -116,10 +118,11 @@ cell.  It is one generator per CPU, resumed by the scheduler once per
   free WB1 slot) inline: the L1D and L2 frames are promoted when their
   rank is non-zero, the L2 line turns MODIFIED, and the word's WB1
   entry drains into it — the side effects :meth:`CpuMemorySystem.write`
-  has, at one cycle and no stall.  Clean writes are most of the writes;
-  the rest, and every write while a probe is attached, go to
-  :meth:`CpuMemorySystem.write`, which returns a plain ``(done,
-  stall)`` pair, the only part of a write the accounting reads;
+  has, at one cycle and no stall, followed, with a probe attached, by
+  the probe's ``write_begin`` and ``write_end`` hooks.  Clean writes are
+  most of the writes; the rest go to :meth:`CpuMemorySystem.write`,
+  which returns a plain ``(done, stall)`` pair, the only part of a
+  write the accounting reads;
 * indexes the per-mode ``time`` list of
   :class:`~repro.sim.metrics.SystemMetrics` with the raw mode int from
   the column, accumulating stalls directly into the plain int fields of
@@ -131,11 +134,15 @@ cell.  It is one generator per CPU, resumed by the scheduler once per
   :mod:`repro.memsys.states`): on Python 3.11 every
   ``ProcStatus.RUNNING``-style class-attribute load goes through
   ``EnumType.__getattr__``'s slow path, about four times the cost of a
-  module global.
+  module global.  The loop reads ``EXCLUSIVE`` and ``MODIFIED`` at each
+  use, so :mod:`repro.check.mutants` plants its record-loop bugs by
+  rebinding them.
 
 Every shortcut must keep :meth:`SystemMetrics.snapshot` bit-identical to
 the straightforward path; ``tests/test_fastpath_equivalence.py`` and the
-golden-value tests enforce this.
+golden-value tests enforce this.  A probe observes and never steers: an
+attached probe changes no path the loop takes, only the burst length, so
+the conformance checker runs the code that produces the numbers.
 """
 
 from __future__ import annotations
@@ -314,13 +321,11 @@ class Processor:
         #: Stream position of the barrier record this CPU waits at, or -1.
         self._barrier_pos = -1
         #: Attached observer (:class:`~repro.memsys.sink.Probe`), or None.
-        #: While one is attached the clean L1D read hit and the clean
-        #: write take the full :class:`CpuMemorySystem` path, where the
-        #: probe sees them.
         self.probe = None
         self._l1_line_bytes = mem.l1d.line_bytes
         # The record loop's views of the L1I and of WB1's depth, which a
-        # twin test rig may replace to switch an inline path off.
+        # twin test rig may replace (as it may ``mem.pending.ready``) to
+        # switch an inline path off.
         self._l1i = mem.l1i
         self._l1i_where = mem.l1i.where
         self._wb1_depth = mem.wb1.depth
@@ -406,10 +411,11 @@ class Processor:
         clock and stream position back, and yields the
         :class:`StepResult`.  ``__init__`` primes the generator; it binds
         its hot state as locals when first resumed, so a test rig may
-        replace ``_l1i``, ``_l1i_where`` or ``_wb1_depth`` before the
-        first step.  The clock, the position, the probe and the block
-        operation in progress are re-read on every resumption: the
-        scheduler moves the clock of a spinning or woken CPU.
+        replace ``_l1i``, ``_l1i_where``, ``_wb1_depth`` or
+        ``mem.pending.ready`` before the first step.  The clock, the
+        position, the probe and the block operation in progress are
+        re-read on every resumption: the scheduler moves the clock of a
+        spinning or woken CPU.
 
         While suspended the loop refers to its processor weakly: it
         drops ``self`` before each yield and takes it back from the weak
@@ -557,7 +563,7 @@ class Processor:
                     elif line in l1_where:
                         # A bypassing read of a resident line is the
                         # cached read.
-                        if line in pending_ready or probe is not None:
+                        if line in pending_ready:
                             t = load(addr, t, mode, pcs[pos], dclass_of(pos),
                                      blockops[pos], blk is not None)
                         else:
@@ -567,6 +573,9 @@ class Processor:
                                 idx = l1_where[line]
                                 if l1d_ranks[idx]:
                                     promote_l1d(idx)
+                            if probe is not None:
+                                probe.read(cpu_id, addr, t,
+                                           AccessResult(t + 1))
                             t += 1
                     elif (blk is None or not blockops[pos]
                           or not blk_read_bypass):
@@ -602,7 +611,7 @@ class Processor:
                     if blk is None or not blockop or blk_write_plain:
                         idx = l1_where.get(addr - addr % l1_line_bytes)
                         state = None
-                        if idx is not None and probe is None:
+                        if idx is not None:
                             # Inclusion: the L2 holds every L1D line.
                             l2_idx = l2_where[addr - addr % l2_line_bytes]
                             state = l2_states[l2_idx]
@@ -626,6 +635,9 @@ class Processor:
                             wb1.last_service_end = end
                             wb1_entries.append(end)
                             wb1.enqueues += 1
+                            if probe is not None:
+                                probe.write_begin(cpu_id, addr, t)
+                                probe.write_end(cpu_id, addr, t, t + 1, 0)
                             t += 1
                         else:
                             done, stall = mem.write(addr, t)

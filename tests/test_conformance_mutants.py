@@ -15,9 +15,10 @@ import dataclasses
 import pytest
 
 from repro.check import fuzz
-from repro.check.mutants import MUTANTS, mutant
+from repro.check.mutants import MUTANTS, _processor_global, mutant
 from repro.common.errors import ConformanceError
 from repro.common.params import machine_for
+from repro.memsys.states import LineState
 from repro.sim.config import all_configs, resolve_config
 from repro.sim.system import simulate
 from repro.trace import record as rec
@@ -77,18 +78,45 @@ def test_lost_dirty_bit_caught():
     # value exists nowhere durable once the run ends.  The word sits
     # outside set 0, where a set-associative L2's frame differs from the
     # direct-mapped slot, on every associativity of the machine axis.
+    # The write is an L1D hit on an owned line with WB1 room, which the
+    # record loop resolves inline, checker or not: the bug in the loop
+    # alone is caught too.
     b = TraceBuilder(1)
     b.emit(0, rec.read(W + 0x20, pc=PC))   # fill EXCLUSIVE
-    b.emit(0, rec.write(W + 0x20, pc=PC))  # owned-line drain, E->M dropped
+    b.emit(0, rec.write(W + 0x20, pc=PC))  # inline clean write, E->M lost
     trace = b.build()
+    bugs = (lambda: mutant("lost_dirty_bit"),
+            lambda: _processor_global("MODIFIED", LineState.EXCLUSIVE))
     for assoc in (1, 2, 4):
         config = resolve_config("Base", machine_for(1, assoc=assoc))
         simulate(trace, config, check=True)
-        with mutant("lost_dirty_bit"):
-            with pytest.raises(ConformanceError) as excinfo:
-                simulate(trace, config, check=True)
-        assert excinfo.value.kind in ("clean-copy-diverged",
-                                      "lost-write"), (assoc, excinfo.value)
+        for bug in bugs:
+            with bug():
+                with pytest.raises(ConformanceError) as excinfo:
+                    simulate(trace, config, check=True)
+            assert excinfo.value.kind in ("clean-copy-diverged",
+                                          "lost-write"), (assoc,
+                                                          excinfo.value)
+
+
+def test_clean_write_on_shared_caught():
+    # cpu0 and cpu1 both cache W (SHARED); cpu0 reads it back into its
+    # L1D (the barrier word shares W's L1D set), and its write then hits
+    # the L1D with WB1 room.  The mutant record loop takes it as a clean
+    # write: cpu0's line turns MODIFIED in place, no upgrade reaches the
+    # bus, and cpu1 keeps its copy.
+    b = TraceBuilder(2)
+    b.emit(0, rec.read(W, pc=PC))
+    b.emit(1, rec.read(W, pc=PC))
+    b.emit(0, rec.barrier(BAR, 2, pc=PC))
+    b.emit(1, rec.barrier(BAR, 2, pc=PC))
+    b.emit(0, rec.read(W, pc=PC))
+    b.emit(0, rec.write(W, pc=PC))
+    trace = b.build()
+    for config_name in MUTANTS["clean_write_on_shared"][1]:
+        run_checked(trace, config_name)
+        with mutant("clean_write_on_shared"):
+            expect_catch(trace, ("owned-and-shared",), config_name)
 
 
 def test_l2_miss_served_as_hit_caught():
@@ -220,8 +248,11 @@ def test_mutant_restores_original(name):
                                        UpdateNPolicy)
     from repro.memsys.coherence import CoherenceController
     from repro.memsys.hierarchy import CpuMemorySystem
+    from repro.sim import processor
+
     def methods():
-        return (CoherenceController.upgrade,
+        return (processor.MODIFIED, processor.EXCLUSIVE,
+                CoherenceController.upgrade,
                 CoherenceController.fetch_shared,
                 CoherenceController.dma_snoop_src,
                 CoherenceController.adaptive_update,

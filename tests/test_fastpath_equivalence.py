@@ -158,8 +158,9 @@ class TestL1FastPathEquivalence:
         """Disabling the inline L1-hit and clean-write paths must not
         change any metric.
 
-        The processor resolves no cached read or write inline while a
-        probe is attached; a bare :class:`Probe` sends every read through
+        The twin's processors see a zero-depth WB1 and a pending-fill
+        dict that claims a fill in flight for every line, both installed
+        before the first step: every resident read then goes through
         :meth:`CpuMemorySystem.load` and every write through
         :meth:`CpuMemorySystem.write`, so hit accounting (and, on
         set-associative machines, LRU promotion) of the two paths is
@@ -169,11 +170,17 @@ class TestL1FastPathEquivalence:
         """
         config = resolve_config(scheme, machine)
         trace = random_trace(seed, num_cpus=3)
-        fast = MultiprocessorSystem(trace, config).run().snapshot()
+        fast_sys = MultiprocessorSystem(trace, config)
         slow_sys = MultiprocessorSystem(trace, config)
-        slow_sys.attach(Probe())
-        slow = slow_sys.run().snapshot()
-        assert fast == slow
+        calls = {"fast": _count_calls(fast_sys.memories),
+                 "slow": _count_calls(slow_sys.memories)}
+        for proc in slow_sys.processors:
+            proc._wb1_depth = 0
+            pending = proc.mem.pending
+            pending.ready = _AlwaysPending(pending.ready)
+        assert fast_sys.run().snapshot() == slow_sys.run().snapshot()
+        for name in ("load", "write"):
+            assert calls["slow"][name] > calls["fast"][name], (name, calls)
 
     def test_fused_write_matches_unfused_drain(self):
         """The fused owned-L2 drain in ``write`` must match the unfused
@@ -239,9 +246,8 @@ class TestL1FastPathEquivalence:
         config = resolve_config("Base", machine)
         fast_sys = MultiprocessorSystem(trace, config)
         slow_sys = MultiprocessorSystem(trace, config)
-        calls = {}
-        for name, system in (("fast", fast_sys), ("slow", slow_sys)):
-            calls[name] = _count_writes(system.memories)
+        calls = {"fast": _count_calls(fast_sys.memories),
+                 "slow": _count_calls(slow_sys.memories)}
         for proc in slow_sys.processors:
             proc._wb1_depth = 0
         for pos in range(500):
@@ -265,11 +271,11 @@ class TestL1FastPathEquivalence:
                          y.stall_cycles), (wb, fast.cpu_id, pos)
         writes = sum(trace.columns[cpu].ops.tolist().count(int(Op.WRITE))
                      for cpu in range(2))
-        assert calls["slow"][0] == writes
+        assert calls["slow"]["write"] == writes
         # Most writes are clean and resolved inline; the rest (misses,
         # shared lines, a full WB1) still reach ``write``.
-        assert writes - calls["fast"][0] > 250, (writes, calls)
-        assert calls["fast"][0] > 100
+        assert writes - calls["fast"]["write"] > 250, (writes, calls)
+        assert calls["fast"]["write"] > 100
         assert fast_sys.metrics.snapshot() == slow_sys.metrics.snapshot()
 
     @pytest.mark.parametrize("machine", MACHINES, ids=machine_id)
@@ -478,21 +484,54 @@ def test_register_line_cached_again_takes_the_cached_write():
     assert fast_sys.metrics.snapshot() == slow_sys.metrics.snapshot()
 
 
-def _count_writes(memories):
-    """Give each memory system a subclass whose ``write`` counts its
-    calls into the returned one-element list."""
-    calls = [0]
+def _count_calls(memories):
+    """Give each memory system a subclass counting its ``load`` and
+    ``write`` calls into the returned dict."""
+    calls = {"load": 0, "write": 0}
 
     class CountingMemorySystem(CpuMemorySystem):
         __slots__ = ()
 
+        def load(self, *args):
+            calls["load"] += 1
+            return CpuMemorySystem.load(self, *args)
+
         def write(self, addr, t):
-            calls[0] += 1
+            calls["write"] += 1
             return CpuMemorySystem.write(self, addr, t)
 
     for mem in memories:
         mem.__class__ = CountingMemorySystem
     return calls
+
+
+class _AlwaysPending(dict):
+    """A pending-fill dict that claims a fill in flight for every line,
+    so the record loop sends every resident read to ``load`` (which
+    pops the real entries)."""
+
+    def __contains__(self, line):
+        return True
+
+
+@pytest.mark.parametrize("machine", [BASE_MACHINE, machine_for(8, assoc=2)],
+                         ids=machine_id)
+@pytest.mark.parametrize("scheme", ["Base", "Blk_Pref", "Blk_ByPref"])
+def test_probe_changes_no_hierarchy_call(scheme, machine):
+    """A probe observes and never steers: with a bare :class:`Probe`
+    attached, the record loop calls :meth:`CpuMemorySystem.load` and
+    :meth:`CpuMemorySystem.write` exactly as often as without one, so
+    the checker and the tracer run the code that makes the numbers."""
+    config = resolve_config(scheme, machine)
+    runs = []
+    for probe in (None, Probe()):
+        system = MultiprocessorSystem(_shell_trace(), config, check=False)
+        calls = _count_calls(system.memories)
+        if probe is not None:
+            system.attach(probe)
+        runs.append((calls, system.run().snapshot()))
+    assert runs[0] == runs[1]
+    assert runs[0][0]["load"] and runs[0][0]["write"]
 
 
 class _CountingIndex(dict):

@@ -122,7 +122,7 @@ class TestPrefetch:
     def test_prefetch_of_present_line_is_noop(self, rig):
         rig[0].read(ADDR, 0)
         rig[0].prefetch_line(ADDR, 100)
-        assert len(rig[0].pending) == 0
+        assert not rig[0].pending.ready
 
 
 class TestBypass:

@@ -33,15 +33,15 @@ class TestIfetchEdges:
 class TestPrefetchEdges:
     def test_double_prefetch_single_pending(self, rig):
         rig[0].prefetch_line(ADDR, 0)
-        pending_before = len(rig[0].pending)
+        pending_before = dict(rig[0].pending.ready)
         rig[0].prefetch_line(ADDR, 1)  # line now present: no-op
-        assert len(rig[0].pending) == pending_before
+        assert rig[0].pending.ready == pending_before
 
     def test_pending_dropped_on_eviction(self, rig):
         rig[0].prefetch_line(ADDR, 0)
         # Conflict-evict the prefetched line before it is consumed.
         rig[0].read(ADDR + rig.machine.l1d.size_bytes, 5)
-        assert rig[0].pending.peek(ADDR) is None
+        assert ADDR not in rig[0].pending.ready
 
     def test_prefetch_then_write_then_read(self, rig):
         rig[0].prefetch_line(ADDR, 0)
@@ -51,17 +51,17 @@ class TestPrefetchEdges:
 
     def test_buffer_prefetch_skips_buffered_line(self, rig):
         rig[0].prefetch_into_buffer(ADDR, 0)
-        size_before = len(rig[0].pref_buffer)
+        lines_before = dict(rig[0].pref_buffer.lines)
         rig[0].prefetch_into_buffer(ADDR, 1)
-        assert len(rig[0].pref_buffer) == size_before
+        assert rig[0].pref_buffer.lines == lines_before
 
     def test_buffer_fifo_eviction(self, rig):
         capacity = rig[0].pref_buffer.capacity
         line_bytes = rig.machine.l1d.line_bytes
         for i in range(capacity + 2):
             rig[0].pref_buffer.insert(ADDR + i * line_bytes, 10)
-        assert len(rig[0].pref_buffer) == capacity
-        assert not rig[0].pref_buffer.contains(ADDR)
+        assert len(rig[0].pref_buffer.lines) == capacity
+        assert ADDR not in rig[0].pref_buffer.lines
 
 
 class TestWriteEdges:

@@ -218,7 +218,7 @@ def test_folds_match_reference_on_random_traces(scheme, point):
         check_folds(system, folds)
         assert sum(metrics.reads) == counter.reads
         assert sum(metrics.writes) == counter.writes
-        # Without the probe, the inline paths give the same metrics.
+        # A probe changes no metric.
         plain = MultiprocessorSystem(trace, config, check=False).run()
         assert plain.snapshot() == metrics.snapshot()
 
