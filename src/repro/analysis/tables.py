@@ -12,6 +12,7 @@ from typing import Callable, Dict, List, Sequence
 from repro.common.types import MissKind, Mode
 from repro.experiments.runner import ExperimentRunner
 from repro.optim.deferred import analyze_deferred, deferred_miss_saving
+from repro.sim.config import resolve_config
 from repro.synthetic.workloads import WORKLOAD_ORDER
 
 
@@ -148,13 +149,19 @@ TABLE4_ROWS = [
 
 
 def table4(runner: ExperimentRunner) -> TableData:
-    """Table 4: characteristics of copies of blocks smaller than a page."""
+    """Table 4: characteristics of copies of blocks smaller than a page.
+
+    Row 3 compares the sweep's Base cell with a Base simulation of the
+    deferred trace, the one simulation this table runs itself.
+    """
     table = TableData("table4", "Copies of blocks smaller than a page",
                       TABLE4_ROWS, WORKLOAD_ORDER)
+    config = resolve_config("Base", runner.machine)
     for col, workload in enumerate(WORKLOAD_ORDER):
         trace = runner.trace(workload)
         analysis = analyze_deferred(trace)
-        saving = deferred_miss_saving(trace)
+        saving = deferred_miss_saving(trace, config,
+                                      base=runner.run(workload, "Base"))
         table.set(0, col, 100.0 * analysis.small_copy_fraction)
         table.set(1, col, 100.0 * analysis.read_only_fraction)
         table.set(2, col, max(0.0, 100.0 * saving))

@@ -54,12 +54,10 @@ def artifact_cells(name: str) -> List[Cell]:
     """The (workload, config, machine) cells *name*'s builder will ask
     the runner for — the parallel engine pre-computes exactly these."""
     systems: List[str]
-    if name in ("table1", "table2", "table5", "figure1"):
+    if name in ("table1", "table2", "table4", "table5", "figure1"):
         systems = ["Base"]
     elif name == "table3":
         systems = ["Base", "Blk_Bypass"]
-    elif name == "table4":
-        return []  # static trace analysis; no simulation cells
     elif name == "figure2":
         systems = FIG2_SYSTEMS
     elif name == "figure3":

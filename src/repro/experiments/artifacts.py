@@ -4,29 +4,33 @@ A full table/figure sweep needs, per workload, a generated trace plus
 two derived artifacts that take profiling simulations to find (the
 update-core selection and the hot-spot PC list).  All of them are
 deterministic functions of ``(scale, seed, workload, machine
-parameters, derivation stage)``, so they can be cached on disk and
-shared both *across runs* (a second ``repro report`` sweep on one
-``--cache-dir`` skips every generation/derivation step) and *across
-processes* (the parallel engine's workers exchange artifacts through
-the cache instead of pickling multi-megabyte traces over pipes).  The
+parameters, derivation stage, code)``, and so is each cell's
+simulation result, so they can be cached on disk and shared both
+*across runs* (a second ``repro report`` sweep on one ``--cache-dir``
+serves every stored result, and a cell without one skips every
+generation/derivation step) and *across processes* (the parallel
+engine's workers exchange artifacts through the cache instead of
+pickling multi-megabyte traces over pipes).  The
 privatized and prefetched traces are not stored: the runner rebuilds
 them in memory from the raw trace and the hot spots faster than an
 npz round trip.
 
 Design:
 
-* **Content-addressed keys.**  :func:`stage_key` hashes the canonical
-  JSON encoding of every input that the artifact depends on — including
-  a full fingerprint of the machine parameters
-  (:func:`machine_fingerprint`) and the cache format version — so any
-  parameter change lands in a fresh slot and stale entries are simply
+* **Content-addressed keys.**  :func:`stage_key` and :func:`metrics_key`
+  hash the canonical JSON encoding of every input that the artifact
+  depends on — including a full fingerprint of the machine parameters
+  (:func:`machine_fingerprint`), the cache format version and a digest
+  of the package's own source (:func:`code_digest`) — so any parameter
+  or code change lands in a fresh slot and stale entries are simply
   never read again.
 * **NPZ payloads for traces** via :mod:`repro.trace.npzio`; small
   artifacts (update selections, hot-spot lists) are stored as JSON.
 * **Corruption safety.**  Writes go to a temporary file in the same
   directory followed by an atomic :func:`os.replace`, and every payload
-  gets a SHA-256 sidecar (``<entry>.sha256``) computed at store time.
-  Loads verify the sidecar first; an entry whose bytes no longer match
+  gets a SHA-256 sidecar (``<entry>.sha256``) of the bytes written.
+  A load reads the entry once, checks those bytes against the sidecar
+  and parses the same bytes; an entry whose bytes no longer match
   (bit rot, torn write, manual tampering) is **quarantined** — renamed
   to ``<entry>.quarantined`` so the evidence survives for post-mortems —
   counted as a miss, and recomputed by the caller.  Parse failures on
@@ -45,6 +49,7 @@ engine's result maps.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -72,13 +77,37 @@ STAGES = ("trace", "update", "hotspots")
 DEFAULT_CACHE_DIR = ".repro-cache"
 
 
+@functools.lru_cache(maxsize=None)
+def code_digest() -> str:
+    """Short hash of every ``.py`` source of the :mod:`repro` package.
+
+    Part of every cache key, so a stored trace, derived artifact or
+    simulation result is only served to the code that produced it.  The
+    whole package is hashed (no module list to keep current); the cost,
+    a few milliseconds, is paid on the first key a process computes.
+    """
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    sha = hashlib.sha256()
+    for dirpath, dirnames, filenames in os.walk(root):
+        dirnames.sort()
+        for name in sorted(filenames):
+            if name.endswith(".py"):
+                path = os.path.join(dirpath, name)
+                sha.update(os.path.relpath(path, root).encode() + b"\0")
+                with open(path, "rb") as fp:
+                    sha.update(fp.read())
+    return sha.hexdigest()[:16]
+
+
+@functools.lru_cache(maxsize=None)
 def machine_fingerprint(machine: MachineParams) -> str:
     """Stable short hash of *every* machine parameter.
 
     The in-memory runner used to key results by the (L1D, L2) geometry
     tuple only; a persistent cache needs the full parameter set or an
     ablation that tweaks, say, the DMA beat rate would alias the Base
-    machine's entries.
+    machine's entries.  Memoized on the frozen value: hashing a
+    :class:`MachineParams` is far cheaper than encoding it.
     """
     blob = json.dumps(dataclasses.asdict(machine), sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
@@ -114,6 +143,7 @@ def stage_key(stage: str, scale: float, seed: int, workload: str,
         "workload": workload,
         "machine": machine_fingerprint(machine) if machine else None,
         "extra": extra or {},
+        "code": code_digest(),
     }
     blob = json.dumps(payload, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
@@ -125,7 +155,7 @@ def metrics_key(scale: float, seed: int, key: SimKey,
 
     Unlike :func:`stage_key`, this keys a finished
     :class:`~repro.sim.metrics.SystemMetrics`, so repeat cells can be
-    served without re-simulating (a ``reuse_sims`` engine's warm path).
+    served without re-simulating (the engine's warm path).
     *profiling_machine* is the fingerprint of the machine the derivation
     pipeline profiled on: the update-page set and hot-spot list depend
     on it even when the simulated machine differs (Figures 6-7 sweep
@@ -140,9 +170,26 @@ def metrics_key(scale: float, seed: int, key: SimKey,
         "workload": key.workload,
         "machine": key.machine,
         "extra": {"config": key.config, "profiling": profiling_machine},
+        "code": code_digest(),
     }
     blob = json.dumps(payload, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
+
+
+#: What a corrupt entry raises while it is read, verified or parsed.
+_CORRUPT = (ArtifactCorruptError, TraceError, zipfile.BadZipFile, OSError,
+            ValueError, KeyError, EOFError)
+
+
+def _payload(data: bytes) -> Any:
+    """The payload of a JSON cache entry's bytes; ``ValueError`` or
+    ``KeyError`` when they are not a current-version envelope."""
+    envelope = json.loads(data)
+    if not isinstance(envelope, dict):
+        raise ValueError("cache envelope is not an object")
+    if envelope.get("version") != CACHE_VERSION:
+        raise ValueError("cache version mismatch")
+    return envelope["payload"]
 
 
 class ArtifactCache:
@@ -173,22 +220,15 @@ class ArtifactCache:
     def _path(self, key: str, kind: str) -> str:
         return os.path.join(self.dir, key[:2], f"{key}.{kind}")
 
-    @staticmethod
-    def _digest(path: str) -> str:
-        sha = hashlib.sha256()
-        with open(path, "rb") as fp:
-            for chunk in iter(lambda: fp.read(1 << 20), b""):
-                sha.update(chunk)
-        return sha.hexdigest()
-
     def _atomic_write(self, path: str, writer) -> None:
+        """Write an entry through ``writer(tmp)``, which writes the temp
+        file and returns the bytes it wrote; those bytes are hashed."""
         os.makedirs(os.path.dirname(path), exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path),
                                    prefix=".tmp-", suffix=os.path.basename(path))
         os.close(fd)
         try:
-            writer(tmp)
-            digest = self._digest(tmp)
+            digest = hashlib.sha256(writer(tmp)).hexdigest()
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
@@ -205,22 +245,47 @@ class ArtifactCache:
             fp.write(digest)
         os.replace(tmp, path + ".sha256")
 
-    def _verify(self, path: str) -> None:
-        """Check *path* against its hash sidecar, if one exists.
+    def _verify(self, path: str, data: bytes) -> None:
+        """Check *data*, the bytes read from *path*, against the entry's
+        hash sidecar, if one exists.
 
         Raises :class:`ArtifactCorruptError` on mismatch.  Entries from
         caches written before sidecars existed pass (the subsequent
         parse is their only validation, as it always was).
         """
-        sidecar = path + ".sha256"
         try:
-            with open(sidecar) as fp:
+            with open(path + ".sha256") as fp:
                 expected = fp.read().strip()
         except OSError:
             return
-        if self._digest(path) != expected:
+        if hashlib.sha256(data).hexdigest() != expected:
             raise ArtifactCorruptError(
                 f"artifact failed hash verification: {path}", path=path)
+
+    def _load(self, path: str, stage: str, parse) -> Optional[Any]:
+        """``parse(data)`` of the entry at *path*, read once and verified
+        against its sidecar, or ``None`` on a miss or a corrupt entry.
+
+        Bit rot, a truncated write or version skew quarantines the
+        evidence and lets the caller recompute; an error outside
+        :data:`_CORRUPT` is a real bug and propagates.
+        """
+        try:
+            with open(path, "rb") as fp:
+                data = fp.read()
+            self._verify(path, data)
+            value = parse(data)
+        except FileNotFoundError:
+            self.stats[f"{stage}.miss"] += 1
+            return None
+        except _CORRUPT as err:
+            self._quarantine(path, stage=stage, error=err)
+            self.stats[f"{stage}.miss"] += 1
+            self.stats[f"{stage}.corrupt"] += 1
+            self.stats[f"{stage}.quarantine"] += 1
+            return None
+        self.stats[f"{stage}.hit"] += 1
+        return value
 
     def _quarantine(self, path: str, stage: str = "?",
                     error: Optional[BaseException] = None) -> None:
@@ -246,36 +311,14 @@ class ArtifactCache:
                 except OSError:
                     pass
 
-    def _drop(self, path: str) -> None:
-        try:
-            os.unlink(path)
-        except OSError:
-            pass
-
     # ------------------------------------------------------------------
     # Traces
     # ------------------------------------------------------------------
     def load_trace(self, key: str, stage: str = "trace") -> Optional[Trace]:
         """The cached trace under *key*, or ``None`` (miss/corrupt)."""
         path = self._path(key, "npz")
-        if not os.path.exists(path):
-            self.stats[f"{stage}.miss"] += 1
-            return None
-        try:
-            self._verify(path)
-            trace = npzio.load(path)
-        except (ArtifactCorruptError, TraceError, zipfile.BadZipFile,
-                OSError, ValueError, KeyError, EOFError) as err:
-            # Bit rot, truncated write, version skew: quarantine the
-            # evidence and let the caller recompute.  Anything outside
-            # this set is a real bug and propagates.
-            self._quarantine(path, stage=stage, error=err)
-            self.stats[f"{stage}.miss"] += 1
-            self.stats[f"{stage}.corrupt"] += 1
-            self.stats[f"{stage}.quarantine"] += 1
-            return None
-        self.stats[f"{stage}.hit"] += 1
-        return trace
+        return self._load(path, stage,
+                          lambda data: npzio.load(path, data=data))
 
     def store_trace(self, key: str, trace: Trace,
                     stage: str = "trace") -> None:
@@ -288,36 +331,16 @@ class ArtifactCache:
     # ------------------------------------------------------------------
     def load_json(self, key: str, stage: str) -> Optional[Any]:
         """The cached JSON payload under *key*, or ``None``."""
-        path = self._path(key, "json")
-        if not os.path.exists(path):
-            self.stats[f"{stage}.miss"] += 1
-            return None
-        try:
-            self._verify(path)
-            with open(path) as fp:
-                envelope = json.load(fp)
-            if not isinstance(envelope, dict):
-                raise ValueError("cache envelope is not an object")
-            if envelope.get("version") != CACHE_VERSION:
-                raise ValueError("cache version mismatch")
-            payload = envelope["payload"]
-        except (ArtifactCorruptError, OSError, ValueError,
-                KeyError) as err:
-            self._quarantine(path, stage=stage, error=err)
-            self.stats[f"{stage}.miss"] += 1
-            self.stats[f"{stage}.corrupt"] += 1
-            self.stats[f"{stage}.quarantine"] += 1
-            return None
-        self.stats[f"{stage}.hit"] += 1
-        return payload
+        return self._load(self._path(key, "json"), stage, _payload)
 
     def store_json(self, key: str, payload: Any, stage: str) -> None:
-        envelope = {"version": CACHE_VERSION, "stage": stage,
-                    "payload": payload}
+        data = json.dumps({"version": CACHE_VERSION, "stage": stage,
+                           "payload": payload}).encode()
 
-        def writer(tmp: str) -> None:
-            with open(tmp, "w") as fp:
-                json.dump(envelope, fp)
+        def writer(tmp: str) -> bytes:
+            with open(tmp, "wb") as fp:
+                fp.write(data)
+            return data
 
         self._atomic_write(self._path(key, "json"), writer)
         self.stats[f"{stage}.store"] += 1

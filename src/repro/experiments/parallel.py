@@ -37,6 +37,12 @@ from them.  Every job is a deterministic function of its inputs, so
 the merged result map is bit-identical to a serial sweep regardless of
 worker count, completion order or cache temperature.
 
+Every job stores the simulation results it produced in the cache, and
+:meth:`~ParallelEngine.execute` first serves every cell it finds there
+(:func:`~repro.experiments.artifacts.metrics_key` names the scale, seed,
+cell, profiling machine and the package's code digest); jobs are
+planned only for the rest, so a sweep of stored cells runs no job.
+
 Failures are fatal, since a deterministic job that failed once fails
 again.  The first job that raises, or a worker process that dies, ends
 the sweep with :class:`~repro.common.errors.JobFailedError`: no further
@@ -263,8 +269,8 @@ def _execute_job(payload: dict, runner=None) -> dict:
                        for config in payload["configs"]]
         else:  # pragma: no cover - planner only emits the kinds above
             raise ValueError(f"unknown job kind {kind!r}")
-        # Persist every simulation result so a later reuse_sims engine on
-        # the same cache serves repeat cells without a sim job.
+        # Persist every simulation result so a later sweep on the same
+        # cache serves repeat cells without a job.
         profiling = machine_fingerprint(payload["machine"])
         for sim_key, metrics in results:
             cache.store_metrics(
@@ -283,33 +289,34 @@ def _execute_job(payload: dict, runner=None) -> dict:
 
 class ParallelEngine:
     """Executes a sweep's job DAG across a process pool, and stops at the
-    first job that fails or worker that dies."""
+    first job that fails or worker that dies.
+
+    Cells whose results an earlier sweep stored in *cache* are served
+    from it without a job.  *reuse_sims* exists only for the end-to-end
+    benchmark's harness, which passes ``True``, the default; no sweep in
+    the package sets it.
+    """
 
     def __init__(self, scale: float = 0.5, seed: int = 1996,
                  machine: MachineParams = BASE_MACHINE,
                  cache: Optional[ArtifactCache] = None,
                  workers: Optional[int] = None,
                  ledger_path: Optional[str] = None,
-                 reuse_sims: bool = False) -> None:
+                 reuse_sims: bool = True) -> None:
         self.scale = scale
         self.seed = seed
         self.machine = machine
         self.cache = cache
         self.workers = workers if workers is not None else (os.cpu_count() or 1)
         self._ledger_path_arg = ledger_path
-        #: When True, cells whose simulation result is already in the
-        #: artifact store (stored by an earlier sweep on the same cache)
-        #: are served straight from it — no jobs are planned for them;
-        #: the e2e bench times this warm path.  Off by default: the
-        #: engine's tests deliberately exercise the recompute path
-        #: (corrupt-trace quarantine needs the trace to be read).
+        #: Serve stored cells without a job (see the class docstring).
         self.reuse_sims = reuse_sims
         #: Aggregated worker-side cache stats of the last execute() call.
         self.last_stats: Counter = Counter()
         #: The JSONL run ledger written by the last execute() call.
         self.ledger_path: Optional[str] = None
         #: Cells of the last execute() call served straight from the
-        #: artifact store's cached simulation results (reuse_sims).
+        #: artifact store's cached simulation results.
         self.last_cached = 0
         #: Jobs finished by the last execute() call, per kind.
         self.last_job_kinds: Counter = Counter()
@@ -364,9 +371,9 @@ class ParallelEngine:
         """Cells answerable from the artifact store's cached simulation
         results, plus the cache stats the lookups accrued.
 
-        Only active with ``reuse_sims``; a corrupt
-        entry quarantines (inside :meth:`ArtifactCache.load_metrics`) and
-        falls through to a normal recompute.
+        A corrupt entry quarantines (inside
+        :meth:`ArtifactCache.load_metrics`) and falls through to a
+        normal recompute.
         """
         found: Dict[SimKey, SystemMetrics] = {}
         if not self.reuse_sims:
@@ -407,8 +414,8 @@ class _Scheduler:
         self.cache_dir = cache_dir
         self.ledger = ledger
         self.verbose = verbose
-        #: Cells pre-answered from the artifact store (reuse_sims) and
-        #: the cache stats those lookups accrued.
+        #: Cells pre-answered from the artifact store and the cache
+        #: stats those lookups accrued.
         self.cached = cached or {}
         self.cached_stats = cached_stats or Counter()
         self.by_id = {job.job_id: job for job in jobs}
@@ -439,7 +446,7 @@ class _Scheduler:
                            seed=engine.seed, cache_dir=self.cache_dir)
         if self.cached:
             # Cells answered straight from the artifact store's cached
-            # simulation results (reuse_sims): no jobs were planned.
+            # simulation results: no jobs were planned.
             self.results.update(self.cached)
             engine.last_stats.update(self.cached_stats)
             self.ledger.record(

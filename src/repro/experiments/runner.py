@@ -297,7 +297,9 @@ class ExperimentRunner:
     def run_cells(self, cells: Sequence[Cell],
                   verbose: bool = False) -> Dict[SimKey, SystemMetrics]:
         """Run many (workload, config, machine) cells through the
-        parallel engine, with the runner's worker count.
+        parallel engine, with the runner's worker count.  Cells whose
+        results an earlier sweep stored in the runner's cache are served
+        from it without a job.
 
         Results are merged into the in-memory metrics cache, so later
         :meth:`run` calls (e.g. from table/figure builders) are cache

@@ -34,6 +34,17 @@ from repro.trace.blockop import BlockOpDescriptor
 #: spelled out.
 _MODE_KEYS = [str(m) for m in Mode]
 
+#: ``snapshot()`` key -> member, per enum whose members key a counter:
+#: :meth:`SystemMetrics.from_snapshot` inverts ``str()`` through these,
+#: whichever way this Python renders an ``IntEnum``.
+_MODE_OF = {str(m): m for m in Mode}
+#: The modes in value order, and their names (``snapshot()["time"]``
+#: keys), so a restore does not iterate the enum.
+_MODES = tuple(Mode)
+_MODE_NAMES = tuple(m.name for m in Mode)
+_MISS_KIND_OF = {str(k): k for k in MissKind}
+_DCLASS_OF = {str(c): c for c in DataClass}
+
 
 class TimeBreakdown:
     """Cycle components of execution time, as in Figure 3."""
@@ -343,31 +354,25 @@ class SystemMetrics:
         the cache layer quarantines the entry on any of those.
         """
         metrics = cls(int(snap["num_cpus"]), int(snap["page_bytes"]))
-        # snapshot() renders enum keys through str(); invert that per
-        # enum (robust to the IntEnum __str__ change in Python 3.11).
-        by_str = {enum_cls: {str(member): member for member in enum_cls}
-                  for enum_cls in (Mode, MissKind, DataClass)}
 
         def counter(name: str, key_of) -> Counter:
-            out: Counter = Counter()
-            for key, value in snap[name].items():  # type: ignore[union-attr]
-                out[key_of(key)] = int(value)
-            return out
+            return Counter({key_of(key): int(value) for key, value
+                            in snap[name].items()})  # type: ignore[union-attr]
 
-        for mode in Mode:
-            breakdown = metrics.time[mode]
+        for breakdown, mode_name in zip(metrics.time, _MODE_NAMES):
+            times = snap["time"][mode_name]  # type: ignore[index]
             for field in TimeBreakdown.__slots__:
-                setattr(breakdown, field, int(snap["time"][mode.name][field]))
+                setattr(breakdown, field, int(times[field]))
         for name in ("reads", "writes", "read_misses"):
-            by_mode = counter(name, by_str[Mode].__getitem__)
-            setattr(metrics, name, [by_mode[mode] for mode in Mode])
+            by_mode = counter(name, _MODE_OF.__getitem__)
+            setattr(metrics, name, [by_mode[mode] for mode in _MODES])
         metrics.os_miss_kind = counter("os_miss_kind",
-                                       by_str[MissKind].__getitem__)
+                                       _MISS_KIND_OF.__getitem__)
         metrics.os_coh_dclass = counter("os_coh_dclass",
-                                        by_str[DataClass].__getitem__)
+                                        _DCLASS_OF.__getitem__)
         metrics.os_miss_pc = counter("os_miss_pc", int)
         metrics.os_miss_dclass = counter("os_miss_dclass",
-                                         by_str[DataClass].__getitem__)
+                                         _DCLASS_OF.__getitem__)
         metrics.os_coh_addr = counter("os_coh_addr", int)
         for field in ("displacement_inside", "displacement_outside",
                       "reuse_inside", "reuse_outside", "blk_read_stall",

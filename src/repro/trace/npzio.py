@@ -19,9 +19,12 @@ Layout of the archive:
 
 from __future__ import annotations
 
+import io
 import json
+import os
 import zipfile
 import zlib
+from typing import Optional
 
 import numpy as np
 
@@ -43,8 +46,10 @@ _CODES = {FIELDS.index(name): np.array([int(v) for v in enum_type])
                                   ("dclass", DataClass))}
 
 
-def save(trace: Trace, path: str) -> None:
-    """Write *trace* to a compressed ``.npz`` archive at *path*."""
+def save(trace: Trace, path: str) -> bytes:
+    """Write *trace* to a compressed ``.npz`` archive at *path* (with
+    ``.npz`` appended when *path* lacks it, as :func:`numpy.savez` does);
+    returns the bytes written."""
     arrays = {
         "meta": np.array(json.dumps({
             "version": _VERSION,
@@ -61,11 +66,22 @@ def save(trace: Trace, path: str) -> None:
     }
     for cpu, cols in enumerate(trace.columns):
         arrays[f"cpu{cpu}"] = cols.to_matrix()
-    np.savez_compressed(path, **arrays)
+    buffer = io.BytesIO()
+    np.savez_compressed(buffer, **arrays)
+    data = buffer.getvalue()
+    path = os.fspath(path)
+    if not path.endswith(".npz"):
+        path += ".npz"
+    with open(path, "wb") as fp:
+        fp.write(data)
+    return data
 
 
-def load(path: str) -> Trace:
+def load(path: str, data: Optional[bytes] = None) -> Trace:
     """Read a trace previously written by :func:`save`.
+
+    *data*, when given, is the archive's bytes, already read from
+    *path*; *path* then only names the file in errors.
 
     Each ``cpu<i>`` matrix becomes a zero-copy
     :class:`~repro.trace.columns.StreamColumns` view.
@@ -77,7 +93,8 @@ def load(path: str) -> Trace:
     than later, wherever its contents are first decoded.
     """
     try:
-        archive = np.load(path, allow_pickle=False)
+        archive = np.load(path if data is None else io.BytesIO(data),
+                          allow_pickle=False)
     except (ValueError, EOFError, zipfile.BadZipFile):
         # numpy reports non-zip bytes as refused pickle data.
         raise TraceError(f"{path}: not an npz archive") from None

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import os
+
 import pytest
 
 from repro.common.params import BASE_MACHINE, MachineParams
@@ -73,3 +76,30 @@ def broken_trace(request):
         message = "barrier 0x80: bad participant count 3"
     b.emit(1, rec.read(0x100))
     return b.build(validate=False), message
+
+
+def _drop_stored_metrics(root) -> int:
+    """Delete every simulation result stored under the artifact cache at
+    *root* (with its hash sidecar); returns how many were deleted."""
+    dropped = 0
+    for dirpath, _dirs, files in os.walk(root):
+        for name in files:
+            if not name.endswith(".json"):
+                continue
+            path = os.path.join(dirpath, name)
+            with open(path) as fp:
+                if json.load(fp).get("stage") != "metrics":
+                    continue
+            for victim in (path, path + ".sha256"):
+                if os.path.exists(victim):
+                    os.unlink(victim)
+            dropped += 1
+    return dropped
+
+
+@pytest.fixture
+def drop_stored_metrics():
+    """Make a warm artifact cache partly warm: its stored simulation
+    results go, its traces and derived artifacts stay, so the next sweep
+    on it reads them and simulates instead of serving its cells."""
+    return _drop_stored_metrics

@@ -1,5 +1,6 @@
 """Tests for the on-disk artifact cache (repro.experiments.artifacts)."""
 
+import dataclasses
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -32,7 +33,6 @@ def warm(tmp_path_factory):
 # Keys
 # ----------------------------------------------------------------------
 def test_machine_fingerprint_covers_every_parameter():
-    import dataclasses
     base = machine_fingerprint(BASE_MACHINE)
     geometry = machine_fingerprint(BASE_MACHINE.with_l1d(size_bytes=16 * KB))
     # The old in-memory key only looked at cache geometry; the disk cache
@@ -56,6 +56,48 @@ def test_stage_key_distinguishes_inputs():
                   extra={"count": 8}),
     }
     assert len(keys) == 7
+
+
+def test_code_digest_changes_every_key(monkeypatch):
+    """Every stage key and metrics key names the code: a stored artifact
+    or result is never served to code that would compute another."""
+    from repro.experiments import artifacts
+
+    sim = SimKey.of("Shell", "Base", BASE_MACHINE)
+    fingerprint = machine_fingerprint(BASE_MACHINE)
+
+    def keys():
+        return [
+            stage_key("trace", 0.5, 1996, "Shell"),
+            stage_key("update", 0.5, 1996, "Shell", machine=BASE_MACHINE),
+            stage_key("hotspots", 0.5, 1996, "Shell", machine=BASE_MACHINE,
+                      extra={"count": 12}),
+            metrics_key(0.5, 1996, sim, fingerprint),
+        ]
+
+    before = keys()
+    assert before == keys()  # one digest per process
+    monkeypatch.setattr(artifacts, "code_digest", lambda: "0" * 16)
+    after = keys()
+    assert all(a != b for a, b in zip(before, after))
+
+
+def test_memoized_fingerprint_matches_fresh_computation():
+    """The memoized fingerprint of every machine a report sweeps equals
+    one computed afresh from the parameters."""
+    from repro.analysis.tables import MACHINE_POINTS, machine_point
+    from repro.experiments.all import artifact_cells
+
+    machines = {machine_point(cpus, assoc, bw)
+                for (_label, cpus, assoc, bw) in MACHINE_POINTS}
+    machines |= {m for name in ("figure6", "figure7")
+                 for (_w, _c, m) in artifact_cells(name)}
+    for machine in machines:
+        assert machine_fingerprint(machine) == \
+            machine_fingerprint.__wrapped__(machine)
+        # An equal value built separately hits the same memo entry.
+        twin = dataclasses.replace(machine)
+        assert machine_fingerprint(twin) == machine_fingerprint(machine)
 
 
 def _key_in_subprocess(_):
@@ -248,7 +290,7 @@ def test_cold_cache_counts_misses(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Cached simulation results (the reuse_sims warm path)
+# Cached simulation results (the engine's warm path)
 # ----------------------------------------------------------------------
 def test_metrics_key_distinguishes_profiling_machine():
     sim = SimKey.of("Shell", "Base", BASE_MACHINE)

@@ -129,3 +129,21 @@ def test_editing_the_deferred_trace_leaves_the_source():
     assert out.records() == before
     out.columns[0].addrs += 4
     assert trace.records() == before
+
+
+def test_saving_from_the_sweeps_base_cell_matches_its_own_probe():
+    """Table 4 passes the sweep's Base cell in: the default probe's
+    simulation of the original trace is that cell, under another name."""
+    from repro.common.params import BASE_MACHINE
+    from repro.sim.config import SystemConfig, resolve_config
+    from repro.sim.system import simulate
+    from repro.synthetic.profiles import generate
+
+    trace = generate("Shell", seed=1996, scale=0.02)
+    base_config = resolve_config("Base", BASE_MACHINE)
+    base = simulate(trace, base_config)
+    assert base.snapshot() == \
+        simulate(trace, SystemConfig("deferred-probe")).snapshot()
+    saving = deferred_miss_saving(trace, base_config, base=base)
+    assert saving > 0
+    assert saving == deferred_miss_saving(trace)

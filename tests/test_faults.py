@@ -160,8 +160,10 @@ def test_killed_worker_fails_fast(tmp_path, monkeypatch):
 # ----------------------------------------------------------------------
 # Bit-flipped cache artifact: quarantined, regenerated, bit-identical
 # ----------------------------------------------------------------------
-def test_corrupt_artifact_quarantined_bit_identical(clean_serial, tmp_path):
+def test_corrupt_artifact_quarantined_bit_identical(clean_serial, tmp_path,
+                                                   drop_stored_metrics):
     _engine(tmp_path).execute(CELLS)  # populate the cache
+    drop_stored_metrics(tmp_path / "cache")  # the sweep must read the trace
     npz = _flip_trace_byte(tmp_path)
 
     engine = _engine(tmp_path)
@@ -177,11 +179,13 @@ def test_corrupt_artifact_quarantined_bit_identical(clean_serial, tmp_path):
 
 
 def test_corrupt_trace_quarantined_by_next_serial_engine(clean_serial,
-                                                        tmp_path):
+                                                        tmp_path,
+                                                        drop_stored_metrics):
     """A 1-worker sweep keeps its traces in memory, but only for its own
     execute() call: the next engine reads the cache again, so a
     bit-flipped trace is quarantined and regenerated."""
     _engine(tmp_path, workers=1).execute(CELLS)
+    drop_stored_metrics(tmp_path / "cache")  # the sweep must read the trace
     npz = _flip_trace_byte(tmp_path)
 
     engine = _engine(tmp_path, workers=1)
@@ -236,7 +240,8 @@ def test_runner_threads_policy_and_ledger_through(clean_serial, tmp_path):
     assert os.path.exists(runner.last_ledger_path)
 
 
-def test_ledger_summarize_renders(tmp_path, monkeypatch):
+def test_ledger_summarize_renders(tmp_path, monkeypatch,
+                                  drop_stored_metrics):
     engine = _engine(tmp_path)
     engine.execute(CELLS)
     text = ledger_mod.summarize(engine.ledger_path)
@@ -246,6 +251,7 @@ def test_ledger_summarize_renders(tmp_path, monkeypatch):
     assert ledger_mod.main([str(tmp_path / "missing.jsonl")]) == 2
 
     monkeypatch.setattr(runner_mod, "simulate", _raise_for_failing)
+    drop_stored_metrics(tmp_path / "cache")  # the sweep must simulate
     failing = _engine(tmp_path, workers=1)
     with pytest.raises(JobFailedError):
         failing.execute(CELLS)

@@ -163,7 +163,7 @@ def test_unexpected_exception_propagates(tmp_path, monkeypatch):
     from repro.trace import npzio
     cache = ArtifactCache(tmp_path / "cache")
 
-    def boom(path):
+    def boom(path, data=None):
         raise RuntimeError("a real bug, not corruption")
 
     monkeypatch.setattr(npzio, "load", boom)
@@ -176,11 +176,13 @@ def test_unexpected_exception_propagates(tmp_path, monkeypatch):
         cache.load_trace(key)
 
 
-def test_corrupt_artifact_event_reaches_sweep_ledger(tmp_path):
+def test_corrupt_artifact_event_reaches_sweep_ledger(tmp_path,
+                                                     drop_stored_metrics):
     """End to end: a worker hitting a corrupt artifact writes the
     artifact_corrupt event into the shared sweep ledger."""
     engine = _engine(tmp_path, workers=1)
     engine.execute(CELLS)
+    drop_stored_metrics(tmp_path / "cache")  # the sweep must read the trace
     (npz_file,) = _cache_files(tmp_path / "cache", ".npz")
     with open(npz_file, "r+b") as fp:
         fp.seek(64)

@@ -90,18 +90,59 @@ def test_parallel_warm_cache_matches_serial(serial, cache_dir, workers):
     _assert_identical(serial, warm, f"{workers} workers, warm cache")
 
 
-def test_warm_cache_skips_generation_and_derivation(serial, cache_dir):
+def test_warm_cache_skips_generation_and_derivation(serial, cache_dir,
+                                                   drop_stored_metrics,
+                                                   tmp_path):
+    # Warm: every cell is served from its stored result; no job runs.
     engine = ParallelEngine(scale=SCALE, seed=SEED,
                             cache=ArtifactCache(cache_dir), workers=2)
     results = engine.execute(CELLS)
+    _assert_identical(serial, _snapshots(results), "engine warm cache")
+    assert engine.last_job_kinds == {}
+    assert engine.last_cached == len(CELLS)
+    assert engine.last_stats == {"metrics.hit": len(CELLS)}
+
+    # Partly warm: without the stored results only simulations run;
+    # no stage is recomputed (all loads, no stores) across every worker.
+    partly = tmp_path / "partly-warm"
+    shutil.copytree(cache_dir, partly)
+    assert drop_stored_metrics(partly) > 0
+    engine = ParallelEngine(scale=SCALE, seed=SEED,
+                            cache=ArtifactCache(partly), workers=2)
+    results = engine.execute(CELLS)
     _assert_identical(serial, _snapshots(
         {k: v for k, v in results.items()
-         if k in serial}), "engine warm cache")
-    # No stage recomputed: all loads, no stores, across every worker.
-    assert engine.last_stats and all(
+         if k in serial}), "engine partly warm cache")
+    assert engine.last_cached == 0 and engine.last_job_kinds["sim"]
+    stages = {event: count for event, count in engine.last_stats.items()
+              if not event.startswith("metrics.")}
+    assert stages and all(
         not event.endswith((".miss", ".store", ".corrupt")) or count == 0
-        for event, count in engine.last_stats.items()), (
-        dict(engine.last_stats))
+        for event, count in stages.items()), dict(engine.last_stats)
+
+
+def test_warm_report_runs_no_job(tmp_path):
+    """A second runner on a warm cache builds the report without a
+    trace, derive or sim job: the run ledger serves every cell, and the
+    text is byte-identical to the cold build."""
+    from repro.experiments.all import artifact_cells, build_report
+
+    only = ["table2", "table4", "figure3"]
+    cells = {SimKey.of(w, c, m if m is not None else BASE_MACHINE)
+             for name in only for (w, c, m) in artifact_cells(name)}
+    reports = []
+    for name in ("cold", "warm"):
+        runner = ExperimentRunner(scale=SCALE, seed=SEED,
+                                  cache=ArtifactCache(tmp_path / "cache"),
+                                  workers=1,
+                                  ledger_path=str(tmp_path / f"{name}.jsonl"))
+        reports.append(build_report(runner, only=only, verbose=False))
+    assert reports[1] == reports[0]
+    events = read_events(str(tmp_path / "warm.jsonl"))
+    assert not [ev for ev in events if ev["event"] == "scheduled"]
+    (served,) = [ev for ev in events if ev["event"] == "served_cached"]
+    assert served["cells"] == len(cells)
+    assert {SimKey(**key) for key in served["sim_keys"]} == cells
 
 
 def test_machine_variant_cells(serial, cache_dir):
@@ -164,7 +205,7 @@ def test_result_independent_of_cell_order(cache_dir):
 
 
 # ----------------------------------------------------------------------
-# reuse_sims: a warm engine serves stored simulation results
+# A warm engine serves stored simulation results
 # ----------------------------------------------------------------------
 #: One workload, every config kind: raw trace, DMA, derive-covered
 #: profile and the full optimization stack.
@@ -183,8 +224,7 @@ def cold_store(tmp_path_factory):
 
 def _reuse_engine(root, ledger):
     return ParallelEngine(scale=SCALE, seed=SEED, cache=ArtifactCache(root),
-                          workers=1, reuse_sims=True,
-                          ledger_path=str(ledger))
+                          workers=1, ledger_path=str(ledger))
 
 
 def test_reuse_sims_serves_every_cell_from_store(cold_store, tmp_path):
