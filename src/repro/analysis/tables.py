@@ -185,46 +185,6 @@ def table5(runner: ExperimentRunner) -> TableData:
     return table
 
 
-#: Schemes of the hybrid comparison, in presentation order: the paper's
-#: coherence ladder followed by the adaptive hybrids.  ``Hyb_Static``
-#: is ``BCoh_RelUp`` under its hybrid-family name, simulated once with
-#: it, so its rows equal ``BCoh_RelUp``'s exactly.
-HYBRID_COMPARE_SCHEMES = ["Blk_Dma", "BCoh_Reloc", "BCoh_RelUp",
-                          "Hyb_Static", "Hyb_UpdN", "Hyb_Deg"]
-
-HYBRID_FAMILIES = ["server", "bursty_mp", "gang_diurnal"]
-
-HYBRID_ROWS = ([f"{s} OS Time (% of Base)" for s in HYBRID_COMPARE_SCHEMES]
-               + [f"{s} OS Misses (% of Base)"
-                  for s in HYBRID_COMPARE_SCHEMES])
-
-
-def hybrid_table(runner: ExperimentRunner) -> TableData:
-    """Hybrid-vs-paper comparison on the generated workload families.
-
-    Not a reproduction of a paper table — the paper stops at the static
-    per-page ``BCoh_RelUp`` — but the same Figure-3-style normalization
-    (OS time and OS misses as a percentage of Base) extended to the
-    adaptive hybrid schemes, over the profile-generator families instead
-    of the four fixed paper workloads.
-    """
-    table = TableData("hybrid",
-                      "Adaptive hybrids vs the paper's schemes "
-                      "(normalized to Base)",
-                      HYBRID_ROWS, HYBRID_FAMILIES)
-    n = len(HYBRID_COMPARE_SCHEMES)
-    for col, workload in enumerate(HYBRID_FAMILIES):
-        base = runner.run(workload, "Base")
-        base_time = max(1, base.os_time().total)
-        base_misses = max(1, base.os_read_misses())
-        for row, scheme in enumerate(HYBRID_COMPARE_SCHEMES):
-            m = runner.run(workload, scheme)
-            table.set(row, col, 100.0 * m.os_time().total / base_time)
-            table.set(row + n, col,
-                      100.0 * m.os_read_misses() / base_misses)
-    return table
-
-
 #: The machine axis the 1996 testbed lacked: CPU count, cache set
 #: associativity and bus width vary together, the way real machines of
 #: each size were provisioned.  Point 0 is the paper's exact machine.
@@ -297,6 +257,5 @@ ALL_TABLES = {
     "table3": table3,
     "table4": table4,
     "table5": table5,
-    "hybrid": hybrid_table,
     "machines": machines_table,
 }

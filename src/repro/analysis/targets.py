@@ -106,9 +106,9 @@ FIGURE3: Dict[str, List[float]] = {
 
 #: The adaptive hybrid schemes (:func:`repro.sim.config.hybrid_configs`),
 #: beyond the paper's eight.  They have no published targets — the
-#: calibration report skips them, and the ``hybrid`` comparison table
-#: (:func:`repro.analysis.tables.hybrid_table`) measures them against the
-#: paper's own schemes on the generated workload families instead.
+#: calibration report skips them, and ``results/hybrid_comparison.txt``
+#: (built by ``repro sweep``) measures them against the paper's own
+#: schemes on the generated workload families instead.
 HYBRID_SCHEMES: List[str] = ["Hyb_UpdN", "Hyb_Deg", "Hyb_Static"]
 
 #: Figure 5 — fraction of OS misses remaining under BCPref.
@@ -116,18 +116,6 @@ FIGURE5_BCPREF: List[float] = [0.23, 0.21, 0.27, 0.28]
 
 #: Section 6 — hot-spot share of the remaining misses (12 hot spots).
 HOTSPOT_COVERAGE: List[float] = [0.29, 0.44, 0.22, 0.51]
-
-
-def paper_value(table: str, row: str, workload: str) -> float:
-    """Look one paper cell up, e.g. ``paper_value("table2", "Block Op. (%)",
-    "Shell")``."""
-    data = ALL_TABLES[table]
-    return data[row][WORKLOADS.index(workload)]
-
-
-def rows(table: str) -> List[str]:
-    """Row labels of a paper table, in order."""
-    return list(ALL_TABLES[table])
 
 
 def as_pairs(table: str) -> List[Tuple[str, str, float]]:

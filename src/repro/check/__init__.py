@@ -26,10 +26,5 @@ from __future__ import annotations
 #: Environment variable enabling the checker (any value but "" and "0").
 REPRO_CHECK_ENV = "REPRO_CHECK"
 
-__all__ = ["REPRO_CHECK_ENV", "attach_checker"]
+__all__ = ["REPRO_CHECK_ENV"]
 
-
-def attach_checker(system):
-    """Attach a :class:`~repro.check.invariants.ConformanceChecker`."""
-    from repro.check.invariants import attach_checker as _attach
-    return _attach(system)

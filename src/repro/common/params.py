@@ -80,14 +80,6 @@ class CacheParams:
         """Number of sets (== ``num_lines`` when direct-mapped)."""
         return self.num_lines // self.assoc
 
-    def set_index(self, addr: int) -> int:
-        """Set index of byte address *addr*."""
-        return (addr // self.line_bytes) % self.num_sets
-
-    def line_addr(self, addr: int) -> int:
-        """Line-aligned address containing byte address *addr*."""
-        return addr - (addr % self.line_bytes)
-
 
 @dataclasses.dataclass(frozen=True)
 class BusParams:

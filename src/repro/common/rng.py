@@ -37,10 +37,6 @@ class RngStream:
         """Uniform integer in [lo, hi]."""
         return self._rng.randint(lo, hi)
 
-    def random(self) -> float:
-        """Uniform float in [0, 1)."""
-        return self._rng.random()
-
     def chance(self, p: float) -> bool:
         """Bernoulli draw with probability *p*."""
         return self._rng.random() < p

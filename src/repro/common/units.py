@@ -24,11 +24,6 @@ CPU_CYCLES_PER_BUS_CYCLE = CPU_HZ // BUS_HZ
 WORD_BYTES = 4
 
 
-def bus_cycles(n: int) -> int:
-    """Convert *n* bus cycles to processor cycles."""
-    return n * CPU_CYCLES_PER_BUS_CYCLE
-
-
 def cycles_to_seconds(cycles: float) -> float:
     """Convert processor cycles to seconds of simulated time."""
     return cycles / CPU_HZ

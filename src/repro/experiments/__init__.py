@@ -10,7 +10,6 @@ from repro.experiments.extensions import (
     ColoringResult,
     page_coloring_study,
     page_coloring_sweep,
-    render_coloring,
 )
 from repro.experiments.runner import ExperimentRunner, NUM_HOTSPOTS
 from repro.experiments.sensitivity import Spread, render_sweep, seed_sweep
@@ -24,7 +23,6 @@ __all__ = [
     "Spread",
     "page_coloring_study",
     "page_coloring_sweep",
-    "render_coloring",
     "render_sweep",
     "seed_sweep",
     "render_study",

@@ -24,8 +24,7 @@ from typing import List, Optional
 from repro.analysis.figures import (ALL_FIGURES, FIG2_SYSTEMS, FIG3_SYSTEMS,
                                     FIG4_SYSTEMS, FIG5_SYSTEMS, SWEEP_SYSTEMS)
 from repro.analysis.report import render
-from repro.analysis.tables import (ALL_TABLES, HYBRID_COMPARE_SCHEMES,
-                                   HYBRID_FAMILIES, MACHINE_COMPARE_SCHEMES,
+from repro.analysis.tables import (ALL_TABLES, MACHINE_COMPARE_SCHEMES,
                                    MACHINE_POINTS, machine_point,
                                    machine_workload)
 from repro.common.params import BASE_MACHINE
@@ -40,10 +39,9 @@ ARTIFACT_ORDER = [
     "table4", "table5", "figure4", "figure5", "figure6", "figure7",
 ]
 
-#: Artifacts ``--only`` accepts beyond the default report: the hybrid
-#: comparison table and the machine-shape comparison are opt-in (they
-#: are not paper reproductions).
-EXTRA_ARTIFACTS = ["hybrid", "machines"]
+#: Artifacts ``--only`` accepts beyond the default report: the
+#: machine-shape comparison is opt-in (it is not a paper reproduction).
+EXTRA_ARTIFACTS = ["machines"]
 
 #: L1D sizes (KB) swept by Figure 6 and line sizes (B) swept by Figure 7.
 FIG6_SIZES_KB = (16, 32, 64)
@@ -66,11 +64,6 @@ def artifact_cells(name: str) -> List[Cell]:
         systems = FIG4_SYSTEMS
     elif name == "figure5":
         systems = FIG5_SYSTEMS
-    elif name == "hybrid":
-        # Off the paper's workload grid: the generated profile families
-        # against Base plus the hybrid comparison ladder.
-        return [(w, s, None) for w in HYBRID_FAMILIES
-                for s in ["Base"] + HYBRID_COMPARE_SCHEMES]
     elif name == "machines":
         # The machine axis: each point runs its own-sized server
         # workload on its own machine, Base plus the comparison ladder.

@@ -46,11 +46,6 @@ class ColoringResult:
         return self.colored_misses / max(1, self.default_misses)
 
     @property
-    def other_ratio(self) -> float:
-        """Conflict-dominated ("Other") misses: the target of coloring."""
-        return self.colored_other / max(1, self.default_other)
-
-    @property
     def time_ratio(self) -> float:
         return self.colored_os_time / max(1, self.default_os_time)
 
@@ -82,17 +77,3 @@ def page_coloring_sweep(seed: int = 1996, scale: float = 0.3,
     return {w: page_coloring_study(w, seed=seed, scale=scale)
             for w in workloads or WORKLOAD_ORDER}
 
-
-def render_coloring(results: Dict[str, ColoringResult]) -> str:
-    """Aligned-text rendering of a coloring sweep."""
-    lines = ["Page-coloring extension (section 7)", ""]
-    lines.append(f"{'workload':<12}{'OS misses':>22}{'Other misses':>22}"
-                 f"{'OS time':>10}")
-    lines.append("-" * 66)
-    for workload, r in results.items():
-        lines.append(
-            f"{workload:<12}"
-            f"{r.default_misses:>10,} -> {r.colored_misses:<8,}"
-            f"{r.default_other:>10,} -> {r.colored_other:<8,}"
-            f"{r.time_ratio:>9.3f}")
-    return "\n".join(lines)

@@ -8,8 +8,7 @@ configuration.  :class:`ExperimentRunner` performs and caches each step so
 a full table/figure sweep generates each trace and derived artifact once.
 :meth:`ExperimentRunner.run` is the body of every sweep job and the
 serial reference the determinism tests compare against; sweeps
-themselves (:meth:`~ExperimentRunner.run_cells`,
-:meth:`~ExperimentRunner.run_matrix`) always run through
+themselves (:meth:`~ExperimentRunner.run_cells`) always run through
 :meth:`repro.experiments.parallel.ParallelEngine.execute`, at any worker
 count.
 
@@ -73,7 +72,6 @@ from repro.sim.config import SystemConfig, resolve_config, standard_configs
 from repro.sim.metrics import SystemMetrics
 from repro.sim.system import simulate
 from repro.synthetic.profiles import generate
-from repro.synthetic.workloads import WORKLOAD_ORDER
 from repro.trace.stream import Trace
 
 #: Number of hot spots the paper selects (section 6).
@@ -91,9 +89,9 @@ class ExperimentRunner:
         memory until its first sweep, which attaches a throwaway
         temporary cache for the life of the runner: sweep jobs exchange
         artifacts through the cache directory.
-    :param workers: the engine's process count for :meth:`run_matrix` /
-        :meth:`run_cells`; ``1`` runs the jobs in this process, ``None``
-        means ``os.cpu_count()``.
+    :param workers: the engine's process count for :meth:`run_cells`;
+        ``1`` runs the jobs in this process, ``None`` means
+        ``os.cpu_count()``.
     :param ledger_path: JSONL run-ledger destination for sweeps;
         ``None`` writes one inside the cache directory.  The ledger of
         the most recent sweep is on :attr:`last_ledger_path`.
@@ -326,16 +324,3 @@ class ExperimentRunner:
             self._metrics.update(engine.execute(todo, verbose=verbose))
             self.last_ledger_path = engine.ledger_path
         return {key: self._metrics[key] for key in wanted}
-
-    def run_matrix(self, config_names: Iterable[str],
-                   workloads: Optional[Iterable[str]] = None,
-                   verbose: bool = False,
-                   ) -> Dict[Tuple[str, str], SystemMetrics]:
-        """Run every (workload, config) pair; returns the result map."""
-        workloads = list(workloads) if workloads else WORKLOAD_ORDER
-        config_names = list(config_names)
-        cells: List[Cell] = [(w, c, None) for w in workloads
-                             for c in config_names]
-        self.run_cells(cells, verbose=verbose)
-        return {(w, c): self._metrics[SimKey.of(w, c, self.machine)]
-                for w in workloads for c in config_names}

@@ -124,12 +124,6 @@ class Bus:
             self.probe.bus_grant(kind, data_at, data_at, data)
         return end
 
-    def utilization(self, total_cycles: int) -> float:
-        """Fraction of *total_cycles* the bus was held."""
-        if total_cycles <= 0:
-            return 0.0
-        return min(1.0, self.busy_cycles / total_cycles)
-
     def traffic_summary(self) -> Dict[str, int]:
         """Held cycles per kind that ran a transaction, keyed by kind name.
 

@@ -400,34 +400,6 @@ class CoherenceController:
             probe.update(cpu, addr, t, done, decision.to_update)
         return done
 
-    def write_line_to_memory(self, cpu: int, line_addr: int, t: int,
-                             kind: int = BUS_WRITEBACK,
-                             invalidate_remotes: bool = True) -> int:
-        """Push a full line to memory (bypassing stores, DMA destination).
-
-        Other caches' copies are invalidated (invalidation protocol) unless
-        the caller updates them itself (DMA does).
-        """
-        line = self._l2_line(line_addr)
-        transfer = self.line_transfer
-        grant = self.bus.acquire(t, transfer, kind)
-        probe = self.probe
-        if invalidate_remotes:
-            self._invalidate_remotes(cpu, line, self._holders(line, cpu))
-            # The writer's own stale copy (if any) is dropped too.
-            port = self.ports[cpu]
-            if port.l2.state_of(line) != INVALID:
-                port.l2.set_state(line, INVALID)
-                self._drop_from_l1(cpu, line, coherence=False)
-                if probe is not None:
-                    probe.invalidate(cpu, line, [cpu])
-                if self.adaptive is not None:
-                    self.adaptive.on_invalidate(cpu, line)
-        done = grant + transfer
-        if probe is not None:
-            probe.line_to_memory(cpu, line, t, done, kind)
-        return done
-
     # ------------------------------------------------------------------
     # DMA snooping support (section 4.2, Blk_Dma)
     # ------------------------------------------------------------------

@@ -48,7 +48,6 @@ LEVEL_WB = "wb"
 
 # Enum values and members bound once: a class-attribute load off an enum
 # is slow.  The miss-kind counter is keyed by the members themselves.
-_USER = int(Mode.USER)
 _OS = int(Mode.OS)
 _BLOCK_OP = MissKind.BLOCK_OP
 _COHERENCE = MissKind.COHERENCE
@@ -305,14 +304,6 @@ class CpuMemorySystem:
                 probe.read(self.cpu_id, addr, t, res)
         return res if result else done
 
-    def read(self, addr: int, t: int, mode: int = _USER, pc: int = 0,
-             dclass: int = 0, blockop: int = 0,
-             inside: bool = False) -> AccessResult:
-        """Demand data read at time *t*, as :meth:`load` counts it, with
-        its :class:`AccessResult`."""
-        return self.load(addr, t, mode, pc, dclass, blockop, inside, False,
-                         True)
-
     def write(self, addr: int, t: int) -> "tuple[int, int]":
         """Data write at time *t* (write-through, write-allocate L1).
 
@@ -458,15 +449,6 @@ class CpuMemorySystem:
     # ------------------------------------------------------------------
     # Bypassing paths (Blk_Bypass / Blk_ByPref)
     # ------------------------------------------------------------------
-    def read_bypass(self, addr: int, t: int, mode: int = _USER,
-                    pc: int = 0, dclass: int = 0, blockop: int = 0,
-                    inside: bool = False) -> AccessResult:
-        """Block-operation source read that bypasses the caches, as
-        :meth:`load` counts it, with its :class:`AccessResult`; a read of
-        a resident line is the cached read."""
-        return self.load(addr, t, mode, pc, dclass, blockop, inside, True,
-                         True)
-
     def _register_bytes(self) -> int:
         """Width of the source line register: plain Blk_Bypass issues
         blocking first-level-line loads; Blk_ByPref streams through its

@@ -163,10 +163,6 @@ class Probe:
     def writeback(self, cpu: int, line: int) -> None:
         """*cpu* wrote its dirty copy of *line* back and kept it."""
 
-    def line_to_memory(self, cpu: int, line: int, t: int, done: int,
-                       kind) -> None:
-        """*cpu* pushed a full line to memory without caching it."""
-
     def bypass_flush(self, cpu: int, line: int) -> None:
         """The bypass destination register flushed *line* to memory."""
 

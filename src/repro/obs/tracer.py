@@ -190,12 +190,6 @@ class Tracer(Probe):
         self.emit("invalidate", CAT_COH, PH_INSTANT, self.clock, cpu,
                   args={"line": line, "copies": len(victims)})
 
-    def line_to_memory(self, cpu: int, line: int, t: int, done: int,
-                       kind) -> None:
-        self.emit("writeback", CAT_COH, PH_COMPLETE, t, cpu,
-                  dur=max(0, done - t), args={"line": line,
-                                              "kind": BUS_OP_NAMES[kind]})
-
     def dma(self, cpu: int, desc, result) -> None:
         """The DMA engine performed *desc*; *result* is its DmaResult."""
         self.emit("dma", CAT_DMA, PH_COMPLETE, result.grant, LANE_BUS,

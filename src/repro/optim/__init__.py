@@ -9,8 +9,6 @@ from repro.optim.deferred import (
 from repro.optim.hotspots import (
     HotspotPrefetcher,
     find_hotspots,
-    hotspot_coverage,
-    insert_hotspot_prefetches,
 )
 from repro.optim.privatize import (
     PrivatizeRelocate,
@@ -28,8 +26,6 @@ __all__ = [
     "apply_deferred",
     "deferred_miss_saving",
     "find_hotspots",
-    "hotspot_coverage",
-    "insert_hotspot_prefetches",
     "privatize_and_relocate",
     "replica_addr",
     "select_update_core",

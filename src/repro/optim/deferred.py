@@ -133,25 +133,19 @@ def apply_deferred(trace: Trace, read_only_ids: Set[int]) -> Trace:
                  metadata={**trace.metadata, "deferred_copy": 1})
 
 
-def deferred_miss_saving(trace: Trace, config=None, base=None) -> float:
+def deferred_miss_saving(trace: Trace, config, base) -> float:
     """Fraction of all data misses eliminated by deferred copying.
 
     Compares total (OS + user) primary-cache read misses of the original
-    and the deferred trace under *config* (default: Base) — Table 4 row
-    3.  *base* is the original trace's metrics under *config* when the
-    caller already has them (a sweep's Base cell); otherwise they are
-    simulated here.  The deferred trace is always simulated here.
+    and the deferred trace under *config* — Table 4 row 3.  *base* is the
+    original trace's metrics under *config* (a sweep's Base cell); the
+    deferred trace is simulated here.
     """
-    from repro.sim.config import SystemConfig
     from repro.sim.system import simulate
 
-    if config is None:
-        config = SystemConfig("deferred-probe")
     analysis = analyze_deferred(trace)
     if not analysis.read_only_ids:
         return 0.0
-    if base is None:
-        base = simulate(trace, config)
     deferred = simulate(apply_deferred(trace, analysis.read_only_ids), config)
     saved = base.total_data_misses() - deferred.total_data_misses()
     total = base.total_data_misses()

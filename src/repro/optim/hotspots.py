@@ -34,15 +34,6 @@ def find_hotspots(metrics: SystemMetrics, count: int = 12) -> List[int]:
     return metrics.hottest_pcs(count)
 
 
-def hotspot_coverage(metrics: SystemMetrics, hot_pcs: Sequence[int]) -> float:
-    """Fraction of OS misses attributable to *hot_pcs* in a profiled run."""
-    total = sum(metrics.os_miss_pc.values())
-    if not total:
-        return 0.0
-    hot = sum(metrics.os_miss_pc.get(pc, 0) for pc in hot_pcs)
-    return hot / total
-
-
 class HotspotPrefetcher:
     """Insert prefetches covering the reads of hot basic blocks."""
 
@@ -96,8 +87,3 @@ class HotspotPrefetcher:
                            inserts, axis=0)
         return StreamColumns.from_matrix(matrix)
 
-
-def insert_hotspot_prefetches(trace: Trace, hot_pcs: Sequence[int],
-                              lead: int = 24) -> Trace:
-    """Convenience wrapper around :class:`HotspotPrefetcher`."""
-    return HotspotPrefetcher(hot_pcs, lead=lead).apply(trace)

@@ -100,14 +100,6 @@ class SystemConfig:
         depends on, so two names with one behaviour simulate once."""
         return dataclasses.replace(self, name="")
 
-    def with_machine(self, machine: MachineParams) -> "SystemConfig":
-        """Same configuration on different hardware (Figures 6 and 7)."""
-        return dataclasses.replace(self, machine=machine)
-
-    def renamed(self, name: str) -> "SystemConfig":
-        """Copy with a different display name."""
-        return dataclasses.replace(self, name=name)
-
 
 def standard_configs(machine: MachineParams = BASE_MACHINE) -> Dict[str, SystemConfig]:
     """The eight systems of Figure 3, in the paper's order."""

@@ -66,21 +66,6 @@ class TimeBreakdown:
         return (self.exec_cycles + self.imiss + self.dread + self.dwrite
                 + self.pref + self.sync)
 
-    def add(self, exec_cycles: int = 0, imiss: int = 0, dread: int = 0,
-            dwrite: int = 0, pref: int = 0, sync: int = 0) -> None:
-        self.exec_cycles += exec_cycles
-        self.imiss += imiss
-        self.dread += dread
-        self.dwrite += dwrite
-        self.pref += pref
-        self.sync += sync
-
-    def merged(self, other: "TimeBreakdown") -> "TimeBreakdown":
-        out = TimeBreakdown()
-        for field in self.__slots__:
-            setattr(out, field, getattr(self, field) + getattr(other, field))
-        return out
-
     def as_dict(self) -> Dict[str, int]:
         return {f: getattr(self, f) for f in self.__slots__}
 

@@ -106,7 +106,7 @@ cell.  It is one generator per CPU, resumed by the scheduler once per
 * resolves the *bypass hits* of block operations inline as well: under
   Blk_Bypass and Blk_ByPref, a block-op read of a line the L1D lacks
   that a ready prefetch-buffer line or the source line register serves
-  (one cycle, no stall, as :meth:`CpuMemorySystem.read_bypass`), when
+  (one cycle, no stall, as a bypass :meth:`CpuMemorySystem.load`), when
   the lookahead has nothing to do; under Blk_Bypass, a destination
   write to the line the destination register holds, when neither cache
   has it (one cycle, no flush, as
@@ -471,7 +471,7 @@ class Processor:
         blk_read_bypass = self._blk_read_bypass
         blk_write_plain = self._blk_write_plain
         # The inline bypass hits: the prefetch buffer, and the width of
-        # the source line register (read_bypass's granularity).
+        # the source line register (a bypass read's granularity).
         bypass_hits = self._bypass_hits
         pbuf_lines = mem.pref_buffer.lines
         reg_bytes = l2_line_bytes if self._blk_bypref else l1_line_bytes

@@ -60,10 +60,6 @@ class LockTable:
     def note_contention(self) -> None:
         self.contended_acquisitions += 1
 
-    def held_locks(self) -> List[int]:
-        """Addresses of all currently held locks."""
-        return sorted(self._holder)
-
 
 class BarrierEpisode:
     """Arrivals collected for one barrier episode."""
@@ -109,10 +105,3 @@ class BarrierManager:
         del self._episodes[addr]
         self.episodes_completed += 1
         return release, waiters
-
-    def waiting_cpus(self) -> List[int]:
-        """All CPUs currently blocked in incomplete episodes."""
-        cpus: List[int] = []
-        for episode in self._episodes.values():
-            cpus.extend(c for c, _t in episode.arrivals)
-        return cpus

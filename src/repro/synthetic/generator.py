@@ -4,9 +4,10 @@ The LITMUS^RT workload generator sweeps (#cores, tasks-per-core,
 utilization) and emits N random-but-reproducible task sets per parameter
 point.  This module does the same for cache-scheme workloads: a
 :class:`SweepSpec` names the axes — profile family, CPU count, intensity
-level, intensity pattern — and :func:`sweep` emits ``count`` seeded
-:class:`GeneratedWorkload` instances per point, each a jittered variant
-of the family's base profile from :mod:`repro.synthetic.profiles`.
+level, intensity pattern — and :func:`sample` draws seeded
+:class:`GeneratedWorkload` instances round-robin over its points, each a
+jittered variant of the family's base profile from
+:mod:`repro.synthetic.profiles`.
 
 Every generated workload is **self-describing**: its name encodes the
 full parameter point plus the jitter seed
@@ -52,18 +53,13 @@ _PROB_CAP = 0.95
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Parameter ranges of one sweep (the LITMUS-RT ``mktasks`` shape).
-
-    ``count`` workloads are emitted per (family, cpus, intensity,
-    pattern) point; ``seed`` makes the whole sweep reproducible.
-    """
+    """Parameter ranges of one sweep (the LITMUS-RT ``mktasks`` shape):
+    a grid of (family, cpus, intensity, pattern) points."""
 
     families: Tuple[str, ...] = SWEEP_FAMILIES
     num_cpus: Tuple[int, ...] = (4,)
     intensities: Tuple[float, ...] = (0.6, 1.0)
     patterns: Tuple[str, ...] = PATTERNS
-    count: int = 2
-    seed: int = 0
 
     def validate(self) -> None:
         for family in self.families:
@@ -80,8 +76,6 @@ class SweepSpec:
             if not 0.05 <= level <= 1.0:
                 raise ProfileError(
                     f"sweep intensity {level} outside [0.05, 1.0]")
-        if self.count < 1:
-            raise ProfileError(f"sweep count {self.count} < 1")
 
     def points(self) -> List[Tuple[str, int, float, str]]:
         """The cartesian parameter grid, in deterministic order."""
@@ -206,16 +200,8 @@ def from_name(name: str) -> GeneratedWorkload:
 
 
 # ======================================================================
-# Sweeps and sampling
+# Sampling
 # ======================================================================
-def sweep(spec: SweepSpec) -> List[GeneratedWorkload]:
-    """All workloads of *spec*: ``count`` per parameter point."""
-    spec.validate()
-    return [_make_workload(family, cpus, level, pattern, spec.seed, index)
-            for (family, cpus, level, pattern) in spec.points()
-            for index in range(spec.count)]
-
-
 def sample(count: int, seed: int = 0,
            families: Optional[Iterable[str]] = None,
            num_cpus: Tuple[int, ...] = (4,),
@@ -231,7 +217,7 @@ def sample(count: int, seed: int = 0,
     """
     spec = SweepSpec(families=tuple(families) if families else SWEEP_FAMILIES,
                      num_cpus=num_cpus, intensities=intensities,
-                     patterns=patterns, count=1, seed=seed)
+                     patterns=patterns)
     spec.validate()
     points = spec.points()
     return [_make_workload(*points[i % len(points)], seed, i // len(points))

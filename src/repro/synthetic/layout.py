@@ -255,16 +255,3 @@ class KernelLayout:
         # the cache size).
         return (USER_BASE + (pid % NUM_PROCS) * USER_SEGMENT_BYTES
                 + (pid % 8) * 0x12C0)
-
-    def update_core_pages(self) -> List[int]:
-        """Pages to run the Firefly update protocol on (section 5.2).
-
-        The barriers, locks and frequently-shared core are all laid out in
-        SYNC_PAGE, so one page suffices — as the paper notes for
-        statically allocated variables.
-        """
-        return [SYNC_PAGE]
-
-    def hot_locks(self, count: int = 10) -> List[int]:
-        """Addresses of the *count* most-active kernel locks."""
-        return [self.lock_addr[name] for name in KERNEL_LOCKS[:count]]

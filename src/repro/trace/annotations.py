@@ -10,7 +10,7 @@ query the map by address.
 from __future__ import annotations
 
 import bisect
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Set
 
 from repro.common.errors import TraceError
 from repro.common.types import DataClass
@@ -47,7 +47,7 @@ class SymbolMap:
     def __init__(self) -> None:
         self._bases: List[int] = []
         self._symbols: List[Symbol] = []
-        self._by_name: dict = {}
+        self._names: Set[str] = set()
 
     def add(self, name: str, base: int, size: int, dclass: DataClass) -> Symbol:
         """Register a symbol; overlapping ranges are rejected."""
@@ -57,11 +57,11 @@ class SymbolMap:
             raise TraceError(f"symbol {name!r} overlaps {self._symbols[idx].name!r}")
         if idx > 0 and self._symbols[idx - 1].end > base:
             raise TraceError(f"symbol {name!r} overlaps {self._symbols[idx - 1].name!r}")
-        if name in self._by_name:
+        if name in self._names:
             raise TraceError(f"duplicate symbol name {name!r}")
         self._bases.insert(idx, base)
         self._symbols.insert(idx, sym)
-        self._by_name[name] = sym
+        self._names.add(name)
         return sym
 
     def lookup(self, addr: int) -> Optional[Symbol]:
@@ -70,18 +70,6 @@ class SymbolMap:
         if idx >= 0 and self._symbols[idx].contains(addr):
             return self._symbols[idx]
         return None
-
-    def classify(self, addr: int) -> DataClass:
-        """Data class of *addr* (NONE when unmapped)."""
-        sym = self.lookup(addr)
-        return sym.dclass if sym is not None else DataClass.NONE
-
-    def by_name(self, name: str) -> Symbol:
-        """Return the symbol registered as *name*."""
-        try:
-            return self._by_name[name]
-        except KeyError:
-            raise TraceError(f"unknown symbol {name!r}") from None
 
     def names(self) -> List[str]:
         """All symbol names, in address order."""
@@ -92,11 +80,3 @@ class SymbolMap:
 
     def __iter__(self) -> Iterator[Symbol]:
         return iter(self._symbols)
-
-    def of_class(self, dclass: DataClass) -> List[Symbol]:
-        """All symbols of one data class, in address order."""
-        return [s for s in self._symbols if s.dclass == dclass]
-
-    def ranges(self) -> List[Tuple[int, int]]:
-        """All ``(base, end)`` pairs, in address order."""
-        return [(s.base, s.end) for s in self._symbols]

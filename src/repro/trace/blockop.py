@@ -10,7 +10,7 @@ whose id points into a :class:`BlockOpRegistry` of descriptors.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterator
 
 from repro.common.errors import TraceError
 from repro.common.types import BlockOpKind
@@ -91,10 +91,6 @@ class BlockOpRegistry:
             return self._ops[op_id]
         except KeyError:
             raise TraceError(f"unknown block op id {op_id}") from None
-
-    def find(self, op_id: int) -> Optional[BlockOpDescriptor]:
-        """Look a descriptor up, returning None if unknown."""
-        return self._ops.get(op_id)
 
     def __len__(self) -> int:
         return len(self._ops)

@@ -70,12 +70,6 @@ class TraceRecord:
                 == (other.op, other.addr, other.mode, other.dclass, other.pc,
                     other.icount, other.blockop, other.size, other.arg))
 
-    def copy(self) -> "TraceRecord":
-        """Return a field-for-field copy."""
-        return TraceRecord(self.op, self.addr, self.mode, self.dclass,
-                           self.pc, self.icount, self.blockop, self.size,
-                           self.arg)
-
 
 def read(addr: int, *, mode: Mode = Mode.OS,
          dclass: DataClass = DataClass.NONE, pc: int = 0, icount: int = 1,

@@ -12,13 +12,12 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from itertools import chain
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.common.errors import TraceError
-from repro.common.types import (DataClass, MODE_BY_VALUE, Mode, OP_BY_VALUE,
-                                Op)
+from repro.common.types import DataClass, Mode, Op
 from repro.trace.annotations import SymbolMap
 from repro.trace.blockop import BlockOpDescriptor, BlockOpRegistry
 from repro.trace.columns import FIELDS, NUM_COLUMNS, StreamColumns
@@ -79,27 +78,6 @@ class Trace:
         if cpu is not None:
             return self.columns[cpu].to_records()
         return [r for cols in self.columns for r in cols.to_records()]
-
-    def _op_mode_histogram(self) -> Counter:
-        """Counter of ``(Op, Mode)`` pairs over all records."""
-        keyed = np.zeros(len(OP_BY_VALUE) * 4, dtype=np.int64)
-        for cols in self.columns:
-            keyed += np.bincount(cols.ops * 4 + cols.modes,
-                                 minlength=len(keyed))
-        return Counter({(OP_BY_VALUE[key >> 2], MODE_BY_VALUE[key & 3]): n
-                        for key, n in enumerate(keyed.tolist()) if n})
-
-    def count_ops(self) -> Counter:
-        """Histogram of record types across all CPUs."""
-        counts: Counter = Counter()
-        for (op, _mode), n in self._op_mode_histogram().items():
-            counts[op] += n
-        return counts
-
-    def data_reference_count(self, mode: Optional[Mode] = None) -> int:
-        """Number of READ/WRITE records, optionally restricted to *mode*."""
-        return sum(n for (op, m), n in self._op_mode_histogram().items()
-                   if op in (Op.READ, Op.WRITE) and (mode is None or m == mode))
 
     def validate(self) -> None:
         """Check structural invariants; raises :class:`TraceError`.
@@ -272,10 +250,6 @@ class TraceBuilder:
     def emit(self, cpu: int, record_: TraceRecord) -> None:
         """Append one record to *cpu*'s stream."""
         self._rows[cpu].append(_ROW(record_))
-
-    def emit_many(self, cpu: int, records: Iterable[TraceRecord]) -> None:
-        """Append several records to *cpu*'s stream."""
-        self._rows[cpu].extend(map(_ROW, records))
 
     def emit_row(self, cpu: int, row: tuple) -> None:
         """Append one record, given as its nine plain-int fields in

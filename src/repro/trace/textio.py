@@ -49,13 +49,6 @@ def dump(trace: Trace, fp: TextIO) -> None:
                      f"{size} {arg}\n")
 
 
-def dumps(trace: Trace) -> str:
-    """Serialize *trace* to a string."""
-    buf = io.StringIO()
-    dump(trace, buf)
-    return buf.getvalue()
-
-
 def load(fp: TextIO) -> Trace:
     """Parse a trace previously written by :func:`dump`.
 

@@ -8,6 +8,7 @@ import os
 import pytest
 
 from repro.common.params import BASE_MACHINE, MachineParams
+from repro.common.types import Mode
 from repro.memsys.bus import Bus
 from repro.memsys.coherence import CoherenceController
 from repro.memsys.hierarchy import CpuMemorySystem
@@ -37,6 +38,15 @@ class MemoryRig:
 
     def __getitem__(self, cpu: int) -> CpuMemorySystem:
         return self.mems[cpu]
+
+    def read(self, cpu: int, addr: int, t: int, mode: int = Mode.USER,
+             pc: int = 0, dclass: int = 0, blockop: int = 0,
+             inside: bool = False, bypass: bool = False):
+        """A data read by *cpu* through the one read routine,
+        :meth:`CpuMemorySystem.load`, with its :class:`AccessResult`;
+        *bypass* makes it a Blk_Bypass block-op source read."""
+        return self.mems[cpu].load(addr, t, mode, pc, dclass, blockop,
+                                   inside, bypass, True)
 
 
 @pytest.fixture

@@ -27,14 +27,8 @@ def test_lookup_outside(symbols):
 
 
 def test_classify(symbols):
-    assert symbols.classify(0x2010) == DataClass.FREELIST
-    assert symbols.classify(0x9999) == DataClass.NONE
-
-
-def test_by_name(symbols):
-    assert symbols.by_name("freelist").base == 0x2000
-    with pytest.raises(TraceError):
-        symbols.by_name("missing")
+    assert symbols.lookup(0x2010).dclass == DataClass.FREELIST
+    assert symbols.lookup(0x9999) is None
 
 
 def test_names_in_address_order(symbols):
@@ -58,19 +52,14 @@ def test_zero_size_rejected(symbols):
         symbols.add("empty", 0x8000, 0, DataClass.OTHER_KERNEL)
 
 
-def test_of_class(symbols):
-    assert [s.name for s in symbols.of_class(DataClass.FREELIST)] == ["freelist"]
-    assert symbols.of_class(DataClass.BARRIER_VAR) == []
-
-
 def test_ranges_and_len(symbols):
     assert len(symbols) == 3
-    assert symbols.ranges()[0] == (0x1000, 0x1040)
+    assert [(s.base, s.end) for s in symbols][0] == (0x1000, 0x1040)
 
 
 def test_adjacent_ranges_allowed():
     m = SymbolMap()
     m.add("a", 0x100, 16, DataClass.OTHER_KERNEL)
     m.add("b", 0x110, 16, DataClass.OTHER_KERNEL)
-    assert m.classify(0x10F) == DataClass.OTHER_KERNEL
+    assert m.lookup(0x10F).name == "a"
     assert m.lookup(0x110).name == "b"

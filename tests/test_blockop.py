@@ -52,8 +52,8 @@ class TestRegistry:
         reg = BlockOpRegistry()
         d = reg.new_copy(0x0, 0x100, 32)
         assert reg.get(d.op_id) is d
-        assert reg.find(d.op_id) is d
-        assert reg.find(99) is None
+        assert d.op_id in reg
+        assert 99 not in reg
 
     def test_get_unknown_raises(self):
         with pytest.raises(TraceError):

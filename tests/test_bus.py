@@ -2,6 +2,7 @@
 
 from repro.common.params import BusParams
 from repro.memsys.bus import Bus, BusOp
+from repro.sim.metrics import SystemMetrics
 
 
 def make_bus():
@@ -86,9 +87,11 @@ def test_split_transaction_is_request_then_data_phase():
 def test_utilization():
     bus = make_bus()
     bus.acquire(0, 50, BusOp.DMA)
-    assert bus.utilization(100) == 0.5
-    assert bus.utilization(0) == 0.0
-    assert bus.utilization(25) == 1.0  # clamped
+    metrics = SystemMetrics(1)
+    metrics.bus_busy_cycles = bus.busy_cycles
+    for end, utilization in ((100, 0.5), (0, 0.0), (25, 1.0)):  # clamped
+        metrics.finalize([end])
+        assert metrics.bus_utilization() == utilization
 
 
 def test_traffic_summary_keys():

@@ -86,10 +86,17 @@ class TestWritePaths:
         assert ready > 1000
 
     def test_write_line_to_memory_invalidates(self, rig):
+        # The one write of a whole line to memory: the bypass destination
+        # register's flush when its block operation ends.
         rig.controller.fetch_shared(1, LINE, 0)
-        done = rig.controller.write_line_to_memory(0, LINE, 1000)
-        assert done == 1020
+        busy = rig.bus.busy_cycles
+        rig[0].write_bypass(LINE, 1000)
+        rig[0].end_block_op(1001)
+        transfer = rig.machine.bus.line_transfer_cycles(
+            rig.machine.l1d.line_bytes)
+        assert rig.bus.busy_cycles - busy == transfer
         assert rig[1].l2.state_of(LINE) == LineState.INVALID
+        assert rig[0].l2.state_of(LINE) == LineState.INVALID
 
 
 class TestFirefly:

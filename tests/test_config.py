@@ -7,7 +7,7 @@ import pytest
 from repro.common.params import BASE_MACHINE
 from repro.common.types import Scheme
 from repro.common.units import KB
-from repro.sim.config import SystemConfig, standard_configs
+from repro.sim.config import SystemConfig, resolve_config, standard_configs
 
 
 def test_default_config_is_base():
@@ -48,15 +48,19 @@ def test_standard_configs_optimization_stack():
 
 def test_with_machine():
     machine = BASE_MACHINE.with_l1d(size_bytes=16 * KB)
-    config = standard_configs()["Blk_Dma"].with_machine(machine)
+    config = resolve_config("Blk_Dma", machine)
     assert config.machine.l1d.size_bytes == 16 * KB
     assert config.scheme == Scheme.DMA
     assert config.name == "Blk_Dma"
 
 
 def test_renamed():
-    config = SystemConfig("a").renamed("b")
-    assert config.name == "b"
+    # A knob form is its family's config under its own name; the
+    # default knob keeps the family name.
+    config = resolve_config("Hyb_UpdN@N8")
+    assert config.name == "Hyb_UpdN@N8"
+    assert config.scheme == resolve_config("Hyb_UpdN").scheme
+    assert resolve_config("Hyb_UpdN@N4").name == "Hyb_UpdN"
 
 
 def test_standard_configs_take_machine():

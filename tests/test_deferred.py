@@ -6,11 +6,19 @@ from repro.optim.deferred import (
     apply_deferred,
     deferred_miss_saving,
 )
+from repro.sim.config import resolve_config
+from repro.sim.system import simulate
 from repro.trace import record as rec
 from repro.trace.stream import TraceBuilder
 
 SRC = 0x10000
 DST = 0x24000
+
+
+def base_saving(trace):
+    """Table 4's saving of *trace* under Base, given its Base metrics."""
+    config = resolve_config("Base")
+    return deferred_miss_saving(trace, config, simulate(trace, config))
 
 
 def test_small_copy_fraction():
@@ -109,14 +117,14 @@ def test_saving_positive_when_deferrable():
     b.emit_block_copy(0, src=SRC, dst=DST, size=512)
     for i in range(20):
         b.emit(0, rec.read(0x800 + i * 4))
-    saving = deferred_miss_saving(b.build())
+    saving = base_saving(b.build())
     assert saving > 0
 
 
 def test_saving_zero_without_candidates():
     b = TraceBuilder(1)
     b.emit_block_copy(0, src=SRC, dst=DST, size=4096)  # page-sized: COW
-    assert deferred_miss_saving(b.build()) == 0.0
+    assert base_saving(b.build()) == 0.0
 
 
 def test_editing_the_deferred_trace_leaves_the_source():
@@ -132,18 +140,14 @@ def test_editing_the_deferred_trace_leaves_the_source():
 
 
 def test_saving_from_the_sweeps_base_cell_matches_its_own_probe():
-    """Table 4 passes the sweep's Base cell in: the default probe's
-    simulation of the original trace is that cell, under another name."""
-    from repro.common.params import BASE_MACHINE
-    from repro.sim.config import SystemConfig, resolve_config
-    from repro.sim.system import simulate
-    from repro.synthetic.profiles import generate
+    """Table 4 passes the sweep's Base cell in; a Base simulation of the
+    original trace made for the purpose gives the same saving."""
+    from repro.experiments.runner import ExperimentRunner
 
-    trace = generate("Shell", seed=1996, scale=0.02)
-    base_config = resolve_config("Base", BASE_MACHINE)
-    base = simulate(trace, base_config)
-    assert base.snapshot() == \
-        simulate(trace, SystemConfig("deferred-probe")).snapshot()
-    saving = deferred_miss_saving(trace, base_config, base=base)
+    runner = ExperimentRunner(scale=0.02, seed=1996, workers=1)
+    trace = runner.trace("Shell")
+    config = resolve_config("Base", runner.machine)
+    saving = deferred_miss_saving(trace, config,
+                                  base=runner.run("Shell", "Base"))
     assert saving > 0
-    assert saving == deferred_miss_saving(trace)
+    assert saving == base_saving(trace)

@@ -59,7 +59,6 @@ HOT_FUNCTIONS = [
     Processor._do_barrier,
     run_dma,
     CpuMemorySystem.load,
-    CpuMemorySystem.read,
     CpuMemorySystem.write,
     CpuMemorySystem.ifetch,
     CpuMemorySystem._fetch_for_read,

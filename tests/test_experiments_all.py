@@ -6,7 +6,6 @@ import time as real_time
 
 import pytest
 
-from repro.analysis.tables import HYBRID_COMPARE_SCHEMES, HYBRID_FAMILIES
 from repro.cli import main
 from repro.experiments import all as all_mod
 from repro.experiments.all import (ARTIFACT_ORDER, EXTRA_ARTIFACTS,
@@ -19,21 +18,7 @@ def test_artifact_order_covers_everything():
         "table1", "table2", "table3", "table4", "table5"}
     assert {n for n in ARTIFACT_ORDER if n.startswith("figure")} == {
         f"figure{i}" for i in range(1, 8)}
-    assert EXTRA_ARTIFACTS == ["hybrid", "machines"]
-
-
-def test_hybrid_artifact_has_parallel_cells():
-    # The engine pre-computes artifact_cells(name) at every worker
-    # count; the hybrid table must declare its full family x scheme grid
-    # or its builder falls back to simulating the missing cells one by
-    # one in the parent process.  (Before every sweep ran through the
-    # engine, the missing cells crashed --workers > 1 and only
-    # --workers 1 worked.)
-    cells = artifact_cells("hybrid")
-    assert {(w, s) for (w, s, _) in cells} == {
-        (w, s) for w in HYBRID_FAMILIES
-        for s in ["Base"] + HYBRID_COMPARE_SCHEMES}
-    assert all(machine is None for (_, _, machine) in cells)
+    assert EXTRA_ARTIFACTS == ["machines"]
 
 
 def test_run_all_selected_artifacts():

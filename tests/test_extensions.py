@@ -7,7 +7,6 @@ from repro.experiments.extensions import (
     ColoringResult,
     page_coloring_study,
     page_coloring_sweep,
-    render_coloring,
 )
 from repro.synthetic import layout as lay
 from repro.synthetic.kernel import Kernel
@@ -86,13 +85,11 @@ class TestStudy:
         assert 0 < result.miss_ratio < 5
         assert 0 < result.time_ratio < 5
 
-    def test_sweep_and_render(self):
+    def test_sweep_runs_each_workload(self):
         results = page_coloring_sweep(seed=5, scale=0.06,
                                       workloads=["Shell"])
         assert set(results) == {"Shell"}
-        out = render_coloring(results)
-        assert "Page-coloring" in out
-        assert "Shell" in out
+        assert results["Shell"].workload == "Shell"
 
     def test_ratios_guard_zero(self):
         r = ColoringResult("x", 0, 0, 0, 0, 0, 0)

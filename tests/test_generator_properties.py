@@ -15,7 +15,7 @@ from repro.common.errors import ProfileError
 from repro.synthetic import generator
 from repro.synthetic.generator import (SWEEP_FAMILIES, GeneratedWorkload,
                                        SweepSpec, from_name, point_name,
-                                       sample, sweep)
+                                       sample)
 from repro.synthetic.profiles import PATTERNS, generate
 from repro.trace import npzio, textio
 
@@ -153,12 +153,11 @@ def test_malformed_names_rejected(bad):
 # Sweeps and sampling
 # ======================================================================
 def test_sweep_grid_shape():
-    spec = SweepSpec(families=("server", "bursty_mp"), num_cpus=(2, 4),
-                     intensities=(0.6, 1.0), patterns=("steady", "bursty"),
-                     count=3, seed=1)
-    workloads = sweep(spec)
-    assert len(workloads) == 2 * 2 * 2 * 2 * 3
+    workloads = sample(2 * 2 * 2 * 2 * 3, seed=1,
+                       families=("server", "bursty_mp"), num_cpus=(2, 4),
+                       intensities=(0.6, 1.0), patterns=("steady", "bursty"))
     assert len({w.name for w in workloads}) == len(workloads)
+    assert {w.name.split(":")[-1] for w in workloads} == {"0", "1", "2"}
 
 
 def test_sweep_spec_validates():
@@ -170,8 +169,6 @@ def test_sweep_spec_validates():
         SweepSpec(num_cpus=(0,)).validate()
     with pytest.raises(ProfileError, match="intensity"):
         SweepSpec(intensities=(0.0,)).validate()
-    with pytest.raises(ProfileError, match="count"):
-        SweepSpec(count=0).validate()
 
 
 def test_sample_is_deterministic_and_coverage_first():
@@ -179,7 +176,7 @@ def test_sample_is_deterministic_and_coverage_first():
     b = sample(20, seed=0)
     assert [w.name for w in a] == [w.name for w in b]
     assert len({w.name for w in a}) == 20
-    grid = len(SweepSpec(count=1, seed=0).points())
+    grid = len(SweepSpec().points())
     first = a[:grid]
     assert len({(w.profile.family, w.profile.num_cpus,
                  w.profile.pattern, w.name.split(":")[3])

@@ -17,36 +17,36 @@ ADDR = 0x40000
 
 class TestRead:
     def test_cold_read_misses_to_memory(self, rig):
-        res = rig[0].read(ADDR, 0)
+        res = rig.read(0, ADDR, 0)
         assert res.miss and res.level == LEVEL_MEM
         assert res.done == 51
         assert res.stall == 50
 
     def test_second_read_hits_l1(self, rig):
-        rig[0].read(ADDR, 0)
-        res = rig[0].read(ADDR + 4, 100)
+        rig.read(0, ADDR, 0)
+        res = rig.read(0, ADDR + 4, 100)
         assert not res.miss and res.level == LEVEL_L1
         assert res.done == 101
 
     def test_l2_hit_after_l1_conflict(self, rig):
-        rig[0].read(ADDR, 0)
+        rig.read(0, ADDR, 0)
         # Evict from L1 (same L1 set, different line) but stay in L2.
-        rig[0].read(ADDR + rig.machine.l1d.size_bytes, 100)
-        res = rig[0].read(ADDR, 200)
+        rig.read(0, ADDR + rig.machine.l1d.size_bytes, 100)
+        res = rig.read(0, ADDR, 200)
         assert res.miss and res.level == LEVEL_L2
         assert res.done == 212
 
     def test_read_of_remote_dirty_line(self, rig):
         rig[1].write(ADDR, 0)
         assert rig[1].l2.state_of(ADDR) == LineState.MODIFIED
-        res = rig[0].read(ADDR, 1000)
+        res = rig.read(0, ADDR, 1000)
         assert res.miss
         assert res.done - 1000 == 35  # cache-to-cache supply
 
     def test_coherence_miss_flag_set(self, rig):
-        rig[0].read(ADDR, 0)
+        rig.read(0, ADDR, 0)
         rig[1].write(ADDR, 100)  # invalidates cpu0's copy
-        res = rig[0].read(ADDR, 1000)
+        res = rig.read(0, ADDR, 1000)
         assert res.miss and res.flags.coherence
 
 
@@ -64,8 +64,8 @@ class TestWrite:
         assert rig[0].write(ADDR + 4, 1000) == (1001, 0)
 
     def test_write_to_shared_line_invalidates(self, rig):
-        rig[0].read(ADDR, 0)
-        rig[1].read(ADDR, 100)
+        rig.read(0, ADDR, 0)
+        rig.read(1, ADDR, 100)
         rig[0].write(ADDR, 1000)
         assert rig[1].l2.state_of(ADDR) == LineState.INVALID
 
@@ -110,40 +110,40 @@ class TestIfetch:
 class TestPrefetch:
     def test_prefetch_then_late_read_hits(self, rig):
         rig[0].prefetch_line(ADDR, 0)
-        res = rig[0].read(ADDR, 500)
+        res = rig.read(0, ADDR, 500)
         assert not res.miss
 
     def test_prefetch_then_early_read_partially_hidden(self, rig):
         rig[0].prefetch_line(ADDR, 0)
-        res = rig[0].read(ADDR, 10)
+        res = rig.read(0, ADDR, 10)
         assert res.miss and res.level == LEVEL_PREF
         assert 0 < res.pref_stall < 51
 
     def test_prefetch_of_present_line_is_noop(self, rig):
-        rig[0].read(ADDR, 0)
+        rig.read(0, ADDR, 0)
         rig[0].prefetch_line(ADDR, 100)
         assert not rig[0].pending.ready
 
 
 class TestBypass:
     def test_bypass_read_does_not_fill_cache(self, rig):
-        res = rig[0].read_bypass(ADDR, 0)
+        res = rig.read(0, ADDR, 0, bypass=True)
         assert res.miss and res.level == LEVEL_MEM
         assert not rig[0].l1d.present(ADDR)
         assert not rig[0].l2.present(ADDR)
 
     def test_bypass_read_register_reuse(self, rig):
-        rig[0].read_bypass(ADDR, 0)
-        res = rig[0].read_bypass(ADDR + 4, 100)
+        rig.read(0, ADDR, 0, bypass=True)
+        res = rig.read(0, ADDR + 4, 100, bypass=True)
         assert not res.miss and res.level == LEVEL_REGISTER
 
     def test_bypass_read_of_cached_line_hits(self, rig):
-        rig[0].read(ADDR, 0)
-        res = rig[0].read_bypass(ADDR, 100)
+        rig.read(0, ADDR, 0)
+        res = rig.read(0, ADDR, 100, bypass=True)
         assert not res.miss
 
     def test_bypass_marks_line_for_reuse(self, rig):
-        rig[0].read_bypass(ADDR, 0)
+        rig.read(0, ADDR, 0, bypass=True)
         assert ADDR in rig.trackers[0].bypassed
 
     def test_bypass_write_accumulates_then_flushes(self, rig):
@@ -157,7 +157,7 @@ class TestBypass:
         assert not rig[0].l1d.present(ADDR)
 
     def test_bypass_write_to_cached_line_uses_cache(self, rig):
-        rig[0].read(ADDR, 0)
+        rig.read(0, ADDR, 0)
         res = rig[0].write_bypass(ADDR, 100)
         assert res.level != LEVEL_REGISTER
 
@@ -169,17 +169,17 @@ class TestBypass:
 
     def test_buffer_prefetch_hit(self, rig):
         rig[0].prefetch_into_buffer(ADDR, 0)
-        res = rig[0].read_bypass(ADDR, 500)
+        res = rig.read(0, ADDR, 500, bypass=True)
         assert not res.miss and res.level == LEVEL_BUFFER
 
     def test_buffer_prefetch_early_access_counts_miss(self, rig):
         rig[0].prefetch_into_buffer(ADDR, 0)
-        res = rig[0].read_bypass(ADDR, 5)
+        res = rig.read(0, ADDR, 5, bypass=True)
         assert res.miss and res.pref_stall > 0
 
     def test_buffer_does_not_fill_cache(self, rig):
         rig[0].prefetch_into_buffer(ADDR, 0)
-        rig[0].read_bypass(ADDR, 500)
+        rig.read(0, ADDR, 500, bypass=True)
         assert not rig[0].l1d.present(ADDR)
 
 
@@ -187,17 +187,16 @@ class TestDisplacementTracking:
     def test_blockop_fill_marks_displaced_victim(self, rig):
         mem = rig[0]
         victim = ADDR
-        mem.read(victim, 0)
+        rig.read(0, victim, 0)
         mem.in_blockop = True
         conflicting = victim + rig.machine.l1d.size_bytes
-        mem.read(conflicting, 100)
+        rig.read(0, conflicting, 100)
         assert victim in rig.trackers[0].displaced
         mem.in_blockop = False
-        res = mem.read(victim, 1000)
+        res = rig.read(0, victim, 1000)
         assert res.miss and res.flags.displaced
 
     def test_normal_fill_does_not_mark(self, rig):
-        mem = rig[0]
-        mem.read(ADDR, 0)
-        mem.read(ADDR + rig.machine.l1d.size_bytes, 100)
+        rig.read(0, ADDR, 0)
+        rig.read(0, ADDR + rig.machine.l1d.size_bytes, 100)
         assert ADDR not in rig.trackers[0].displaced

@@ -40,13 +40,13 @@ class TestPrefetchEdges:
     def test_pending_dropped_on_eviction(self, rig):
         rig[0].prefetch_line(ADDR, 0)
         # Conflict-evict the prefetched line before it is consumed.
-        rig[0].read(ADDR + rig.machine.l1d.size_bytes, 5)
+        rig.read(0, ADDR + rig.machine.l1d.size_bytes, 5)
         assert ADDR not in rig[0].pending.ready
 
     def test_prefetch_then_write_then_read(self, rig):
         rig[0].prefetch_line(ADDR, 0)
         rig[0].write(ADDR, 10)
-        res = rig[0].read(ADDR, 500)
+        res = rig.read(0, ADDR, 500)
         assert not res.miss
 
     def test_buffer_prefetch_skips_buffered_line(self, rig):
@@ -68,15 +68,15 @@ class TestWriteEdges:
     def test_write_to_update_page_keeps_sharers(self, rig):
         rig.controller.attach_policy(
             StaticHybridPolicy(rig.machine.page_bytes, [ADDR]))
-        rig[0].read(ADDR, 0)
-        rig[1].read(ADDR, 100)
+        rig.read(0, ADDR, 0)
+        rig.read(1, ADDR, 100)
         rig[0].write(ADDR, 1000)
         assert rig[1].l2.state_of(ADDR) != LineState.INVALID
 
     def test_write_miss_on_update_page(self, rig):
         rig.controller.attach_policy(
             StaticHybridPolicy(rig.machine.page_bytes, [ADDR]))
-        rig[1].read(ADDR, 0)
+        rig.read(1, ADDR, 0)
         # cpu0 writes without ever holding the line: fetch + update.
         rig[0].write(ADDR, 100)
         assert rig[1].l2.state_of(ADDR) == LineState.SHARED
@@ -98,7 +98,7 @@ class TestBypassEdges:
         assert rig[0].end_block_op(10) == 0
 
     def test_bypass_dst_flush_invalidates_remote(self, rig):
-        rig[1].read(ADDR, 0)
+        rig.read(1, ADDR, 0)
         line_bytes = rig.machine.l1d.line_bytes
         for i in range(line_bytes // 4):
             rig[0].write_bypass(ADDR + i * 4, 100 + i)
@@ -108,28 +108,28 @@ class TestBypassEdges:
     def test_bypass_read_register_granularity(self, rig):
         l1 = rig.machine.l1d.line_bytes
         rig[0].bypass_l2_wide = False
-        rig[0].read_bypass(ADDR, 0)
-        res = rig[0].read_bypass(ADDR + l1, 100)  # next L1 line
+        rig.read(0, ADDR, 0, bypass=True)
+        res = rig.read(0, ADDR + l1, 100, bypass=True)  # next L1 line
         assert res.miss  # narrow register: new L1 line misses
 
     def test_bypass_read_wide_register(self, rig):
         l1 = rig.machine.l1d.line_bytes
         rig[0].bypass_l2_wide = True
-        rig[0].read_bypass(ADDR, 0)
-        res = rig[0].read_bypass(ADDR + l1, 100)  # same L2 line
+        rig.read(0, ADDR, 0, bypass=True)
+        res = rig.read(0, ADDR + l1, 100, bypass=True)  # same L2 line
         assert not res.miss
 
 
 class TestInclusion:
     def test_l2_conflict_drops_l1_data(self, rig):
-        rig[0].read(ADDR, 0)
+        rig.read(0, ADDR, 0)
         conflicting = ADDR + rig.machine.l2.size_bytes
-        rig[0].read(conflicting, 100)
+        rig.read(0, conflicting, 100)
         assert not rig[0].l1d.present(ADDR)
         rig.controller.check_invariants()
 
     def test_code_data_l2_conflict(self, rig):
-        rig[0].read(ADDR, 0)
+        rig.read(0, ADDR, 0)
         rig[0].ifetch(ADDR + rig.machine.l2.size_bytes, 4, 100)
         assert not rig[0].l1d.present(ADDR)
         rig.controller.check_invariants()

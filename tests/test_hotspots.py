@@ -1,12 +1,7 @@
 """Tests for hot-spot detection and prefetch insertion (repro.optim.hotspots)."""
 
 from repro.common.types import Op
-from repro.optim.hotspots import (
-    HotspotPrefetcher,
-    find_hotspots,
-    hotspot_coverage,
-    insert_hotspot_prefetches,
-)
+from repro.optim.hotspots import HotspotPrefetcher, find_hotspots
 from repro.sim import SystemConfig, simulate
 from repro.trace import record as rec
 from repro.trace.stream import TraceBuilder
@@ -32,15 +27,16 @@ def test_find_hotspots_ranks_by_misses():
 
 
 def test_hotspot_coverage():
-    metrics = simulate(conflict_trace(), SystemConfig("t"))
-    cov = hotspot_coverage(metrics, [HOT])
+    metrics = simulate(conflict_trace(), SystemConfig("t"), hotspot_pcs=[HOT])
+    cov = metrics.os_hotspot_misses / metrics.os_read_misses()
     assert 0.5 < cov <= 1.0
-    assert hotspot_coverage(metrics, []) == 0.0
+    metrics = simulate(conflict_trace(), SystemConfig("t"), hotspot_pcs=[])
+    assert metrics.os_hotspot_misses == 0
 
 
 def test_insertion_adds_prefetch_records():
     trace = conflict_trace()
-    out = insert_hotspot_prefetches(trace, [HOT], lead=8)
+    out = HotspotPrefetcher([HOT], lead=8).apply(trace)
     prefetches = [r for r in out.records() if r.op == Op.PREFETCH]
     assert prefetches
     assert all(r.pc == HOT for r in prefetches)
@@ -48,14 +44,14 @@ def test_insertion_adds_prefetch_records():
 
 def test_insertion_preserves_original_records():
     trace = conflict_trace()
-    out = insert_hotspot_prefetches(trace, [HOT], lead=8)
+    out = HotspotPrefetcher([HOT], lead=8).apply(trace)
     original_ops = [r for r in trace.records(0)]
     kept = [r for r in out.records(0) if r.op != Op.PREFETCH]
     assert kept == original_ops
 
 
 def test_prefetch_leads_are_positive():
-    out = insert_hotspot_prefetches(conflict_trace(), [HOT], lead=12)
+    out = HotspotPrefetcher([HOT], lead=12).apply(conflict_trace())
     stream = out.records(0)
     for i, r in enumerate(stream):
         if r.op == Op.PREFETCH:
@@ -79,19 +75,19 @@ def test_duplicate_line_prefetches_skipped():
 def test_block_op_reads_not_prefetched():
     b = TraceBuilder(1)
     b.emit_block_copy(0, src=0x10000, dst=0x20000, size=256, pc=HOT)
-    out = insert_hotspot_prefetches(b.build(), [HOT])
+    out = HotspotPrefetcher([HOT]).apply(b.build())
     assert not any(r.op == Op.PREFETCH for r in out.records(0))
 
 
 def test_cold_pcs_untouched():
-    out = insert_hotspot_prefetches(conflict_trace(), [0x9999])
+    out = HotspotPrefetcher([0x9999]).apply(conflict_trace())
     assert not any(r.op == Op.PREFETCH for r in out.records())
 
 
 def test_prefetching_hides_hotspot_misses():
     base = simulate(conflict_trace(100), SystemConfig("t"))
-    prefetched_trace = insert_hotspot_prefetches(conflict_trace(100), [HOT],
-                                                 lead=20)
+    prefetched_trace = HotspotPrefetcher([HOT], lead=20).apply(
+        conflict_trace(100))
     after = simulate(prefetched_trace, SystemConfig("t"),
                      hotspot_pcs=[HOT])
     assert after.os_miss_pc[HOT] < base.os_miss_pc[HOT]

@@ -39,7 +39,12 @@ def test_sync_page_holds_barriers_locks_shared(layout):
 
 
 def test_update_core_is_one_page(layout):
-    assert layout.update_core_pages() == [lay.SYNC_PAGE]
+    # Section 5.2: every variable the update selection may choose lies
+    # in one page.
+    core = (DataClass.BARRIER_VAR, DataClass.LOCK_VAR, DataClass.FREQ_SHARED)
+    pages = {s.base - s.base % lay.PAGE for s in layout.symbols
+             if s.dclass in core}
+    assert pages == {lay.SYNC_PAGE}
 
 
 def test_freq_shared_core_is_176_bytes(layout):
@@ -61,20 +66,16 @@ def test_locks_on_distinct_lines(layout):
     assert len(lines) == len(layout.lock_addr)
 
 
-def test_hot_locks_order(layout):
-    hot = layout.hot_locks(10)
-    assert len(hot) == 10
-    assert hot[0] == layout.lock("sched_lock")
-
-
 def test_symbol_map_classifies_structures(layout):
-    symbols = layout.symbols
-    assert symbols.classify(layout.counter("v_pgfault")) == DataClass.INFREQ_COMM
-    assert symbols.classify(layout.proc_entry(5)) == DataClass.PROC_TABLE
-    assert symbols.classify(layout.pte(3, 10)) == DataClass.PAGE_TABLE
-    assert symbols.classify(layout.buffer(2)) == DataClass.BUFFER
-    assert symbols.classify(layout.frame(7)) == DataClass.PAGE_FRAME
-    assert symbols.classify(lay.KMEM_BASE + 100) == DataClass.OTHER_KERNEL
+    def dclass(addr):
+        return layout.symbols.lookup(addr).dclass
+
+    assert dclass(layout.counter("v_pgfault")) == DataClass.INFREQ_COMM
+    assert dclass(layout.proc_entry(5)) == DataClass.PROC_TABLE
+    assert dclass(layout.pte(3, 10)) == DataClass.PAGE_TABLE
+    assert dclass(layout.buffer(2)) == DataClass.BUFFER
+    assert dclass(layout.frame(7)) == DataClass.PAGE_FRAME
+    assert dclass(lay.KMEM_BASE + 100) == DataClass.OTHER_KERNEL
 
 
 def test_accessors_wrap(layout):

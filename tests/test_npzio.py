@@ -10,6 +10,7 @@ from repro.common.types import DataClass, Mode
 from repro.trace import npzio, textio
 from repro.trace import record as rec
 from repro.trace.stream import TraceBuilder
+from tests.test_textio import dumps
 
 
 def sample_trace():
@@ -47,7 +48,7 @@ def test_roundtrip_matches_text_format(tmp_path):
     path = str(tmp_path / "t.npz")
     npzio.save(original, path)
     restored = npzio.load(path)
-    assert textio.dumps(restored) == textio.dumps(original)
+    assert dumps(restored) == dumps(original)
 
 
 def test_workload_roundtrip(tmp_path):

@@ -10,6 +10,7 @@ from repro.common.params import (
     MachineParams,
 )
 from repro.common.units import KB
+from repro.memsys.cache import Cache
 
 
 class TestCacheParams:
@@ -20,14 +21,14 @@ class TestCacheParams:
         assert l1d.num_lines == 2048
 
     def test_set_index_wraps(self):
-        c = CacheParams(1024, 16)
+        c = Cache(CacheParams(1024, 16))
         assert c.set_index(0) == 0
         assert c.set_index(16) == 1
         assert c.set_index(1024) == 0
         assert c.set_index(1024 + 48) == 3
 
     def test_line_addr(self):
-        c = CacheParams(1024, 16)
+        c = Cache(CacheParams(1024, 16))
         assert c.line_addr(0x123) == 0x120
 
     def test_rejects_non_power_of_two_size(self):

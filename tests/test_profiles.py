@@ -236,8 +236,9 @@ def test_new_family_metadata(family_traces):
 
 def test_gang_family_has_barriers(family_traces):
     from repro.common.types import Op
-    assert family_traces["gang_diurnal"].count_ops()[Op.BARRIER] > 0
-    assert family_traces["server"].count_ops()[Op.BARRIER] == 0
+    from tests.test_workloads import op_count
+    assert op_count(family_traces["gang_diurnal"], Op.BARRIER) > 0
+    assert op_count(family_traces["server"], Op.BARRIER) == 0
 
 
 def test_server_skews_to_small_io(family_traces):

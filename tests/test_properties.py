@@ -8,15 +8,13 @@ from hypothesis import strategies as st
 from repro.common.params import BASE_MACHINE, CacheParams
 from repro.memsys.bus import Bus, BusOp
 from repro.memsys.cache import Cache
-from repro.memsys.coherence import CoherenceController
-from repro.memsys.hierarchy import CpuMemorySystem
 from repro.memsys.states import LineState
 from repro.memsys.writebuffer import TimedWriteBuffer
 from repro.sim.config import SystemConfig
-from repro.sim.metrics import SystemMetrics
 from repro.sim.system import MultiprocessorSystem
 from repro.trace import record as rec
 from repro.trace.stream import TraceBuilder
+from tests.conftest import MemoryRig
 
 addresses = st.integers(min_value=0, max_value=1 << 20)
 
@@ -145,20 +143,15 @@ def test_bus_reservations_disjoint_and_accounted(ops):
 @settings(max_examples=50, deadline=None)
 def test_coherence_single_owner_invariant(ops):
     """Random reads/writes from 4 CPUs never create two owners of a line."""
-    machine = BASE_MACHINE
-    bus = Bus(machine.bus)
-    controller = CoherenceController(machine, bus)
-    metrics = SystemMetrics(4)
-    mems = [CpuMemorySystem(machine, bus, controller, metrics)
-            for _ in range(4)]
+    rig = MemoryRig(BASE_MACHINE, num_cpus=4)
     t = 0
     for cpu, addr, is_write in ops:
         if is_write:
-            mems[cpu].write(addr, t)
+            rig[cpu].write(addr, t)
         else:
-            mems[cpu].read(addr, t)
+            rig.read(cpu, addr, t)
         t += 100
-    controller.check_invariants()
+    rig.controller.check_invariants()
 
 
 @given(st.lists(st.tuples(st.integers(0, 3), addresses, st.booleans()),
@@ -166,18 +159,13 @@ def test_coherence_single_owner_invariant(ops):
 @settings(max_examples=30, deadline=None)
 def test_access_results_well_formed(ops):
     """done >= t, stalls >= 0, for arbitrary interleavings."""
-    machine = BASE_MACHINE
-    bus = Bus(machine.bus)
-    controller = CoherenceController(machine, bus)
-    metrics = SystemMetrics(4)
-    mems = [CpuMemorySystem(machine, bus, controller, metrics)
-            for _ in range(4)]
+    rig = MemoryRig(BASE_MACHINE, num_cpus=4)
     t = 0
     for cpu, addr, is_write in ops:
         if is_write:
-            done, stall = mems[cpu].write(addr, t)
+            done, stall = rig[cpu].write(addr, t)
         else:
-            res = mems[cpu].read(addr, t)
+            res = rig.read(cpu, addr, t)
             done, stall = res.done, res.stall
             assert res.pref_stall >= 0
         assert done >= t

@@ -10,6 +10,7 @@ from repro.optim.privatize import privatize_and_relocate
 from repro.trace import npzio, textio
 from repro.trace.record import TraceRecord
 from repro.trace.stream import TraceBuilder
+from tests.test_textio import dumps
 
 
 #: Space-free identifiers usable as metadata keys and symbol names.
@@ -77,7 +78,7 @@ def _assert_faithful(trace, restored):
 @given(random_traces())
 @settings(max_examples=40, deadline=None)
 def test_textio_roundtrip_property(trace):
-    _assert_faithful(trace, textio.loads(textio.dumps(trace)))
+    _assert_faithful(trace, textio.loads(dumps(trace)))
 
 
 @given(random_traces())
@@ -107,7 +108,7 @@ def _blockop_trace():
 
 def test_textio_blockops_roundtrip_exactly():
     trace = _blockop_trace()
-    restored = textio.loads(textio.dumps(trace))
+    restored = textio.loads(dumps(trace))
     _assert_faithful(trace, restored)
     assert len(restored.blockops) == len(trace.blockops)
     for op in trace.blockops:
@@ -201,7 +202,7 @@ _tokens = st.one_of(
 def mutated_dumps(draw):
     """A real dumps() text with a few token-level edits, line drops and
     line duplications applied."""
-    lines = textio.dumps(draw(random_traces())).split("\n")
+    lines = dumps(draw(random_traces())).split("\n")
     for _ in range(draw(st.integers(1, 4))):
         i = draw(st.integers(0, len(lines) - 1))
         action = draw(st.sampled_from(["token", "drop", "dup", "insert"]))

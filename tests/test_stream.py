@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import TraceError
+from repro.analysis.tracestats import TraceStats
 from repro.common.types import DataClass, Mode, Op
 from repro.trace import record as rec
 from repro.trace.stream import Trace, TraceBuilder
@@ -28,7 +29,7 @@ def test_count_ops(builder):
     builder.emit(0, rec.read(0x0))
     builder.emit(0, rec.write(0x4))
     builder.emit(1, rec.read(0x8))
-    counts = builder.build().count_ops()
+    counts = TraceStats(builder.build()).refs_by_op
     assert counts[Op.READ] == 2
     assert counts[Op.WRITE] == 1
 
@@ -38,12 +39,13 @@ def test_counts_follow_column_edits():
     b.emit(0, rec.read(0x0))
     b.emit(0, rec.read(0x4))
     trace = b.build()
-    assert trace.count_ops() == {Op.READ: 2}
-    assert trace.data_reference_count(Mode.USER) == 0
+    assert TraceStats(trace).refs_by_op == {Op.READ: 2}
+    assert TraceStats(trace).refs_by_mode[Mode.USER] == 0
     cols = trace.columns[0]
     cols.ops[1], cols.modes[1] = Op.WRITE, Mode.USER
-    assert trace.count_ops() == {Op.READ: 1, Op.WRITE: 1}
-    assert trace.data_reference_count(Mode.USER) == 1
+    stats = TraceStats(trace)
+    assert stats.refs_by_op == {Op.READ: 1, Op.WRITE: 1}
+    assert stats.refs_by_mode[Mode.USER] == 1
 
 
 def test_records_are_a_fresh_view(builder):
@@ -58,10 +60,10 @@ def test_data_reference_count_by_mode(builder):
     builder.emit(0, rec.read(0x0, mode=Mode.USER))
     builder.emit(0, rec.write(0x4, mode=Mode.OS))
     builder.emit(0, rec.lock_acquire(0x10))
-    trace = builder.build(validate=False)
-    assert trace.data_reference_count() == 2
-    assert trace.data_reference_count(Mode.USER) == 1
-    assert trace.data_reference_count(Mode.OS) == 1
+    stats = TraceStats(builder.build(validate=False))
+    assert stats.data_references() == 2
+    assert stats.refs_by_mode[Mode.USER] == 1
+    assert stats.refs_by_mode[Mode.OS] == 1
 
 
 class TestBlockEmission:

@@ -58,7 +58,7 @@ class TestLockTable:
         locks = LockTable()
         locks.try_acquire(0x20, 0, 0)
         locks.try_acquire(0x10, 1, 0)
-        assert locks.held_locks() == [0x10, 0x20]
+        assert [locks.holder(a) for a in (0x10, 0x20, 0x30)] == [1, 0, None]
 
 
 class TestBarrierManager:
@@ -66,7 +66,6 @@ class TestBarrierManager:
         barriers = BarrierManager(release_cycles=40)
         assert barriers.arrive(0x100, 3, 0, 10) is None
         assert barriers.arrive(0x100, 3, 1, 20) is None
-        assert barriers.waiting_cpus() == [0, 1]
 
     def test_last_arrival_releases(self):
         barriers = BarrierManager(release_cycles=40)
@@ -106,6 +105,5 @@ class TestBarrierManager:
         barriers = BarrierManager(release_cycles=10)
         barriers.arrive(0x100, 2, 0, 0)
         barriers.arrive(0x200, 2, 1, 0)
-        assert barriers.waiting_cpus() == [0, 1]
         outcome = barriers.arrive(0x100, 2, 2, 5)
         assert outcome is not None and sorted(outcome[1]) == [0]

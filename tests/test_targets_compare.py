@@ -39,18 +39,17 @@ class TestTargets:
             assert total == pytest.approx(100.0, abs=0.1)
 
     def test_paper_value_lookup(self):
-        assert targets.paper_value("table2", "Block Op. (%)", "Shell") == 27.6
-        assert targets.paper_value("table1", "Idle Time (%)",
-                                   "TRFD_4") == 8.0
+        assert ("Block Op. (%)", "Shell", 27.6) in targets.as_pairs("table2")
+        assert ("Idle Time (%)", "TRFD_4", 8.0) in targets.as_pairs("table1")
 
     def test_rows_order_matches_builders(self):
         from repro.analysis.tables import (
             TABLE1_ROWS, TABLE2_ROWS, TABLE3_ROWS, TABLE4_ROWS, TABLE5_ROWS)
-        assert targets.rows("table1") == TABLE1_ROWS
-        assert targets.rows("table2") == TABLE2_ROWS
-        assert targets.rows("table3") == TABLE3_ROWS
-        assert targets.rows("table4") == TABLE4_ROWS
-        assert targets.rows("table5") == TABLE5_ROWS
+        assert list(targets.TABLE1) == TABLE1_ROWS
+        assert list(targets.TABLE2) == TABLE2_ROWS
+        assert list(targets.TABLE3) == TABLE3_ROWS
+        assert list(targets.TABLE4) == TABLE4_ROWS
+        assert list(targets.TABLE5) == TABLE5_ROWS
 
     def test_as_pairs_count(self):
         pairs = targets.as_pairs("table2")

@@ -11,6 +11,13 @@ from repro.trace import textio
 from repro.trace.stream import TraceBuilder
 
 
+def dumps(trace):
+    """*trace* in the text format, as :func:`textio.dump` writes it."""
+    buf = io.StringIO()
+    textio.dump(trace, buf)
+    return buf.getvalue()
+
+
 def sample_trace():
     b = TraceBuilder(2)
     b.symbols.add("vmmeter", 0x1000, 64, DataClass.INFREQ_COMM)
@@ -29,7 +36,7 @@ def sample_trace():
 
 def test_roundtrip_preserves_everything():
     original = sample_trace()
-    restored = textio.loads(textio.dumps(original))
+    restored = textio.loads(dumps(original))
     assert restored.num_cpus == original.num_cpus
     assert restored.metadata == original.metadata
     assert len(restored) == len(original)
@@ -40,16 +47,17 @@ def test_roundtrip_preserves_everything():
         got = restored.blockops.get(op.op_id)
         assert (got.kind, got.src, got.dst, got.size) == (
             op.kind, op.src, op.dst, op.size)
-    assert restored.symbols.by_name("vmmeter").dclass == DataClass.INFREQ_COMM
+    sym = restored.symbols.lookup(0x1000)
+    assert (sym.name, sym.dclass) == ("vmmeter", DataClass.INFREQ_COMM)
 
 
 def test_roundtrip_validates():
-    restored = textio.loads(textio.dumps(sample_trace()))
+    restored = textio.loads(dumps(sample_trace()))
     restored.validate()
 
 
 def test_metadata_types_restored():
-    restored = textio.loads(textio.dumps(sample_trace()))
+    restored = textio.loads(dumps(sample_trace()))
     assert restored.metadata["seed"] == 42
     assert isinstance(restored.metadata["seed"], int)
     assert restored.metadata["scale"] == pytest.approx(0.5)
@@ -61,7 +69,7 @@ def test_numeric_looking_string_metadata_roundtrips():
     b = TraceBuilder(1)
     b.metadata["tag"] = "007"
     b.metadata["exp"] = "1e3"
-    restored = textio.loads(textio.dumps(b.build()))
+    restored = textio.loads(dumps(b.build()))
     assert restored.metadata["tag"] == "007"
     assert isinstance(restored.metadata["tag"], str)
     assert restored.metadata["exp"] == "1e3"
@@ -71,7 +79,7 @@ def test_numeric_looking_string_metadata_roundtrips():
 def test_metadata_values_with_spaces_roundtrip():
     b = TraceBuilder(1)
     b.metadata["note"] = "two  spaced   words"
-    restored = textio.loads(textio.dumps(b.build()))
+    restored = textio.loads(dumps(b.build()))
     assert restored.metadata["note"] == "two  spaced   words"
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.common import units
+from repro.common.params import BusParams
 
 
 def test_kb():
@@ -15,7 +16,8 @@ def test_cpu_cycles_per_bus_cycle_is_five():
 
 
 def test_bus_cycles_conversion():
-    assert units.bus_cycles(4) == 20
+    # A 32-byte line is 4 bus cycles on the 8-byte bus: 20 CPU cycles.
+    assert BusParams().line_transfer_cycles(32) == 20
 
 
 def test_cycles_to_seconds():
